@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import INF, CostModel, FiniteProblem
-from .errors import InputError, SoundnessAlarm
+from .errors import SoundnessAlarm
 from .grid import GridCover, InputGrid
-from .reach import SampledSystem, attain_over, attain_over_batch
+from .reach import SampledSystem, attain_over_batch, check_reach_parameters
 
 import logging
 
@@ -98,10 +98,6 @@ class AbstractCosts:
             return INF
         return float(self.input_values[u_idx])
 
-    def g2(self, cell: int, cell2: int, u_idx: int) -> float:
-        """Totalized abstract running cost (cell2 may be the overflow cell)."""
-        return self.pair_value(cell, u_idx)
-
 
 def abstract_costs(costs: CostModel, cover: GridCover, inputs: InputGrid, A2: float, A3: float) -> AbstractCosts:
     return AbstractCosts(costs, cover, inputs, A2, A3)
@@ -110,12 +106,13 @@ def abstract_costs(costs: CostModel, cover: GridCover, inputs: InputGrid, A2: fl
 class SampledReach:
     """Transition over-approximator for a sampled ODE plant.
 
-    Per-cell calls run the interval subdivision procedure directly; the
-    batched path exploits the state-independent radius dynamics to process
-    all cells of the cover per input at once.
+    ``batch_ranges`` runs the interval subdivision procedure for all cells of
+    the cover under one input at once, exploiting that the radius dynamics
+    does not depend on the state.
     """
 
     def __init__(self, sys: SampledSystem, cover: GridCover, inputs: InputGrid, k: int, theta: float, gamma: float, substeps: int = 5, max_splits: int = 64):
+        check_reach_parameters(k, theta, gamma)
         self.sys = sys
         self.cover = cover
         self.inputs = inputs
@@ -132,21 +129,6 @@ class SampledReach:
             )
         else:
             self.guard_note = None
-
-    def __call__(self, cell: int, u_idx: int):
-        c = self.cover.center(cell)
-        u = self.inputs.representatives[u_idx]
-        res = attain_over(
-            self.sys, (c, self.r0), u, self.k, self.theta, self.gamma,
-            self.cover.max_diameter, self.substeps, self.max_splits,
-        )
-        found = set()
-        escaped = res.escaped
-        for lo, hi in zip(*res.union.bounding_boxes()):
-            cells, esc = self.cover.cells_overlapping_box(lo, hi)
-            found.update(cells)
-            escaped = escaped or esc
-        return sorted(found), escaped, res.slack
 
     def batch_ranges(self, u_idx: int):
         u = self.inputs.representatives[u_idx]
@@ -179,7 +161,7 @@ class SampledReach:
 
 
 class MapReach:
-    """Exact-image transition callback for discrete interval maps."""
+    """Exact-image transition over-approximator for discrete interval maps."""
 
     def __init__(self, plant, cover: GridCover):
         self.plant = plant
@@ -188,21 +170,12 @@ class MapReach:
         # two outward ulps per endpoint keep the float image a superset
         self.slack = 4.0 * np.finfo(float).eps
 
-    def _image(self, cell: int):
-        lo, hi = self.cover.cell_bounds(cell)
-        return self.plant.image_of_box(lo, hi)
-
-    def __call__(self, cell: int, u_idx: int):
-        lo, hi = self._image(cell)
-        cells, escaped = self.cover.cells_overlapping_box(lo, hi)
-        return cells, escaped, self.slack
-
     def batch_ranges(self, u_idx: int):
         n = self.cover.n_cells
         los = np.empty((n, self.cover.dim))
         his = np.empty((n, self.cover.dim))
         for cell in range(n):
-            los[cell], his[cell] = self._image(cell)
+            los[cell], his[cell] = self.plant.image_of_box(*self.cover.cell_bounds(cell))
         lo_idx, hi_idx, escaped, empty = self.cover.box_index_ranges(los, his)
         return [(lo_idx, hi_idx, empty)], escaped, self.slack
 
@@ -235,18 +208,18 @@ def _expand_ranges(cover: GridCover, lo_idx, hi_idx, active):
 def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: AbstractCosts, workers: int = 1):
     """Assemble the finite abstraction from a transition over-approximator.
 
-    ``transitions`` is either a per-pair callable (cell, input) ->
-    (successor cells, escaped, slack) or an object providing
-    ``batch_ranges(input)`` covering all cells at once.
+    ``transitions.batch_ranges(input)`` returns, for all cells at once,
+    ``(branches, escaped, slack)``: a list of per-branch ``(lo_idx, hi_idx,
+    empty)`` cell index blocks, a per-cell flag for successors outside the
+    cover and a bound on the over-approximation slack.  Cells that are gated
+    (both costs identically infinite) get a single transition to overflow.
+    ``workers`` > 1 collects the inputs in a thread pool.
     """
     n_states = cover.n_states
     m = len(inputs)
     overflow = cover.overflow
     gated = costs.gated
-    if hasattr(transitions, "batch_ranges"):
-        per_input = _collect_batched(transitions, cover, gated, m, workers)
-    else:
-        per_input = _collect_per_cell(transitions, cover, gated, m)
+    per_input = _collect_batched(transitions, cover, gated, m, workers)
 
     sizes = np.zeros(n_states * m, dtype=np.int64)
     for u_idx, (succ_u, cnt_u, escape_u, _) in enumerate(per_input):
@@ -289,30 +262,6 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     return problem, cert
 
 
-def _collect_per_cell(callback, cover, gated, m):
-    per_input = []
-    for u_idx in range(m):
-        succ_all = []
-        cnt = np.zeros(cover.n_cells, dtype=np.int64)
-        escape = np.zeros(cover.n_cells, dtype=bool)
-        slack_u = 0.0
-        for cell in range(cover.n_cells):
-            if gated[cell]:
-                escape[cell] = True  # single transition to overflow
-                continue
-            cells, escaped, slack = callback(cell, u_idx)
-            slack_u = max(slack_u, slack)
-            if not cells and not escaped:
-                raise SoundnessAlarm(
-                    f"transition callback returned an empty set for cell {cell}"
-                )
-            succ_all.extend(cells)
-            cnt[cell] = len(cells)
-            escape[cell] = escaped
-        per_input.append((np.asarray(succ_all, dtype=np.int64), cnt, escape, slack_u))
-    return per_input
-
-
 def _collect_batched(transitions, cover, gated, m, workers):
     def one(u_idx):
         branches, escaped, slack = transitions.batch_ranges(u_idx)
@@ -334,7 +283,7 @@ def _collect_batched(transitions, cover, gated, m, workers):
             flat = uniq % cover.n_states
             cnt = np.bincount(owner, minlength=cover.n_cells).astype(np.int64)
         if np.any((cnt == 0) & ~escaped & active_base):
-            raise SoundnessAlarm("transition callback produced an empty successor set")
+            raise SoundnessAlarm("batch_ranges produced an empty successor set")
         return flat, cnt, escaped | gated, float(slack)
 
     if workers > 1:

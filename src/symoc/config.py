@@ -1,9 +1,10 @@
 """Sectioned plain-text configuration for the synthesis pipeline.
 
 A config names one of the registered dynamics and optionally a parameter
-preset; every registry default can be overridden key by key.  Vectors are
-whitespace-separated, boxes use ";" between the lower and upper corner, and
-set primitives compose with "|" (union) and a leading "complement".
+preset; every registry default can be overridden key by key, and a key left
+empty keeps its default.  Vectors are whitespace-separated, boxes use ";"
+between the lower and upper corner, and set primitives compose with "|"
+(union) and a leading "complement".
 
 Example::
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .core import CostModel, cost_model
 from .errors import InputError
-from .grid import GridCover, InputGrid, build_grid_cover, discretize_inputs
+from .grid import GridCover, InputGrid
 from .sets import Box, Complement, EmptySet, QuadraticSublevel, SetPredicate, UnionSet
 from .systems import LogisticMap, SystemSpec, get_system
 
@@ -144,88 +145,71 @@ def load_config(path) -> PipelineConfig:
     spec = get_system(raw.get("system", "dynamics"))
     preset = _preset_of(spec, raw)
 
-    def get(section, key, fallback=None):
-        return raw.get(section, key, fallback=fallback)
+    def number(section, key, parse, fallback):
+        """The value of ``key`` read by ``parse``; ``fallback`` when the key
+        is absent or empty."""
+        text = raw.get(section, key, fallback="")
+        if not text:
+            return fallback
+        try:
+            return parse(text)
+        except (ValueError, InputError) as exc:
+            raise InputError(f"[{section}] {key} = {text!r}: {exc}") from exc
 
-    k_lower, k_upper = spec.k_lower, spec.k_upper
-    if get("system", "K"):
-        k_lower, k_upper = _corners(get("system", "K"))
+    # overrides go into the fresh spec, which then builds the plant
+    spec.k_lower, spec.k_upper = number("system", "K", _corners, (spec.k_lower, spec.k_upper))
+    dim = spec.k_lower.size
+    spec.tau = number("system", "tau", float, spec.tau)
+    spec.w = number("system", "w", _vector, spec.w)
+    spec.A0 = number("system", "A0", _vector, spec.A0)
+    spec.A1 = number("system", "A1", lambda t: _vector(t).reshape(dim, dim), spec.A1)
+    spec.A2 = number("system", "A2", float, spec.A2)
+    spec.A3 = number("system", "A3", float, spec.A3)
+    spec.kprime_margin = number("system", "Kprime_margin", float, spec.kprime_margin)
+    spec.eps = number("system", "eps", float, spec.eps)
+    spec.theta = number("reach", "theta", float, spec.theta)
+    spec.input_pieces = number(
+        "inputs", "U", lambda t: [_corners(part) for part in t.split("|")], spec.input_pieces
+    )
 
-    eta = mu = kk = None
-    gamma = None
+    eta = mu = None
+    kk, gamma = 1, 0.0
     if preset is not None:
         eta, mu, kk = spec.presets[preset]
         gamma = spec.preset_gamma[preset]
-    if get("grid", "eta"):
-        eta = _vector(get("grid", "eta"))
-    if get("inputs", "mu"):
-        mu = _vector(get("inputs", "mu"))
-    if get("reach", "k"):
-        kk = int(get("reach", "k"))
-    if get("reach", "gamma"):
-        gamma = float(get("reach", "gamma"))
+    eta = number("grid", "eta", _vector, eta)
+    mu = number("inputs", "mu", _vector, mu)
+    kk = number("reach", "k", int, kk)
+    gamma = number("reach", "gamma", float, gamma)
     if eta is None or mu is None:
         raise InputError("need eta and mu (directly or via a preset)")
-    if kk is None:
-        kk = 1
-    if gamma is None:
-        gamma = 0.0
 
-    pieces = spec.input_pieces
-    if get("inputs", "U"):
-        pieces = []
-        for part in get("inputs", "U").split("|"):
-            pieces.append(_corners(part))
-
-    cost_kind = get("costs", "cost_kind", spec.cost_kind)
+    domain = (spec.k_lower, spec.k_upper)
     target = spec.target
     obstacle = spec.obstacle
-    if get("costs", "target"):
-        target = parse_set(get("costs", "target"), (k_lower, k_upper))
-    if get("costs", "obstacle"):
-        obstacle = parse_set(get("costs", "obstacle"), (k_lower, k_upper))
-    model = cost_model(cost_kind, target, obstacle)
+    if raw.get("costs", "target", fallback=""):
+        target = parse_set(raw.get("costs", "target"), domain)
+    if raw.get("costs", "obstacle", fallback=""):
+        obstacle = parse_set(raw.get("costs", "obstacle"), domain)
+    model = cost_model(raw.get("costs", "cost_kind", fallback=spec.cost_kind), target, obstacle)
 
-    cover = build_grid_cover((k_lower, k_upper), eta)
-    inputs = discretize_inputs(pieces, mu)
-
-    if spec.kind == "map":
-        plant = LogisticMap()
-    else:
-        from .reach import SampledSystem
-
-        plant = SampledSystem(
-            f=spec.field_builder(),
-            w=_vector(get("system", "w")) if get("system", "w") else spec.w,
-            tau=float(get("system", "tau", spec.tau)),
-            A0=_vector(get("system", "A0")) if get("system", "A0") else spec.A0,
-            A1=_vector(get("system", "A1")).reshape(len(k_lower), len(k_lower))
-            if get("system", "A1")
-            else spec.A1,
-            k_lower=k_lower,
-            k_upper=k_upper,
-            kprime_margin=float(get("system", "Kprime_margin", spec.kprime_margin)),
-            eps=float(get("system", "eps", spec.eps)),
-            name=spec.name,
-        )
-
-    queue = get("solve", "queue", "auto")
+    queue = raw.get("solve", "queue", fallback="auto")
     if queue not in ("auto", "heap", "fifo"):
         raise InputError(f"queue must be auto, heap or fifo, not {queue!r}")
     return PipelineConfig(
         name=spec.name,
         kind=spec.kind,
-        plant=plant,
-        cover=cover,
-        inputs=inputs,
+        plant=LogisticMap() if spec.kind == "map" else spec.sampled_system(),
+        cover=GridCover(spec.k_lower, spec.k_upper, eta),
+        inputs=InputGrid(spec.input_pieces, mu),
         model=model,
-        A2=float(get("system", "A2", spec.A2)),
-        A3=float(get("system", "A3", spec.A3)),
+        A2=spec.A2,
+        A3=spec.A3,
         k=kk,
-        theta=float(get("reach", "theta", spec.theta)),
+        theta=spec.theta,
         gamma=gamma,
-        substeps=int(get("reach", "substeps", 5)),
-        max_splits=int(get("reach", "max_splits", 64)),
+        substeps=number("reach", "substeps", int, 5),
+        max_splits=number("reach", "max_splits", int, 64),
         queue=queue,
-        workers=int(get("solve", "workers", 1)),
+        workers=number("solve", "workers", int, 1),
     )

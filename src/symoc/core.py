@@ -221,20 +221,23 @@ class FiniteProblem:
             raise InputError("focp header: need positive state/input counts")
         G = np.full(n, INF)
         trans = [[[] for _ in range(m)] for _ in range(n)]
-        for ln in lines[1:]:
-            parts = ln.split()
-            if parts[0] == "G" and len(parts) == 3:
-                p = int(parts[1])
-                if not 0 <= p < n:
-                    raise InputError(f"state index out of range: {ln!r}")
-                G[p] = parse_cost(parts[2])
-            elif parts[0] == "T" and len(parts) == 5:
-                p, u, q = int(parts[1]), int(parts[2]), int(parts[3])
-                if not (0 <= p < n and 0 <= u < m and 0 <= q < n):
-                    raise InputError(f"index out of range: {ln!r}")
-                trans[p][u].append((q, parse_cost(parts[4])))
-            else:
-                raise InputError(f"unrecognized focp record: {ln!r}")
+        try:
+            for ln in lines[1:]:
+                parts = ln.split()
+                if parts[0] == "G" and len(parts) == 3:
+                    p = int(parts[1])
+                    if not 0 <= p < n:
+                        raise InputError(f"state index out of range: {ln!r}")
+                    G[p] = parse_cost(parts[2])
+                elif parts[0] == "T" and len(parts) == 5:
+                    p, u, q = int(parts[1]), int(parts[2]), int(parts[3])
+                    if not (0 <= p < n and 0 <= u < m and 0 <= q < n):
+                        raise InputError(f"index out of range: {ln!r}")
+                    trans[p][u].append((q, parse_cost(parts[4])))
+                else:
+                    raise InputError(f"unrecognized focp record: {ln!r}")
+        except ValueError as exc:
+            raise InputError(f"malformed focp record: {ln!r}") from exc
         return cls.from_lists(G, trans)
 
 
@@ -263,18 +266,7 @@ class CostModel:
     def g(self, p, q, u) -> float:
         if self.obstacle.contains(p):
             return INF
-        if self.kind == "reach_avoid":
-            return 0.0
-        if self.kind == "min_time":
-            return 1.0
-        u = np.asarray(u, dtype=float)
-        return float(u @ u)
-
-    def cell_G_finite(self, lo, hi) -> bool:
-        return self.target.cell_inside(lo, hi) and self.obstacle.cell_disjoint(lo, hi)
-
-    def cell_g_finite(self, lo, hi) -> bool:
-        return self.obstacle.cell_disjoint(lo, hi)
+        return self.finite_g_value(u)
 
     def cell_all_infinite(self, lo, hi) -> bool:
         """Both cost functions are identically inf on the cell (the region the
@@ -409,14 +401,14 @@ class ControllerTable:
     @classmethod
     def from_text(cls, text: str) -> "ControllerTable":
         entries = {}
-        for ln in text.splitlines():
-            if not ln.strip():
-                continue
-            parts = ln.split()
-            if len(parts) != 2:
-                raise InputError(f"malformed controller record: {ln!r}")
-            p = int(parts[0])
-            entries[p] = STOP if parts[1] == "STOP" else int(parts[1])
+        try:
+            for ln in text.splitlines():
+                if not ln.strip():
+                    continue
+                p, u = ln.split()
+                entries[int(p)] = STOP if u == "STOP" else int(u)
+        except ValueError as exc:
+            raise InputError(f"malformed controller record: {ln!r}") from exc
         if sorted(entries) != list(range(len(entries))):
             raise InputError("controller file must cover states 0..n-1")
         return cls(np.array([entries[p] for p in range(len(entries))], dtype=np.int64))
@@ -428,13 +420,14 @@ def values_to_text(W) -> str:
 
 def values_from_text(text: str) -> np.ndarray:
     entries = {}
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InputError(f"malformed value record: {ln!r}")
-        entries[int(parts[0])] = parse_cost(parts[1])
+    try:
+        for ln in text.splitlines():
+            if not ln.strip():
+                continue
+            p, w = ln.split()
+            entries[int(p)] = parse_cost(w)
+    except ValueError as exc:
+        raise InputError(f"malformed value record: {ln!r}") from exc
     if sorted(entries) != list(range(len(entries))):
         raise InputError("value file must cover states 0..n-1")
     return np.array([entries[p] for p in range(len(entries))])

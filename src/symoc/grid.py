@@ -128,20 +128,6 @@ class GridCover:
         np.clip(hi_idx, 0, self.counts - 1, out=hi_idx)
         return lo_idx, hi_idx, escape, empty
 
-    def cells_overlapping_box(self, lo, hi):
-        """Flat indices of all cells meeting the closed box [lo, hi], plus an
-        escape flag; the overflow cell is not included in the list."""
-        lo_idx, hi_idx, escape, empty = self.box_index_ranges(
-            np.asarray(lo, float)[None, :], np.asarray(hi, float)[None, :]
-        )
-        if empty[0]:
-            return [], bool(escape[0])
-        ranges = [range(int(a), int(b) + 1) for a, b in zip(lo_idx[0], hi_idx[0])]
-        out = [0]
-        for i, rng in enumerate(ranges):
-            out = [o + j * int(self._strides[i]) for o in out for j in rng]
-        return sorted(out), bool(escape[0])
-
     def geometry_lines(self):
         fmt = lambda arr: " ".join(repr(float(v)) for v in arr)
         return [
@@ -151,13 +137,6 @@ class GridCover:
             f"eta = {fmt(self.eta)}",
             f"counts = {' '.join(str(int(c)) for c in self.counts)}",
         ]
-
-
-def build_grid_cover(bounds, eta) -> GridCover:
-    """Cover of the hyper-interval ``bounds`` = (lower, upper) by cells of
-    width eta centered on the lattice of eta-multiples anchored at lower."""
-    lower, upper = bounds
-    return GridCover(lower, upper, eta)
 
 
 class InputGrid:
@@ -208,6 +187,3 @@ class InputGrid:
             lines.append(f"input_piece = {fmt(lo)} ; {fmt(hi)}")
         return lines
 
-
-def discretize_inputs(pieces, mu) -> InputGrid:
-    return InputGrid(pieces, mu)

@@ -125,103 +125,28 @@ def growth_bound(sys: SampledSystem, r0, t, substeps, with_disturbance=True):
     return np.maximum(out, 0.0)
 
 
-@dataclass
-class IntervalUnion:
-    """Finite union of hyper-intervals given as centers +- radii."""
-
-    centers: np.ndarray  # (N, dim)
-    radii: np.ndarray  # (N, dim)
-
-    def __post_init__(self):
-        self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        self.radii = np.atleast_2d(np.asarray(self.radii, dtype=float))
-        if self.centers.shape != self.radii.shape or np.any(self.radii < 0):
-            raise InputError("malformed interval union")
-
-    def __len__(self):
-        return len(self.centers)
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.any(np.all(np.abs(x - self.centers) <= self.radii, axis=1)))
-
-    def total_volume(self) -> float:
-        return float(np.prod(2.0 * self.radii, axis=1).sum())
-
-    def bounding_boxes(self):
-        return self.centers - self.radii, self.centers + self.radii
-
-
-@dataclass
-class ReachResult:
-    union: IntervalUnion
-    slack: float  # bound on sup over the union of the distance to the true set
-    escaped: bool  # some interval left the safety hull, or the split cap hit
-
-
-def _split_widest(c, r, b):
-    j = int(np.argmax(r))
-    shift = np.zeros_like(r)
-    shift[j] = r[j] / 2.0
-    r2 = r.copy()
-    r2[j] = r[j] / 2.0
-    return [(c - shift, r2, b + shift), (c + shift, r2, b + shift)]
-
-
-def attain_over(sys: SampledSystem, cell, u, k, theta, gamma, eta_norm, substeps=5, max_splits=64):
-    """Over-approximate the attainable set from a cell under constant input u.
-
-    ``cell`` is (center, radius); ``eta_norm`` is the cover's cell width used
-    in the subdivision threshold theta * eta_norm.
-    """
-    if k < 1 or theta <= 0 or gamma < 0:
-        raise InputError("need k >= 1, theta > 0, gamma >= 0")
-    c0, r0 = (np.asarray(v, dtype=float) for v in cell)
-    work = [(c0, r0, np.zeros(sys.dim))]
-    threshold = theta * eta_norm
-    t_sub = sys.tau / k
-    escaped = False
-    for _ in range(k):
-        moved = []
-        for c, r, b in work:
-            c2 = integrate_nominal(sys, c, u, t_sub, substeps)
-            r2 = growth_bound(sys, r, t_sub, substeps) + gamma
-            b2 = growth_bound(sys, b, t_sub, substeps, with_disturbance=False)
-            if np.any(c2 - r2 < sys.hull_lower) or np.any(c2 + r2 > sys.hull_upper):
-                escaped = True
-            moved.append((c2, r2, b2))
-        work = []
-        queue = moved
-        while queue:
-            c, r, b = queue.pop()
-            if float(r.max()) > threshold:
-                if len(work) + len(queue) + 2 > max_splits:
-                    log.warning("split cap hit for input %s; routing to overflow", u)
-                    escaped = True
-                    work.append((c, r, b))
-                    work.extend(queue)
-                    queue = []
-                    break
-                queue.extend(_split_widest(c, r, b))
-            else:
-                work.append((c, r, b))
-    union = IntervalUnion(
-        np.array([c for c, _, _ in work]), np.array([r for _, r, _ in work])
-    )
-    slack = max(float((r + b).max()) for _, r, b in work)
-    return ReachResult(union, slack, escaped)
+def check_reach_parameters(k, theta, gamma):
+    """Reject substep counts below 1, non-positive split thresholds and
+    negative error budgets (NaN included)."""
+    if not (k >= 1 and theta > 0 and gamma >= 0):
+        raise InputError(f"need k >= 1, theta > 0, gamma >= 0; got k={k}, theta={theta}, gamma={gamma}")
 
 
 def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_norm, substeps=5, max_splits=64):
-    """attain_over for many cells sharing one initial radius.
+    """Over-approximate the attainable sets from cells (centers +- r0) under
+    the constant input u.
 
-    Exploits that the radius dynamics does not depend on the state: all cells
-    share the radius trajectory, so bisections trigger for all cells at the
-    same substeps and the computation stays a small set of center batches.
+    ``eta_norm`` is the cover's cell width used in the subdivision threshold
+    theta * eta_norm.  The radius dynamics does not depend on the state, so
+    all cells share the radius trajectory: bisections trigger for all cells
+    at the same substeps and the computation stays a small set of center
+    batches (branches).  A single cell is a batch of one center.
 
     Returns (boxes_lo, boxes_hi, escaped, slack): lists over branches of
-    (N, dim) bound arrays, a per-cell escape flag array and the common slack.
+    (N, dim) bound arrays, a per-cell escape flag array (some box left the
+    safety hull, or the split cap hit) and the slack common to all cells.
     """
+    check_reach_parameters(k, theta, gamma)
     centers = np.asarray(centers, dtype=float)
     n_cells = len(centers)
     r0 = np.asarray(r0, dtype=float)

@@ -49,13 +49,14 @@ class Relation:
     @classmethod
     def from_text(cls, text: str) -> "Relation":
         pairs = []
-        for ln in text.splitlines():
-            if not ln.strip():
-                continue
-            parts = ln.split()
-            if len(parts) != 2:
-                raise InputError(f"malformed relation record: {ln!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            for ln in text.splitlines():
+                if not ln.strip():
+                    continue
+                a, b = ln.split()
+                pairs.append((int(a), int(b)))
+        except ValueError as exc:
+            raise InputError(f"malformed relation record: {ln!r}") from exc
         return cls(pairs)
 
 

@@ -227,18 +227,3 @@ def value_iteration(problem: FiniteProblem, T: int) -> np.ndarray:
         W = dp_operator(problem, W)
     return W
 
-
-def extract_controller(result: SolveResult):
-    """Static controller semantics of a solve result: state -> (input, stop).
-
-    Stopped states emit the dummy input 0 together with stop = 1.
-    """
-    choice = result.c.choice
-
-    def act(p):
-        u = choice[p]
-        if u == STOP:
-            return 0, 1
-        return int(u), 0
-
-    return act

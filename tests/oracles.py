@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from symoc.reach import growth_bound, integrate_nominal
+
 INF = math.inf
 
 
@@ -134,3 +136,84 @@ def certified_vfrr_pair(rng, n2_max=10, m_max=3, split_max=3):
         G1.append(Gv if Gv == INF else max(Gv - float(rng.uniform(0, 0.5)), 0.0))
     pairs = [(p1, h[p1]) for p1 in range(n1)]
     return (trans1, G1), (trans2, G2), pairs
+
+
+def attain_over(sys, cell, u, k, theta, gamma, eta_norm, substeps=5, max_splits=64):
+    """Per-cell interval subdivision, one (center, radius, drift) at a time.
+
+    Reference for ``symoc.reach.attain_over_batch``: the same substep, split
+    and split-cap rules, run on a Python list of intervals instead of
+    batches of centers; only the integrators are shared with the library.
+    Returns (centers, radii, escaped, slack).
+    """
+    c0, r0 = (np.asarray(v, dtype=float) for v in cell)
+    work = [(c0, r0, np.zeros(sys.dim))]
+    t_sub = sys.tau / k
+    escaped = False
+    for _ in range(k):
+        moved = []
+        for c, r, b in work:
+            c2 = integrate_nominal(sys, c, u, t_sub, substeps)
+            r2 = growth_bound(sys, r, t_sub, substeps) + gamma
+            b2 = growth_bound(sys, b, t_sub, substeps, with_disturbance=False)
+            if np.any(c2 - r2 < sys.hull_lower) or np.any(c2 + r2 > sys.hull_upper):
+                escaped = True
+            moved.append((c2, r2, b2))
+        work = []
+        queue = moved
+        while queue:
+            c, r, b = queue.pop()
+            if float(r.max()) <= theta * eta_norm:
+                work.append((c, r, b))
+            elif len(work) + len(queue) + 2 > max_splits:
+                escaped = True
+                work.append((c, r, b))
+                work.extend(queue)
+                queue = []
+            else:
+                j = int(np.argmax(r))
+                shift = np.zeros_like(r)
+                shift[j] = r[j] / 2.0
+                half = r.copy()
+                half[j] = r[j] / 2.0
+                queue.append((c - shift, half, b + shift))
+                queue.append((c + shift, half, b + shift))
+    slack = max(float((r + b).max()) for _, r, b in work)
+    return np.array([c for c, _, _ in work]), np.array([r for _, r, _ in work]), escaped, slack
+
+
+def boxes_contain(lo, hi, x):
+    """Whether the point x lies in the union of the closed boxes [lo[i], hi[i]]."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.any(np.all((lo <= x) & (x <= hi), axis=1)))
+
+
+def cells_overlapping_box(cover, lo, hi):
+    """Sorted flat indices of the cells whose closed extent meets the closed
+    box [lo, hi], by testing every cell; plus whether the box sticks out of
+    the domain (its successors then include the overflow cell)."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    centers = cover.centers_all()
+    c_lo = np.maximum(centers - cover.eta / 2, cover.lower)
+    c_hi = np.minimum(centers + cover.eta / 2, cover.upper)
+    meets = np.all(c_hi >= lo, axis=1) & np.all(c_lo <= hi, axis=1)
+    escape = bool(np.any(lo < cover.lower) or np.any(hi > cover.upper))
+    return np.nonzero(meets)[0].tolist(), escape
+
+
+def reach_successors(reach, cell, u_idx):
+    """Per-cell successor set of a ``SampledReach`` pair: (sorted cells,
+    escaped, slack) from the per-cell ``attain_over`` and a brute-force cell
+    search per interval."""
+    cover = reach.cover
+    centers, radii, escaped, slack = attain_over(
+        reach.sys, (cover.center(cell), reach.r0), reach.inputs.representatives[u_idx],
+        reach.k, reach.theta, reach.gamma, cover.max_diameter, reach.substeps, reach.max_splits,
+    )
+    found = set()
+    for c, r in zip(centers, radii):
+        cells, esc = cells_overlapping_box(cover, c - r, c + r)
+        found.update(cells)
+        escaped = escaped or esc
+    return sorted(found), escaped, slack

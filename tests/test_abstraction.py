@@ -11,18 +11,20 @@ from symoc.abstraction import (
 )
 from symoc.core import INF, cost_model
 from symoc.errors import SoundnessAlarm
-from symoc.grid import build_grid_cover, discretize_inputs
+from symoc.grid import GridCover, InputGrid
 from symoc.reach import SampledSystem
 from symoc.sets import Box, EmptySet
 from symoc.simulate import perturbed_step
 from symoc.solver import is_discrete_cost, solve
 from symoc.systems import LogisticMap, get_system
 
+from oracles import cells_overlapping_box, reach_successors
+
 
 def logistic_setup(N):
     spec = get_system("logistic")
-    cover = build_grid_cover((spec.k_lower, spec.k_upper), np.array([1.0 / N]))
-    inputs = discretize_inputs(spec.input_pieces, np.array([1.0]))
+    cover = GridCover(spec.k_lower, spec.k_upper, np.array([1.0 / N]))
+    inputs = InputGrid(spec.input_pieces, np.array([1.0]))
     model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs, 0.0, 0.0)
     reach = MapReach(LogisticMap(), cover)
@@ -56,8 +58,8 @@ def test_min_time_cost_abstraction_on_cells():
 def test_pendulum_energy_cost_abstraction():
     spec = get_system("pendulum")
     eta, mu, _ = spec.presets["p1"]
-    cover = build_grid_cover((spec.k_lower, spec.k_upper), eta)
-    inputs = discretize_inputs(spec.input_pieces, mu)
+    cover = GridCover(spec.k_lower, spec.k_upper, eta)
+    inputs = InputGrid(spec.input_pieces, mu)
     model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
     assert cover.counts.tolist() == [158, 76]
@@ -86,15 +88,15 @@ def test_identity_dynamics_transitions_are_overlapping_cells():
         kprime_margin=0.5,
         eps=0.1,
     )
-    cover = build_grid_cover(([0.0, 0.0], [1.0, 1.0]), [0.25, 0.25])
-    inputs = discretize_inputs([([0.0], [0.0])], [1.0])
+    cover = GridCover([0.0, 0.0], [1.0, 1.0], [0.25, 0.25])
+    inputs = InputGrid([([0.0], [0.0])], [1.0])
     model = cost_model("min_time", Box([0.4, 0.4], [0.6, 0.6], open_=True), EmptySet())
     ac = abstract_costs(model, cover, inputs, 0.0, 0.0)
     reach = SampledReach(sys, cover, inputs, k=1, theta=10.0, gamma=0.0)
     problem, _ = build_abstraction(reach, cover, inputs, ac)
     for cell in range(cover.n_cells):
         c = cover.center(cell)
-        want, escape = cover.cells_overlapping_box(c - cover.eta / 2, c + cover.eta / 2)
+        want, escape = cells_overlapping_box(cover, c - cover.eta / 2, c + cover.eta / 2)
         succ = [int(q) for q in problem.successors(cell, 0)[0]]
         assert sorted(q for q in succ if q != cover.overflow) == want
         assert (cover.overflow in succ) == escape
@@ -103,27 +105,36 @@ def test_identity_dynamics_transitions_are_overlapping_cells():
 def test_batched_build_matches_per_cell_build():
     spec = get_system("pendulum")
     sys = spec.sampled_system()
-    cover = build_grid_cover((spec.k_lower, spec.k_upper), np.array([0.8, 0.6]))
-    inputs = discretize_inputs(spec.input_pieces, np.array([1.0]))
+    cover = GridCover(spec.k_lower, spec.k_upper, np.array([0.8, 0.6]))
+    inputs = InputGrid(spec.input_pieces, np.array([1.0]))
     model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
-    reach = SampledReach(sys, cover, inputs, k=2, theta=1.0, gamma=1e-7)
-    batched, cert_b = build_abstraction(reach, cover, inputs, ac)
-    per_cell, cert_p = build_abstraction(reach.__call__, cover, inputs, ac)
-    assert np.array_equal(batched.trans_ptr, per_cell.trans_ptr)
-    assert np.array_equal(batched.trans_succ, per_cell.trans_succ)
-    assert np.array_equal(batched.pair_costs, per_cell.pair_costs)
-    assert cert_b.rho == pytest.approx(cert_p.rho, abs=1e-13)
-    threaded, _ = build_abstraction(reach, cover, inputs, ac, workers=4)
-    assert np.array_equal(threaded.trans_succ, batched.trans_succ)
+    overflow = [cover.overflow]
+    # theta 1.0 gives one reach branch per input, 0.5 four overlapping ones
+    for theta in (1.0, 0.5):
+        reach = SampledReach(sys, cover, inputs, k=2, theta=theta, gamma=1e-7)
+        batched, cert = build_abstraction(reach, cover, inputs, ac)
+        slack = 0.0
+        for cell in range(cover.n_cells):
+            for u_idx in range(len(inputs)):
+                succ = batched.successors(cell, u_idx)[0].tolist()
+                if ac.gated[cell]:
+                    assert succ == overflow
+                    continue
+                want, escaped, slack_pair = reach_successors(reach, cell, u_idx)
+                assert succ == want + (overflow if escaped else [])
+                slack = max(slack, slack_pair)
+        assert cert.transition_slack == pytest.approx(slack, abs=1e-13)
+        threaded, _ = build_abstraction(reach, cover, inputs, ac, workers=4)
+        assert np.array_equal(threaded.trans_succ, batched.trans_succ)
 
 
 def test_abstract_transitions_are_supersets_of_simulation():
     spec = get_system("pendulum")
     sys = spec.sampled_system()
     eta, mu, k = spec.presets["p1"]
-    cover = build_grid_cover((spec.k_lower, spec.k_upper), eta)
-    inputs = discretize_inputs(spec.input_pieces, mu)
+    cover = GridCover(spec.k_lower, spec.k_upper, eta)
+    inputs = InputGrid(spec.input_pieces, mu)
     model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
     reach = SampledReach(sys, cover, inputs, k, spec.theta, spec.preset_gamma["p1"])
@@ -185,11 +196,16 @@ def test_check_conservatism_flags_bloated_transition():
 def test_empty_callback_raises_strictness_alarm():
     _, cover, inputs, model, ac, _, _, _ = logistic_setup(40)
 
-    def bad_callback(cell, u_idx):
-        return [], False, 0.0
+    class EmptyReach:
+        """Every cell maps to an empty block and nothing escapes."""
+
+        def batch_ranges(self, u_idx):
+            idx = np.zeros((cover.n_cells, cover.dim), dtype=np.int64)
+            empty = np.ones(cover.n_cells, dtype=bool)
+            return [(idx, idx, empty)], np.zeros(cover.n_cells, dtype=bool), 0.0
 
     with pytest.raises(SoundnessAlarm):
-        build_abstraction(bad_callback, cover, inputs, ac)
+        build_abstraction(EmptyReach(), cover, inputs, ac)
 
 
 def test_sidecar_text_round_trip_fields():

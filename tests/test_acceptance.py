@@ -18,13 +18,14 @@ from symoc.analysis import (
 )
 from symoc.cli import main
 from symoc.core import INF, FiniteProblem, cost_model, dijkstra_distances, make_shortest_path
-from symoc.grid import build_grid_cover, discretize_inputs
+from symoc.grid import GridCover, InputGrid
+from symoc.reach import attain_over_batch
 from symoc.relations import Relation, check_vfrr, pointwise_upper_bound, serial_compose
 from symoc.simulate import make_policy, perturbed_step, run_closed_loop, sample_winning_states
 from symoc.solver import dp_operator, is_discrete_cost, solve, value_iteration
 from symoc.systems import LogisticMap, get_system
 
-from oracles import certified_vfrr_pair, random_graph, random_problem_lists
+from oracles import boxes_contain, certified_vfrr_pair, random_graph, random_problem_lists
 
 
 def report(k, ok, detail=""):
@@ -35,8 +36,8 @@ def report(k, ok, detail=""):
 def synthesize(name, preset):
     spec = get_system(name)
     eta, mu, k = spec.presets[preset]
-    cover = build_grid_cover((spec.k_lower, spec.k_upper), eta)
-    inputs = discretize_inputs(spec.input_pieces, mu)
+    cover = GridCover(spec.k_lower, spec.k_upper, eta)
+    inputs = InputGrid(spec.input_pieces, mu)
     model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
     if spec.kind == "map":
@@ -187,21 +188,19 @@ def test_criterion_06_reach_set_containment(pendulum, chauffeur):
         spec = b["spec"]
         eta, mu, k = spec.presets["p1"]
         gamma = spec.preset_gamma["p1"]
-        from symoc.reach import attain_over
-
         for _ in range(1000):
             cell = int(rng.integers(0, cover.n_cells))
             u_idx = int(rng.integers(0, len(inputs)))
             u = inputs.representatives[u_idx]
-            out = attain_over(
-                sys, (cover.center(cell), cover.eta / 2), u, k, spec.theta, gamma,
+            box_lo, box_hi, _, _ = attain_over_batch(
+                sys, cover.center(cell)[None, :], cover.eta / 2, u, k, spec.theta, gamma,
                 cover.max_diameter,
             )
             lo, hi = cover.cell_bounds(cell)
             x0 = rng.uniform(lo, hi)
             d = rng.uniform(-sys.w, sys.w, size=(8, sys.dim))
             endpoint = perturbed_step(sys, x0, u, d)
-            assert out.union.contains(endpoint)
+            assert boxes_contain(np.concatenate(box_lo), np.concatenate(box_hi), endpoint)
     # benchmark map: endpoints of the exact map stay inside the image boxes
     b = synthesize("logistic", "N40")
     plant, cover = b["plant"], b["cover"]

@@ -1,12 +1,14 @@
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from symoc.cli import main
 from symoc.config import load_config, parse_set
-from symoc.core import INF, FiniteProblem, values_from_text
+from symoc.core import INF, ControllerTable, FiniteProblem, values_from_text
 from symoc.errors import InputError
 from symoc.relations import Relation
 from symoc.sets import Box, Complement, EmptySet, QuadraticSublevel, UnionSet
@@ -63,6 +65,12 @@ def test_config_overrides_and_rejections(tmp_path):
         load_config(bad)
     with pytest.raises(InputError):
         load_config(tmp_path / "missing.ini")
+    for section, key, value in (("reach", "theta", "abc"), ("reach", "k", "x"),
+                                ("reach", "k", "1.5"), ("system", "A1", "1 2 3")):
+        header = "" if section == "system" else f"[{section}]\n"
+        bad.write_text(f"[system]\ndynamics = pendulum\npreset = p1\n{header}{key} = {value}\n")
+        with pytest.raises(InputError, match=rf"\[{section}\] {key} = '{value}'"):
+            load_config(bad)
 
 
 def test_parse_set_primitives():
@@ -146,11 +154,20 @@ def test_cli_check_relation(tmp_path):
     assert rc == 0
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # malformed config -> input error -> exit 1
     bad = tmp_path / "bad.ini"
     bad.write_text("[system]\ndynamics = nope\n")
     assert main(["synthesize", str(bad), "--out-prefix", str(tmp_path / "x")]) == 1
+    # reach parameters out of range -> input error, not a crash, an alarm or
+    # a cover sent wholesale to overflow
+    for line in ("k = 0", "theta = 0", "theta = -1", "gamma = -1", "theta = abc", "k = x"):
+        bad.write_text(
+            "[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.8 0.6\n"
+            f"[reach]\n{line}\n"
+        )
+        assert main(["synthesize", str(bad), "--out-prefix", str(tmp_path / "x")]) == 1, line
+        assert "input error:" in capsys.readouterr().err
 
     # corrupting the value file downwards makes simulate flag violations -> exit 2
     cfg = os.path.join(CONFIGS, "logistic_n40.ini")
@@ -183,3 +200,51 @@ def test_cli_rerun_is_byte_identical(tmp_path):
         ]) == 0
     for suffix in (".values", ".controller", ".sidecar", ".sim.traj000.csv", ".sim.report"):
         assert sha(tmp_path / ("one" + suffix)) == sha(tmp_path / ("two" + suffix))
+
+
+def test_malformed_tokens_are_input_errors(tmp_path):
+    focp = "focp 2 1\nG 0 0\nT 0 0 1 1.0\nT 1 0 1 0.0\n"
+    cases = [
+        (FiniteProblem.from_focp_text, focp + "G x 0\n", "G x 0"),
+        (FiniteProblem.from_focp_text, focp + "G 1 abc\n", "G 1 abc"),
+        (FiniteProblem.from_focp_text, focp + "T 0 0 y 1.0\n", "T 0 0 y 1.0"),
+        (values_from_text, "0 0.0\n1 x\n", "1 x"),
+        (values_from_text, "z 0.0\n", "z 0.0"),
+        (values_from_text, "0 0.0 1\n", "0 0.0 1"),
+        (ControllerTable.from_text, "0 STOP\n1 x\n", "1 x"),
+        (ControllerTable.from_text, "x STOP\n", "x STOP"),
+        (ControllerTable.from_text, "0\n", "0"),
+        (Relation.from_text, "0 0\n0 x\n", "0 x"),
+        (Relation.from_text, "0 0 1\n", "0 0 1"),
+    ]
+    for reader, text, line in cases:
+        with pytest.raises(InputError, match=repr(line)):
+            reader(text)
+    good = tmp_path / "good.focp"
+    good.write_text(focp)
+    (tmp_path / "bad.focp").write_text(focp + "G x 0\n")
+    (tmp_path / "rel.txt").write_text("0 0\n0 x\n")
+    prefix = str(tmp_path / "out")
+    assert main(["solve-finite", str(tmp_path / "bad.focp"), "--out-prefix", prefix]) == 1
+    assert main(["check-relation", str(good), str(good), str(tmp_path / "rel.txt")]) == 1
+
+
+def test_benchmark_span_hooks_install():
+    # the benchmark's traced run wraps these symoc names; renaming or deleting
+    # one must fail here rather than only in the benchmark
+    script = (
+        "import symoc.abstraction, symoc.cli, symoc.config\n"
+        "from spans import Tracer\n"
+        "from workloads import install_spans\n"
+        "install_spans(Tracer())\n"
+        "assert symoc.cli.load_config is symoc.config.load_config\n"
+        "assert symoc.cli.abstract_costs is symoc.abstraction.abstract_costs\n"
+        "assert symoc.cli.build_abstraction is symoc.abstraction.build_abstraction\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(REPO, "src"), os.path.join(REPO, "perfbench")]
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr

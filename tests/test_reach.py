@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from symoc.errors import InputError
-from symoc.reach import IntervalUnion, SampledSystem, attain_over, attain_over_batch, growth_bound, integrate_nominal, rk4
+from symoc.reach import SampledSystem, attain_over_batch, growth_bound, integrate_nominal, rk4
 from symoc.systems import chauffeur_nominal_exact, get_system
+
+from oracles import attain_over, boxes_contain
 
 
 def make_system(f, w, A1, tau=0.1, A0=None, box=4.0, margin=None, eps=0.1):
@@ -23,6 +25,15 @@ def make_system(f, w, A1, tau=0.1, A0=None, box=4.0, margin=None, eps=0.1):
         kprime_margin=margin,
         eps=eps,
     )
+
+
+def reach_one(sys, cell, u, k, theta, gamma, eta_norm, **kw):
+    """attain_over_batch on a single cell: (lo, hi, escaped, slack) with one
+    row of lo/hi per branch."""
+    lo_b, hi_b, escaped, slack = attain_over_batch(
+        sys, np.atleast_2d(cell[0]), cell[1], u, k, theta, gamma, eta_norm, **kw
+    )
+    return np.array([lo[0] for lo in lo_b]), np.array([hi[0] for hi in hi_b]), bool(escaped[0]), slack
 
 
 def perturbed_endpoint(sys, x0, u, disturbances, substeps_per_piece=8):
@@ -91,28 +102,28 @@ def test_attain_over_identity_dynamics():
     sys = make_system(lambda x, u: np.zeros_like(x), w=[0.0, 0.0], A1=np.zeros((2, 2)))
     cell = (np.array([0.2, -0.1]), np.array([0.05, 0.05]))
     for k in (1, 2, 4):
-        res = attain_over(sys, cell, np.array([0.0]), k=k, theta=3.0, gamma=0.0, eta_norm=0.1)
-        assert len(res.union) == 1
-        assert np.allclose(res.union.centers[0], cell[0])
-        assert np.allclose(res.union.radii[0], cell[1])
-        assert not res.escaped
+        lo, hi, escaped, _ = reach_one(sys, cell, np.array([0.0]), k=k, theta=3.0, gamma=0.0, eta_norm=0.1)
+        assert len(lo) == 1
+        assert np.allclose(lo[0], cell[0] - cell[1])
+        assert np.allclose(hi[0], cell[0] + cell[1])
+        assert not escaped
 
 
 def test_attain_over_exponential_closed_form():
     sys = make_system(lambda x, u: x, w=[0.0], A1=[[1.0]], tau=0.1, A0=[6.0])
-    res = attain_over(sys, (np.array([1.0]), np.array([0.1])), np.array([0.0]), k=1, theta=100.0, gamma=0.0, eta_norm=0.1, substeps=10)
-    assert len(res.union) == 1
-    assert res.union.centers[0][0] == pytest.approx(math.exp(0.1), abs=1e-8)
-    assert res.union.radii[0][0] == pytest.approx(0.1 * math.exp(0.1), abs=1e-8)
+    lo, hi, _, _ = reach_one(sys, (np.array([1.0]), np.array([0.1])), np.array([0.0]), k=1, theta=100.0, gamma=0.0, eta_norm=0.1, substeps=10)
+    assert len(lo) == 1
+    assert (lo[0][0] + hi[0][0]) / 2 == pytest.approx(math.exp(0.1), abs=1e-8)
+    assert (hi[0][0] - lo[0][0]) / 2 == pytest.approx(0.1 * math.exp(0.1), abs=1e-8)
 
 
 def test_attain_over_gamma_monotone():
     spec = get_system("pendulum")
     sys = spec.sampled_system()
     cell = (np.array([0.0, 0.0]), np.array([0.04, 0.04]))
-    r_small = attain_over(sys, cell, np.array([0.0]), 1, 1.0, 1e-7, 0.08)
-    r_large = attain_over(sys, cell, np.array([0.0]), 1, 1.0, 1e-3, 0.08)
-    assert np.all(r_large.union.radii >= r_small.union.radii)
+    lo_s, hi_s, _, _ = reach_one(sys, cell, np.array([0.0]), 1, 1.0, 1e-7, 0.08)
+    lo_l, hi_l, _, _ = reach_one(sys, cell, np.array([0.0]), 1, 1.0, 1e-3, 0.08)
+    assert np.all(hi_l - lo_l >= hi_s - lo_s)
 
 
 def test_attain_over_subdivision_tightens():
@@ -120,25 +131,24 @@ def test_attain_over_subdivision_tightens():
     sys = spec.sampled_system()
     cell = (np.array([1.0, 0.5]), np.array([0.04, 0.04]))
     u = np.array([1.0])
-    coarse = attain_over(sys, cell, u, k=4, theta=1.0, gamma=0.0, eta_norm=0.08)
-    fine = attain_over(sys, cell, u, k=4, theta=0.5, gamma=0.0, eta_norm=0.08)
-    assert len(fine.union) >= len(coarse.union)
+    coarse = reach_one(sys, cell, u, k=4, theta=1.0, gamma=0.0, eta_norm=0.08)[:2]
+    fine = reach_one(sys, cell, u, k=4, theta=0.5, gamma=0.0, eta_norm=0.08)[:2]
+    assert len(fine[0]) >= len(coarse[0])
 
     rng = np.random.default_rng(23)
     # the finer union covers a subset of the coarser one (same cloud, less slop)
-    lo, hi = coarse.union.bounding_boxes()
-    box_lo, box_hi = lo.min(axis=0) - 0.05, hi.max(axis=0) + 0.05
+    box_lo, box_hi = coarse[0].min(axis=0) - 0.05, coarse[1].max(axis=0) + 0.05
     probes = rng.uniform(box_lo, box_hi, size=(5000, 2))
-    n_fine = sum(fine.union.contains(p) for p in probes)
-    n_coarse = sum(coarse.union.contains(p) for p in probes)
+    n_fine = sum(boxes_contain(*fine, p) for p in probes)
+    n_coarse = sum(boxes_contain(*coarse, p) for p in probes)
     assert n_fine <= n_coarse
 
     for _ in range(200):
         x0 = rng.uniform(cell[0] - cell[1], cell[0] + cell[1])
         d = rng.uniform(-sys.w, sys.w, size=(8, 2))
         endpoint = perturbed_endpoint(sys, x0, u, d)
-        assert coarse.union.contains(endpoint)
-        assert fine.union.contains(endpoint)
+        assert boxes_contain(*coarse, endpoint)
+        assert boxes_contain(*fine, endpoint)
 
 
 def test_attain_over_batch_matches_scalar_path():
@@ -151,14 +161,13 @@ def test_attain_over_batch_matches_scalar_path():
         for theta in (1.0, 0.5):
             lo_b, hi_b, escaped, slack = attain_over_batch(sys, centers, r0, u, 2, theta, 1e-7, 0.08)
             for i, c in enumerate(centers):
-                res = attain_over(sys, (c, r0), u, 2, theta, 1e-7, 0.08)
+                want_c, want_r, want_escaped, want_slack = attain_over(sys, (c, r0), u, 2, theta, 1e-7, 0.08)
                 got_lo = np.sort(np.array([lo[i] for lo in lo_b]), axis=0)
                 got_hi = np.sort(np.array([hi[i] for hi in hi_b]), axis=0)
-                want_lo, want_hi = res.union.bounding_boxes()
-                assert np.allclose(got_lo, np.sort(want_lo, axis=0), atol=1e-13)
-                assert np.allclose(got_hi, np.sort(want_hi, axis=0), atol=1e-13)
-                assert bool(escaped[i]) == res.escaped
-                assert slack == pytest.approx(res.slack, abs=1e-13)
+                assert np.allclose(got_lo, np.sort(want_c - want_r, axis=0), atol=1e-13)
+                assert np.allclose(got_hi, np.sort(want_c + want_r, axis=0), atol=1e-13)
+                assert bool(escaped[i]) == want_escaped
+                assert slack == pytest.approx(want_slack, abs=1e-13)
 
 
 def test_monte_carlo_containment_pendulum_origin_cell():
@@ -166,13 +175,13 @@ def test_monte_carlo_containment_pendulum_origin_cell():
     sys = spec.sampled_system()
     eta, mu, k = spec.presets["p1"]
     cell = (np.array([0.0, 0.0]), eta / 2.0)
-    res = attain_over(sys, cell, np.array([0.0]), k, spec.theta, spec.preset_gamma["p1"], float(eta.max()))
-    assert not res.escaped
+    lo, hi, escaped, _ = reach_one(sys, cell, np.array([0.0]), k, spec.theta, spec.preset_gamma["p1"], float(eta.max()))
+    assert not escaped
     rng = np.random.default_rng(25)
     for _ in range(300):
         x0 = rng.uniform(cell[0] - cell[1], cell[0] + cell[1])
         d = rng.uniform(-sys.w, sys.w, size=(10, 2))
-        assert res.union.contains(perturbed_endpoint(sys, x0, np.array([0.0]), d))
+        assert boxes_contain(lo, hi, perturbed_endpoint(sys, x0, np.array([0.0]), d))
 
 
 def test_escape_detection():
@@ -180,18 +189,16 @@ def test_escape_detection():
     sys = spec.sampled_system()
     # a cell outside the domain near the hull edge escapes under hard turn
     cell = (np.array([6.95, 0.0]), np.array([0.2, 0.2]))
-    res = attain_over(sys, cell, np.array([1.0]), 1, 2.0, 0.0, 0.03)
-    assert res.escaped
+    assert reach_one(sys, cell, np.array([1.0]), 1, 2.0, 0.0, 0.03)[2]
 
 
 def test_attain_over_rejects_bad_parameters():
     spec = get_system("pendulum")
     sys = spec.sampled_system()
-    cell = (np.zeros(2), np.full(2, 0.04))
-    with pytest.raises(InputError):
-        attain_over(sys, cell, np.array([0.0]), 0, 1.0, 0.0, 0.08)
-    with pytest.raises(InputError):
-        attain_over(sys, cell, np.array([0.0]), 1, -1.0, 0.0, 0.08)
+    centers, r0 = np.zeros((1, 2)), np.full(2, 0.04)
+    for k, theta, gamma in ((0, 1.0, 0.0), (1, 0.0, 0.0), (1, -1.0, 0.0), (1, 1.0, -1.0), (1, math.nan, 0.0)):
+        with pytest.raises(InputError):
+            attain_over_batch(sys, centers, r0, np.array([0.0]), k, theta, gamma, 0.08)
     with pytest.raises(InputError):
         integrate_nominal(sys, np.zeros(2), np.array([0.0]), -1.0, 5)
 
@@ -224,7 +231,9 @@ def test_sampled_system_validation():
 
 
 def test_interval_union_contains():
-    union = IntervalUnion(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([[1.0, 1.0], [0.5, 0.5]]))
-    assert union.contains([0.5, -0.7])
-    assert union.contains([2.5, 0.5])
-    assert not union.contains([1.4, 0.0])
+    # the containment oracle the Monte-Carlo tests above rely on
+    lo = np.array([[-1.0, -1.0], [1.5, -0.5]])
+    hi = np.array([[1.0, 1.0], [2.5, 0.5]])
+    assert boxes_contain(lo, hi, [0.5, -0.7])
+    assert boxes_contain(lo, hi, [2.5, 0.5])
+    assert not boxes_contain(lo, hi, [1.4, 0.0])

@@ -3,7 +3,7 @@ import pytest
 
 from symoc.abstraction import MapReach, abstract_costs, build_abstraction
 from symoc.core import INF, ControllerTable, FiniteProblem, cost_model
-from symoc.grid import build_grid_cover, discretize_inputs
+from symoc.grid import GridCover, InputGrid
 from symoc.relations import (
     Relation,
     check_vasr,
@@ -139,7 +139,7 @@ def test_relation_round_trip():
 
 
 def test_serial_composition_semantics():
-    cover = build_grid_cover(([0.0], [1.0]), [0.25])
+    cover = GridCover([0.0], [1.0], [0.25])
     table = ControllerTable(np.array([1, -1, 0, 2, -1, -1]))  # 5 cells + overflow
     reps = np.array([[0.0], [0.5], [-0.5]])
     ctrl = serial_compose(table, cover, reps)
@@ -152,7 +152,7 @@ def test_serial_composition_semantics():
 
 
 def test_pointwise_upper_bound():
-    cover = build_grid_cover(([0.0], [1.0]), [0.25])
+    cover = GridCover([0.0], [1.0], [0.25])
     W = np.array([3.0, 5.0, 1.0, 2.0, 4.0, INF])
     assert pointwise_upper_bound(W, cover, [0.05]) == 3.0
     assert pointwise_upper_bound(W, cover, [0.125]) == 5.0  # face of cells 0 and 1
@@ -163,8 +163,8 @@ def test_sampled_abstraction_satisfies_refinement_conditions():
     # the membership relation between the concrete benchmark map and its grid
     # abstraction satisfies the refinement conditions on sampled data
     spec = get_system("logistic")
-    cover = build_grid_cover((spec.k_lower, spec.k_upper), np.array([1.0 / 40.0]))
-    inputs = discretize_inputs(spec.input_pieces, np.array([1.0]))
+    cover = GridCover(spec.k_lower, spec.k_upper, np.array([1.0 / 40.0]))
+    inputs = InputGrid(spec.input_pieces, np.array([1.0]))
     model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs, 0.0, 0.0)
     plant = LogisticMap()

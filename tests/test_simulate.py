@@ -4,7 +4,7 @@ import pytest
 from symoc.abstraction import MapReach, SampledReach, abstract_costs, build_abstraction
 from symoc.core import INF, ControllerTable, cost_model
 from symoc.errors import InputError
-from symoc.grid import build_grid_cover, discretize_inputs
+from symoc.grid import GridCover, InputGrid
 from symoc.reach import SampledSystem
 from symoc.relations import serial_compose
 from symoc.sets import Box, EmptySet
@@ -20,8 +20,8 @@ from symoc.systems import LogisticMap, get_system
 
 
 def build_pipeline(spec, eta, mu, k, gamma, plant=None, theta=None):
-    cover = build_grid_cover((spec.k_lower, spec.k_upper), eta)
-    inputs = discretize_inputs(spec.input_pieces, mu)
+    cover = GridCover(spec.k_lower, spec.k_upper, eta)
+    inputs = InputGrid(spec.input_pieces, mu)
     model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
     if spec.kind == "map":

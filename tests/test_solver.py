@@ -3,7 +3,7 @@ import pytest
 
 from symoc.core import INF, STOP, FiniteProblem
 from symoc.errors import InputError
-from symoc.solver import dp_operator, extract_controller, is_discrete_cost, solve, value_iteration
+from symoc.solver import dp_operator, is_discrete_cost, solve, value_iteration
 
 from oracles import naive_fixpoint, naive_value_iteration, random_problem_lists
 
@@ -17,8 +17,7 @@ def test_single_state_stops_immediately():
     result = solve(problem)
     assert result.W[0] == 0.0
     assert result.c.is_stop(0)
-    act = extract_controller(result)
-    assert act(0) == (0, 1)
+    assert result.c.choice.tolist() == [STOP]
 
 
 def test_one_step_reach():
@@ -28,7 +27,6 @@ def test_one_step_reach():
     assert result.W.tolist() == [1.0, 0.0]
     assert result.c.choice[0] == 0
     assert result.c.is_stop(1)
-    assert extract_controller(result)(0) == (0, 0)
 
 
 def test_branching_worst_case():
@@ -209,12 +207,11 @@ def test_closed_loop_value_matches_w():
         trans, G = random_problem_lists(rng, n_max=12)
         problem = from_lists(trans, G)
         result = solve(problem)
-        act = extract_controller(result)
 
         def closed_loop_worst(p, depth=0):
             assert depth <= problem.n + 1
-            u, stop = act(p)
-            if stop:
+            u = int(result.c.choice[p])
+            if u == STOP:
                 return problem.G[p]
             succ, costs = problem.successors(p, u)
             return max(costs[i] + closed_loop_worst(int(q), depth + 1) for i, q in enumerate(succ))
