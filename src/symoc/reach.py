@@ -71,6 +71,9 @@ class SampledSystem:
         self.k_lower = np.atleast_1d(np.asarray(self.k_lower, dtype=float))
         self.k_upper = np.atleast_1d(np.asarray(self.k_upper, dtype=float))
         self.dim = self.w.size
+        for name in ("tau", "w", "A0", "A1", "eps", "kprime_margin", "k_lower", "k_upper"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InputError(f"system parameter {name} must be finite")
         if self.tau <= 0:
             raise InputError("sampling time must be positive")
         if np.any(self.w < 0) or np.any(self.A0 < 0):

@@ -4,11 +4,16 @@ Everything here is deliberately naive (dicts, plain loops, no shared code with
 the library's solver paths) so that agreement between the two is meaningful.
 """
 
+import heapq
 import math
+from collections import deque
 
 import numpy as np
 
+from symoc.core import STOP, ControllerTable
+from symoc.errors import InputError, SoundnessAlarm
 from symoc.reach import growth_bound, integrate_nominal
+from symoc.solver import SolveResult, SolveStats, is_discrete_cost
 
 INF = math.inf
 
@@ -217,3 +222,133 @@ def reach_successors(reach, cell, u_idx):
         found.update(cells)
         escaped = escaped or esc
     return sorted(found), escaped, slack
+
+
+def reference_inverse(problem):
+    """Inverse adjacency over non-inert pairs.
+
+    Returns (pred_ptr, pred_pair, counters); pred_pair[pred_ptr[q]:pred_ptr[q+1]]
+    lists the pair ids having q among their successors.  Pairs with any
+    infinite transition cost are inert (their M is always inf) and omitted.
+    """
+    n, m = problem.n, problem.m
+    ptr = problem.trans_ptr
+    sizes = np.diff(ptr)
+    if problem.edge_costs is not None:
+        finite_edge = np.isfinite(problem.edge_costs)
+        pair_alive = np.logical_and.reduceat(finite_edge, ptr[:-1])
+    else:
+        pair_alive = np.isfinite(problem.pair_costs)
+    alive_edge = np.repeat(pair_alive, sizes)
+    succ = problem.trans_succ[alive_edge]
+    pair_of_edge = np.repeat(np.arange(n * m, dtype=np.int64), sizes)[alive_edge]
+    order = np.argsort(succ, kind="stable")
+    pred_pair = pair_of_edge[order]
+    pred_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(succ, minlength=n), out=pred_ptr[1:])
+    counters = np.where(pair_alive, sizes, -1).astype(np.int64)
+    return pred_ptr, pred_pair, counters
+
+
+def reference_solve(problem, queue="heap"):
+    """Algorithm 1 with a per-state settle and a per-pair evaluation that
+    recomputes M = max_y g + W(y) from all successors of the pair; the
+    reference for ``symoc.solver.solve``.
+
+    ``queue`` is "heap" or "fifo"; the FIFO discipline is an input error on
+    problems without certified discrete costs.
+    """
+    if queue not in ("heap", "fifo"):
+        raise InputError(f"unknown queue discipline {queue!r}")
+    if queue == "fifo" and is_discrete_cost(problem) is None:
+        raise InputError("fifo discipline requires certified discrete costs")
+
+    n, m = problem.n, problem.m
+    W = problem.G.copy()
+    choice = np.full(n, STOP, dtype=np.int64)
+    settled = np.zeros(n, dtype=bool)
+    pred_ptr, pred_pair, counters = reference_inverse(problem)
+    ptr = problem.trans_ptr
+    succ = problem.trans_succ
+    edge_costs = problem.edge_costs
+    pair_costs = problem.pair_costs
+    stats = SolveStats()
+    settle_values = []
+
+    initial = [p for p in range(n) if W[p] < INF]
+    if queue == "heap":
+        heap = [(W[p], p) for p in initial]
+        heapq.heapify(heap)
+        stats.pushes += len(heap)
+        pop = None
+    else:
+        initial.sort(key=lambda p: (W[p], p))
+        fifo = deque(initial)
+        stats.pushes += len(fifo)
+
+    in_queue = np.zeros(n, dtype=bool)
+    in_queue[initial] = True
+    last_settle = -INF
+
+    while True:
+        # pick q in argmin W over the queue; lowest index wins ties
+        if queue == "heap":
+            q = -1
+            while heap:
+                key, cand = heapq.heappop(heap)
+                stats.pops += 1
+                if settled[cand] or key != W[cand]:
+                    continue  # stale entry superseded by a reinsertion
+                q = cand
+                break
+            if q < 0:
+                break
+        else:
+            if not fifo:
+                break
+            q = fifo.popleft()
+            stats.pops += 1
+            if settled[q]:
+                raise SoundnessAlarm("fifo queue settled a state twice")
+        if W[q] < last_settle:
+            raise SoundnessAlarm("settle values decreased; queue discipline unsound")
+        last_settle = W[q]
+        settled[q] = True
+        in_queue[q] = False
+        stats.settled += 1
+        settle_values.append(W[q])
+
+        for pid in pred_pair[pred_ptr[q] : pred_ptr[q + 1]].tolist():
+            counters[pid] -= 1
+            if counters[pid]:
+                continue
+            # all successors of (p, u) are settled: evaluate its one-step value
+            stats.pair_evals += 1
+            a, b = ptr[pid], ptr[pid + 1]
+            if edge_costs is not None:
+                M = -INF
+                for e in range(a, b):
+                    val = edge_costs[e] + W[succ[e]]
+                    if val > M:
+                        M = val
+            else:
+                M = pair_costs[pid] + max(W[succ[e]] for e in range(a, b))
+            p = pid // m
+            if W[p] > M:
+                W[p] = M
+                choice[p] = pid - p * m
+                if queue == "heap":
+                    heapq.heappush(heap, (M, p))
+                    stats.pushes += 1
+                    in_queue[p] = True
+                else:
+                    if in_queue[p]:
+                        raise SoundnessAlarm("fifo discipline improved a queued state")
+                    fifo.append(p)
+                    stats.pushes += 1
+                    in_queue[p] = True
+
+    # W(p) = inf iff no input was ever recorded for p
+    if not np.array_equal(choice == STOP, ~(W < problem.G)):
+        raise SoundnessAlarm("controller domain does not match improved states")
+    return SolveResult(W, ControllerTable(choice), stats, np.asarray(settle_values))

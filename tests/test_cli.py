@@ -168,6 +168,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         )
         assert main(["synthesize", str(bad), "--out-prefix", str(tmp_path / "x")]) == 1, line
         assert "input error:" in capsys.readouterr().err
+    # non-finite system parameters pass every sign test, so they are input
+    # errors by name rather than a diverged integration (exit 2)
+    for line in ("tau = nan", "eps = nan"):
+        bad.write_text(f"[system]\ndynamics = pendulum\npreset = p1\n{line}\n")
+        assert main(["synthesize", str(bad), "--out-prefix", str(tmp_path / "x")]) == 1, line
+        err = capsys.readouterr().err
+        assert "input error:" in err and "Traceback" not in err, line
 
     # corrupting the value file downwards makes simulate flag violations -> exit 2
     cfg = os.path.join(CONFIGS, "logistic_n40.ini")

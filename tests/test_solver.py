@@ -1,11 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
+import oracles
+import symoc.solver
+from symoc.cli import _build_from_config
+from symoc.config import load_config
 from symoc.core import INF, STOP, FiniteProblem
-from symoc.errors import InputError
+from symoc.errors import InputError, SoundnessAlarm
 from symoc.solver import dp_operator, is_discrete_cost, solve, value_iteration
 
-from oracles import naive_fixpoint, naive_value_iteration, random_problem_lists
+from oracles import naive_fixpoint, naive_value_iteration, random_problem_lists, reference_solve
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def from_lists(trans, G):
@@ -233,3 +241,70 @@ def test_fifo_with_two_terminal_values():
         r_heap = solve(problem, queue="heap")
         r_fifo = solve(problem, queue="fifo")
         assert np.array_equal(r_heap.W, r_fifo.W)
+
+
+def assert_matches_reference(problem, queue):
+    got, want = solve(problem, queue=queue), reference_solve(problem, queue=queue)
+    assert np.array_equal(got.W, want.W)
+    assert np.array_equal(got.c.choice, want.c.choice)
+    assert np.array_equal(got.settle_values, want.settle_values)
+    assert got.stats == want.stats
+
+
+def constant_per_pair(problem):
+    """The problem with each pair's edges set to the pair's largest cost,
+    stored per edge and per pair."""
+    pair_costs = np.maximum.reduceat(problem.edge_costs, problem.trans_ptr[:-1])
+    args = (problem.n, problem.m, problem.G, problem.trans_ptr, problem.trans_succ)
+    edge_costs = np.repeat(pair_costs, np.diff(problem.trans_ptr))
+    return FiniteProblem(*args, edge_costs=edge_costs), FiniteProblem(*args, pair_costs=pair_costs)
+
+
+@pytest.mark.parametrize("cost_mode,levels", [
+    ("real", 1), ("min_time", 1), ("min_time", 2), ("qualitative", 1),
+])
+def test_solve_matches_reference_solve(cost_mode, levels):
+    # the batched settle loop against the per-pair loop: same W, controller,
+    # settle order and counters, for both queues and both cost storages
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        trans, G = random_problem_lists(rng, n_max=40, cost_mode=cost_mode)
+        if levels == 2:
+            G = [v if v == INF else float(rng.choice([2.0, 3.0])) for v in G]
+        for problem in (from_lists(trans, G), *constant_per_pair(from_lists(trans, G))):
+            queues = ["heap"] if is_discrete_cost(problem) is None else ["heap", "fifo"]
+            for queue in queues:
+                assert_matches_reference(problem, queue)
+
+
+def test_solve_matches_reference_solve_on_pendulum_p1():
+    cfg = load_config(os.path.join(CONFIGS, "pendulum_p1.ini"))
+    problem = _build_from_config(cfg)[2]
+    assert problem.pair_costs is not None
+    assert_matches_reference(problem, cfg.queue_for(problem))
+
+
+def test_fifo_alarms_on_uncertified_costs(monkeypatch):
+    # 0 -> 1 costs 5 and 0 -> 2 costs 1; state 2 reaches 1 at cost 1.  Forced
+    # past the discreteness check, the fifo settles 0 (W = 5) before 2 (W = 1)
+    certify = lambda problem: (1.0, 0.0)
+    monkeypatch.setattr(symoc.solver, "is_discrete_cost", certify)
+    monkeypatch.setattr(oracles, "is_discrete_cost", certify)
+    problem = from_lists(
+        [[[(1, 5.0)], [(2, 1.0)]], [[(1, 1.0)], [(1, 1.0)]], [[(1, 1.0)], [(1, 1.0)]]],
+        [INF, 0.0, INF],
+    )
+    with pytest.raises(SoundnessAlarm):
+        reference_solve(problem, queue="fifo")
+    with pytest.raises(SoundnessAlarm):
+        solve(problem, queue="fifo")
+
+
+def test_duplicate_successor_is_an_input_error():
+    # from_lists rejects this; the constructor leaves it to the solver, whose
+    # counters would never release a pair listing a successor twice
+    problem = FiniteProblem(2, 1, [INF, 0.0], [0, 2, 3], np.array([1, 1, 1]), pair_costs=[1.0, 1.0])
+    with pytest.raises(InputError, match="duplicate transition"):
+        solve(problem)
+    with pytest.raises(InputError, match="duplicate transition"):
+        solve(problem, queue="fifo")
