@@ -16,7 +16,6 @@ maximum of the certificate components.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,7 +131,7 @@ class SampledReach:
 
     def batch_ranges(self, u_idx: int):
         u = self.inputs.representatives[u_idx]
-        lo_b, hi_b, escaped, slack = attain_over_batch(
+        lo_b, hi_b, escaped, slack, capped = attain_over_batch(
             self.sys, self.cover.centers_all(), self.r0, u, self.k, self.theta,
             self.gamma, self.cover.max_diameter, self.substeps, self.max_splits,
         )
@@ -141,23 +140,7 @@ class SampledReach:
             lo_idx, hi_idx, esc, empty = self.cover.box_index_ranges(lo, hi)
             escaped = escaped | esc
             branches.append((lo_idx, hi_idx, empty))
-        return branches, escaped, slack
-
-    def sample_endpoints(self, cell: int, u_idx: int, rng, count: int):
-        """Monte-Carlo under-approximation of the attainable set: endpoints of
-        perturbed trajectories from random points of the cell."""
-        from .simulate import perturbed_step  # local import to stay decoupled
-
-        c = self.cover.center(cell)
-        lo = np.maximum(c - self.cover.eta / 2, self.cover.lower)
-        hi = np.minimum(c + self.cover.eta / 2, self.cover.upper)
-        u = self.inputs.representatives[u_idx]
-        out = []
-        for i in range(count):
-            x0 = rng.uniform(lo, hi) if i else c
-            d = rng.uniform(-self.sys.w, self.sys.w, size=(4 * self.k, self.sys.dim))
-            out.append(perturbed_step(self.sys, x0, u, d, self.substeps))
-        return np.array(out)
+        return branches, escaped, slack, capped
 
 
 class MapReach:
@@ -177,12 +160,7 @@ class MapReach:
         for cell in range(n):
             los[cell], his[cell] = self.plant.image_of_box(*self.cover.cell_bounds(cell))
         lo_idx, hi_idx, escaped, empty = self.cover.box_index_ranges(los, his)
-        return [(lo_idx, hi_idx, empty)], escaped, self.slack
-
-    def sample_endpoints(self, cell: int, u_idx: int, rng, count: int):
-        lo, hi = self.cover.cell_bounds(cell)
-        xs = np.concatenate([np.linspace(lo[0], hi[0], max(count, 2)), [lo[0], hi[0]]])
-        return self.plant.step(xs)[:, None]
+        return [(lo_idx, hi_idx, empty)], escaped, self.slack, False
 
 
 def _expand_ranges(cover: GridCover, lo_idx, hi_idx, active):
@@ -205,24 +183,24 @@ def _expand_ranges(cover: GridCover, lo_idx, hi_idx, active):
     return flat, owner, cnt
 
 
-def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: AbstractCosts, workers: int = 1):
+def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: AbstractCosts):
     """Assemble the finite abstraction from a transition over-approximator.
 
     ``transitions.batch_ranges(input)`` returns, for all cells at once,
-    ``(branches, escaped, slack)``: a list of per-branch ``(lo_idx, hi_idx,
-    empty)`` cell index blocks, a per-cell flag for successors outside the
-    cover and a bound on the over-approximation slack.  Cells that are gated
-    (both costs identically infinite) get a single transition to overflow.
-    ``workers`` > 1 collects the inputs in a thread pool.
+    ``(branches, escaped, slack, capped)``: a list of per-branch ``(lo_idx,
+    hi_idx, empty)`` cell index blocks, a per-cell flag for successors outside
+    the cover, a bound on the over-approximation slack and whether a split cap
+    sent every cell to overflow.  Cells that are gated (both costs
+    identically infinite) get a single transition to overflow.
     """
     n_states = cover.n_states
     m = len(inputs)
     overflow = cover.overflow
     gated = costs.gated
-    per_input = _collect_batched(transitions, cover, gated, m, workers)
+    per_input = _collect_batched(transitions, cover, gated, m)
 
     sizes = np.zeros(n_states * m, dtype=np.int64)
-    for u_idx, (succ_u, cnt_u, escape_u, _) in enumerate(per_input):
+    for u_idx, (succ_u, cnt_u, escape_u, *_) in enumerate(per_input):
         sizes[np.arange(cover.n_cells) * m + u_idx] = cnt_u + escape_u
     sizes[overflow * m : (overflow + 1) * m] = 1
     trans_ptr = np.zeros(n_states * m + 1, dtype=np.int64)
@@ -230,7 +208,7 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     dtype = np.int32 if n_states < 2**31 else np.int64
     trans_succ = np.empty(int(trans_ptr[-1]), dtype=dtype)
 
-    for u_idx, (succ_u, cnt_u, escape_u, _) in enumerate(per_input):
+    for u_idx, (succ_u, cnt_u, escape_u, *_) in enumerate(per_input):
         starts = trans_ptr[np.arange(cover.n_cells, dtype=np.int64) * m + u_idx]
         if len(succ_u):
             offs = np.arange(len(succ_u), dtype=np.int64) - np.repeat(
@@ -258,13 +236,18 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     guard_note = getattr(transitions, "guard_note", None)
     if guard_note:
         cert.notes.append(guard_note)
+    capped = [u_idx for u_idx, entry in enumerate(per_input) if entry[4]]
+    if capped:
+        cert.notes.append(
+            f"split cap hit for inputs {' '.join(map(str, capped))}: all cells route to overflow under them"
+        )
     cert.notes.append("gamma is a trusted numerical-error budget (unverified)")
     return problem, cert
 
 
-def _collect_batched(transitions, cover, gated, m, workers):
+def _collect_batched(transitions, cover, gated, m):
     def one(u_idx):
-        branches, escaped, slack = transitions.batch_ranges(u_idx)
+        branches, escaped, slack, capped = transitions.batch_ranges(u_idx)
         active_base = ~gated
         if len(branches) == 1:
             lo_idx, hi_idx, empty = branches[0]
@@ -284,69 +267,9 @@ def _collect_batched(transitions, cover, gated, m, workers):
             cnt = np.bincount(owner, minlength=cover.n_cells).astype(np.int64)
         if np.any((cnt == 0) & ~escaped & active_base):
             raise SoundnessAlarm("batch_ranges produced an empty successor set")
-        return flat, cnt, escaped | gated, float(slack)
+        return flat, cnt, escaped | gated, float(slack), capped
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(m)))
     return [one(u) for u in range(m)]
-
-
-def check_conservatism(problem2: FiniteProblem, cover: GridCover, inputs: InputGrid, costs: AbstractCosts, sampler, rho: float, rng, cell_samples: int = 40, endpoint_samples: int = 48, margin: float = None, max_violations: int = 100):
-    """Sampled validation of the conservatism conditions against rho.
-
-    ``sampler(cell, input, rng, count)`` must return attainable endpoints (an
-    under-approximation of the true attainable set).  Condition (iv) is
-    checked with an extra ``margin`` (default ||eta||) absorbing the coverage
-    gap of the sample cloud; a pass is conclusive, a reported violation may in
-    rare cases be an artifact of sparse sampling.
-    """
-    margin = cover.max_diameter if margin is None else margin
-    model = costs.model
-    violations = []
-
-    def add(tag, detail):
-        if len(violations) < max_violations:
-            violations.append((tag, detail))
-
-    if inputs.radius > rho:
-        add("i", f"input covering radius {inputs.radius} > rho {rho}")
-
-    n_check = min(cell_samples, cover.n_cells)
-    cells = np.unique(rng.choice(cover.n_cells, size=n_check, replace=False))
-    for cell in cells:
-        lo, hi = cover.cell_bounds(cell)
-        gated = model.cell_all_infinite(lo, hi)
-        pts = [cover.center(cell)] + [rng.uniform(lo, hi) for _ in range(6)]
-        pts += [lo.copy(), hi.copy()]
-        if costs.G2[cell] < INF:
-            sup_G1 = max(model.G(p) for p in pts)
-            if costs.G2[cell] > rho + sup_G1:
-                add("ii", f"cell {cell}: G2 {costs.G2[cell]} > rho + sampled sup G1 {sup_G1}")
-        for u_idx in range(len(inputs)):
-            val = costs.pair_value(cell, u_idx)
-            if val < INF:
-                u = inputs.representatives[u_idx]
-                sup_g1 = max(model.g(p, p, u) for p in pts)
-                if val > rho + sup_g1:
-                    add("iii", f"cell {cell}, input {u_idx}: g2 {val} > rho + sampled sup g1 {sup_g1}")
-        if gated:
-            continue
-        diam = float((hi - lo).max())
-        if diam > rho * (1.0 + 1e-12):  # ulp slack: bounds are re-derived floats
-            add("v", f"cell {cell}: diameter {diam} > rho {rho}")
-        for u_idx in range(len(inputs)):
-            endpoints = sampler(cell, u_idx, rng, endpoint_samples)
-            succ, _ = problem2.successors(int(cell), u_idx)
-            for q in succ:
-                if q == cover.overflow:
-                    continue
-                q_lo, q_hi = cover.cell_bounds(int(q))
-                gaps = np.maximum(np.maximum(q_lo - endpoints, endpoints - q_hi), 0.0)
-                d = float(gaps.max(axis=1).min())
-                if d > rho + margin:
-                    add("iv", f"cell {cell}, input {u_idx}: successor {q} at distance {d} > rho + margin")
-    return len(violations) == 0, violations
 
 
 def abstraction_sidecar_text(cover: GridCover, inputs: InputGrid, cert: ConservatismCertificate) -> str:

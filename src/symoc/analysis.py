@@ -68,31 +68,6 @@ def logistic_exact_sublevels(D, T_max: int):
     return levels
 
 
-def in_union(intervals, x: float) -> bool:
-    for lo, hi in intervals:
-        if lo < x < hi:
-            return True
-        if lo >= x:
-            break
-    return False
-
-
-def union_contains_interval(intervals, lo: float, hi: float) -> bool:
-    """Whether the closed interval [lo, hi] fits inside one open component."""
-    for a, b in intervals:
-        if a < lo and hi < b:
-            return True
-    return False
-
-
-def logistic_exact_value(sublevels, x: float) -> float:
-    """Smallest T with x in the T-th sublevel set, inf if none."""
-    for T, intervals in enumerate(sublevels):
-        if in_union(intervals, x):
-            return float(T)
-    return INF
-
-
 def logistic_exact_values(sublevels, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     out = np.full(xs.shape, INF)
@@ -111,15 +86,6 @@ def logistic_exact_values(sublevels, xs) -> np.ndarray:
         out[ok] = float(T)
         todo &= ~ok
     return out
-
-
-def logistic_cell_sup_exact(sublevels, lo: float, hi: float) -> float:
-    """sup of the exact value over the closed cell [lo, hi]: the smallest T
-    whose sublevel union contains the cell (inf if none up to T_max)."""
-    for T, intervals in enumerate(sublevels):
-        if union_contains_interval(intervals, lo, hi):
-            return float(T)
-    return INF
 
 
 def hypo_distance(xs, Ws, v_sampler, eps_grid: float, cap: float = None):

@@ -1,7 +1,7 @@
 """Command-line pipeline: solve, synthesize, simulate, diagnose, check.
 
-Exit codes: 0 success, 1 input error, 2 soundness alarm (an invariant that
-holds by construction was violated), 3 resource abort.
+Exit codes: 0 success, 1 input error (usage errors included), 2 soundness
+alarm (an invariant that holds by construction was violated).
 """
 
 from __future__ import annotations
@@ -15,16 +15,42 @@ import numpy as np
 from .abstraction import MapReach, SampledReach, abstract_costs, abstraction_sidecar_text, build_abstraction
 from .analysis import hypo_distance, hypograph_csv, logistic_exact_sublevels, logistic_exact_values, sublevels_csv
 from .config import load_config
-from .core import INF, ControllerTable, FiniteProblem, values_from_text, values_to_text
-from .errors import InputError, ResourceAbort, SoundnessAlarm
+from .core import ControllerTable, FiniteProblem, values_from_text, values_to_text
+from .errors import InputError, SoundnessAlarm
 from .relations import Relation, check_vasr, check_vfrr, pointwise_upper_bound, serial_compose
 from .simulate import batch_verify, make_policy, run_closed_loop, sample_winning_states
-from .solver import is_discrete_cost, solve
+from .solver import resolve_queue, solve
 
 
 def _write(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _number(parse, low, strict=False):
+    """An argparse type: the text read by ``parse``, at least ``low`` (above
+    it when ``strict``)."""
+
+    def read(text):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid {parse.__name__}") from None
+        if not (value > low if strict else value >= low):  # NaN fails both
+            raise argparse.ArgumentTypeError(f"must be {'above' if strict else 'at least'} {low}, got {text}")
+        return value
+
+    return read
+
+
+def _point(text, dim):
+    try:
+        x = np.array([float(v) for v in text.split()])
+    except ValueError:
+        raise InputError(f"--x0 {text!r}: not a list of numbers") from None
+    if x.shape != (dim,):
+        raise InputError(f"--x0 {text!r}: need {dim} coordinates")
+    return x
 
 
 def _read(path):
@@ -37,9 +63,7 @@ def _read(path):
 
 def cmd_solve_finite(args):
     problem = FiniteProblem.from_focp_text(_read(args.input))
-    queue = args.queue
-    if queue == "auto":
-        queue = "fifo" if is_discrete_cost(problem) is not None else "heap"
+    queue = resolve_queue(args.queue, problem)
     t0 = time.perf_counter()
     result = solve(problem, queue=queue)
     dt = time.perf_counter() - t0
@@ -49,7 +73,7 @@ def cmd_solve_finite(args):
     return 0
 
 
-def _build_from_config(cfg, workers=None):
+def _build_from_config(cfg):
     ac = abstract_costs(cfg.model, cfg.cover, cfg.inputs, cfg.A2, cfg.A3)
     if cfg.kind == "map":
         reach = MapReach(cfg.plant, cfg.cover)
@@ -58,18 +82,16 @@ def _build_from_config(cfg, workers=None):
             cfg.plant, cfg.cover, cfg.inputs, cfg.k, cfg.theta, cfg.gamma,
             substeps=cfg.substeps, max_splits=cfg.max_splits,
         )
-    problem, cert = build_abstraction(
-        reach, cfg.cover, cfg.inputs, ac, workers=workers or cfg.workers
-    )
+    problem, cert = build_abstraction(reach, cfg.cover, cfg.inputs, ac)
     return ac, reach, problem, cert
 
 
 def cmd_synthesize(args):
     cfg = load_config(args.config)
     t0 = time.perf_counter()
-    ac, reach, problem, cert = _build_from_config(cfg, workers=args.workers)
+    ac, reach, problem, cert = _build_from_config(cfg)
     t1 = time.perf_counter()
-    result = solve(problem, queue=cfg.queue_for(problem))
+    result = solve(problem, queue=resolve_queue(cfg.queue, problem))
     t2 = time.perf_counter()
     _write(args.out_prefix + ".sidecar", abstraction_sidecar_text(cfg.cover, cfg.inputs, cert))
     _write(args.out_prefix + ".values", values_to_text(result.W))
@@ -94,7 +116,7 @@ def cmd_simulate(args):
     ctrl = serial_compose(table, cfg.cover, cfg.inputs.representatives)
     max_steps = args.max_steps or cfg.cover.n_cells + 1
     if args.x0:
-        starts = [np.array([float(v) for v in chunk.split()]) for chunk in args.x0]
+        starts = [_point(chunk, cfg.cover.dim) for chunk in args.x0]
     else:
         rng = np.random.default_rng(args.seed)
         starts = list(sample_winning_states(W, cfg.cover, rng, args.samples))
@@ -159,8 +181,15 @@ def cmd_check_relation(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="symoc", description=__doc__)
+    parser = _Parser(prog="symoc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve-finite", help="solve a finite problem from a FOCP file")
@@ -172,7 +201,6 @@ def build_parser():
     p = sub.add_parser("synthesize", help="abstract and solve a configured problem")
     p.add_argument("config")
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--dump-focp", action="store_true")
     p.set_defaults(fn=cmd_synthesize)
 
@@ -181,12 +209,12 @@ def build_parser():
     p.add_argument("--controller", required=True)
     p.add_argument("--values", required=True)
     p.add_argument("--x0", action="append", help="initial state, e.g. '0.5 0.1' (repeatable)")
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--verify-samples", type=int, default=50)
+    p.add_argument("--samples", type=_number(int, 0), default=10)
+    p.add_argument("--verify-samples", type=_number(int, 0), default=50)
     p.add_argument("--policy", choices=["zero", "uniform", "extremal"], default="uniform")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
+    p.add_argument("--max-steps", type=_number(int, 1), default=None)
+    p.add_argument("--tol", type=_number(float, 0.0), default=1e-9)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=cmd_simulate)
 
@@ -194,8 +222,8 @@ def build_parser():
     p.add_argument("config")
     p.add_argument("--values", required=True)
     p.add_argument("--reference", default="exact-logistic")
-    p.add_argument("--samples", type=int, default=4000)
-    p.add_argument("--eps-grid", type=float, default=1e-4)
+    p.add_argument("--samples", type=_number(int, 1), default=4000)
+    p.add_argument("--eps-grid", type=_number(float, 0.0, strict=True), default=1e-4)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=cmd_hypo)
 
@@ -204,16 +232,15 @@ def build_parser():
     p.add_argument("problem2")
     p.add_argument("relation")
     p.add_argument("--mode", choices=["vfrr", "vasr"], default="vfrr")
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--eps", type=_number(float, 0.0), default=0.0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_check_relation)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -221,9 +248,6 @@ def main(argv=None) -> int:
     except SoundnessAlarm as exc:
         print(f"soundness alarm: {exc}", file=sys.stderr)
         return 2
-    except ResourceAbort as exc:
-        print(f"resource abort: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ _KEYS = {
     "inputs": {"U", "mu"},
     "costs": {"cost_kind", "target", "obstacle"},
     "reach": {"k", "theta", "gamma", "substeps", "max_splits"},
-    "solve": {"queue", "workers"},
+    "solve": {"queue"},
 }
 
 
@@ -106,14 +106,6 @@ class PipelineConfig:
     substeps: int
     max_splits: int
     queue: str
-    workers: int
-
-    def queue_for(self, problem) -> str:
-        from .solver import is_discrete_cost
-
-        if self.queue != "auto":
-            return self.queue
-        return "fifo" if is_discrete_cost(problem) is not None else "heap"
 
 
 def _preset_of(spec: SystemSpec, raw):
@@ -211,5 +203,4 @@ def load_config(path) -> PipelineConfig:
         substeps=number("reach", "substeps", int, 5),
         max_splits=number("reach", "max_splits", int, 64),
         queue=queue,
-        workers=number("solve", "workers", int, 1),
     )

@@ -7,7 +7,6 @@ Accumulation order is fixed (time increasing) so results are reproducible.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -249,9 +248,9 @@ class CostModel:
     """Concrete cost functions of a control problem plus the region data
     needed to reason about them cell-wise.
 
-    ``g``/``G`` evaluate at concrete points; the ``cell_*`` predicates decide
-    whether a closed cell lies entirely inside the finite-cost region, which
-    is what Lipschitz-based cost abstraction requires.
+    ``g``/``G`` evaluate at concrete points; the ``cells_*`` predicates decide
+    per closed cell whether it lies entirely inside the finite-cost region,
+    which is what Lipschitz-based cost abstraction requires.
     """
 
     kind: str
@@ -268,11 +267,6 @@ class CostModel:
             return INF
         return self.finite_g_value(u)
 
-    def cell_all_infinite(self, lo, hi) -> bool:
-        """Both cost functions are identically inf on the cell (the region the
-        conservatism conditions exempt)."""
-        return self.obstacle.cell_inside(lo, hi)
-
     def cells_G_finite(self, lo, hi):
         return self.target.cell_inside_batch(lo, hi) & self.obstacle.cell_disjoint_batch(lo, hi)
 
@@ -280,6 +274,8 @@ class CostModel:
         return self.obstacle.cell_disjoint_batch(lo, hi)
 
     def cells_all_infinite(self, lo, hi):
+        """Both cost functions are identically inf on the cell (the region the
+        conservatism conditions exempt)."""
         return self.obstacle.cell_inside_batch(lo, hi)
 
     def finite_g_value(self, u) -> float:
@@ -350,33 +346,6 @@ def make_shortest_path(n_vertices: int, arcs, source: int) -> FiniteProblem:
     return FiniteProblem(n, n, G, ptr, succ, edge_costs=costs)
 
 
-def dijkstra_distances(n_vertices: int, arcs, source: int):
-    """Textbook single-source shortest-path distances (oracle for tests)."""
-    adj = [[] for _ in range(n_vertices)]
-    best = {}
-    for tail, head, w in arcs:
-        key = (tail, head)
-        if key not in best or w < best[key]:
-            best[key] = float(w)
-    for (tail, head), w in best.items():
-        adj[tail].append((head, w))
-    dist = np.full(n_vertices, INF)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    done = [False] * n_vertices
-    while heap:
-        d, p = heapq.heappop(heap)
-        if done[p]:
-            continue
-        done[p] = True
-        for q, w in adj[p]:
-            nd = d + w
-            if nd < dist[q]:
-                dist[q] = nd
-                heapq.heappush(heap, (nd, q))
-    return dist
-
-
 @dataclass
 class ControllerTable:
     """Static abstract controller: per state, a chosen input index or STOP."""
@@ -406,7 +375,10 @@ class ControllerTable:
                 if not ln.strip():
                     continue
                 p, u = ln.split()
-                entries[int(p)] = STOP if u == "STOP" else int(u)
+                p = int(p)
+                if p in entries:
+                    raise InputError(f"state listed twice in controller record: {ln!r}")
+                entries[p] = STOP if u == "STOP" else int(u)
         except ValueError as exc:
             raise InputError(f"malformed controller record: {ln!r}") from exc
         if sorted(entries) != list(range(len(entries))):
@@ -425,7 +397,10 @@ def values_from_text(text: str) -> np.ndarray:
             if not ln.strip():
                 continue
             p, w = ln.split()
-            entries[int(p)] = parse_cost(w)
+            p = int(p)
+            if p in entries:
+                raise InputError(f"state listed twice in value record: {ln!r}")
+            entries[p] = parse_cost(w)
     except ValueError as exc:
         raise InputError(f"malformed value record: {ln!r}") from exc
     if sorted(entries) != list(range(len(entries))):

@@ -1,7 +1,6 @@
 """Exception hierarchy shared by all modules.
 
-Exit-code mapping used by the CLI: InputError -> 1, SoundnessAlarm -> 2,
-ResourceAbort -> 3.
+Exit-code mapping used by the CLI: InputError -> 1, SoundnessAlarm -> 2.
 """
 
 
@@ -19,7 +18,3 @@ class SoundnessAlarm(SymocError):
     This always indicates an implementation bug or corrupted data, never an
     expected runtime condition.
     """
-
-
-class ResourceAbort(SymocError):
-    """A configured resource limit (e.g. interval subdivision cap) was hit."""

@@ -145,9 +145,10 @@ def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_n
     at the same substeps and the computation stays a small set of center
     batches (branches).  A single cell is a batch of one center.
 
-    Returns (boxes_lo, boxes_hi, escaped, slack): lists over branches of
-    (N, dim) bound arrays, a per-cell escape flag array (some box left the
-    safety hull, or the split cap hit) and the slack common to all cells.
+    Returns (boxes_lo, boxes_hi, escaped, slack, capped): lists over branches
+    of (N, dim) bound arrays, a per-cell escape flag array (some box left the
+    safety hull, or the split cap hit), the slack common to all cells and
+    whether the split cap hit.
     """
     check_reach_parameters(k, theta, gamma)
     centers = np.asarray(centers, dtype=float)
@@ -157,6 +158,7 @@ def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_n
     t_sub = sys.tau / k
     branches = [(centers, r0.copy(), np.zeros(sys.dim))]
     escaped = np.zeros(n_cells, dtype=bool)
+    capped = False
     for _ in range(k):
         moved = []
         for cs, r, b in branches:
@@ -175,6 +177,7 @@ def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_n
                 if len(branches) + len(queue) + 2 > max_splits:
                     log.warning("split cap hit for input %s; routing to overflow", u)
                     escaped[:] = True
+                    capped = True
                     branches.append((cs, r, b))
                     branches.extend(queue)
                     break
@@ -190,4 +193,4 @@ def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_n
     boxes_lo = [cs - r for cs, r, _ in branches]
     boxes_hi = [cs + r for cs, r, _ in branches]
     slack = max(float((r + b).max()) for _, r, b in branches)
-    return boxes_lo, boxes_hi, escaped, slack
+    return boxes_lo, boxes_hi, escaped, slack, capped

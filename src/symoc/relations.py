@@ -1,10 +1,8 @@
 """Valuated relation checkers, controller refinement and pointwise bounds.
 
 The checkers evaluate the defining conditions literally over all related
-pairs and report violations instead of raising; running-cost evaluators
-default to the totalized per-transition costs of the finite problems (inf off
-transitions) and can be overridden, e.g. with formula-based concrete costs
-when one side is a sampled fragment of a continuous problem.
+pairs and report violations instead of raising; running costs are the
+totalized per-transition costs of the finite problems (inf off transitions).
 """
 
 from __future__ import annotations
@@ -60,6 +58,9 @@ class Relation:
         return cls(pairs)
 
 
+MAX_VIOLATIONS = 100  # violations a verdict keeps and prints
+
+
 @dataclass
 class Verdict:
     ok: bool
@@ -71,59 +72,53 @@ class Verdict:
         if self.gated_pairs:
             lines.append(f"gated_pairs: {self.gated_pairs}")
         lines.append(f"violations: {len(self.violations)}")
-        for tag, detail in self.violations[:100]:
+        for tag, detail in self.violations[:MAX_VIOLATIONS]:
             lines.append(f"({tag}) {detail}")
         return "\n".join(lines) + "\n"
 
 
-def _default_costs(problem: FiniteProblem):
-    return problem.cost_of, lambda p: float(problem.G[p])
+def _check_indices(rel: Relation, p1: FiniteProblem, p2: FiniteProblem):
+    for a, b in rel.pairs:
+        if not (0 <= a < p1.n and 0 <= b < p2.n):
+            raise InputError(f"relation pair '{a} {b}' out of range for {p1.n} and {p2.n} states")
 
 
-def check_vfrr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation, input_map=None, g1=None, G1=None, g2=None, G2=None, max_violations: int = 100) -> Verdict:
-    """Feedback-refinement conditions (i)-(iv) over all related pairs."""
-    if input_map is None:
-        if p2.m > p1.m:
-            return Verdict(False, [("i", f"input alphabet of problem 2 ({p2.m}) exceeds problem 1 ({p1.m})")])
-        input_map = list(range(p2.m))
-    if len(input_map) != p2.m or any(not 0 <= u < p1.m for u in input_map):
-        return Verdict(False, [("i", "input map does not embed U2 into U1")])
-    d1 = _default_costs(p1)
-    d2 = _default_costs(p2)
-    g1 = d1[0] if g1 is None else g1
-    G1 = d1[1] if G1 is None else G1
-    g2 = d2[0] if g2 is None else g2
-    G2 = d2[1] if G2 is None else G2
-
+def check_vfrr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation) -> Verdict:
+    """Feedback-refinement conditions (i)-(iv) over all related pairs; the
+    inputs of problem 2 embed into those of problem 1 by index."""
+    _check_indices(rel, p1, p2)
+    if p2.m > p1.m:
+        return Verdict(False, [("i", f"input alphabet of problem 2 ({p2.m}) exceeds problem 1 ({p1.m})")])
+    g1, G1, g2, G2 = p1.cost_of, p1.G, p2.cost_of, p2.G
     violations = []
 
     def add(tag, detail):
-        if len(violations) < max_violations:
+        if len(violations) < MAX_VIOLATIONS:
             violations.append((tag, detail))
 
     if not rel.is_strict(p1.n):
         missing = next(p for p in range(p1.n) if p not in rel.forward)
         add("strict", f"state {missing} of problem 1 has no related state")
     for a, b in rel.pairs:
-        if G1(a) > G2(b):
-            add("ii", f"G1({a}) = {G1(a)} > G2({b}) = {G2(b)}")
+        if G1[a] > G2[b]:
+            add("ii", f"G1({a}) = {G1[a]} > G2({b}) = {G2[b]}")
     for a, b in rel.pairs:
         for qa, qb in rel.pairs:
-            for u2 in range(p2.m):
-                if g1(a, qa, input_map[u2]) > g2(b, qb, u2):
-                    add("iii", f"g1({a},{qa},{input_map[u2]}) > g2({b},{qb},{u2})")
+            for u in range(p2.m):
+                if g1(a, qa, u) > g2(b, qb, u):
+                    add("iii", f"g1({a},{qa},{u}) > g2({b},{qb},{u})")
     for a, b in rel.pairs:
-        for u2 in range(p2.m):
-            succ2 = set(int(q) for q in p2.successors(b, u2)[0])
-            succ1, _ = p1.successors(a, input_map[u2])
+        for u in range(p2.m):
+            succ2 = set(int(q) for q in p2.successors(b, u)[0])
+            succ1, _ = p1.successors(a, u)
             for q1 in succ1:
                 for q2 in rel.image(int(q1)):
                     if q2 not in succ2:
-                        add("iv", f"image {q2} of successor {int(q1)} of ({a},{input_map[u2]}) not in F2({b},{u2})")
+                        add("iv", f"image {q2} of successor {int(q1)} of ({a},{u}) not in F2({b},{u})")
     return Verdict(not violations, violations)
 
 
-def check_vasr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation, eps: float, g1=None, G1=None, g2=None, G2=None, max_violations: int = 100) -> Verdict:
+def check_vasr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation, eps: float) -> Verdict:
     """Alternating-simulation conditions with slack eps.
 
     The exists/forall/exists condition is only enforced where the boundedness
@@ -132,26 +127,22 @@ def check_vasr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation, eps: float, 
     """
     if eps < 0:
         raise InputError("eps must be non-negative")
-    d1 = _default_costs(p1)
-    d2 = _default_costs(p2)
-    g1 = d1[0] if g1 is None else g1
-    G1 = d1[1] if G1 is None else G1
-    g2 = d2[0] if g2 is None else g2
-    G2 = d2[1] if G2 is None else G2
+    _check_indices(rel, p1, p2)
+    g1, G1, g2, G2 = p1.cost_of, p1.G, p2.cost_of, p2.G
     P1_zero = dp_operator(p1, np.zeros(p1.n))
 
     violations = []
     gated = 0
 
     def add(tag, detail):
-        if len(violations) < max_violations:
+        if len(violations) < MAX_VIOLATIONS:
             violations.append((tag, detail))
 
     for a, b in rel.pairs:
-        if G1(a) > G2(b):
-            add("i", f"G1({a}) = {G1(a)} > G2({b}) = {G2(b)}")
+        if G1[a] > G2[b]:
+            add("i", f"G1({a}) = {G1[a]} > G2({b}) = {G2[b]}")
     for a, b in rel.pairs:
-        if G1(a) <= 0.0:
+        if G1[a] <= 0.0:
             continue
         for u2 in range(p2.m):
             succ2, _ = p2.successors(b, u2)

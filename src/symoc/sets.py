@@ -2,21 +2,19 @@
 
 Membership is evaluated with plain floating-point comparisons.  Besides point
 membership, every predicate supports two cell-level queries against closed
-hyper-rectangles [lo, hi]:
+hyper-rectangles [lo, hi], each over (N, dim) bound arrays:
 
-* ``cell_inside``   -- the whole closed cell is contained in the set,
-* ``cell_disjoint`` -- the closed cell does not meet the set,
+* ``cell_inside_batch``   -- the whole closed cell is contained in the set,
+* ``cell_disjoint_batch`` -- the closed cell does not meet the set.
 
-plus ``*_batch`` variants over (N, dim) bound arrays used by the abstraction
-builder.  For quadratic sublevel sets the cell queries assume a positive
-semi-definite form (all regions used by the built-in problems are of that
-shape); ``cell_disjoint`` is then conservative: it may report False for a cell
+``cell_inside`` and ``cell_disjoint`` ask the same of a single cell.  For
+quadratic sublevel sets the cell queries assume a positive semi-definite form
+(all regions used by the built-in problems are of that shape);
+``cell_disjoint_batch`` is then conservative: it may report False for a cell
 that is in fact disjoint, never the converse.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -29,28 +27,22 @@ class SetPredicate:
     def contains(self, x) -> bool:
         raise NotImplementedError
 
-    def cell_inside(self, lo, hi) -> bool:
-        raise NotImplementedError
-
-    def cell_disjoint(self, lo, hi) -> bool:
-        raise NotImplementedError
-
     def cell_inside_batch(self, lo, hi):
-        return np.array([self.cell_inside(a, b) for a, b in zip(*_as2d(lo, hi))], dtype=bool)
+        raise NotImplementedError
 
     def cell_disjoint_batch(self, lo, hi):
-        return np.array([self.cell_disjoint(a, b) for a, b in zip(*_as2d(lo, hi))], dtype=bool)
+        raise NotImplementedError
+
+    def cell_inside(self, lo, hi) -> bool:
+        return bool(self.cell_inside_batch(lo, hi)[0])
+
+    def cell_disjoint(self, lo, hi) -> bool:
+        return bool(self.cell_disjoint_batch(lo, hi)[0])
 
 
 class EmptySet(SetPredicate):
     def contains(self, x):
         return False
-
-    def cell_inside(self, lo, hi):
-        return False
-
-    def cell_disjoint(self, lo, hi):
-        return True
 
     def cell_inside_batch(self, lo, hi):
         return np.zeros(_as2d(lo, hi)[0].shape[0], dtype=bool)
@@ -74,12 +66,6 @@ class Box(SetPredicate):
         if self.open:
             return bool(np.all(self.lo < x) and np.all(x < self.hi))
         return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
-
-    def cell_inside(self, lo, hi):
-        return bool(self.cell_inside_batch(lo, hi)[0])
-
-    def cell_disjoint(self, lo, hi):
-        return bool(self.cell_disjoint_batch(lo, hi)[0])
 
     def cell_inside_batch(self, lo, hi):
         lo, hi = _as2d(lo, hi)
@@ -123,12 +109,6 @@ class QuadraticSublevel(SetPredicate):
             np.maximum(out, np.einsum("ki,ij,kj->k", v, self.Q, v) + v @ self.b, out=out)
         return out
 
-    def cell_inside(self, lo, hi):
-        return bool(self.cell_inside_batch(lo, hi)[0])
-
-    def cell_disjoint(self, lo, hi):
-        return bool(self.cell_disjoint_batch(lo, hi)[0])
-
     def cell_inside_batch(self, lo, hi):
         lo, hi = _as2d(lo, hi)
         return self._vertex_max_batch(lo, hi) < self.c
@@ -156,14 +136,8 @@ class UnionSet(SetPredicate):
     def contains(self, x):
         return any(p.contains(x) for p in self.parts)
 
-    def cell_inside(self, lo, hi):
-        # sufficient condition: the cell fits inside one member
-        return any(p.cell_inside(lo, hi) for p in self.parts)
-
-    def cell_disjoint(self, lo, hi):
-        return all(p.cell_disjoint(lo, hi) for p in self.parts)
-
     def cell_inside_batch(self, lo, hi):
+        # sufficient condition: the cell fits inside one member
         lo, hi = _as2d(lo, hi)
         out = np.zeros(lo.shape[0], dtype=bool)
         for p in self.parts:
@@ -185,19 +159,8 @@ class Complement(SetPredicate):
     def contains(self, x):
         return not self.part.contains(x)
 
-    def cell_inside(self, lo, hi):
-        return self.part.cell_disjoint(lo, hi)
-
-    def cell_disjoint(self, lo, hi):
-        return self.part.cell_inside(lo, hi)
-
     def cell_inside_batch(self, lo, hi):
         return self.part.cell_disjoint_batch(lo, hi)
 
     def cell_disjoint_batch(self, lo, hi):
         return self.part.cell_inside_batch(lo, hi)
-
-
-def corners_of(lo, hi):
-    """All 2^dim corner points of the closed box [lo, hi]."""
-    return [np.array(v) for v in itertools.product(*zip(np.atleast_1d(lo), np.atleast_1d(hi)))]

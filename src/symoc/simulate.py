@@ -8,7 +8,7 @@ its only purpose here: falsifying, never certifying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,7 +180,7 @@ def sample_winning_states(W, cover: GridCover, rng, count: int):
     return out
 
 
-def batch_verify(plant, controller: RefinedController, W, cover: GridCover, costs: CostModel, sample_count: int, policy_name: str, seed: int, max_steps: int, draws_per_state: int = 1, tol: float = 0.0, substeps: int = 5) -> VerifyReport:
+def batch_verify(plant, controller: RefinedController, W, cover: GridCover, costs: CostModel, sample_count: int, policy_name: str, seed: int, max_steps: int, tol: float = 0.0, substeps: int = 5) -> VerifyReport:
     """Monte-Carlo soundness check: closed-loop cost from sampled winning
     states never exceeds the pointwise upper bound (plus tol).
 
@@ -191,16 +191,15 @@ def batch_verify(plant, controller: RefinedController, W, cover: GridCover, cost
     starts = sample_winning_states(W, cover, rng, sample_count)
     report = VerifyReport()
     for i, x0 in enumerate(starts):
-        for j in range(draws_per_state):
-            policy = make_policy(policy_name, seed=(seed + 7919 * i + 104729 * j))
-            traj = run_closed_loop(plant, controller, x0, policy, max_steps, costs, W=W, substeps=substeps)
-            report.runs += 1
-            if not traj.stopped:
-                report.non_stopping += 1
-            if traj.cost < INF and traj.bound < INF:
-                report.worst_gap = max(report.worst_gap, traj.cost - traj.bound)
-                if traj.bound > 0:
-                    report.max_ratio = max(report.max_ratio, traj.cost / traj.bound)
-            if traj.cost > traj.bound + tol:
-                report.violations += 1
+        policy = make_policy(policy_name, seed=seed + 7919 * i)
+        traj = run_closed_loop(plant, controller, x0, policy, max_steps, costs, W=W, substeps=substeps)
+        report.runs += 1
+        if not traj.stopped:
+            report.non_stopping += 1
+        if traj.cost < INF and traj.bound < INF:
+            report.worst_gap = max(report.worst_gap, traj.cost - traj.bound)
+            if traj.bound > 0:
+                report.max_ratio = max(report.max_ratio, traj.cost / traj.bound)
+        if traj.cost > traj.bound + tol:
+            report.violations += 1
     return report

@@ -83,6 +83,14 @@ def is_discrete_cost(problem: FiniteProblem):
     return hi - lo, lo
 
 
+def resolve_queue(queue: str, problem: FiniteProblem) -> str:
+    """The discipline ``queue`` names; ``auto`` is FIFO for certified
+    discrete costs and the heap otherwise."""
+    if queue != "auto":
+        return queue
+    return "fifo" if is_discrete_cost(problem) is not None else "heap"
+
+
 def _build_inverse(problem: FiniteProblem):
     """Inverse adjacency over non-inert pairs.
 

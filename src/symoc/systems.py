@@ -57,14 +57,14 @@ class LogisticMap:
         x = np.asarray(x, dtype=float)
         return 4.0 * x * (1.0 - x)
 
-    def image_of_box(self, lo, hi, pad_ulps=2):
-        """Exact image interval of [lo, hi], padded outward by a couple of
-        float ulps so rounding never shrinks it below the real image."""
+    def image_of_box(self, lo, hi):
+        """Exact image interval of [lo, hi], padded outward by two float ulps
+        so rounding never shrinks it below the real image."""
         lo_f, hi_f = float(lo[0]), float(hi[0])
         vals = [4.0 * lo_f * (1.0 - lo_f), 4.0 * hi_f * (1.0 - hi_f)]
         top = 1.0 if lo_f <= 0.5 <= hi_f else max(vals)
         bot, top = min(vals), top
-        for _ in range(pad_ulps):
+        for _ in range(2):
             bot = np.nextafter(bot, -np.inf)
             top = np.nextafter(top, np.inf)
         return np.array([max(bot, 0.0)]), np.array([min(top, 1.0)])

@@ -352,3 +352,133 @@ def reference_solve(problem, queue="heap"):
     if not np.array_equal(choice == STOP, ~(W < problem.G)):
         raise SoundnessAlarm("controller domain does not match improved states")
     return SolveResult(W, ControllerTable(choice), stats, np.asarray(settle_values))
+
+
+def dijkstra_distances(n_vertices: int, arcs, source: int):
+    """Textbook single-source shortest-path distances."""
+    adj = [[] for _ in range(n_vertices)]
+    best = {}
+    for tail, head, w in arcs:
+        key = (tail, head)
+        if key not in best or w < best[key]:
+            best[key] = float(w)
+    for (tail, head), w in best.items():
+        adj[tail].append((head, w))
+    dist = np.full(n_vertices, INF)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    done = [False] * n_vertices
+    while heap:
+        d, p = heapq.heappop(heap)
+        if done[p]:
+            continue
+        done[p] = True
+        for q, w in adj[p]:
+            nd = d + w
+            if nd < dist[q]:
+                dist[q] = nd
+                heapq.heappush(heap, (nd, q))
+    return dist
+
+
+def in_union(intervals, x: float) -> bool:
+    for lo, hi in intervals:
+        if lo < x < hi:
+            return True
+        if lo >= x:
+            break
+    return False
+
+
+def union_contains_interval(intervals, lo: float, hi: float) -> bool:
+    """Whether the closed interval [lo, hi] fits inside one open component."""
+    for a, b in intervals:
+        if a < lo and hi < b:
+            return True
+    return False
+
+
+def logistic_exact_value(sublevels, x: float) -> float:
+    """Smallest T with x in the T-th sublevel set, inf if none; the scalar
+    reference for ``symoc.analysis.logistic_exact_values``."""
+    for T, intervals in enumerate(sublevels):
+        if in_union(intervals, x):
+            return float(T)
+    return INF
+
+
+def logistic_cell_sup_exact(sublevels, lo: float, hi: float) -> float:
+    """sup of the exact value over the closed cell [lo, hi]: the smallest T
+    whose sublevel union contains the cell (inf if none up to T_max)."""
+    for T, intervals in enumerate(sublevels):
+        if union_contains_interval(intervals, lo, hi):
+            return float(T)
+    return INF
+
+
+def map_endpoints(reach):
+    """Endpoint sampler of a ``MapReach``: images of evenly spaced points of
+    the cell and of its two ends."""
+
+    def sample(cell, u_idx, rng, count):
+        lo, hi = reach.cover.cell_bounds(cell)
+        xs = np.concatenate([np.linspace(lo[0], hi[0], max(count, 2)), [lo[0], hi[0]]])
+        return reach.plant.step(xs)[:, None]
+
+    return sample
+
+
+def check_conservatism(problem2, cover, inputs, costs, sampler, rho, rng, cell_samples=40, endpoint_samples=48, margin=None, max_violations=100):
+    """Sampled validation of the conservatism conditions against rho.
+
+    ``sampler(cell, input, rng, count)`` must return attainable endpoints (an
+    under-approximation of the true attainable set).  Condition (iv) is
+    checked with an extra ``margin`` (default ||eta||) absorbing the coverage
+    gap of the sample cloud; a pass is conclusive, a reported violation may in
+    rare cases be an artifact of sparse sampling.
+    """
+    margin = cover.max_diameter if margin is None else margin
+    model = costs.model
+    violations = []
+
+    def add(tag, detail):
+        if len(violations) < max_violations:
+            violations.append((tag, detail))
+
+    if inputs.radius > rho:
+        add("i", f"input covering radius {inputs.radius} > rho {rho}")
+
+    n_check = min(cell_samples, cover.n_cells)
+    cells = np.unique(rng.choice(cover.n_cells, size=n_check, replace=False))
+    for cell in cells:
+        lo, hi = cover.cell_bounds(cell)
+        pts = [cover.center(cell)] + [rng.uniform(lo, hi) for _ in range(6)]
+        pts += [lo.copy(), hi.copy()]
+        if costs.G2[cell] < INF:
+            sup_G1 = max(model.G(p) for p in pts)
+            if costs.G2[cell] > rho + sup_G1:
+                add("ii", f"cell {cell}: G2 {costs.G2[cell]} > rho + sampled sup G1 {sup_G1}")
+        for u_idx in range(len(inputs)):
+            val = costs.pair_value(cell, u_idx)
+            if val < INF:
+                u = inputs.representatives[u_idx]
+                sup_g1 = max(model.g(p, p, u) for p in pts)
+                if val > rho + sup_g1:
+                    add("iii", f"cell {cell}, input {u_idx}: g2 {val} > rho + sampled sup g1 {sup_g1}")
+        if costs.gated[cell]:
+            continue
+        diam = float((hi - lo).max())
+        if diam > rho * (1.0 + 1e-12):  # ulp slack: bounds are re-derived floats
+            add("v", f"cell {cell}: diameter {diam} > rho {rho}")
+        for u_idx in range(len(inputs)):
+            endpoints = sampler(cell, u_idx, rng, endpoint_samples)
+            succ, _ = problem2.successors(int(cell), u_idx)
+            for q in succ:
+                if q == cover.overflow:
+                    continue
+                q_lo, q_hi = cover.cell_bounds(int(q))
+                gaps = np.maximum(np.maximum(q_lo - endpoints, endpoints - q_hi), 0.0)
+                d = float(gaps.max(axis=1).min())
+                if d > rho + margin:
+                    add("iv", f"cell {cell}, input {u_idx}: successor {q} at distance {d} > rho + margin")
+    return len(violations) == 0, violations

@@ -7,7 +7,6 @@ from symoc.abstraction import (
     abstract_costs,
     abstraction_sidecar_text,
     build_abstraction,
-    check_conservatism,
 )
 from symoc.core import INF, cost_model
 from symoc.errors import SoundnessAlarm
@@ -18,7 +17,7 @@ from symoc.simulate import perturbed_step
 from symoc.solver import is_discrete_cost, solve
 from symoc.systems import LogisticMap, get_system
 
-from oracles import cells_overlapping_box, reach_successors
+from oracles import cells_overlapping_box, check_conservatism, map_endpoints, reach_successors
 
 
 def logistic_setup(N):
@@ -125,8 +124,31 @@ def test_batched_build_matches_per_cell_build():
                 assert succ == want + (overflow if escaped else [])
                 slack = max(slack, slack_pair)
         assert cert.transition_slack == pytest.approx(slack, abs=1e-13)
-        threaded, _ = build_abstraction(reach, cover, inputs, ac, workers=4)
-        assert np.array_equal(threaded.trans_succ, batched.trans_succ)
+
+
+def test_split_cap_hit_is_noted_in_certificate(caplog):
+    spec = get_system("pendulum")
+    cover = GridCover(spec.k_lower, spec.k_upper, np.array([0.8, 0.6]))
+    inputs = InputGrid(spec.input_pieces, np.array([1.0]))
+    model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
+    ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
+    notes = {}
+    for max_splits in (64, 2):  # theta 0.5 needs four branches per input
+        reach = SampledReach(spec.sampled_system(), cover, inputs, k=2, theta=0.5, gamma=1e-7,
+                             max_splits=max_splits)
+        caplog.clear()
+        problem, cert = build_abstraction(reach, cover, inputs, ac)
+        text = abstraction_sidecar_text(cover, inputs, cert)
+        notes[max_splits] = [ln for ln in text.splitlines() if ln.startswith("note = split cap hit")]
+        hits = [r for r in caplog.records if r.getMessage().startswith("split cap hit")]
+        assert bool(hits) == (max_splits == 2)  # the log line stays: it is counted
+    assert notes[64] == []
+    inputs_listed = " ".join(str(u) for u in range(len(inputs)))
+    assert notes[2] == [f"note = split cap hit for inputs {inputs_listed}: all cells route to overflow under them"]
+    # the capped abstraction sends every pair to overflow
+    for cell in range(cover.n_cells):
+        for u_idx in range(len(inputs)):
+            assert cover.overflow in problem.successors(cell, u_idx)[0]
 
 
 def test_abstract_transitions_are_supersets_of_simulation():
@@ -156,13 +178,13 @@ def test_check_conservatism_logistic():
     _, cover, inputs, model, ac, reach, problem, cert = logistic_setup(40)
     rng = np.random.default_rng(33)
     ok, violations = check_conservatism(
-        problem, cover, inputs, ac, reach.sample_endpoints, rho=1.0 / 40.0, rng=rng
+        problem, cover, inputs, ac, map_endpoints(reach), rho=1.0 / 40.0, rng=rng
     )
     assert ok, violations
     # a tighter claimed rho fails via the diameter condition (v)
     rng = np.random.default_rng(33)
     ok, violations = check_conservatism(
-        problem, cover, inputs, ac, reach.sample_endpoints, rho=1.0 / 100.0, rng=rng
+        problem, cover, inputs, ac, map_endpoints(reach), rho=1.0 / 100.0, rng=rng
     )
     assert not ok
     assert any(tag == "v" for tag, _ in violations)
@@ -186,7 +208,7 @@ def test_check_conservatism_flags_bloated_transition():
     )
     rng = np.random.default_rng(34)
     ok, violations = check_conservatism(
-        bloated, cover, inputs, ac, reach.sample_endpoints, rho=1.0 / 40.0, rng=rng,
+        bloated, cover, inputs, ac, map_endpoints(reach), rho=1.0 / 40.0, rng=rng,
         cell_samples=cover.n_cells,
     )
     assert not ok
@@ -202,7 +224,7 @@ def test_empty_callback_raises_strictness_alarm():
         def batch_ranges(self, u_idx):
             idx = np.zeros((cover.n_cells, cover.dim), dtype=np.int64)
             empty = np.ones(cover.n_cells, dtype=bool)
-            return [(idx, idx, empty)], np.zeros(cover.n_cells, dtype=bool), 0.0
+            return [(idx, idx, empty)], np.zeros(cover.n_cells, dtype=bool), 0.0, False
 
     with pytest.raises(SoundnessAlarm):
         build_abstraction(EmptyReach(), cover, inputs, ac)

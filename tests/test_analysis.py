@@ -4,16 +4,14 @@ import pytest
 from symoc.analysis import (
     hypo_distance,
     hypograph_csv,
-    logistic_cell_sup_exact,
     logistic_exact_sublevels,
-    logistic_exact_value,
     logistic_exact_values,
     sublevels_csv,
 )
 from symoc.core import INF
 from symoc.errors import InputError, SoundnessAlarm
 
-from oracles import orbit_entry_time
+from oracles import logistic_cell_sup_exact, logistic_exact_value, orbit_entry_time
 
 D = (0.415, 0.69)
 

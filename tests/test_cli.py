@@ -176,6 +176,24 @@ def test_cli_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "input error:" in err and "Traceback" not in err, line
 
+    # a key nothing reads is unknown, like any other
+    bad.write_text("[system]\ndynamics = logistic\npreset = N40\n[solve]\nworkers = 2\n")
+    assert main(["synthesize", str(bad), "--out-prefix", str(tmp_path / "x")]) == 1
+    assert "unknown key 'workers'" in capsys.readouterr().err
+    # usage errors are input errors too: exit 2 is reserved for soundness alarms
+    for argv in (
+        ["solve-finite", "x", "--queue", "bad", "--out-prefix", "y"],
+        ["simulate", "c.ini", "--controller", "a", "--values", "b", "--samples", "x", "--out-prefix", "y"],
+        ["synthesize", "c.ini", "--out-prefix", "y", "--workers", "2"],
+        [],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("input error: "), argv
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+
     # corrupting the value file downwards makes simulate flag violations -> exit 2
     cfg = os.path.join(CONFIGS, "logistic_n40.ini")
     assert main(["synthesize", cfg, "--out-prefix", str(tmp_path / "a")]) == 0
@@ -209,7 +227,7 @@ def test_cli_rerun_is_byte_identical(tmp_path):
         assert sha(tmp_path / ("one" + suffix)) == sha(tmp_path / ("two" + suffix))
 
 
-def test_malformed_tokens_are_input_errors(tmp_path):
+def test_malformed_tokens_are_input_errors(tmp_path, capsys):
     focp = "focp 2 1\nG 0 0\nT 0 0 1 1.0\nT 1 0 1 0.0\n"
     cases = [
         (FiniteProblem.from_focp_text, focp + "G x 0\n", "G x 0"),
@@ -223,6 +241,9 @@ def test_malformed_tokens_are_input_errors(tmp_path):
         (ControllerTable.from_text, "0\n", "0"),
         (Relation.from_text, "0 0\n0 x\n", "0 x"),
         (Relation.from_text, "0 0 1\n", "0 0 1"),
+        # a state listed twice would silently keep its last line
+        (values_from_text, "0 0.0\n0 1.0\n1 2.0\n", "0 1.0"),
+        (ControllerTable.from_text, "0 STOP\n1 0\n1 STOP\n", "1 STOP"),
     ]
     for reader, text, line in cases:
         with pytest.raises(InputError, match=repr(line)):
@@ -234,6 +255,43 @@ def test_malformed_tokens_are_input_errors(tmp_path):
     prefix = str(tmp_path / "out")
     assert main(["solve-finite", str(tmp_path / "bad.focp"), "--out-prefix", prefix]) == 1
     assert main(["check-relation", str(good), str(good), str(tmp_path / "rel.txt")]) == 1
+    # relation pairs index both problems: out of range (or negative, which
+    # numpy would read from the end) names the pair
+    for pair in ("5 1", "-1 1", "0 2"):
+        (tmp_path / "rel.txt").write_text(f"0 0\n{pair}\n")
+        for mode in ("vfrr", "vasr"):
+            argv = ["check-relation", str(good), str(good), str(tmp_path / "rel.txt"), "--mode", mode]
+            assert main(argv) == 1, (pair, mode)
+            assert f"relation pair '{pair}'" in capsys.readouterr().err, (pair, mode)
+    # option values: not numbers, out of range, or of the wrong dimension
+    cfg = os.path.join(CONFIGS, "logistic_n40.ini")
+    prefix = str(tmp_path / "a")
+    assert main(["synthesize", cfg, "--out-prefix", prefix]) == 0
+    simulate = ["simulate", cfg, "--controller", prefix + ".controller", "--values", prefix + ".values",
+                "--verify-samples", "2", "--out-prefix", str(tmp_path / "s")]
+    hypo = ["hypo", cfg, "--values", prefix + ".values", "--out-prefix", str(tmp_path / "h")]
+    (tmp_path / "rel.txt").write_text("0 0\n1 1\n")
+    for argv in (
+        simulate + ["--x0", "abc"],
+        simulate + ["--x0", "0.5 0.5"],  # the logistic plant is 1-D
+        simulate + ["--samples", "-1"],
+        simulate + ["--verify-samples", "-2"],
+        simulate + ["--max-steps", "0"],
+        simulate + ["--seed", "-1"],
+        simulate + ["--tol", "-1"],  # would turn every run into a violation (exit 2)
+        hypo + ["--eps-grid", "0"],
+        hypo + ["--eps-grid", "-1"],
+        hypo + ["--eps-grid", "nan"],
+        hypo + ["--samples", "0"],
+        ["check-relation", str(good), str(good), str(tmp_path / "rel.txt"), "--mode", "vasr", "--eps", "nan"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[-2:]
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err, argv[-2:]
+    # the smallest accepted values still run
+    assert main(simulate + ["--x0", "0.5", "--samples", "0", "--verify-samples", "0", "--seed", "0"]) == 0
+    assert main(hypo + ["--samples", "1", "--eps-grid", "0.5"]) == 0
 
 
 def test_benchmark_span_hooks_install():

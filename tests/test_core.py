@@ -8,7 +8,6 @@ from symoc.core import (
     ControllerTable,
     FiniteProblem,
     Run,
-    dijkstra_distances,
     eval_cost_functional,
     make_min_time,
     make_reach_avoid,
@@ -20,7 +19,7 @@ from symoc.errors import InputError
 from symoc.sets import Box, Complement, EmptySet, QuadraticSublevel, UnionSet
 from symoc.solver import solve
 
-from oracles import random_graph
+from oracles import dijkstra_distances, random_graph
 
 
 class PointCosts:

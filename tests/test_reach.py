@@ -30,7 +30,7 @@ def make_system(f, w, A1, tau=0.1, A0=None, box=4.0, margin=None, eps=0.1):
 def reach_one(sys, cell, u, k, theta, gamma, eta_norm, **kw):
     """attain_over_batch on a single cell: (lo, hi, escaped, slack) with one
     row of lo/hi per branch."""
-    lo_b, hi_b, escaped, slack = attain_over_batch(
+    lo_b, hi_b, escaped, slack, _ = attain_over_batch(
         sys, np.atleast_2d(cell[0]), cell[1], u, k, theta, gamma, eta_norm, **kw
     )
     return np.array([lo[0] for lo in lo_b]), np.array([hi[0] for hi in hi_b]), bool(escaped[0]), slack
@@ -159,7 +159,7 @@ def test_attain_over_batch_matches_scalar_path():
     r0 = np.array([0.04, 0.04])
     for u in (np.array([-2.0]), np.array([0.2])):
         for theta in (1.0, 0.5):
-            lo_b, hi_b, escaped, slack = attain_over_batch(sys, centers, r0, u, 2, theta, 1e-7, 0.08)
+            lo_b, hi_b, escaped, slack, _ = attain_over_batch(sys, centers, r0, u, 2, theta, 1e-7, 0.08)
             for i, c in enumerate(centers):
                 want_c, want_r, want_escaped, want_slack = attain_over(sys, (c, r0), u, 2, theta, 1e-7, 0.08)
                 got_lo = np.sort(np.array([lo[i] for lo in lo_b]), axis=0)

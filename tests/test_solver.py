@@ -9,7 +9,7 @@ from symoc.cli import _build_from_config
 from symoc.config import load_config
 from symoc.core import INF, STOP, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
-from symoc.solver import dp_operator, is_discrete_cost, solve, value_iteration
+from symoc.solver import dp_operator, is_discrete_cost, resolve_queue, solve, value_iteration
 
 from oracles import naive_fixpoint, naive_value_iteration, random_problem_lists, reference_solve
 
@@ -281,7 +281,7 @@ def test_solve_matches_reference_solve_on_pendulum_p1():
     cfg = load_config(os.path.join(CONFIGS, "pendulum_p1.ini"))
     problem = _build_from_config(cfg)[2]
     assert problem.pair_costs is not None
-    assert_matches_reference(problem, cfg.queue_for(problem))
+    assert_matches_reference(problem, resolve_queue(cfg.queue, problem))
 
 
 def test_fifo_alarms_on_uncertified_costs(monkeypatch):
