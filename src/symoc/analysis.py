@@ -23,6 +23,8 @@ from .core import INF
 from .errors import InputError, SoundnessAlarm
 
 _MERGE_TOL = 1e-12
+HYPO_MAX_POINTS = 10**6  # reference grid points; the distance costs samples x points
+_HYPO_CHUNK = 1 << 22  # sample-by-point pairs compared at a time
 
 
 def _merge(intervals):
@@ -106,8 +108,12 @@ def hypo_distance(xs, Ws, v_sampler, eps_grid: float, cap: float = None):
         raise SoundnessAlarm(
             f"upper bound below reference at x = {xs[worst]}: {Ws[worst]} < {V_at_xs[worst]}"
         )
-    n_ref = max(int(math.ceil((xs.max() - xs.min()) / eps_grid)) + 1, 2)
-    ys = np.union1d(xs, np.linspace(xs.min(), xs.max(), n_ref))
+    steps = float(xs.max() - xs.min()) / eps_grid
+    if not steps <= HYPO_MAX_POINTS - 1:
+        raise InputError(
+            f"--eps-grid {eps_grid!r} needs {steps + 1:.3g} reference points; the limit is {HYPO_MAX_POINTS}"
+        )
+    ys = np.union1d(xs, np.linspace(xs.min(), xs.max(), max(math.ceil(steps) + 1, 2)))
     Vs = np.asarray(v_sampler(ys), dtype=float)
 
     finite = np.concatenate([Ws[np.isfinite(Ws)], Vs[np.isfinite(Vs)]])
@@ -118,7 +124,7 @@ def hypo_distance(xs, Ws, v_sampler, eps_grid: float, cap: float = None):
     Vc = np.minimum(Vs, cap)
 
     eps = 0.0
-    chunk = 512
+    chunk = max(_HYPO_CHUNK // len(ys), 1)
     for start in range(0, len(xs), chunk):
         xw = xs[start : start + chunk, None]
         ww = Wc[start : start + chunk, None]

@@ -97,7 +97,8 @@ def cmd_synthesize(args):
     _write(args.out_prefix + ".values", values_to_text(result.W))
     _write(args.out_prefix + ".controller", result.c.to_text())
     if args.dump_focp:
-        _write(args.out_prefix + ".focp", problem.to_focp_text())
+        with open(args.out_prefix + ".focp", "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(problem.focp_text_blocks())  # never the whole text in memory
     finite = np.isfinite(result.W[: cfg.cover.n_cells])
     print(
         f"cells={cfg.cover.n_cells} inputs={len(cfg.inputs)} edges={problem.n_edges} "

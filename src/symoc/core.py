@@ -116,7 +116,8 @@ class FiniteProblem:
         if self.trans_ptr[0] != 0 or self.trans_ptr[-1] != len(self.trans_succ):
             raise InputError("transition index is inconsistent")
         if np.any(np.diff(self.trans_ptr) < 1):
-            raise InputError("every (state, input) pair needs a successor (F strict)")
+            p, u = divmod(int(np.flatnonzero(np.diff(self.trans_ptr) < 1)[0]), self.m)
+            raise InputError(f"every (state, input) pair needs a successor (F strict): ({p},{u}) has none")
         if len(self.trans_succ) and (
             self.trans_succ.min() < 0 or self.trans_succ.max() >= self.n
         ):
@@ -129,30 +130,6 @@ class FiniteProblem:
             raise InputError("cost array has wrong length")
         if np.any(np.isnan(costs)) or np.any(costs < 0):
             raise InputError("running costs must be non-negative")
-
-    @classmethod
-    def from_lists(cls, G, trans):
-        """Build from ``trans[p][u] = [(q, g), ...]`` nested lists."""
-        n = len(trans)
-        if n == 0:
-            raise InputError("need at least one state")
-        m = len(trans[0])
-        ptr = [0]
-        succ = []
-        costs = []
-        for p in range(n):
-            if len(trans[p]) != m:
-                raise InputError("ragged input axis in transition lists")
-            for u in range(m):
-                seen = {}
-                for q, gval in trans[p][u]:
-                    if q in seen:
-                        raise InputError(f"duplicate transition ({p},{u},{q})")
-                    seen[q] = None
-                    succ.append(q)
-                    costs.append(gval)
-                ptr.append(len(succ))
-        return cls(n, m, G, ptr, np.asarray(succ, dtype=np.int64), edge_costs=costs)
 
     @property
     def n_edges(self) -> int:
@@ -195,49 +172,24 @@ class FiniteProblem:
     # --- FOCP v1 text format -------------------------------------------------
 
     def to_focp_text(self) -> str:
-        lines = [f"focp {self.n} {self.m}"]
-        for p in range(self.n):
-            lines.append(f"G {p} {format_cost(self.G[p])}")
-        costs = self.edge_cost_view()
-        for p in range(self.n):
-            for u in range(self.m):
-                a, b = self.trans_ptr[self.pair_id(p, u)], self.trans_ptr[self.pair_id(p, u) + 1]
-                for e in range(a, b):
-                    lines.append(f"T {p} {u} {self.trans_succ[e]} {format_cost(costs[e])}")
-        return "\n".join(lines) + "\n"
+        """FOCP v1 text (grammar in the README): the header, one G record per
+        state, then one T record per edge in pair order."""
+        return "".join(self.focp_text_blocks())
+
+    def focp_text_blocks(self):
+        """The text of to_focp_text in consecutive pieces, so that a writer
+        need not hold all of it."""
+        from . import focp  # compiled on first use, not when symoc starts
+
+        return focp.text_blocks(self)
 
     @classmethod
     def from_focp_text(cls, text: str) -> "FiniteProblem":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("focp"):
-            raise InputError("missing focp header")
-        try:
-            _, n_s, m_s = lines[0].split()
-            n, m = int(n_s), int(m_s)
-        except ValueError as exc:
-            raise InputError("malformed focp header") from exc
-        if n <= 0 or m <= 0:
-            raise InputError("focp header: need positive state/input counts")
-        G = np.full(n, INF)
-        trans = [[[] for _ in range(m)] for _ in range(n)]
-        try:
-            for ln in lines[1:]:
-                parts = ln.split()
-                if parts[0] == "G" and len(parts) == 3:
-                    p = int(parts[1])
-                    if not 0 <= p < n:
-                        raise InputError(f"state index out of range: {ln!r}")
-                    G[p] = parse_cost(parts[2])
-                elif parts[0] == "T" and len(parts) == 5:
-                    p, u, q = int(parts[1]), int(parts[2]), int(parts[3])
-                    if not (0 <= p < n and 0 <= u < m and 0 <= q < n):
-                        raise InputError(f"index out of range: {ln!r}")
-                    trans[p][u].append((q, parse_cost(parts[4])))
-                else:
-                    raise InputError(f"unrecognized focp record: {ln!r}")
-        except ValueError as exc:
-            raise InputError(f"malformed focp record: {ln!r}") from exc
-        return cls.from_lists(G, trans)
+        """Read FOCP v1 text; an error quotes the first offending line in file order."""
+        from . import focp
+
+        n, m, G, ptr, succ, costs = focp.read(text)
+        return cls(n, m, G, ptr, succ, edge_costs=costs)
 
 
 # --- Canonical problem constructors ------------------------------------------

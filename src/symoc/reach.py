@@ -175,7 +175,6 @@ def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_n
             cs, r, b = queue.pop()
             if float(r.max()) > threshold:
                 if len(branches) + len(queue) + 2 > max_splits:
-                    log.warning("split cap hit for input %s; routing to overflow", u)
                     escaped[:] = True
                     capped = True
                     branches.append((cs, r, b))
@@ -190,6 +189,8 @@ def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_n
                 queue.append((cs + shift, r2, b + shift))
             else:
                 branches.append((cs, r, b))
+    if capped:
+        log.warning("split cap hit for input %s; routing to overflow", u)
     boxes_lo = [cs - r for cs, r, _ in branches]
     boxes_hi = [cs + r for cs, r, _ in branches]
     slack = max(float((r + b).max()) for _, r, b in branches)

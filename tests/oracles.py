@@ -10,7 +10,7 @@ from collections import deque
 
 import numpy as np
 
-from symoc.core import STOP, ControllerTable
+from symoc.core import STOP, ControllerTable, FiniteProblem, format_cost, parse_cost
 from symoc.errors import InputError, SoundnessAlarm
 from symoc.reach import growth_bound, integrate_nominal
 from symoc.solver import SolveResult, SolveStats, is_discrete_cost
@@ -482,3 +482,76 @@ def check_conservatism(problem2, cover, inputs, costs, sampler, rho, rng, cell_s
                 if d > rho + margin:
                     add("iv", f"cell {cell}, input {u_idx}: successor {q} at distance {d} > rho + margin")
     return len(violations) == 0, violations
+
+
+def from_lists(G, trans):
+    """Build a FiniteProblem from ``trans[p][u] = [(q, g), ...]`` nested lists."""
+    n = len(trans)
+    if n == 0:
+        raise InputError("need at least one state")
+    m = len(trans[0])
+    ptr = [0]
+    succ = []
+    costs = []
+    for p in range(n):
+        if len(trans[p]) != m:
+            raise InputError("ragged input axis in transition lists")
+        for u in range(m):
+            seen = {}
+            for q, gval in trans[p][u]:
+                if q in seen:
+                    raise InputError(f"duplicate transition ({p},{u},{q})")
+                seen[q] = None
+                succ.append(q)
+                costs.append(gval)
+            ptr.append(len(succ))
+    return FiniteProblem(n, m, G, ptr, np.asarray(succ, dtype=np.int64), edge_costs=costs)
+
+
+def reference_to_focp_text(problem):
+    """FOCP v1 text, one formatted line per record (the per-record writer)."""
+    lines = [f"focp {problem.n} {problem.m}"]
+    for p in range(problem.n):
+        lines.append(f"G {p} {format_cost(problem.G[p])}")
+    costs = problem.edge_cost_view()
+    for p in range(problem.n):
+        for u in range(problem.m):
+            a, b = problem.trans_ptr[problem.pair_id(p, u)], problem.trans_ptr[problem.pair_id(p, u) + 1]
+            for e in range(a, b):
+                lines.append(f"T {p} {u} {problem.trans_succ[e]} {format_cost(costs[e])}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_from_focp_text(text):
+    """FOCP v1 reader splitting lines and fields with str methods (the
+    per-record reader)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("focp"):
+        raise InputError("missing focp header")
+    try:
+        _, n_s, m_s = lines[0].split()
+        n, m = int(n_s), int(m_s)
+    except ValueError as exc:
+        raise InputError("malformed focp header") from exc
+    if n <= 0 or m <= 0:
+        raise InputError("focp header: need positive state/input counts")
+    G = np.full(n, INF)
+    trans = [[[] for _ in range(m)] for _ in range(n)]
+    try:
+        for ln in lines[1:]:
+            parts = ln.split()
+            if parts[0] == "G" and len(parts) == 3:
+                p = int(parts[1])
+                if not 0 <= p < n:
+                    raise InputError(f"state index out of range: {ln!r}")
+                G[p] = parse_cost(parts[2])
+            elif parts[0] == "T" and len(parts) == 5:
+                p, u, q = int(parts[1]), int(parts[2]), int(parts[3])
+                if not (0 <= p < n and 0 <= u < m and 0 <= q < n):
+                    raise InputError(f"index out of range: {ln!r}")
+                trans[p][u].append((q, parse_cost(parts[4])))
+            else:
+                raise InputError(f"unrecognized focp record: {ln!r}")
+    except ValueError as exc:
+        raise InputError(f"malformed focp record: {ln!r}") from exc
+    return from_lists(G, trans)

@@ -141,7 +141,8 @@ def test_split_cap_hit_is_noted_in_certificate(caplog):
         text = abstraction_sidecar_text(cover, inputs, cert)
         notes[max_splits] = [ln for ln in text.splitlines() if ln.startswith("note = split cap hit")]
         hits = [r for r in caplog.records if r.getMessage().startswith("split cap hit")]
-        assert bool(hits) == (max_splits == 2)  # the log line stays: it is counted
+        # one line per capped input, however many substeps hit the cap: the benchmark counts them
+        assert len(hits) == (len(inputs) if max_splits == 2 else 0)
     assert notes[64] == []
     inputs_listed = " ".join(str(u) for u in range(len(inputs)))
     assert notes[2] == [f"note = split cap hit for inputs {inputs_listed}: all cells route to overflow under them"]

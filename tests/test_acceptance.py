@@ -28,6 +28,7 @@ from oracles import (
     boxes_contain,
     certified_vfrr_pair,
     dijkstra_distances,
+    from_lists,
     random_graph,
     random_problem_lists,
     union_contains_interval,
@@ -91,7 +92,7 @@ def test_criterion_02_fixed_point_and_maximality():
     checked = 0
     for _ in range(200):
         trans, G = random_problem_lists(rng, n_max=50)
-        problem = FiniteProblem.from_lists(G, trans)
+        problem = from_lists(G, trans)
         W = solve(problem).W
         PW = dp_operator(problem, W)
         finite = np.isfinite(W)
@@ -115,7 +116,7 @@ def test_criterion_03_value_iteration_consistency():
             rng.uniform(0, 1)  # keep the stream aligned with criterion 2
         if i % 4:
             continue  # iterating all 200 for 100 steps adds nothing
-        problem = FiniteProblem.from_lists(G, trans)
+        problem = from_lists(G, trans)
         W = solve(problem).W
         prev = problem.G.copy()
         for T in range(1, 101):
@@ -126,7 +127,7 @@ def test_criterion_03_value_iteration_consistency():
     rng = np.random.default_rng(1003)
     for _ in range(50):
         trans, G = random_problem_lists(rng, n_max=40, cost_mode="min_time")
-        problem = FiniteProblem.from_lists(G, trans)
+        problem = from_lists(G, trans)
         W = solve(problem).W
         assert np.array_equal(value_iteration(problem, problem.n), W)
     report(3, True, "monotone, bounded below by W, discrete stabilization within n")
@@ -136,7 +137,7 @@ def test_criterion_04_queue_equivalence():
     rng = np.random.default_rng(1004)
     for _ in range(100):
         trans, G = random_problem_lists(rng, n_max=60, cost_mode="min_time")
-        problem = FiniteProblem.from_lists(G, trans)
+        problem = from_lists(G, trans)
         r_heap = solve(problem, queue="heap")
         r_fifo = solve(problem, queue="fifo")
         assert np.array_equal(r_heap.W, r_fifo.W)
@@ -278,8 +279,8 @@ def test_criterion_09_relation_checker_soundness():
     flips = 0
     for case in range(50):
         lists1, lists2, pairs = certified_vfrr_pair(rng)
-        p1 = FiniteProblem.from_lists(lists1[1], lists1[0])
-        p2 = FiniteProblem.from_lists(lists2[1], lists2[0])
+        p1 = from_lists(lists1[1], lists1[0])
+        p2 = from_lists(lists2[1], lists2[0])
         rel = Relation(pairs)
         verdict = check_vfrr(p1, p2, rel)
         assert verdict.ok, verdict.violations

@@ -6,12 +6,15 @@ import sys
 import numpy as np
 import pytest
 
+from symoc.analysis import HYPO_MAX_POINTS
 from symoc.cli import main
 from symoc.config import load_config, parse_set
 from symoc.core import INF, ControllerTable, FiniteProblem, values_from_text
 from symoc.errors import InputError
 from symoc.relations import Relation
 from symoc.sets import Box, Complement, EmptySet, QuadraticSublevel, UnionSet
+
+from oracles import from_lists
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
@@ -90,7 +93,7 @@ def test_parse_set_primitives():
 
 
 def test_cli_solve_finite_round_trip(tmp_path):
-    problem = FiniteProblem.from_lists(
+    problem = from_lists(
         [INF, 0.0],
         [[[(1, 1.0)]], [[(1, 0.0)]]],
     )
@@ -137,7 +140,7 @@ def test_cli_hypo_logistic(tmp_path):
 
 
 def test_cli_check_relation(tmp_path):
-    p = FiniteProblem.from_lists([0.0, 1.0], [[[(1, 1.0)]], [[(1, 0.5)]]])
+    p = from_lists([0.0, 1.0], [[[(1, 1.0)]], [[(1, 0.5)]]])
     (tmp_path / "p.focp").write_text(p.to_focp_text())
     (tmp_path / "rel.txt").write_text(Relation([(0, 0), (1, 1)]).to_text())
     rc = main([
@@ -282,6 +285,8 @@ def test_malformed_tokens_are_input_errors(tmp_path, capsys):
         hypo + ["--eps-grid", "0"],
         hypo + ["--eps-grid", "-1"],
         hypo + ["--eps-grid", "nan"],
+        hypo + ["--eps-grid", "1e-300"],  # a reference grid of 1e300 points
+        hypo + ["--eps-grid", "1e-320"],
         hypo + ["--samples", "0"],
         ["check-relation", str(good), str(good), str(tmp_path / "rel.txt"), "--mode", "vasr", "--eps", "nan"],
     ):
@@ -289,6 +294,8 @@ def test_malformed_tokens_are_input_errors(tmp_path, capsys):
         assert main(argv) == 1, argv[-2:]
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and "Traceback" not in err, argv[-2:]
+    assert main(hypo + ["--eps-grid", "1e-6"]) == 1
+    assert f"--eps-grid 1e-06 needs 1e+06 reference points; the limit is {HYPO_MAX_POINTS}" in capsys.readouterr().err
     # the smallest accepted values still run
     assert main(simulate + ["--x0", "0.5", "--samples", "0", "--verify-samples", "0", "--seed", "0"]) == 0
     assert main(hypo + ["--samples", "1", "--eps-grid", "0.5"]) == 0
@@ -313,3 +320,18 @@ def test_benchmark_span_hooks_install():
         [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_python_m_symoc_runs_the_command_line():
+    # an uninstalled checkout: PYTHONPATH=src python -m symoc ...
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "symoc", *argv], cwd=REPO, env=env, capture_output=True, text=True, timeout=120
+        )
+
+    out = run("--help")
+    assert out.returncode == 0 and "solve-finite" in out.stdout
+    out = run()
+    assert out.returncode == 1 and out.stderr.startswith("input error: ")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import symoc.focp
 from symoc.core import (
     INF,
     ControllerTable,
@@ -19,7 +20,13 @@ from symoc.errors import InputError
 from symoc.sets import Box, Complement, EmptySet, QuadraticSublevel, UnionSet
 from symoc.solver import solve
 
-from oracles import dijkstra_distances, random_graph
+from oracles import (
+    dijkstra_distances,
+    from_lists,
+    random_graph,
+    reference_from_focp_text,
+    reference_to_focp_text,
+)
 
 
 class PointCosts:
@@ -165,7 +172,7 @@ def test_shortest_path_oracle_equivalence_small_batch():
 
 
 def test_focp_round_trip():
-    problem = FiniteProblem.from_lists(
+    problem = from_lists(
         [INF, 0.0, 2.5],
         [
             [[(1, 1.0)], [(1, INF), (2, 0.5)]],
@@ -192,19 +199,152 @@ def test_focp_rejects_garbage():
         FiniteProblem.from_focp_text("focp 1 1\nG 0 -3\nT 0 0 0 1\n")
 
 
+# every special cost the text format has to carry unchanged
+FOCP_COSTS = [INF, 0.0, -0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1 + 0.2, 1.5]
+
+
+def random_focp_problem(rng, n_max=40, m_max=4, pair_costs=False):
+    """A random problem whose costs mix FOCP_COSTS, 3-decimal and
+    17-significant-digit values."""
+    n, m = int(rng.integers(1, n_max + 1)), int(rng.integers(1, m_max + 1))
+    sizes = rng.integers(1, min(n, 4) + 1, size=n * m)
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    succ = np.concatenate([rng.choice(n, size=k, replace=False) for k in sizes])
+
+    def costs(size):
+        pool = np.concatenate([FOCP_COSTS, np.round(rng.uniform(0, 2, size=5), 3), rng.uniform(0, 1e3, size=5)])
+        return pool[rng.integers(0, len(pool), size=size)]
+
+    G = costs(n)
+    if pair_costs:
+        return FiniteProblem(n, m, G, ptr, succ, pair_costs=costs(n * m))
+    return FiniteProblem(n, m, G, ptr, succ, edge_costs=costs(len(succ)))
+
+
+def assert_same_problem(a, b):
+    assert (a.n, a.m) == (b.n, b.m)
+    for name in ("G", "trans_ptr", "trans_succ"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.edge_cost_view(), b.edge_cost_view())
+    # -0.0 == 0.0, so compare the bits too
+    assert np.array_equal(a.G.view(np.uint64), b.G.view(np.uint64))
+    assert np.array_equal(a.edge_cost_view().view(np.uint64), b.edge_cost_view().view(np.uint64))
+
+
+@pytest.mark.parametrize("read_bytes, write_edges", [(None, None), (64, 5), (7, 1)])
+def test_focp_text_matches_the_reference_reader_and_writer(monkeypatch, read_bytes, write_edges):
+    # small blocks put block boundaries inside records (7 bytes: inside every line)
+    if read_bytes:
+        monkeypatch.setattr(symoc.focp, "_READ_BYTES", read_bytes)
+        monkeypatch.setattr(symoc.focp, "_WRITE_EDGES", write_edges)
+    rng = np.random.default_rng(17)
+    problems = [FiniteProblem(1, 1, [0.0], [0, 1], [0], edge_costs=[INF])]  # a single state
+    problems += [random_focp_problem(rng, pair_costs=bool(i % 2)) for i in range(40)]
+    cut_inside = 0  # problems whose first block ends inside a record
+    for problem in problems:
+        text = problem.to_focp_text()
+        assert text == reference_to_focp_text(problem)
+        cut_inside += bool(read_bytes) and len(text) > read_bytes and text[read_bytes - 1] != "\n"
+        back = FiniteProblem.from_focp_text(text)
+        assert_same_problem(back, reference_from_focp_text(text))
+        assert_same_problem(back, problem)
+        assert back.trans_succ.dtype == np.int64
+    assert cut_inside >= (30 if read_bytes else 0)
+
+
+@pytest.mark.parametrize("read_bytes", [None, 16])
+def test_focp_reader_is_as_lenient_as_the_reference(monkeypatch, read_bytes):
+    if read_bytes:
+        monkeypatch.setattr(symoc.focp, "_READ_BYTES", read_bytes)
+    cases = {
+        "interleaved G and T": "focp 2 2\nT 0 0 1 1.0\nG 0 0\nT 0 1 0 2.5\nT 1 0 1 0\nG 1 inf\nT 1 1 0 3\n",
+        "blank, whitespace-only lines and tabs": "\n  \nfocp 1 1\n\t\n G\t0   0.5 \n\n\tT 0\t0 0  1\n \n",
+        "CRLF, no final newline": "focp 2 1\r\nG 0 0\r\nT 0 0 1 1.0\r\nT 1 0 1 2.0",
+        "out of pair order, within-pair order kept": "focp 2 1\nT 1 0 1 2\nT 0 0 1 1\nT 1 0 0 3\nT 0 0 0 4\n",
+        "missing G is inf": "focp 3 1\nG 1 0\nT 0 0 1 1\nT 1 0 1 1\nT 2 0 1 1\n",
+        "repeated G: the last one wins": "focp 1 1\nG 0 5\nT 0 0 0 1\nG 0 2\nG 0 7.5\n",
+        "int() and float() tokens": "focp 2 1\nG +1 1_0\nT 0 0 1 Infinity\nT 1 0 01 1e400\nG 0 .5\n"
+                                    "T 0 0 0000000000000000000000 -0.0\n",
+        "non-ASCII digits": "focp 2 1\nG \u0661 \u0663.\u0665\nT 0 0 1 1\nT \uff11 0 1 2\n",
+        "other line breaks and spaces": "focp 2 1\x85G 0\xa00\u2028T 0 0 1 1\vT 1\x1f0 1 2\x1cG 1\u30005\n",
+    }
+    # records in random order: a pair's successors keep their order in the file
+    text = random_focp_problem(np.random.default_rng(5), n_max=60).to_focp_text()
+    lines = text.splitlines()
+    cases["shuffled"] = "\n".join([lines[0]] + list(np.random.default_rng(6).permutation(lines[1:])))
+    for name, text in cases.items():
+        assert_same_problem(FiniteProblem.from_focp_text(text), reference_from_focp_text(text))
+    back = FiniteProblem.from_focp_text(cases["out of pair order, within-pair order kept"])
+    assert back.trans_succ.tolist() == [1, 0, 1, 0]
+    assert back.edge_costs.tolist() == [1.0, 4.0, 2.0, 3.0]
+    assert FiniteProblem.from_focp_text(cases["missing G is inf"]).G.tolist() == [INF, 0.0, INF]
+    assert FiniteProblem.from_focp_text(cases["repeated G: the last one wins"]).G.tolist() == [7.5]
+
+
+@pytest.mark.parametrize("read_bytes", [None, 16])
+def test_focp_errors_quote_the_first_bad_line(monkeypatch, read_bytes):
+    if read_bytes:
+        monkeypatch.setattr(symoc.focp, "_READ_BYTES", read_bytes)
+    good = "focp 2 2\nG 0 0\nT 0 0 1 1.0\nT 0 1 0 1.0\nT 1 0 1 0.0\nT 1 1 1 2\n"
+    cases = [
+        ("T 0 0 1\n", "unrecognized focp record: 'T 0 0 1'"),
+        ("G 0 0 0\n", "unrecognized focp record: 'G 0 0 0'"),
+        ("X 0 0\n", "unrecognized focp record: 'X 0 0'"),
+        ("T 2 0 1 1.0\n", "index out of range: 'T 2 0 1 1.0'"),
+        ("T 0 2 1 1.0\n", "index out of range: 'T 0 2 1 1.0'"),
+        ("T 0 0 2 1.0\n", "index out of range: 'T 0 0 2 1.0'"),
+        ("T -1 0 1 1.0\n", "index out of range: 'T -1 0 1 1.0'"),
+        ("\tG 2 0 \n", "state index out of range: '\\tG 2 0 '"),
+        ("T 0 0 12345678901234567890 1.0\n", "index out of range: 'T 0 0 12345678901234567890 1.0'"),
+        ("T 0 0 4611686018427387905 1.0\n", "index out of range: 'T 0 0 4611686018427387905 1.0'"),  # 2**62 + 1
+        ("G 18446744073709551617 0\n", "state index out of range: 'G 18446744073709551617 0'"),  # 2**64 + 1
+        ("T 0 0 1 nan\n", "cost must be non-negative or inf: 'T 0 0 1 nan'"),
+        ("T 0 0 1 -2\n", "cost must be non-negative or inf: 'T 0 0 1 -2'"),
+        ("G 1 -inf\n", "cost must be non-negative or inf: 'G 1 -inf'"),
+        ("T 0 0 x 1.0\n", "malformed focp record: 'T 0 0 x 1.0'"),
+        ("T 0 0 1 1.0.0\n", "malformed focp record: 'T 0 0 1 1.0.0'"),
+        ("T 0 0 1 1.0\x00\n", "malformed focp record: 'T 0 0 1 1.0\\x00'"),
+    ]
+    for bad, message in cases:
+        for text in (good + bad, good + bad + "T 0 0 0 x\nT 9 0 0 1\n"):  # later bad lines are not named
+            with pytest.raises(InputError) as exc:
+                FiniteProblem.from_focp_text(text)
+            assert str(exc.value) == message
+            with pytest.raises(InputError):
+                reference_from_focp_text(text)
+    # duplicates are found once every record has been read: the first repeat in file order is named
+    text = good + "T 1 1 1 5\nT 0 0 1 3\n"
+    with pytest.raises(InputError) as exc:
+        FiniteProblem.from_focp_text(text)
+    assert str(exc.value) == "duplicate transition (1,1,1): 'T 1 1 1 5'"
+    with pytest.raises(InputError, match="duplicate transition"):
+        reference_from_focp_text(text)
+    # the first bad line in file order, not the first of its kind
+    text = good.replace("T 1 0 1 0.0", "T 1 0 1 y") + "T 9 0 0 1\n"
+    with pytest.raises(InputError, match="malformed focp record: 'T 1 0 1 y'"):
+        FiniteProblem.from_focp_text(text)
+    with pytest.raises(InputError, match=r"\(F strict\): \(1,0\) has none"):
+        FiniteProblem.from_focp_text(good.replace("T 1 0 1 0.0\n", ""))
+    for text, message in (("", "missing focp header"), ("\n \n", "missing focp header"),
+                          (" focp 1 1\n", "missing focp header"), ("focp 1\n", "malformed focp header"),
+                          ("focp 0 1\n", "need positive"), ("focp 65536 32768\n", "2\\*\\*31")):
+        with pytest.raises(InputError, match=message):
+            FiniteProblem.from_focp_text(text)
+
+
 def test_problem_strictness_enforced():
     with pytest.raises(InputError):
-        FiniteProblem.from_lists([0.0], [[[]]])
+        from_lists([0.0], [[[]]])
 
 
 def test_cost_of_totalization():
-    problem = FiniteProblem.from_lists([0.0, 0.0], [[[(1, 2.0)]], [[(1, 0.0)]]])
+    problem = from_lists([0.0, 0.0], [[[(1, 2.0)]], [[(1, 0.0)]]])
     assert problem.cost_of(0, 1, 0) == 2.0
     assert problem.cost_of(0, 0, 0) == INF  # not a transition
 
 
 def test_validate_run_against_problem():
-    problem = FiniteProblem.from_lists([0.0, 0.0], [[[(1, 2.0)]], [[(1, 0.0)]]])
+    problem = from_lists([0.0, 0.0], [[[(1, 2.0)]], [[(1, 0.0)]]])
     problem.validate_run(Run(x=(0, 1), u=(0,), v=(0, 1)))
     with pytest.raises(InputError):
         problem.validate_run(Run(x=(0, 0), u=(0,), v=(0, 1)))
@@ -246,7 +386,7 @@ def test_sup_empty_convention():
 
 
 def test_cost_functional_against_finite_problem():
-    problem = FiniteProblem.from_lists(
+    problem = from_lists(
         [INF, INF, 5.0],
         [[[(1, 1.0)]], [[(2, 1.0)]], [[(2, 0.0)]]],
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from symoc.abstraction import MapReach, abstract_costs, build_abstraction
 from symoc.core import INF, ControllerTable, FiniteProblem, cost_model
 from symoc.grid import GridCover, InputGrid
@@ -19,11 +20,11 @@ from oracles import certified_vfrr_pair
 
 def from_lists(pair):
     trans, G = pair
-    return FiniteProblem.from_lists(G, trans)
+    return oracles.from_lists(G, trans)
 
 
 def small_problem():
-    return FiniteProblem.from_lists(
+    return oracles.from_lists(
         [INF, 0.0],
         [
             [[(1, 1.0)], [(0, 2.0)]],
@@ -63,8 +64,8 @@ def test_vfrr_detects_missing_transition_and_strictness():
 
 
 def test_vfrr_rejects_larger_input_alphabet():
-    p1 = FiniteProblem.from_lists([0.0], [[[(0, 1.0)]]])
-    p2 = FiniteProblem.from_lists([0.0], [[[(0, 1.0)], [(0, 1.0)]]])
+    p1 = oracles.from_lists([0.0], [[[(0, 1.0)]]])
+    p2 = oracles.from_lists([0.0], [[[(0, 1.0)], [(0, 1.0)]]])
     assert not check_vfrr(p1, p2, Relation([(0, 0)])).ok
 
 
@@ -87,8 +88,8 @@ def test_certified_pairs_pass_and_bound_values():
 
 
 def test_vasr_detects_terminal_cost_violation():
-    p1 = FiniteProblem.from_lists([1.0], [[[(0, 1.0)]]])
-    p2 = FiniteProblem.from_lists([0.5], [[[(0, 1.0)]]])
+    p1 = oracles.from_lists([1.0], [[[(0, 1.0)]]])
+    p2 = oracles.from_lists([0.5], [[[(0, 1.0)]]])
     verdict = check_vasr(p1, p2, Relation([(0, 0)]), eps=0.0)
     assert not verdict.ok
 
@@ -97,11 +98,11 @@ def test_vasr_eps_slack_two_state_example():
     # G1(0) = 2 > 0 activates the simulation condition; the only concrete
     # move costs 1.05 against an abstract move of cost 1.0, so only the
     # slack eps >= 0.05 saves it (exhaustive over the 2 x 2 state space).
-    p1 = FiniteProblem.from_lists(
+    p1 = oracles.from_lists(
         [2.0, 0.0],
         [[[(1, 1.05)]], [[(1, 0.0)]]],
     )
-    p2 = FiniteProblem.from_lists(
+    p2 = oracles.from_lists(
         [2.0, 0.0],
         [[[(1, 1.0)]], [[(1, 0.0)]]],
     )
@@ -112,8 +113,8 @@ def test_vasr_eps_slack_two_state_example():
 
 def test_vasr_large_eps_reduces_to_reachability():
     # with huge slack only the exists/forall/exists structure matters
-    p1 = FiniteProblem.from_lists([5.0, 0.0], [[[(0, 9.0)]], [[(1, 0.0)]]])
-    p2 = FiniteProblem.from_lists([5.0, 5.0], [[[(1, 0.0)]], [[(1, 0.0)]]])
+    p1 = oracles.from_lists([5.0, 0.0], [[[(0, 9.0)]], [[(1, 0.0)]]])
+    p2 = oracles.from_lists([5.0, 5.0], [[[(1, 0.0)]], [[(1, 0.0)]]])
     rel = Relation([(0, 0), (1, 1)])
     # concrete successor 0 relates to abstract {0}, never inside F2(0) = {1}
     assert not check_vasr(p1, p2, rel, eps=1e9).ok
@@ -123,8 +124,8 @@ def test_vasr_large_eps_reduces_to_reachability():
 
 def test_vasr_boundedness_gate_counts():
     # abstract transition with infinite cost gates the condition
-    p1 = FiniteProblem.from_lists([2.0], [[[(0, 5.0)]]])
-    p2 = FiniteProblem.from_lists([2.0], [[[(0, INF)]]])
+    p1 = oracles.from_lists([2.0], [[[(0, 5.0)]]])
+    p2 = oracles.from_lists([2.0], [[[(0, INF)]]])
     verdict = check_vasr(p1, p2, Relation([(0, 0)]), eps=0.0)
     assert verdict.ok
     assert verdict.gated_pairs == 1

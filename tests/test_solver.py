@@ -17,7 +17,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def from_lists(trans, G):
-    return FiniteProblem.from_lists(G, trans)
+    return oracles.from_lists(G, trans)
 
 
 def test_single_state_stops_immediately():
