@@ -171,16 +171,19 @@ def _expand_ranges(cover: GridCover, lo_idx, hi_idx, active):
     total = int(cnt.sum())
     if total == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64), cnt
-    owner = np.repeat(np.arange(cover.n_cells), cnt)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    flat = np.zeros(total, dtype=np.int64)
-    rem = offs
-    for axis in range(cover.dim - 1, -1, -1):
-        span_rep = spans[owner, axis]
-        local = rem % span_rep
-        rem = rem // span_rep
-        flat += (lo_idx[owner, axis] + local) * int(cover._strides[axis])
-    return flat, owner, cnt
+    # a block is rows of consecutive flat ids along the last axis: only the
+    # rows' first ids need the per-axis index arithmetic
+    rows = np.where(active, spans[:, :-1].prod(axis=1), 0)
+    row_owner = np.repeat(np.arange(cover.n_cells), rows)
+    rem = np.arange(len(row_owner), dtype=np.int64) - np.repeat(np.cumsum(rows) - rows, rows)
+    first = lo_idx[row_owner, -1]
+    for axis in range(cover.dim - 2, -1, -1):
+        rem, local = np.divmod(rem, spans[row_owner, axis])
+        first += (lo_idx[row_owner, axis] + local) * int(cover._strides[axis])
+    length = spans[row_owner, -1]
+    flat = np.repeat(first - (np.cumsum(length) - length), length)
+    flat += np.arange(total)
+    return flat, np.repeat(np.arange(cover.n_cells), cnt), cnt
 
 
 def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: AbstractCosts):
@@ -197,7 +200,8 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     m = len(inputs)
     overflow = cover.overflow
     gated = costs.gated
-    per_input = _collect_batched(transitions, cover, gated, m)
+    dtype = np.int32 if n_states < 2**31 else np.int64
+    per_input = _collect_batched(transitions, cover, gated, m, dtype)
 
     sizes = np.zeros(n_states * m, dtype=np.int64)
     for u_idx, (succ_u, cnt_u, escape_u, *_) in enumerate(per_input):
@@ -205,16 +209,14 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     sizes[overflow * m : (overflow + 1) * m] = 1
     trans_ptr = np.zeros(n_states * m + 1, dtype=np.int64)
     np.cumsum(sizes, out=trans_ptr[1:])
-    dtype = np.int32 if n_states < 2**31 else np.int64
     trans_succ = np.empty(int(trans_ptr[-1]), dtype=dtype)
 
     for u_idx, (succ_u, cnt_u, escape_u, *_) in enumerate(per_input):
         starts = trans_ptr[np.arange(cover.n_cells, dtype=np.int64) * m + u_idx]
         if len(succ_u):
-            offs = np.arange(len(succ_u), dtype=np.int64) - np.repeat(
-                np.cumsum(cnt_u) - cnt_u, cnt_u
-            )
-            trans_succ[np.repeat(starts, cnt_u) + offs] = succ_u
+            dest = np.repeat(starts - (np.cumsum(cnt_u) - cnt_u), cnt_u)
+            dest += np.arange(len(succ_u))
+            trans_succ[dest] = succ_u
         esc_cells = np.nonzero(escape_u)[0]
         trans_succ[starts[esc_cells] + cnt_u[esc_cells]] = overflow
     trans_succ[trans_ptr[overflow * m : (overflow + 1) * m]] = overflow
@@ -245,31 +247,49 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     return problem, cert
 
 
-def _collect_batched(transitions, cover, gated, m):
+def _collect_batched(transitions, cover, gated, m, dtype):
+    """Per input: successors (as ``dtype``), per-cell counts, the overflow
+    flags, the reach slack and whether the split cap was hit."""
+    active = ~gated
+
     def one(u_idx):
         branches, escaped, slack, capped = transitions.batch_ranges(u_idx)
-        active_base = ~gated
-        if len(branches) == 1:
-            lo_idx, hi_idx, empty = branches[0]
-            flat, owner, cnt = _expand_ranges(cover, lo_idx, hi_idx, active_base & ~empty)
-        else:
-            parts = []
-            owners = []
-            for lo_idx, hi_idx, empty in branches:
-                f, o, _ = _expand_ranges(cover, lo_idx, hi_idx, active_base & ~empty)
-                parts.append(f)
-                owners.append(o)
-            # branch boxes may overlap: dedupe successors per cell
-            key = np.concatenate(owners) * np.int64(cover.n_states) + np.concatenate(parts)
-            uniq = np.unique(key)
-            owner = uniq // cover.n_states
-            flat = uniq % cover.n_states
-            cnt = np.bincount(owner, minlength=cover.n_cells).astype(np.int64)
-        if np.any((cnt == 0) & ~escaped & active_base):
+        flat, _, cnt = _union_branches(cover, branches, active)
+        if np.any((cnt == 0) & ~escaped & active):
             raise SoundnessAlarm("batch_ranges produced an empty successor set")
-        return flat, cnt, escaped | gated, float(slack), capped
+        return flat.astype(dtype), cnt, escaped | gated, float(slack), capped
 
     return [one(u) for u in range(m)]
+
+
+def _union_branches(cover, branches, active):
+    """``_expand_ranges`` of the union of the branches' index blocks: per
+    active cell, its distinct successors in increasing order.
+
+    Branch boxes may overlap.  Each branch yields its (owner, successor) keys
+    in increasing order, so the joined keys are a few sorted runs, which a
+    stable sort (timsort) merges; equal neighbours are then duplicates.
+    """
+    if len(branches) == 1:
+        lo_idx, hi_idx, empty = branches[0]
+        return _expand_ranges(cover, lo_idx, hi_idx, active & ~empty)
+    n_states = np.int64(cover.n_states)
+
+    def keys(lo_idx, hi_idx, empty):
+        flat, owner, _ = _expand_ranges(cover, lo_idx, hi_idx, active & ~empty)
+        owner *= n_states
+        owner += flat
+        return owner
+
+    key = np.concatenate([keys(*branch) for branch in branches])
+    key.sort(kind="stable")
+    keep = np.empty(len(key), dtype=bool)
+    keep[:1] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    key = key[keep]
+    owner = key // n_states
+    key -= owner * n_states
+    return key, owner, np.bincount(owner, minlength=cover.n_cells)
 
 
 def abstraction_sidecar_text(cover: GridCover, inputs: InputGrid, cert: ConservatismCertificate) -> str:

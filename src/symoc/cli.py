@@ -59,6 +59,8 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def cmd_solve_finite(args):

@@ -124,6 +124,8 @@ def load_config(path) -> PipelineConfig:
             raw.read_file(fh)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read config {path}: not UTF-8 text ({exc.reason})") from exc
     except configparser.Error as exc:
         raise InputError(f"malformed config {path}: {exc}") from exc
     for section in raw.sections():

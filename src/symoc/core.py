@@ -156,19 +156,6 @@ class FiniteProblem:
             return float(self.edge_costs[a + idx[0]])
         return float(self.pair_costs[self.pair_id(p, u)])
 
-    def edge_cost_view(self):
-        """Per-edge cost array regardless of the storage mode."""
-        if self.edge_costs is not None:
-            return self.edge_costs
-        reps = np.diff(self.trans_ptr)
-        return np.repeat(self.pair_costs, reps)
-
-    def validate_run(self, run: Run) -> None:
-        for t in range(len(run.u)):
-            succ, _ = self.successors(run.x[t], run.u[t])
-            if run.x[t + 1] not in succ:
-                raise InputError(f"run step {t}: state {run.x[t + 1]} is not reachable")
-
     # --- FOCP v1 text format -------------------------------------------------
 
     def to_focp_text(self) -> str:
@@ -309,9 +296,6 @@ class ControllerTable:
 
     def __len__(self):
         return len(self.choice)
-
-    def is_stop(self, p) -> bool:
-        return self.choice[p] == STOP
 
     def to_text(self) -> str:
         lines = []

@@ -50,8 +50,8 @@ def text_blocks(problem):
 
 def read(text: str):
     """(n, m, G, trans_ptr, trans_succ, edge_costs) of FOCP v1 text, read
-    about _READ_BYTES of whole lines at a time.  An error quotes the first
-    offending line in file order."""
+    about _READ_BYTES of whole lines at a time; trans_succ is int32.  An
+    error quotes the first offending line in file order."""
     if not text.isascii():
         # str.split and str.splitlines also cut at non-ASCII whitespace:
         # make it ASCII, so that the byte tokenizer cuts in the same places
@@ -81,7 +81,7 @@ def read(text: str):
     G = np.full(n, INF)
     last = len(g_state) - 1 - np.unique(g_state[::-1], return_index=True)[1]
     G[g_state[last]] = g_cost[last]  # a repeated G record: the last one wins
-    key = pid * n + succ
+    key = pid.astype(np.int64) * n + succ
     if np.any(key[1:] <= key[:-1]):
         sorted_key = np.sort(key)
         if np.any(sorted_key[1:] == sorted_key[:-1]):
@@ -242,7 +242,8 @@ class _Block:
             _check_record(self.line(i), n, m)
         if bad.any():
             raise SoundnessAlarm("focp reader flagged a record that the record check accepts")
-        return g_state, g_cost, p * m + u, q, cost
+        # checked in range: pair ids are below n*m < 2**31
+        return g_state, g_cost, (p * m + u).astype(np.int32), q.astype(np.int32), cost
 
     def line(self, i):
         """Text of the i-th non-blank line."""

@@ -35,19 +35,6 @@ def chauffeur_field():
     return f
 
 
-def chauffeur_nominal_exact(x0, u, t):
-    """Closed-form nominal chauffeur flow: rotation about (1/u, 0) for u != 0,
-    straight downward drift for u = 0.  Used as an integration oracle."""
-    x0 = np.asarray(x0, dtype=float)
-    a = float(np.atleast_1d(u)[0])
-    if a == 0.0:
-        return x0 + np.array([0.0, -t])
-    c = np.array([1.0 / a, 0.0])
-    phi = a * t
-    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-    return c + rot @ (x0 - c)
-
-
 class LogisticMap:
     """The chaotic interval map p -> 4 p (1 - p) on [0, 1] (no disturbance)."""
 

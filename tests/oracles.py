@@ -10,6 +10,7 @@ from collections import deque
 
 import numpy as np
 
+from symoc.abstraction import _expand_ranges
 from symoc.core import STOP, ControllerTable, FiniteProblem, format_cost, parse_cost
 from symoc.errors import InputError, SoundnessAlarm
 from symoc.reach import growth_bound, integrate_nominal
@@ -222,6 +223,21 @@ def reach_successors(reach, cell, u_idx):
         found.update(cells)
         escaped = escaped or esc
     return sorted(found), escaped, slack
+
+
+def union_branches_by_unique(cover, branches, active):
+    """(flat, owner, cnt) of the union of the branches' cell index blocks per
+    active cell, deduplicated by np.unique over the int64 keys
+    owner * n_states + flat (the dedupe the abstraction build once ran)."""
+    parts, owners = [], []
+    for lo_idx, hi_idx, empty in branches:
+        flat, owner, _ = _expand_ranges(cover, lo_idx, hi_idx, active & ~empty)
+        parts.append(flat)
+        owners.append(owner)
+    key = np.concatenate(owners) * np.int64(cover.n_states) + np.concatenate(parts)
+    uniq = np.unique(key)
+    owner = uniq // cover.n_states
+    return uniq % cover.n_states, owner, np.bincount(owner, minlength=cover.n_cells)
 
 
 def reference_inverse(problem):
@@ -513,7 +529,7 @@ def reference_to_focp_text(problem):
     lines = [f"focp {problem.n} {problem.m}"]
     for p in range(problem.n):
         lines.append(f"G {p} {format_cost(problem.G[p])}")
-    costs = problem.edge_cost_view()
+    costs = edge_cost_view(problem)
     for p in range(problem.n):
         for u in range(problem.m):
             a, b = problem.trans_ptr[problem.pair_id(p, u)], problem.trans_ptr[problem.pair_id(p, u) + 1]
@@ -555,3 +571,36 @@ def reference_from_focp_text(text):
     except ValueError as exc:
         raise InputError(f"malformed focp record: {ln!r}") from exc
     return from_lists(G, trans)
+
+
+def edge_cost_view(problem):
+    """Per-edge cost array regardless of the storage mode."""
+    if problem.edge_costs is not None:
+        return problem.edge_costs
+    return np.repeat(problem.pair_costs, np.diff(problem.trans_ptr))
+
+
+def validate_run(problem, run):
+    """Raise InputError unless every step of ``run`` follows an edge of ``problem``."""
+    for t in range(len(run.u)):
+        succ, _ = problem.successors(run.x[t], run.u[t])
+        if run.x[t + 1] not in succ:
+            raise InputError(f"run step {t}: state {run.x[t + 1]} is not reachable")
+
+
+def is_stop(table, p):
+    """Whether the controller table stops at state p."""
+    return table.choice[p] == STOP
+
+
+def chauffeur_nominal_exact(x0, u, t):
+    """Closed-form nominal chauffeur flow: rotation about (1/u, 0) for u != 0,
+    straight downward drift for u = 0.  Used as an integration oracle."""
+    x0 = np.asarray(x0, dtype=float)
+    a = float(np.atleast_1d(u)[0])
+    if a == 0.0:
+        return x0 + np.array([0.0, -t])
+    c = np.array([1.0 / a, 0.0])
+    phi = a * t
+    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    return c + rot @ (x0 - c)

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from symoc.abstraction import (
     MapReach,
     SampledReach,
+    _collect_batched,
+    _union_branches,
     abstract_costs,
     abstraction_sidecar_text,
     build_abstraction,
@@ -17,7 +21,13 @@ from symoc.simulate import perturbed_step
 from symoc.solver import is_discrete_cost, solve
 from symoc.systems import LogisticMap, get_system
 
-from oracles import cells_overlapping_box, check_conservatism, map_endpoints, reach_successors
+from oracles import (
+    cells_overlapping_box,
+    check_conservatism,
+    map_endpoints,
+    reach_successors,
+    union_branches_by_unique,
+)
 
 
 def logistic_setup(N):
@@ -112,6 +122,7 @@ def test_batched_build_matches_per_cell_build():
     # theta 1.0 gives one reach branch per input, 0.5 four overlapping ones
     for theta in (1.0, 0.5):
         reach = SampledReach(sys, cover, inputs, k=2, theta=theta, gamma=1e-7)
+        assert len(reach.batch_ranges(0)[0]) == (1 if theta == 1.0 else 4)
         batched, cert = build_abstraction(reach, cover, inputs, ac)
         slack = 0.0
         for cell in range(cover.n_cells):
@@ -124,6 +135,73 @@ def test_batched_build_matches_per_cell_build():
                 assert succ == want + (overflow if escaped else [])
                 slack = max(slack, slack_pair)
         assert cert.transition_slack == pytest.approx(slack, abs=1e-13)
+
+
+def random_branch_boxes(rng, cover, k):
+    """k boxes per cell, each cell drawn from one of these layouts: random
+    boxes, identical boxes, nested boxes, disjoint boxes, boxes wholly
+    outside the cover, and boxes that meet only on the cover's upper face."""
+    n, dim = cover.n_cells, cover.dim
+    lower, upper = cover.lower, cover.upper
+    width = upper - lower
+    lo = rng.uniform(lower - 0.3 * width, upper, size=(k, n, dim))
+    hi = lo + rng.uniform(0, 0.6, size=(k, n, dim)) * width
+    layout = rng.integers(0, 6, size=n)
+    for cell in np.flatnonzero(layout == 1):  # identical
+        lo[:, cell], hi[:, cell] = lo[0, cell], hi[0, cell]
+    for cell in np.flatnonzero(layout == 2):  # nested
+        inner = rng.uniform(0, 0.5, size=(k, 1))
+        lo[:, cell] = lo[0, cell] + inner * (hi[0, cell] - lo[0, cell])
+        hi[:, cell] = hi[0, cell] - inner * (hi[0, cell] - lo[0, cell])
+    for cell in np.flatnonzero(layout == 3):  # disjoint slabs along the first axis
+        edges = np.sort(rng.uniform(lower[0], upper[0], size=2 * k))
+        lo[:, cell, 0], hi[:, cell, 0] = edges[0::2], edges[1::2]
+    for cell in np.flatnonzero(layout == 4):  # outside: every branch empty
+        lo[:, cell] = upper + rng.uniform(0.1, 1.0, size=(k, dim))
+        hi[:, cell] = lo[:, cell] + 1.0
+    for cell in np.flatnonzero(layout == 5):  # one box inside, the others beyond the upper face
+        lo[1:, cell], hi[1:, cell] = upper, upper + rng.uniform(0.0, 1.0, size=(k - 1, dim))
+        hi[0, cell] = upper
+    return [cover.box_index_ranges(lo[b], hi[b]) for b in range(k)]
+
+
+def test_union_of_branch_boxes_matches_the_unique_reference():
+    rng = np.random.default_rng(20)
+    covers = [
+        GridCover([0.0], [7.0], [1.0]),
+        GridCover([-1.0, 0.0], [1.0, 1.0], [0.3, 0.25]),
+        GridCover([0.0, 0.0, 0.0], [1.0, 2.0, 1.0], [0.5, 0.5, 0.25]),
+    ]
+    for trial in range(60):
+        cover = covers[trial % len(covers)]
+        k = int(rng.integers(2, 5))
+        boxes = random_branch_boxes(rng, cover, k)
+        branches = [(lo_idx, hi_idx, empty) for lo_idx, hi_idx, _, empty in boxes]
+        escaped = np.any([esc for _, _, esc, _ in boxes], axis=0)
+        gated = rng.random(cover.n_cells) < 0.2
+        gated[:2] = [False, True]
+        active = ~gated
+        got = _union_branches(cover, branches, active)
+        want = union_branches_by_unique(cover, branches, active)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), trial
+        flat, owner, cnt = got
+        for cell in range(cover.n_cells):
+            cells = set()
+            for lo_idx, hi_idx, empty in branches:
+                if active[cell] and not empty[cell]:
+                    ranges = [range(a, b + 1) for a, b in zip(lo_idx[cell], hi_idx[cell])]
+                    cells.update(cover.flatten(idx) for idx in itertools.product(*ranges))
+            assert flat[owner == cell].tolist() == sorted(cells), (trial, cell)
+
+        class Fixed:
+            def batch_ranges(self, u_idx):
+                return branches, escaped, 0.0, False
+
+        # a box meets no cell only outside the cover, so every empty cell escaped
+        (succ, cnt_u, overflow, _, _), = _collect_batched(Fixed(), cover, gated, 1, np.int32)
+        assert succ.dtype == np.int32 and np.array_equal(succ, flat)
+        assert np.array_equal(cnt_u, cnt) and np.array_equal(overflow, escaped | gated)
 
 
 def test_split_cap_hit_is_noted_in_certificate(caplog):

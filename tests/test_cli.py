@@ -215,6 +215,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+def test_non_utf8_inputs_are_input_errors(tmp_path, capsys):
+    # a file that is not UTF-8 text is named in an input error, not a traceback
+    cfg = os.path.join(CONFIGS, "logistic_n40.ini")
+    assert main(["synthesize", cfg, "--out-prefix", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    focp = tmp_path / "bad.focp"
+    focp.write_bytes(b"focp 1 1\nG 0 0\nT 0 0 0 1.0\xff\n")
+    config = tmp_path / "bad.ini"
+    config.write_bytes(b"[system]\ndynamics = logistic\npreset = N40\n# \xff\n")
+    values = tmp_path / "bad.values"
+    values.write_bytes((tmp_path / "a.values").read_bytes() + b"\xff")
+    controller = tmp_path / "bad.controller"
+    controller.write_bytes(b"\xfe" + (tmp_path / "a.controller").read_bytes())
+    simulate = ["simulate", cfg, "--samples", "1", "--out-prefix", str(tmp_path / "s")]
+    for bad, argv in (
+        (focp, ["solve-finite", str(focp), "--out-prefix", str(tmp_path / "f")]),
+        (config, ["synthesize", str(config), "--out-prefix", str(tmp_path / "c")]),
+        (values, simulate + ["--controller", str(tmp_path / "a.controller"), "--values", str(values)]),
+        (controller, simulate + ["--controller", str(controller), "--values", str(tmp_path / "a.values")]),
+    ):
+        assert main(argv) == 1, bad
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and str(bad) in err and "UTF-8" in err, err
+        assert "Traceback" not in err
+
+
 def test_cli_rerun_is_byte_identical(tmp_path):
     cfg = os.path.join(CONFIGS, "logistic_n400.ini")
     for tag in ("one", "two"):

@@ -22,10 +22,12 @@ from symoc.solver import solve
 
 from oracles import (
     dijkstra_distances,
+    edge_cost_view,
     from_lists,
     random_graph,
     reference_from_focp_text,
     reference_to_focp_text,
+    validate_run,
 )
 
 
@@ -225,10 +227,10 @@ def assert_same_problem(a, b):
     assert (a.n, a.m) == (b.n, b.m)
     for name in ("G", "trans_ptr", "trans_succ"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert np.array_equal(a.edge_cost_view(), b.edge_cost_view())
+    assert np.array_equal(edge_cost_view(a), edge_cost_view(b))
     # -0.0 == 0.0, so compare the bits too
     assert np.array_equal(a.G.view(np.uint64), b.G.view(np.uint64))
-    assert np.array_equal(a.edge_cost_view().view(np.uint64), b.edge_cost_view().view(np.uint64))
+    assert np.array_equal(edge_cost_view(a).view(np.uint64), edge_cost_view(b).view(np.uint64))
 
 
 @pytest.mark.parametrize("read_bytes, write_edges", [(None, None), (64, 5), (7, 1)])
@@ -248,7 +250,7 @@ def test_focp_text_matches_the_reference_reader_and_writer(monkeypatch, read_byt
         back = FiniteProblem.from_focp_text(text)
         assert_same_problem(back, reference_from_focp_text(text))
         assert_same_problem(back, problem)
-        assert back.trans_succ.dtype == np.int64
+        assert back.trans_succ.dtype == np.int32
     assert cut_inside >= (30 if read_bytes else 0)
 
 
@@ -279,6 +281,18 @@ def test_focp_reader_is_as_lenient_as_the_reference(monkeypatch, read_bytes):
     assert back.edge_costs.tolist() == [1.0, 4.0, 2.0, 3.0]
     assert FiniteProblem.from_focp_text(cases["missing G is inf"]).G.tolist() == [INF, 0.0, INF]
     assert FiniteProblem.from_focp_text(cases["repeated G: the last one wins"]).G.tolist() == [7.5]
+
+
+def test_focp_duplicate_check_keys_do_not_wrap():
+    # pair ids and successors are int32 columns; their (pair, successor) key
+    # is not: 0 * n + 5 and 42949 * n + 67301 agree modulo 2**32
+    n = 100_000
+    succ = np.arange(n)
+    succ[0], succ[42949] = 5, 67301
+    text = "focp 100000 1\n" + "".join(f"T {p} 0 {q} 1\n" for p, q in enumerate(succ))
+    problem = FiniteProblem.from_focp_text(text)
+    assert np.array_equal(problem.trans_succ, succ)
+    assert np.array_equal(problem.trans_ptr, np.arange(n + 1))
 
 
 @pytest.mark.parametrize("read_bytes", [None, 16])
@@ -345,9 +359,9 @@ def test_cost_of_totalization():
 
 def test_validate_run_against_problem():
     problem = from_lists([0.0, 0.0], [[[(1, 2.0)]], [[(1, 0.0)]]])
-    problem.validate_run(Run(x=(0, 1), u=(0,), v=(0, 1)))
+    validate_run(problem, Run(x=(0, 1), u=(0,), v=(0, 1)))
     with pytest.raises(InputError):
-        problem.validate_run(Run(x=(0, 0), u=(0,), v=(0, 1)))
+        validate_run(problem, Run(x=(0, 0), u=(0,), v=(0, 1)))
 
 
 def test_controller_and_value_round_trips():
@@ -391,7 +405,7 @@ def test_cost_functional_against_finite_problem():
         [[[(1, 1.0)]], [[(2, 1.0)]], [[(2, 0.0)]]],
     )
     run = Run(x=(0, 1, 2), u=(0, 0), v=(0, 0, 1))
-    problem.validate_run(run)
+    validate_run(problem, run)
     assert eval_cost_functional(run, problem) == 7.0
     # off-transition steps cost infinity under the totalized view
     bad = Run(x=(0, 2), u=(0,), v=(0, 1))

@@ -5,9 +5,9 @@ import pytest
 
 from symoc.errors import InputError
 from symoc.reach import SampledSystem, attain_over_batch, growth_bound, integrate_nominal, rk4
-from symoc.systems import chauffeur_nominal_exact, get_system
+from symoc.systems import get_system
 
-from oracles import attain_over, boxes_contain
+from oracles import attain_over, boxes_contain, chauffeur_nominal_exact
 
 
 def make_system(f, w, A1, tau=0.1, A0=None, box=4.0, margin=None, eps=0.1):

@@ -11,7 +11,7 @@ from symoc.core import INF, STOP, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
 from symoc.solver import dp_operator, is_discrete_cost, resolve_queue, solve, value_iteration
 
-from oracles import naive_fixpoint, naive_value_iteration, random_problem_lists, reference_solve
+from oracles import is_stop, naive_fixpoint, naive_value_iteration, random_problem_lists, reference_solve
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -24,7 +24,7 @@ def test_single_state_stops_immediately():
     problem = from_lists([[[(0, 1.0)]]], [0.0])
     result = solve(problem)
     assert result.W[0] == 0.0
-    assert result.c.is_stop(0)
+    assert is_stop(result.c, 0)
     assert result.c.choice.tolist() == [STOP]
 
 
@@ -34,7 +34,7 @@ def test_one_step_reach():
     result = solve(problem)
     assert result.W.tolist() == [1.0, 0.0]
     assert result.c.choice[0] == 0
-    assert result.c.is_stop(1)
+    assert is_stop(result.c, 1)
 
 
 def test_branching_worst_case():
@@ -56,7 +56,7 @@ def test_all_infinite_terminal_costs():
     problem = from_lists([[[(0, 1.0)]], [[(0, 1.0)]]], [INF, INF])
     result = solve(problem)
     assert np.all(np.isinf(result.W))
-    assert all(result.c.is_stop(p) for p in range(2))
+    assert all(is_stop(result.c, p) for p in range(2))
 
 
 def test_dp_operator_on_infinite_w():
