@@ -76,14 +76,12 @@ class AbstractCosts:
         self.A2 = float(A2)
         self.A3 = float(A3)
         eta_norm = cover.max_diameter
-        centers = cover.centers_all()
-        los = np.maximum(centers - cover.eta / 2, cover.lower)
-        his = np.minimum(centers + cover.eta / 2, cover.upper)
-        self.cell_lo, self.cell_hi = los, his
+        los, his = cover.cell_boxes()
         self.G_finite = model.cells_G_finite(los, his)
         self.g_finite = model.cells_g_finite(los, his)
         self.gated = model.cells_all_infinite(los, his)
         self.G2 = np.full(cover.n_states, INF)
+        centers = cover.centers_all()
         for i in np.nonzero(self.G_finite)[0]:
             self.G2[i] = model.G(centers[i]) + self.A2 * eta_norm / 2.0
         self.input_values = np.array(
@@ -154,12 +152,9 @@ class MapReach:
         self.slack = 4.0 * np.finfo(float).eps
 
     def batch_ranges(self, u_idx: int):
-        n = self.cover.n_cells
-        los = np.empty((n, self.cover.dim))
-        his = np.empty((n, self.cover.dim))
-        for cell in range(n):
-            los[cell], his[cell] = self.plant.image_of_box(*self.cover.cell_bounds(cell))
-        lo_idx, hi_idx, escaped, empty = self.cover.box_index_ranges(los, his)
+        lo_idx, hi_idx, escaped, empty = self.cover.box_index_ranges(
+            *self.plant.image_of_box(*self.cover.cell_boxes())
+        )
         return [(lo_idx, hi_idx, empty)], escaped, self.slack, False
 
 
@@ -211,7 +206,11 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     np.cumsum(sizes, out=trans_ptr[1:])
     trans_succ = np.empty(int(trans_ptr[-1]), dtype=dtype)
 
-    for u_idx, (succ_u, cnt_u, escape_u, *_) in enumerate(per_input):
+    transition_slack = max(entry[3] for entry in per_input)
+    capped = [u_idx for u_idx, entry in enumerate(per_input) if entry[4]]
+    for u_idx in range(m):
+        succ_u, cnt_u, escape_u, *_ = per_input[u_idx]
+        per_input[u_idx] = None  # freed once scattered, so later allocations reuse the memory
         starts = trans_ptr[np.arange(cover.n_cells, dtype=np.int64) * m + u_idx]
         if len(succ_u):
             dest = np.repeat(starts - (np.cumsum(cnt_u) - cnt_u), cnt_u)
@@ -232,13 +231,12 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
         input_radius=inputs.radius,
         terminal_slack=costs.terminal_slack,
         running_slack=costs.running_slack,
-        transition_slack=max(entry[3] for entry in per_input),
+        transition_slack=transition_slack,
         cell_diameter=cover.max_diameter,
     )
     guard_note = getattr(transitions, "guard_note", None)
     if guard_note:
         cert.notes.append(guard_note)
-    capped = [u_idx for u_idx, entry in enumerate(per_input) if entry[4]]
     if capped:
         cert.notes.append(
             f"split cap hit for inputs {' '.join(map(str, capped))}: all cells route to overflow under them"

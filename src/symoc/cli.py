@@ -17,9 +17,10 @@ from .analysis import hypo_distance, hypograph_csv, logistic_exact_sublevels, lo
 from .config import load_config
 from .core import ControllerTable, FiniteProblem, values_from_text, values_to_text
 from .errors import InputError, SoundnessAlarm
-from .relations import Relation, check_vasr, check_vfrr, pointwise_upper_bound, serial_compose
-from .simulate import batch_verify, make_policy, run_closed_loop, sample_winning_states
-from .solver import resolve_queue, solve
+from .relations import RefinedController, Relation, check_vasr, check_vfrr, pointwise_upper_bound
+# run_closed_loop is unused here, but perfbench's traced pass wraps it by name in this module
+from .simulate import POLICIES, VerifyReport, batch_verify, closed_loop_runs, run_closed_loop, sample_winning_states
+from .solver import QUEUES, solve
 
 
 def _write(path, text):
@@ -65,13 +66,12 @@ def _read(path):
 
 def cmd_solve_finite(args):
     problem = FiniteProblem.from_focp_text(_read(args.input))
-    queue = resolve_queue(args.queue, problem)
     t0 = time.perf_counter()
-    result = solve(problem, queue=queue)
+    result = solve(problem, queue=args.queue)
     dt = time.perf_counter() - t0
     _write(args.out_prefix + ".values", values_to_text(result.W))
     _write(args.out_prefix + ".controller", result.c.to_text())
-    print(f"queue={queue} settled={result.stats.settled} queue_ops={result.stats.queue_ops} time={dt:.3f}s")
+    print(f"queue={result.queue} settled={result.stats.settled} queue_ops={result.stats.queue_ops} time={dt:.3f}s")
     return 0
 
 
@@ -93,7 +93,7 @@ def cmd_synthesize(args):
     t0 = time.perf_counter()
     ac, reach, problem, cert = _build_from_config(cfg)
     t1 = time.perf_counter()
-    result = solve(problem, queue=resolve_queue(cfg.queue, problem))
+    result = solve(problem, queue=cfg.queue)
     t2 = time.perf_counter()
     _write(args.out_prefix + ".sidecar", abstraction_sidecar_text(cfg.cover, cfg.inputs, cert))
     _write(args.out_prefix + ".values", values_to_text(result.W))
@@ -116,28 +116,24 @@ def cmd_simulate(args):
     W = values_from_text(_read(args.values))
     if len(W) != cfg.cover.n_states or len(table) != cfg.cover.n_states:
         raise InputError("controller/value files do not match the config's cover")
-    ctrl = serial_compose(table, cfg.cover, cfg.inputs.representatives)
+    ctrl = RefinedController(table, cfg.cover, cfg.inputs.representatives)
     max_steps = args.max_steps or cfg.cover.n_cells + 1
     if args.x0:
         starts = [_point(chunk, cfg.cover.dim) for chunk in args.x0]
     else:
-        rng = np.random.default_rng(args.seed)
-        starts = list(sample_winning_states(W, cfg.cover, rng, args.samples))
-    violations = 0
-    for i, x0 in enumerate(starts):
-        policy = make_policy(args.policy, seed=args.seed + 7919 * i)
-        traj = run_closed_loop(
-            cfg.plant, ctrl, x0, policy, max_steps, cfg.model, W=W, substeps=cfg.substeps
-        )
+        starts = sample_winning_states(W, cfg.cover, args.seed, args.samples)
+    # the runs written out; the report counts only their violations
+    explicit = VerifyReport()
+    runs = closed_loop_runs(cfg.plant, ctrl, W, cfg.model, starts, args.policy, args.seed, max_steps, cfg.substeps)
+    for i, traj in enumerate(runs):
         _write(f"{args.out_prefix}.traj{i:03d}.csv", traj.to_csv())
-        if traj.cost > traj.bound + args.tol:
-            violations += 1
+        explicit.add(traj, args.tol)
     report = batch_verify(
         cfg.plant, ctrl, W, cfg.cover, cfg.model, sample_count=args.verify_samples,
         policy_name=args.policy, seed=args.seed, max_steps=max_steps, tol=args.tol,
         substeps=cfg.substeps,
     )
-    report.violations += violations
+    report.violations += explicit.violations
     _write(args.out_prefix + ".report", report.to_text())
     print(report.to_text(), end="")
     if report.violations:
@@ -147,7 +143,7 @@ def cmd_simulate(args):
 
 def cmd_hypo(args):
     cfg = load_config(args.config)
-    if args.reference != "exact-logistic" or cfg.name != "logistic":
+    if cfg.name != "logistic":
         raise InputError("the only available reference oracle is exact-logistic")
     W = values_from_text(_read(args.values))
     if len(W) != cfg.cover.n_states:
@@ -197,7 +193,7 @@ def build_parser():
 
     p = sub.add_parser("solve-finite", help="solve a finite problem from a FOCP file")
     p.add_argument("input")
-    p.add_argument("--queue", choices=["auto", "heap", "fifo"], default="auto")
+    p.add_argument("--queue", choices=QUEUES, default="auto")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=cmd_solve_finite)
 
@@ -214,7 +210,7 @@ def build_parser():
     p.add_argument("--x0", action="append", help="initial state, e.g. '0.5 0.1' (repeatable)")
     p.add_argument("--samples", type=_number(int, 0), default=10)
     p.add_argument("--verify-samples", type=_number(int, 0), default=50)
-    p.add_argument("--policy", choices=["zero", "uniform", "extremal"], default="uniform")
+    p.add_argument("--policy", choices=POLICIES, default="uniform")
     p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--max-steps", type=_number(int, 1), default=None)
     p.add_argument("--tol", type=_number(float, 0.0), default=1e-9)
@@ -224,7 +220,6 @@ def build_parser():
     p = sub.add_parser("hypo", help="hypograph distance of a value file to the exact oracle")
     p.add_argument("config")
     p.add_argument("--values", required=True)
-    p.add_argument("--reference", default="exact-logistic")
     p.add_argument("--samples", type=_number(int, 1), default=4000)
     p.add_argument("--eps-grid", type=_number(float, 0.0, strict=True), default=1e-4)
     p.add_argument("--out-prefix", required=True)

@@ -27,6 +27,7 @@ from .core import CostModel, cost_model
 from .errors import InputError
 from .grid import GridCover, InputGrid
 from .sets import Box, Complement, EmptySet, QuadraticSublevel, SetPredicate, UnionSet
+from .solver import QUEUES
 from .systems import LogisticMap, SystemSpec, get_system
 
 _SECTIONS = {"system", "grid", "inputs", "costs", "reach", "solve"}
@@ -42,9 +43,12 @@ _KEYS = {
 
 def _vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split()])
+        vector = np.array([float(v) for v in text.split()])
     except ValueError as exc:
         raise InputError(f"expected a numeric vector, got {text!r}") from exc
+    if not np.isfinite(vector).all():
+        raise InputError(f"expected finite numbers, got {text.strip()!r}")
+    return vector
 
 
 def _corners(text: str):
@@ -73,21 +77,27 @@ def parse_set(text: str, domain_box) -> SetPredicate:
     kind, rest = fields
     if kind in ("interval", "box"):
         lo, hi = _corners(rest)
-        return Box(lo, hi, open_=(kind == "interval"))
-    if kind == "quadratic":
+        n = lo.size
+    elif kind == "quadratic":
         parts = rest.split(";")
         if len(parts) != 3:
             raise InputError(f"quadratic needs 'Q ; b ; c', got {text!r}")
-        q = _vector(parts[0])
-        b = _vector(parts[1])
-        n = b.size
-        if q.size != n * n:
+        q, b, c = (_vector(part) for part in parts)
+        if q.size != b.size**2:
             raise InputError("quadratic Q must be row-major n*n")
-        c = _vector(parts[2])
         if c.size != 1:
             raise InputError("quadratic level must be a single number")
-        return QuadraticSublevel(q.reshape(n, n), b, float(c[0]))
-    raise InputError(f"unknown set primitive {kind!r}")
+        n = b.size
+    else:
+        raise InputError(f"unknown set primitive {kind!r}")
+    dim = len(domain_box[0])
+    if n != dim:
+        raise InputError(f"{kind} of dimension {n} on a {dim}-dimensional domain")
+    if kind == "quadratic":
+        return QuadraticSublevel(q.reshape(dim, dim), b, float(c[0]))
+    if np.any(lo > hi):
+        raise InputError(f"{kind} has a lower corner above its upper corner")
+    return Box(lo, hi, open_=(kind == "interval"))
 
 
 @dataclass
@@ -179,17 +189,13 @@ def load_config(path) -> PipelineConfig:
         raise InputError("need eta and mu (directly or via a preset)")
 
     domain = (spec.k_lower, spec.k_upper)
-    target = spec.target
-    obstacle = spec.obstacle
-    if raw.get("costs", "target", fallback=""):
-        target = parse_set(raw.get("costs", "target"), domain)
-    if raw.get("costs", "obstacle", fallback=""):
-        obstacle = parse_set(raw.get("costs", "obstacle"), domain)
+    target = number("costs", "target", lambda t: parse_set(t, domain), spec.target)
+    obstacle = number("costs", "obstacle", lambda t: parse_set(t, domain), spec.obstacle)
     model = cost_model(raw.get("costs", "cost_kind", fallback=spec.cost_kind), target, obstacle)
 
     queue = raw.get("solve", "queue", fallback="auto")
-    if queue not in ("auto", "heap", "fifo"):
-        raise InputError(f"queue must be auto, heap or fifo, not {queue!r}")
+    if queue not in QUEUES:
+        raise InputError(f"[solve] queue = {queue!r}: not one of {', '.join(QUEUES)}")
     return PipelineConfig(
         name=spec.name,
         kind=spec.kind,

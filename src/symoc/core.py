@@ -315,6 +315,8 @@ class ControllerTable:
                 if p in entries:
                     raise InputError(f"state listed twice in controller record: {ln!r}")
                 entries[p] = STOP if u == "STOP" else int(u)
+                if not 0 <= entries[p] < 2**63 and u != "STOP":
+                    raise InputError(f"controller input is neither an index nor STOP: {ln!r}")
         except ValueError as exc:
             raise InputError(f"malformed controller record: {ln!r}") from exc
         if sorted(entries) != list(range(len(entries))):

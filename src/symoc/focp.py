@@ -78,9 +78,6 @@ def read(text: str):
     del data, block  # the text is encoded again only to quote a duplicate
     # one column at a time, each freeing its blocks before the next is joined
     g_state, g_cost, pid, succ, costs = (np.concatenate(columns.pop(0)) for _ in range(5))
-    G = np.full(n, INF)
-    last = len(g_state) - 1 - np.unique(g_state[::-1], return_index=True)[1]
-    G[g_state[last]] = g_cost[last]  # a repeated G record: the last one wins
     key = pid.astype(np.int64) * n + succ
     if np.any(key[1:] <= key[:-1]):
         sorted_key = np.sort(key)
@@ -97,6 +94,14 @@ def read(text: str):
         if np.any(pid[1:] < pid[:-1]):
             order = np.argsort(pid, kind="stable")  # pair order; file order within a pair
             pid, succ, costs = pid[order], succ[order], costs[order]
+    if len(pid) < n * m:  # a pair without T records, found before any array of n or n * m entries
+        pairs = np.unique(pid)
+        gap = np.flatnonzero(pairs != np.arange(len(pairs)))
+        p, u = divmod(int(gap[0]) if len(gap) else len(pairs), m)
+        raise InputError(f"every (state, input) pair needs a successor (F strict): ({p},{u}) has none")
+    G = np.full(n, INF)
+    last = len(g_state) - 1 - np.unique(g_state[::-1], return_index=True)[1]
+    G[g_state[last]] = g_cost[last]  # a repeated G record: the last one wins
     ptr = np.zeros(n * m + 1, dtype=np.int64)
     np.cumsum(np.bincount(pid, minlength=n * m), out=ptr[1:])
     return n, m, G, ptr, succ, costs

@@ -52,27 +52,21 @@ class GridCover:
     def flatten(self, multi) -> int:
         return int(np.dot(np.asarray(multi, dtype=np.int64), self._strides))
 
-    def unflatten(self, idx: int) -> np.ndarray:
-        out = np.empty(self.dim, dtype=np.int64)
-        for i in range(self.dim):
-            out[i], idx = divmod(idx, int(self._strides[i]))
-        return out
-
-    def center(self, idx: int) -> np.ndarray:
-        return self.lower + self.unflatten(idx) * self.eta
-
     def centers_all(self) -> np.ndarray:
         """(n_cells, dim) array of all cell centers, in flat index order."""
         axes = [self.lower[i] + self.eta[i] * np.arange(self.counts[i]) for i in range(self.dim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def cell_bounds(self, idx: int):
-        """Closed extent of a cell, clipped to the domain."""
-        c = self.center(idx)
-        lo = np.maximum(c - self.eta / 2, self.lower)
-        hi = np.minimum(c + self.eta / 2, self.upper)
-        return lo, hi
+    def cell_boxes(self, cells=None):
+        """Closed extents (lo, hi) of ``cells`` (all cells when None), clipped
+        to the domain, as two (len(cells), dim) arrays."""
+        if cells is None:
+            centers = self.centers_all()
+        else:
+            multi = np.asarray(cells, dtype=np.int64)[:, None] // self._strides % self.counts
+            centers = self.lower + multi * self.eta
+        return np.maximum(centers - self.eta / 2, self.lower), np.minimum(centers + self.eta / 2, self.upper)
 
     def in_domain(self, x) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))

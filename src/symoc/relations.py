@@ -180,23 +180,20 @@ class RefinedController:
     table: ControllerTable
     cover: GridCover
     representatives: np.ndarray
-    u0_index: int = 0
 
     def __post_init__(self):
-        if len(self.table) != self.cover.n_states:
+        choice, m = self.table.choice, len(self.representatives)
+        if len(choice) != self.cover.n_states:
             raise InputError("controller table size does not match the cover")
+        bad = np.flatnonzero((choice < STOP) | (choice >= m))
+        if len(bad):
+            raise InputError(f"controller state {bad[0]} chooses input {choice[bad[0]]}, outside the inputs 0..{m - 1}")
 
     def act(self, x):
-        """Concrete control decision: (input vector, input index, stop bit)."""
-        cell = self.cover.quantize(x)
-        u = self.table.choice[cell]
-        if u == STOP:
-            return self.representatives[self.u0_index], self.u0_index, 1
-        return self.representatives[u], int(u), 0
-
-
-def serial_compose(table: ControllerTable, cover: GridCover, representatives) -> RefinedController:
-    return RefinedController(table, cover, np.asarray(representatives, dtype=float))
+        """Concrete control decision: (input vector, stop bit); a stop comes
+        with input 0, which is never applied."""
+        u = self.table.choice[self.cover.quantize(x)]
+        return self.representatives[0 if u == STOP else u], int(u == STOP)
 
 
 def pointwise_upper_bound(W, cover: GridCover, x) -> float:

@@ -31,55 +31,31 @@ def perturbed_step(sys: SampledSystem, x, u, disturbances, substeps_per_piece: i
     return x
 
 
-class ZeroDisturbance:
-    name = "zero"
-
-    def __init__(self, seed=None):
-        pass
-
-    def sample(self, w, pieces):
-        return np.zeros((pieces, len(w)))
-
-
-class UniformDisturbance:
-    name = "uniform"
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def sample(self, w, pieces):
-        return self.rng.uniform(-w, w, size=(pieces, len(w)))
-
-
-class ExtremalDisturbance:
-    """Independent corner of [-w, w] per substep; stresses the growth bound
-    harder than uniform draws."""
-
-    name = "extremal"
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def sample(self, w, pieces):
-        signs = self.rng.choice([-1.0, 1.0], size=(pieces, len(w)))
-        return signs * w
-
-
-POLICIES = {"zero": ZeroDisturbance, "uniform": UniformDisturbance, "extremal": ExtremalDisturbance}
+POLICIES = ("zero", "uniform", "extremal")  # disturbance policies, by name
 
 
 def make_policy(name: str, seed):
-    try:
-        return POLICIES[name](seed)
-    except KeyError:
-        raise InputError(f"unknown disturbance policy {name!r}") from None
+    """The disturbance draw of one run, ``draw(w, pieces)``: one value in
+    [-w, w] per piece.  ``extremal`` takes an independent corner of [-w, w]
+    per piece, which stresses the growth bound harder than ``uniform``."""
+    if name not in POLICIES:
+        raise InputError(f"unknown disturbance policy {name!r}")
+    rng = np.random.default_rng(seed)
+
+    def draw(w, pieces):
+        if name == "uniform":
+            return rng.uniform(-w, w, size=(pieces, len(w)))
+        if name == "extremal":
+            return rng.choice([-1.0, 1.0], size=(pieces, len(w))) * w
+        return np.zeros((pieces, len(w)))
+
+    return draw
 
 
 @dataclass
 class Trajectory:
     states: np.ndarray  # (T+1, dim)
     inputs: list  # concrete input vectors, one per executed step
-    input_indices: list
     stopped: bool
     cost: float
     bound: float
@@ -94,13 +70,12 @@ class Trajectory:
         header = "t," + ",".join(f"x{i + 1}" for i in range(dim)) + ",u,stop,cum_cost"
         lines = [header]
         for t, x in enumerate(self.states):
-            last = t == len(self.states) - 1
             if t < len(self.inputs):
                 u_txt = CSV_FLOAT(float(np.atleast_1d(self.inputs[t])[0]))
                 stop = 0
             else:
                 u_txt = ""
-                stop = 1 if self.stopped else 0
+                stop = int(self.stopped)
             cum = self.cum_costs[t] if t < len(self.cum_costs) else self.cum_costs[-1]
             xs = ",".join(CSV_FLOAT(float(v)) for v in np.atleast_1d(x))
             lines.append(f"{t},{xs},{u_txt},{stop},{CSV_FLOAT(cum) if cum < INF else 'inf'}")
@@ -120,32 +95,38 @@ def run_closed_loop(plant, controller: RefinedController, x0, policy, max_steps:
     bound = INF if W is None else pointwise_upper_bound(W, cover, x)
     states = [x.copy()]
     inputs = []
-    input_indices = []
     cum = [0.0]
     total = 0.0
     stopped = False
     for _ in range(max_steps):
-        u_vec, u_idx, stop = controller.act(x)
+        u_vec, stop = controller.act(x)
         if stop:
             stopped = True
             total += costs.G(x)
             cum[-1] = total
             break
         if isinstance(plant, SampledSystem):
-            pieces = policy.sample(plant.w, substeps)
+            pieces = policy(plant.w, substeps)
             x_next = perturbed_step(plant, x, u_vec, pieces)
         else:
             x_next = np.atleast_1d(plant.step(x))
         total += costs.g(x, x_next, u_vec)
         inputs.append(u_vec)
-        input_indices.append(u_idx)
         x = x_next
         states.append(x.copy())
         cum.append(total)
     if not stopped:
         total = INF
         cum[-1] = INF
-    return Trajectory(np.array(states), inputs, input_indices, stopped, total, bound, cum)
+    return Trajectory(np.array(states), inputs, stopped, total, bound, cum)
+
+
+def closed_loop_runs(plant, controller: RefinedController, W, costs: CostModel, starts, policy_name: str, seed: int, max_steps: int, substeps: int = 5):
+    """The closed-loop run from each start, in order; run i draws its
+    disturbances under the seed ``seed + 7919 * i``."""
+    for i, x0 in enumerate(starts):
+        policy = make_policy(policy_name, seed + 7919 * i)
+        yield run_closed_loop(plant, controller, x0, policy, max_steps, costs, W=W, substeps=substeps)
 
 
 @dataclass
@@ -155,6 +136,18 @@ class VerifyReport:
     non_stopping: int = 0
     max_ratio: float = 0.0  # cost / bound over runs with positive finite bound
     worst_gap: float = -INF  # max of cost - bound
+
+    def add(self, traj: Trajectory, tol: float):
+        """Count one run; its cost above its bound plus ``tol`` is a violation."""
+        self.runs += 1
+        if not traj.stopped:
+            self.non_stopping += 1
+        if traj.cost < INF and traj.bound < INF:
+            self.worst_gap = max(self.worst_gap, traj.cost - traj.bound)
+            if traj.bound > 0:
+                self.max_ratio = max(self.max_ratio, traj.cost / traj.bound)
+        if traj.cost > traj.bound + tol:
+            self.violations += 1
 
     def to_text(self) -> str:
         lines = [
@@ -167,17 +160,14 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def sample_winning_states(W, cover: GridCover, rng, count: int):
-    """Initial states drawn uniformly from random cells with finite value."""
+def sample_winning_states(W, cover: GridCover, seed, count: int):
+    """Initial states drawn uniformly from random cells with finite value;
+    ``seed`` is a seed or a Generator."""
+    rng = np.random.default_rng(seed)
     finite = np.nonzero(np.isfinite(W[: cover.n_cells]))[0]
     if len(finite) == 0:
         return np.empty((0, cover.dim))
-    cells = rng.choice(finite, size=count)
-    out = np.empty((count, cover.dim))
-    for i, cell in enumerate(cells):
-        lo, hi = cover.cell_bounds(int(cell))
-        out[i] = rng.uniform(lo, hi)
-    return out
+    return rng.uniform(*cover.cell_boxes(rng.choice(finite, size=count)))
 
 
 def batch_verify(plant, controller: RefinedController, W, cover: GridCover, costs: CostModel, sample_count: int, policy_name: str, seed: int, max_steps: int, tol: float = 0.0, substeps: int = 5) -> VerifyReport:
@@ -187,19 +177,8 @@ def batch_verify(plant, controller: RefinedController, W, cover: GridCover, cost
     A violation always indicates an implementation bug, never an expected
     outcome; the report merge is order-independent (max / count aggregation).
     """
-    rng = np.random.default_rng(seed)
-    starts = sample_winning_states(W, cover, rng, sample_count)
+    starts = sample_winning_states(W, cover, seed, sample_count)
     report = VerifyReport()
-    for i, x0 in enumerate(starts):
-        policy = make_policy(policy_name, seed=seed + 7919 * i)
-        traj = run_closed_loop(plant, controller, x0, policy, max_steps, costs, W=W, substeps=substeps)
-        report.runs += 1
-        if not traj.stopped:
-            report.non_stopping += 1
-        if traj.cost < INF and traj.bound < INF:
-            report.worst_gap = max(report.worst_gap, traj.cost - traj.bound)
-            if traj.bound > 0:
-                report.max_ratio = max(report.max_ratio, traj.cost / traj.bound)
-        if traj.cost > traj.bound + tol:
-            report.violations += 1
+    for traj in closed_loop_runs(plant, controller, W, costs, starts, policy_name, seed, max_steps, substeps):
+        report.add(traj, tol)
     return report

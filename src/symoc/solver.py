@@ -33,6 +33,8 @@ import numpy as np
 from .core import INF, STOP, ControllerTable, FiniteProblem
 from .errors import InputError, SoundnessAlarm
 
+QUEUES = ("auto", "heap", "fifo")  # queue disciplines; auto picks one per problem
+
 
 @dataclass
 class SolveStats:
@@ -52,6 +54,7 @@ class SolveResult:
     c: ControllerTable
     stats: SolveStats
     settle_values: np.ndarray  # W at settle time, in settle order
+    queue: str  # the discipline that ran, "heap" or "fifo"
 
 
 def is_discrete_cost(problem: FiniteProblem):
@@ -81,14 +84,6 @@ def is_discrete_cost(problem: FiniteProblem):
         return 0.0, float(G_fin[0])
     lo, hi = float(G_fin[0]), float(G_fin[1])
     return hi - lo, lo
-
-
-def resolve_queue(queue: str, problem: FiniteProblem) -> str:
-    """The discipline ``queue`` names; ``auto`` is FIFO for certified
-    discrete costs and the heap otherwise."""
-    if queue != "auto":
-        return queue
-    return "fifo" if is_discrete_cost(problem) is not None else "heap"
 
 
 def _build_inverse(problem: FiniteProblem):
@@ -125,7 +120,7 @@ def _build_inverse(problem: FiniteProblem):
     key = succ.astype(np.int64)
     del succ
     key *= n * m
-    key += alive(np.repeat(np.arange(n * m, dtype=np.int32), sizes))
+    key += np.repeat(np.flatnonzero(pair_alive).astype(np.int32), sizes[pair_alive])  # the edges' pair ids
     if problem.edge_costs is None:
         key.sort()
         inv_costs = None
@@ -149,14 +144,15 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     """Run Algorithm 1; returns the value function, an optimal static
     controller and queue statistics.
 
-    ``queue`` is "heap" or "fifo"; the FIFO discipline is an input error on
-    problems without certified discrete costs.
+    ``queue`` is one of QUEUES; ``auto`` is FIFO for certified discrete
+    costs and the heap otherwise, and FIFO is an input error on problems
+    without them.
     """
-    if queue not in ("heap", "fifo"):
-        raise InputError(f"unknown queue discipline {queue!r}")
-    if queue == "fifo" and is_discrete_cost(problem) is None:
+    if queue not in QUEUES:
+        raise InputError(f"queue {queue!r} is not one of {', '.join(QUEUES)}")
+    fifo = queue != "heap" and is_discrete_cost(problem) is not None
+    if queue == "fifo" and not fifo:
         raise InputError("fifo discipline requires certified discrete costs")
-    fifo = queue == "fifo"
 
     n, m = problem.n, problem.m
     W = problem.G.copy()
@@ -267,7 +263,7 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     # W(p) = inf iff no input was ever recorded for p
     if not np.array_equal(choice == STOP, ~(W < problem.G)):
         raise SoundnessAlarm("controller domain does not match improved states")
-    return SolveResult(W, ControllerTable(choice), stats, np.concatenate(settle_values))
+    return SolveResult(W, ControllerTable(choice), stats, np.concatenate(settle_values), "fifo" if fifo else "heap")
 
 
 def dp_operator(problem: FiniteProblem, W) -> np.ndarray:

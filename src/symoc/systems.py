@@ -45,16 +45,16 @@ class LogisticMap:
         return 4.0 * x * (1.0 - x)
 
     def image_of_box(self, lo, hi):
-        """Exact image interval of [lo, hi], padded outward by two float ulps
-        so rounding never shrinks it below the real image."""
-        lo_f, hi_f = float(lo[0]), float(hi[0])
-        vals = [4.0 * lo_f * (1.0 - lo_f), 4.0 * hi_f * (1.0 - hi_f)]
-        top = 1.0 if lo_f <= 0.5 <= hi_f else max(vals)
-        bot, top = min(vals), top
+        """Exact image intervals of the boxes [lo, hi] (arrays of equal shape),
+        padded outward by two float ulps so rounding never shrinks one below
+        the real image."""
+        at_lo, at_hi = self.step(lo), self.step(hi)
+        bot = np.minimum(at_lo, at_hi)
+        top = np.where((lo <= 0.5) & (0.5 <= hi), 1.0, np.maximum(at_lo, at_hi))
         for _ in range(2):
             bot = np.nextafter(bot, -np.inf)
             top = np.nextafter(top, np.inf)
-        return np.array([max(bot, 0.0)]), np.array([min(top, 1.0)])
+        return np.maximum(bot, 0.0), np.minimum(top, 1.0)
 
 
 @dataclass

@@ -214,7 +214,7 @@ def reach_successors(reach, cell, u_idx):
     search per interval."""
     cover = reach.cover
     centers, radii, escaped, slack = attain_over(
-        reach.sys, (cover.center(cell), reach.r0), reach.inputs.representatives[u_idx],
+        reach.sys, (cover.centers_all()[cell], reach.r0), reach.inputs.representatives[u_idx],
         reach.k, reach.theta, reach.gamma, cover.max_diameter, reach.substeps, reach.max_splits,
     )
     found = set()
@@ -367,7 +367,7 @@ def reference_solve(problem, queue="heap"):
     # W(p) = inf iff no input was ever recorded for p
     if not np.array_equal(choice == STOP, ~(W < problem.G)):
         raise SoundnessAlarm("controller domain does not match improved states")
-    return SolveResult(W, ControllerTable(choice), stats, np.asarray(settle_values))
+    return SolveResult(W, ControllerTable(choice), stats, np.asarray(settle_values), queue)
 
 
 def dijkstra_distances(n_vertices: int, arcs, source: int):
@@ -437,7 +437,7 @@ def map_endpoints(reach):
     the cell and of its two ends."""
 
     def sample(cell, u_idx, rng, count):
-        lo, hi = reach.cover.cell_bounds(cell)
+        lo, hi = (bound[0] for bound in reach.cover.cell_boxes([cell]))
         xs = np.concatenate([np.linspace(lo[0], hi[0], max(count, 2)), [lo[0], hi[0]]])
         return reach.plant.step(xs)[:, None]
 
@@ -466,9 +466,10 @@ def check_conservatism(problem2, cover, inputs, costs, sampler, rho, rng, cell_s
 
     n_check = min(cell_samples, cover.n_cells)
     cells = np.unique(rng.choice(cover.n_cells, size=n_check, replace=False))
+    centers, (los, his) = cover.centers_all(), cover.cell_boxes()
     for cell in cells:
-        lo, hi = cover.cell_bounds(cell)
-        pts = [cover.center(cell)] + [rng.uniform(lo, hi) for _ in range(6)]
+        lo, hi = los[cell], his[cell]
+        pts = [centers[cell]] + [rng.uniform(lo, hi) for _ in range(6)]
         pts += [lo.copy(), hi.copy()]
         if costs.G2[cell] < INF:
             sup_G1 = max(model.G(p) for p in pts)
@@ -492,7 +493,7 @@ def check_conservatism(problem2, cover, inputs, costs, sampler, rho, rng, cell_s
             for q in succ:
                 if q == cover.overflow:
                     continue
-                q_lo, q_hi = cover.cell_bounds(int(q))
+                q_lo, q_hi = los[q], his[q]
                 gaps = np.maximum(np.maximum(q_lo - endpoints, endpoints - q_hi), 0.0)
                 d = float(gaps.max(axis=1).min())
                 if d > rho + margin:

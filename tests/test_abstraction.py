@@ -56,9 +56,9 @@ def test_logistic_40_abstraction_conservatism():
 
 def test_min_time_cost_abstraction_on_cells():
     _, cover, inputs, model, ac, _, _, _ = logistic_setup(40)
+    los, his = cover.cell_boxes()
     for cell in range(cover.n_cells):
-        lo, hi = cover.cell_bounds(cell)
-        inside = model.target.cell_inside(lo, hi)
+        inside = model.target.cell_inside(los[cell], his[cell])
         assert (ac.G2[cell] == 0.0) == inside
         assert (ac.G2[cell] == INF) == (not inside)
         assert ac.pair_value(cell, 0) == 1.0  # no obstacle: every step costs 1
@@ -103,8 +103,7 @@ def test_identity_dynamics_transitions_are_overlapping_cells():
     ac = abstract_costs(model, cover, inputs, 0.0, 0.0)
     reach = SampledReach(sys, cover, inputs, k=1, theta=10.0, gamma=0.0)
     problem, _ = build_abstraction(reach, cover, inputs, ac)
-    for cell in range(cover.n_cells):
-        c = cover.center(cell)
+    for cell, c in enumerate(cover.centers_all()):
         want, escape = cells_overlapping_box(cover, c - cover.eta / 2, c + cover.eta / 2)
         succ = [int(q) for q in problem.successors(cell, 0)[0]]
         assert sorted(q for q in succ if q != cover.overflow) == want
@@ -244,8 +243,7 @@ def test_abstract_transitions_are_supersets_of_simulation():
     for _ in range(300):
         cell = int(rng.integers(0, cover.n_cells))
         u_idx = int(rng.integers(0, len(inputs)))
-        lo, hi = cover.cell_bounds(cell)
-        x0 = rng.uniform(lo, hi)
+        x0 = rng.uniform(*(bound[0] for bound in cover.cell_boxes([cell])))
         d = rng.uniform(-sys.w, sys.w, size=(8, 2))
         x1 = perturbed_step(sys, x0, inputs.representatives[u_idx], d)
         succ = set(int(q) for q in problem.successors(cell, u_idx)[0])
@@ -277,7 +275,8 @@ def test_check_conservatism_flags_bloated_transition():
     a = problem.trans_ptr[cell * problem.m]
     far = cover.quantize([0.02])
     original = bloated_succ[a]
-    assert abs(cover.center(int(original))[0] - cover.center(far)[0]) > 0.3
+    centers = cover.centers_all()[:, 0]
+    assert abs(centers[original] - centers[far]) > 0.3
     bloated_succ[a] = far
     from symoc.core import FiniteProblem
 

@@ -19,9 +19,9 @@ from symoc.cli import main
 from symoc.core import INF, FiniteProblem, cost_model, make_shortest_path
 from symoc.grid import GridCover, InputGrid
 from symoc.reach import attain_over_batch
-from symoc.relations import Relation, check_vfrr, pointwise_upper_bound, serial_compose
+from symoc.relations import RefinedController, Relation, check_vfrr, pointwise_upper_bound
 from symoc.simulate import make_policy, perturbed_step, run_closed_loop, sample_winning_states
-from symoc.solver import dp_operator, is_discrete_cost, solve, value_iteration
+from symoc.solver import dp_operator, solve, value_iteration
 from symoc.systems import LogisticMap, get_system
 
 from oracles import (
@@ -54,12 +54,11 @@ def synthesize(name, preset):
         plant = spec.sampled_system()
         reach = SampledReach(plant, cover, inputs, k, spec.theta, spec.preset_gamma[preset])
     problem, cert = build_abstraction(reach, cover, inputs, ac)
-    queue = "fifo" if is_discrete_cost(problem) is not None else "heap"
-    result = solve(problem, queue=queue)
+    result = solve(problem, queue="auto")
     return dict(
         spec=spec, plant=plant, cover=cover, inputs=inputs, model=model,
         reach=reach, problem=problem, cert=cert, result=result,
-        ctrl=serial_compose(result.c, cover, inputs.representatives),
+        ctrl=RefinedController(result.c, cover, inputs.representatives),
     )
 
 
@@ -156,11 +155,11 @@ def test_criterion_05_logistic_convergence():
     # (a) abstract values dominate the exact value on every cell, all N
     for N, b in built.items():
         cover, W = b["cover"], b["result"].W
+        los, his = (bound[:, 0] for bound in cover.cell_boxes())
         for cell in range(cover.n_cells):
             if W[cell] == INF:
                 continue
-            lo, hi = cover.cell_bounds(cell)
-            assert union_contains_interval(sub[int(W[cell])], lo[0], hi[0]), (
+            assert union_contains_interval(sub[int(W[cell])], los[cell], his[cell]), (
                 f"N={N} cell {cell}: W={W[cell]} below the exact sup"
             )
     # (b) hypograph distance shrinks from N=40 to N=400
@@ -195,25 +194,27 @@ def test_criterion_06_reach_set_containment(pendulum, chauffeur):
         spec = b["spec"]
         eta, mu, k = spec.presets["p1"]
         gamma = spec.preset_gamma["p1"]
+        centers = cover.centers_all()
+        los, his = cover.cell_boxes()
         for _ in range(1000):
             cell = int(rng.integers(0, cover.n_cells))
             u_idx = int(rng.integers(0, len(inputs)))
             u = inputs.representatives[u_idx]
             box_lo, box_hi, *_ = attain_over_batch(
-                sys, cover.center(cell)[None, :], cover.eta / 2, u, k, spec.theta, gamma,
+                sys, centers[cell : cell + 1], cover.eta / 2, u, k, spec.theta, gamma,
                 cover.max_diameter,
             )
-            lo, hi = cover.cell_bounds(cell)
-            x0 = rng.uniform(lo, hi)
+            x0 = rng.uniform(los[cell], his[cell])
             d = rng.uniform(-sys.w, sys.w, size=(8, sys.dim))
             endpoint = perturbed_step(sys, x0, u, d)
             assert boxes_contain(np.concatenate(box_lo), np.concatenate(box_hi), endpoint)
     # benchmark map: endpoints of the exact map stay inside the image boxes
     b = synthesize("logistic", "N40")
     plant, cover = b["plant"], b["cover"]
+    los, his = cover.cell_boxes()
     for _ in range(1000):
         cell = int(rng.integers(0, cover.n_cells))
-        lo, hi = cover.cell_bounds(cell)
+        lo, hi = los[cell], his[cell]
         x0 = float(rng.uniform(lo[0], hi[0]))
         img_lo, img_hi = plant.image_of_box(lo, hi)
         y = float(plant.step(x0))
@@ -228,11 +229,8 @@ def test_criterion_07_pendulum_synthesis_soundness(pendulum):
     cover, W, model = b["cover"], b["result"].W, b["model"]
     finite = np.isfinite(W[: cover.n_cells])
     assert finite.sum() > 0
-    in_target = [
-        cell for cell in np.nonzero(finite)[0]
-        if model.target.cell_inside(*cover.cell_bounds(int(cell)))
-    ]
-    assert in_target, "winning domain must contain cells inside the target"
+    in_target = model.target.cell_inside_batch(*cover.cell_boxes(np.nonzero(finite)[0]))
+    assert in_target.any(), "winning domain must contain cells inside the target"
     rng = np.random.default_rng(1007)
     starts = sample_winning_states(W, cover, rng, 100)
     worst_gap = -INF

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 
@@ -173,7 +174,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "input error:" in capsys.readouterr().err
     # non-finite system parameters pass every sign test, so they are input
     # errors by name rather than a diverged integration (exit 2)
-    for line in ("tau = nan", "eps = nan"):
+    for line in ("tau = nan", "eps = nan", "K = -1 -1 ; nan 1", "w = 0 inf"):
         bad.write_text(f"[system]\ndynamics = pendulum\npreset = p1\n{line}\n")
         assert main(["synthesize", str(bad), "--out-prefix", str(tmp_path / "x")]) == 1, line
         err = capsys.readouterr().err
@@ -239,6 +240,56 @@ def test_non_utf8_inputs_are_input_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and str(bad) in err and "UTF-8" in err, err
         assert "Traceback" not in err
+
+
+def test_controller_inputs_outside_the_input_grid_are_input_errors(tmp_path, capsys):
+    # only STOP stops, and an input index must name one of the config's inputs
+    cfg = os.path.join(CONFIGS, "logistic_n40.ini")
+    assert main(["synthesize", cfg, "--out-prefix", str(tmp_path / "a")]) == 0
+    lines = (tmp_path / "a.controller").read_text().splitlines()
+    controller = tmp_path / "bad.controller"
+    for line, message in (
+        ("6 -1", "neither an index nor STOP"),
+        ("6 99999999999999999999", "neither an index nor STOP"),
+        ("6 7", "controller state 6 chooses input 7"),
+    ):
+        controller.write_text("\n".join(lines[:6] + [line] + lines[7:]) + "\n")
+        capsys.readouterr()
+        rc = main([
+            "simulate", cfg, "--controller", str(controller), "--values", str(tmp_path / "a.values"),
+            "--out-prefix", str(tmp_path / "s"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("input error: ") and message in err, (line, err)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("target", "box 0.6 ; 0.4", "box has a lower corner above its upper corner"),
+    ("target", "box 0.4 0.4 ; 0.6 0.6", "box of dimension 2 on a 1-dimensional domain"),
+    ("target", "quadratic 1 ; 0 ; nan", "expected finite numbers, got 'nan'"),
+    ("obstacle", "interval 0 ; inf", "expected finite numbers, got 'inf'"),
+])
+def test_bad_set_primitives_are_input_errors(tmp_path, capsys, key, value, message):
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[system]\ndynamics = logistic\npreset = N40\n[costs]\n{key} = {value}\n")
+    assert main(["synthesize", str(config), "--out-prefix", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"input error: [costs] {key} = {value!r}: {message}\n"
+
+
+def test_focp_with_fewer_t_records_than_pairs_stops_before_the_pair_index(tmp_path):
+    # 2e9 pairs: their index alone is 15 GiB, so under a 3 GiB address-space
+    # limit of the child process only a check made before it exits 1 cleanly
+    focp = tmp_path / "big.focp"
+    focp.write_text("focp 1000000 2000\nG 0 0\n")
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+    out = subprocess.run(
+        [sys.executable, "-m", "symoc", "solve-finite", str(focp), "--out-prefix", str(tmp_path / "o")],
+        cwd=REPO, env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")), preexec_fn=limit,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1
+    assert out.stderr == "input error: every (state, input) pair needs a successor (F strict): (0,0) has none\n"
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):
@@ -331,13 +382,15 @@ def test_benchmark_span_hooks_install():
     # the benchmark's traced run wraps these symoc names; renaming or deleting
     # one must fail here rather than only in the benchmark
     script = (
-        "import symoc.abstraction, symoc.cli, symoc.config\n"
+        "import symoc.abstraction, symoc.cli, symoc.config, symoc.simulate\n"
         "from spans import Tracer\n"
         "from workloads import install_spans\n"
         "install_spans(Tracer())\n"
         "assert symoc.cli.load_config is symoc.config.load_config\n"
         "assert symoc.cli.abstract_costs is symoc.abstraction.abstract_costs\n"
         "assert symoc.cli.build_abstraction is symoc.abstraction.build_abstraction\n"
+        "assert symoc.cli.run_closed_loop is symoc.simulate.run_closed_loop\n"
+        "assert symoc.cli.batch_verify is symoc.simulate.batch_verify\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(REPO, "src"), os.path.join(REPO, "perfbench")]

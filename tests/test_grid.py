@@ -11,21 +11,35 @@ def test_logistic_cover_matches_41_cell_layout():
     cover = GridCover([0.0], [1.0], [1.0 / 40.0])
     assert cover.counts.tolist() == [41]
     # centers at i/40; first and last cells clipped to half width
-    assert cover.center(0)[0] == 0.0
-    assert cover.center(40)[0] == pytest.approx(1.0)
-    lo, hi = cover.cell_bounds(0)
+    centers = cover.centers_all()[:, 0]
+    assert centers[0] == 0.0
+    assert centers[40] == pytest.approx(1.0)
+    lo, hi = (b[:, 0] for b in cover.cell_boxes())
     assert lo[0] == 0.0 and hi[0] == pytest.approx(1.0 / 80.0)
-    lo, hi = cover.cell_bounds(40)
-    assert hi[0] == 1.0
-    lo, hi = cover.cell_bounds(17)
-    assert hi[0] - lo[0] == pytest.approx(1.0 / 40.0)
+    assert hi[40] == 1.0
+    assert hi[17] - lo[17] == pytest.approx(1.0 / 40.0)
 
 
 def test_unit_domain_with_unit_eta_gives_two_clipped_cells():
     cover = GridCover([0.0], [1.0], [1.0])
     assert cover.counts.tolist() == [2]
-    assert cover.cell_bounds(0)[1][0] == 0.5
-    assert cover.cell_bounds(1)[0][0] == 0.5
+    lo, hi = cover.cell_boxes()
+    assert hi[0, 0] == 0.5
+    assert lo[1, 0] == 0.5
+
+
+def test_cell_boxes_of_some_cells_match_those_of_all_cells():
+    cover = GridCover([-1.0, 0.0, 2.0], [2.0, 1.0, 3.0], [0.07, 0.11, 0.3])
+    lo, hi = cover.cell_boxes()
+    assert lo.shape == hi.shape == (cover.n_cells, 3)
+    inner = np.all((lo > cover.lower) & (hi < cover.upper), axis=1)
+    assert inner.sum() == np.prod(cover.counts - 2)  # only the first and last cell per axis are clipped
+    assert np.allclose(((lo + hi) / 2)[inner], cover.centers_all()[inner])
+    assert np.allclose((hi - lo)[inner], cover.eta) and np.all(hi - lo <= cover.eta * (1 + 1e-12))
+    cells = np.random.default_rng(4).integers(0, cover.n_cells, size=200)
+    some_lo, some_hi = cover.cell_boxes(cells)
+    assert np.array_equal(some_lo, lo[cells]) and np.array_equal(some_hi, hi[cells])
+    assert cover.cell_boxes([])[0].shape == (0, 3)
 
 
 def test_chauffeur_cover_cell_counts():
@@ -42,9 +56,8 @@ def test_cover_completeness_random_points():
         cells = cover.members(x)
         assert cells, "every domain point must be covered"
         assert cover.quantize(x) in cells
-        for idx in cells:
-            lo, hi = cover.cell_bounds(idx)
-            assert np.all(lo <= x) and np.all(x <= hi)
+        lo, hi = cover.cell_boxes(cells)
+        assert np.all(lo <= x) and np.all(x <= hi)
 
 
 def test_quantize_outside_domain_is_overflow():
@@ -74,9 +87,9 @@ def test_cells_overlapping_box():
     assert escape.tolist() == [False, True, True]
     assert empty.tolist() == [False, False, True]
     cells = range(lo_idx[0][0], hi_idx[0][0] + 1)
+    lo, hi = (b[:, 0] for b in cover.cell_boxes())
     for idx in range(cover.n_cells):
-        lo, hi = cover.cell_bounds(idx)
-        meets = hi[0] >= 0.3 and lo[0] <= 0.6
+        meets = hi[idx] >= 0.3 and lo[idx] <= 0.6
         assert meets == (idx in cells)
     assert hi_idx[1][0] == cover.n_cells - 1
 

@@ -6,11 +6,11 @@ from symoc.abstraction import MapReach, abstract_costs, build_abstraction
 from symoc.core import INF, ControllerTable, FiniteProblem, cost_model
 from symoc.grid import GridCover, InputGrid
 from symoc.relations import (
+    RefinedController,
     Relation,
     check_vasr,
     check_vfrr,
     pointwise_upper_bound,
-    serial_compose,
 )
 from symoc.solver import solve
 from symoc.systems import LogisticMap, get_system
@@ -143,12 +143,12 @@ def test_serial_composition_semantics():
     cover = GridCover([0.0], [1.0], [0.25])
     table = ControllerTable(np.array([1, -1, 0, 2, -1, -1]))  # 5 cells + overflow
     reps = np.array([[0.0], [0.5], [-0.5]])
-    ctrl = serial_compose(table, cover, reps)
-    u, idx, stop = ctrl.act([0.05])  # cell 0 -> input 1
-    assert stop == 0 and idx == 1 and u[0] == 0.5
-    u, idx, stop = ctrl.act([0.25])  # cell 1 -> stop
-    assert stop == 1 and idx == 0
-    u, idx, stop = ctrl.act([1.7])  # outside the cover -> overflow -> stop
+    ctrl = RefinedController(table, cover, reps)
+    u, stop = ctrl.act([0.05])  # cell 0 -> input 1
+    assert stop == 0 and u[0] == 0.5
+    u, stop = ctrl.act([0.25])  # cell 1 -> stop
+    assert stop == 1
+    u, stop = ctrl.act([1.7])  # outside the cover -> overflow -> stop
     assert stop == 1
 
 

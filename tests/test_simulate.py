@@ -6,10 +6,11 @@ from symoc.core import INF, ControllerTable, cost_model
 from symoc.errors import InputError
 from symoc.grid import GridCover, InputGrid
 from symoc.reach import SampledSystem
-from symoc.relations import serial_compose
+from symoc.relations import RefinedController
 from symoc.sets import Box, EmptySet
 from symoc.simulate import (
     batch_verify,
+    closed_loop_runs,
     make_policy,
     perturbed_step,
     run_closed_loop,
@@ -32,7 +33,7 @@ def build_pipeline(spec, eta, mu, k, gamma, plant=None, theta=None):
         reach = SampledReach(sys, cover, inputs, k, theta or spec.theta, gamma)
     problem, cert = build_abstraction(reach, cover, inputs, ac)
     result = solve(problem)
-    ctrl = serial_compose(result.c, cover, inputs.representatives)
+    ctrl = RefinedController(result.c, cover, inputs.representatives)
     return sys, cover, inputs, model, problem, result, ctrl
 
 
@@ -70,7 +71,7 @@ def test_non_stopping_run_costs_infinity(logistic_400):
     plant, cover, inputs, model, problem, result, ctrl = logistic_400
     # a controller that never stops anywhere
     never = ControllerTable(np.zeros(cover.n_states, dtype=np.int64))
-    ctrl2 = serial_compose(never, cover, inputs.representatives)
+    ctrl2 = RefinedController(never, cover, inputs.representatives)
     traj = run_closed_loop(plant, ctrl2, [0.9], make_policy("zero", 0), 8, model)
     assert not traj.stopped
     assert traj.cost == INF
@@ -83,7 +84,7 @@ def test_run_rejects_bad_args(logistic_400):
     with pytest.raises(InputError):
         make_policy("nope", 0)
     with pytest.raises(InputError):
-        serial_compose(ControllerTable(np.zeros(3, dtype=np.int64)), cover, inputs.representatives)
+        RefinedController(ControllerTable(np.zeros(3, dtype=np.int64)), cover, inputs.representatives)
 
 
 def test_trajectory_csv_shape(logistic_400):
@@ -175,6 +176,22 @@ def test_determinism_bit_for_bit(pendulum_p1):
     assert not np.array_equal(runs[0].states, other.states)
 
 
+def test_starts_and_run_seeds_follow_the_recorded_streams(pendulum_p1):
+    # simulate's files stay reproducible only while these streams hold: one
+    # cell draw for all starts, then one uniform draw per start in its cell
+    # box, in order; run i draws its disturbances under seed + 7919 * i
+    sys, cover, inputs, model, problem, result, ctrl = pendulum_p1
+    starts = sample_winning_states(result.W, cover, 9, 4)
+    rng = np.random.default_rng(9)
+    cells = rng.choice(np.flatnonzero(np.isfinite(result.W[: cover.n_cells])), size=4)
+    los, his = cover.cell_boxes()
+    assert np.array_equal(starts, [rng.uniform(los[c], his[c]) for c in cells])
+    runs = closed_loop_runs(sys, ctrl, result.W, model, starts, "uniform", 5, 60)
+    for i, traj in enumerate(runs):
+        want = run_closed_loop(sys, ctrl, starts[i], make_policy("uniform", 5 + 7919 * i), 60, model, W=result.W)
+        assert traj.steps > 0 and traj.to_csv() == want.to_csv()
+
+
 def test_pendulum_runs_reach_target_within_energy_bound(pendulum_p1):
     sys, cover, inputs, model, problem, result, ctrl = pendulum_p1
     rng = np.random.default_rng(6)
@@ -191,7 +208,7 @@ def test_pendulum_runs_reach_target_within_energy_bound(pendulum_p1):
 def test_extremal_policy_respects_bounds(pendulum_p1):
     sys, cover, inputs, model, problem, result, ctrl = pendulum_p1
     pol = make_policy("extremal", 11)
-    pieces = pol.sample(sys.w, 16)
+    pieces = pol(sys.w, 16)
     assert np.all(np.abs(pieces) <= sys.w)
     assert np.all(np.isin(pieces[:, 1], [-0.1, 0.1]))
     report = batch_verify(

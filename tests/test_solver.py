@@ -9,7 +9,7 @@ from symoc.cli import _build_from_config
 from symoc.config import load_config
 from symoc.core import INF, STOP, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
-from symoc.solver import dp_operator, is_discrete_cost, resolve_queue, solve, value_iteration
+from symoc.solver import dp_operator, is_discrete_cost, solve, value_iteration
 
 from oracles import is_stop, naive_fixpoint, naive_value_iteration, random_problem_lists, reference_solve
 
@@ -159,6 +159,7 @@ def test_fifo_requires_discrete_costs():
         solve(problem, queue="fifo")
     with pytest.raises(InputError):
         solve(problem, queue="nope")
+    assert solve(problem, queue="auto").queue == "heap"
 
 
 def test_queue_disciplines_agree_on_min_time_instances():
@@ -170,6 +171,8 @@ def test_queue_disciplines_agree_on_min_time_instances():
         r_fifo = solve(problem, queue="fifo")
         assert np.array_equal(r_heap.W, r_fifo.W)
         assert np.array_equal(r_heap.c.choice == STOP, r_fifo.c.choice == STOP)
+        r_auto = solve(problem, queue="auto")
+        assert r_auto.queue == "fifo" and r_auto.stats == r_fifo.stats
         m = problem.n_edges
         assert r_fifo.stats.queue_ops <= 2 * m + problem.n
 
@@ -244,7 +247,9 @@ def test_fifo_with_two_terminal_values():
 
 
 def assert_matches_reference(problem, queue):
-    got, want = solve(problem, queue=queue), reference_solve(problem, queue=queue)
+    got = solve(problem, queue=queue)
+    assert queue in ("auto", got.queue)
+    want = reference_solve(problem, queue=got.queue)
     assert np.array_equal(got.W, want.W)
     assert np.array_equal(got.c.choice, want.c.choice)
     assert np.array_equal(got.settle_values, want.settle_values)
@@ -281,7 +286,7 @@ def test_solve_matches_reference_solve_on_pendulum_p1():
     cfg = load_config(os.path.join(CONFIGS, "pendulum_p1.ini"))
     problem = _build_from_config(cfg)[2]
     assert problem.pair_costs is not None
-    assert_matches_reference(problem, resolve_queue(cfg.queue, problem))
+    assert_matches_reference(problem, cfg.queue)
 
 
 def test_fifo_alarms_on_uncertified_costs(monkeypatch):
