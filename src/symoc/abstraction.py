@@ -90,11 +90,6 @@ class AbstractCosts:
         self.terminal_slack = self.A2 * eta_norm
         self.running_slack = 2.0 * self.A3 * eta_norm
 
-    def pair_value(self, cell: int, u_idx: int) -> float:
-        if cell >= self.cover.n_cells or not self.g_finite[cell]:
-            return INF
-        return float(self.input_values[u_idx])
-
 
 def abstract_costs(costs: CostModel, cover: GridCover, inputs: InputGrid, A2: float, A3: float) -> AbstractCosts:
     return AbstractCosts(costs, cover, inputs, A2, A3)

@@ -19,7 +19,7 @@ from .core import ControllerTable, FiniteProblem, values_from_text, values_to_te
 from .errors import InputError, SoundnessAlarm
 from .relations import RefinedController, Relation, check_vasr, check_vfrr, pointwise_upper_bound
 # run_closed_loop is unused here, but perfbench's traced pass wraps it by name in this module
-from .simulate import POLICIES, VerifyReport, batch_verify, closed_loop_runs, run_closed_loop, sample_winning_states
+from .simulate import POLICIES, batch_verify, closed_loop_runs, run_closed_loop, sample_winning_states
 from .solver import QUEUES, solve
 
 
@@ -122,18 +122,16 @@ def cmd_simulate(args):
         starts = [_point(chunk, cfg.cover.dim) for chunk in args.x0]
     else:
         starts = sample_winning_states(W, cfg.cover, args.seed, args.samples)
-    # the runs written out; the report counts only their violations
-    explicit = VerifyReport()
-    runs = closed_loop_runs(cfg.plant, ctrl, W, cfg.model, starts, args.policy, args.seed, max_steps, cfg.substeps)
-    for i, traj in enumerate(runs):
-        _write(f"{args.out_prefix}.traj{i:03d}.csv", traj.to_csv())
-        explicit.add(traj, args.tol)
     report = batch_verify(
         cfg.plant, ctrl, W, cfg.cover, cfg.model, sample_count=args.verify_samples,
         policy_name=args.policy, seed=args.seed, max_steps=max_steps, tol=args.tol,
         substeps=cfg.substeps,
     )
-    report.violations += explicit.violations
+    # the runs written out count in the same report
+    runs = closed_loop_runs(cfg.plant, ctrl, W, cfg.model, starts, args.policy, args.seed, max_steps, cfg.substeps)
+    for i, traj in enumerate(runs):
+        _write(f"{args.out_prefix}.traj{i:03d}.csv", traj.to_csv())
+        report.add(traj, args.tol)
     _write(args.out_prefix + ".report", report.to_text())
     print(report.to_text(), end="")
     if report.violations:
@@ -149,7 +147,7 @@ def cmd_hypo(args):
     if len(W) != cfg.cover.n_states:
         raise InputError("value file does not match the config's cover")
     xs = np.linspace(float(cfg.cover.lower[0]), float(cfg.cover.upper[0]), args.samples)
-    W_pt = np.array([pointwise_upper_bound(W, cfg.cover, [x]) for x in xs])
+    W_pt = pointwise_upper_bound(W, cfg.cover, xs[:, None])
     finite = W_pt[np.isfinite(W_pt)]
     t_max = int(finite.max()) + 2 if len(finite) else 2
     target = cfg.model.target

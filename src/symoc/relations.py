@@ -7,6 +7,7 @@ totalized per-transition costs of the finite problems (inf off transitions).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,10 +197,19 @@ class RefinedController:
         return self.representatives[0 if u == STOP else u], int(u == STOP)
 
 
-def pointwise_upper_bound(W, cover: GridCover, x) -> float:
-    """sup of W over all cells containing x (inf outside the cover, where the
-    only member is the overflow cell)."""
-    cells = cover.members(x)
-    if not cells:
-        return INF
-    return float(max(W[c] for c in cells))
+def pointwise_upper_bound(W, cover: GridCover, xs):
+    """sup of W over the cells related to each point: the <= 2^dim cells of
+    the index block of [x, x] in the domain, inf outside it (NaN included),
+    where the only related cell is the overflow cell.  ``xs`` is one point
+    (a float back) or an (N, dim) array (an array back)."""
+    xs = np.asarray(xs, dtype=float)
+    pts = np.atleast_2d(xs)
+    inside = np.all((cover.lower <= pts) & (pts <= cover.upper), axis=1)
+    pts = np.where(inside[:, None], pts, cover.lower)  # keep the index casts finite
+    lo_idx, hi_idx, _, _ = cover.box_index_ranges(pts, pts)
+    bound = np.full(len(pts), -INF)
+    for corner in itertools.product((False, True), repeat=cover.dim):  # the block spans <= 2 cells per axis
+        cells = np.ravel_multi_index(tuple(np.where(corner, hi_idx, lo_idx).T), cover.counts)
+        bound = np.maximum(bound, W[cells])
+    bound[~inside] = INF
+    return float(bound[0]) if xs.ndim < 2 else bound

@@ -7,9 +7,8 @@ hyper-rectangles [lo, hi], each over (N, dim) bound arrays:
 * ``cell_inside_batch``   -- the whole closed cell is contained in the set,
 * ``cell_disjoint_batch`` -- the closed cell does not meet the set.
 
-``cell_inside`` and ``cell_disjoint`` ask the same of a single cell.  For
-quadratic sublevel sets the cell queries assume a positive semi-definite form
-(all regions used by the built-in problems are of that shape);
+For quadratic sublevel sets the cell queries assume a positive semi-definite
+form (all regions used by the built-in problems are of that shape);
 ``cell_disjoint_batch`` is then conservative: it may report False for a cell
 that is in fact disjoint, never the converse.
 """
@@ -32,12 +31,6 @@ class SetPredicate:
 
     def cell_disjoint_batch(self, lo, hi):
         raise NotImplementedError
-
-    def cell_inside(self, lo, hi) -> bool:
-        return bool(self.cell_inside_batch(lo, hi)[0])
-
-    def cell_disjoint(self, lo, hi) -> bool:
-        return bool(self.cell_disjoint_batch(lo, hi)[0])
 
 
 class EmptySet(SetPredicate):

@@ -62,28 +62,14 @@ def is_discrete_cost(problem: FiniteProblem):
     G(X) in {Gamma, gamma + Gamma, inf}, or None if none exist."""
     costs = problem.edge_costs if problem.edge_costs is not None else problem.pair_costs
     g_fin = np.unique(costs[np.isfinite(costs)])
-    if len(g_fin) > 1:
-        return None
     G_fin = np.unique(problem.G[np.isfinite(problem.G)])
-    if len(G_fin) > 2:
+    if len(g_fin) > 1 or len(G_fin) > 2:
         return None
-    if len(g_fin) == 1:
-        gamma = float(g_fin[0])
-        if len(G_fin) == 0:
-            return gamma, 0.0
-        if len(G_fin) == 1:
-            return gamma, float(G_fin[0])  # single value plays the Gamma role
-        lo, hi = float(G_fin[0]), float(G_fin[1])
-        if hi - lo == gamma:
-            return gamma, lo
+    gap = float(G_fin[1] - G_fin[0]) if len(G_fin) == 2 else None
+    gamma = float(g_fin[0]) if len(g_fin) else gap if gap is not None else 0.0
+    if gap is not None and gap != gamma:
         return None
-    # no finite running cost: any gamma works
-    if len(G_fin) == 0:
-        return 0.0, 0.0
-    if len(G_fin) == 1:
-        return 0.0, float(G_fin[0])
-    lo, hi = float(G_fin[0]), float(G_fin[1])
-    return hi - lo, lo
+    return gamma, float(G_fin[0]) if len(G_fin) else 0.0
 
 
 def _build_inverse(problem: FiniteProblem):

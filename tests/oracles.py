@@ -5,6 +5,7 @@ the library's solver paths) so that agreement between the two is meaningful.
 """
 
 import heapq
+import itertools
 import math
 from collections import deque
 
@@ -192,6 +193,25 @@ def boxes_contain(lo, hi, x):
     """Whether the point x lies in the union of the closed boxes [lo[i], hi[i]]."""
     x = np.asarray(x, dtype=float)
     return bool(np.any(np.all((lo <= x) & (x <= hi), axis=1)))
+
+
+def pair_value(costs, cell, u_idx):
+    """Running cost of an ``AbstractCosts`` pair (cell, input): the input's
+    value where the cell's running cost is finite, inf elsewhere."""
+    if cell >= costs.cover.n_cells or not costs.g_finite[cell]:
+        return INF
+    return float(costs.input_values[u_idx])
+
+
+def block_cells(cover, x):
+    """Sorted flat ids of the cells of the index block of the point box
+    [x, x], the cells x counts for; empty outside the domain."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if not np.all((cover.lower <= x) & (x <= cover.upper)):
+        return []
+    lo_idx, hi_idx, _, _ = cover.box_index_ranges(x, x)
+    ranges = [range(a, b + 1) for a, b in zip(lo_idx[0], hi_idx[0])]
+    return sorted(int(np.ravel_multi_index(idx, cover.counts)) for idx in itertools.product(*ranges))
 
 
 def cells_overlapping_box(cover, lo, hi):
@@ -476,7 +496,7 @@ def check_conservatism(problem2, cover, inputs, costs, sampler, rho, rng, cell_s
             if costs.G2[cell] > rho + sup_G1:
                 add("ii", f"cell {cell}: G2 {costs.G2[cell]} > rho + sampled sup G1 {sup_G1}")
         for u_idx in range(len(inputs)):
-            val = costs.pair_value(cell, u_idx)
+            val = pair_value(costs, cell, u_idx)
             if val < INF:
                 u = inputs.representatives[u_idx]
                 sup_g1 = max(model.g(p, p, u) for p in pts)

@@ -22,10 +22,12 @@ from symoc.solver import is_discrete_cost, solve
 from symoc.systems import LogisticMap, get_system
 
 from oracles import (
+    block_cells,
     cells_overlapping_box,
     check_conservatism,
     map_endpoints,
     reach_successors,
+    pair_value,
     union_branches_by_unique,
 )
 
@@ -57,11 +59,11 @@ def test_logistic_40_abstraction_conservatism():
 def test_min_time_cost_abstraction_on_cells():
     _, cover, inputs, model, ac, _, _, _ = logistic_setup(40)
     los, his = cover.cell_boxes()
+    inside = model.target.cell_inside_batch(los, his)
     for cell in range(cover.n_cells):
-        inside = model.target.cell_inside(los[cell], his[cell])
-        assert (ac.G2[cell] == 0.0) == inside
-        assert (ac.G2[cell] == INF) == (not inside)
-        assert ac.pair_value(cell, 0) == 1.0  # no obstacle: every step costs 1
+        assert (ac.G2[cell] == 0.0) == inside[cell]
+        assert (ac.G2[cell] == INF) == (not inside[cell])
+        assert pair_value(ac, cell, 0) == 1.0  # no obstacle: every step costs 1
 
 
 def test_pendulum_energy_cost_abstraction():
@@ -76,10 +78,10 @@ def test_pendulum_energy_cost_abstraction():
     # interior cell: running cost is the squared input
     cell = cover.quantize([1.0, 0.5])
     for u_idx, u in enumerate(inputs.representatives):
-        assert ac.pair_value(cell, u_idx) == pytest.approx(float(u[0]) ** 2)
+        assert pair_value(ac, cell, u_idx) == pytest.approx(float(u[0]) ** 2)
     # boundary-clipped cells touch the obstacle complement: all-infinite
     edge_cell = cover.quantize([spec.k_lower[0], 0.5])
-    assert ac.pair_value(edge_cell, 0) == INF
+    assert pair_value(ac, edge_cell, 0) == INF
     # cells inside the target ellipse have zero terminal cost
     assert ac.G2[cover.quantize([0.0, 0.0])] == 0.0
     assert ac.G2[cover.quantize([3.0, 0.0])] == INF
@@ -190,7 +192,7 @@ def test_union_of_branch_boxes_matches_the_unique_reference():
             for lo_idx, hi_idx, empty in branches:
                 if active[cell] and not empty[cell]:
                     ranges = [range(a, b + 1) for a, b in zip(lo_idx[cell], hi_idx[cell])]
-                    cells.update(cover.flatten(idx) for idx in itertools.product(*ranges))
+                    cells.update(int(np.ravel_multi_index(idx, cover.counts)) for idx in itertools.product(*ranges))
             assert flat[owner == cell].tolist() == sorted(cells), (trial, cell)
 
         class Fixed:
@@ -247,7 +249,7 @@ def test_abstract_transitions_are_supersets_of_simulation():
         d = rng.uniform(-sys.w, sys.w, size=(8, 2))
         x1 = perturbed_step(sys, x0, inputs.representatives[u_idx], d)
         succ = set(int(q) for q in problem.successors(cell, u_idx)[0])
-        landed = cover.members(x1) or [cover.overflow]
+        landed = block_cells(cover, x1) or [cover.overflow]
         assert set(landed) <= succ
 
 

@@ -168,7 +168,7 @@ def test_criterion_05_logistic_convergence():
     eps = {}
     for N in (40, 400):
         cover, W = built[N]["cover"], built[N]["result"].W
-        W_pt = np.array([pointwise_upper_bound(W, cover, [x]) for x in xs])
+        W_pt = pointwise_upper_bound(W, cover, xs[:, None])
         eps[N], _, _ = hypo_distance(xs, W_pt, sampler, eps_grid=1.0 / 8000.0)
     assert eps[400] < eps[40]
     # (c) exactly-matched cells become strictly more frequent

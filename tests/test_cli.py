@@ -26,7 +26,7 @@ GOLDEN = {
     "a.controller": "07f7ef9b6b05fcd75de79829ec8c46f008acf57e5360cb4d4713477638d5077c",
     "a.sidecar": "2fa7cdbb23d62434834ffc31473c6556141559aad73e87bae94adb8110b90d74",
     "s.traj000.csv": "f084976453715203b2a4ff7e4e8447989570abf1fbafcb86d66b7cc07c546658",
-    "s.report": "7f8c0222751645d426b2b579cce15ba2a9fa4ed7d031eecfc02dc0e009a8d58d",
+    "s.report": "0ca447ad2725e3b6c7b09e536d46df85b25a6c4cba4d92871b9c7a27070cc4b6",
 }
 
 
@@ -125,6 +125,37 @@ def test_cli_golden_logistic_pipeline(tmp_path):
     assert rc == 0
     for name, want in GOLDEN.items():
         assert sha(tmp_path / name) == want, f"golden mismatch for {name}"
+
+
+def _simulate_report(tmp_path, *argv):
+    cfg = os.path.join(CONFIGS, "logistic_n40.ini")
+    if not (tmp_path / "a.values").exists():
+        assert main(["synthesize", cfg, "--out-prefix", str(tmp_path / "a")]) == 0
+    rc = main([
+        "simulate", cfg, "--controller", str(tmp_path / "a.controller"),
+        "--values", str(tmp_path / "a.values"), *argv, "--out-prefix", str(tmp_path / "s"),
+    ])
+    lines = (tmp_path / "s.report").read_text().splitlines()
+    return rc, dict(line.replace(" ", "").split("=", 1) for line in lines)
+
+
+def test_simulate_from_a_cell_face_raises_no_alarm(tmp_path):
+    # 0.6875 is the face of cells 27 (W = 0) and 28 (W = 2); the quantizer
+    # runs cell 28, so the bound must read 2, not 0
+    rc, report = _simulate_report(
+        tmp_path, "--x0", "0.6875", "--policy", "zero", "--samples", "0", "--verify-samples", "0",
+    )
+    assert rc == 0
+    assert report == {"runs": "1", "non_stopping": "0", "max_cost_bound_ratio": "1.0",
+                      "worst_gap": "0.0", "violations": "0"}
+
+
+def test_simulate_report_counts_written_and_verify_runs(tmp_path):
+    rc, report = _simulate_report(tmp_path, "--samples", "3", "--verify-samples", "4", "--seed", "5")
+    assert rc == 0 and report["runs"] == "7"
+    assert len(list(tmp_path.glob("s.traj*.csv"))) == 3
+    rc, report = _simulate_report(tmp_path, "--x0", "0.2", "--x0", "0.9", "--verify-samples", "0")
+    assert rc == 0 and report["runs"] == "2"
 
 
 def test_cli_hypo_logistic(tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from symoc.core import INF
 from symoc.errors import InputError
 from symoc.grid import GridCover, InputGrid
+from symoc.relations import pointwise_upper_bound
+from symoc.systems import get_system
 
-from oracles import cells_overlapping_box
+from oracles import block_cells, cells_overlapping_box
 
 
 def test_logistic_cover_matches_41_cell_layout():
@@ -53,9 +56,10 @@ def test_cover_completeness_random_points():
     rng = np.random.default_rng(5)
     for _ in range(500):
         x = rng.uniform([-1.0, 0.0], [2.0, 1.0])
-        cells = cover.members(x)
+        cells = block_cells(cover, x)
         assert cells, "every domain point must be covered"
         assert cover.quantize(x) in cells
+        assert cells == cells_overlapping_box(cover, x, x)[0]  # off the faces, the block is the cells holding x
         lo, hi = cover.cell_boxes(cells)
         assert np.all(lo <= x) and np.all(x <= hi)
 
@@ -64,7 +68,17 @@ def test_quantize_outside_domain_is_overflow():
     cover = GridCover([0.0], [1.0], [0.25])
     assert cover.quantize([1.5]) == cover.overflow
     assert cover.quantize([-0.01]) == cover.overflow
-    assert cover.members([1.5]) == []
+    # NaN and infinite coordinates too, each with an infinite bound
+    cover = GridCover([0.0, -1.0], [1.0, 1.0], [0.25, 0.5])
+    W = np.zeros(cover.n_states)
+    bad = [[1.5, 0.0], [-0.01, 0.0], [0.5, 1.0 + 1e-12], [np.nan, 0.0], [0.5, np.nan],
+           [np.inf, 0.0], [0.5, -np.inf], [np.nan, np.inf]]
+    for x in bad:
+        assert cover.quantize(x) == cover.overflow, x
+        assert pointwise_upper_bound(W, cover, x) == INF, x
+        assert block_cells(cover, x) == []
+    bounds = pointwise_upper_bound(W, cover, np.array(bad + [[0.0, -1.0], [1.0, 1.0]]))
+    assert bounds.tolist() == [INF] * len(bad) + [0.0, 0.0]  # the domain's corners count
 
 
 def test_boundary_points_have_deterministic_quantizer_and_full_membership():
@@ -72,11 +86,42 @@ def test_boundary_points_have_deterministic_quantizer_and_full_membership():
     # cell boundaries sit halfway between centers: 0.125, 0.375, ...
     for k in range(4):
         x = np.array([0.125 + 0.25 * k])
-        cells = cover.members(x)
-        assert len(cells) == 2
+        cells = block_cells(cover, x)
+        assert cells == [k, k + 1]
         assert cover.quantize(x) == cells[1]  # midpoint rounds to the upper cell
     corner = GridCover([0.0, 0.0], [1.0, 1.0], [0.25, 0.25])
-    assert len(corner.members([0.125, 0.375])) == 4
+    assert len(block_cells(corner, [0.125, 0.375])) == 4
+
+
+def _shipped_covers():
+    covers = [GridCover([0.0], [1.0], [1.0 / 40.0])]  # logistic N40
+    for name, preset in (("pendulum", "p1"), ("pendulum", "p2"), ("chauffeur", "p1")):
+        spec = get_system(name)
+        covers.append(GridCover(spec.k_lower, spec.k_upper, spec.presets[preset][0]))
+    return covers
+
+
+@pytest.mark.parametrize("cover", _shipped_covers(), ids=["logistic_n40", "pendulum_p1", "pendulum_p2", "chauffeur_p1"])
+def test_quantizer_cell_lies_in_the_block_on_every_face(cover):
+    # every float face coordinate of every axis (both cells' copies of it),
+    # each point on a face in all axes at once
+    lo, hi = cover.cell_boxes()
+    faces = [np.unique(np.concatenate([lo[:, k], hi[:, k]])) for k in range(cover.dim)]
+    count = max(len(f) for f in faces)
+    pts = np.stack([f[np.arange(count) % len(f)] for f in faces], axis=1)
+    lo_idx, hi_idx, escape, empty = cover.box_index_ranges(pts, pts)
+    assert not escape.any() and not empty.any()
+    assert np.all(hi_idx - lo_idx <= 1)
+    cells = np.array([cover.quantize(x) for x in pts])
+    multi = np.stack(np.unravel_index(cells, cover.counts), axis=1)
+    assert np.all((lo_idx <= multi) & (multi <= hi_idx))
+    # W rising along every axis: the bound is the quantizer's cell's value
+    W = np.arange(cover.n_states, dtype=float)
+    assert [pointwise_upper_bound(W, cover, x) for x in pts] == W[cells].tolist()
+    assert np.array_equal(pointwise_upper_bound(W, cover, pts), W[cells])
+    # any W: the bound is the max over the block, point by point
+    W = np.random.default_rng(8).permutation(cover.n_states).astype(float)
+    assert pointwise_upper_bound(W, cover, pts).tolist() == [max(W[block_cells(cover, x)]) for x in pts]
 
 
 def test_cells_overlapping_box():
@@ -111,7 +156,7 @@ def test_box_ranges_agree_with_scalar_path():
             assert cells == []
             continue
         expect = [
-            cover.flatten((i, j))
+            int(np.ravel_multi_index((i, j), cover.counts))
             for i in range(lo_idx[k][0], hi_idx[k][0] + 1)
             for j in range(lo_idx[k][1], hi_idx[k][1] + 1)
         ]

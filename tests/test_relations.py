@@ -15,7 +15,7 @@ from symoc.relations import (
 from symoc.solver import solve
 from symoc.systems import LogisticMap, get_system
 
-from oracles import certified_vfrr_pair
+from oracles import block_cells, certified_vfrr_pair, pair_value
 
 
 def from_lists(pair):
@@ -158,6 +158,8 @@ def test_pointwise_upper_bound():
     assert pointwise_upper_bound(W, cover, [0.05]) == 3.0
     assert pointwise_upper_bound(W, cover, [0.125]) == 5.0  # face of cells 0 and 1
     assert pointwise_upper_bound(W, cover, [1.2]) == INF
+    xs = np.array([[0.05], [0.125], [1.2], [0.375], [1.0]])
+    assert pointwise_upper_bound(W, cover, xs).tolist() == [3.0, 5.0, INF, 5.0, 4.0]
 
 
 def test_sampled_abstraction_satisfies_refinement_conditions():
@@ -174,10 +176,10 @@ def test_sampled_abstraction_satisfies_refinement_conditions():
     for _ in range(400):
         x = float(rng.uniform(0, 1))
         y = float(plant.step(x))
-        for cell in cover.members([x]):
+        for cell in block_cells(cover, [x]):
             # terminal and running cost dominance (conditions ii and iii)
             assert model.G([x]) <= ac.G2[cell]
-            assert model.g([x], [y], inputs.representatives[0]) <= ac.pair_value(cell, 0)
+            assert model.g([x], [y], inputs.representatives[0]) <= pair_value(ac, cell, 0)
             # successor cells of the concrete image (condition iv)
             succ = set(int(q) for q in problem.successors(cell, 0)[0])
-            assert set(cover.members([y])) <= succ
+            assert set(block_cells(cover, [y])) <= succ

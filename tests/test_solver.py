@@ -153,6 +153,32 @@ def test_is_discrete_cost_two_terminal_values():
     assert is_discrete_cost(problem) is None
 
 
+@pytest.mark.parametrize(
+    "g, G, witness",
+    [
+        ([], [], (0.0, 0.0)),
+        ([], [2.0], (0.0, 2.0)),
+        ([], [5.0, 2.0], (3.0, 2.0)),
+        ([], [1.0, 2.0, 3.0], None),
+        ([1.0], [], (1.0, 0.0)),
+        ([1.0, 1.0], [2.0, 2.0], (1.0, 2.0)),
+        ([1.0], [3.0, 2.0], (1.0, 2.0)),
+        ([1.0], [5.0, 2.0], None),
+        ([0.2], [0.1, 0.3], None),  # 0.3 - 0.1 is not 0.2 in floats
+        ([1.0], [1.0, 2.0, 3.0], None),
+        ([1.0, 2.0], [], None),
+        ([1.0, 2.0], [2.0], None),
+        ([1.0, 2.0], [3.0, 2.0], None),
+    ],
+)
+def test_is_discrete_cost_witness_table(g, G, witness):
+    # three states, each with one edge to state 0: finite running costs g, terminal costs G
+    n = 3
+    trans = [[[(0, g[p] if p < len(g) else INF)]] for p in range(n)]
+    problem = from_lists(trans, G + [INF] * (n - len(G)))
+    assert is_discrete_cost(problem) == witness
+
+
 def test_fifo_requires_discrete_costs():
     problem = from_lists([[[(1, 1.0)]], [[(0, 2.0)]]], [0.0, 0.0])
     with pytest.raises(InputError):
