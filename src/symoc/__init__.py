@@ -7,8 +7,6 @@ from .core import (
     FiniteProblem,
     Run,
     eval_cost_functional,
-    make_min_time,
-    make_reach_avoid,
     make_shortest_path,
 )
 from .solver import dp_operator, is_discrete_cost, solve, value_iteration
@@ -20,8 +18,6 @@ __all__ = [
     "FiniteProblem",
     "Run",
     "eval_cost_functional",
-    "make_min_time",
-    "make_reach_avoid",
     "make_shortest_path",
     "dp_operator",
     "is_discrete_cost",

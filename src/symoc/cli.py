@@ -56,12 +56,10 @@ def _point(text, dim):
 
 def _read(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def cmd_solve_finite(args):

@@ -20,15 +20,6 @@ INF = math.inf
 STOP = -1  # controller table entry meaning "no input chosen, stop here"
 
 
-def parse_cost(token: str) -> float:
-    if token == "inf":
-        return INF
-    value = float(token)
-    if not value >= 0.0 or math.isnan(value):
-        raise InputError(f"cost must be non-negative or inf, got {token!r}")
-    return value
-
-
 def format_cost(value: float) -> str:
     return "inf" if value == INF else repr(float(value))
 
@@ -171,11 +162,12 @@ class FiniteProblem:
         return focp.text_blocks(self)
 
     @classmethod
-    def from_focp_text(cls, text: str) -> "FiniteProblem":
-        """Read FOCP v1 text; an error quotes the first offending line in file order."""
+    def from_focp_text(cls, text) -> "FiniteProblem":
+        """Read FOCP v1 text, bytes or a str; an error quotes the first
+        offending line in file order."""
         from . import focp
 
-        n, m, G, ptr, succ, costs = focp.read(text)
+        n, m, G, ptr, succ, costs = focp.read(focp.as_bytes(text))
         return cls(n, m, G, ptr, succ, edge_costs=costs)
 
 
@@ -225,20 +217,6 @@ class CostModel:
             return 1.0
         u = np.asarray(u, dtype=float)
         return float(u @ u)
-
-
-def make_reach_avoid(D: SetPredicate, M: SetPredicate):
-    """Costs for steering into the target D while avoiding the obstacles M:
-    G = 0 on D minus M (else inf), g = 0 outside M (else inf)."""
-    model = CostModel("reach_avoid", D, M)
-    return model.g, model.G
-
-
-def make_min_time(D: SetPredicate, M: SetPredicate):
-    """Reach-avoid in minimum time: as make_reach_avoid but each step outside
-    the obstacles costs 1."""
-    model = CostModel("min_time", D, M)
-    return model.g, model.G
 
 
 def cost_model(kind: str, D: SetPredicate, M: SetPredicate) -> CostModel:
@@ -304,43 +282,19 @@ class ControllerTable:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "ControllerTable":
-        entries = {}
-        try:
-            for ln in text.splitlines():
-                if not ln.strip():
-                    continue
-                p, u = ln.split()
-                p = int(p)
-                if p in entries:
-                    raise InputError(f"state listed twice in controller record: {ln!r}")
-                entries[p] = STOP if u == "STOP" else int(u)
-                if not 0 <= entries[p] < 2**63 and u != "STOP":
-                    raise InputError(f"controller input is neither an index nor STOP: {ln!r}")
-        except ValueError as exc:
-            raise InputError(f"malformed controller record: {ln!r}") from exc
-        if sorted(entries) != list(range(len(entries))):
-            raise InputError("controller file must cover states 0..n-1")
-        return cls(np.array([entries[p] for p in range(len(entries))], dtype=np.int64))
+    def from_text(cls, text) -> "ControllerTable":
+        """Read a controller file, bytes or a str (grammar in the README)."""
+        from . import focp
+
+        return cls(focp.read_records(text, "controller"))
 
 
 def values_to_text(W) -> str:
     return "\n".join(f"{p} {format_cost(w)}" for p, w in enumerate(W)) + "\n"
 
 
-def values_from_text(text: str) -> np.ndarray:
-    entries = {}
-    try:
-        for ln in text.splitlines():
-            if not ln.strip():
-                continue
-            p, w = ln.split()
-            p = int(p)
-            if p in entries:
-                raise InputError(f"state listed twice in value record: {ln!r}")
-            entries[p] = parse_cost(w)
-    except ValueError as exc:
-        raise InputError(f"malformed value record: {ln!r}") from exc
-    if sorted(entries) != list(range(len(entries))):
-        raise InputError("value file must cover states 0..n-1")
-    return np.array([entries[p] for p in range(len(entries))])
+def values_from_text(text) -> np.ndarray:
+    """W of a value file, bytes or a str (grammar in the README)."""
+    from . import focp
+
+    return focp.read_records(text, "value")

@@ -1,21 +1,18 @@
-"""FOCP v1, the text format of finite problems (grammar in the README).
+"""The ASCII record grammar of symoc's input files and FOCP v1 (README).
 
-Both directions work on numpy columns, a block at a time, with no Python
-loop over records: the writer formats each distinct cost once and lays the
-records out as byte arrays; the reader classes the bytes of about 8 MiB of
-whole lines at once and converts token columns, sending only tokens outside
-the plain ASCII forms through int() or float().  FiniteProblem imports this
-module on first use.
+One byte tokenizer, _Block, reads every input file: FOCP problems and
+value, controller and relation files.  It classes the bytes of about 8 MiB
+of whole lines at once and converts token columns with no Python loop over
+records.  The FOCP writer formats each distinct cost once and lays the
+records out as byte arrays.  symoc imports this module on first use.
 """
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import INF, format_cost
+from .core import INF, STOP, format_cost
 from .errors import InputError, SoundnessAlarm
 
 
@@ -48,52 +45,40 @@ def text_blocks(problem):
         start = stop
 
 
-def read(text: str):
+def as_bytes(text):
+    """The bytes of an input file given as bytes or str.  A str is encoded
+    once; a lone surrogate becomes a backslash escape, which no token rule
+    accepts."""
+    return text.encode("utf-8", "backslashreplace") if isinstance(text, str) else text
+
+
+def read(data: bytes):
     """(n, m, G, trans_ptr, trans_succ, edge_costs) of FOCP v1 text, read
     about _READ_BYTES of whole lines at a time; trans_succ is int32.  An
     error quotes the first offending line in file order."""
-    if not text.isascii():
-        # str.split and str.splitlines also cut at non-ASCII whitespace:
-        # make it ASCII, so that the byte tokenizer cuts in the same places
-        text = re.sub(r"[^\S\x00-\x7f]", lambda s: "\n" if s[0] in "\x85\u2028\u2029" else " ", text)
-    data = text.encode("utf-8", "surrogatepass")
-    classes = _byte_classes()
     n = m = None
     columns = [[] for _ in range(5)]  # G: state, cost; T: pair id, successor, cost
-    t_blocks = []
-    start = 0
-    while start < len(data):
-        block = _Block(data, start, classes)
+    t_blocks = []  # (block start, T records in it)
+    for block in _blocks(data):
         if n is None and len(block.first):
-            n, m = _header(block.line(0))
-            block.drop_header()
+            n, m = _header(block.line(block.first[0]))
+            block.first, block.count, block.bad = block.first[1:], block.count[1:], block.bad[1:]
         if n is not None:
-            records = block.records(n, m)
+            records = _records(block, n, m)
             for column, values in zip(columns, records):
                 column.append(values)
-            t_blocks.append((start, len(records[-1])))
-        start = block.stop
+            t_blocks.append((block.start, len(records[-1])))
     if n is None:
         raise InputError("missing focp header")
-    del data, block  # the text is encoded again only to quote a duplicate
     # one column at a time, each freeing its blocks before the next is joined
     g_state, g_cost, pid, succ, costs = (np.concatenate(columns.pop(0)) for _ in range(5))
-    key = pid.astype(np.int64) * n + succ
-    if np.any(key[1:] <= key[:-1]):
-        sorted_key = np.sort(key)
-        if np.any(sorted_key[1:] == sorted_key[:-1]):
-            order = np.argsort(key, kind="stable")
-            record = int(order[1:][key[order[1:]] == key[order[:-1]]].min())
-            (p, u), q = divmod(int(pid[record]), m), int(succ[record])
-            for start, count in t_blocks:
-                if record < count:
-                    break
-                record -= count
-            line = _Block(text.encode("utf-8", "surrogatepass"), start, classes).t_line(record)
-            raise InputError(f"duplicate transition ({p},{u},{q}): {line!r}")
-        if np.any(pid[1:] < pid[:-1]):
-            order = np.argsort(pid, kind="stable")  # pair order; file order within a pair
-            pid, succ, costs = pid[order], succ[order], costs[order]
+    record = first_repeat(pid.astype(np.int64) * n + succ)
+    if record is not None:
+        (p, u), q = divmod(int(pid[record]), m), int(succ[record])
+        raise InputError(f"duplicate transition ({p},{u},{q}): {_record_line(data, t_blocks, record, b'T')!a}")
+    if np.any(pid[1:] < pid[:-1]):
+        order = np.argsort(pid, kind="stable")  # pair order; file order within a pair
+        pid, succ, costs = pid[order], succ[order], costs[order]
     if len(pid) < n * m:  # a pair without T records, found before any array of n or n * m entries
         pairs = np.unique(pid)
         gap = np.flatnonzero(pairs != np.arange(len(pairs)))
@@ -107,10 +92,63 @@ def read(text: str):
     return n, m, G, ptr, succ, costs
 
 
+def read_records(text, what):
+    """The records of a two-column file of ``what`` records.  A value or
+    controller file gives its second column indexed by the first, which
+    must list each state 0..n-1 once; a relation file gives both columns
+    in file order.  An error quotes the first offending line in file order."""
+    data = as_bytes(text)
+    firsts, seconds, blocks = [], [], []
+    for block in _blocks(data):
+        two = (block.count == 2) & ~block.bad
+        tok = block.first[two]
+        first = block.ints(tok)
+        second = block.costs(tok + 1) if what == "value" else block.ints(tok + 1)
+        stop = (block.window(tok + 1, 5).view("S5").ravel() == b"STOP") & (what == "controller")
+        malformed = ~two
+        malformed[two] = first < 0
+        bad = malformed.copy()
+        bad[two] |= ~((second >= 0) | stop)  # NaN, a cost that is not a number, fails too
+        if bad.any():
+            i = np.argmax(bad)
+            message = f"malformed {what} record"
+            if what == "controller" and not malformed[i]:
+                message = "controller input is neither an index nor STOP"
+            raise InputError(f"{message}: {block.line(block.first[i])!a}")
+        second[stop] = STOP
+        firsts.append(first)
+        seconds.append(second)
+        blocks.append((block.start, len(first)))
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    if what == "relation":
+        return first, second
+    record = first_repeat(first)
+    if record is not None:
+        raise InputError(f"state listed twice in {what} record: {_record_line(data, blocks, record)!a}")
+    if first.max(initial=-1) != len(first) - 1:
+        raise InputError(f"{what} file must cover states 0..n-1")
+    return second[np.argsort(first)]
+
+
+def first_repeat(key):
+    """File-order index of the first entry of ``key`` equal to an earlier
+    one, or None; a strictly increasing ``key`` is not sorted."""
+    if not np.any(key[1:] <= key[:-1]):
+        return None
+    order = np.argsort(key, kind="stable")
+    repeat = order[1:][key[order[1:]] == key[order[:-1]]]
+    return int(repeat.min()) if len(repeat) else None
+
+
 _WRITE_EDGES = 1 << 18  # T records rendered per block by text_blocks
-_READ_BYTES = 1 << 23  # text tokenized per block by read
-_INT_DIGITS = 18  # longer integer tokens are read by int(), one at a time
+_READ_BYTES = 1 << 23  # text tokenized per block by _Block
+_INT_DIGITS = 18  # an index token has 1 to _INT_DIGITS ASCII digits
 _COST_CHARS = 32  # longer cost tokens are read by float(), one at a time
+# bytes.translate table of byte classes: 0 a token byte, 1 a byte outside
+# the grammar (it makes its line malformed), 2 a space or tab, 3 a line end
+_CLASSES = bytes(
+    3 if b in b"\r\n" else 2 if b in b" \t" else 0 if 0x21 <= b <= 0x7E else 1 for b in range(256)
+)
 
 
 def _decimal_table(count):
@@ -136,15 +174,75 @@ def _render(fields):
     return out[out != 0].tobytes().decode("ascii")
 
 
+def _blocks(data):
+    """The _Blocks of ``data`` in order; one, without lines, for no data."""
+    start = 0
+    while True:
+        block = _Block(data, start)
+        yield block
+        start = block.stop
+        if start >= len(data):
+            return
+
+
+def _records(block, n, m):
+    """State and cost of the G records, then pair id, successor and cost
+    of the T records of a block; raises on the first bad line."""
+    first = block.first
+    single = block.tok_end[first] - block.tok_start[first] == 1
+    letter = block.text[block.tok_start[first]]
+    is_g = single & (letter == ord("G")) & (block.count == 3) & ~block.bad
+    is_t = single & (letter == ord("T")) & (block.count == 5) & ~block.bad
+    bad = ~(is_g | is_t)
+    tok = first[is_g]
+    g_state, g_cost = block.ints(tok + 1), block.costs(tok + 2)
+    bad[is_g] |= (g_state < 0) | (g_state >= n) | ~(g_cost >= 0.0)
+    tok = first[is_t]
+    p, u, q, cost = block.ints(tok + 1), block.ints(tok + 2), block.ints(tok + 3), block.costs(tok + 4)
+    bad[is_t] |= (p < 0) | (p >= n) | (u < 0) | (u >= m) | (q < 0) | (q >= n) | ~(cost >= 0.0)
+    for i in np.flatnonzero(bad):
+        _check_record(block.line(first[i]), n, m)
+    if bad.any():
+        raise SoundnessAlarm("focp reader flagged a record that the record check accepts")
+    # checked in range: pair ids are below n*m < 2**31
+    return g_state, g_cost, (p * m + u).astype(np.int32), q.astype(np.int32), cost
+
+
+def _record_line(data, blocks, record, letter=None):
+    """Text of the line of record number ``record`` in file order, given
+    the (start, records) of each block; with ``letter``, only lines that
+    start with it hold records.  Used on errors only: it tokenizes one
+    block again."""
+    for start, count in blocks:
+        if record < count:
+            break
+        record -= count
+    block = _Block(data, start)
+    first = block.first
+    if letter is not None:
+        first = first[block.text[block.tok_start[first]] == ord(letter)]
+    return block.line(first[record])
+
+
+def _index(token):
+    """Value of an index token (of a line _fields accepts), 1 to _INT_DIGITS
+    digits; else -1."""
+    return int(token) if len(token) <= _INT_DIGITS and token.isdigit() else -1
+
+
+def _fields(line):
+    """Tokens of a line, or None if a byte of it is outside the grammar."""
+    return line.split() if line.isascii() and line.replace("\t", " ").isprintable() else None
+
+
 def _header(line):
     if not line.startswith("focp"):
         raise InputError("missing focp header")
-    try:
-        _, n_s, m_s = line.split()
-        n, m = int(n_s), int(m_s)
-    except ValueError as exc:
-        raise InputError("malformed focp header") from exc
-    if n <= 0 or m <= 0:
+    parts = _fields(line) or []
+    n, m = map(_index, parts[1:]) if len(parts) == 3 and parts[0] == "focp" else (-1, -1)
+    if n < 0 or m < 0:
+        raise InputError("malformed focp header")
+    if n == 0 or m == 0:
         raise InputError("focp header: need positive state/input counts")
     if n * m >= 2**31:
         raise InputError("focp header: need fewer than 2**31 (state, input) pairs")
@@ -152,69 +250,59 @@ def _header(line):
 
 
 def _check_record(line, n, m):
-    """Raise the InputError of one G or T record line, if it has one."""
-    parts = line.split()
+    """Raise the InputError of one G or T record line, if it has one, by the
+    rules that _records applies a block at a time."""
+    parts = _fields(line)
+    if parts is None:
+        raise InputError(f"malformed focp record: {line!a}")
+    if parts[0] == "G" and len(parts) == 3:
+        kind, bounds = "state index", (n,)
+    elif parts[0] == "T" and len(parts) == 5:
+        kind, bounds = "index", (n, m, n)
+    else:
+        raise InputError(f"unrecognized focp record: {line!a}")
+    indices = parts[1:-1]
+    # a negative or over-long decimal integer is an index out of range, any other token malformed
+    if not all(t[t.startswith("-") :].isdigit() for t in indices):
+        raise InputError(f"malformed focp record: {line!a}")
+    if not all(0 <= _index(t) < bound for t, bound in zip(indices, bounds)):
+        raise InputError(f"{kind} out of range: {line!a}")
     try:
-        if parts[0] == "G" and len(parts) == 3:
-            if not 0 <= int(parts[1]) < n:
-                raise InputError(f"state index out of range: {line!r}")
-            cost = float(parts[2])
-        elif parts[0] == "T" and len(parts) == 5:
-            p, u, q = int(parts[1]), int(parts[2]), int(parts[3])
-            if not (0 <= p < n and 0 <= u < m and 0 <= q < n):
-                raise InputError(f"index out of range: {line!r}")
-            cost = float(parts[4])
-        else:
-            raise InputError(f"unrecognized focp record: {line!r}")
-    except ValueError as exc:
-        raise InputError(f"malformed focp record: {line!r}") from exc
+        cost = float(parts[-1])
+    except ValueError:
+        raise InputError(f"malformed focp record: {line!a}") from None
     if not cost >= 0.0:
-        raise InputError(f"cost must be non-negative or inf: {line!r}")
-
-
-def _byte_classes():
-    """bytes.translate table of byte classes: 0 a token byte, 1 a token byte
-    that only int() and float() read (NUL, non-ASCII), 2 a space, 3 a line
-    break.  Spaces and line breaks are those of str.split and
-    str.splitlines within ASCII."""
-    table = bytearray(256)
-    table[0] = 1
-    table[0x80:] = b"\x01" * 0x80
-    for byte in b"\t\x1f ":
-        table[byte] = 2
-    for byte in b"\n\v\f\r\x1c\x1d\x1e":
-        table[byte] = 3
-    return bytes(table)
+        raise InputError(f"cost must be non-negative or inf: {line!a}")
 
 
 class _Block:
-    """Tokens and non-blank lines of the whole lines of encoded FOCP text in
-    about _READ_BYTES from ``start`` on.
+    """Tokens and non-blank lines of the whole lines of ``data`` in about
+    _READ_BYTES from ``start`` on.
 
-    Integer tokens of up to _INT_DIGITS ASCII digits and cost tokens of up to
-    _COST_CHARS bytes are converted a column at a time, costs by numpy's
-    bytes-to-float cast, which reads them as float() does; other tokens go
-    through int() or float() one at a time.
+    ``first`` holds the first token of each non-blank line, ``count`` its
+    tokens and ``bad`` whether it holds a byte outside the grammar.  Index
+    tokens are converted a column at a time; cost tokens of up to
+    _COST_CHARS bytes too, by numpy's bytes-to-float cast, which reads
+    them as float() does.
     """
 
-    def __init__(self, data: bytes, start, classes):
+    def __init__(self, data: bytes, start):
         size = _READ_BYTES
         while True:
             stop = min(start + size, len(data))
             chunk = data[start:stop]
-            cls = np.frombuffer(chunk.translate(classes), dtype=np.uint8)
+            cls = np.frombuffer(chunk.translate(_CLASSES), dtype=np.uint8)
             breaks = np.flatnonzero(cls == 3)
             if stop == len(data) or len(breaks):
                 break
             size *= 2  # a line longer than the block
         if stop < len(data):
             chunk, cls = chunk[: breaks[-1] + 1], cls[: breaks[-1] + 1]
-        self.size, self.stop, self.breaks = len(chunk), start + len(chunk), breaks
+        self.start, self.size, self.stop, self.breaks = start, len(chunk), start + len(chunk), breaks
         # zero bytes after the text: every cost token can be read as a _COST_CHARS window
         self.text = np.frombuffer(chunk + bytes(_COST_CHARS), dtype=np.uint8)
         edges = np.flatnonzero(np.diff(cls >= 2, prepend=True, append=True))
         self.tok_start, self.tok_end = edges[0::2], edges[1::2]
-        self.unusual = bool(np.any(cls == 1))
         # a token starts a line when the whitespace before it holds a line break
         starts_line = np.ones(len(self.tok_start), dtype=bool)
         starts_line[1:] = cls[self.tok_end[:-1]] == 3
@@ -222,90 +310,57 @@ class _Block:
         starts_line[1 + wide] = np.searchsorted(breaks, self.tok_end[wide]) < np.searchsorted(
             breaks, self.tok_start[1 + wide]
         )
-        self.first = np.flatnonzero(starts_line)  # first token of each non-blank line
-        count = np.diff(self.first, append=len(starts_line))
-        single = self.tok_end[self.first] - self.tok_start[self.first] == 1
-        letter = self.text[self.tok_start[self.first]]
-        self.is_g = single & (letter == ord("G")) & (count == 3)
-        self.is_t = single & (letter == ord("T")) & (count == 5)
+        self.first = np.flatnonzero(starts_line)
+        self.count = np.diff(self.first, append=len(starts_line))
+        odd = np.flatnonzero(cls == 1)  # a byte outside the grammar makes its line malformed
+        self.bad = np.zeros(len(self.first), dtype=bool) if not len(odd) else np.isin(
+            np.searchsorted(breaks, self.tok_start[self.first]), np.searchsorted(breaks, odd))
 
-    def drop_header(self):
-        self.first, self.is_g, self.is_t = self.first[1:], self.is_g[1:], self.is_t[1:]
-
-    def records(self, n, m):
-        """State and cost of the G records, then pair id, successor and cost
-        of the T records; raises on the first bad line."""
-        is_g, is_t = self.is_g, self.is_t
-        bad = ~(is_g | is_t)
-        tok = self.first[is_g]
-        g_state, g_cost = self.ints(tok + 1), self.costs(tok + 2)
-        bad[is_g] |= (g_state < 0) | (g_state >= n) | ~(g_cost >= 0.0)
-        tok = self.first[is_t]
-        p, u, q, cost = self.ints(tok + 1), self.ints(tok + 2), self.ints(tok + 3), self.costs(tok + 4)
-        bad[is_t] |= (p < 0) | (p >= n) | (u < 0) | (u >= m) | (q < 0) | (q >= n) | ~(cost >= 0.0)
-        for i in np.flatnonzero(bad):
-            _check_record(self.line(i), n, m)
-        if bad.any():
-            raise SoundnessAlarm("focp reader flagged a record that the record check accepts")
-        # checked in range: pair ids are below n*m < 2**31
-        return g_state, g_cost, (p * m + u).astype(np.int32), q.astype(np.int32), cost
-
-    def line(self, i):
-        """Text of the i-th non-blank line."""
-        line = int(np.searchsorted(self.breaks, self.tok_start[self.first[i]]))
+    def line(self, tok):
+        """Text of the line holding token ``tok``, a character per byte."""
+        line = int(np.searchsorted(self.breaks, self.tok_start[tok]))
         a = int(self.breaks[line - 1]) + 1 if line else 0
         b = int(self.breaks[line]) if line < len(self.breaks) else self.size
-        return self.text[a:b].tobytes().decode("utf-8", "surrogatepass")
-
-    def t_line(self, record):
-        """Text of the line of the block's T record number ``record``."""
-        return self.line(np.flatnonzero(self.is_t)[record])
-
-    def token(self, k):
-        return self.text[self.tok_start[k] : self.tok_end[k]].tobytes().decode("utf-8", "surrogatepass")
+        return self.text[a:b].tobytes().decode("latin-1")
 
     def ints(self, tok):
-        """Non-negative integer tokens; -1 where a token is not one."""
+        """Index tokens; -1 where a token is not one."""
         begin = self.tok_start[tok]
-        width = np.minimum(self.tok_end[tok] - begin, _INT_DIGITS + 1)  # longer: read alone
+        width = np.minimum(self.tok_end[tok] - begin, _INT_DIGITS + 1)
         value = np.full(len(tok), -1, dtype=np.int64)
-        for w in np.flatnonzero(np.bincount(width)):
+        for w in np.flatnonzero(np.bincount(width)[: _INT_DIGITS + 1]):
             group = np.flatnonzero(width == w)
-            if w <= _INT_DIGITS:
-                start = begin[group]
-                v = np.zeros(len(group), dtype=np.int64)
-                digits = np.ones(len(group), dtype=bool)
-                for j in range(w):
-                    d = self.text[start + j] - np.uint8(ord("0"))
-                    digits &= d < 10
-                    v = v * 10 + d
-                value[group[digits]] = v[digits]
-                group = group[~digits]
-            for k in group:  # signs, underscores, non-ASCII digits, long tokens
-                try:
-                    v = int(self.token(tok[k]))
-                except ValueError:
-                    continue
-                if 0 <= v < 2**62:
-                    value[k] = v
+            start = begin[group]
+            v = np.zeros(len(group), dtype=np.int64)
+            digits = np.ones(len(group), dtype=bool)
+            for j in range(w):
+                d = self.text[start + j] - np.uint8(ord("0"))
+                digits &= d < 10
+                v = v * 10 + d
+            value[group[digits]] = v[digits]
         return value
 
+    def window(self, tok, width):
+        """(len(tok), width) array of the first ``width`` bytes of tokens
+        ``tok``, zero after each token's end."""
+        raw = as_strided(self.text, shape=(self.size, width), strides=(1, 1))[self.tok_start[tok]]
+        raw[np.arange(width) >= (self.tok_end[tok] - self.tok_start[tok])[:, None]] = 0
+        return raw
+
     def costs(self, tok):
-        """Cost tokens as float() reads them; NaN where a token is not one."""
+        """Cost tokens as float() reads them; NaN where a token is not a number."""
         start, length = self.tok_start[tok], self.tok_end[tok] - self.tok_start[tok]
         width = max(min(int(length.max(initial=0)), _COST_CHARS), 1)
-        raw = as_strided(self.text, shape=(self.size, width), strides=(1, 1))[start]
-        raw[np.arange(width) >= length[:, None]] = 0
-        # the cast drops trailing NULs and reads bytes, not UTF-8: such blocks go a token at a time
-        fast = (length <= width) & (not self.unusual)
+        raw = self.window(tok, width)
+        cast = length <= width
         value = np.full(len(tok), np.nan)
         try:
-            value[fast] = (raw if fast.all() else raw[fast]).view(f"S{width}").ravel().astype(np.float64)
+            value[cast] = (raw if cast.all() else raw[cast]).view(f"S{width}").ravel().astype(np.float64)
         except ValueError:
-            pass  # some token is not a number: all stay NaN, the record check names it
-        for k in np.flatnonzero(~fast):
+            cast[:] = False  # some token is not a number: read each alone to find it
+        for k in np.flatnonzero(~cast):
             try:
-                value[k] = float(self.token(tok[k]))
+                value[k] = float(self.text[start[k] : start[k] + length[k]].tobytes())
             except ValueError:
                 pass
         return value

@@ -32,15 +32,13 @@ class GridCover:
         if np.any(self.eta <= 0) or np.any(self.upper <= self.lower):
             raise InputError("need eta > 0 and upper > lower")
         self.dim = self.lower.size
-        ratio = (self.upper - self.lower) / self.eta
-        self.counts = np.array(
-            [int(math.ceil(r + 0.5 - _COUNT_GUARD)) for r in ratio], dtype=np.int64
-        )
-        self.n_cells = int(np.prod(self.counts))
+        if np.any(self.upper - self.lower >= self.eta * 2.0**62):
+            raise InputError("eta gives 2**62 or more cells along an axis")
+        counts = [int(math.ceil(r + 0.5 - _COUNT_GUARD)) for r in (self.upper - self.lower) / self.eta]
+        self.counts = np.array(counts, dtype=np.int64)
+        self.n_cells = math.prod(counts)  # exact: a loader rejects covers too large to build
         self.overflow = self.n_cells
-        self._strides = np.ones(self.dim, dtype=np.int64)
-        for i in range(self.dim - 2, -1, -1):
-            self._strides[i] = self._strides[i + 1] * self.counts[i + 1]
+        self._strides = np.append(np.cumprod(self.counts[:0:-1])[::-1], 1)
 
     @property
     def n_states(self) -> int:

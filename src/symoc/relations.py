@@ -46,17 +46,12 @@ class Relation:
         return "\n".join(f"{a} {b}" for a, b in self.pairs) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "Relation":
-        pairs = []
-        try:
-            for ln in text.splitlines():
-                if not ln.strip():
-                    continue
-                a, b = ln.split()
-                pairs.append((int(a), int(b)))
-        except ValueError as exc:
-            raise InputError(f"malformed relation record: {ln!r}") from exc
-        return cls(pairs)
+    def from_text(cls, text) -> "Relation":
+        """Read a relation file, bytes or a str (grammar in the README)."""
+        from . import focp
+
+        first, second = focp.read_records(text, "relation")
+        return cls(zip(first.tolist(), second.tolist()))
 
 
 MAX_VIOLATIONS = 100  # violations a verdict keeps and prints

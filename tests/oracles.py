@@ -12,7 +12,7 @@ from collections import deque
 import numpy as np
 
 from symoc.abstraction import _expand_ranges
-from symoc.core import STOP, ControllerTable, FiniteProblem, format_cost, parse_cost
+from symoc.core import STOP, ControllerTable, FiniteProblem, format_cost
 from symoc.errors import InputError, SoundnessAlarm
 from symoc.reach import growth_bound, integrate_nominal
 from symoc.solver import SolveResult, SolveStats, is_discrete_cost
@@ -559,9 +559,29 @@ def reference_to_focp_text(problem):
     return "\n".join(lines) + "\n"
 
 
+# index tokens and separator bytes that int(), float() or str.split accept
+# and the ASCII record grammar does not: each makes its line malformed
+NON_GRAMMAR_INDICES = [b"+1", b"1_0", b"0" * 18 + b"1", "\u0661".encode(), "\uff11".encode()]
+NON_GRAMMAR_BYTES = [c.encode() for c in "\x85\u2028\u3000\xa0\v\f\x1c\x1d\x1e\x1f\x00"] + [b"\xff"]
+
+
+def quoted(line: bytes) -> str:
+    """How an input error quotes a line: a character per byte, escaped."""
+    return ascii(line.decode("latin-1"))
+
+
+def parse_cost(token):
+    """A cost token read by float(): non-negative or inf."""
+    value = float(token)
+    if not value >= 0.0:
+        raise InputError(f"cost must be non-negative or inf, got {token!r}")
+    return value
+
+
 def reference_from_focp_text(text):
     """FOCP v1 reader splitting lines and fields with str methods (the
-    per-record reader)."""
+    per-record reader).  It agrees with the library reader on ASCII text
+    whose indices are plain decimal digits."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("focp"):
         raise InputError("missing focp header")

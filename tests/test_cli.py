@@ -7,15 +7,18 @@ import sys
 import numpy as np
 import pytest
 
+import symoc.focp
 from symoc.analysis import HYPO_MAX_POINTS
 from symoc.cli import main
 from symoc.config import load_config, parse_set
 from symoc.core import INF, ControllerTable, FiniteProblem, values_from_text
 from symoc.errors import InputError
+from symoc.grid import GridCover
 from symoc.relations import Relation
 from symoc.sets import Box, Complement, EmptySet, QuadraticSublevel, UnionSet
+from symoc.systems import get_system
 
-from oracles import from_lists
+from oracles import NON_GRAMMAR_BYTES, NON_GRAMMAR_INDICES, from_lists, quoted
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
@@ -248,7 +251,9 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_non_utf8_inputs_are_input_errors(tmp_path, capsys):
-    # a file that is not UTF-8 text is named in an input error, not a traceback
+    # a config that is not UTF-8 text is named in an input error, not a
+    # traceback; in the ASCII record files a byte outside the grammar makes
+    # its line malformed, and the error quotes that line
     cfg = os.path.join(CONFIGS, "logistic_n40.ini")
     assert main(["synthesize", cfg, "--out-prefix", str(tmp_path / "a")]) == 0
     capsys.readouterr()
@@ -261,15 +266,19 @@ def test_non_utf8_inputs_are_input_errors(tmp_path, capsys):
     controller = tmp_path / "bad.controller"
     controller.write_bytes(b"\xfe" + (tmp_path / "a.controller").read_bytes())
     simulate = ["simulate", cfg, "--samples", "1", "--out-prefix", str(tmp_path / "s")]
-    for bad, argv in (
-        (focp, ["solve-finite", str(focp), "--out-prefix", str(tmp_path / "f")]),
-        (config, ["synthesize", str(config), "--out-prefix", str(tmp_path / "c")]),
-        (values, simulate + ["--controller", str(tmp_path / "a.controller"), "--values", str(values)]),
-        (controller, simulate + ["--controller", str(controller), "--values", str(tmp_path / "a.values")]),
+    for bad, argv, message in (
+        (focp, ["solve-finite", str(focp), "--out-prefix", str(tmp_path / "f")],
+         "malformed focp record: 'T 0 0 0 1.0\\xff'"),
+        (config, ["synthesize", str(config), "--out-prefix", str(tmp_path / "c")],
+         f"cannot read config {config}: not UTF-8 text"),
+        (values, simulate + ["--controller", str(tmp_path / "a.controller"), "--values", str(values)],
+         "malformed value record: '\\xff'"),
+        (controller, simulate + ["--controller", str(controller), "--values", str(tmp_path / "a.values")],
+         "malformed controller record: '\\xfe0 STOP'"),
     ):
         assert main(argv) == 1, bad
         err = capsys.readouterr().err
-        assert err.startswith("input error: ") and str(bad) in err and "UTF-8" in err, err
+        assert err.startswith(f"input error: {message}"), err
         assert "Traceback" not in err
 
 
@@ -323,6 +332,18 @@ def test_focp_with_fewer_t_records_than_pairs_stops_before_the_pair_index(tmp_pa
     assert out.stderr == "input error: every (state, input) pair needs a successor (F strict): (0,0) has none\n"
 
 
+def test_covers_of_2_31_pairs_or_more_are_input_errors(tmp_path, capsys):
+    # the pair ids are int32: the config is rejected before any per-cell array
+    config = tmp_path / "huge.ini"
+    config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 1e-12 1e-12\n")
+    spec = get_system("pendulum")
+    cover = GridCover(spec.k_lower, spec.k_upper, [1e-12, 1e-12])
+    assert main(["synthesize", str(config), "--out-prefix", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: {cover.n_states} states x 21 inputs: need fewer than 2**31 pairs\n"
+    )
+
+
 def test_cli_rerun_is_byte_identical(tmp_path):
     cfg = os.path.join(CONFIGS, "logistic_n400.ini")
     for tag in ("one", "two"):
@@ -338,7 +359,7 @@ def test_cli_rerun_is_byte_identical(tmp_path):
         assert sha(tmp_path / ("one" + suffix)) == sha(tmp_path / ("two" + suffix))
 
 
-def test_malformed_tokens_are_input_errors(tmp_path, capsys):
+def test_malformed_tokens_are_input_errors(tmp_path, capsys, monkeypatch):
     focp = "focp 2 1\nG 0 0\nT 0 0 1 1.0\nT 1 0 1 0.0\n"
     cases = [
         (FiniteProblem.from_focp_text, focp + "G x 0\n", "G x 0"),
@@ -356,9 +377,22 @@ def test_malformed_tokens_are_input_errors(tmp_path, capsys):
         (values_from_text, "0 0.0\n0 1.0\n1 2.0\n", "0 1.0"),
         (ControllerTable.from_text, "0 STOP\n1 0\n1 STOP\n", "1 STOP"),
     ]
-    for reader, text, line in cases:
-        with pytest.raises(InputError, match=repr(line)):
-            reader(text)
+    # what int(), float() and str.split accept beyond the ASCII grammar
+    for reader, good, record in (
+        (values_from_text, b"0 0.0\n", b"1 2.0"),
+        (ControllerTable.from_text, b"0 STOP\n", b"1 0"),
+        (Relation.from_text, b"0 0\n", b"1 1"),
+    ):
+        lines = [index + record[1:] for index in NON_GRAMMAR_INDICES]
+        lines += [record.replace(b" ", byte) for byte in NON_GRAMMAR_BYTES]
+        lines += [record + byte for byte in NON_GRAMMAR_BYTES]
+        cases += [(reader, good + line + b"\nx y z\n", line) for line in lines]
+    for read_bytes in (symoc.focp._READ_BYTES, 16):  # 16: blocks end inside records
+        monkeypatch.setattr(symoc.focp, "_READ_BYTES", read_bytes)
+        for reader, text, line in cases:
+            with pytest.raises(InputError) as exc:
+                reader(text)
+            assert str(exc.value).endswith(": " + (quoted(line) if isinstance(line, bytes) else repr(line)))
     good = tmp_path / "good.focp"
     good.write_text(focp)
     (tmp_path / "bad.focp").write_text(focp + "G x 0\n")
@@ -366,14 +400,15 @@ def test_malformed_tokens_are_input_errors(tmp_path, capsys):
     prefix = str(tmp_path / "out")
     assert main(["solve-finite", str(tmp_path / "bad.focp"), "--out-prefix", prefix]) == 1
     assert main(["check-relation", str(good), str(good), str(tmp_path / "rel.txt")]) == 1
-    # relation pairs index both problems: out of range (or negative, which
-    # numpy would read from the end) names the pair
-    for pair in ("5 1", "-1 1", "0 2"):
+    # relation pairs index both problems: out of range names the pair; a
+    # negative index, which numpy would read from the end, is not an index
+    for pair, message in (("5 1", "relation pair '5 1'"), ("-1 1", "malformed relation record: '-1 1'"),
+                          ("0 2", "relation pair '0 2'")):
         (tmp_path / "rel.txt").write_text(f"0 0\n{pair}\n")
         for mode in ("vfrr", "vasr"):
             argv = ["check-relation", str(good), str(good), str(tmp_path / "rel.txt"), "--mode", mode]
             assert main(argv) == 1, (pair, mode)
-            assert f"relation pair '{pair}'" in capsys.readouterr().err, (pair, mode)
+            assert message in capsys.readouterr().err, (pair, mode)
     # option values: not numbers, out of range, or of the wrong dimension
     cfg = os.path.join(CONFIGS, "logistic_n40.ini")
     prefix = str(tmp_path / "a")
@@ -429,6 +464,14 @@ def test_benchmark_span_hooks_install():
     out = subprocess.run(
         [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True, timeout=120
     )
+    assert out.returncode == 0, out.stderr
+
+
+def test_importing_the_command_line_does_not_load_the_record_reader():
+    # the readers import symoc.focp on first use, so start-up does not pay for it
+    script = "import sys, symoc.cli\nassert 'symoc.focp' not in sys.modules, sorted(sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    out = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
 
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import symoc.focp
+from symoc.cli import main
 from symoc.core import (
     INF,
     ControllerTable,
     FiniteProblem,
     Run,
+    cost_model,
     eval_cost_functional,
-    make_min_time,
-    make_reach_avoid,
     make_shortest_path,
     values_from_text,
     values_to_text,
@@ -21,9 +21,12 @@ from symoc.sets import Box, Complement, EmptySet, QuadraticSublevel, UnionSet
 from symoc.solver import solve
 
 from oracles import (
+    NON_GRAMMAR_BYTES,
+    NON_GRAMMAR_INDICES,
     dijkstra_distances,
     edge_cost_view,
     from_lists,
+    quoted,
     random_graph,
     reference_from_focp_text,
     reference_to_focp_text,
@@ -94,7 +97,8 @@ def test_run_validation():
 def test_reach_avoid_costs():
     D = Box([0.0], [1.0])
     M = Box([2.0], [3.0])
-    g, G = make_reach_avoid(D, M)
+    model = cost_model("reach_avoid", D, M)
+    g, G = model.g, model.G
     assert G([0.5]) == 0.0
     assert G([2.5]) == INF  # inside the obstacle
     assert G([1.5]) == INF  # outside the target
@@ -103,7 +107,7 @@ def test_reach_avoid_costs():
 
 
 def test_reach_avoid_empty_target():
-    g, G = make_reach_avoid(EmptySet(), EmptySet())
+    G = cost_model("reach_avoid", EmptySet(), EmptySet()).G
     for x in ([0.0], [5.0], [-3.0]):
         assert G(x) == INF
 
@@ -111,26 +115,25 @@ def test_reach_avoid_empty_target():
 def test_min_time_costs():
     D = Box([0.0], [1.0])
     M = Box([2.0], [3.0])
-    g, G = make_min_time(D, M)
-    assert g([1.5], [0.0], 0) == 1.0
-    assert G([0.5]) == 0.0
+    model = cost_model("min_time", D, M)
+    assert model.g([1.5], [0.0], 0) == 1.0
+    assert model.G([0.5]) == 0.0
     # obstacle covering everything makes both costs infinite
-    g2, G2 = make_min_time(D, Complement(EmptySet()))
-    assert g2([0.5], [0.5], 0) == INF
-    assert G2([0.5]) == INF
+    everywhere = cost_model("min_time", D, Complement(EmptySet()))
+    assert everywhere.g([0.5], [0.5], 0) == INF
+    assert everywhere.G([0.5]) == INF
 
 
 def test_cost_constructors_idempotent():
     D = Box([0.0, 0.0], [1.0, 1.0])
     M = Box([2.0, 2.0], [3.0, 3.0])
     pts = [np.array([x, y]) for x in (-1.0, 0.5, 2.5) for y in (0.5, 2.5)]
-    for make in (make_reach_avoid, make_min_time):
-        g1, G1 = make(D, M)
-        g2, G2 = make(D, M)
+    for kind in ("reach_avoid", "min_time"):
+        one, two = cost_model(kind, D, M), cost_model(kind, D, M)
         for p in pts:
-            assert G1(p) == G2(p)
+            assert one.G(p) == two.G(p)
             for q in pts:
-                assert g1(p, q, 0) == g2(p, q, 0)
+                assert one.g(p, q, 0) == two.g(p, q, 0)
 
 
 def test_shortest_path_single_vertex():
@@ -255,20 +258,19 @@ def test_focp_text_matches_the_reference_reader_and_writer(monkeypatch, read_byt
 
 
 @pytest.mark.parametrize("read_bytes", [None, 16])
-def test_focp_reader_is_as_lenient_as_the_reference(monkeypatch, read_bytes):
+def test_focp_reader_follows_the_ascii_grammar(monkeypatch, tmp_path, capsys, read_bytes):
     if read_bytes:
         monkeypatch.setattr(symoc.focp, "_READ_BYTES", read_bytes)
     cases = {
         "interleaved G and T": "focp 2 2\nT 0 0 1 1.0\nG 0 0\nT 0 1 0 2.5\nT 1 0 1 0\nG 1 inf\nT 1 1 0 3\n",
         "blank, whitespace-only lines and tabs": "\n  \nfocp 1 1\n\t\n G\t0   0.5 \n\n\tT 0\t0 0  1\n \n",
         "CRLF, no final newline": "focp 2 1\r\nG 0 0\r\nT 0 0 1 1.0\r\nT 1 0 1 2.0",
+        "CR alone ends a line": "focp 2 1\rG 0 0\rT 0 0 1 1.0\rT 1 0 1 2.0\r",
         "out of pair order, within-pair order kept": "focp 2 1\nT 1 0 1 2\nT 0 0 1 1\nT 1 0 0 3\nT 0 0 0 4\n",
         "missing G is inf": "focp 3 1\nG 1 0\nT 0 0 1 1\nT 1 0 1 1\nT 2 0 1 1\n",
         "repeated G: the last one wins": "focp 1 1\nG 0 5\nT 0 0 0 1\nG 0 2\nG 0 7.5\n",
-        "int() and float() tokens": "focp 2 1\nG +1 1_0\nT 0 0 1 Infinity\nT 1 0 01 1e400\nG 0 .5\n"
-                                    "T 0 0 0000000000000000000000 -0.0\n",
-        "non-ASCII digits": "focp 2 1\nG \u0661 \u0663.\u0665\nT 0 0 1 1\nT \uff11 0 1 2\n",
-        "other line breaks and spaces": "focp 2 1\x85G 0\xa00\u2028T 0 0 1 1\vT 1\x1f0 1 2\x1cG 1\u30005\n",
+        "float() costs, leading zeros": "focp 2 1\nG 1 1_0\nT 0 0 1 Infinity\nT 1 0 01 1e400\nG 0 .5\n"
+                                        "T 0 0 000000000000000000 -0.0\n",
     }
     # records in random order: a pair's successors keep their order in the file
     text = random_focp_problem(np.random.default_rng(5), n_max=60).to_focp_text()
@@ -276,11 +278,34 @@ def test_focp_reader_is_as_lenient_as_the_reference(monkeypatch, read_bytes):
     cases["shuffled"] = "\n".join([lines[0]] + list(np.random.default_rng(6).permutation(lines[1:])))
     for name, text in cases.items():
         assert_same_problem(FiniteProblem.from_focp_text(text), reference_from_focp_text(text))
+        assert_same_problem(FiniteProblem.from_focp_text(text.encode()), reference_from_focp_text(text))
     back = FiniteProblem.from_focp_text(cases["out of pair order, within-pair order kept"])
     assert back.trans_succ.tolist() == [1, 0, 1, 0]
     assert back.edge_costs.tolist() == [1.0, 4.0, 2.0, 3.0]
     assert FiniteProblem.from_focp_text(cases["missing G is inf"]).G.tolist() == [INF, 0.0, INF]
     assert FiniteProblem.from_focp_text(cases["repeated G: the last one wins"]).G.tolist() == [7.5]
+
+    # what int(), float() and str.split accept beyond the grammar exits 1, quoting its line
+    good = b"focp 2 1\nG 0 0\nT 0 0 1 1\nT 1 0 1 2\n"
+    bad = [(b"G " + index + b" 0", "state index out of range" if index.isdigit() else "malformed focp record")
+           for index in NON_GRAMMAR_INDICES]  # a decimal integer, but longer than an index
+    bad += [(b"T 1" + byte + b"0 1 2", "malformed focp record") for byte in NON_GRAMMAR_BYTES]
+    bad += [(b"T 1 0 1 2" + byte, "malformed focp record") for byte in NON_GRAMMAR_BYTES]
+    path, prefix = tmp_path / "bad.focp", str(tmp_path / "out")
+    for line, kind in bad:
+        message = f"{kind}: {quoted(line)}"
+        path.write_bytes(good + line + b"\nT 9 0 0 1\n")
+        assert main(["solve-finite", str(path), "--out-prefix", prefix]) == 1, line
+        assert capsys.readouterr().err == f"input error: {message}\n", line
+        with pytest.raises(InputError) as exc:
+            FiniteProblem.from_focp_text(good + line + b"\n")
+        assert str(exc.value) == message
+    for header in (b"focp +2 1", b"focp 2 1_0", b"focp\xa02 1", b"focp 2 1\x00"):
+        with pytest.raises(InputError, match="malformed focp header"):
+            FiniteProblem.from_focp_text(header + good[8:])
+    # a str is encoded once: a lone surrogate is a malformed record, not a UnicodeEncodeError
+    with pytest.raises(InputError, match="malformed focp record: 'T 1 0 1 2"):
+        FiniteProblem.from_focp_text("focp 2 1\nG 0 0\nT 0 0 1 1\nT 1 0 1 2\ud800\n")
 
 
 def test_focp_duplicate_check_keys_do_not_wrap():
@@ -369,6 +394,9 @@ def test_controller_and_value_round_trips():
     assert ControllerTable.from_text(table.to_text()).choice.tolist() == [2, -1, 0]
     W = np.array([0.0, INF, 2.5])
     assert np.array_equal(values_from_text(values_to_text(W)), W)
+    # records in any state order, as bytes or str, with the grammar's separators
+    assert ControllerTable.from_text(b"2 0\r\n0 2\n\n 1\tSTOP").choice.tolist() == [2, -1, 0]
+    assert values_from_text("2 2.5\n0 0.0\n1 inf\n").tolist() == [0.0, INF, 2.5]
 
 
 def test_quadratic_predicate():

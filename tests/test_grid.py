@@ -172,6 +172,15 @@ def test_grid_rejects_bad_arguments():
         GridCover([0.0, 0.0], [1.0], [0.1])
 
 
+def test_huge_covers_count_cells_exactly():
+    # a cell count in int64 would wrap: 100001**4 is above 2**63
+    cover = GridCover([0.0] * 4, [1.0] * 4, [1e-5] * 4)
+    assert cover.counts.tolist() == [100001] * 4
+    assert cover.n_cells == 100001**4 and cover.n_states == 100001**4 + 1
+    with pytest.raises(InputError, match="2\\*\\*62 or more cells"):
+        GridCover([0.0], [1.0], [1e-320])
+
+
 def test_input_grid_21_representatives():
     grid = InputGrid([([-2.0], [2.0])], [0.2])
     assert len(grid) == 21
