@@ -6,12 +6,12 @@ outgoing costs, a self-loop).  Cells on which both cost functions are
 identically infinite receive a single transition to overflow instead of a
 computed reach set.
 
-Abstract costs follow the Lipschitz recipe: G2 is the center value plus
-A2 * ||eta|| / 2 when the whole closed cell has finite terminal cost (else
-inf), and the running cost adds A3 * ||eta|| on cells with finite running
-cost.  Together with the transition over-approximation this makes the finite
-problem an abstraction of the concrete one, with conservatism bounded by the
-maximum of the certificate components.
+Abstract costs follow the Lipschitz recipe: the terminal cost is 0 wherever
+it is finite, so G2 is A2 * ||eta|| / 2 when the whole closed cell has finite
+terminal cost (else inf), and the running cost adds A3 * ||eta|| on cells
+with finite running cost.  Together with the transition over-approximation
+this makes the finite problem an abstraction of the concrete one, with
+conservatism bounded by the maximum of the certificate components.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ class AbstractCosts:
         self.g_finite = model.cells_g_finite(los, his)
         self.gated = model.cells_all_infinite(los, his)
         self.G2 = np.full(cover.n_states, INF)
-        centers = cover.centers_all()
-        for i in np.nonzero(self.G_finite)[0]:
-            self.G2[i] = model.G(centers[i]) + self.A2 * eta_norm / 2.0
+        self.G2[: cover.n_cells][self.G_finite] = self.A2 * eta_norm / 2.0
         self.input_values = np.array(
             [model.finite_g_value(u) + self.A3 * eta_norm for u in inputs.representatives]
         )

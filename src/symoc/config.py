@@ -51,6 +51,12 @@ def _vector(text: str) -> np.ndarray:
     return vector
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise InputError("need at least 1")
+    return int(text)
+
+
 def _corners(text: str):
     parts = text.split(";")
     if len(parts) != 2:
@@ -211,7 +217,7 @@ def load_config(path) -> PipelineConfig:
         k=kk,
         theta=spec.theta,
         gamma=gamma,
-        substeps=number("reach", "substeps", int, 5),
+        substeps=number("reach", "substeps", _positive_int, 5),
         max_splits=number("reach", "max_splits", int, 64),
         queue=queue,
     )

@@ -179,9 +179,9 @@ class CostModel:
     """Concrete cost functions of a control problem plus the region data
     needed to reason about them cell-wise.
 
-    ``g``/``G`` evaluate at concrete points; the ``cells_*`` predicates decide
-    per closed cell whether it lies entirely inside the finite-cost region,
-    which is what Lipschitz-based cost abstraction requires.
+    The ``cells_*`` predicates decide per closed cell whether it lies entirely
+    inside the finite-cost region, as Lipschitz-based cost abstraction
+    requires; ``G``/``g`` at a point p read them on the cell [p, p].
     """
 
     kind: str
@@ -189,14 +189,10 @@ class CostModel:
     obstacle: SetPredicate
 
     def G(self, p) -> float:
-        if self.target.contains(p) and not self.obstacle.contains(p):
-            return 0.0
-        return INF
+        return 0.0 if self.cells_G_finite(p, p)[0] else INF
 
     def g(self, p, q, u) -> float:
-        if self.obstacle.contains(p):
-            return INF
-        return self.finite_g_value(u)
+        return self.finite_g_value(u) if self.cells_g_finite(p, p)[0] else INF
 
     def cells_G_finite(self, lo, hi):
         return self.target.cell_inside_batch(lo, hi) & self.obstacle.cell_disjoint_batch(lo, hi)

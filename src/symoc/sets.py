@@ -1,21 +1,22 @@
 """Set predicates for target and obstacle regions.
 
-Membership is evaluated with plain floating-point comparisons.  Besides point
-membership, every predicate supports two cell-level queries against closed
-hyper-rectangles [lo, hi], each over (N, dim) bound arrays:
+Every predicate answers two queries on closed hyper-rectangles [lo, hi], each
+over (N, dim) bound arrays, with plain floating-point comparisons:
 
 * ``cell_inside_batch``   -- the whole closed cell is contained in the set,
 * ``cell_disjoint_batch`` -- the closed cell does not meet the set.
 
-For quadratic sublevel sets the cell queries assume a positive semi-definite
-form (all regions used by the built-in problems are of that shape);
-``cell_disjoint_batch`` is then conservative: it may report False for a cell
-that is in fact disjoint, never the converse.
+A point x is the cell [x, x].  A quadratic sublevel set needs a positive
+semi-definite form, so that its maximum over a cell is at a vertex;
+``cell_disjoint_batch`` is conservative for it: it may report False for a
+cell that is in fact disjoint, never the converse.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import InputError
 
 
 def _as2d(lo, hi):
@@ -23,9 +24,6 @@ def _as2d(lo, hi):
 
 
 class SetPredicate:
-    def contains(self, x) -> bool:
-        raise NotImplementedError
-
     def cell_inside_batch(self, lo, hi):
         raise NotImplementedError
 
@@ -34,9 +32,6 @@ class SetPredicate:
 
 
 class EmptySet(SetPredicate):
-    def contains(self, x):
-        return False
-
     def cell_inside_batch(self, lo, hi):
         return np.zeros(_as2d(lo, hi)[0].shape[0], dtype=bool)
 
@@ -53,12 +48,6 @@ class Box(SetPredicate):
         self.open = open_
         if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
             raise ValueError("invalid box bounds")
-
-    def contains(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.open:
-            return bool(np.all(self.lo < x) and np.all(x < self.hi))
-        return bool(np.all(self.lo <= x) and np.all(x <= self.hi))
 
     def cell_inside_batch(self, lo, hi):
         lo, hi = _as2d(lo, hi)
@@ -84,13 +73,10 @@ class QuadraticSublevel(SetPredicate):
             raise ValueError("Q must be square")
         if self.b.shape != (self.Q.shape[0],):
             raise ValueError("b has wrong shape")
-
-    def value(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(x @ self.Q @ x + self.b @ x)
-
-    def contains(self, x):
-        return self.value(x) < self.c
+        eig = np.linalg.eigvalsh((self.Q + self.Q.T) / 2.0)
+        # eigvalsh errs by ulps of the largest eigenvalue: a singular form may read < 0
+        if eig[0] < -8 * len(eig) * np.finfo(float).eps * np.abs(eig).max():
+            raise InputError("quadratic form is not positive semi-definite")
 
     def _vertex_max_batch(self, lo, hi):
         # convex form attains its maximum over a box at a vertex
@@ -126,9 +112,6 @@ class UnionSet(SetPredicate):
     def __init__(self, parts):
         self.parts = tuple(parts)
 
-    def contains(self, x):
-        return any(p.contains(x) for p in self.parts)
-
     def cell_inside_batch(self, lo, hi):
         # sufficient condition: the cell fits inside one member
         lo, hi = _as2d(lo, hi)
@@ -148,9 +131,6 @@ class UnionSet(SetPredicate):
 class Complement(SetPredicate):
     def __init__(self, part: SetPredicate):
         self.part = part
-
-    def contains(self, x):
-        return not self.part.contains(x)
 
     def cell_inside_batch(self, lo, hi):
         return self.part.cell_disjoint_batch(lo, hi)

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from symoc.abstraction import (
     abstraction_sidecar_text,
     build_abstraction,
 )
+from symoc.config import load_config
 from symoc.core import INF, cost_model
 from symoc.errors import SoundnessAlarm
 from symoc.grid import GridCover, InputGrid
@@ -85,6 +87,21 @@ def test_pendulum_energy_cost_abstraction():
     # cells inside the target ellipse have zero terminal cost
     assert ac.G2[cover.quantize([0.0, 0.0])] == 0.0
     assert ac.G2[cover.quantize([3.0, 0.0])] == INF
+
+
+@pytest.mark.parametrize("name", ["pendulum_p1", "logistic_n40"])
+def test_point_costs_are_finite_at_every_corner_of_a_finite_cell(name):
+    # a point is the cell [x, x], so the query that passes a cell passes
+    # each of its corners: G2 may take G = 0 on the whole cell
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.ini"))
+    model, u = cfg.model, cfg.inputs.representatives[0]
+    los, his = cfg.cover.cell_boxes()
+    G_finite, g_finite = model.cells_G_finite(los, his), model.cells_g_finite(los, his)
+    assert G_finite.any() and g_finite.any()
+    for pick in itertools.product((False, True), repeat=cfg.cover.dim):
+        corners = np.where(pick, his, los)
+        assert all(model.G(x) == 0.0 for x in corners[G_finite])
+        assert all(model.g(x, x, u) < INF for x in corners[g_finite])
 
 
 def test_identity_dynamics_transitions_are_overlapping_cells():

@@ -241,7 +241,8 @@ def test_criterion_07_pendulum_synthesis_soundness(pendulum):
                 b["plant"], b["ctrl"], x0, policy, cover.n_cells + 1, model, W=W
             )
             assert traj.stopped, f"run {i}/{j} did not stop"
-            assert model.target.contains(traj.states[-1]), f"run {i}/{j} stopped outside the target"
+            end = traj.states[-1]
+            assert model.target.cell_inside_batch(end, end)[0], f"run {i}/{j} stopped outside the target"
             assert traj.cost <= traj.bound + 1e-9
             worst_gap = max(worst_gap, traj.cost - traj.bound)
     dt = time.perf_counter() - t0
@@ -266,7 +267,7 @@ def test_criterion_08_chauffeur_synthesis_soundness(chauffeur):
         max_steps = int(bound) + 1
         traj = run_closed_loop(sys, b["ctrl"], x0, policy, max_steps, model, W=W)
         assert traj.stopped, f"pursuit {i} exceeded its time bound"
-        assert model.target.contains(traj.states[-1])
+        assert model.target.cell_inside_batch(traj.states[-1], traj.states[-1])[0]
         assert traj.steps <= bound
     dt = time.perf_counter() - t0
     report(8, dt < 900.0, f"section bounds in [{seconds.min():.1f}, {seconds.max():.1f}]s; 100 captures; {dt:.1f}s")

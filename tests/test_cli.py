@@ -73,7 +73,8 @@ def test_config_overrides_and_rejections(tmp_path):
     with pytest.raises(InputError):
         load_config(tmp_path / "missing.ini")
     for section, key, value in (("reach", "theta", "abc"), ("reach", "k", "x"),
-                                ("reach", "k", "1.5"), ("system", "A1", "1 2 3")):
+                                ("reach", "k", "1.5"), ("reach", "substeps", "0"),
+                                ("reach", "substeps", "-2"), ("system", "A1", "1 2 3")):
         header = "" if section == "system" else f"[{section}]\n"
         bad.write_text(f"[system]\ndynamics = pendulum\npreset = p1\n{header}{key} = {value}\n")
         with pytest.raises(InputError, match=rf"\[{section}\] {key} = '{value}'"):
@@ -85,9 +86,11 @@ def test_parse_set_primitives():
     assert isinstance(parse_set("none", dom), EmptySet)
     comp = parse_set("complement_domain", dom)
     assert isinstance(comp, Complement)
-    assert comp.contains([2.0, 0.0]) and not comp.contains([0.0, 0.0])
+    assert comp.cell_inside_batch([[2.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]).tolist() == [True, False]
     quad = parse_set("quadratic 1 0 0 1 ; 0 0 ; 0.9", dom)
-    assert isinstance(quad, QuadraticSublevel) and quad.contains([0.0, 0.0])
+    assert isinstance(quad, QuadraticSublevel) and quad.cell_inside_batch([0.0, 0.0], [0.0, 0.0])[0]
+    # a singular semi-definite form is convex too
+    assert isinstance(parse_set("quadratic 0.1 0.3 0.3 0.9 ; 0 0 ; 1", dom), QuadraticSublevel)
     union = parse_set("interval -1 ; 0 | box 0.5 ; 1", (np.array([-1.0]), np.array([1.0])))
     assert isinstance(union, UnionSet)
     with pytest.raises(InputError):
@@ -308,6 +311,7 @@ def test_controller_inputs_outside_the_input_grid_are_input_errors(tmp_path, cap
     ("target", "box 0.4 0.4 ; 0.6 0.6", "box of dimension 2 on a 1-dimensional domain"),
     ("target", "quadratic 1 ; 0 ; nan", "expected finite numbers, got 'nan'"),
     ("obstacle", "interval 0 ; inf", "expected finite numbers, got 'inf'"),
+    ("target", "quadratic -1 ; 0 ; -1", "quadratic form is not positive semi-definite"),
 ])
 def test_bad_set_primitives_are_input_errors(tmp_path, capsys, key, value, message):
     config = tmp_path / "bad.ini"
@@ -315,6 +319,26 @@ def test_bad_set_primitives_are_input_errors(tmp_path, capsys, key, value, messa
     assert main(["synthesize", str(config), "--out-prefix", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err == f"input error: [costs] {key} = {value!r}: {message}\n"
+
+
+def test_substeps_below_one_are_input_errors_for_simulate(tmp_path, capsys):
+    config = tmp_path / "c.ini"
+    # a cover with winning cells, so that simulate has runs to make
+    config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n")
+    assert main(["synthesize", str(config), "--out-prefix", str(tmp_path / "a")]) == 0
+    assert np.isfinite(values_from_text((tmp_path / "a.values").read_text())).any()
+    for value in ("0", "-2"):
+        config.write_text(
+            f"[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n[reach]\nsubsteps = {value}\n"
+        )
+        capsys.readouterr()
+        rc = main([
+            "simulate", str(config), "--controller", str(tmp_path / "a.controller"),
+            "--values", str(tmp_path / "a.values"), "--samples", "1", "--verify-samples", "1",
+            "--out-prefix", str(tmp_path / "s"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1 and err == f"input error: [reach] substeps = {value!r}: need at least 1\n"
 
 
 def test_focp_with_fewer_t_records_than_pairs_stops_before_the_pair_index(tmp_path):

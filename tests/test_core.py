@@ -402,19 +402,18 @@ def test_controller_and_value_round_trips():
 def test_quadratic_predicate():
     # pendulum target ellipse: 63 x1^2 + 12 x1 x2 + 56 x2^2 < 42
     D = QuadraticSublevel([[63.0, 6.0], [6.0, 63.0 - 7.0]], [0.0, 0.0], 42.0)
-    assert D.contains([0.0, 0.0])
-    assert not D.contains([1.0, 0.0])
+    assert D.cell_inside_batch([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]).tolist() == [True, False]
     assert D.cell_inside_batch([[-0.1, -0.1], [0.7, -0.1]], [[0.1, 0.1], [0.9, 0.1]]).tolist() == [True, False]
     assert D.cell_disjoint_batch([[5.0, 5.0], [-0.1, -0.1]], [[6.0, 6.0], [0.1, 0.1]]).tolist() == [True, False]
 
 
 def test_union_and_complement_predicates():
     U = UnionSet([Box([0.0], [1.0]), Box([2.0], [3.0])])
-    assert U.contains([2.5]) and not U.contains([1.5])
+    assert U.cell_inside_batch([[2.5], [1.5]], [[2.5], [1.5]]).tolist() == [True, False]
     assert U.cell_inside_batch([[0.2]], [[0.8]])[0]
     assert U.cell_disjoint_batch([[1.2]], [[1.8]])[0]
     C = Complement(Box([0.0], [1.0], open_=True))
-    assert C.contains([0.0]) and not C.contains([0.5])
+    assert C.cell_inside_batch([[0.0], [0.5]], [[0.0], [0.5]]).tolist() == [True, False]
     assert C.cell_inside_batch([[1.0]], [[2.0]])[0]
     assert C.cell_disjoint_batch([[0.2]], [[0.8]])[0]
 

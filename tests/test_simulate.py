@@ -201,7 +201,7 @@ def test_pendulum_runs_reach_target_within_energy_bound(pendulum_p1):
             sys, ctrl, x0, make_policy("uniform", 100 + i), cover.n_cells + 1, model, W=result.W
         )
         assert traj.stopped
-        assert model.target.contains(traj.states[-1])
+        assert model.target.cell_inside_batch(traj.states[-1], traj.states[-1])[0]
         assert traj.cost <= traj.bound + 1e-9
 
 
