@@ -218,6 +218,6 @@ def load_config(path) -> PipelineConfig:
         theta=spec.theta,
         gamma=gamma,
         substeps=number("reach", "substeps", _positive_int, 5),
-        max_splits=number("reach", "max_splits", int, 64),
+        max_splits=number("reach", "max_splits", _positive_int, 64),
         queue=queue,
     )

@@ -1,8 +1,7 @@
-"""Problem data: extended costs, finite problems, runs, cost constructors.
+"""Problem data: extended costs, finite problems, cost models, controllers.
 
 Costs are non-negative floats extended with ``math.inf``; float arithmetic
 already saturates (inf + x = inf), which is exactly the convention required.
-Accumulation order is fixed (time increasing) so results are reproducible.
 """
 
 from __future__ import annotations
@@ -22,57 +21,6 @@ STOP = -1  # controller table entry meaning "no input chosen, stop here"
 
 def format_cost(value: float) -> str:
     return "inf" if value == INF else repr(float(value))
-
-
-@dataclass(frozen=True)
-class Run:
-    """A finite closed-loop prefix: states x, inputs u, stopping bits v.
-
-    ``len(x) == len(u) + 1``; ``v`` may either align with ``u`` or carry one
-    extra entry for a stop decision at the final state.  A run whose ``v``
-    contains no 1 stands for a never-stopping evolution and evaluates to inf.
-    """
-
-    x: tuple
-    u: tuple
-    v: tuple
-
-    def __post_init__(self):
-        if len(self.x) != len(self.u) + 1:
-            raise InputError("run length mismatch: need len(x) == len(u) + 1")
-        if len(self.v) not in (len(self.u), len(self.u) + 1):
-            raise InputError("run length mismatch: v must align with u or x")
-        if any(b not in (0, 1) for b in self.v):
-            raise InputError("stopping signal must be 0/1-valued")
-
-    @property
-    def stop_time(self):
-        """First index with v = 1, or None for a never-stopping run."""
-        for t, b in enumerate(self.v):
-            if b == 1:
-                return t
-        return None
-
-
-def eval_cost_functional(run: Run, costs) -> float:
-    """Total cost of a run: terminal cost at the stop instant plus the
-    accumulated running costs; inf if the run never stops.
-
-    ``costs`` is either a FiniteProblem (states/inputs are indices) or any
-    object with callables ``G(p)`` and ``g(p, q, u)``.
-    """
-    if isinstance(costs, FiniteProblem):
-        G = lambda p: float(costs.G[p])
-        g = costs.cost_of
-    else:
-        G, g = costs.G, costs.g
-    T = run.stop_time
-    if T is None:
-        return INF
-    total = 0.0
-    for t in range(T):
-        total += g(run.x[t], run.x[t + 1], run.u[t])
-    return total + G(run.x[T])
 
 
 class FiniteProblem:
@@ -125,27 +73,6 @@ class FiniteProblem:
     @property
     def n_edges(self) -> int:
         return len(self.trans_succ)
-
-    def pair_id(self, p, u) -> int:
-        return p * self.m + u
-
-    def successors(self, p, u):
-        """(successor indices, costs) arrays for the pair (p, u)."""
-        a, b = self.trans_ptr[self.pair_id(p, u)], self.trans_ptr[self.pair_id(p, u) + 1]
-        succ = self.trans_succ[a:b]
-        if self.edge_costs is not None:
-            return succ, self.edge_costs[a:b]
-        return succ, np.full(b - a, self.pair_costs[self.pair_id(p, u)])
-
-    def cost_of(self, p, q, u) -> float:
-        """Totalized running cost: inf when q is not a successor of (p, u)."""
-        a, b = self.trans_ptr[self.pair_id(p, u)], self.trans_ptr[self.pair_id(p, u) + 1]
-        idx = np.nonzero(self.trans_succ[a:b] == q)[0]
-        if len(idx) == 0:
-            return INF
-        if self.edge_costs is not None:
-            return float(self.edge_costs[a + idx[0]])
-        return float(self.pair_costs[self.pair_id(p, u)])
 
     # --- FOCP v1 text format -------------------------------------------------
 
@@ -219,44 +146,6 @@ def cost_model(kind: str, D: SetPredicate, M: SetPredicate) -> CostModel:
     if kind not in ("reach_avoid", "min_time", "energy_entry"):
         raise InputError(f"unknown cost kind {kind!r}")
     return CostModel(kind, D, M)
-
-
-def make_shortest_path(n_vertices: int, arcs, source: int) -> FiniteProblem:
-    """Single-source shortest paths as a finite control problem.
-
-    ``arcs`` is an iterable of (tail, head, length); duplicate arcs keep the
-    minimum length.  The control problem walks arcs backwards from each vertex
-    towards the source, so its value function equals the distance array.
-    The input alphabet is the vertex set; input u from state p moves to u when
-    the graph has an arc (u, p), and otherwise loops in place at infinite cost
-    so that staying put never creates spurious finite values.
-    """
-    n = int(n_vertices)
-    if not 0 <= source < n:
-        raise InputError("source vertex out of range")
-    weight = {}
-    for tail, head, w in arcs:
-        if not (0 <= tail < n and 0 <= head < n):
-            raise InputError("arc endpoint out of range")
-        if w < 0:
-            raise InputError("arc lengths must be non-negative")
-        key = (tail, head)
-        if key not in weight or w < weight[key]:
-            weight[key] = float(w)
-
-    G = np.full(n, INF)
-    G[source] = 0.0
-    ptr = np.arange(n * n + 1, dtype=np.int64)  # single-valued F
-    succ = np.empty(n * n, dtype=np.int64)
-    costs = np.full(n * n, INF)
-    base = np.arange(n, dtype=np.int64)
-    for p in range(n):
-        succ[p * n : (p + 1) * n] = p  # default: stay put, never improving
-    for (tail, head), w in weight.items():
-        pid = head * n + tail  # from state `head`, input `tail` walks the arc backwards
-        succ[pid] = tail
-        costs[pid] = w
-    return FiniteProblem(n, n, G, ptr, succ, edge_costs=costs)
 
 
 @dataclass

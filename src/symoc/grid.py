@@ -37,6 +37,8 @@ class GridCover:
         counts = [int(math.ceil(r + 0.5 - _COUNT_GUARD)) for r in (self.upper - self.lower) / self.eta]
         self.counts = np.array(counts, dtype=np.int64)
         self.n_cells = math.prod(counts)  # exact: a loader rejects covers too large to build
+        if self.n_cells >= 2**63:
+            raise InputError(f"{self.n_cells} cells: a flat cell index needs fewer than 2**63")
         self.overflow = self.n_cells
         self._strides = np.append(np.cumprod(self.counts[:0:-1])[::-1], 1)
 

@@ -1,8 +1,10 @@
 """Valuated relation checkers, controller refinement and pointwise bounds.
 
-The checkers evaluate the defining conditions literally over all related
-pairs and report violations instead of raising; running costs are the
-totalized per-transition costs of the finite problems (inf off transitions).
+The checkers evaluate the defining conditions over all related pairs as
+array joins of the relation with the problems' edges, and report violations
+instead of raising; running costs are the totalized per-transition costs of
+the finite problems (inf off transitions, the first occurrence's cost on a
+repeated transition).
 """
 
 from __future__ import annotations
@@ -19,28 +21,41 @@ from .solver import dp_operator
 
 
 class Relation:
-    """A set of (state of problem 1, state of problem 2) pairs with indexed
-    forward and inverse adjacency."""
+    """A set of (state of problem 1, state of problem 2) pairs, held as the
+    sorted, deduplicated int64 arrays ``a`` and ``b``, with CSR adjacency:
+    the images of a are ``b[fwd_ptr[a]:fwd_ptr[a + 1]]``, and the pairs of b
+    are the positions ``inv_idx[inv_ptr[b]:inv_ptr[b + 1]]``, in ascending a.
+    Each ptr spans the states up to the largest one related."""
 
     def __init__(self, pairs):
-        self.pairs = sorted(set((int(a), int(b)) for a, b in pairs))
-        self.forward = {}
-        self.inverse = {}
-        for a, b in self.pairs:
-            self.forward.setdefault(a, []).append(b)
-            self.inverse.setdefault(b, []).append(a)
+        ab = np.array(sorted(set((int(a), int(b)) for a, b in pairs)), dtype=np.int64).reshape(-1, 2)
+        self.a, self.b = ab[:, 0].copy(), ab[:, 1].copy()
+        self.fwd_ptr = _csr_ptr(self.a, self.a.max(initial=-1) + 1)
+        self.inv_idx = np.lexsort((self.a, self.b))
+        self.inv_ptr = _csr_ptr(self.b[self.inv_idx], self.b.max(initial=-1) + 1)
+
+    @property
+    def pairs(self):
+        return list(zip(self.a.tolist(), self.b.tolist()))
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.a)
 
     def image(self, p1):
-        return self.forward.get(p1, [])
+        ptr = self.fwd_ptr
+        return self.b[ptr[p1] : ptr[p1 + 1]].tolist() if 0 <= p1 < len(ptr) - 1 else []
 
     def preimage(self, p2):
-        return self.inverse.get(p2, [])
+        ptr = self.inv_ptr
+        return self.a[self.inv_idx[ptr[p2] : ptr[p2 + 1]]].tolist() if 0 <= p2 < len(ptr) - 1 else []
 
     def is_strict(self, n1: int) -> bool:
-        return all(p in self.forward for p in range(n1))
+        return self._unrelated(n1) is None
+
+    def _unrelated(self, n1: int):
+        """The least state of problem 1 below n1 with no related state, or None."""
+        empty = np.flatnonzero(np.diff(_csr_ptr(self.a, n1)) == 0)
+        return int(empty[0]) if len(empty) else None
 
     def to_text(self) -> str:
         return "\n".join(f"{a} {b}" for a, b in self.pairs) + "\n"
@@ -52,6 +67,62 @@ class Relation:
 
         first, second = focp.read_records(text, "relation")
         return cls(zip(first.tolist(), second.tolist()))
+
+
+def _csr_ptr(keys, n):
+    """CSR offsets of the runs of 0..n-1 in the ascending array keys."""
+    return np.searchsorted(keys, np.arange(n + 1))
+
+
+def _ranges(starts, stops):
+    """(owner k, index) of every element of the ranges [starts[k], stops[k]),
+    concatenated in k order."""
+    sizes = stops - starts
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+
+
+BLOCK = 1 << 20  # join elements a checker expands at a time
+
+
+def _blocks(sizes):
+    """(lo, hi) bounds of consecutive items whose sizes sum to at most BLOCK,
+    or of one item where a single one is larger."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        done = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, done + BLOCK, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _edge_keys(problem: FiniteProblem):
+    """The key (p·m + u)·n + q of every edge (p, u, q), in CSR order."""
+    keys = np.repeat(np.arange(problem.n * problem.m, dtype=np.int64) * problem.n, np.diff(problem.trans_ptr))
+    keys += problem.trans_succ
+    return keys
+
+
+def _edge_table(problem: FiniteProblem):
+    """The edge keys sorted stably, so that a repeated edge's first
+    occurrence leads its run, with their costs."""
+    keys = _edge_keys(problem)
+    costs = problem.edge_costs
+    if costs is None:
+        costs = np.repeat(problem.pair_costs, np.diff(problem.trans_ptr))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return keys, costs[order]
+
+
+def _lookup(table, keys):
+    """(cost, found) of the first edge with each key; the cost is inf where
+    there is none, as for the totalized running cost."""
+    sorted_keys, costs = table
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    found = sorted_keys[pos] == keys
+    return np.where(found, costs[pos], INF), found
 
 
 MAX_VIOLATIONS = 100  # violations a verdict keeps and prints
@@ -74,43 +145,83 @@ class Verdict:
 
 
 def _check_indices(rel: Relation, p1: FiniteProblem, p2: FiniteProblem):
-    for a, b in rel.pairs:
-        if not (0 <= a < p1.n and 0 <= b < p2.n):
-            raise InputError(f"relation pair '{a} {b}' out of range for {p1.n} and {p2.n} states")
+    bad = np.flatnonzero((rel.a < 0) | (rel.a >= p1.n) | (rel.b < 0) | (rel.b >= p2.n))
+    if len(bad):
+        a, b = rel.a[bad[0]], rel.b[bad[0]]
+        raise InputError(f"relation pair '{a} {b}' out of range for {p1.n} and {p2.n} states")
+
+
+def _terminal_violations(tag, violations, p1, p2, rel):
+    """Append the pairs with G1(a) > G2(b), in pair order, up to the cap."""
+    bad = np.flatnonzero(p1.G[rel.a] > p2.G[rel.b])[: MAX_VIOLATIONS - len(violations)]
+    for a, b in zip(rel.a[bad], rel.b[bad]):
+        violations.append((tag, f"G1({a}) = {p1.G[a]} > G2({b}) = {p2.G[b]}"))
 
 
 def check_vfrr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation) -> Verdict:
     """Feedback-refinement conditions (i)-(iv) over all related pairs; the
-    inputs of problem 2 embed into those of problem 1 by index."""
+    inputs of problem 2 embed into those of problem 1 by index.
+
+    The first MAX_VIOLATIONS violations are kept: strictness, then (ii) by
+    pair, (iii) by (pair, successor pair, input) and (iv) by (pair, input,
+    successor position, image).  (iii) can fail only on an edge of problem 2
+    with a finite cost, so it joins those edges with the preimages of both
+    ends; (iv) maps problem 1's successors through R.
+    """
     _check_indices(rel, p1, p2)
     if p2.m > p1.m:
         return Verdict(False, [("i", f"input alphabet of problem 2 ({p2.m}) exceeds problem 1 ({p1.m})")])
-    g1, G1, g2, G2 = p1.cost_of, p1.G, p2.cost_of, p2.G
+    A, B = rel.a, rel.b
     violations = []
+    missing = rel._unrelated(p1.n)
+    if missing is not None:
+        violations.append(("strict", f"state {missing} of problem 1 has no related state"))
+    _terminal_violations("ii", violations, p1, p2, rel)
+    table1, table2 = _edge_table(p1), _edge_table(p2)
 
-    def add(tag, detail):
-        if len(violations) < MAX_VIOLATIONS:
-            violations.append((tag, detail))
+    # (iii) on the first occurrence of each finite-cost edge (b, u, qb) of
+    # problem 2, against every (a, qa) in R^-1(b) x R^-1(qb); a block's
+    # first violations in (pair, successor pair, input) order are kept
+    keys2, costs2 = table2
+    finite = np.append(True, keys2[1:] != keys2[:-1]) & (costs2 < INF)
+    keys, g2 = keys2[finite], costs2[finite]
+    del finite
+    inv_ptr = _csr_ptr(B[rel.inv_idx], p2.n)
+    n_pre = np.diff(inv_ptr)
+    room = MAX_VIOLATIONS - len(violations)
+    found = []
+    for lo, hi in _blocks(n_pre[keys // (p2.m * p2.n)] * n_pre[keys % p2.n]) if room else ():
+        pid2, qb = np.divmod(keys[lo:hi], p2.n)
+        b, u = np.divmod(pid2, p2.m)
+        edge, pos = _ranges(inv_ptr[b], inv_ptr[b + 1])
+        join, pos_q = _ranges(inv_ptr[qb[edge]], inv_ptr[qb[edge] + 1])
+        edge, i, j = edge[join], rel.inv_idx[pos[join]], rel.inv_idx[pos_q]
+        g1, _ = _lookup(table1, (A[i] * p1.m + u[edge]) * p1.n + A[j])
+        bad = np.flatnonzero(g1 > g2[lo:hi][edge])
+        i, j, uk = i[bad], j[bad], u[edge[bad]]
+        found.append(np.stack([i, j, uk])[:, np.lexsort((uk, j, i))[:room]])
+    del table1, keys, g2
+    if found:
+        i, j, uk = np.concatenate(found, axis=1)
+        for k in np.lexsort((uk, j, i))[:room]:
+            violations.append(("iii", f"g1({A[i[k]]},{A[j[k]]},{uk[k]}) > g2({B[i[k]]},{B[j[k]]},{uk[k]})"))
 
-    if not rel.is_strict(p1.n):
-        missing = next(p for p in range(p1.n) if p not in rel.forward)
-        add("strict", f"state {missing} of problem 1 has no related state")
-    for a, b in rel.pairs:
-        if G1[a] > G2[b]:
-            add("ii", f"G1({a}) = {G1[a]} > G2({b}) = {G2[b]}")
-    for a, b in rel.pairs:
-        for qa, qb in rel.pairs:
-            for u in range(p2.m):
-                if g1(a, qa, u) > g2(b, qb, u):
-                    add("iii", f"g1({a},{qa},{u}) > g2({b},{qb},{u})")
-    for a, b in rel.pairs:
-        for u in range(p2.m):
-            succ2 = set(int(q) for q in p2.successors(b, u)[0])
-            succ1, _ = p1.successors(a, u)
-            for q1 in succ1:
-                for q2 in rel.image(int(q1)):
-                    if q2 not in succ2:
-                        add("iv", f"image {q2} of successor {int(q1)} of ({a},{u}) not in F2({b},{u})")
+    # (iv) every image q2 of every successor q1 of (a, u), u < m2, is in
+    # F2(b, u); blocks of rows (pair, u) come in loop order
+    rows = (A[:, None] * p1.m + np.arange(p2.m)).ravel()  # row i·m2 + u
+    fwd_ptr = _csr_ptr(A, p1.n)
+    for lo, hi in _blocks(p1.trans_ptr[rows + 1] - p1.trans_ptr[rows]):
+        room = MAX_VIOLATIONS - len(violations)
+        if not room:
+            break
+        row, e = _ranges(p1.trans_ptr[rows[lo:hi]], p1.trans_ptr[rows[lo:hi] + 1])
+        q1 = p1.trans_succ[e]
+        succ, r = _ranges(fwd_ptr[q1], fwd_ptr[q1 + 1])
+        i, u = np.divmod(row[succ] + lo, p2.m)
+        _, hit = _lookup(table2, (B[i] * p2.m + u) * p2.n + B[r])
+        for k in np.flatnonzero(~hit)[:room]:
+            a, b, q = A[i[k]], B[i[k]], q1[succ[k]]
+            violations.append(("iv", f"image {B[r[k]]} of successor {q} of ({a},{u[k]}) not in F2({b},{u[k]})"))
     return Verdict(not violations, violations)
 
 
@@ -119,52 +230,56 @@ def check_vasr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation, eps: float) 
 
     The exists/forall/exists condition is only enforced where the boundedness
     side-conditions hold; skipped pairs are counted so callers notice when
-    the gate rather than the condition decided the verdict.
+    the gate rather than the condition decided the verdict.  The condition is
+    evaluated on the array of (pair, u2, u1, successor, image) cases, reduced
+    by any over images, all over successors and any over u1.
     """
     if eps < 0:
         raise InputError("eps must be non-negative")
     _check_indices(rel, p1, p2)
-    g1, G1, g2, G2 = p1.cost_of, p1.G, p2.cost_of, p2.G
-    P1_zero = dp_operator(p1, np.zeros(p1.n))
-
+    A, B = rel.a, rel.b
     violations = []
-    gated = 0
+    _terminal_violations("i", violations, p1, p2, rel)
 
-    def add(tag, detail):
-        if len(violations) < MAX_VIOLATIONS:
-            violations.append((tag, detail))
+    # gates per pair (b, u2) of problem 2: an edge of infinite running cost,
+    # or a successor related to a state of problem 1 where P(0) is infinite
+    table1, table2 = _edge_table(p1), _edge_table(p2)
+    g2_edge, _ = _lookup(table2, _edge_keys(p2))
+    unbounded = np.zeros(p2.n, dtype=bool)
+    unbounded[B[dp_operator(p1, np.zeros(p1.n))[A] == INF]] = True
+    gated_pair = np.logical_or.reduceat((g2_edge == INF) | unbounded[p2.trans_succ], p2.trans_ptr[:-1])
+    active = np.flatnonzero(p1.G[A] > 0.0)
+    rows = (B[active, None] * p2.m + np.arange(p2.m)).ravel()  # row k·m2 + u2 for active pair k
+    gated = int(gated_pair[rows].sum())
+    live = np.flatnonzero(~gated_pair[rows])
+    i, u2 = active[live // p2.m], live % p2.m
 
-    for a, b in rel.pairs:
-        if G1[a] > G2[b]:
-            add("i", f"G1({a}) = {G1[a]} > G2({b}) = {G2[b]}")
-    for a, b in rel.pairs:
-        if G1[a] <= 0.0:
-            continue
-        for u2 in range(p2.m):
-            succ2, _ = p2.successors(b, u2)
-            succ2 = [int(q) for q in succ2]
-            g2_vals = {q2: g2(b, q2, u2) for q2 in succ2}
-            if any(v == INF for v in g2_vals.values()):
-                gated += 1
-                continue
-            if any(P1_zero[q1] == INF for q2 in succ2 for q1 in rel.preimage(q2)):
-                gated += 1
-                continue
-            ok_u1 = False
-            for u1 in range(p1.m):
-                succ1, _ = p1.successors(a, u1)
-                if all(
-                    any(
-                        g1(a, int(q1), u1) <= eps + g2_vals[q2]
-                        for q2 in rel.image(int(q1))
-                        if q2 in g2_vals
-                    )
-                    for q1 in succ1
-                ):
-                    ok_u1 = True
-                    break
-            if not ok_u1:
-                add("ii", f"no input of problem 1 matches ({a},{b}) under input {u2} at eps {eps}")
+    # cases: (live row, u1), then its successors q1, then their images q2,
+    # in blocks of live rows
+    fwd_ptr = _csr_ptr(A, p1.n)
+    failing = []
+    p1_edges = p1.trans_ptr[(A[i] + 1) * p1.m] - p1.trans_ptr[A[i] * p1.m]
+    for lo, hi in _blocks(p1_edges):
+        case = np.repeat(np.arange(lo, hi), p1.m)
+        pid1 = A[i[case]] * p1.m + np.tile(np.arange(p1.m), hi - lo)
+        succ_case, e = _ranges(p1.trans_ptr[pid1], p1.trans_ptr[pid1 + 1])
+        q1 = p1.trans_succ[e]
+        g1, _ = _lookup(table1, pid1[succ_case] * p1.n + q1)
+        img_succ, r = _ranges(fwd_ptr[q1], fwd_ptr[q1 + 1])
+        row = case[succ_case[img_succ]]
+        g2, hit = _lookup(table2, (B[i[row]] * p2.m + u2[row]) * p2.n + B[r])
+        matched = np.zeros(len(e), dtype=bool)
+        matched[img_succ[hit & (g1[img_succ] <= eps + g2)]] = True
+        failed = np.zeros(len(pid1), dtype=bool)
+        failed[succ_case[~matched]] = True
+        ok = np.zeros(hi - lo, dtype=bool)
+        ok[case[~failed] - lo] = True
+        failing.append(np.flatnonzero(~ok) + lo)
+        if sum(map(len, failing)) >= MAX_VIOLATIONS:
+            break
+    bad = np.concatenate(failing or [np.zeros(0, dtype=np.int64)])[: MAX_VIOLATIONS - len(violations)]
+    for a, b, u in zip(A[i[bad]], B[i[bad]], u2[bad]):
+        violations.append(("ii", f"no input of problem 1 matches ({a},{b}) under input {u} at eps {eps}"))
     return Verdict(not violations, violations, gated)
 
 

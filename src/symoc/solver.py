@@ -265,13 +265,3 @@ def dp_operator(problem: FiniteProblem, W) -> np.ndarray:
         pair_max = problem.pair_costs + pair_max
     return np.minimum(problem.G, pair_max.reshape(problem.n, problem.m).min(axis=1))
 
-
-def value_iteration(problem: FiniteProblem, T: int) -> np.ndarray:
-    """P^T(G): T applications of the Bellman update to the terminal cost."""
-    if T < 0:
-        raise InputError("iteration budget must be non-negative")
-    W = problem.G.copy()
-    for _ in range(T):
-        W = dp_operator(problem, W)
-    return W
-

@@ -8,6 +8,7 @@ import heapq
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,9 +16,131 @@ from symoc.abstraction import _expand_ranges
 from symoc.core import STOP, ControllerTable, FiniteProblem, format_cost
 from symoc.errors import InputError, SoundnessAlarm
 from symoc.reach import growth_bound, integrate_nominal
-from symoc.solver import SolveResult, SolveStats, is_discrete_cost
+from symoc.relations import MAX_VIOLATIONS, Verdict
+from symoc.solver import SolveResult, SolveStats, dp_operator, is_discrete_cost
 
 INF = math.inf
+
+
+def pair_id(problem, p, u) -> int:
+    return p * problem.m + u
+
+
+def successors(problem, p, u):
+    """(successor indices, costs) arrays for the pair (p, u)."""
+    a, b = problem.trans_ptr[pair_id(problem, p, u)], problem.trans_ptr[pair_id(problem, p, u) + 1]
+    succ = problem.trans_succ[a:b]
+    if problem.edge_costs is not None:
+        return succ, problem.edge_costs[a:b]
+    return succ, np.full(b - a, problem.pair_costs[pair_id(problem, p, u)])
+
+
+def cost_of(problem, p, q, u) -> float:
+    """Totalized running cost: inf when q is not a successor of (p, u), the
+    first occurrence's cost when it is one more than once."""
+    a, b = problem.trans_ptr[pair_id(problem, p, u)], problem.trans_ptr[pair_id(problem, p, u) + 1]
+    idx = np.nonzero(problem.trans_succ[a:b] == q)[0]
+    if len(idx) == 0:
+        return INF
+    if problem.edge_costs is not None:
+        return float(problem.edge_costs[a + idx[0]])
+    return float(problem.pair_costs[pair_id(problem, p, u)])
+
+
+@dataclass(frozen=True)
+class Run:
+    """A finite closed-loop prefix: states x, inputs u, stopping bits v.
+
+    ``len(x) == len(u) + 1``; ``v`` may either align with ``u`` or carry one
+    extra entry for a stop decision at the final state.  A run whose ``v``
+    contains no 1 stands for a never-stopping evolution and evaluates to inf.
+    """
+
+    x: tuple
+    u: tuple
+    v: tuple
+
+    def __post_init__(self):
+        if len(self.x) != len(self.u) + 1:
+            raise InputError("run length mismatch: need len(x) == len(u) + 1")
+        if len(self.v) not in (len(self.u), len(self.u) + 1):
+            raise InputError("run length mismatch: v must align with u or x")
+        if any(b not in (0, 1) for b in self.v):
+            raise InputError("stopping signal must be 0/1-valued")
+
+    @property
+    def stop_time(self):
+        """First index with v = 1, or None for a never-stopping run."""
+        for t, b in enumerate(self.v):
+            if b == 1:
+                return t
+        return None
+
+
+def eval_cost_functional(run: Run, costs) -> float:
+    """Total cost of a run: terminal cost at the stop instant plus the
+    accumulated running costs, in time order; inf if the run never stops.
+
+    ``costs`` is either a FiniteProblem (states/inputs are indices) or any
+    object with callables ``G(p)`` and ``g(p, q, u)``.
+    """
+    if isinstance(costs, FiniteProblem):
+        G = lambda p: float(costs.G[p])
+        g = lambda p, q, u: cost_of(costs, p, q, u)
+    else:
+        G, g = costs.G, costs.g
+    T = run.stop_time
+    if T is None:
+        return INF
+    total = 0.0
+    for t in range(T):
+        total += g(run.x[t], run.x[t + 1], run.u[t])
+    return total + G(run.x[T])
+
+
+def make_shortest_path(n_vertices: int, arcs, source: int) -> FiniteProblem:
+    """Single-source shortest paths as a finite control problem.
+
+    ``arcs`` is an iterable of (tail, head, length); duplicate arcs keep the
+    minimum length.  The control problem walks arcs backwards from each vertex
+    towards the source, so its value function equals the distance array.
+    The input alphabet is the vertex set; input u from state p moves to u when
+    the graph has an arc (u, p), and otherwise loops in place at infinite cost
+    so that staying put never creates spurious finite values.
+    """
+    n = int(n_vertices)
+    if not 0 <= source < n:
+        raise InputError("source vertex out of range")
+    weight = {}
+    for tail, head, w in arcs:
+        if not (0 <= tail < n and 0 <= head < n):
+            raise InputError("arc endpoint out of range")
+        if w < 0:
+            raise InputError("arc lengths must be non-negative")
+        key = (tail, head)
+        if key not in weight or w < weight[key]:
+            weight[key] = float(w)
+
+    G = np.full(n, INF)
+    G[source] = 0.0
+    ptr = np.arange(n * n + 1, dtype=np.int64)  # single-valued F
+    succ = np.repeat(np.arange(n, dtype=np.int64), n)  # default: stay put, never improving
+    costs = np.full(n * n, INF)
+    for (tail, head), w in weight.items():
+        pid = head * n + tail  # from state `head`, input `tail` walks the arc backwards
+        succ[pid] = tail
+        costs[pid] = w
+    return FiniteProblem(n, n, G, ptr, succ, edge_costs=costs)
+
+
+def value_iteration(problem, T: int) -> np.ndarray:
+    """P^T(G): T applications of the Bellman update to the terminal cost."""
+    if T < 0:
+        raise InputError("iteration budget must be non-negative")
+    W = problem.G.copy()
+    for _ in range(T):
+        W = dp_operator(problem, W)
+    return W
 
 
 def naive_dp_step(trans, G, W):
@@ -509,7 +632,7 @@ def check_conservatism(problem2, cover, inputs, costs, sampler, rho, rng, cell_s
             add("v", f"cell {cell}: diameter {diam} > rho {rho}")
         for u_idx in range(len(inputs)):
             endpoints = sampler(cell, u_idx, rng, endpoint_samples)
-            succ, _ = problem2.successors(int(cell), u_idx)
+            succ, _ = successors(problem2, int(cell), u_idx)
             for q in succ:
                 if q == cover.overflow:
                     continue
@@ -553,7 +676,7 @@ def reference_to_focp_text(problem):
     costs = edge_cost_view(problem)
     for p in range(problem.n):
         for u in range(problem.m):
-            a, b = problem.trans_ptr[problem.pair_id(p, u)], problem.trans_ptr[problem.pair_id(p, u) + 1]
+            a, b = problem.trans_ptr[pair_id(problem, p, u)], problem.trans_ptr[pair_id(problem, p, u) + 1]
             for e in range(a, b):
                 lines.append(f"T {p} {u} {problem.trans_succ[e]} {format_cost(costs[e])}")
     return "\n".join(lines) + "\n"
@@ -624,7 +747,7 @@ def edge_cost_view(problem):
 def validate_run(problem, run):
     """Raise InputError unless every step of ``run`` follows an edge of ``problem``."""
     for t in range(len(run.u)):
-        succ, _ = problem.successors(run.x[t], run.u[t])
+        succ, _ = successors(problem, run.x[t], run.u[t])
         if run.x[t + 1] not in succ:
             raise InputError(f"run step {t}: state {run.x[t + 1]} is not reachable")
 
@@ -645,3 +768,110 @@ def chauffeur_nominal_exact(x0, u, t):
     phi = a * t
     rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
     return c + rot @ (x0 - c)
+
+
+def _relation_dicts(rel):
+    """forward and inverse adjacency of a relation as dicts of sorted lists."""
+    forward, inverse = {}, {}
+    for a, b in rel.pairs:
+        forward.setdefault(a, []).append(b)
+        inverse.setdefault(b, []).append(a)
+    return forward, inverse
+
+
+def reference_check_indices(rel, p1, p2):
+    for a, b in rel.pairs:
+        if not (0 <= a < p1.n and 0 <= b < p2.n):
+            raise InputError(f"relation pair '{a} {b}' out of range for {p1.n} and {p2.n} states")
+
+
+def reference_check_vfrr(p1, p2, rel):
+    """Feedback-refinement conditions (i)-(iv) by loops over every pair of
+    related pairs and every input; the reference for ``check_vfrr``."""
+    reference_check_indices(rel, p1, p2)
+    if p2.m > p1.m:
+        return Verdict(False, [("i", f"input alphabet of problem 2 ({p2.m}) exceeds problem 1 ({p1.m})")])
+    G1, G2 = p1.G, p2.G
+    g1 = lambda p, q, u: cost_of(p1, p, q, u)
+    g2 = lambda p, q, u: cost_of(p2, p, q, u)
+    forward, _ = _relation_dicts(rel)
+    violations = []
+
+    def add(tag, detail):
+        if len(violations) < MAX_VIOLATIONS:
+            violations.append((tag, detail))
+
+    if not all(p in forward for p in range(p1.n)):
+        missing = next(p for p in range(p1.n) if p not in forward)
+        add("strict", f"state {missing} of problem 1 has no related state")
+    for a, b in rel.pairs:
+        if G1[a] > G2[b]:
+            add("ii", f"G1({a}) = {G1[a]} > G2({b}) = {G2[b]}")
+    for a, b in rel.pairs:
+        for qa, qb in rel.pairs:
+            for u in range(p2.m):
+                if g1(a, qa, u) > g2(b, qb, u):
+                    add("iii", f"g1({a},{qa},{u}) > g2({b},{qb},{u})")
+    for a, b in rel.pairs:
+        for u in range(p2.m):
+            succ2 = set(int(q) for q in successors(p2, b, u)[0])
+            succ1, _ = successors(p1, a, u)
+            for q1 in succ1:
+                for q2 in forward.get(int(q1), []):
+                    if q2 not in succ2:
+                        add("iv", f"image {q2} of successor {int(q1)} of ({a},{u}) not in F2({b},{u})")
+    return Verdict(not violations, violations)
+
+
+def reference_check_vasr(p1, p2, rel, eps):
+    """Alternating-simulation conditions with slack eps by loops over the
+    pairs, the inputs of both problems and the successors; the reference for
+    ``check_vasr``."""
+    if eps < 0:
+        raise InputError("eps must be non-negative")
+    reference_check_indices(rel, p1, p2)
+    G1, G2 = p1.G, p2.G
+    g1 = lambda p, q, u: cost_of(p1, p, q, u)
+    g2 = lambda p, q, u: cost_of(p2, p, q, u)
+    forward, inverse = _relation_dicts(rel)
+    P1_zero = dp_operator(p1, np.zeros(p1.n))
+
+    violations = []
+    gated = 0
+
+    def add(tag, detail):
+        if len(violations) < MAX_VIOLATIONS:
+            violations.append((tag, detail))
+
+    for a, b in rel.pairs:
+        if G1[a] > G2[b]:
+            add("i", f"G1({a}) = {G1[a]} > G2({b}) = {G2[b]}")
+    for a, b in rel.pairs:
+        if G1[a] <= 0.0:
+            continue
+        for u2 in range(p2.m):
+            succ2, _ = successors(p2, b, u2)
+            succ2 = [int(q) for q in succ2]
+            g2_vals = {q2: g2(b, q2, u2) for q2 in succ2}
+            if any(v == INF for v in g2_vals.values()):
+                gated += 1
+                continue
+            if any(P1_zero[q1] == INF for q2 in succ2 for q1 in inverse.get(q2, [])):
+                gated += 1
+                continue
+            ok_u1 = False
+            for u1 in range(p1.m):
+                succ1, _ = successors(p1, a, u1)
+                if all(
+                    any(
+                        g1(a, int(q1), u1) <= eps + g2_vals[q2]
+                        for q2 in forward.get(int(q1), [])
+                        if q2 in g2_vals
+                    )
+                    for q1 in succ1
+                ):
+                    ok_u1 = True
+                    break
+            if not ok_u1:
+                add("ii", f"no input of problem 1 matches ({a},{b}) under input {u2} at eps {eps}")
+    return Verdict(not violations, violations, gated)

@@ -30,6 +30,7 @@ from oracles import (
     map_endpoints,
     reach_successors,
     pair_value,
+    successors,
     union_branches_by_unique,
 )
 
@@ -54,7 +55,7 @@ def test_logistic_40_abstraction_conservatism():
     # overflow state: infinite terminal cost, all-infinite self loops
     over = cover.overflow
     assert problem.G[over] == INF
-    succ, costs = problem.successors(over, 0)
+    succ, costs = successors(problem, over, 0)
     assert succ.tolist() == [over] and costs[0] == INF
 
 
@@ -124,7 +125,7 @@ def test_identity_dynamics_transitions_are_overlapping_cells():
     problem, _ = build_abstraction(reach, cover, inputs, ac)
     for cell, c in enumerate(cover.centers_all()):
         want, escape = cells_overlapping_box(cover, c - cover.eta / 2, c + cover.eta / 2)
-        succ = [int(q) for q in problem.successors(cell, 0)[0]]
+        succ = [int(q) for q in successors(problem, cell, 0)[0]]
         assert sorted(q for q in succ if q != cover.overflow) == want
         assert (cover.overflow in succ) == escape
 
@@ -145,7 +146,7 @@ def test_batched_build_matches_per_cell_build():
         slack = 0.0
         for cell in range(cover.n_cells):
             for u_idx in range(len(inputs)):
-                succ = batched.successors(cell, u_idx)[0].tolist()
+                succ = successors(batched, cell, u_idx)[0].tolist()
                 if ac.gated[cell]:
                     assert succ == overflow
                     continue
@@ -245,7 +246,7 @@ def test_split_cap_hit_is_noted_in_certificate(caplog):
     # the capped abstraction sends every pair to overflow
     for cell in range(cover.n_cells):
         for u_idx in range(len(inputs)):
-            assert cover.overflow in problem.successors(cell, u_idx)[0]
+            assert cover.overflow in successors(problem, cell, u_idx)[0]
 
 
 def test_abstract_transitions_are_supersets_of_simulation():
@@ -265,7 +266,7 @@ def test_abstract_transitions_are_supersets_of_simulation():
         x0 = rng.uniform(*(bound[0] for bound in cover.cell_boxes([cell])))
         d = rng.uniform(-sys.w, sys.w, size=(8, 2))
         x1 = perturbed_step(sys, x0, inputs.representatives[u_idx], d)
-        succ = set(int(q) for q in problem.successors(cell, u_idx)[0])
+        succ = set(int(q) for q in successors(problem, cell, u_idx)[0])
         landed = block_cells(cover, x1) or [cover.overflow]
         assert set(landed) <= succ
 

@@ -16,12 +16,12 @@ from symoc.analysis import (
     logistic_exact_values,
 )
 from symoc.cli import main
-from symoc.core import INF, FiniteProblem, cost_model, make_shortest_path
+from symoc.core import INF, FiniteProblem, cost_model
 from symoc.grid import GridCover, InputGrid
 from symoc.reach import attain_over_batch
 from symoc.relations import RefinedController, Relation, check_vfrr, pointwise_upper_bound
 from symoc.simulate import make_policy, perturbed_step, run_closed_loop, sample_winning_states
-from symoc.solver import dp_operator, solve, value_iteration
+from symoc.solver import dp_operator, solve
 from symoc.systems import LogisticMap, get_system
 
 from oracles import (
@@ -29,9 +29,11 @@ from oracles import (
     certified_vfrr_pair,
     dijkstra_distances,
     from_lists,
+    make_shortest_path,
     random_graph,
     random_problem_lists,
     union_contains_interval,
+    value_iteration,
 )
 
 

@@ -341,6 +341,15 @@ def test_substeps_below_one_are_input_errors_for_simulate(tmp_path, capsys):
         assert rc == 1 and err == f"input error: [reach] substeps = {value!r}: need at least 1\n"
 
 
+def test_max_splits_below_one_is_an_input_error(tmp_path, capsys):
+    config = tmp_path / "c.ini"
+    config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n[reach]\nmax_splits = -5\n")
+    rc = main(["synthesize", str(config), "--out-prefix", str(tmp_path / "a")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err == "input error: [reach] max_splits = '-5': need at least 1\n"
+    assert not (tmp_path / "a.values").exists()
+
+
 def test_focp_with_fewer_t_records_than_pairs_stops_before_the_pair_index(tmp_path):
     # 2e9 pairs: their index alone is 15 GiB, so under a 3 GiB address-space
     # limit of the child process only a check made before it exits 1 cleanly
@@ -359,13 +368,17 @@ def test_focp_with_fewer_t_records_than_pairs_stops_before_the_pair_index(tmp_pa
 def test_covers_of_2_31_pairs_or_more_are_input_errors(tmp_path, capsys):
     # the pair ids are int32: the config is rejected before any per-cell array
     config = tmp_path / "huge.ini"
-    config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 1e-12 1e-12\n")
+    config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 1e-4 1e-4\n")
     spec = get_system("pendulum")
-    cover = GridCover(spec.k_lower, spec.k_upper, [1e-12, 1e-12])
+    cover = GridCover(spec.k_lower, spec.k_upper, [1e-4, 1e-4])
     assert main(["synthesize", str(config), "--out-prefix", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == (
         f"input error: {cover.n_states} states x 21 inputs: need fewer than 2**31 pairs\n"
     )
+    # a cover of 2**63 cells or more is rejected by the cover itself
+    config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 1e-12 1e-12\n")
+    assert main(["synthesize", str(config), "--out-prefix", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.endswith(" cells: a flat cell index needs fewer than 2**63\n")
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):

@@ -9,10 +9,7 @@ from symoc.core import (
     INF,
     ControllerTable,
     FiniteProblem,
-    Run,
     cost_model,
-    eval_cost_functional,
-    make_shortest_path,
     values_from_text,
     values_to_text,
 )
@@ -23,9 +20,13 @@ from symoc.solver import solve
 from oracles import (
     NON_GRAMMAR_BYTES,
     NON_GRAMMAR_INDICES,
+    Run,
+    cost_of,
     dijkstra_distances,
     edge_cost_view,
+    eval_cost_functional,
     from_lists,
+    make_shortest_path,
     quoted,
     random_graph,
     reference_from_focp_text,
@@ -378,8 +379,8 @@ def test_problem_strictness_enforced():
 
 def test_cost_of_totalization():
     problem = from_lists([0.0, 0.0], [[[(1, 2.0)]], [[(1, 0.0)]]])
-    assert problem.cost_of(0, 1, 0) == 2.0
-    assert problem.cost_of(0, 0, 0) == INF  # not a transition
+    assert cost_of(problem, 0, 1, 0) == 2.0
+    assert cost_of(problem, 0, 0, 0) == INF  # not a transition
 
 
 def test_validate_run_against_problem():

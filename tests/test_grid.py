@@ -173,10 +173,14 @@ def test_grid_rejects_bad_arguments():
 
 
 def test_huge_covers_count_cells_exactly():
-    # a cell count in int64 would wrap: 100001**4 is above 2**63
-    cover = GridCover([0.0] * 4, [1.0] * 4, [1e-5] * 4)
-    assert cover.counts.tolist() == [100001] * 4
-    assert cover.n_cells == 100001**4 and cover.n_states == 100001**4 + 1
+    # 55108**4 is just below 2**63: the count and the last flat index are exact
+    cover = GridCover([0.0] * 4, [1.0] * 4, [1 / 55107] * 4)
+    assert cover.counts.tolist() == [55108] * 4
+    assert cover.n_cells == 55108**4 and cover.n_states == 55108**4 + 1
+    assert cover.quantize([1.0] * 4) == 55108**4 - 1
+    # 100001**4 is above 2**63, where quantize would wrap
+    with pytest.raises(InputError, match=f"{100001**4} cells: a flat cell index needs fewer than 2\\*\\*63"):
+        GridCover([0.0] * 4, [1.0] * 4, [1e-5] * 4)
     with pytest.raises(InputError, match="2\\*\\*62 or more cells"):
         GridCover([0.0], [1.0], [1e-320])
 

@@ -1,9 +1,16 @@
+import importlib.util
+import re
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
+import symoc.relations as relations
 from symoc.abstraction import MapReach, abstract_costs, build_abstraction
 from symoc.core import INF, ControllerTable, FiniteProblem, cost_model
+from symoc.errors import InputError
 from symoc.grid import GridCover, InputGrid
 from symoc.relations import (
     RefinedController,
@@ -15,7 +22,7 @@ from symoc.relations import (
 from symoc.solver import solve
 from symoc.systems import LogisticMap, get_system
 
-from oracles import block_cells, certified_vfrr_pair, pair_value
+from oracles import block_cells, certified_vfrr_pair, pair_value, successors
 
 
 def from_lists(pair):
@@ -181,5 +188,123 @@ def test_sampled_abstraction_satisfies_refinement_conditions():
             assert model.G([x]) <= ac.G2[cell]
             assert model.g([x], [y], inputs.representatives[0]) <= pair_value(ac, cell, 0)
             # successor cells of the concrete image (condition iv)
-            succ = set(int(q) for q in problem.successors(cell, 0)[0])
+            succ = set(int(q) for q in successors(problem, cell, 0)[0])
             assert set(block_cells(cover, [y])) <= succ
+
+
+def _problem_with_repeats(rng, lists, repeats, per_pair):
+    """A FiniteProblem from (trans, G) lists, built without the duplicate
+    check: with ``repeats`` some pairs list a successor twice, the copy at a
+    random place and with its own cost; with ``per_pair`` each pair costs
+    its first edge's cost."""
+    trans, G = lists
+    ptr, succ, costs, pair_costs = [0], [], [], []
+    for per_input in trans:
+        for entries in per_input:
+            entries = list(entries)
+            if repeats and rng.random() < 0.3:
+                q = entries[int(rng.integers(len(entries)))][0]
+                g = INF if rng.random() < 0.4 else float(np.round(rng.uniform(0, 10), 3))
+                entries.insert(int(rng.integers(len(entries) + 1)), (q, g))
+            succ.extend(q for q, _ in entries)
+            costs.extend(g for _, g in entries)
+            pair_costs.append(entries[0][1])
+            ptr.append(len(succ))
+    n, m = len(trans), len(trans[0])
+    if per_pair:
+        return FiniteProblem(n, m, G, ptr, np.array(succ), pair_costs=pair_costs)
+    return FiniteProblem(n, m, G, ptr, np.array(succ), edge_costs=costs)
+
+
+def _random_relation(rng, n1, n2, density, strict):
+    pairs = [(a, b) for a in range(n1) for b in range(n2) if rng.random() < density]
+    if strict:
+        pairs += [(a, int(rng.integers(n2))) for a in range(n1)]
+    pairs += pairs[: len(pairs) // 4]  # repeated pairs, read once
+    return Relation([pairs[k] for k in rng.permutation(len(pairs))])
+
+
+def _recost(lists, g, G):
+    """(trans, G) lists with each running cost c replaced by g(c) and each
+    terminal cost v by G(v)."""
+    trans, terminal = lists
+    return [[[(q, g(c)) for q, c in entries] for entries in per_input] for per_input in trans], [G(v) for v in terminal]
+
+
+@pytest.mark.parametrize("block", [relations.BLOCK, 5], ids=["default_blocks", "blocks_of_5"])
+def test_array_checkers_match_the_loop_oracles(block, monkeypatch):
+    # cases cycle through random pairs, certified refinements and problems
+    # related to themselves (ties); every 8th case is dense (|R| near 100):
+    # random, with problem 1 costly (over 100 violations of vfrr (iii) and
+    # vasr (ii)), or with problem 1 free (over 100 of vfrr (iv)).  Small
+    # blocks split every join into many, each keeping its own first violations
+    monkeypatch.setattr(relations, "BLOCK", block)
+    rng = np.random.default_rng(1101)
+    seen = {"vfrr": set(), "vasr": set()}
+    cut_at = set()  # (check, tag of the last kept violation) of truncated verdicts
+    shapes, gated, passed, repeats = set(), {0.0: 0, 2.5: 0}, 0, 0
+    for case in range(240):
+        kind = ("dense", "costly", "free")[case // 8 % 3] if case % 8 == 0 else ("random", "certified", "self")[case % 3]
+        lists1 = oracles.random_problem_lists(rng, n_max=12 if case % 8 == 0 else 7)
+        lists2 = oracles.random_problem_lists(rng, n_max=12 if case % 8 == 0 else 7)
+        if kind == "costly":
+            lists1 = _recost(lists1, lambda c: c + 100.0, lambda v: 1.0)
+            lists2 = _recost(lists2, lambda c: 1.0 if c == INF else c, lambda v: v)
+        elif kind == "free":
+            lists1 = _recost(lists1, lambda c: 0.0, lambda v: 0.0)
+        if kind == "certified":
+            lists1, lists2, pairs = certified_vfrr_pair(rng, n2_max=5)
+            p1, p2, rel = from_lists(lists1), from_lists(lists2), Relation(pairs)
+        elif kind == "self":  # equal costs on related edges: ties decide (iii) and vasr
+            p1 = p2 = _problem_with_repeats(rng, lists1, False, False)
+            rel = _random_relation(rng, p1.n, p1.n, 0.1, strict=False)
+            rel = Relation(rel.pairs + [(a, a) for a in range(p1.n)])
+        else:
+            with_repeats = case % 3 != 1
+            repeats += with_repeats
+            p1 = _problem_with_repeats(rng, lists1, with_repeats, case % 5 == 0)
+            p2 = _problem_with_repeats(rng, lists2, with_repeats, case % 7 == 0)
+            density = 0.9 if case % 8 == 0 else float(rng.choice([0.1, 0.25, 0.5]))
+            rel = _random_relation(rng, p1.n, p2.n, density, strict=case % 2 == 0 or kind == "free")
+        shapes.add(np.sign(p2.m - p1.m))
+        checks = [("vfrr", check_vfrr, oracles.reference_check_vfrr, ())]
+        checks += [("vasr", check_vasr, oracles.reference_check_vasr, (eps,)) for eps in gated]
+        for mode, check, reference, args in checks:
+            want = reference(p1, p2, rel, *args)
+            got = check(p1, p2, rel, *args)
+            assert got.to_text() == want.to_text(), (case, mode, args)
+            seen[mode].update(tag for tag, _ in want.violations)
+            passed += want.ok
+            if len(want.violations) == 100:
+                cut_at.add((mode, want.violations[-1][0]))
+            if args and want.gated_pairs:
+                gated[args[0]] += 1
+    assert seen == {"vfrr": {"strict", "i", "ii", "iii", "iv"}, "vasr": {"i", "ii"}}
+    assert {("vfrr", "iii"), ("vfrr", "iv"), ("vasr", "ii")} <= cut_at
+    assert shapes == {-1, 0, 1} and all(gated.values()) and passed and repeats
+
+
+def test_array_checkers_reject_the_first_out_of_range_pair_as_the_oracle_does():
+    p = small_problem()
+    for pairs in ([(0, 0), (1, 5), (3, 0)], [(2, 0), (0, 1)], [(0, -1), (-2, 0)]):
+        rel = Relation(pairs)
+        with pytest.raises(InputError) as want:
+            oracles.reference_check_vfrr(p, p, rel)
+        for check in (lambda: check_vfrr(p, p, rel), lambda: check_vasr(p, p, rel, 0.0)):
+            with pytest.raises(InputError, match=re.escape(str(want.value))):
+                check()
+
+
+def test_vfrr_on_a_90000_state_relabelled_copy():
+    # |R| = 90,000 and about 4 M edges per problem: a loop over |R|^2 m pairs
+    # would make 4.9e10 checks
+    spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).parent.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = np.random.default_rng(3)
+    problem = gen.grid_problem(rng, 300, 300)
+    copy, rel = gen.inflated_relabelled_copy(rng, problem)
+    start = time.perf_counter()
+    verdict = check_vfrr(problem, copy, rel)
+    assert verdict.to_text() == "verdict: true\nviolations: 0\n"
+    assert time.perf_counter() - start < 30.0

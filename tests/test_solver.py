@@ -9,9 +9,17 @@ from symoc.cli import _build_from_config
 from symoc.config import load_config
 from symoc.core import INF, STOP, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
-from symoc.solver import dp_operator, is_discrete_cost, solve, value_iteration
+from symoc.solver import dp_operator, is_discrete_cost, solve
 
-from oracles import is_stop, naive_fixpoint, naive_value_iteration, random_problem_lists, reference_solve
+from oracles import (
+    is_stop,
+    naive_fixpoint,
+    naive_value_iteration,
+    random_problem_lists,
+    reference_solve,
+    successors,
+    value_iteration,
+)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -250,7 +258,7 @@ def test_closed_loop_value_matches_w():
             u = int(result.c.choice[p])
             if u == STOP:
                 return problem.G[p]
-            succ, costs = problem.successors(p, u)
+            succ, costs = successors(problem, p, u)
             return max(costs[i] + closed_loop_worst(int(q), depth + 1) for i, q in enumerate(succ))
 
         for p in range(problem.n):
