@@ -19,10 +19,6 @@ INF = math.inf
 STOP = -1  # controller table entry meaning "no input chosen, stop here"
 
 
-def format_cost(value: float) -> str:
-    return "inf" if value == INF else repr(float(value))
-
-
 class FiniteProblem:
     """A finite optimal control problem (X, U, F, G, g) in indexed form.
 
@@ -94,8 +90,7 @@ class FiniteProblem:
         offending line in file order."""
         from . import focp
 
-        n, m, G, ptr, succ, costs = focp.read(focp.as_bytes(text))
-        return cls(n, m, G, ptr, succ, edge_costs=costs)
+        return cls(*focp.read(focp.as_bytes(text)))  # n, m, G, trans_ptr, trans_succ, edge_costs
 
 
 # --- Canonical problem constructors ------------------------------------------
@@ -156,15 +151,18 @@ class ControllerTable:
 
     def __post_init__(self):
         self.choice = np.asarray(self.choice, dtype=np.int64)
+        bad = np.flatnonzero(self.choice < STOP)
+        if len(bad):
+            raise InputError(f"controller state {bad[0]} chooses input {self.choice[bad[0]]}, neither an index nor STOP")
 
     def __len__(self):
         return len(self.choice)
 
     def to_text(self) -> str:
-        lines = []
-        for p, u in enumerate(self.choice):
-            lines.append(f"{p} STOP" if u == STOP else f"{p} {u}")
-        return "\n".join(lines) + "\n"
+        """Controller file text (grammar in the README)."""
+        from . import focp
+
+        return focp.controller_text(self.choice)
 
     @classmethod
     def from_text(cls, text) -> "ControllerTable":
@@ -175,7 +173,10 @@ class ControllerTable:
 
 
 def values_to_text(W) -> str:
-    return "\n".join(f"{p} {format_cost(w)}" for p, w in enumerate(W)) + "\n"
+    """Value file text (grammar in the README)."""
+    from . import focp
+
+    return focp.values_text(W)
 
 
 def values_from_text(text) -> np.ndarray:

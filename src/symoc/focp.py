@@ -1,10 +1,10 @@
-"""The ASCII record grammar of symoc's input files and FOCP v1 (README).
+"""The ASCII record files of symoc (grammar in the README): FOCP v1
+problems and value, controller and relation files.
 
-One byte tokenizer, _Block, reads every input file: FOCP problems and
-value, controller and relation files.  It classes the bytes of about 8 MiB
-of whole lines at once and converts token columns with no Python loop over
-records.  The FOCP writer formats each distinct cost once and lays the
-records out as byte arrays.  symoc imports this module on first use.
+This module alone reads, checks and writes records, with no Python loop
+over records: _Block tokenizes about 8 MiB of whole lines at once, _columns
+converts and checks columns of tokens, and the writers lay records out as
+byte arrays.  symoc imports this module on first use.
 """
 
 from __future__ import annotations
@@ -12,43 +12,51 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import INF, STOP, format_cost
-from .errors import InputError, SoundnessAlarm
+from .core import INF, STOP
+from .errors import InputError
 
 
 def text_blocks(problem):
-    """FOCP v1 text of ``problem`` in consecutive pieces.  Each distinct cost
-    is formatted once, and the records are assembled as byte arrays a block
-    of pairs at a time."""
+    """FOCP v1 text of ``problem`` in consecutive pieces: the header, G for
+    every state, then T records in pair order, a block of pairs at a time."""
     costs = problem.edge_costs if problem.edge_costs is not None else problem.pair_costs
-    bits = np.unique(np.concatenate([problem.G, costs]).view(np.uint64))
-    tokens = np.array([format_cost(v) for v in bits.view(np.float64)], dtype="S")
-    tokens = tokens.view(np.uint8).reshape(len(bits), -1)
-
-    def token_of(values):
-        return np.searchsorted(bits, values.view(np.uint64))
-
-    states, inputs = _decimal_table(problem.n), _decimal_table(problem.m)
-    pair_token = None if problem.pair_costs is None else token_of(problem.pair_costs)
+    tokens = _cost_tokens(np.concatenate([problem.G, costs]))
+    states, inputs = _decimals(np.arange(problem.n)), _decimals(np.arange(problem.m))
+    pair_token = None if problem.pair_costs is None else tokens(problem.pair_costs)
     yield f"focp {problem.n} {problem.m}\n"
-    yield _render([b"G ", states, b" ", tokens[token_of(problem.G)], b"\n"])
+    yield _render([b"G ", states, b" ", tokens(problem.G), b"\n"])
     ptr, start = problem.trans_ptr, 0
     while start < problem.n * problem.m:
         stop = max(start + 1, int(np.searchsorted(ptr, ptr[start] + _WRITE_EDGES, "right")) - 1)
         pid = np.repeat(np.arange(start, stop), np.diff(ptr[start : stop + 1]))
         a, b = ptr[start], ptr[stop]
-        token = token_of(problem.edge_costs[a:b]) if pair_token is None else pair_token[pid]
-        yield _render([
-            b"T ", states[pid // problem.m], b" ", inputs[pid % problem.m], b" ",
-            states[problem.trans_succ[a:b]], b" ", tokens[token], b"\n",
-        ])
+        token = tokens(problem.edge_costs[a:b]) if pair_token is None else pair_token[pid]
+        yield _render([b"T ", states[pid // problem.m], b" ", inputs[pid % problem.m], b" ",
+                       states[problem.trans_succ[a:b]], b" ", token, b"\n"])
         start = stop
 
 
+def values_text(W):
+    """Value file text: '<state> <cost>' per state."""
+    W = np.asarray(W, dtype=np.float64)
+    return _render([_decimals(np.arange(len(W))), b" ", _cost_tokens(W)(W), b"\n"])
+
+
+def controller_text(choice):
+    """Controller file text: '<state> <input>' or '<state> STOP' per state."""
+    stop = (choice == STOP)[:, None]
+    word, digits = np.where(stop, np.frombuffer(b"STOP", np.uint8), 0), _decimals(np.maximum(choice, 0))
+    return _render([_decimals(np.arange(len(choice))), b" ", word, np.where(stop, 0, digits), b"\n"])
+
+
+def relation_text(a, b):
+    """Relation file text: '<a> <b>' per pair."""
+    return _render([_decimals(a), b" ", _decimals(b), b"\n"])
+
+
 def as_bytes(text):
-    """The bytes of an input file given as bytes or str.  A str is encoded
-    once; a lone surrogate becomes a backslash escape, which no token rule
-    accepts."""
+    """An input file given as bytes or str, as bytes; a lone surrogate
+    becomes a backslash escape, which no token rule accepts."""
     return text.encode("utf-8", "backslashreplace") if isinstance(text, str) else text
 
 
@@ -61,7 +69,7 @@ def read(data: bytes):
     t_blocks = []  # (block start, T records in it)
     for block in _blocks(data):
         if n is None and len(block.first):
-            n, m = _header(block.line(block.first[0]))
+            n, m = _counts(block)
             block.first, block.count, block.bad = block.first[1:], block.count[1:], block.bad[1:]
         if n is not None:
             records = _records(block, n, m)
@@ -98,28 +106,20 @@ def read_records(text, what):
     must list each state 0..n-1 once; a relation file gives both columns
     in file order.  An error quotes the first offending line in file order."""
     data = as_bytes(text)
-    firsts, seconds, blocks = [], [], []
+    kinds = (_UNBOUNDED, {"value": _COST, "controller": _INPUT, "relation": _UNBOUNDED}[what])
+    columns, blocks = [], []
     for block in _blocks(data):
         two = (block.count == 2) & ~block.bad
-        tok = block.first[two]
-        first = block.ints(tok)
-        second = block.costs(tok + 1) if what == "value" else block.ints(tok + 1)
-        stop = (block.window(tok + 1, 5).view("S5").ravel() == b"STOP") & (what == "controller")
-        malformed = ~two
-        malformed[two] = first < 0
-        bad = malformed.copy()
-        bad[two] |= ~((second >= 0) | stop)  # NaN, a cost that is not a number, fails too
+        (first, second), good = _columns(block, block.first[two], kinds)
+        bad = ~two
+        bad[two] = ~good
         if bad.any():
-            i = np.argmax(bad)
-            message = f"malformed {what} record"
-            if what == "controller" and not malformed[i]:
-                message = "controller input is neither an index nor STOP"
-            raise InputError(f"{message}: {block.line(block.first[i])!a}")
-        second[stop] = STOP
-        firsts.append(first)
-        seconds.append(second)
+            i = int(np.argmax(bad))
+            messages = {NOT_AN_INPUT: "controller input is neither an index nor STOP"}  # else malformed
+            raise _line_error(block, i, kinds if two[i] else None, messages, f"malformed {what} record")
+        columns.append((first, second))
         blocks.append((block.start, len(first)))
-    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    first, second = map(np.concatenate, zip(*columns))
     if what == "relation":
         return first, second
     record = first_repeat(first)
@@ -149,99 +149,59 @@ _COST_CHARS = 32  # longer cost tokens are read by float(), one at a time
 _CLASSES = bytes(
     3 if b in b"\r\n" else 2 if b in b" \t" else 0 if 0x21 <= b <= 0x7E else 1 for b in range(256)
 )
+# column kinds besides an index column, which is its bound: a cost; an input index or STOP
+_COST, _INPUT = "cost", "input"
+_UNBOUNDED = 10**_INT_DIGITS  # above every index
+# classes of a bad line, by its worst part, least severe first
+NEGATIVE, NOT_A_NUMBER, NOT_AN_INPUT, OUT_OF_RANGE, NOT_AN_INDEX, WRONG_SHAPE, BAD_BYTE = range(1, 8)
 
 
-def _decimal_table(count):
-    """Row v: the ASCII decimal digits of v, left-aligned, zero bytes after."""
-    v = np.arange(count, dtype=np.int64)[:, None]
-    width = len(str(count - 1))
-    n_digits = 1 + (v >= 10 ** np.arange(1, width)).sum(axis=1, keepdims=True)
-    shift = n_digits - 1 - np.arange(width)
-    digits = v // 10 ** np.maximum(shift, 0) % 10 + ord("0")
-    return np.where(shift >= 0, digits, 0).astype(np.uint8)
+def _decimals(values):
+    """Row k: the ASCII digits of values[k] >= 0, left-aligned, zero-padded."""
+    v = np.asarray(values, dtype=np.int64)
+    digits = v.astype("S")  # zero-padded to the width of any int64
+    return digits.view(np.uint8).reshape(len(v), digits.itemsize)[:, : len(str(v.max(initial=0)))]
+
+
+def _cost_tokens(costs):
+    """A map from float64 arrays of costs among ``costs`` to the byte rows of
+    their tokens (shortest round-trip form, or inf), formatted once each."""
+    bits = np.sort(costs.view(np.uint64))  # not np.unique, which hashes integers: several times slower
+    bits = bits[np.diff(bits, prepend=bits[:1] - 1) != 0]  # the first of each run
+    table = np.array(["inf" if v == INF else repr(v) for v in bits.view(np.float64).tolist()], dtype="S")
+    table = table.view(np.uint8).reshape(len(bits), table.itemsize)
+    return lambda values: table[np.searchsorted(bits, values.view(np.uint64))]
 
 
 def _render(fields):
-    """ASCII text of records laid out field by field.  A field is a (records,
-    width) uint8 array, whose zero bytes are padding, or bytes that every
-    record repeats."""
-    widths = [len(f) if isinstance(f, bytes) else f.shape[1] for f in fields]
-    out = np.zeros((max(len(f) for f in fields if isinstance(f, np.ndarray)), sum(widths)), np.uint8)
-    col = 0
-    for f, width in zip(fields, widths):
-        out[:, col : col + width] = np.frombuffer(f, np.uint8) if isinstance(f, bytes) else f
-        col += width
-    return out[out != 0].tobytes().decode("ascii")
+    """ASCII text of records laid out field by field, one empty line for no
+    records.  A field is a (records, width) uint8 array, whose zero bytes
+    are padding, or bytes that every record repeats."""
+    rows = max(len(f) for f in fields if isinstance(f, np.ndarray))
+    out = np.hstack([f if isinstance(f, np.ndarray) else np.broadcast_to(np.frombuffer(f, np.uint8), (rows, len(f)))
+                     for f in fields])
+    return out[out != 0].tobytes().decode("ascii") if rows else "\n"
 
 
 def _blocks(data):
     """The _Blocks of ``data`` in order; one, without lines, for no data."""
-    start = 0
-    while True:
-        block = _Block(data, start)
+    block = _Block(data, 0)
+    yield block
+    while block.stop < len(data):
+        block = _Block(data, block.stop)
         yield block
-        start = block.stop
-        if start >= len(data):
-            return
 
 
-def _records(block, n, m):
-    """State and cost of the G records, then pair id, successor and cost
-    of the T records of a block; raises on the first bad line."""
-    first = block.first
-    single = block.tok_end[first] - block.tok_start[first] == 1
-    letter = block.text[block.tok_start[first]]
-    is_g = single & (letter == ord("G")) & (block.count == 3) & ~block.bad
-    is_t = single & (letter == ord("T")) & (block.count == 5) & ~block.bad
-    bad = ~(is_g | is_t)
-    tok = first[is_g]
-    g_state, g_cost = block.ints(tok + 1), block.costs(tok + 2)
-    bad[is_g] |= (g_state < 0) | (g_state >= n) | ~(g_cost >= 0.0)
-    tok = first[is_t]
-    p, u, q, cost = block.ints(tok + 1), block.ints(tok + 2), block.ints(tok + 3), block.costs(tok + 4)
-    bad[is_t] |= (p < 0) | (p >= n) | (u < 0) | (u >= m) | (q < 0) | (q >= n) | ~(cost >= 0.0)
-    for i in np.flatnonzero(bad):
-        _check_record(block.line(first[i]), n, m)
-    if bad.any():
-        raise SoundnessAlarm("focp reader flagged a record that the record check accepts")
-    # checked in range: pair ids are below n*m < 2**31
-    return g_state, g_cost, (p * m + u).astype(np.int32), q.astype(np.int32), cost
-
-
-def _record_line(data, blocks, record, letter=None):
-    """Text of the line of record number ``record`` in file order, given
-    the (start, records) of each block; with ``letter``, only lines that
-    start with it hold records.  Used on errors only: it tokenizes one
-    block again."""
-    for start, count in blocks:
-        if record < count:
-            break
-        record -= count
-    block = _Block(data, start)
-    first = block.first
-    if letter is not None:
-        first = first[block.text[block.tok_start[first]] == ord(letter)]
-    return block.line(first[record])
-
-
-def _index(token):
-    """Value of an index token (of a line _fields accepts), 1 to _INT_DIGITS
-    digits; else -1."""
-    return int(token) if len(token) <= _INT_DIGITS and token.isdigit() else -1
-
-
-def _fields(line):
-    """Tokens of a line, or None if a byte of it is outside the grammar."""
-    return line.split() if line.isascii() and line.replace("\t", " ").isprintable() else None
-
-
-def _header(line):
-    if not line.startswith("focp"):
+def _counts(block):
+    """(n, m) of the FOCP header, the first line of ``block``."""
+    first = block.first[:1]
+    if not block.line(first[0]).startswith("focp"):
         raise InputError("missing focp header")
-    parts = _fields(line) or []
-    n, m = map(_index, parts[1:]) if len(parts) == 3 and parts[0] == "focp" else (-1, -1)
-    if n < 0 or m < 0:
+    shaped = (block.count[:1] == 3) & ~block.bad[:1] & block.is_word(first, b"focp")
+    (n, m), good = _columns(block, first[shaped] + 1, (_UNBOUNDED, _UNBOUNDED))
+    if not good.any():
         raise InputError("malformed focp header")
+    n, m = int(n[0]), int(m[0])
     if n == 0 or m == 0:
         raise InputError("focp header: need positive state/input counts")
     if n * m >= 2**31:
@@ -249,42 +209,91 @@ def _header(line):
     return n, m
 
 
-def _check_record(line, n, m):
-    """Raise the InputError of one G or T record line, if it has one, by the
-    rules that _records applies a block at a time."""
-    parts = _fields(line)
-    if parts is None:
-        raise InputError(f"malformed focp record: {line!a}")
-    if parts[0] == "G" and len(parts) == 3:
-        kind, bounds = "state index", (n,)
-    elif parts[0] == "T" and len(parts) == 5:
-        kind, bounds = "index", (n, m, n)
-    else:
-        raise InputError(f"unrecognized focp record: {line!a}")
-    indices = parts[1:-1]
-    # a negative or over-long decimal integer is an index out of range, any other token malformed
-    if not all(t[t.startswith("-") :].isdigit() for t in indices):
-        raise InputError(f"malformed focp record: {line!a}")
-    if not all(0 <= _index(t) < bound for t, bound in zip(indices, bounds)):
-        raise InputError(f"{kind} out of range: {line!a}")
+def _records(block, n, m):
+    """State and cost of the G records, then pair id, successor and cost
+    of the T records of a block; raises on the first bad line."""
+    first, g_kinds, t_kinds = block.first, (n, _COST), (n, m, n, _COST)
+    is_g = block.is_word(first, b"G") & (block.count == 3) & ~block.bad
+    is_t = block.is_word(first, b"T") & (block.count == 5) & ~block.bad
+    (g_state, g_cost), g_good = _columns(block, first[is_g] + 1, g_kinds)
+    (p, u, q, cost), t_good = _columns(block, first[is_t] + 1, t_kinds)
+    bad = ~(is_g | is_t)
+    bad[is_g], bad[is_t] = ~g_good, ~t_good
+    if bad.any():
+        i = int(np.argmax(bad))
+        kinds, index = (g_kinds, "state index") if is_g[i] else (t_kinds, "index") if is_t[i] else (None, "")
+        messages = {WRONG_SHAPE: "unrecognized focp record", OUT_OF_RANGE: f"{index} out of range",
+                    NEGATIVE: "cost must be non-negative or inf"}
+        raise _line_error(block, i, kinds, messages, "malformed focp record")
+    # checked in range: pair ids are below n*m < 2**31
+    return g_state, g_cost, (p * m + u).astype(np.int32), q.astype(np.int32), cost
+
+
+def _columns(block, tok, kinds):
+    """The columns of the records that start at tokens ``tok``, one per
+    kind, and whether each record is good: every index below its bound, a
+    cost non-negative or inf, an input an index or STOP."""
+    values, good = [], np.ones(len(tok), dtype=bool)
+    for k, kind in enumerate(kinds):
+        if kind == _COST:
+            value = block.costs(tok + k)
+            good &= value >= 0.0  # NaN, a token that is not a number, fails too
+        else:
+            value = block.ints(tok + k)
+            if kind == _INPUT:  # ints reads STOP as -1, which is STOP
+                good &= (value >= 0) | block.is_word(tok + k, b"STOP")
+            else:
+                good &= (value >= 0) & (value < kind)
+        values.append(value)
+    return values, good
+
+
+def _line_error(block, i, kinds, messages, default):
+    """The InputError quoting bad line ``i``, whose last tokens are laid out as
+    ``kinds`` (None: the wrong shape); ``messages`` by class, else ``default``."""
+    cls = BAD_BYTE if block.bad[i] else WRONG_SHAPE
+    if kinds is not None:
+        tok = block.first[i] + block.count[i] - len(kinds)
+        cls = max(_token_class(block, tok + k, kind) for k, kind in enumerate(kinds))
+    return InputError(f"{messages.get(cls, default)}: {block.line(block.first[i])!a}")
+
+
+def _token_class(block, tok, kind):
+    """Class of token ``tok`` as a column of ``kind``; 0 if it is good."""
+    if _columns(block, np.array([tok]), (kind,))[1][0]:
+        return 0
+    if kind == _INPUT:
+        return NOT_AN_INPUT
+    token = block.text[block.tok_start[tok] : block.tok_end[tok]].tobytes()
+    if kind != _COST:  # a decimal integer, negative or too long, is out of range
+        return OUT_OF_RANGE if token.removeprefix(b"-").isdigit() else NOT_AN_INDEX
     try:
-        cost = float(parts[-1])
+        float(token)
     except ValueError:
-        raise InputError(f"malformed focp record: {line!a}") from None
-    if not cost >= 0.0:
-        raise InputError(f"cost must be non-negative or inf: {line!a}")
+        return NOT_A_NUMBER
+    return NEGATIVE  # or NaN
+
+
+def _record_line(data, blocks, record, letter=None):
+    """Text of the line of record number ``record`` in file order, given
+    the (start, records) of each block; with ``letter``, only the lines of
+    that word hold records.  Used on errors only: it tokenizes a block again."""
+    for start, count in blocks:
+        if record < count:
+            break
+        record -= count
+    block = _Block(data, start)
+    first = block.first if letter is None else block.first[block.is_word(block.first, letter)]
+    return block.line(first[record])
 
 
 class _Block:
     """Tokens and non-blank lines of the whole lines of ``data`` in about
-    _READ_BYTES from ``start`` on.
-
-    ``first`` holds the first token of each non-blank line, ``count`` its
-    tokens and ``bad`` whether it holds a byte outside the grammar.  Index
-    tokens are converted a column at a time; cost tokens of up to
-    _COST_CHARS bytes too, by numpy's bytes-to-float cast, which reads
-    them as float() does.
-    """
+    _READ_BYTES from ``start`` on: ``first`` holds the first token of each
+    non-blank line, ``count`` its tokens and ``bad`` whether it holds a
+    byte outside the grammar.  Index tokens convert a column at a time;
+    cost tokens of up to _COST_CHARS bytes too, by numpy's bytes-to-float
+    cast, which reads them as float() does."""
 
     def __init__(self, data: bytes, start):
         size = _READ_BYTES
@@ -316,6 +325,14 @@ class _Block:
         self.bad = np.zeros(len(self.first), dtype=bool) if not len(odd) else np.isin(
             np.searchsorted(breaks, self.tok_start[self.first]), np.searchsorted(breaks, odd))
 
+    def is_word(self, tok, word):
+        """Whether tokens ``tok`` are ``word``; it may read into the zero padding."""
+        start = self.tok_start[tok]
+        match = self.tok_end[tok] - start == len(word)
+        for j, byte in enumerate(word):
+            match &= self.text[start + j] == byte
+        return match
+
     def line(self, tok):
         """Text of the line holding token ``tok``, a character per byte."""
         line = int(np.searchsorted(self.breaks, self.tok_start[tok]))
@@ -340,18 +357,13 @@ class _Block:
             value[group[digits]] = v[digits]
         return value
 
-    def window(self, tok, width):
-        """(len(tok), width) array of the first ``width`` bytes of tokens
-        ``tok``, zero after each token's end."""
-        raw = as_strided(self.text, shape=(self.size, width), strides=(1, 1))[self.tok_start[tok]]
-        raw[np.arange(width) >= (self.tok_end[tok] - self.tok_start[tok])[:, None]] = 0
-        return raw
-
     def costs(self, tok):
         """Cost tokens as float() reads them; NaN where a token is not a number."""
         start, length = self.tok_start[tok], self.tok_end[tok] - self.tok_start[tok]
         width = max(min(int(length.max(initial=0)), _COST_CHARS), 1)
-        raw = self.window(tok, width)
+        # the first ``width`` bytes of each token, zero after its end
+        raw = as_strided(self.text, shape=(self.size, width), strides=(1, 1))[start]
+        raw[np.arange(width) >= length[:, None]] = 0
         cast = length <= width
         value = np.full(len(tok), np.nan)
         try:

@@ -22,17 +22,15 @@ from .solver import dp_operator
 
 class Relation:
     """A set of (state of problem 1, state of problem 2) pairs, held as the
-    sorted, deduplicated int64 arrays ``a`` and ``b``, with CSR adjacency:
-    the images of a are ``b[fwd_ptr[a]:fwd_ptr[a + 1]]``, and the pairs of b
-    are the positions ``inv_idx[inv_ptr[b]:inv_ptr[b + 1]]``, in ascending a.
-    Each ptr spans the states up to the largest one related."""
+    int64 arrays ``a`` and ``b`` of the distinct pairs in ascending order."""
 
     def __init__(self, pairs):
-        ab = np.array(sorted(set((int(a), int(b)) for a, b in pairs)), dtype=np.int64).reshape(-1, 2)
-        self.a, self.b = ab[:, 0].copy(), ab[:, 1].copy()
-        self.fwd_ptr = _csr_ptr(self.a, self.a.max(initial=-1) + 1)
-        self.inv_idx = np.lexsort((self.a, self.b))
-        self.inv_ptr = _csr_ptr(self.b[self.inv_idx], self.b.max(initial=-1) + 1)
+        """``pairs``: (a, b) pairs of non-negative states, or a (k, 2) array."""
+        ab = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64).reshape(-1, 2)
+        if np.any(ab < 0):
+            a, b = ab[np.any(ab < 0, axis=1)][0]
+            raise InputError(f"relation pair '{a} {b}' has a negative state")
+        self.a, self.b = np.unique(ab, axis=0).T.copy()
 
     @property
     def pairs(self):
@@ -41,32 +39,18 @@ class Relation:
     def __len__(self):
         return len(self.a)
 
-    def image(self, p1):
-        ptr = self.fwd_ptr
-        return self.b[ptr[p1] : ptr[p1 + 1]].tolist() if 0 <= p1 < len(ptr) - 1 else []
-
-    def preimage(self, p2):
-        ptr = self.inv_ptr
-        return self.a[self.inv_idx[ptr[p2] : ptr[p2 + 1]]].tolist() if 0 <= p2 < len(ptr) - 1 else []
-
-    def is_strict(self, n1: int) -> bool:
-        return self._unrelated(n1) is None
-
-    def _unrelated(self, n1: int):
-        """The least state of problem 1 below n1 with no related state, or None."""
-        empty = np.flatnonzero(np.diff(_csr_ptr(self.a, n1)) == 0)
-        return int(empty[0]) if len(empty) else None
-
     def to_text(self) -> str:
-        return "\n".join(f"{a} {b}" for a, b in self.pairs) + "\n"
+        """Relation file text (grammar in the README)."""
+        from . import focp
+
+        return focp.relation_text(self.a, self.b)
 
     @classmethod
     def from_text(cls, text) -> "Relation":
         """Read a relation file, bytes or a str (grammar in the README)."""
         from . import focp
 
-        first, second = focp.read_records(text, "relation")
-        return cls(zip(first.tolist(), second.tolist()))
+        return cls(np.column_stack(focp.read_records(text, "relation")))
 
 
 def _csr_ptr(keys, n):
@@ -145,7 +129,7 @@ class Verdict:
 
 
 def _check_indices(rel: Relation, p1: FiniteProblem, p2: FiniteProblem):
-    bad = np.flatnonzero((rel.a < 0) | (rel.a >= p1.n) | (rel.b < 0) | (rel.b >= p2.n))
+    bad = np.flatnonzero((rel.a >= p1.n) | (rel.b >= p2.n))
     if len(bad):
         a, b = rel.a[bad[0]], rel.b[bad[0]]
         raise InputError(f"relation pair '{a} {b}' out of range for {p1.n} and {p2.n} states")
@@ -173,9 +157,10 @@ def check_vfrr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation) -> Verdict:
         return Verdict(False, [("i", f"input alphabet of problem 2 ({p2.m}) exceeds problem 1 ({p1.m})")])
     A, B = rel.a, rel.b
     violations = []
-    missing = rel._unrelated(p1.n)
-    if missing is not None:
-        violations.append(("strict", f"state {missing} of problem 1 has no related state"))
+    fwd_ptr = _csr_ptr(A, p1.n)  # the images of a are B[fwd_ptr[a]:fwd_ptr[a + 1]]
+    unrelated = np.flatnonzero(np.diff(fwd_ptr) == 0)
+    if len(unrelated):
+        violations.append(("strict", f"state {unrelated[0]} of problem 1 has no related state"))
     _terminal_violations("ii", violations, p1, p2, rel)
     table1, table2 = _edge_table(p1), _edge_table(p2)
 
@@ -186,7 +171,8 @@ def check_vfrr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation) -> Verdict:
     finite = np.append(True, keys2[1:] != keys2[:-1]) & (costs2 < INF)
     keys, g2 = keys2[finite], costs2[finite]
     del finite
-    inv_ptr = _csr_ptr(B[rel.inv_idx], p2.n)
+    inv_idx = np.lexsort((A, B))  # the pairs of b are inv_idx[inv_ptr[b]:inv_ptr[b + 1]]
+    inv_ptr = _csr_ptr(B[inv_idx], p2.n)
     n_pre = np.diff(inv_ptr)
     room = MAX_VIOLATIONS - len(violations)
     found = []
@@ -195,7 +181,7 @@ def check_vfrr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation) -> Verdict:
         b, u = np.divmod(pid2, p2.m)
         edge, pos = _ranges(inv_ptr[b], inv_ptr[b + 1])
         join, pos_q = _ranges(inv_ptr[qb[edge]], inv_ptr[qb[edge] + 1])
-        edge, i, j = edge[join], rel.inv_idx[pos[join]], rel.inv_idx[pos_q]
+        edge, i, j = edge[join], inv_idx[pos[join]], inv_idx[pos_q]
         g1, _ = _lookup(table1, (A[i] * p1.m + u[edge]) * p1.n + A[j])
         bad = np.flatnonzero(g1 > g2[lo:hi][edge])
         i, j, uk = i[bad], j[bad], u[edge[bad]]
@@ -209,7 +195,6 @@ def check_vfrr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation) -> Verdict:
     # (iv) every image q2 of every successor q1 of (a, u), u < m2, is in
     # F2(b, u); blocks of rows (pair, u) come in loop order
     rows = (A[:, None] * p1.m + np.arange(p2.m)).ravel()  # row i·m2 + u
-    fwd_ptr = _csr_ptr(A, p1.n)
     for lo, hi in _blocks(p1.trans_ptr[rows + 1] - p1.trans_ptr[rows]):
         room = MAX_VIOLATIONS - len(violations)
         if not room:
@@ -296,7 +281,7 @@ class RefinedController:
         choice, m = self.table.choice, len(self.representatives)
         if len(choice) != self.cover.n_states:
             raise InputError("controller table size does not match the cover")
-        bad = np.flatnonzero((choice < STOP) | (choice >= m))
+        bad = np.flatnonzero(choice >= m)
         if len(bad):
             raise InputError(f"controller state {bad[0]} chooses input {choice[bad[0]]}, outside the inputs 0..{m - 1}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from symoc.abstraction import _expand_ranges
-from symoc.core import STOP, ControllerTable, FiniteProblem, format_cost
+from symoc.core import STOP, ControllerTable, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
 from symoc.reach import growth_bound, integrate_nominal
 from symoc.relations import MAX_VIOLATIONS, Verdict
@@ -668,6 +668,11 @@ def from_lists(G, trans):
     return FiniteProblem(n, m, G, ptr, np.asarray(succ, dtype=np.int64), edge_costs=costs)
 
 
+def format_cost(value):
+    """A cost's token: Python's shortest round-trip form, or inf."""
+    return "inf" if value == INF else repr(float(value))
+
+
 def reference_to_focp_text(problem):
     """FOCP v1 text, one formatted line per record (the per-record writer)."""
     lines = [f"focp {problem.n} {problem.m}"]
@@ -680,6 +685,24 @@ def reference_to_focp_text(problem):
             for e in range(a, b):
                 lines.append(f"T {p} {u} {problem.trans_succ[e]} {format_cost(costs[e])}")
     return "\n".join(lines) + "\n"
+
+
+def reference_values_to_text(W):
+    """Value file text, one formatted line per state (the per-record writer)."""
+    return "\n".join(f"{p} {format_cost(w)}" for p, w in enumerate(W)) + "\n"
+
+
+def reference_controller_to_text(choice):
+    """Controller file text, one formatted line per state (the per-record writer)."""
+    lines = []
+    for p, u in enumerate(choice):
+        lines.append(f"{p} STOP" if u == STOP else f"{p} {u}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_relation_to_text(pairs):
+    """Relation file text, one formatted line per pair (the per-record writer)."""
+    return "\n".join(f"{a} {b}" for a, b in pairs) + "\n"
 
 
 # index tokens and separator bytes that int(), float() or str.split accept

@@ -7,6 +7,7 @@ import symoc.focp
 from symoc.cli import main
 from symoc.core import (
     INF,
+    STOP,
     ControllerTable,
     FiniteProblem,
     cost_model,
@@ -14,6 +15,7 @@ from symoc.core import (
     values_to_text,
 )
 from symoc.errors import InputError
+from symoc.relations import Relation
 from symoc.sets import Box, Complement, EmptySet, QuadraticSublevel, UnionSet
 from symoc.solver import solve
 
@@ -29,8 +31,11 @@ from oracles import (
     make_shortest_path,
     quoted,
     random_graph,
+    reference_controller_to_text,
     reference_from_focp_text,
+    reference_relation_to_text,
     reference_to_focp_text,
+    reference_values_to_text,
     validate_run,
 )
 
@@ -343,6 +348,10 @@ def test_focp_errors_quote_the_first_bad_line(monkeypatch, read_bytes):
         ("G 1 -inf\n", "cost must be non-negative or inf: 'G 1 -inf'"),
         ("T 0 0 x 1.0\n", "malformed focp record: 'T 0 0 x 1.0'"),
         ("T 0 0 1 1.0.0\n", "malformed focp record: 'T 0 0 1 1.0.0'"),
+        # an index that is not one before an index out of range, before a cost that is not a number
+        ("T 9 0 1 x\n", "index out of range: 'T 9 0 1 x'"),
+        ("T x 0 9 1\n", "malformed focp record: 'T x 0 9 1'"),
+        ("G 5 abc\n", "state index out of range: 'G 5 abc'"),
         ("T 0 0 1 1.0\x00\n", "malformed focp record: 'T 0 0 1 1.0\\x00'"),
     ]
     for bad, message in cases:
@@ -388,6 +397,46 @@ def test_validate_run_against_problem():
     validate_run(problem, Run(x=(0, 1), u=(0,), v=(0, 1)))
     with pytest.raises(InputError):
         validate_run(problem, Run(x=(0, 0), u=(0,), v=(0, 1)))
+
+
+def test_record_writers_match_the_per_record_references():
+    # the array writers of value, controller and relation files against the
+    # per-line writers, byte for byte, and write -> read -> write
+    rng = np.random.default_rng(29)
+    specials = np.array([INF, 0.0, -0.0, 5e-324, 1e300, 1e-05, 1e16, 0.1 + 0.2, 1.7976931348623157e308])
+    sizes = [0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, *rng.integers(1, 3000, size=8)]
+    for n in sizes:
+        W = np.concatenate([specials, np.round(rng.uniform(0, 50, size=n), 3), rng.uniform(0, 1e3, size=n)])
+        W = W[rng.integers(0, len(W), size=n)]
+        text = values_to_text(W)
+        assert text == reference_values_to_text(W)
+        back = values_from_text(text)
+        assert np.array_equal(back.view(np.uint64), W.view(np.uint64))  # -0.0 keeps its sign
+        assert values_to_text(back) == text
+
+        m = int(rng.choice([1, 2, 10, 11, 100, 101, 1001]))
+        stops = rng.choice([0.0, 0.3, 1.0])  # no STOP, some, all
+        choice = np.where(rng.random(n) < stops, STOP, rng.integers(0, m, size=n))
+        text = ControllerTable(choice).to_text()
+        assert text == reference_controller_to_text(choice)
+        assert ControllerTable.from_text(text).to_text() == text
+
+        digits = rng.integers(1, 19, size=(n, 2))  # indices of 1 to 18 digits, the longest an index has
+        pairs = rng.integers(0, 10**digits)
+        pairs[:1] = [10**18 - 1, 0]  # the largest index
+        rel = Relation(pairs)
+        text = rel.to_text()
+        assert text == reference_relation_to_text(rel.pairs)
+        back = Relation.from_text(text)
+        assert back.pairs == rel.pairs and back.to_text() == text
+
+
+def test_tables_that_cannot_be_written_are_rejected():
+    # each would write a record that its reader rejects
+    with pytest.raises(InputError, match="controller state 1 chooses input -5, neither an index nor STOP"):
+        ControllerTable([0, -5, STOP])
+    with pytest.raises(InputError, match="relation pair '-1 0' has a negative state"):
+        Relation([(0, 0), (-1, 0)])
 
 
 def test_controller_and_value_round_trips():
