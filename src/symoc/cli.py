@@ -18,8 +18,7 @@ from .config import load_config
 from .core import ControllerTable, FiniteProblem, values_from_text, values_to_text
 from .errors import InputError, SoundnessAlarm
 from .relations import RefinedController, Relation, check_vasr, check_vfrr, pointwise_upper_bound
-# run_closed_loop is unused here, but perfbench's traced pass wraps it by name in this module
-from .simulate import POLICIES, batch_verify, closed_loop_runs, run_closed_loop, sample_winning_states
+from .simulate import POLICIES, batch_verify, run_closed_loop, sample_winning_states
 from .solver import QUEUES, solve
 
 
@@ -126,7 +125,7 @@ def cmd_simulate(args):
         substeps=cfg.substeps,
     )
     # the runs written out count in the same report
-    runs = closed_loop_runs(cfg.plant, ctrl, W, cfg.model, starts, args.policy, args.seed, max_steps, cfg.substeps)
+    runs = run_closed_loop(cfg.plant, ctrl, W, cfg.model, starts, args.policy, args.seed, max_steps, cfg.substeps)
     for i, traj in enumerate(runs):
         _write(f"{args.out_prefix}.traj{i:03d}.csv", traj.to_csv())
         report.add(traj, args.tol)

@@ -37,8 +37,12 @@ def text_blocks(problem):
 
 
 def values_text(W):
-    """Value file text: '<state> <cost>' per state."""
+    """Value file text: '<state> <cost>' per state.  A cost the value reader
+    rejects, NaN or negative, is an input error naming its state."""
     W = np.asarray(W, dtype=np.float64)
+    bad = np.flatnonzero(~(W >= 0.0))
+    if len(bad):
+        raise InputError(f"value state {bad[0]} has cost {float(W[bad[0]])!r}, neither non-negative nor inf")
     return _render([_decimals(np.arange(len(W))), b" ", _cost_tokens(W)(W), b"\n"])
 
 

@@ -79,13 +79,16 @@ class GridCover:
             idx = np.ceil((x - self.lower) / self.eta - 0.5).astype(np.int64)
         return np.clip(idx, 0, self.counts - 1, out=idx)
 
-    def quantize(self, x) -> int:
+    def quantize(self, x):
         """Deterministic point-to-cell map: the last cell of the block of
-        [x, x]; overflow unless lower <= x <= upper on every axis (NaN too)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not ((self.lower <= x) & (x <= self.upper)).all():
-            return self.overflow
-        return int(self._index(x, last=True) @ self._strides)
+        [x, x]; overflow unless lower <= x <= upper on every axis (NaN too).
+        ``x`` is one point (an int back) or an (N, dim) array (an array back)."""
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
+        inside = np.all((self.lower <= pts) & (pts <= self.upper), axis=1)
+        cells = self._index(np.where(inside[:, None], pts, self.lower), last=True) @ self._strides
+        cells[~inside] = self.overflow
+        return int(cells[0]) if x.ndim < 2 else cells
 
     def box_index_ranges(self, lo, hi):
         """Index ranges of cells meeting closed boxes, vectorized.

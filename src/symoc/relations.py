@@ -287,9 +287,11 @@ class RefinedController:
 
     def act(self, x):
         """Concrete control decision: (input vector, stop bit); a stop comes
-        with input 0, which is never applied."""
+        with input 0, which is never applied.  ``x`` is one point or an
+        (N, dim) array, which gets (N, input_dim) inputs and N stop bits."""
         u = self.table.choice[self.cover.quantize(x)]
-        return self.representatives[0 if u == STOP else u], int(u == STOP)
+        stop = u == STOP
+        return self.representatives[np.where(stop, 0, u)], stop
 
 
 def pointwise_upper_bound(W, cover: GridCover, xs):

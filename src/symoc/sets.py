@@ -77,13 +77,14 @@ class QuadraticSublevel(SetPredicate):
         # eigvalsh errs by ulps of the largest eigenvalue: a singular form may read < 0
         if eig[0] < -8 * len(eig) * np.finfo(float).eps * np.abs(eig).max():
             raise InputError("quadratic form is not positive semi-definite")
+        n = len(self.b)
+        # vertex k of a box takes its upper bound on axis i where bit i of k is set
+        self._vertex_picks = [np.array([(k >> i) & 1 for i in range(n)], dtype=bool) for k in range(1 << n)]
 
     def _vertex_max_batch(self, lo, hi):
         # convex form attains its maximum over a box at a vertex
-        n = lo.shape[1]
         out = np.full(lo.shape[0], -np.inf)
-        for mask in range(1 << n):
-            pick = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
+        for pick in self._vertex_picks:
             v = np.where(pick, hi, lo)
             np.maximum(out, np.einsum("ki,ij,kj->k", v, self.Q, v) + v @ self.b, out=out)
         return out

@@ -23,7 +23,9 @@ CSV_FLOAT = repr
 
 def perturbed_step(sys: SampledSystem, x, u, disturbances, substeps_per_piece: int = 2):
     """One sampling period of x' = f(x,u) + d(t), d piecewise constant with
-    one value per row of ``disturbances``."""
+    one value per row of ``disturbances``.  With (runs, dim) states, (runs,
+    input_dim) inputs and (pieces, runs, dim) disturbances it steps each run
+    as it steps that run alone."""
     x = np.asarray(x, dtype=float)
     h = sys.tau / len(disturbances)
     for d in disturbances:
@@ -55,7 +57,7 @@ def make_policy(name: str, seed):
 @dataclass
 class Trajectory:
     states: np.ndarray  # (T+1, dim)
-    inputs: list  # concrete input vectors, one per executed step
+    inputs: np.ndarray  # (T, input_dim): the input applied at each step
     stopped: bool
     cost: float
     bound: float
@@ -82,51 +84,69 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def run_closed_loop(plant, controller: RefinedController, x0, policy, max_steps: int, costs: CostModel, W=None, substeps: int = 5) -> Trajectory:
-    """Iterate quantize -> table lookup -> apply input for one sampling period
-    until the controller stops or the step budget runs out (cost inf then).
+class Runs(list):
+    """Closed-loop runs in start order."""
 
-    ``plant`` is a SampledSystem or a discrete map object with ``step``.
+    @property
+    def steps(self) -> int:
+        """The steps of all the runs."""
+        return sum(traj.steps for traj in self)
+
+
+def run_closed_loop(plant, controller: RefinedController, W, costs: CostModel, starts, policy_name: str, seed: int, max_steps: int, substeps: int = 5) -> Runs:
+    """The closed-loop run from each start, all advanced as one array.  Each
+    step quantizes the live states and looks their inputs up in the table;
+    the rows that stop are charged G and leave, the others move one
+    sampling period and are charged g.  A run that has not stopped after
+    ``max_steps`` steps leaves with cost inf.  Run i draws its disturbances
+    under the seed ``seed + 7919 * i``, once per step that it moves.
+
+    ``plant`` is a SampledSystem or a discrete map object with ``step``;
+    with ``W`` None every bound is inf.
     """
     if max_steps < 1:
         raise InputError("max_steps must be at least 1")
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
     cover = controller.cover
-    bound = INF if W is None else pointwise_upper_bound(W, cover, x)
-    states = [x.copy()]
-    inputs = []
-    cum = [0.0]
-    total = 0.0
-    stopped = False
+    x = np.array(starts, dtype=float).reshape(-1, cover.dim)
+    n = len(x)
+    draws = [make_policy(policy_name, seed + 7919 * i) for i in range(n)]
+    bounds = np.full(n, INF) if W is None else pointwise_upper_bound(W, cover, x)
+    total = np.zeros(n)
+    stopped = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    # every state row with the cost so far there and its run; the inputs applied (none yet: 0 rows)
+    rows, cum_rows, row_runs, inputs = [x], [total.copy()], [live], [controller.representatives[:0]]
     for _ in range(max_steps):
-        u_vec, stop = controller.act(x)
-        if stop:
-            stopped = True
-            total += costs.G(x)
-            cum[-1] = total
+        u, stop = controller.act(x)
+        if stop.any():
+            total[live[stop]] += costs.G_rows(x[stop])
+            stopped[live[stop]] = True
+            live, x, u = live[~stop], x[~stop], u[~stop]
+        if not len(live):
             break
         if isinstance(plant, SampledSystem):
-            pieces = policy(plant.w, substeps)
-            x_next = perturbed_step(plant, x, u_vec, pieces)
+            pieces = np.stack([draws[i](plant.w, substeps) for i in live], axis=1)
+            x_next = perturbed_step(plant, x, u, pieces)
         else:
-            x_next = np.atleast_1d(plant.step(x))
-        total += costs.g(x, x_next, u_vec)
-        inputs.append(u_vec)
+            x_next = plant.step(x)
+        total[live] += costs.g_rows(x, u)
         x = x_next
-        states.append(x.copy())
-        cum.append(total)
-    if not stopped:
-        total = INF
-        cum[-1] = INF
-    return Trajectory(np.array(states), inputs, stopped, total, bound, cum)
-
-
-def closed_loop_runs(plant, controller: RefinedController, W, costs: CostModel, starts, policy_name: str, seed: int, max_steps: int, substeps: int = 5):
-    """The closed-loop run from each start, in order; run i draws its
-    disturbances under the seed ``seed + 7919 * i``."""
-    for i, x0 in enumerate(starts):
-        policy = make_policy(policy_name, seed + 7919 * i)
-        yield run_closed_loop(plant, controller, x0, policy, max_steps, costs, W=W, substeps=substeps)
+        rows.append(x)
+        cum_rows.append(total[live])
+        row_runs.append(live)
+        inputs.append(u)
+    cost = np.where(stopped, total, INF).tolist()
+    # regroup the rows by run, each run's in step order: its start and one state per step
+    row_runs = np.concatenate(row_runs)
+    counts = np.bincount(row_runs, minlength=n)
+    by_run = lambda parts, runs, sizes: np.split(np.concatenate(parts)[np.argsort(runs, kind="stable")], np.cumsum(sizes)[:-1])
+    paths, cums, applied = by_run(rows, row_runs, counts), by_run(cum_rows, row_runs, counts), by_run(inputs, row_runs[n:], counts - 1)
+    runs = Runs()
+    for i in range(n):
+        cum = cums[i].tolist()
+        cum[-1] = cost[i]  # the terminal cost at a stop, inf when the budget ran out
+        runs.append(Trajectory(paths[i], applied[i], bool(stopped[i]), cost[i], float(bounds[i]), cum))
+    return runs
 
 
 @dataclass
@@ -179,6 +199,6 @@ def batch_verify(plant, controller: RefinedController, W, cover: GridCover, cost
     """
     starts = sample_winning_states(W, cover, seed, sample_count)
     report = VerifyReport()
-    for traj in closed_loop_runs(plant, controller, W, costs, starts, policy_name, seed, max_steps, substeps):
+    for traj in run_closed_loop(plant, controller, W, costs, starts, policy_name, seed, max_steps, substeps):
         report.add(traj, tol)
     return report

@@ -19,7 +19,7 @@ def pendulum_field(kappa=0.01):
     def f(x, u):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
-        a = float(np.atleast_1d(u)[0])
+        a = np.asarray(u, dtype=float)[..., 0]
         return np.stack([x2, np.sin(x1) + a * np.cos(x1) - 2.0 * kappa * x2], axis=-1)
 
     return f
@@ -29,7 +29,7 @@ def chauffeur_field():
     def f(x, u):
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
-        a = float(np.atleast_1d(u)[0])
+        a = np.asarray(u, dtype=float)[..., 0]
         return np.stack([-x2 * a, x1 * a - 1.0], axis=-1)
 
     return f

@@ -15,8 +15,9 @@ import numpy as np
 from symoc.abstraction import _expand_ranges
 from symoc.core import STOP, ControllerTable, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
-from symoc.reach import growth_bound, integrate_nominal
-from symoc.relations import MAX_VIOLATIONS, Verdict
+from symoc.reach import SampledSystem, growth_bound, integrate_nominal
+from symoc.relations import MAX_VIOLATIONS, Verdict, pointwise_upper_bound
+from symoc.simulate import Trajectory, perturbed_step
 from symoc.solver import SolveResult, SolveStats, dp_operator, is_discrete_cost
 
 INF = math.inf
@@ -791,6 +792,40 @@ def chauffeur_nominal_exact(x0, u, t):
     phi = a * t
     rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
     return c + rot @ (x0 - c)
+
+
+def reference_run_closed_loop(plant, controller, x0, policy, max_steps, costs, W=None, substeps=5):
+    """One closed-loop run alone, one point at a time: quantize, look up,
+    stop (charging G) or move one sampling period (charging g), until the
+    controller stops or the step budget runs out (cost inf then).
+    ``policy`` is the run's own draw, as ``make_policy`` returns it."""
+    if max_steps < 1:
+        raise InputError("max_steps must be at least 1")
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    bound = INF if W is None else pointwise_upper_bound(W, controller.cover, x)
+    states, inputs, cum = [x.copy()], [], [0.0]
+    total = 0.0
+    stopped = False
+    for _ in range(max_steps):
+        u_vec, stop = controller.act(x)
+        if stop:
+            stopped = True
+            total += costs.G(x)
+            cum[-1] = total
+            break
+        if isinstance(plant, SampledSystem):
+            x_next = perturbed_step(plant, x, u_vec, policy(plant.w, substeps))
+        else:
+            x_next = np.atleast_1d(plant.step(x))
+        total += costs.g(x, x_next, u_vec)
+        inputs.append(u_vec)
+        x = x_next
+        states.append(x.copy())
+        cum.append(total)
+    if not stopped:
+        total = INF
+        cum[-1] = INF
+    return Trajectory(np.array(states), inputs, stopped, total, bound, cum)
 
 
 def _relation_dicts(rel):

@@ -20,7 +20,7 @@ from symoc.core import INF, FiniteProblem, cost_model
 from symoc.grid import GridCover, InputGrid
 from symoc.reach import attain_over_batch
 from symoc.relations import RefinedController, Relation, check_vfrr, pointwise_upper_bound
-from symoc.simulate import make_policy, perturbed_step, run_closed_loop, sample_winning_states
+from symoc.simulate import perturbed_step, run_closed_loop, sample_winning_states
 from symoc.solver import dp_operator, solve
 from symoc.systems import LogisticMap, get_system
 
@@ -238,10 +238,7 @@ def test_criterion_07_pendulum_synthesis_soundness(pendulum):
     worst_gap = -INF
     for i, x0 in enumerate(starts):
         for j in range(10):
-            policy = make_policy("uniform", seed=2000 + 37 * i + j)
-            traj = run_closed_loop(
-                b["plant"], b["ctrl"], x0, policy, cover.n_cells + 1, model, W=W
-            )
+            traj = run_closed_loop(b["plant"], b["ctrl"], W, model, [x0], "uniform", 2000 + 37 * i + j, cover.n_cells + 1)[0]
             assert traj.stopped, f"run {i}/{j} did not stop"
             end = traj.states[-1]
             assert model.target.cell_inside_batch(end, end)[0], f"run {i}/{j} stopped outside the target"
@@ -265,9 +262,8 @@ def test_criterion_08_chauffeur_synthesis_soundness(chauffeur):
     starts = sample_winning_states(W, cover, rng, 100)
     for i, x0 in enumerate(starts):
         bound = pointwise_upper_bound(W, cover, x0)
-        policy = make_policy("uniform", seed=3000 + i)
         max_steps = int(bound) + 1
-        traj = run_closed_loop(sys, b["ctrl"], x0, policy, max_steps, model, W=W)
+        traj = run_closed_loop(sys, b["ctrl"], W, model, [x0], "uniform", 3000 + i, max_steps)[0]
         assert traj.stopped, f"pursuit {i} exceeded its time bound"
         assert model.target.cell_inside_batch(traj.states[-1], traj.states[-1])[0]
         assert traj.steps <= bound

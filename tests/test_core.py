@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -437,6 +438,20 @@ def test_tables_that_cannot_be_written_are_rejected():
         ControllerTable([0, -5, STOP])
     with pytest.raises(InputError, match="relation pair '-1 0' has a negative state"):
         Relation([(0, 0), (-1, 0)])
+
+
+def test_value_writer_accepts_exactly_the_costs_the_value_reader_accepts():
+    for token, cost in (("0.0", 0.0), ("-0.0", -0.0), ("2.5", 2.5), ("inf", INF)):
+        text = f"0 1.0\n1 {token}\n"
+        assert values_to_text(np.array([1.0, cost])) == text
+        back = values_from_text(text)
+        assert back[1] == cost and math.copysign(1.0, back[1]) == math.copysign(1.0, cost)
+    for token, cost in (("-1.0", -1.0), ("nan", math.nan), ("-inf", -INF)):
+        with pytest.raises(InputError, match="malformed value record"):
+            values_from_text(f"0 1.0\n1 {token}\n")
+        # the first such state is named
+        with pytest.raises(InputError, match=re.escape(f"value state 1 has cost {cost!r}, neither non-negative nor inf")):
+            values_to_text(np.array([1.0, cost, -2.0]))
 
 
 def test_controller_and_value_round_trips():
