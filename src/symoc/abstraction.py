@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import INF, CostModel, FiniteProblem
-from .errors import SoundnessAlarm
+from .errors import InputError, SoundnessAlarm
 from .grid import GridCover, InputGrid
 from .reach import SampledSystem, attain_over_batch, check_reach_parameters
 
@@ -181,15 +181,17 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     ``(branches, escaped, slack, capped)``: a list of per-branch ``(lo_idx,
     hi_idx, empty)`` cell index blocks, a per-cell flag for successors outside
     the cover, a bound on the over-approximation slack and whether a split cap
-    sent every cell to overflow.  Cells that are gated (both costs
-    identically infinite) get a single transition to overflow.
+    sent every cell to overflow; ``transitions.guard_note`` is a certificate
+    note or None.  Cells that are gated (both costs identically infinite)
+    get a single transition to overflow.
     """
     n_states = cover.n_states
     m = len(inputs)
     overflow = cover.overflow
     gated = costs.gated
-    dtype = np.int32 if n_states < 2**31 else np.int64
-    per_input = _collect_batched(transitions, cover, gated, m, dtype)
+    if n_states * m >= 2**31:  # pair ids and successors are int32
+        raise InputError(f"{n_states} states x {m} inputs: need fewer than 2**31 pairs")
+    per_input = _collect_batched(transitions, cover, gated, m)
 
     sizes = np.zeros(n_states * m, dtype=np.int64)
     for u_idx, (succ_u, cnt_u, escape_u, *_) in enumerate(per_input):
@@ -197,7 +199,7 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     sizes[overflow * m : (overflow + 1) * m] = 1
     trans_ptr = np.zeros(n_states * m + 1, dtype=np.int64)
     np.cumsum(sizes, out=trans_ptr[1:])
-    trans_succ = np.empty(int(trans_ptr[-1]), dtype=dtype)
+    trans_succ = np.empty(int(trans_ptr[-1]), dtype=np.int32)
 
     transition_slack = max(entry[3] for entry in per_input)
     capped = [u_idx for u_idx, entry in enumerate(per_input) if entry[4]]
@@ -227,9 +229,8 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
         transition_slack=transition_slack,
         cell_diameter=cover.max_diameter,
     )
-    guard_note = getattr(transitions, "guard_note", None)
-    if guard_note:
-        cert.notes.append(guard_note)
+    if transitions.guard_note:
+        cert.notes.append(transitions.guard_note)
     if capped:
         cert.notes.append(
             f"split cap hit for inputs {' '.join(map(str, capped))}: all cells route to overflow under them"
@@ -238,8 +239,8 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     return problem, cert
 
 
-def _collect_batched(transitions, cover, gated, m, dtype):
-    """Per input: successors (as ``dtype``), per-cell counts, the overflow
+def _collect_batched(transitions, cover, gated, m):
+    """Per input: int32 successors, per-cell counts, the overflow
     flags, the reach slack and whether the split cap was hit."""
     active = ~gated
 
@@ -248,7 +249,7 @@ def _collect_batched(transitions, cover, gated, m, dtype):
         flat, _, cnt = _union_branches(cover, branches, active)
         if np.any((cnt == 0) & ~escaped & active):
             raise SoundnessAlarm("batch_ranges produced an empty successor set")
-        return flat.astype(dtype), cnt, escaped | gated, float(slack), capped
+        return flat.astype(np.int32), cnt, escaped | gated, float(slack), capped
 
     return [one(u) for u in range(m)]
 

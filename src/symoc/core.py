@@ -103,27 +103,21 @@ class CostModel:
 
     The ``cells_*`` predicates decide per closed cell whether it lies entirely
     inside the finite-cost region, as Lipschitz-based cost abstraction
-    requires; ``G``/``g`` at a point p, and their row forms at many points,
-    read them on the cell [p, p].
+    requires; ``G_rows``/``g_rows`` evaluate the costs at points p, reading
+    them on the cells [p, p].
     """
 
     kind: str
     target: SetPredicate
     obstacle: SetPredicate
 
-    def G(self, p) -> float:
-        return 0.0 if self.cells_G_finite(p, p)[0] else INF
-
-    def g(self, p, q, u) -> float:
-        return self.finite_g_value(u) if self.cells_g_finite(p, p)[0] else INF
-
     def G_rows(self, ps):
         """G at each row of an (N, dim) array of points."""
         return np.where(self.cells_G_finite(ps, ps), 0.0, INF)
 
     def g_rows(self, ps, us):
-        """g at each row of (N, dim) points and (N, input_dim) inputs; like
-        ``g``, it does not depend on the successor."""
+        """g at each row of (N, dim) points and (N, input_dim) inputs; g does
+        not depend on the successor."""
         finite = np.einsum("ij,ij->i", us, us) if self.kind == "energy_entry" else self.finite_g_value(us)
         return np.where(self.cells_g_finite(ps, ps), finite, INF)
 

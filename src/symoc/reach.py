@@ -4,8 +4,12 @@ One sampling period tau is processed in k substeps.  Per substep, each
 hyper-interval (center, radius) is propagated by integrating the nominal
 vector field from the center and the growth-bound radius dynamics
 r' = A1 r + w from the radius; gamma is added to every radius component per
-substep as a trusted budget for integration and rounding errors.  Intervals
-wider than theta * ||eta|| are bisected along their widest axis.
+substep as a trusted budget for integration and rounding errors.  The radius
+dynamics does not depend on the state, so all intervals share one radius.
+Between substeps, while the radius exceeds theta * ||eta||, every interval is
+bisected along the widest axis, a whole level at a time; a level that would
+take the interval count above ``max_splits`` is not made, and the input is
+capped instead (all its cells route to overflow).
 
 The returned union over-approximates the attainable set of the perturbed
 plant provided the bounds A0, A1 are valid on the safety hull (all trajectory
@@ -137,13 +141,12 @@ def check_reach_parameters(k, theta, gamma):
 
 def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_norm, substeps=5, max_splits=64):
     """Over-approximate the attainable sets from cells (centers +- r0) under
-    the constant input u.
+    the constant input u, splitting as the module docstring says.
 
     ``eta_norm`` is the cover's cell width used in the subdivision threshold
-    theta * eta_norm.  The radius dynamics does not depend on the state, so
-    all cells share the radius trajectory: bisections trigger for all cells
-    at the same substeps and the computation stays a small set of center
-    batches (branches).  A single cell is a batch of one center.
+    theta * eta_norm.  All cells share one radius r and drift b, so the
+    intervals are one (branches, cells, dim) array of centers beside them;
+    a single cell is a batch of one center.
 
     Returns (boxes_lo, boxes_hi, escaped, slack, capped): lists over branches
     of (N, dim) bound arrays, a per-cell escape flag array (some box left the
@@ -151,47 +154,29 @@ def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_n
     whether the split cap hit.
     """
     check_reach_parameters(k, theta, gamma)
-    centers = np.asarray(centers, dtype=float)
-    n_cells = len(centers)
-    r0 = np.asarray(r0, dtype=float)
-    threshold = theta * eta_norm
+    cs = np.asarray(centers, dtype=float)[None]
+    r = np.array(r0, dtype=float)
+    b = np.zeros(sys.dim)
     t_sub = sys.tau / k
-    branches = [(centers, r0.copy(), np.zeros(sys.dim))]
-    escaped = np.zeros(n_cells, dtype=bool)
+    escaped = np.zeros(cs.shape[1], dtype=bool)
     capped = False
-    for _ in range(k):
-        moved = []
-        for cs, r, b in branches:
-            cs2 = integrate_nominal(sys, cs, u, t_sub, substeps)
-            r2 = growth_bound(sys, r, t_sub, substeps) + gamma
-            b2 = growth_bound(sys, b, t_sub, substeps, with_disturbance=False)
-            escaped |= np.any(cs2 - r2 < sys.hull_lower, axis=1) | np.any(
-                cs2 + r2 > sys.hull_upper, axis=1
-            )
-            moved.append((cs2, r2, b2))
-        branches = []
-        queue = moved
-        while queue:
-            cs, r, b = queue.pop()
-            if float(r.max()) > threshold:
-                if len(branches) + len(queue) + 2 > max_splits:
-                    escaped[:] = True
-                    capped = True
-                    branches.append((cs, r, b))
-                    branches.extend(queue)
-                    break
-                j = int(np.argmax(r))
-                shift = np.zeros_like(r)
-                shift[j] = r[j] / 2.0
-                r2 = r.copy()
-                r2[j] = r[j] / 2.0
-                queue.append((cs - shift, r2, b + shift))
-                queue.append((cs + shift, r2, b + shift))
-            else:
-                branches.append((cs, r, b))
+    for step in range(k):
+        while step and float(r.max()) > theta * eta_norm:
+            if 2 * len(cs) > max_splits:
+                capped = True
+                break
+            j = int(np.argmax(r))
+            r[j] /= 2.0
+            b[j] += r[j]
+            half = len(cs)
+            cs = np.concatenate([cs, cs])
+            cs[:half, :, j] -= r[j]
+            cs[half:, :, j] += r[j]
+        cs = integrate_nominal(sys, cs, u, t_sub, substeps)
+        r = growth_bound(sys, r, t_sub, substeps) + gamma
+        b = growth_bound(sys, b, t_sub, substeps, with_disturbance=False)
+        escaped |= np.any((cs - r < sys.hull_lower) | (cs + r > sys.hull_upper), axis=(0, 2))
     if capped:
+        escaped[:] = True
         log.warning("split cap hit for input %s; routing to overflow", u)
-    boxes_lo = [cs - r for cs, r, _ in branches]
-    boxes_hi = [cs + r for cs, r, _ in branches]
-    slack = max(float((r + b).max()) for _, r, b in branches)
-    return boxes_lo, boxes_hi, escaped, slack, capped
+    return list(cs - r), list(cs + r), escaped, float((r + b).max()), capped

@@ -32,10 +32,6 @@ class Relation:
             raise InputError(f"relation pair '{a} {b}' has a negative state")
         self.a, self.b = np.unique(ab, axis=0).T.copy()
 
-    @property
-    def pairs(self):
-        return list(zip(self.a.tolist(), self.b.tolist()))
-
     def __len__(self):
         return len(self.a)
 

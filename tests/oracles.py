@@ -275,13 +275,30 @@ def attain_over(sys, cell, u, k, theta, gamma, eta_norm, substeps=5, max_splits=
     Reference for ``symoc.reach.attain_over_batch``: the same substep, split
     and split-cap rules, run on a Python list of intervals instead of
     batches of centers; only the integrators are shared with the library.
+    Splits come only between substeps, a whole level at a time: while some
+    interval is wider than theta * eta_norm, every interval is bisected along
+    its widest axis, unless that makes more than ``max_splits`` intervals, in
+    which case the cell escapes and no more splits are made.
     Returns (centers, radii, escaped, slack).
     """
     c0, r0 = (np.asarray(v, dtype=float) for v in cell)
     work = [(c0, r0, np.zeros(sys.dim))]
     t_sub = sys.tau / k
-    escaped = False
-    for _ in range(k):
+    escaped = capped = False
+    for step in range(k):
+        while step and not capped and any(float(r.max()) > theta * eta_norm for _, r, _ in work):
+            if 2 * len(work) > max_splits:
+                escaped = capped = True
+                break
+            halves = []
+            for c, r, b in work:
+                j = int(np.argmax(r))
+                shift = np.zeros_like(r)
+                shift[j] = r[j] / 2.0
+                half = r.copy()
+                half[j] = r[j] / 2.0
+                halves += [(c - shift, half, b + shift), (c + shift, half, b + shift)]
+            work = halves
         moved = []
         for c, r, b in work:
             c2 = integrate_nominal(sys, c, u, t_sub, substeps)
@@ -290,25 +307,7 @@ def attain_over(sys, cell, u, k, theta, gamma, eta_norm, substeps=5, max_splits=
             if np.any(c2 - r2 < sys.hull_lower) or np.any(c2 + r2 > sys.hull_upper):
                 escaped = True
             moved.append((c2, r2, b2))
-        work = []
-        queue = moved
-        while queue:
-            c, r, b = queue.pop()
-            if float(r.max()) <= theta * eta_norm:
-                work.append((c, r, b))
-            elif len(work) + len(queue) + 2 > max_splits:
-                escaped = True
-                work.append((c, r, b))
-                work.extend(queue)
-                queue = []
-            else:
-                j = int(np.argmax(r))
-                shift = np.zeros_like(r)
-                shift[j] = r[j] / 2.0
-                half = r.copy()
-                half[j] = r[j] / 2.0
-                queue.append((c - shift, half, b + shift))
-                queue.append((c + shift, half, b + shift))
+        work = moved
     slack = max(float((r + b).max()) for _, r, b in work)
     return np.array([c for c, _, _ in work]), np.array([r for _, r, _ in work]), escaped, slack
 
@@ -317,6 +316,22 @@ def boxes_contain(lo, hi, x):
     """Whether the point x lies in the union of the closed boxes [lo[i], hi[i]]."""
     x = np.asarray(x, dtype=float)
     return bool(np.any(np.all((lo <= x) & (x <= hi), axis=1)))
+
+
+def point_G(model, p):
+    """Terminal cost of a ``CostModel`` at the point p, read on the cell [p, p]."""
+    return 0.0 if model.cells_G_finite(p, p)[0] else INF
+
+
+def point_g(model, p, q, u):
+    """Running cost of a ``CostModel`` at (p, q, u), read on the cell [p, p];
+    it does not depend on the successor q."""
+    return model.finite_g_value(u) if model.cells_g_finite(p, p)[0] else INF
+
+
+def relation_pairs(rel):
+    """The (a, b) pairs of a ``Relation`` as a list of int tuples, ascending."""
+    return list(zip(rel.a.tolist(), rel.b.tolist()))
 
 
 def pair_value(costs, cell, u_idx):
@@ -616,14 +631,14 @@ def check_conservatism(problem2, cover, inputs, costs, sampler, rho, rng, cell_s
         pts = [centers[cell]] + [rng.uniform(lo, hi) for _ in range(6)]
         pts += [lo.copy(), hi.copy()]
         if costs.G2[cell] < INF:
-            sup_G1 = max(model.G(p) for p in pts)
+            sup_G1 = max(point_G(model, p) for p in pts)
             if costs.G2[cell] > rho + sup_G1:
                 add("ii", f"cell {cell}: G2 {costs.G2[cell]} > rho + sampled sup G1 {sup_G1}")
         for u_idx in range(len(inputs)):
             val = pair_value(costs, cell, u_idx)
             if val < INF:
                 u = inputs.representatives[u_idx]
-                sup_g1 = max(model.g(p, p, u) for p in pts)
+                sup_g1 = max(point_g(model, p, p, u) for p in pts)
                 if val > rho + sup_g1:
                     add("iii", f"cell {cell}, input {u_idx}: g2 {val} > rho + sampled sup g1 {sup_g1}")
         if costs.gated[cell]:
@@ -810,14 +825,14 @@ def reference_run_closed_loop(plant, controller, x0, policy, max_steps, costs, W
         u_vec, stop = controller.act(x)
         if stop:
             stopped = True
-            total += costs.G(x)
+            total += point_G(costs, x)
             cum[-1] = total
             break
         if isinstance(plant, SampledSystem):
             x_next = perturbed_step(plant, x, u_vec, policy(plant.w, substeps))
         else:
             x_next = np.atleast_1d(plant.step(x))
-        total += costs.g(x, x_next, u_vec)
+        total += point_g(costs, x, x_next, u_vec)
         inputs.append(u_vec)
         x = x_next
         states.append(x.copy())
@@ -831,14 +846,14 @@ def reference_run_closed_loop(plant, controller, x0, policy, max_steps, costs, W
 def _relation_dicts(rel):
     """forward and inverse adjacency of a relation as dicts of sorted lists."""
     forward, inverse = {}, {}
-    for a, b in rel.pairs:
+    for a, b in relation_pairs(rel):
         forward.setdefault(a, []).append(b)
         inverse.setdefault(b, []).append(a)
     return forward, inverse
 
 
 def reference_check_indices(rel, p1, p2):
-    for a, b in rel.pairs:
+    for a, b in relation_pairs(rel):
         if not (0 <= a < p1.n and 0 <= b < p2.n):
             raise InputError(f"relation pair '{a} {b}' out of range for {p1.n} and {p2.n} states")
 
@@ -853,6 +868,7 @@ def reference_check_vfrr(p1, p2, rel):
     g1 = lambda p, q, u: cost_of(p1, p, q, u)
     g2 = lambda p, q, u: cost_of(p2, p, q, u)
     forward, _ = _relation_dicts(rel)
+    pairs = relation_pairs(rel)
     violations = []
 
     def add(tag, detail):
@@ -862,15 +878,15 @@ def reference_check_vfrr(p1, p2, rel):
     if not all(p in forward for p in range(p1.n)):
         missing = next(p for p in range(p1.n) if p not in forward)
         add("strict", f"state {missing} of problem 1 has no related state")
-    for a, b in rel.pairs:
+    for a, b in pairs:
         if G1[a] > G2[b]:
             add("ii", f"G1({a}) = {G1[a]} > G2({b}) = {G2[b]}")
-    for a, b in rel.pairs:
-        for qa, qb in rel.pairs:
+    for a, b in pairs:
+        for qa, qb in pairs:
             for u in range(p2.m):
                 if g1(a, qa, u) > g2(b, qb, u):
                     add("iii", f"g1({a},{qa},{u}) > g2({b},{qb},{u})")
-    for a, b in rel.pairs:
+    for a, b in pairs:
         for u in range(p2.m):
             succ2 = set(int(q) for q in successors(p2, b, u)[0])
             succ1, _ = successors(p1, a, u)
@@ -892,6 +908,7 @@ def reference_check_vasr(p1, p2, rel, eps):
     g1 = lambda p, q, u: cost_of(p1, p, q, u)
     g2 = lambda p, q, u: cost_of(p2, p, q, u)
     forward, inverse = _relation_dicts(rel)
+    pairs = relation_pairs(rel)
     P1_zero = dp_operator(p1, np.zeros(p1.n))
 
     violations = []
@@ -901,10 +918,10 @@ def reference_check_vasr(p1, p2, rel, eps):
         if len(violations) < MAX_VIOLATIONS:
             violations.append((tag, detail))
 
-    for a, b in rel.pairs:
+    for a, b in pairs:
         if G1[a] > G2[b]:
             add("i", f"G1({a}) = {G1[a]} > G2({b}) = {G2[b]}")
-    for a, b in rel.pairs:
+    for a, b in pairs:
         if G1[a] <= 0.0:
             continue
         for u2 in range(p2.m):

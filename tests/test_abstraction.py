@@ -1,5 +1,6 @@
 import itertools
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from symoc.abstraction import (
 )
 from symoc.config import load_config
 from symoc.core import INF, cost_model
-from symoc.errors import SoundnessAlarm
+from symoc.errors import InputError, SoundnessAlarm
 from symoc.grid import GridCover, InputGrid
 from symoc.reach import SampledSystem
 from symoc.sets import Box, EmptySet
@@ -23,6 +24,7 @@ from symoc.simulate import perturbed_step
 from symoc.solver import is_discrete_cost, solve
 from symoc.systems import LogisticMap, get_system
 
+from abstraction_digests import build, digest
 from oracles import (
     block_cells,
     cells_overlapping_box,
@@ -30,6 +32,8 @@ from oracles import (
     map_endpoints,
     reach_successors,
     pair_value,
+    point_G,
+    point_g,
     successors,
     union_branches_by_unique,
 )
@@ -101,8 +105,8 @@ def test_point_costs_are_finite_at_every_corner_of_a_finite_cell(name):
     assert G_finite.any() and g_finite.any()
     for pick in itertools.product((False, True), repeat=cfg.cover.dim):
         corners = np.where(pick, his, los)
-        assert all(model.G(x) == 0.0 for x in corners[G_finite])
-        assert all(model.g(x, x, u) < INF for x in corners[g_finite])
+        assert all(point_G(model, x) == 0.0 for x in corners[G_finite])
+        assert all(point_g(model, x, x, u) < INF for x in corners[g_finite])
 
 
 def test_identity_dynamics_transitions_are_overlapping_cells():
@@ -218,7 +222,7 @@ def test_union_of_branch_boxes_matches_the_unique_reference():
                 return branches, escaped, 0.0, False
 
         # a box meets no cell only outside the cover, so every empty cell escaped
-        (succ, cnt_u, overflow, _, _), = _collect_batched(Fixed(), cover, gated, 1, np.int32)
+        (succ, cnt_u, overflow, _, _), = _collect_batched(Fixed(), cover, gated, 1)
         assert succ.dtype == np.int32 and np.array_equal(succ, flat)
         assert np.array_equal(cnt_u, cnt) and np.array_equal(overflow, escaped | gated)
 
@@ -326,6 +330,39 @@ def test_empty_callback_raises_strictness_alarm():
 
     with pytest.raises(SoundnessAlarm):
         build_abstraction(EmptyReach(), cover, inputs, ac)
+
+
+# sha256 of the CSR arrays and the transition slack of two ODE abstractions,
+# recorded before the reach layer kept one radius per input; the second one
+# splits between substeps
+PINNED_ABSTRACTIONS = {
+    "pendulum:p1": (
+        "int64:c75fffc3c9790a49e323d855e836f4d3c60c6dc2c539c9389eb4994fdb2b930c",
+        "int32:99820544fa6a013bc5758a0f72d865ce87bc01c0cbeb77751bbc45ac5139f973",
+        "float64:c6f829ce95ef568270eb84c2d0e699dd47172b08d21ffe8c258813c0895a6dfa",
+        0.08014518838134041,
+    ),
+    "pendulum:p1:theta=0.5:k=3": (
+        "int64:226c22a0ccb69c915bb4720e7890c1bbad6a8f88bbd82fbf2ffd12b68d733ddc",
+        "int32:89633278566eabd9fd3bd9722e39abccedb5e772656b067fe91bf59f174b2165",
+        "float64:c6f829ce95ef568270eb84c2d0e699dd47172b08d21ffe8c258813c0895a6dfa",
+        0.08014675064854959,
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_ABSTRACTIONS))
+def test_ode_abstraction_bytes_are_pinned(spec):
+    problem, cert = build(spec)
+    got = (digest(problem.trans_ptr), digest(problem.trans_succ), digest(problem.pair_costs), cert.transition_slack)
+    assert got == PINNED_ABSTRACTIONS[spec]
+
+
+def test_build_rejects_pair_ids_beyond_int32():
+    cover = SimpleNamespace(n_states=2**30 + 1, overflow=2**30)
+    costs = SimpleNamespace(gated=None)
+    with pytest.raises(InputError, match="2\\*\\*31 pairs"):
+        build_abstraction(None, cover, [0, 1], costs)
 
 
 def test_sidecar_text_round_trip_fields():

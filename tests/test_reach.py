@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -157,17 +158,22 @@ def test_attain_over_batch_matches_scalar_path():
     rng = np.random.default_rng(24)
     centers = rng.uniform(-1.0, 1.0, size=(20, 2))
     r0 = np.array([0.04, 0.04])
-    for u in (np.array([-2.0]), np.array([0.2])):
-        for theta in (1.0, 0.5):
-            lo_b, hi_b, escaped, slack, _ = attain_over_batch(sys, centers, r0, u, 2, theta, 1e-7, 0.08)
-            for i, c in enumerate(centers):
-                want_c, want_r, want_escaped, want_slack = attain_over(sys, (c, r0), u, 2, theta, 1e-7, 0.08)
-                got_lo = np.sort(np.array([lo[i] for lo in lo_b]), axis=0)
-                got_hi = np.sort(np.array([hi[i] for hi in hi_b]), axis=0)
-                assert np.allclose(got_lo, np.sort(want_c - want_r, axis=0), atol=1e-13)
-                assert np.allclose(got_hi, np.sort(want_c + want_r, axis=0), atol=1e-13)
-                assert bool(escaped[i]) == want_escaped
-                assert slack == pytest.approx(want_slack, abs=1e-13)
+    # theta 0.5 needs two split levels (four branches), so max_splits 1 and 3 cap
+    for u, theta, max_splits in itertools.product((np.array([-2.0]), np.array([0.2])), (1.0, 0.5), (1, 3, 64)):
+        lo_b, hi_b, escaped, slack, capped = attain_over_batch(
+            sys, centers, r0, u, 2, theta, 1e-7, 0.08, max_splits=max_splits
+        )
+        assert capped == (theta == 0.5 and max_splits < 4)
+        for i, c in enumerate(centers):
+            want_c, want_r, want_escaped, want_slack = attain_over(
+                sys, (c, r0), u, 2, theta, 1e-7, 0.08, max_splits=max_splits
+            )
+            got_lo = np.sort(np.array([lo[i] for lo in lo_b]), axis=0)
+            got_hi = np.sort(np.array([hi[i] for hi in hi_b]), axis=0)
+            assert np.allclose(got_lo, np.sort(want_c - want_r, axis=0), atol=1e-13)
+            assert np.allclose(got_hi, np.sort(want_c + want_r, axis=0), atol=1e-13)
+            assert bool(escaped[i]) == want_escaped
+            assert slack == pytest.approx(want_slack, abs=1e-13)
 
 
 def test_monte_carlo_containment_pendulum_origin_cell():

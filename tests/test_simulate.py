@@ -12,7 +12,7 @@ from symoc.simulate import POLICIES, VerifyReport, batch_verify, make_policy, ru
 from symoc.solver import solve
 from symoc.systems import LogisticMap, get_system
 
-from oracles import reference_run_closed_loop
+from oracles import point_G, reference_run_closed_loop
 
 
 def build_pipeline(spec, eta, mu, k, gamma, plant=None, theta=None):
@@ -101,7 +101,7 @@ def test_stop_cell_costs_terminal_value(logistic_400):
     x0 = [0.5]  # inside the target: the table stops immediately
     traj = run_closed_loop(plant, ctrl, result.W, model, [x0], "zero", 0, 10)[0]
     assert traj.stopped and traj.steps == 0
-    assert traj.cost == 0.0 == model.G(np.array(x0))
+    assert traj.cost == 0.0 == point_G(model, np.array(x0))
 
 
 def test_logistic_orbit_run(logistic_400):
