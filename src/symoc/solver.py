@@ -9,18 +9,26 @@ state q whose settle made the pair ready has the largest W among its
 successors and M = g(p,u) + W(q) with per-pair costs.  With per-edge costs a
 running maximum of g(p,y,u) + W(y) is kept per pair, raised as each successor
 settles.  Pairs with an infinite-cost transition can never improve anything
-and are dropped from the inverse adjacency up front.
+and are dropped from the inverse adjacency up front.  Cost sums saturate to
+inf, the sound upper bound.
 
-One settle loop serves two queue disciplines.  A binary heap with
-decrease-key by reinsertion (O(m log n), replacing the Fibonacci heap of the
-O(m + n log n) bound) yields one state per step, the least (W, index).  A FIFO
-queue, admissible only for certified discrete costs where all queue keys stay
-within one cost quantum so insertion order is value order, yields its whole
-content per step (a wave, as in Dial's bucket queue for unit costs); states
-pushed during a wave form the next one, so states settle in FIFO order.  The
-counters of a wave are decremented together with numpy, and the ready pairs
-are taken in the order the per-state loop would reach them, so W, the
-controller and the queue statistics do not depend on the batching.
+One settle loop serves two queue disciplines.  Each step takes a wave, the
+states to settle next in settle order, and settles it with numpy; its ready
+pairs are taken in the order a per-state loop would reach them, so W, the
+controller and the queue statistics do not depend on the waves.  A binary
+heap with decrease-key by reinsertion (O(m log n), replacing the Fibonacci
+heap of the O(m + n log n) bound) hands out every queued state whose key is
+below w0 + c_min, with w0 the least key and c_min the least finite running
+cost: Dial's bucket queue for unit costs, the OUT-criterion of Crauser,
+Mehlhorn, Meyer and Sanders in general.  This is exact.  A pair made ready
+by a wave state q has M >= fl(c_min + W(q)) >= fl(c_min + w0), as rounding
+is monotone, so no wave state can improve and every push during the wave
+has a key at or above the bound: a per-state loop would pop these very
+states, in (W, index) order.  With c_min = 0, or where w0 + c_min rounds to
+w0, a wave is one state.  A FIFO queue, admissible only for certified
+discrete costs where all queue keys stay within one cost quantum so
+insertion order is value order, hands out the states pushed during the
+previous wave.
 """
 
 from __future__ import annotations
@@ -61,15 +69,15 @@ def is_discrete_cost(problem: FiniteProblem):
     """Witnesses (gamma, Gamma) with g(X,X,U) in {gamma, inf} and
     G(X) in {Gamma, gamma + Gamma, inf}, or None if none exist."""
     costs = problem.edge_costs if problem.edge_costs is not None else problem.pair_costs
-    g_fin = np.unique(costs[np.isfinite(costs)])
-    G_fin = np.unique(problem.G[np.isfinite(problem.G)])
-    if len(g_fin) > 1 or len(G_fin) > 2:
-        return None
-    gap = float(G_fin[1] - G_fin[0]) if len(G_fin) == 2 else None
-    gamma = float(g_fin[0]) if len(g_fin) else gap if gap is not None else 0.0
-    if gap is not None and gap != gamma:
-        return None
-    return gamma, float(G_fin[0]) if len(G_fin) else 0.0
+    g = costs.min(initial=INF)  # the one finite running cost, if any
+    if g < INF and np.count_nonzero(costs == g) + np.count_nonzero(costs == INF) < len(costs):
+        return None  # two finite running costs
+    G = problem.G[np.isfinite(problem.G)]
+    lo, hi = (G.min(), G.max()) if len(G) else (0.0, 0.0)
+    gamma = float(hi - lo if g == INF else g)
+    if np.count_nonzero((G == lo) | (G == hi)) < len(G) or (hi > lo and hi - lo != gamma):
+        return None  # three finite terminal costs, or two not gamma apart
+    return gamma, float(lo)
 
 
 def _build_inverse(problem: FiniteProblem):
@@ -126,6 +134,7 @@ def _build_inverse(problem: FiniteProblem):
     return pred_ptr, pred_pair, counters, inv_costs
 
 
+@np.errstate(over="ignore")  # cost sums saturate to inf
 def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     """Run Algorithm 1; returns the value function, an optimal static
     controller and queue statistics.
@@ -145,9 +154,11 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     choice = np.full(n, STOP, dtype=np.int64)
     settled = np.zeros(n, dtype=bool)
     pred_ptr, pred_pair, counters, inv_costs = _build_inverse(problem)
+    ptr, degree = pred_ptr.tolist(), np.diff(pred_ptr)
     pair_costs = problem.pair_costs
     # per-edge costs: running max of g + W(y) over the settled successors y
     pair_max = None if inv_costs is None else np.full(n * m, -INF)
+    last_pos = np.empty(n * m, dtype=np.int64)
     stats = SolveStats()
     settle_values = [np.empty(0)]
 
@@ -155,74 +166,62 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     initial = initial[np.argsort(W[initial], kind="stable")]  # by (W, index)
     stats.pushes += len(initial)
     if fifo:
-        wave = initial
         in_queue = np.zeros(n, dtype=bool)
         in_queue[initial] = True
-        last_pos = np.empty(n * m, dtype=np.int64)
-        pushed = []
+        pushed = initial.tolist()
     else:
+        c_min = float((pair_costs if inv_costs is None else problem.edge_costs).min(initial=INF))
         heap = list(zip(W[initial].tolist(), initial.tolist()))  # sorted, so a heap
-    last_settle = -INF
+    wave = initial[:0]
 
     while True:
-        # pop a batch: the least (W, index) from the heap, or the whole fifo
+        # take a wave, in settle order
         if fifo:
-            if not len(wave):
-                break
-            stats.pops += len(wave)
-            if settled[wave].any():
+            # the previous wave leaves the queue only now: its states stay
+            # queued while its pairs improve states
+            in_queue[wave] = False
+            taken, pushed = pushed, []
+            stats.pops += len(taken)
+            if settled[taken].any():
                 raise SoundnessAlarm("fifo queue settled a state twice")
-            vals = W[wave]
         else:
-            while heap:
+            taken, limit = [], INF
+            while heap and heap[0][0] < limit:
                 key, q = heapq.heappop(heap)
                 stats.pops += 1
-                if not settled[q] and key == W[q]:
-                    break  # otherwise a stale entry superseded by a reinsertion
-            else:
-                break
-            wave = slice(q, q + 1)
-            vals = W[wave].copy()
-        if vals[0] < last_settle or (fifo and (vals[1:] < vals[:-1]).any()):
-            raise SoundnessAlarm("settle values decreased; queue discipline unsound")
-        last_settle = vals[-1]
+                if settled[q] or key != W[q]:
+                    continue  # a stale entry superseded by a reinsertion
+                if not taken:
+                    limit = key + c_min
+                taken.append(q)
+        if not taken:
+            break
+        wave = np.array(taken, dtype=np.int64)
+        vals = W[wave]
         settled[wave] = True
-        stats.settled += len(vals)
+        stats.settled += len(wave)
         settle_values.append(vals)
 
-        # pairs whose last unsettled successor is in the batch, in the order
+        # pairs whose last unsettled successor is in the wave, in the order
         # the states' predecessor lists reach them
-        if fifo:
-            starts = pred_ptr[wave]
-            ends = np.cumsum(pred_ptr[wave + 1] - starts)
-            lens = np.diff(ends, prepend=0)
-            where = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1])
-            pids = pred_pair[where].astype(np.intp)
-            np.subtract.at(counters, pids, 1)
-            pos = np.flatnonzero(counters[pids] == 0)
+        lists = [slice(ptr[q], ptr[q + 1]) for q in taken]
+        pids = np.concatenate([pred_pair[s] for s in lists]).astype(np.intp)  # intp indexes faster
+        np.subtract.at(counters, pids, 1)
+        pos = (counters[pids] == 0).nonzero()[0]
+        if len(wave) > 1:
             # a pair with several successors in the wave is ready at the last
-            last_pos[pids[pos]] = -1
-            np.maximum.at(last_pos, pids[pos], pos)
-            pos = pos[last_pos[pids[pos]] == pos]
+            # (a single state lists each pair once)
             ready = pids[pos]
-            if pair_max is None:
-                values = pair_costs[ready] + vals[np.searchsorted(ends, pos, side="right")]
-            else:
-                np.maximum.at(pair_max, pids, inv_costs[where] + np.repeat(vals, lens))
-                values = pair_max[ready]
+            last_pos[ready] = -1
+            np.maximum.at(last_pos, ready, pos)
+            pos = pos[last_pos[ready] == pos]
+        ready = pids[pos]
+        succ_vals = vals.repeat(degree[wave])  # per listed pair, W of the settled successor
+        if pair_max is None:
+            values = pair_costs[ready] + succ_vals[pos]
         else:
-            a, b = pred_ptr[q], pred_ptr[q + 1]
-            pids = pred_pair[a:b].astype(np.intp)  # intp indexes faster
-            left = counters[pids] - 1
-            counters[pids] = left
-            done = left == 0
-            ready = pids[done]
-            if pair_max is None:
-                values = pair_costs[ready] + vals[0]
-            else:
-                raised = np.maximum(pair_max[pids], inv_costs[a:b] + vals[0])
-                pair_max[pids] = raised
-                values = raised[done]
+            np.maximum.at(pair_max, pids, np.concatenate([inv_costs[s] for s in lists]) + succ_vals)
+            values = pair_max[ready]
         stats.pair_evals += len(ready)
 
         # improve states in ready order: the first strict improvement wins
@@ -239,17 +238,14 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
                     pushed.append(p)
                 else:
                     heapq.heappush(heap, (M, p))
-        if fifo:
-            # the wave left the queue only now: a state settled after q in the
-            # per-state order is still queued while q's pairs improve states
-            in_queue[wave] = False
-            wave = np.array(pushed, dtype=np.int64)
-            pushed = []
 
+    settle_values = np.concatenate(settle_values)
+    if (settle_values[1:] < settle_values[:-1]).any():
+        raise SoundnessAlarm("settle values decreased; queue discipline unsound")
     # W(p) = inf iff no input was ever recorded for p
     if not np.array_equal(choice == STOP, ~(W < problem.G)):
         raise SoundnessAlarm("controller domain does not match improved states")
-    return SolveResult(W, ControllerTable(choice), stats, np.concatenate(settle_values), "fifo" if fifo else "heap")
+    return SolveResult(W, ControllerTable(choice), stats, settle_values, "fifo" if fifo else "heap")
 
 
 def dp_operator(problem: FiniteProblem, W) -> np.ndarray:
@@ -258,10 +254,11 @@ def dp_operator(problem: FiniteProblem, W) -> np.ndarray:
     if W.shape != (problem.n,) or np.any(W < 0) or np.any(np.isnan(W)):
         raise InputError("value array must be non-negative with one entry per state")
     vals = W[problem.trans_succ]
-    if problem.edge_costs is not None:
-        vals = problem.edge_costs + vals
-    pair_max = np.maximum.reduceat(vals, problem.trans_ptr[:-1])
-    if problem.pair_costs is not None:
-        pair_max = problem.pair_costs + pair_max
+    with np.errstate(over="ignore"):  # sums saturate to inf
+        if problem.edge_costs is not None:
+            vals = problem.edge_costs + vals
+        pair_max = np.maximum.reduceat(vals, problem.trans_ptr[:-1])
+        if problem.pair_costs is not None:
+            pair_max = problem.pair_costs + pair_max
     return np.minimum(problem.G, pair_max.reshape(problem.n, problem.m).min(axis=1))
 

@@ -183,7 +183,10 @@ def random_problem_lists(rng, n_max=50, m_max=4, cost_mode="real"):
     """Random finite problem as (trans lists, G list).
 
     cost_mode: "real" mixes arbitrary finite costs with inf; "min_time" uses
-    g in {1, inf}, G in {0, inf}; "qualitative" uses {0, inf} for both.
+    g in {1, inf}, G in {0, inf}; "qualitative" uses {0, inf} for both;
+    "floor" draws finite g from [0.5, 1.5] and finite G from [0, 2], to
+    three decimals, so the least running cost is positive and close values
+    settle together in one heap wave.
     """
     n = int(rng.integers(1, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
@@ -199,6 +202,8 @@ def random_problem_lists(rng, n_max=50, m_max=4, cost_mode="real"):
                     g = INF if rng.random() < 0.15 else float(np.round(rng.uniform(0, 10), 3))
                 elif cost_mode == "min_time":
                     g = INF if rng.random() < 0.15 else 1.0
+                elif cost_mode == "floor":
+                    g = INF if rng.random() < 0.15 else float(np.round(rng.uniform(0.5, 1.5), 3))
                 else:
                     g = INF if rng.random() < 0.15 else 0.0
                 entries.append((int(q), g))
@@ -208,6 +213,8 @@ def random_problem_lists(rng, n_max=50, m_max=4, cost_mode="real"):
     for _ in range(n):
         if cost_mode == "real":
             G.append(INF if rng.random() < 0.5 else float(np.round(rng.uniform(0, 10), 3)))
+        elif cost_mode == "floor":
+            G.append(INF if rng.random() < 0.5 else float(np.round(rng.uniform(0, 2), 3)))
         else:
             G.append(INF if rng.random() < 0.6 else 0.0)
     if all(v == INF for v in G):

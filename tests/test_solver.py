@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 import symoc.solver
+from abstraction_digests import build
 from symoc.cli import _build_from_config
 from symoc.config import load_config
 from symoc.core import INF, STOP, FiniteProblem
@@ -71,6 +72,18 @@ def test_dp_operator_on_infinite_w():
     problem = from_lists([[[(1, 1.0)]], [[(1, 0.0)]]], [3.0, 0.0])
     PW = dp_operator(problem, np.array([INF, INF]))
     assert np.array_equal(PW, problem.G)
+
+
+def test_overflowing_cost_sums_saturate_without_warning():
+    # 1e308 + 1.7e308 overflows to inf, the sound upper bound; pytest turns
+    # numpy's overflow warning into an error, so neither call may raise it
+    problem = FiniteProblem.from_focp_text(
+        "focp 3 1\nG 0 0\nT 0 0 0 1\nT 1 0 0 1.7e308\nT 2 0 1 1e308\n"
+    )
+    W = [0.0, 1.7e308, INF]
+    for stored in (problem, constant_per_pair(problem)[1]):  # edge and pair costs
+        assert solve(stored).W.tolist() == W
+        assert dp_operator(stored, W).tolist() == W
 
 
 def test_dp_operator_fixed_point_of_solve():
@@ -300,7 +313,7 @@ def constant_per_pair(problem):
 
 
 @pytest.mark.parametrize("cost_mode,levels", [
-    ("real", 1), ("min_time", 1), ("min_time", 2), ("qualitative", 1),
+    ("real", 1), ("floor", 1), ("min_time", 1), ("min_time", 2), ("qualitative", 1),
 ])
 def test_solve_matches_reference_solve(cost_mode, levels):
     # the batched settle loop against the per-pair loop: same W, controller,
@@ -321,6 +334,11 @@ def test_solve_matches_reference_solve_on_pendulum_p1():
     problem = _build_from_config(cfg)[2]
     assert problem.pair_costs is not None
     assert_matches_reference(problem, cfg.queue)
+    # mu = 0.15 gives 28 inputs and none is u = 0, so the least running cost
+    # is positive and the heap settles states in waves of several
+    problem = build("pendulum:p1:mu=0.15")[0]
+    assert problem.m == 28 and problem.pair_costs.min() > 0
+    assert_matches_reference(problem, "heap")
 
 
 def test_fifo_alarms_on_uncertified_costs(monkeypatch):
