@@ -6,12 +6,13 @@ outgoing costs, a self-loop).  Cells on which both cost functions are
 identically infinite receive a single transition to overflow instead of a
 computed reach set.
 
-Abstract costs follow the Lipschitz recipe: the terminal cost is 0 wherever
-it is finite, so G2 is A2 * ||eta|| / 2 when the whole closed cell has finite
-terminal cost (else inf), and the running cost adds A3 * ||eta|| on cells
-with finite running cost.  Together with the transition over-approximation
-this makes the finite problem an abstraction of the concrete one, with
-conservatism bounded by the maximum of the certificate components.
+Abstract costs are exact for the supported cost kinds: the terminal cost is 0
+wherever it is finite and the running cost there depends on the input only,
+so G2 is 0 on cells lying wholly in the finite terminal region (else inf) and
+g2 is the input's running cost on cells wholly in the finite running region.
+Together with the transition over-approximation this makes the finite
+problem an abstraction of the concrete one, with conservatism bounded by the
+maximum of the certificate components (the two cost components are 0).
 """
 
 from __future__ import annotations
@@ -32,31 +33,25 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ConservatismCertificate:
-    """Worst-case slack per conservatism condition; rho is their maximum."""
+    """Worst-case slack per conservatism condition; rho is their maximum.
+    The terminal and running cost conditions hold with slack 0, since the
+    abstract costs are exact."""
 
     input_radius: float
-    terminal_slack: float
-    running_slack: float
     transition_slack: float
     cell_diameter: float
     notes: list = field(default_factory=list)
 
     @property
     def rho(self) -> float:
-        return max(
-            self.input_radius,
-            self.terminal_slack,
-            self.running_slack,
-            self.transition_slack,
-            self.cell_diameter,
-        )
+        return max(self.input_radius, self.transition_slack, self.cell_diameter)
 
     def to_lines(self):
         lines = [
             f"rho = {self.rho!r}",
             f"rho_input_radius = {self.input_radius!r}",
-            f"rho_terminal_slack = {self.terminal_slack!r}",
-            f"rho_running_slack = {self.running_slack!r}",
+            "rho_terminal_slack = 0.0",
+            "rho_running_slack = 0.0",
             f"rho_transition_slack = {self.transition_slack!r}",
             f"rho_cell_diameter = {self.cell_diameter!r}",
         ]
@@ -65,32 +60,22 @@ class ConservatismCertificate:
 
 
 class AbstractCosts:
-    """Cost data of the abstraction: terminal array plus a lazy running-cost
-    evaluator (per source cell and input; the successors never enter the
-    finite running costs of the supported cost shapes)."""
+    """Cost data of the abstraction, per cell: the terminal costs G2 (overflow
+    included), whether the running cost is finite and whether both costs are
+    identically infinite; per input: the finite running cost."""
 
-    def __init__(self, model: CostModel, cover: GridCover, inputs: InputGrid, A2: float, A3: float):
+    def __init__(self, model: CostModel, cover: GridCover, inputs: InputGrid):
         self.model = model
-        self.cover = cover
-        self.inputs = inputs
-        self.A2 = float(A2)
-        self.A3 = float(A3)
-        eta_norm = cover.max_diameter
         los, his = cover.cell_boxes()
-        self.G_finite = model.cells_G_finite(los, his)
         self.g_finite = model.cells_g_finite(los, his)
         self.gated = model.cells_all_infinite(los, his)
         self.G2 = np.full(cover.n_states, INF)
-        self.G2[: cover.n_cells][self.G_finite] = self.A2 * eta_norm / 2.0
-        self.input_values = np.array(
-            [model.finite_g_value(u) + self.A3 * eta_norm for u in inputs.representatives]
-        )
-        self.terminal_slack = self.A2 * eta_norm
-        self.running_slack = 2.0 * self.A3 * eta_norm
+        self.G2[: cover.n_cells][model.cells_G_finite(los, his)] = 0.0
+        self.input_values = model.finite_g_rows(inputs.representatives)
 
 
-def abstract_costs(costs: CostModel, cover: GridCover, inputs: InputGrid, A2: float, A3: float) -> AbstractCosts:
-    return AbstractCosts(costs, cover, inputs, A2, A3)
+def abstract_costs(costs: CostModel, cover: GridCover, inputs: InputGrid) -> AbstractCosts:
+    return AbstractCosts(costs, cover, inputs)
 
 
 class SampledReach:
@@ -156,9 +141,6 @@ def _expand_ranges(cover: GridCover, lo_idx, hi_idx, active):
     cell id each successor belongs to and the per-cell counts."""
     spans = hi_idx - lo_idx + 1
     cnt = np.where(active, spans.prod(axis=1), 0)
-    total = int(cnt.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), cnt
     # a block is rows of consecutive flat ids along the last axis: only the
     # rows' first ids need the per-axis index arithmetic
     rows = np.where(active, spans[:, :-1].prod(axis=1), 0)
@@ -170,7 +152,7 @@ def _expand_ranges(cover: GridCover, lo_idx, hi_idx, active):
         first += (lo_idx[row_owner, axis] + local) * int(cover._strides[axis])
     length = spans[row_owner, -1]
     flat = np.repeat(first - (np.cumsum(length) - length), length)
-    flat += np.arange(total)
+    flat += np.arange(len(flat))
     return flat, np.repeat(np.arange(cover.n_cells), cnt), cnt
 
 
@@ -223,11 +205,7 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
 
     problem = FiniteProblem(n_states, m, costs.G2, trans_ptr, trans_succ, pair_costs=pair_costs)
     cert = ConservatismCertificate(
-        input_radius=inputs.radius,
-        terminal_slack=costs.terminal_slack,
-        running_slack=costs.running_slack,
-        transition_slack=transition_slack,
-        cell_diameter=cover.max_diameter,
+        input_radius=inputs.radius, transition_slack=transition_slack, cell_diameter=cover.max_diameter
     )
     if transitions.guard_note:
         cert.notes.append(transitions.guard_note)

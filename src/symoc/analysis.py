@@ -90,7 +90,7 @@ def logistic_exact_values(sublevels, xs) -> np.ndarray:
     return out
 
 
-def hypo_distance(xs, Ws, v_sampler, eps_grid: float, cap: float = None):
+def hypo_distance(xs, Ws, v_sampler, eps_grid: float):
     """Smallest eps with (grid x R) inters. hypo W inside the eps-ball of
     hypo V, both capped at a common ceiling.
 
@@ -117,8 +117,7 @@ def hypo_distance(xs, Ws, v_sampler, eps_grid: float, cap: float = None):
     Vs = np.asarray(v_sampler(ys), dtype=float)
 
     finite = np.concatenate([Ws[np.isfinite(Ws)], Vs[np.isfinite(Vs)]])
-    if cap is None:
-        cap = 2.0 * (float(finite.max()) if len(finite) else 1.0) + 1.0
+    cap = 2.0 * (float(finite.max()) if len(finite) else 1.0) + 1.0
     cap_active = bool(np.any(Ws > cap) or np.any(Vs > cap))
     Wc = np.minimum(Ws, cap)
     Vc = np.minimum(Vs, cap)

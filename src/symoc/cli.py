@@ -73,7 +73,7 @@ def cmd_solve_finite(args):
 
 
 def _build_from_config(cfg):
-    ac = abstract_costs(cfg.model, cfg.cover, cfg.inputs, cfg.A2, cfg.A3)
+    ac = abstract_costs(cfg.model, cfg.cover, cfg.inputs)
     if cfg.kind == "map":
         reach = MapReach(cfg.plant, cfg.cover)
     else:

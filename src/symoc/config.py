@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostModel, cost_model
+from .core import CostModel
 from .errors import InputError
 from .grid import GridCover, InputGrid
 from .sets import Box, Complement, EmptySet, QuadraticSublevel, SetPredicate, UnionSet
@@ -32,7 +32,7 @@ from .systems import LogisticMap, SystemSpec, get_system
 
 _SECTIONS = {"system", "grid", "inputs", "costs", "reach", "solve"}
 _KEYS = {
-    "system": {"dynamics", "preset", "tau", "w", "A0", "A1", "A2", "A3", "K", "Kprime_margin", "eps"},
+    "system": {"dynamics", "preset", "tau", "w", "A0", "A1", "K", "Kprime_margin", "eps"},
     "grid": {"eta"},
     "inputs": {"U", "mu"},
     "costs": {"cost_kind", "target", "obstacle"},
@@ -114,8 +114,6 @@ class PipelineConfig:
     cover: GridCover
     inputs: InputGrid
     model: CostModel
-    A2: float
-    A3: float
     k: int
     theta: float
     gamma: float
@@ -173,8 +171,6 @@ def load_config(path) -> PipelineConfig:
     spec.w = number("system", "w", _vector, spec.w)
     spec.A0 = number("system", "A0", _vector, spec.A0)
     spec.A1 = number("system", "A1", lambda t: _vector(t).reshape(dim, dim), spec.A1)
-    spec.A2 = number("system", "A2", float, spec.A2)
-    spec.A3 = number("system", "A3", float, spec.A3)
     spec.kprime_margin = number("system", "Kprime_margin", float, spec.kprime_margin)
     spec.eps = number("system", "eps", float, spec.eps)
     spec.theta = number("reach", "theta", float, spec.theta)
@@ -197,7 +193,7 @@ def load_config(path) -> PipelineConfig:
     domain = (spec.k_lower, spec.k_upper)
     target = number("costs", "target", lambda t: parse_set(t, domain), spec.target)
     obstacle = number("costs", "obstacle", lambda t: parse_set(t, domain), spec.obstacle)
-    model = cost_model(raw.get("costs", "cost_kind", fallback=spec.cost_kind), target, obstacle)
+    model = CostModel(raw.get("costs", "cost_kind", fallback=spec.cost_kind), target, obstacle)
 
     queue = raw.get("solve", "queue", fallback="auto")
     if queue not in QUEUES:
@@ -212,8 +208,6 @@ def load_config(path) -> PipelineConfig:
         cover=cover,
         inputs=inputs,
         model=model,
-        A2=spec.A2,
-        A3=spec.A3,
         k=kk,
         theta=spec.theta,
         gamma=gamma,

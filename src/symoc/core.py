@@ -102,14 +102,18 @@ class CostModel:
     needed to reason about them cell-wise.
 
     The ``cells_*`` predicates decide per closed cell whether it lies entirely
-    inside the finite-cost region, as Lipschitz-based cost abstraction
-    requires; ``G_rows``/``g_rows`` evaluate the costs at points p, reading
-    them on the cells [p, p].
+    inside the finite-cost region; ``G_rows``/``g_rows`` evaluate the costs at
+    points p, reading them on the cells [p, p].  Where finite, G is 0 and g
+    depends on the input only, so reading the costs on cells is exact.
     """
 
     kind: str
     target: SetPredicate
     obstacle: SetPredicate
+
+    def __post_init__(self):
+        if self.kind not in ("reach_avoid", "min_time", "energy_entry"):
+            raise InputError(f"unknown cost kind {self.kind!r}")
 
     def G_rows(self, ps):
         """G at each row of an (N, dim) array of points."""
@@ -118,8 +122,13 @@ class CostModel:
     def g_rows(self, ps, us):
         """g at each row of (N, dim) points and (N, input_dim) inputs; g does
         not depend on the successor."""
-        finite = np.einsum("ij,ij->i", us, us) if self.kind == "energy_entry" else self.finite_g_value(us)
-        return np.where(self.cells_g_finite(ps, ps), finite, INF)
+        return np.where(self.cells_g_finite(ps, ps), self.finite_g_rows(us), INF)
+
+    def finite_g_rows(self, us):
+        """g on its finite region at each row of (N, input_dim) inputs."""
+        if self.kind == "energy_entry":
+            return np.einsum("ij,ij->i", us, us)
+        return np.full(len(us), 0.0 if self.kind == "reach_avoid" else 1.0)
 
     def cells_G_finite(self, lo, hi):
         return self.target.cell_inside_batch(lo, hi) & self.obstacle.cell_disjoint_batch(lo, hi)
@@ -131,21 +140,6 @@ class CostModel:
         """Both cost functions are identically inf on the cell (the region the
         conservatism conditions exempt)."""
         return self.obstacle.cell_inside_batch(lo, hi)
-
-    def finite_g_value(self, u) -> float:
-        """Running cost on the finite region (independent of p, q there)."""
-        if self.kind == "reach_avoid":
-            return 0.0
-        if self.kind == "min_time":
-            return 1.0
-        u = np.asarray(u, dtype=float)
-        return float(u @ u)
-
-
-def cost_model(kind: str, D: SetPredicate, M: SetPredicate) -> CostModel:
-    if kind not in ("reach_avoid", "min_time", "energy_entry"):
-        raise InputError(f"unknown cost kind {kind!r}")
-    return CostModel(kind, D, M)
 
 
 @dataclass

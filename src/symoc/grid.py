@@ -133,21 +133,22 @@ class InputGrid:
         self.pieces = []
         reps = []
         radius = 0.0
+        total = 0.0  # representatives so far, as a float: a huge count is inf, not an overflow
         for lo, hi in pieces:
             lo = np.atleast_1d(np.asarray(lo, dtype=float))
             hi = np.atleast_1d(np.asarray(hi, dtype=float))
             if lo.shape != self.mu.shape or np.any(hi < lo):
                 raise InputError("invalid input interval piece")
             self.pieces.append((lo, hi))
-            axes = []
-            for i in range(lo.size):
-                span = hi[i] - lo[i]
-                if span == 0.0:
-                    axes.append(np.array([lo[i]]))
-                    continue
-                count = int(math.ceil(span / self.mu[i] - _COUNT_GUARD)) + 1
-                axes.append(np.linspace(lo[i], hi[i], count))
-                radius = max(radius, span / (count - 1) / 2)
+            with np.errstate(over="ignore"):
+                steps = np.maximum(np.ceil((hi - lo) / self.mu - _COUNT_GUARD), 1.0)
+            count = np.where(hi > lo, steps + 1, 1.0)
+            total += math.prod(count)
+            if not total < 2**31:  # NaN fails too
+                mu = " ".join(map(repr, self.mu.tolist()))
+                raise InputError(f"mu = {mu} needs at least {total:.3g} input representatives; the limit is 2**31 - 1")
+            axes = [np.linspace(a, b, int(c)) if b > a else np.array([a]) for a, b, c in zip(lo, hi, count)]
+            radius = max([radius] + [(b - a) / (c - 1) / 2 for a, b, c in zip(lo, hi, count) if b > a])
             mesh = np.meshgrid(*axes, indexing="ij")
             reps.append(np.stack([m.ravel() for m in mesh], axis=1))
         if not reps:

@@ -65,7 +65,6 @@ class SampledSystem:
     k_upper: np.ndarray
     kprime_margin: float
     eps: float
-    name: str = "system"
     dim: int = field(init=False)
 
     def __post_init__(self):
@@ -107,7 +106,7 @@ class SampledSystem:
     def substep_escape_guard_ok(self, k: int) -> bool:
         """Whether intra-substep excursions provably stay within the eps
         margin between the substep-boundary escape checks."""
-        return self.tau / k <= self.eps / float(self.A0.max())
+        return self.tau / k * float(self.A0.max()) <= self.eps
 
 
 def integrate_nominal(sys: SampledSystem, x0, u, t, substeps):

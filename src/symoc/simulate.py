@@ -78,7 +78,7 @@ class Trajectory:
             else:
                 u_txt = ""
                 stop = int(self.stopped)
-            cum = self.cum_costs[t] if t < len(self.cum_costs) else self.cum_costs[-1]
+            cum = self.cum_costs[t]
             xs = ",".join(CSV_FLOAT(float(v)) for v in np.atleast_1d(x))
             lines.append(f"{t},{xs},{u_txt},{stop},{CSV_FLOAT(cum) if cum < INF else 'inf'}")
         return "\n".join(lines) + "\n"

@@ -72,8 +72,6 @@ class SystemSpec:
     w: np.ndarray = None
     A0: np.ndarray = None
     A1: np.ndarray = None
-    A2: float = 0.0
-    A3: float = 0.0
     kprime_margin: float = 0.0
     eps: float = 0.0
     field_builder: callable = None
@@ -93,7 +91,6 @@ class SystemSpec:
             k_upper=self.k_upper,
             kprime_margin=self.kprime_margin,
             eps=self.eps,
-            name=self.name,
         )
 
 
@@ -113,8 +110,6 @@ def _pendulum_spec() -> SystemSpec:
         w=np.array([0.0, 0.1]),
         A0=np.array([4.0, 2.5]),
         A1=np.array([[0.0, 1.0], [2.25, -0.02]]),
-        A2=0.0,
-        A3=0.0,
         kprime_margin=0.9,
         eps=0.1,
         field_builder=pendulum_field,
@@ -143,8 +138,6 @@ def _chauffeur_spec() -> SystemSpec:
         w=np.array([0.3, 0.3]),
         A0=np.array([6.4, 6.4]),
         A1=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        A2=0.0,
-        A3=0.0,
         kprime_margin=1.0,
         eps=0.1,
         field_builder=chauffeur_field,

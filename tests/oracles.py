@@ -333,7 +333,7 @@ def point_G(model, p):
 def point_g(model, p, q, u):
     """Running cost of a ``CostModel`` at (p, q, u), read on the cell [p, p];
     it does not depend on the successor q."""
-    return model.finite_g_value(u) if model.cells_g_finite(p, p)[0] else INF
+    return float(model.finite_g_rows(np.atleast_2d(u))[0]) if model.cells_g_finite(p, p)[0] else INF
 
 
 def relation_pairs(rel):
@@ -344,7 +344,7 @@ def relation_pairs(rel):
 def pair_value(costs, cell, u_idx):
     """Running cost of an ``AbstractCosts`` pair (cell, input): the input's
     value where the cell's running cost is finite, inf elsewhere."""
-    if cell >= costs.cover.n_cells or not costs.g_finite[cell]:
+    if cell >= len(costs.g_finite) or not costs.g_finite[cell]:
         return INF
     return float(costs.input_values[u_idx])
 

@@ -15,7 +15,7 @@ from symoc.abstraction import (
     build_abstraction,
 )
 from symoc.config import load_config
-from symoc.core import INF, cost_model
+from symoc.core import INF, CostModel
 from symoc.errors import InputError, SoundnessAlarm
 from symoc.grid import GridCover, InputGrid
 from symoc.reach import SampledSystem
@@ -43,8 +43,8 @@ def logistic_setup(N):
     spec = get_system("logistic")
     cover = GridCover(spec.k_lower, spec.k_upper, np.array([1.0 / N]))
     inputs = InputGrid(spec.input_pieces, np.array([1.0]))
-    model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
-    ac = abstract_costs(model, cover, inputs, 0.0, 0.0)
+    model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
+    ac = abstract_costs(model, cover, inputs)
     reach = MapReach(LogisticMap(), cover)
     problem, cert = build_abstraction(reach, cover, inputs, ac)
     return spec, cover, inputs, model, ac, reach, problem, cert
@@ -78,8 +78,8 @@ def test_pendulum_energy_cost_abstraction():
     eta, mu, _ = spec.presets["p1"]
     cover = GridCover(spec.k_lower, spec.k_upper, eta)
     inputs = InputGrid(spec.input_pieces, mu)
-    model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
-    ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
+    model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
+    ac = abstract_costs(model, cover, inputs)
     assert cover.counts.tolist() == [158, 76]
     assert len(inputs) == 21
     # interior cell: running cost is the squared input
@@ -123,8 +123,8 @@ def test_identity_dynamics_transitions_are_overlapping_cells():
     )
     cover = GridCover([0.0, 0.0], [1.0, 1.0], [0.25, 0.25])
     inputs = InputGrid([([0.0], [0.0])], [1.0])
-    model = cost_model("min_time", Box([0.4, 0.4], [0.6, 0.6], open_=True), EmptySet())
-    ac = abstract_costs(model, cover, inputs, 0.0, 0.0)
+    model = CostModel("min_time", Box([0.4, 0.4], [0.6, 0.6], open_=True), EmptySet())
+    ac = abstract_costs(model, cover, inputs)
     reach = SampledReach(sys, cover, inputs, k=1, theta=10.0, gamma=0.0)
     problem, _ = build_abstraction(reach, cover, inputs, ac)
     for cell, c in enumerate(cover.centers_all()):
@@ -139,8 +139,8 @@ def test_batched_build_matches_per_cell_build():
     sys = spec.sampled_system()
     cover = GridCover(spec.k_lower, spec.k_upper, np.array([0.8, 0.6]))
     inputs = InputGrid(spec.input_pieces, np.array([1.0]))
-    model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
-    ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
+    model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
+    ac = abstract_costs(model, cover, inputs)
     overflow = [cover.overflow]
     # theta 1.0 gives one reach branch per input, 0.5 four overlapping ones
     for theta in (1.0, 0.5):
@@ -231,8 +231,8 @@ def test_split_cap_hit_is_noted_in_certificate(caplog):
     spec = get_system("pendulum")
     cover = GridCover(spec.k_lower, spec.k_upper, np.array([0.8, 0.6]))
     inputs = InputGrid(spec.input_pieces, np.array([1.0]))
-    model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
-    ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
+    model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
+    ac = abstract_costs(model, cover, inputs)
     notes = {}
     for max_splits in (64, 2):  # theta 0.5 needs four branches per input
         reach = SampledReach(spec.sampled_system(), cover, inputs, k=2, theta=0.5, gamma=1e-7,
@@ -259,8 +259,8 @@ def test_abstract_transitions_are_supersets_of_simulation():
     eta, mu, k = spec.presets["p1"]
     cover = GridCover(spec.k_lower, spec.k_upper, eta)
     inputs = InputGrid(spec.input_pieces, mu)
-    model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
-    ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
+    model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
+    ac = abstract_costs(model, cover, inputs)
     reach = SampledReach(sys, cover, inputs, k, spec.theta, spec.preset_gamma["p1"])
     problem, _ = build_abstraction(reach, cover, inputs, ac)
     rng = np.random.default_rng(31)

@@ -16,7 +16,7 @@ from symoc.analysis import (
     logistic_exact_values,
 )
 from symoc.cli import main
-from symoc.core import INF, FiniteProblem, cost_model
+from symoc.core import INF, CostModel, FiniteProblem
 from symoc.grid import GridCover, InputGrid
 from symoc.reach import attain_over_batch
 from symoc.relations import RefinedController, Relation, check_vfrr, pointwise_upper_bound
@@ -48,8 +48,8 @@ def synthesize(name, preset):
     eta, mu, k = spec.presets[preset]
     cover = GridCover(spec.k_lower, spec.k_upper, eta)
     inputs = InputGrid(spec.input_pieces, mu)
-    model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
-    ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
+    model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
+    ac = abstract_costs(model, cover, inputs)
     if spec.kind == "map":
         plant = LogisticMap()
         reach = MapReach(plant, cover)

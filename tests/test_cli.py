@@ -217,6 +217,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "input error:" in err and "Traceback" not in err, line
 
+    # cost slack keys are unknown: the cost abstraction is exact
+    for key in ("A2", "A3"):
+        bad.write_text(f"[system]\ndynamics = logistic\npreset = N40\n{key} = 0.0\n")
+        assert main(["synthesize", str(bad), "--out-prefix", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"input error: unknown key '{key.lower()}' in section [system]\n"
+    # a zero field bound and input steps too fine to count are no crash
+    bad.write_text("[system]\ndynamics = pendulum\npreset = p1\nA0 = 0 0\n[grid]\neta = 0.8 0.6\n")
+    assert main(["synthesize", str(bad), "--out-prefix", str(tmp_path / "x")]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    for mu in ("1e-308", "1e-9"):
+        bad.write_text(f"[system]\ndynamics = pendulum\npreset = p1\n[inputs]\nmu = {mu}\n")
+        assert main(["synthesize", str(bad), "--out-prefix", str(tmp_path / "x")]) == 1, mu
+        assert capsys.readouterr().err.startswith(f"input error: mu = {float(mu)!r} needs "), mu
+
     # a key nothing reads is unknown, like any other
     bad.write_text("[system]\ndynamics = logistic\npreset = N40\n[solve]\nworkers = 2\n")
     assert main(["synthesize", str(bad), "--out-prefix", str(tmp_path / "x")]) == 1

@@ -11,8 +11,8 @@ from symoc.core import (
     INF,
     STOP,
     ControllerTable,
+    CostModel,
     FiniteProblem,
-    cost_model,
     values_from_text,
     values_to_text,
 )
@@ -108,7 +108,7 @@ def test_run_validation():
 def test_reach_avoid_costs():
     D = Box([0.0], [1.0])
     M = Box([2.0], [3.0])
-    model = cost_model("reach_avoid", D, M)
+    model = CostModel("reach_avoid", D, M)
     g, G = functools.partial(point_g, model), functools.partial(point_G, model)
     assert G([0.5]) == 0.0
     assert G([2.5]) == INF  # inside the obstacle
@@ -118,7 +118,7 @@ def test_reach_avoid_costs():
 
 
 def test_reach_avoid_empty_target():
-    G = functools.partial(point_G, cost_model("reach_avoid", EmptySet(), EmptySet()))
+    G = functools.partial(point_G, CostModel("reach_avoid", EmptySet(), EmptySet()))
     for x in ([0.0], [5.0], [-3.0]):
         assert G(x) == INF
 
@@ -126,13 +126,23 @@ def test_reach_avoid_empty_target():
 def test_min_time_costs():
     D = Box([0.0], [1.0])
     M = Box([2.0], [3.0])
-    model = cost_model("min_time", D, M)
+    model = CostModel("min_time", D, M)
     assert point_g(model, [1.5], [0.0], 0) == 1.0
     assert point_G(model, [0.5]) == 0.0
     # obstacle covering everything makes both costs infinite
-    everywhere = cost_model("min_time", D, Complement(EmptySet()))
+    everywhere = CostModel("min_time", D, Complement(EmptySet()))
     assert point_g(everywhere, [0.5], [0.5], 0) == INF
     assert point_G(everywhere, [0.5]) == INF
+
+
+def test_finite_running_costs_per_kind():
+    us = np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 3))
+    energy = CostModel("energy_entry", EmptySet(), EmptySet()).finite_g_rows(us)
+    assert energy.tolist() == pytest.approx([float(u @ u) for u in us], rel=1e-15)
+    assert CostModel("reach_avoid", EmptySet(), EmptySet()).finite_g_rows(us).tolist() == [0.0] * 50
+    assert CostModel("min_time", EmptySet(), EmptySet()).finite_g_rows(us).tolist() == [1.0] * 50
+    with pytest.raises(InputError, match="unknown cost kind 'fuel'"):
+        CostModel("fuel", EmptySet(), EmptySet())
 
 
 def test_cost_constructors_idempotent():
@@ -140,7 +150,7 @@ def test_cost_constructors_idempotent():
     M = Box([2.0, 2.0], [3.0, 3.0])
     pts = [np.array([x, y]) for x in (-1.0, 0.5, 2.5) for y in (0.5, 2.5)]
     for kind in ("reach_avoid", "min_time"):
-        one, two = cost_model(kind, D, M), cost_model(kind, D, M)
+        one, two = CostModel(kind, D, M), CostModel(kind, D, M)
         for p in pts:
             assert point_G(one, p) == point_G(two, p)
             for q in pts:

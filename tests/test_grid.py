@@ -205,6 +205,16 @@ def test_input_grid_degenerate_spacing():
     assert grid.radius == pytest.approx(1.0)
 
 
+def test_input_grid_counts_before_it_allocates():
+    # tiny mu values go through main() in test_cli; NaN passes the sign test
+    with pytest.raises(InputError, match="mu = nan needs at least nan input representatives"):
+        InputGrid([([-2.0], [2.0])], [float("nan")])
+    # a step far wider than the piece still keeps both ends
+    grid = InputGrid([([-2.0], [2.0])], [1e308])
+    assert [v[0] for v in grid.representatives] == [-2.0, 2.0]
+    assert grid.radius == 2.0
+
+
 def test_input_grid_union_of_pieces_and_covering():
     grid = InputGrid([([-1.0], [-0.5]), ([0.5], [1.0])], [0.2])
     rng = np.random.default_rng(7)

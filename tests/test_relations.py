@@ -9,7 +9,7 @@ import pytest
 import oracles
 import symoc.relations as relations
 from symoc.abstraction import MapReach, abstract_costs, build_abstraction
-from symoc.core import INF, ControllerTable, FiniteProblem, cost_model
+from symoc.core import INF, ControllerTable, CostModel, FiniteProblem
 from symoc.errors import InputError
 from symoc.grid import GridCover, InputGrid
 from symoc.relations import (
@@ -174,8 +174,8 @@ def test_sampled_abstraction_satisfies_refinement_conditions():
     spec = get_system("logistic")
     cover = GridCover(spec.k_lower, spec.k_upper, np.array([1.0 / 40.0]))
     inputs = InputGrid(spec.input_pieces, np.array([1.0]))
-    model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
-    ac = abstract_costs(model, cover, inputs, 0.0, 0.0)
+    model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
+    ac = abstract_costs(model, cover, inputs)
     plant = LogisticMap()
     problem, _ = build_abstraction(MapReach(plant, cover), cover, inputs, ac)
     rng = np.random.default_rng(52)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symoc.abstraction import MapReach, SampledReach, abstract_costs, build_abstraction
-from symoc.core import INF, STOP, ControllerTable, cost_model
+from symoc.core import INF, STOP, ControllerTable, CostModel
 from symoc.errors import InputError
 from symoc.grid import GridCover, InputGrid
 from symoc.reach import SampledSystem
@@ -18,8 +18,8 @@ from oracles import point_G, reference_run_closed_loop
 def build_pipeline(spec, eta, mu, k, gamma, plant=None, theta=None):
     cover = GridCover(spec.k_lower, spec.k_upper, eta)
     inputs = InputGrid(spec.input_pieces, mu)
-    model = cost_model(spec.cost_kind, spec.target, spec.obstacle)
-    ac = abstract_costs(model, cover, inputs, spec.A2, spec.A3)
+    model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
+    ac = abstract_costs(model, cover, inputs)
     if spec.kind == "map":
         reach = MapReach(plant, cover)
         sys = plant
@@ -192,8 +192,6 @@ def test_static_field_with_all_covering_target():
             cost_kind="reach_avoid",
             target=Box([-1.0], [2.0], open_=True),
             obstacle=EmptySet(),
-            A2=0.0,
-            A3=0.0,
             theta=1.0,
             sampled_system=lambda self: sys,
         ),
