@@ -238,6 +238,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"input error: out of memory: {exc}", file=sys.stderr)
+        return 1
     except SoundnessAlarm as exc:
         print(f"soundness alarm: {exc}", file=sys.stderr)
         return 2

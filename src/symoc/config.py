@@ -198,9 +198,8 @@ def load_config(path) -> PipelineConfig:
     queue = raw.get("solve", "queue", fallback="auto")
     if queue not in QUEUES:
         raise InputError(f"[solve] queue = {queue!r}: not one of {', '.join(QUEUES)}")
-    cover, inputs = GridCover(spec.k_lower, spec.k_upper, eta), InputGrid(spec.input_pieces, mu)
-    if cover.n_states * len(inputs) >= 2**31:  # the abstraction's pair ids are int32
-        raise InputError(f"{cover.n_states} states x {len(inputs)} inputs: need fewer than 2**31 pairs")
+    cover = GridCover(spec.k_lower, spec.k_upper, eta)
+    inputs = InputGrid(spec.input_pieces, mu, states=cover.n_states)
     return PipelineConfig(
         name=spec.name,
         kind=spec.kind,

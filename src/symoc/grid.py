@@ -126,13 +126,15 @@ class InputGrid:
     the largest realized step.
     """
 
-    def __init__(self, pieces, mu):
+    def __init__(self, pieces, mu, states=1):
+        """``states`` is the cell count of the cover the inputs pair with;
+        pair ids are int32, so states x inputs must stay below 2**31, which
+        is checked, like the representative count, before any is built."""
         self.mu = np.atleast_1d(np.asarray(mu, dtype=float))
         if np.any(self.mu <= 0):
             raise InputError("mu must be positive")
         self.pieces = []
-        reps = []
-        radius = 0.0
+        counts = []
         total = 0.0  # representatives so far, as a float: a huge count is inf, not an overflow
         for lo, hi in pieces:
             lo = np.atleast_1d(np.asarray(lo, dtype=float))
@@ -142,17 +144,22 @@ class InputGrid:
             self.pieces.append((lo, hi))
             with np.errstate(over="ignore"):
                 steps = np.maximum(np.ceil((hi - lo) / self.mu - _COUNT_GUARD), 1.0)
-            count = np.where(hi > lo, steps + 1, 1.0)
-            total += math.prod(count)
+            counts.append(np.where(hi > lo, steps + 1, 1.0))
+            total += math.prod(counts[-1])
             if not total < 2**31:  # NaN fails too
                 mu = " ".join(map(repr, self.mu.tolist()))
                 raise InputError(f"mu = {mu} needs at least {total:.3g} input representatives; the limit is 2**31 - 1")
+        if not self.pieces:
+            raise InputError("need at least one input interval piece")
+        if states * int(total) >= 2**31:
+            raise InputError(f"{states} states x {int(total)} inputs: need fewer than 2**31 pairs")
+        reps = []
+        radius = 0.0
+        for (lo, hi), count in zip(self.pieces, counts):
             axes = [np.linspace(a, b, int(c)) if b > a else np.array([a]) for a, b, c in zip(lo, hi, count)]
             radius = max([radius] + [(b - a) / (c - 1) / 2 for a, b, c in zip(lo, hi, count) if b > a])
             mesh = np.meshgrid(*axes, indexing="ij")
             reps.append(np.stack([m.ravel() for m in mesh], axis=1))
-        if not reps:
-            raise InputError("need at least one input interval piece")
         self.representatives = np.concatenate(reps, axis=0)
         self.radius = float(radius)
         self.dim = self.representatives.shape[1]

@@ -10,7 +10,10 @@ successors and M = g(p,u) + W(q) with per-pair costs.  With per-edge costs a
 running maximum of g(p,y,u) + W(y) is kept per pair, raised as each successor
 settles.  Pairs with an infinite-cost transition can never improve anything
 and are dropped from the inverse adjacency up front.  Cost sums saturate to
-inf, the sound upper bound.
+inf, the sound upper bound.  The inverse adjacency, int32 pair ids per
+successor, is built by a counting sort over chunks of pairs, so the solver
+holds 4 B per live edge beside the problem (12 B with per-edge costs) and
+O(n m) pair data.
 
 One settle loop serves two queue disciplines.  Each step takes a wave, the
 states to settle next in settle order, and settles it with numpy; its ready
@@ -80,6 +83,16 @@ def is_discrete_cost(problem: FiniteProblem):
     return gamma, float(lo)
 
 
+_INVERSE_EDGES = 1 << 16  # edges sorted per chunk by _build_inverse
+
+
+def _pair_chunks(ptr, edges):
+    """Pair ids cutting the pairs of CSR index ``ptr`` into runs of about
+    ``edges`` edges each; a pair with more edges is a run of its own."""
+    cuts = np.searchsorted(ptr, np.arange(0, ptr[-1], edges))
+    return np.unique(np.append(cuts, len(ptr) - 1)).tolist()
+
+
 def _build_inverse(problem: FiniteProblem):
     """Inverse adjacency over non-inert pairs.
 
@@ -90,47 +103,74 @@ def _build_inverse(problem: FiniteProblem):
     transition cost are inert (their M is always inf) and omitted.  A pair
     listing a successor twice would never become ready (its counter counts
     the successor twice, a settle decrements it once), so that is an input
-    error.
+    error naming the least such (successor, pair).
+
+    A two-pass counting sort.  The first pass counts the live edges into
+    each state.  The second walks the edges in pair order, in chunks of
+    whole pairs, sorts each chunk by (successor, edge) and writes its pair
+    ids at each successor's cursor, so every list comes out in pair order.
+    Beyond the outputs it holds O(n m) pair data and O(n + _INVERSE_EDGES)
+    per chunk.
     """
     n, m = problem.n, problem.m
     if n * m >= 2**31:
         raise InputError(f"{n} states x {m} inputs exceed the int32 pair ids")
-    ptr = problem.trans_ptr
-    sizes = np.diff(ptr)
-    if problem.edge_costs is not None:
-        pair_alive = np.logical_and.reduceat(np.isfinite(problem.edge_costs), ptr[:-1])
-    else:
-        pair_alive = np.isfinite(problem.pair_costs)
-    alive_edge = None if pair_alive.all() else np.repeat(pair_alive, sizes)
+    ptr, succ, edge_costs = problem.trans_ptr, problem.trans_succ, problem.edge_costs
+    pair_alive = np.isfinite(problem.pair_costs) if edge_costs is None else np.empty(n * m, dtype=bool)
 
-    def alive(per_edge):
-        return per_edge if alive_edge is None else per_edge[alive_edge]
+    def live(pa, pb, per_edge):
+        """per_edge, for the edges of pairs pa..pb-1, without the inert pairs' edges"""
+        alive = pair_alive[pa:pb]
+        return per_edge if alive.all() else per_edge[np.repeat(alive, np.diff(ptr[pa : pb + 1]))]
 
-    succ = alive(problem.trans_succ)
+    # count pass, in chunks of at least n edges so that each bincount costs
+    # O(edges)
     pred_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(succ, minlength=n), out=pred_ptr[1:])
-    # sort the edges by the unique key (successor, pair id), the order of a
-    # stable sort by successor
-    key = succ.astype(np.int64)
-    del succ
-    key *= n * m
-    key += np.repeat(np.flatnonzero(pair_alive).astype(np.int32), sizes[pair_alive])  # the edges' pair ids
-    if problem.edge_costs is None:
+    cuts = _pair_chunks(ptr, max(_INVERSE_EDGES, n))
+    for pa, pb in zip(cuts, cuts[1:]):
+        a, b = ptr[pa], ptr[pb]
+        if edge_costs is not None:
+            pair_alive[pa:pb] = np.logical_and.reduceat(np.isfinite(edge_costs[a:b]), ptr[pa:pb] - a)
+        pred_ptr[1:] += np.bincount(live(pa, pb, succ[a:b]), minlength=n)
+    np.cumsum(pred_ptr, out=pred_ptr)
+
+    # fill pass: a chunk's edges, sorted by (successor, chunk-local edge),
+    # form one run per successor, in pair order
+    cursor = pred_ptr[:-1].copy()  # next free slot of each list
+    pred_pair = np.empty(pred_ptr[-1], dtype=np.int32)
+    inv_costs = None if edge_costs is None else np.empty(pred_ptr[-1])
+    cuts = _pair_chunks(ptr, _INVERSE_EDGES)
+    local = np.arange(np.diff(ptr[cuts]).max())
+    dups = []  # (successor, pair) of duplicate edges
+    for pa, pb in zip(cuts, cuts[1:]):
+        a, b = ptr[pa], ptr[pb]
+        key = np.left_shift(succ[a:b], 32, dtype=np.int64)
+        key |= local[: b - a]
+        key = live(pa, pb, key)
+        if not len(key):
+            continue
         key.sort()
-        inv_costs = None
-    else:
-        order = np.argsort(key)
-        key = key[order]
-        inv_costs = alive(problem.edge_costs)[order]
-        del order
-    dup = np.flatnonzero(key[1:] == key[:-1])
-    if len(dup):
-        q, pid = divmod(int(key[dup[0]]), n * m)
+        q = key >> 32
+        key &= 0xFFFFFFFF  # the edge
+        pids = np.repeat(np.arange(pa, pb, dtype=np.int32), np.diff(ptr[pa : pb + 1]))[key]
+        new_q = q[1:] != q[:-1]
+        dup = np.flatnonzero((pids[1:] == pids[:-1]) & ~new_q)
+        if len(dup):
+            dups.append((int(q[dup[0]]), int(pids[dup[0]])))  # the chunk's least
+        starts = np.concatenate(([0], np.flatnonzero(new_q) + 1))
+        runs = np.diff(starts, append=len(q))
+        heads = q[starts]
+        dest = np.repeat(cursor[heads] - starts, runs)
+        dest += local[: len(q)]
+        cursor[heads] += runs
+        pred_pair[dest] = pids
+        if inv_costs is not None:
+            inv_costs[dest] = edge_costs[a:b][key]
+    if dups:
+        q, pid = min(dups)
         raise InputError(f"duplicate transition ({pid // m},{pid % m},{q})")
-    np.remainder(key, n * m, out=key)
-    pred_pair = key.astype(np.int32)
-    del key
-    counters = np.where(pair_alive, sizes, -1)
+    counters = np.diff(ptr)
+    counters[~pair_alive] = -1
     return pred_ptr, pred_pair, counters, inv_costs
 
 

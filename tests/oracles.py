@@ -409,9 +409,11 @@ def union_branches_by_unique(cover, branches, active):
 def reference_inverse(problem):
     """Inverse adjacency over non-inert pairs.
 
-    Returns (pred_ptr, pred_pair, counters); pred_pair[pred_ptr[q]:pred_ptr[q+1]]
-    lists the pair ids having q among their successors.  Pairs with any
-    infinite transition cost are inert (their M is always inf) and omitted.
+    Returns (pred_ptr, pred_pair, counters, inv_costs);
+    pred_pair[pred_ptr[q]:pred_ptr[q+1]] lists the pair ids having q among
+    their successors, in increasing order, and inv_costs the matching edge
+    costs (None with per-pair costs).  Pairs with any infinite transition
+    cost are inert (their M is always inf) and omitted.
     """
     n, m = problem.n, problem.m
     ptr = problem.trans_ptr
@@ -429,7 +431,8 @@ def reference_inverse(problem):
     pred_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(succ, minlength=n), out=pred_ptr[1:])
     counters = np.where(pair_alive, sizes, -1).astype(np.int64)
-    return pred_ptr, pred_pair, counters
+    inv_costs = None if problem.edge_costs is None else problem.edge_costs[alive_edge][order]
+    return pred_ptr, pred_pair, counters, inv_costs
 
 
 def reference_solve(problem, queue="heap"):
@@ -449,7 +452,7 @@ def reference_solve(problem, queue="heap"):
     W = problem.G.copy()
     choice = np.full(n, STOP, dtype=np.int64)
     settled = np.zeros(n, dtype=bool)
-    pred_ptr, pred_pair, counters = reference_inverse(problem)
+    pred_ptr, pred_pair, counters, _ = reference_inverse(problem)
     ptr = problem.trans_ptr
     succ = problem.trans_succ
     edge_costs = problem.edge_costs

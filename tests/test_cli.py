@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,39 @@ def test_focp_with_fewer_t_records_than_pairs_stops_before_the_pair_index(tmp_pa
     )
     assert out.returncode == 1
     assert out.stderr == "input error: every (state, input) pair needs a successor (F strict): (0,0) has none\n"
+
+
+def test_running_out_of_memory_is_an_input_error(tmp_path):
+    # chauffeur p1 at eta 0.002 has 25 M cells, whose float boxes alone
+    # overrun a 1 GiB address-space limit of the child process
+    config = tmp_path / "fine.ini"
+    config.write_text("[system]\ndynamics = chauffeur\npreset = p1\n[grid]\neta = 0.002 0.002\n")
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    out = subprocess.run(
+        [sys.executable, "-m", "symoc", "synthesize", str(config), "--out-prefix", str(tmp_path / "o")],
+        cwd=REPO, env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")), preexec_fn=limit,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("input error: out of memory: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_pair_limit_is_checked_before_the_inputs_are_built(tmp_path, capsys):
+    # mu = 1e-6 gives 4,000,001 inputs, within the representative limit, but
+    # 12,009 states x 4,000,001 inputs are too many pairs: the 32 MB of
+    # representatives (and their meshgrid copies) are never built
+    config = tmp_path / "fine_inputs.ini"
+    config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[inputs]\nmu = 1e-6\n")
+    tracemalloc.start()
+    try:
+        code = main(["synthesize", str(config), "--out-prefix", str(tmp_path / "x")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == "input error: 12009 states x 4000001 inputs: need fewer than 2**31 pairs\n"
+    assert peak < 8 << 20
 
 
 def test_covers_of_2_31_pairs_or_more_are_input_errors(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     naive_fixpoint,
     naive_value_iteration,
     random_problem_lists,
+    reference_inverse,
     reference_solve,
     successors,
     value_iteration,
@@ -365,3 +367,85 @@ def test_duplicate_successor_is_an_input_error():
         solve(problem)
     with pytest.raises(InputError, match="duplicate transition"):
         solve(problem, queue="fifo")
+
+
+def random_csr_problem(rng, n, m, max_succ, per_edge, dtype):
+    """A problem with 1 to max_succ distinct successors per pair, in no
+    particular order, and about a tenth of the pairs inert (some cost inf);
+    costs are per edge or per pair.  Needs n > max_succ."""
+    sizes = rng.integers(1, max_succ + 1, size=n * m)
+    ptr = np.zeros(n * m + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    # successors base + 0 < base + s_2 < ... with steps s_i <= n // max_succ,
+    # so that a pair's spread stays below n
+    offset = np.cumsum(rng.integers(1, n // max_succ + 1, size=ptr[-1]))
+    offset -= np.repeat(offset[ptr[:-1]], sizes)
+    succ = ((np.repeat(rng.integers(0, n, size=n * m), sizes) + offset) % n).astype(dtype)
+    inert = rng.random(n * m) < 0.1
+    G = np.where(rng.random(n) < 0.3, 0.0, INF)
+    if per_edge:
+        costs = np.round(rng.uniform(0.5, 1.5, size=ptr[-1]), 3)
+        costs[ptr[:-1][inert]] = INF
+        return FiniteProblem(n, m, G, ptr, succ, edge_costs=costs)
+    costs = np.where(inert, INF, np.round(rng.uniform(0.5, 1.5, size=n * m), 3))
+    return FiniteProblem(n, m, G, ptr, succ, pair_costs=costs)
+
+
+def assert_inverse_matches_reference(problem):
+    got = symoc.solver._build_inverse(problem)
+    want = reference_inverse(problem)
+    assert [a.dtype for a in got[:3]] == [np.int64, np.int32, np.int64]
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64, None])
+def test_build_inverse_matches_reference_inverse(monkeypatch, chunk):
+    # chunks of 1, 3 and 64 edges cut the problems into many fill chunks,
+    # some of inert pairs only; None keeps the default
+    if chunk is not None:
+        monkeypatch.setattr(symoc.solver, "_INVERSE_EDGES", chunk)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        trans, G = random_problem_lists(rng, n_max=40, cost_mode="real")
+        for problem in (from_lists(trans, G), *constant_per_pair(from_lists(trans, G))):
+            assert_inverse_matches_reference(problem)
+    for per_edge in (True, False):
+        for dtype in (np.int32, np.int64):
+            assert_inverse_matches_reference(random_csr_problem(rng, 400, 3, 12, per_edge, dtype))
+    # more than one default chunk
+    assert_inverse_matches_reference(random_csr_problem(rng, 3000, 5, 20, True, np.int32))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_duplicate_message_names_the_least_successor_and_pair(monkeypatch, chunk):
+    # pairs 0, 3 and 4 list a successor twice; the least (successor, pair)
+    # is (2, 3), in a later chunk than pair 0's duplicate 5 when chunks are small
+    if chunk is not None:
+        monkeypatch.setattr(symoc.solver, "_INVERSE_EDGES", chunk)
+    succ = [5, 5, 1, 0, 1, 2, 4, 2, 2, 2, 0]
+    ptr = [0, 3, 4, 5, 8, 10, 11]
+    problem = FiniteProblem(6, 1, [INF, 0.0, INF, INF, INF, INF], ptr, np.array(succ), pair_costs=np.ones(6))
+    with pytest.raises(InputError) as exc:
+        symoc.solver._build_inverse(problem)
+    assert str(exc.value) == "duplicate transition (3,0,2)"
+
+
+@pytest.mark.parametrize("per_edge", [True, False])
+def test_build_inverse_holds_little_beyond_its_outputs(per_edge):
+    # 2.4 M edges over 80,000 pairs: besides its outputs the build may hold
+    # O(n m) pair data and O(n + _INVERSE_EDGES) per chunk, not an array per
+    # edge (a sort of (successor, pair) int64 keys over all edges holds at
+    # least 8 B per edge more, 19 MB here)
+    n, m = 20_000, 4
+    problem = random_csr_problem(np.random.default_rng(8), n, m, 59, per_edge, np.int32)
+    assert problem.n_edges >= 2_000_000
+    tracemalloc.start()
+    try:
+        out = symoc.solver._build_inverse(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in out if a is not None)
+    chunk = max(symoc.solver._INVERSE_EDGES, n)
+    assert peak <= outputs + 24 * n * m + 32 * n + 64 * chunk
