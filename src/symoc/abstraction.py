@@ -86,7 +86,7 @@ class SampledReach:
     does not depend on the state.
     """
 
-    def __init__(self, sys: SampledSystem, cover: GridCover, inputs: InputGrid, k: int, theta: float, gamma: float, substeps: int = 5, max_splits: int = 64):
+    def __init__(self, sys: SampledSystem, cover: GridCover, inputs: InputGrid, k: int, theta: float, gamma: float):
         check_reach_parameters(k, theta, gamma)
         self.sys = sys
         self.cover = cover
@@ -94,8 +94,6 @@ class SampledReach:
         self.k = int(k)
         self.theta = float(theta)
         self.gamma = float(gamma)
-        self.substeps = int(substeps)
-        self.max_splits = int(max_splits)
         self.r0 = cover.eta / 2.0
         if not sys.substep_escape_guard_ok(self.k):
             self.guard_note = (
@@ -109,7 +107,7 @@ class SampledReach:
         u = self.inputs.representatives[u_idx]
         lo_b, hi_b, escaped, slack, capped = attain_over_batch(
             self.sys, self.cover.centers_all(), self.r0, u, self.k, self.theta,
-            self.gamma, self.cover.max_diameter, self.substeps, self.max_splits,
+            self.gamma, self.cover.max_diameter,
         )
         branches = []
         for lo, hi in zip(lo_b, hi_b):

@@ -73,24 +73,20 @@ def cmd_solve_finite(args):
 
 
 def _build_from_config(cfg):
-    ac = abstract_costs(cfg.model, cfg.cover, cfg.inputs)
+    """(problem, cert) of the abstraction that ``cfg`` describes."""
     if cfg.kind == "map":
         reach = MapReach(cfg.plant, cfg.cover)
     else:
-        reach = SampledReach(
-            cfg.plant, cfg.cover, cfg.inputs, cfg.k, cfg.theta, cfg.gamma,
-            substeps=cfg.substeps, max_splits=cfg.max_splits,
-        )
-    problem, cert = build_abstraction(reach, cfg.cover, cfg.inputs, ac)
-    return ac, reach, problem, cert
+        reach = SampledReach(cfg.plant, cfg.cover, cfg.inputs, cfg.k, cfg.theta, cfg.gamma)
+    return build_abstraction(reach, cfg.cover, cfg.inputs, abstract_costs(cfg.model, cfg.cover, cfg.inputs))
 
 
 def cmd_synthesize(args):
     cfg = load_config(args.config)
     t0 = time.perf_counter()
-    ac, reach, problem, cert = _build_from_config(cfg)
+    problem, cert = _build_from_config(cfg)
     t1 = time.perf_counter()
-    result = solve(problem, queue=cfg.queue)
+    result = solve(problem, queue="auto")  # FIFO for certified discrete costs, else the heap
     t2 = time.perf_counter()
     _write(args.out_prefix + ".sidecar", abstraction_sidecar_text(cfg.cover, cfg.inputs, cert))
     _write(args.out_prefix + ".values", values_to_text(result.W))
@@ -122,10 +118,9 @@ def cmd_simulate(args):
     report = batch_verify(
         cfg.plant, ctrl, W, cfg.cover, cfg.model, sample_count=args.verify_samples,
         policy_name=args.policy, seed=args.seed, max_steps=max_steps, tol=args.tol,
-        substeps=cfg.substeps,
     )
     # the runs written out count in the same report
-    runs = run_closed_loop(cfg.plant, ctrl, W, cfg.model, starts, args.policy, args.seed, max_steps, cfg.substeps)
+    runs = run_closed_loop(cfg.plant, ctrl, W, cfg.model, starts, args.policy, args.seed, max_steps)
     for i, traj in enumerate(runs):
         _write(f"{args.out_prefix}.traj{i:03d}.csv", traj.to_csv())
         report.add(traj, args.tol)

@@ -12,8 +12,8 @@ Example::
     dynamics = pendulum
     preset = p1
 
-    [solve]
-    queue = auto
+    [grid]
+    eta = 0.4 0.3
 """
 
 from __future__ import annotations
@@ -27,17 +27,14 @@ from .core import CostModel
 from .errors import InputError
 from .grid import GridCover, InputGrid
 from .sets import Box, Complement, EmptySet, QuadraticSublevel, SetPredicate, UnionSet
-from .solver import QUEUES
 from .systems import LogisticMap, SystemSpec, get_system
 
-_SECTIONS = {"system", "grid", "inputs", "costs", "reach", "solve"}
 _KEYS = {
     "system": {"dynamics", "preset", "tau", "w", "A0", "A1", "K", "Kprime_margin", "eps"},
     "grid": {"eta"},
     "inputs": {"U", "mu"},
     "costs": {"cost_kind", "target", "obstacle"},
-    "reach": {"k", "theta", "gamma", "substeps", "max_splits"},
-    "solve": {"queue"},
+    "reach": {"k", "theta", "gamma"},
 }
 
 
@@ -49,12 +46,6 @@ def _vector(text: str) -> np.ndarray:
     if not np.isfinite(vector).all():
         raise InputError(f"expected finite numbers, got {text.strip()!r}")
     return vector
-
-
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise InputError("need at least 1")
-    return int(text)
 
 
 def _corners(text: str):
@@ -117,9 +108,6 @@ class PipelineConfig:
     k: int
     theta: float
     gamma: float
-    substeps: int
-    max_splits: int
-    queue: str
 
 
 def _preset_of(spec: SystemSpec, raw):
@@ -143,7 +131,7 @@ def load_config(path) -> PipelineConfig:
     except configparser.Error as exc:
         raise InputError(f"malformed config {path}: {exc}") from exc
     for section in raw.sections():
-        if section not in _SECTIONS:
+        if section not in _KEYS:
             raise InputError(f"unknown config section [{section}]")
         for key in raw[section]:
             if key not in {k.lower() for k in _KEYS[section]}:
@@ -195,9 +183,6 @@ def load_config(path) -> PipelineConfig:
     obstacle = number("costs", "obstacle", lambda t: parse_set(t, domain), spec.obstacle)
     model = CostModel(raw.get("costs", "cost_kind", fallback=spec.cost_kind), target, obstacle)
 
-    queue = raw.get("solve", "queue", fallback="auto")
-    if queue not in QUEUES:
-        raise InputError(f"[solve] queue = {queue!r}: not one of {', '.join(QUEUES)}")
     cover = GridCover(spec.k_lower, spec.k_upper, eta)
     inputs = InputGrid(spec.input_pieces, mu, states=cover.n_states)
     return PipelineConfig(
@@ -210,7 +195,4 @@ def load_config(path) -> PipelineConfig:
         k=kk,
         theta=spec.theta,
         gamma=gamma,
-        substeps=number("reach", "substeps", _positive_int, 5),
-        max_splits=number("reach", "max_splits", _positive_int, 64),
-        queue=queue,
     )

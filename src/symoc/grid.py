@@ -32,7 +32,7 @@ class GridCover:
         if np.any(self.eta <= 0) or np.any(self.upper <= self.lower):
             raise InputError("need eta > 0 and upper > lower")
         self.dim = self.lower.size
-        if np.any(self.upper - self.lower >= self.eta * 2.0**62):
+        if np.any((self.upper - self.lower) / 2.0**62 >= self.eta):  # eta * 2**62 may overflow
             raise InputError("eta gives 2**62 or more cells along an axis")
         counts = [int(math.ceil(r + 0.5 - _COUNT_GUARD)) for r in (self.upper - self.lower) / self.eta]
         self.counts = np.array(counts, dtype=np.int64)

@@ -8,7 +8,7 @@ substep as a trusted budget for integration and rounding errors.  The radius
 dynamics does not depend on the state, so all intervals share one radius.
 Between substeps, while the radius exceeds theta * ||eta||, every interval is
 bisected along the widest axis, a whole level at a time; a level that would
-take the interval count above ``max_splits`` is not made, and the input is
+take the interval count above MAX_SPLITS is not made, and the input is
 capped instead (all its cells route to overflow).
 
 The returned union over-approximates the attainable set of the perturbed
@@ -31,6 +31,9 @@ import numpy as np
 from .errors import InputError, SoundnessAlarm
 
 log = logging.getLogger(__name__)
+
+SUBSTEPS = 5  # RK4 steps per reach substep: every preset gamma is sized for this step count
+MAX_SPLITS = 64  # intervals per input; past it the input is capped rather than exhaust memory
 
 
 def rk4(f, x0, t, steps):
@@ -113,7 +116,8 @@ def integrate_nominal(sys: SampledSystem, x0, u, t, substeps):
     """Nominal flow (disturbance excluded) of x' = f(x, u) over time t."""
     if t <= 0 or substeps < 1:
         raise InputError("need t > 0 and substeps >= 1")
-    out = rk4(lambda x: sys.f(x, u), x0, t, substeps)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by name below
+        out = rk4(lambda x: sys.f(x, u), x0, t, substeps)
     if not np.all(np.isfinite(out)):
         raise SoundnessAlarm("nominal integration diverged")
     return out
@@ -125,9 +129,10 @@ def growth_bound(sys: SampledSystem, r0, t, substeps, with_disturbance=True):
     if np.any(r0 < 0):
         raise InputError("radius must be non-negative")
     w = sys.w if with_disturbance else np.zeros(sys.dim)
-    out = rk4(lambda r: r @ sys.A1.T + w, r0, t, substeps)
+    with np.errstate(over="ignore", invalid="ignore"):  # linear: only too large inputs overflow
+        out = rk4(lambda r: r @ sys.A1.T + w, r0, t, substeps)
     if not np.all(np.isfinite(out)):
-        raise SoundnessAlarm("growth-bound integration diverged")
+        raise InputError("the growth-bound radius overflows: the cell widths, w or A1 are too large")
     return np.maximum(out, 0.0)
 
 
@@ -138,7 +143,7 @@ def check_reach_parameters(k, theta, gamma):
         raise InputError(f"need k >= 1, theta > 0, gamma >= 0; got k={k}, theta={theta}, gamma={gamma}")
 
 
-def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_norm, substeps=5, max_splits=64):
+def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_norm):
     """Over-approximate the attainable sets from cells (centers +- r0) under
     the constant input u, splitting as the module docstring says.
 
@@ -161,7 +166,7 @@ def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_n
     capped = False
     for step in range(k):
         while step and float(r.max()) > theta * eta_norm:
-            if 2 * len(cs) > max_splits:
+            if 2 * len(cs) > MAX_SPLITS:
                 capped = True
                 break
             j = int(np.argmax(r))
@@ -171,9 +176,9 @@ def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_n
             cs = np.concatenate([cs, cs])
             cs[:half, :, j] -= r[j]
             cs[half:, :, j] += r[j]
-        cs = integrate_nominal(sys, cs, u, t_sub, substeps)
-        r = growth_bound(sys, r, t_sub, substeps) + gamma
-        b = growth_bound(sys, b, t_sub, substeps, with_disturbance=False)
+        cs = integrate_nominal(sys, cs, u, t_sub, SUBSTEPS)
+        r = growth_bound(sys, r, t_sub, SUBSTEPS) + gamma
+        b = growth_bound(sys, b, t_sub, SUBSTEPS, with_disturbance=False)
         escaped |= np.any((cs - r < sys.hull_lower) | (cs + r > sys.hull_upper), axis=(0, 2))
     if capped:
         escaped[:] = True

@@ -1,7 +1,7 @@
 """Closed-loop execution of refined controllers against the perturbed plant.
 
 The plant step integrates the disturbed dynamics with a piecewise-constant
-disturbance drawn per integrator substep.  That discretized adversary
+disturbance, SUBSTEPS pieces per sampling period.  That discretized adversary
 under-approximates the measurable-disturbance semantics, which is fine for
 its only purpose here: falsifying, never certifying.
 """
@@ -15,21 +15,21 @@ import numpy as np
 from .core import INF, CostModel
 from .errors import InputError
 from .grid import GridCover
-from .reach import SampledSystem, rk4
+from .reach import SUBSTEPS, SampledSystem, rk4
 from .relations import RefinedController, pointwise_upper_bound
 
 CSV_FLOAT = repr
 
 
-def perturbed_step(sys: SampledSystem, x, u, disturbances, substeps_per_piece: int = 2):
+def perturbed_step(sys: SampledSystem, x, u, disturbances):
     """One sampling period of x' = f(x,u) + d(t), d piecewise constant with
-    one value per row of ``disturbances``.  With (runs, dim) states, (runs,
-    input_dim) inputs and (pieces, runs, dim) disturbances it steps each run
-    as it steps that run alone."""
+    one value per row of ``disturbances``, 2 RK4 steps a piece.  With (runs,
+    dim) states, (runs, input_dim) inputs and (pieces, runs, dim)
+    disturbances it steps each run as it steps that run alone."""
     x = np.asarray(x, dtype=float)
     h = sys.tau / len(disturbances)
     for d in disturbances:
-        x = rk4(lambda y: sys.f(y, u) + d, x, h, substeps_per_piece)
+        x = rk4(lambda y: sys.f(y, u) + d, x, h, 2)
     return x
 
 
@@ -93,7 +93,7 @@ class Runs(list):
         return sum(traj.steps for traj in self)
 
 
-def run_closed_loop(plant, controller: RefinedController, W, costs: CostModel, starts, policy_name: str, seed: int, max_steps: int, substeps: int = 5) -> Runs:
+def run_closed_loop(plant, controller: RefinedController, W, costs: CostModel, starts, policy_name: str, seed: int, max_steps: int) -> Runs:
     """The closed-loop run from each start, all advanced as one array.  Each
     step quantizes the live states and looks their inputs up in the table;
     the rows that stop are charged G and leave, the others move one
@@ -125,7 +125,7 @@ def run_closed_loop(plant, controller: RefinedController, W, costs: CostModel, s
         if not len(live):
             break
         if isinstance(plant, SampledSystem):
-            pieces = np.stack([draws[i](plant.w, substeps) for i in live], axis=1)
+            pieces = np.stack([draws[i](plant.w, SUBSTEPS) for i in live], axis=1)
             x_next = perturbed_step(plant, x, u, pieces)
         else:
             x_next = plant.step(x)
@@ -190,7 +190,7 @@ def sample_winning_states(W, cover: GridCover, seed, count: int):
     return rng.uniform(*cover.cell_boxes(rng.choice(finite, size=count)))
 
 
-def batch_verify(plant, controller: RefinedController, W, cover: GridCover, costs: CostModel, sample_count: int, policy_name: str, seed: int, max_steps: int, tol: float = 0.0, substeps: int = 5) -> VerifyReport:
+def batch_verify(plant, controller: RefinedController, W, cover: GridCover, costs: CostModel, sample_count: int, policy_name: str, seed: int, max_steps: int, tol: float = 0.0) -> VerifyReport:
     """Monte-Carlo soundness check: closed-loop cost from sampled winning
     states never exceeds the pointwise upper bound (plus tol).
 
@@ -199,6 +199,6 @@ def batch_verify(plant, controller: RefinedController, W, cover: GridCover, cost
     """
     starts = sample_winning_states(W, cover, seed, sample_count)
     report = VerifyReport()
-    for traj in run_closed_loop(plant, controller, W, costs, starts, policy_name, seed, max_steps, substeps):
+    for traj in run_closed_loop(plant, controller, W, costs, starts, policy_name, seed, max_steps):
         report.add(traj, tol)
     return report

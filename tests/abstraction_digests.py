@@ -4,8 +4,10 @@
     PYTHONPATH=src python tests/abstraction_digests.py pendulum:p1:theta=0.5:k=3 "chauffeur:p1:eta=0.1 0.1"
 
 Each argument is SYSTEM:PRESET of a built-in plant, optionally followed by
-KEY=VALUE config overrides (``[reach]`` keys such as k, theta and max_splits,
-or any other config key; each goes into the section that holds it).  One
+KEY=VALUE config overrides (``[reach]`` keys such as k and theta, or any
+other config key; each goes into the section that holds it).  The override
+max_splits=N is no config key: it sets ``symoc.reach.MAX_SPLITS`` for that
+build, as in pendulum:p1:theta=0.3:k=3:max_splits=5.  One
 line per build: the digests of trans_ptr, trans_succ and pair_costs (with
 their dtypes), the certificate's rho_transition_slack, the edge count, the
 build time and the process's peak RSS so far.  Two trees build the same
@@ -22,6 +24,7 @@ import time
 
 import numpy as np
 
+import symoc.reach
 from symoc.cli import _build_from_config
 from symoc.config import _KEYS, load_config
 
@@ -31,11 +34,13 @@ def digest(a):
 
 
 def config_text(spec):
-    """The config file of SYSTEM:PRESET[:KEY=VALUE...]."""
+    """The config file of SYSTEM:PRESET[:KEY=VALUE...], max_splits left out."""
     system, preset, *overrides = spec.split(":")
     sections = {"system": [f"dynamics = {system}", f"preset = {preset}"]}
     for item in overrides:
         key, value = item.split("=", 1)
+        if key == "max_splits":
+            continue
         section = next(name for name, keys in _KEYS.items() if key in keys)
         sections.setdefault(section, []).append(f"{key} = {value}")
     return "".join(f"[{name}]\n" + "".join(line + "\n" for line in lines) for name, lines in sections.items())
@@ -43,13 +48,19 @@ def config_text(spec):
 
 def build(spec):
     """(problem, cert) of the abstraction of SYSTEM:PRESET[:KEY=VALUE...]."""
+    splits = [int(item.split("=", 1)[1]) for item in spec.split(":") if item.startswith("max_splits=")]
     with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as fh:
         fh.write(config_text(spec))
     try:
         cfg = load_config(fh.name)
     finally:
         os.unlink(fh.name)
-    return _build_from_config(cfg)[2:4]
+    default = symoc.reach.MAX_SPLITS
+    symoc.reach.MAX_SPLITS = (splits or [default])[-1]
+    try:
+        return _build_from_config(cfg)
+    finally:
+        symoc.reach.MAX_SPLITS = default
 
 
 def main(specs):

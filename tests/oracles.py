@@ -15,7 +15,8 @@ import numpy as np
 from symoc.abstraction import _expand_ranges
 from symoc.core import STOP, ControllerTable, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
-from symoc.reach import SampledSystem, growth_bound, integrate_nominal
+import symoc.reach
+from symoc.reach import SUBSTEPS, SampledSystem, growth_bound, integrate_nominal
 from symoc.relations import MAX_VIOLATIONS, Verdict, pointwise_upper_bound
 from symoc.simulate import Trajectory, perturbed_step
 from symoc.solver import SolveResult, SolveStats, dp_operator, is_discrete_cost
@@ -276,7 +277,7 @@ def certified_vfrr_pair(rng, n2_max=10, m_max=3, split_max=3):
     return (trans1, G1), (trans2, G2), pairs
 
 
-def attain_over(sys, cell, u, k, theta, gamma, eta_norm, substeps=5, max_splits=64):
+def attain_over(sys, cell, u, k, theta, gamma, eta_norm, max_splits):
     """Per-cell interval subdivision, one (center, radius, drift) at a time.
 
     Reference for ``symoc.reach.attain_over_batch``: the same substep, split
@@ -308,9 +309,9 @@ def attain_over(sys, cell, u, k, theta, gamma, eta_norm, substeps=5, max_splits=
             work = halves
         moved = []
         for c, r, b in work:
-            c2 = integrate_nominal(sys, c, u, t_sub, substeps)
-            r2 = growth_bound(sys, r, t_sub, substeps) + gamma
-            b2 = growth_bound(sys, b, t_sub, substeps, with_disturbance=False)
+            c2 = integrate_nominal(sys, c, u, t_sub, SUBSTEPS)
+            r2 = growth_bound(sys, r, t_sub, SUBSTEPS) + gamma
+            b2 = growth_bound(sys, b, t_sub, SUBSTEPS, with_disturbance=False)
             if np.any(c2 - r2 < sys.hull_lower) or np.any(c2 + r2 > sys.hull_upper):
                 escaped = True
             moved.append((c2, r2, b2))
@@ -381,7 +382,7 @@ def reach_successors(reach, cell, u_idx):
     cover = reach.cover
     centers, radii, escaped, slack = attain_over(
         reach.sys, (cover.centers_all()[cell], reach.r0), reach.inputs.representatives[u_idx],
-        reach.k, reach.theta, reach.gamma, cover.max_diameter, reach.substeps, reach.max_splits,
+        reach.k, reach.theta, reach.gamma, cover.max_diameter, symoc.reach.MAX_SPLITS,
     )
     found = set()
     for c, r in zip(centers, radii):
@@ -819,7 +820,7 @@ def chauffeur_nominal_exact(x0, u, t):
     return c + rot @ (x0 - c)
 
 
-def reference_run_closed_loop(plant, controller, x0, policy, max_steps, costs, W=None, substeps=5):
+def reference_run_closed_loop(plant, controller, x0, policy, max_steps, costs, W=None):
     """One closed-loop run alone, one point at a time: quantize, look up,
     stop (charging G) or move one sampling period (charging g), until the
     controller stops or the step budget runs out (cost inf then).
@@ -839,7 +840,7 @@ def reference_run_closed_loop(plant, controller, x0, policy, max_steps, costs, W
             cum[-1] = total
             break
         if isinstance(plant, SampledSystem):
-            x_next = perturbed_step(plant, x, u_vec, policy(plant.w, substeps))
+            x_next = perturbed_step(plant, x, u_vec, policy(plant.w, SUBSTEPS))
         else:
             x_next = np.atleast_1d(plant.step(x))
         total += point_g(costs, x, x_next, u_vec)

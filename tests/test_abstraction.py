@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import symoc.reach
 from symoc.abstraction import (
     MapReach,
     SampledReach,
@@ -227,7 +228,7 @@ def test_union_of_branch_boxes_matches_the_unique_reference():
         assert np.array_equal(cnt_u, cnt) and np.array_equal(overflow, escaped | gated)
 
 
-def test_split_cap_hit_is_noted_in_certificate(caplog):
+def test_split_cap_hit_is_noted_in_certificate(caplog, monkeypatch):
     spec = get_system("pendulum")
     cover = GridCover(spec.k_lower, spec.k_upper, np.array([0.8, 0.6]))
     inputs = InputGrid(spec.input_pieces, np.array([1.0]))
@@ -235,8 +236,8 @@ def test_split_cap_hit_is_noted_in_certificate(caplog):
     ac = abstract_costs(model, cover, inputs)
     notes = {}
     for max_splits in (64, 2):  # theta 0.5 needs four branches per input
-        reach = SampledReach(spec.sampled_system(), cover, inputs, k=2, theta=0.5, gamma=1e-7,
-                             max_splits=max_splits)
+        monkeypatch.setattr(symoc.reach, "MAX_SPLITS", max_splits)
+        reach = SampledReach(spec.sampled_system(), cover, inputs, k=2, theta=0.5, gamma=1e-7)
         caplog.clear()
         problem, cert = build_abstraction(reach, cover, inputs, ac)
         text = abstraction_sidecar_text(cover, inputs, cert)

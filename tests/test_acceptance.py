@@ -334,6 +334,21 @@ def test_criterion_09_relation_checker_soundness():
     report(9, flips >= 40, f"50 certified pairs bounded; {flips} injected violations all flipped")
 
 
+# sha256 of ODE pipeline outputs, pinned from their first runs: chauffeur p1
+# solves with the FIFO queue, and every pendulum p1 step draws SUBSTEPS
+# disturbance pieces
+PINNED_OUTPUTS = {
+    "chauffeur_p1.ini.values": "737960bcebebbff0a45f1afc1769b023f4a2e96c559d36c3674f182de5c4459c",
+    "chauffeur_p1.ini.controller": "6419d2b569acc97ff9a6d3e29ea0e9df6fa264dbf7334624c86915c1d1fe202d",
+    "pendulum_p1.ini.values": "14a50ac7e6662f41a4d9f6aa4fbca2fae8f079acb4d7fba982e4638709499b8b",
+    "pendulum_p1.ini.controller": "15942fc79ed72fb31390fd6c23113ded827eebabcadec6a578ab9a9387e390d8",
+    "pendulum_p1.ini.sidecar": "1a7b03e718ba5825ad830c0eb2e889d3dacafe902c8d9c4b03689ede590dd2b8",
+    "pendulum_p1.ini.x0.report": "bd6fc6f99bb7d05e8b7c1ac6475d20ec257dd54bfb5ae3c19e9207c0b74ce765",
+    "pendulum_p1.ini.x0.traj000.csv": "9bf928463816078bb109185bd35cb4b223dcdbba7a67a09f5215ea90cb7f422e",
+    "pendulum_p1.ini.x0.traj001.csv": "8bff16187d6f5dbe57460e3040fd193e235958c0fd7198dfa5327d37f9acba37",
+}
+
+
 def test_criterion_10_determinism(tmp_path, pendulum):
     import os
 
@@ -365,4 +380,15 @@ def test_criterion_10_determinism(tmp_path, pendulum):
             b = sha(str(tmp_path / f"{name}.two{suffix}"))
             assert a == b, f"{name}{suffix} differs between reruns"
             hashes[name + suffix] = a
-    report(10, True, f"{len(hashes)} artifacts byte-identical across reruns")
+    prefix = tmp_path / "pendulum_p1.ini.one"
+    assert main([
+        "simulate", os.path.join(configs, "pendulum_p1.ini"),
+        "--controller", f"{prefix}.controller", "--values", f"{prefix}.values",
+        "--x0", "-1.0 0.3", "--x0", "2.5 -1.0", "--verify-samples", "3", "--seed", "7",
+        "--out-prefix", f"{prefix}.x0",
+    ]) == 0
+    for suffix in (".report", ".traj000.csv", ".traj001.csv"):
+        hashes[f"pendulum_p1.ini.x0{suffix}"] = sha(f"{prefix}.x0{suffix}")
+    for name, want in PINNED_OUTPUTS.items():
+        assert hashes[name] == want, f"{name} differs from its pinned digest"
+    report(10, True, f"{len(hashes)} artifacts byte-identical across reruns, {len(PINNED_OUTPUTS)} pinned")

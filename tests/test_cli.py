@@ -1,6 +1,7 @@
 import hashlib
 import os
 import resource
+import string
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 import symoc.focp
 from symoc.analysis import HYPO_MAX_POINTS
 from symoc.cli import main
-from symoc.config import load_config, parse_set
+from symoc.config import _KEYS, load_config, parse_set
 from symoc.core import INF, ControllerTable, FiniteProblem, values_from_text
 from symoc.errors import InputError
 from symoc.grid import GridCover
@@ -74,8 +75,7 @@ def test_config_overrides_and_rejections(tmp_path):
     with pytest.raises(InputError):
         load_config(tmp_path / "missing.ini")
     for section, key, value in (("reach", "theta", "abc"), ("reach", "k", "x"),
-                                ("reach", "k", "1.5"), ("reach", "substeps", "0"),
-                                ("reach", "substeps", "-2"), ("system", "A1", "1 2 3")):
+                                ("reach", "k", "1.5"), ("system", "A1", "1 2 3")):
         header = "" if section == "system" else f"[{section}]\n"
         bad.write_text(f"[system]\ndynamics = pendulum\npreset = p1\n{header}{key} = {value}\n")
         with pytest.raises(InputError, match=rf"\[{section}\] {key} = '{value}'"):
@@ -233,7 +233,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"input error: mu = {float(mu)!r} needs "), mu
 
     # a key nothing reads is unknown, like any other
-    bad.write_text("[system]\ndynamics = logistic\npreset = N40\n[solve]\nworkers = 2\n")
+    bad.write_text("[system]\ndynamics = logistic\npreset = N40\n[reach]\nworkers = 2\n")
     assert main(["synthesize", str(bad), "--out-prefix", str(tmp_path / "x")]) == 1
     assert "unknown key 'workers'" in capsys.readouterr().err
     # usage errors are input errors too: exit 2 is reserved for soundness alarms
@@ -336,33 +336,71 @@ def test_bad_set_primitives_are_input_errors(tmp_path, capsys, key, value, messa
     assert err == f"input error: [costs] {key} = {value!r}: {message}\n"
 
 
-def test_substeps_below_one_are_input_errors_for_simulate(tmp_path, capsys):
+def test_substeps_split_cap_and_queue_are_not_config_keys(tmp_path, capsys):
+    # reach.SUBSTEPS and reach.MAX_SPLITS are constants, and synthesize
+    # always solves with the auto queue: a config naming them is refused
     config = tmp_path / "c.ini"
-    # a cover with winning cells, so that simulate has runs to make
-    config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n")
-    assert main(["synthesize", str(config), "--out-prefix", str(tmp_path / "a")]) == 0
-    assert np.isfinite(values_from_text((tmp_path / "a.values").read_text())).any()
-    for value in ("0", "-2"):
-        config.write_text(
-            f"[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n[reach]\nsubsteps = {value}\n"
-        )
-        capsys.readouterr()
-        rc = main([
-            "simulate", str(config), "--controller", str(tmp_path / "a.controller"),
-            "--values", str(tmp_path / "a.values"), "--samples", "1", "--verify-samples", "1",
-            "--out-prefix", str(tmp_path / "s"),
-        ])
-        err = capsys.readouterr().err
-        assert rc == 1 and err == f"input error: [reach] substeps = {value!r}: need at least 1\n"
+    for text, message in (
+        ("[reach]\nsubsteps = 5\n", "unknown key 'substeps' in section [reach]"),
+        ("[reach]\nmax_splits = 64\n", "unknown key 'max_splits' in section [reach]"),
+        ("[solve]\nqueue = auto\n", "unknown config section [solve]"),
+    ):
+        config.write_text(f"[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n{text}")
+        rc = main(["synthesize", str(config), "--out-prefix", str(tmp_path / "a")])
+        assert (rc, capsys.readouterr().err) == (1, f"input error: {message}\n")
+        assert not (tmp_path / "a.values").exists()
 
 
-def test_max_splits_below_one_is_an_input_error(tmp_path, capsys):
-    config = tmp_path / "c.ini"
-    config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n[reach]\nmax_splits = -5\n")
-    rc = main(["synthesize", str(config), "--out-prefix", str(tmp_path / "a")])
-    err = capsys.readouterr().err
-    assert rc == 1 and err == "input error: [reach] max_splits = '-5': need at least 1\n"
-    assert not (tmp_path / "a.values").exists()
+def hostile_values(dim, rng):
+    """Config values that no key may turn into a traceback: the fixed table
+    and a seeded far-from-one number, each also repeated as a ``dim``-vector,
+    then wrong arity, garbage, an inverted box and a seeded printable token.
+    No value makes a mid-size cover (eta = 1e-3, say): such a cover allocates
+    for real and is slow rather than hostile, so those stay out."""
+    exponent = int(rng.choice([-1, 1]) * rng.integers(20, 300))
+    numbers = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", repr(float(rng.uniform(1.0, 10.0) * 10.0**exponent))]
+    if dim > 1:
+        numbers += [" ".join([v] * dim) for v in numbers]
+    ones, neg = " ".join(["1"] * dim), " ".join(["-1"] * dim)
+    return numbers + [f"{ones} 1", "garbage", f"{ones} ; {neg}", f"box {ones} ; {neg}",
+                      "".join(rng.choice(list(string.printable.strip()), size=8))]
+
+
+def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
+    # every config key (and each removed one) set to each hostile value, on a
+    # small pendulum p1 cover and on logistic N40: the exit is 0, 1 or 2, a
+    # non-zero exit names its kind, and nothing escapes main as an exception
+    rng = np.random.default_rng(2018)
+    bases = (
+        ({("system", "dynamics"): "pendulum", ("system", "preset"): "p1", ("grid", "eta"): "0.4 0.3"}, 2),
+        ({("system", "dynamics"): "logistic", ("system", "preset"): "N40"}, 1),
+    )
+    removed = [("reach", "substeps"), ("reach", "max_splits"), ("solve", "queue")]
+    config = tmp_path / "fuzz.ini"
+    failures = []
+    for base, dim in bases:
+        for section, key in [(sec, k) for sec in sorted(_KEYS) for k in sorted(_KEYS[sec])] + removed:
+            for value in hostile_values(dim, rng):
+                entries = {**base, (section, key): value}
+                sections = {}
+                for (sec, k), v in entries.items():
+                    sections.setdefault(sec, []).append(f"{k} = {v}\n")
+                config.write_text("".join(f"[{sec}]\n" + "".join(lines) for sec, lines in sections.items()))
+                case = (base[("system", "dynamics")], section, key, value)
+                try:
+                    rc = main(["synthesize", str(config), "--out-prefix", str(tmp_path / "out")])
+                except Exception as exc:  # a traceback at the command line
+                    failures.append((*case, f"raised {type(exc).__name__}: {exc}"))
+                    continue
+                err = capsys.readouterr().err
+                if (section, key) in removed:
+                    ok = rc == 1 and err.startswith("input error: unknown")
+                else:
+                    ok = rc in (0, 1, 2) and "Traceback" not in err and (
+                        rc == 0 or err.startswith(("input error:", "soundness alarm:")))
+                if not ok:
+                    failures.append((*case, rc, err))
+    assert failures == [], "\n".join(map(repr, failures))
 
 
 def test_focp_with_fewer_t_records_than_pairs_stops_before_the_pair_index(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import symoc.reach
 from symoc.errors import InputError
 from symoc.reach import SampledSystem, attain_over_batch, growth_bound, integrate_nominal, rk4
 from symoc.systems import get_system
@@ -28,11 +29,11 @@ def make_system(f, w, A1, tau=0.1, A0=None, box=4.0, margin=None, eps=0.1):
     )
 
 
-def reach_one(sys, cell, u, k, theta, gamma, eta_norm, **kw):
+def reach_one(sys, cell, u, k, theta, gamma, eta_norm):
     """attain_over_batch on a single cell: (lo, hi, escaped, slack) with one
     row of lo/hi per branch."""
     lo_b, hi_b, escaped, slack, _ = attain_over_batch(
-        sys, np.atleast_2d(cell[0]), cell[1], u, k, theta, gamma, eta_norm, **kw
+        sys, np.atleast_2d(cell[0]), cell[1], u, k, theta, gamma, eta_norm
     )
     return np.array([lo[0] for lo in lo_b]), np.array([hi[0] for hi in hi_b]), bool(escaped[0]), slack
 
@@ -112,7 +113,7 @@ def test_attain_over_identity_dynamics():
 
 def test_attain_over_exponential_closed_form():
     sys = make_system(lambda x, u: x, w=[0.0], A1=[[1.0]], tau=0.1, A0=[6.0])
-    lo, hi, _, _ = reach_one(sys, (np.array([1.0]), np.array([0.1])), np.array([0.0]), k=1, theta=100.0, gamma=0.0, eta_norm=0.1, substeps=10)
+    lo, hi, _, _ = reach_one(sys, (np.array([1.0]), np.array([0.1])), np.array([0.0]), k=1, theta=100.0, gamma=0.0, eta_norm=0.1)
     assert len(lo) == 1
     assert (lo[0][0] + hi[0][0]) / 2 == pytest.approx(math.exp(0.1), abs=1e-8)
     assert (hi[0][0] - lo[0][0]) / 2 == pytest.approx(0.1 * math.exp(0.1), abs=1e-8)
@@ -152,21 +153,20 @@ def test_attain_over_subdivision_tightens():
         assert boxes_contain(*fine, endpoint)
 
 
-def test_attain_over_batch_matches_scalar_path():
+def test_attain_over_batch_matches_scalar_path(monkeypatch):
     spec = get_system("pendulum")
     sys = spec.sampled_system()
     rng = np.random.default_rng(24)
     centers = rng.uniform(-1.0, 1.0, size=(20, 2))
     r0 = np.array([0.04, 0.04])
-    # theta 0.5 needs two split levels (four branches), so max_splits 1 and 3 cap
+    # theta 0.5 needs two split levels (four branches), so split caps 1 and 3 cap
     for u, theta, max_splits in itertools.product((np.array([-2.0]), np.array([0.2])), (1.0, 0.5), (1, 3, 64)):
-        lo_b, hi_b, escaped, slack, capped = attain_over_batch(
-            sys, centers, r0, u, 2, theta, 1e-7, 0.08, max_splits=max_splits
-        )
+        monkeypatch.setattr(symoc.reach, "MAX_SPLITS", max_splits)
+        lo_b, hi_b, escaped, slack, capped = attain_over_batch(sys, centers, r0, u, 2, theta, 1e-7, 0.08)
         assert capped == (theta == 0.5 and max_splits < 4)
         for i, c in enumerate(centers):
             want_c, want_r, want_escaped, want_slack = attain_over(
-                sys, (c, r0), u, 2, theta, 1e-7, 0.08, max_splits=max_splits
+                sys, (c, r0), u, 2, theta, 1e-7, 0.08, max_splits
             )
             got_lo = np.sort(np.array([lo[i] for lo in lo_b]), axis=0)
             got_hi = np.sort(np.array([hi[i] for hi in hi_b]), axis=0)

@@ -333,9 +333,9 @@ def test_solve_matches_reference_solve(cost_mode, levels):
 
 def test_solve_matches_reference_solve_on_pendulum_p1():
     cfg = load_config(os.path.join(CONFIGS, "pendulum_p1.ini"))
-    problem = _build_from_config(cfg)[2]
+    problem = _build_from_config(cfg)[0]
     assert problem.pair_costs is not None
-    assert_matches_reference(problem, cfg.queue)
+    assert_matches_reference(problem, "auto")
     # mu = 0.15 gives 28 inputs and none is u = 0, so the least running cost
     # is positive and the heap settles states in waves of several
     problem = build("pendulum:p1:mu=0.15")[0]
