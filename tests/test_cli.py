@@ -336,19 +336,45 @@ def test_bad_set_primitives_are_input_errors(tmp_path, capsys, key, value, messa
     assert err == f"input error: [costs] {key} = {value!r}: {message}\n"
 
 
-def test_substeps_split_cap_and_queue_are_not_config_keys(tmp_path, capsys):
-    # reach.SUBSTEPS and reach.MAX_SPLITS are constants, and synthesize
-    # always solves with the auto queue: a config naming them is refused
+def test_substeps_below_one_are_input_errors_for_simulate(tmp_path, capsys):
+    # reach.SUBSTEPS is a constant: a config naming substeps is refused
     config = tmp_path / "c.ini"
-    for text, message in (
-        ("[reach]\nsubsteps = 5\n", "unknown key 'substeps' in section [reach]"),
-        ("[reach]\nmax_splits = 64\n", "unknown key 'max_splits' in section [reach]"),
-        ("[solve]\nqueue = auto\n", "unknown config section [solve]"),
-    ):
-        config.write_text(f"[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n{text}")
+    # a cover with winning cells, so that simulate has runs to make
+    config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n")
+    assert main(["synthesize", str(config), "--out-prefix", str(tmp_path / "a")]) == 0
+    assert np.isfinite(values_from_text((tmp_path / "a.values").read_text())).any()
+    for value in ("0", "-2", "5"):
+        config.write_text(
+            f"[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n[reach]\nsubsteps = {value}\n"
+        )
+        capsys.readouterr()
+        rc = main([
+            "simulate", str(config), "--controller", str(tmp_path / "a.controller"),
+            "--values", str(tmp_path / "a.values"), "--samples", "1", "--verify-samples", "1",
+            "--out-prefix", str(tmp_path / "s"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1 and err == "input error: unknown key 'substeps' in section [reach]\n"
+
+
+def test_max_splits_below_one_is_an_input_error(tmp_path, capsys):
+    # reach.MAX_SPLITS is a constant: a config naming max_splits is refused
+    config = tmp_path / "c.ini"
+    for value in ("-5", "64"):
+        config.write_text(f"[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n[reach]\nmax_splits = {value}\n")
         rc = main(["synthesize", str(config), "--out-prefix", str(tmp_path / "a")])
-        assert (rc, capsys.readouterr().err) == (1, f"input error: {message}\n")
+        err = capsys.readouterr().err
+        assert rc == 1 and err == "input error: unknown key 'max_splits' in section [reach]\n"
         assert not (tmp_path / "a.values").exists()
+
+
+def test_solve_section_is_not_a_config_section(tmp_path, capsys):
+    # synthesize always solves with the auto queue: a [solve] section is refused
+    config = tmp_path / "c.ini"
+    config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 0.4 0.3\n[solve]\nqueue = auto\n")
+    rc = main(["synthesize", str(config), "--out-prefix", str(tmp_path / "a")])
+    assert (rc, capsys.readouterr().err) == (1, "input error: unknown config section [solve]\n")
+    assert not (tmp_path / "a.values").exists()
 
 
 def hostile_values(dim, rng):
