@@ -24,6 +24,7 @@ from .errors import InputError, SoundnessAlarm
 
 _MERGE_TOL = 1e-12
 HYPO_MAX_POINTS = 10**6  # reference grid points; the distance costs samples x points
+HYPO_MAX_INTERVALS = 10**5  # intervals of one exact sublevel set; most targets double them per level
 _HYPO_CHUNK = 1 << 22  # sample-by-point pairs compared at a time
 
 
@@ -55,18 +56,28 @@ def _preimage_interval(a, b):
 
 def logistic_exact_sublevels(D, T_max: int):
     """Sublevel sets of the exact minimum-time value for target D = (a, b):
-    element T is the interval union where the value is at most T."""
+    element T is the interval union where the value is at most T, for T up
+    to ``T_max`` or to the last level before one equal to it (every later
+    level equals it too).  A level of more than HYPO_MAX_INTERVALS
+    intervals is an input error."""
     a, b = float(D[0]), float(D[1])
     if not (0.0 < a < b < 1.0):
         raise InputError("target interval must lie strictly inside (0, 1)")
     if T_max < 0:
         raise InputError("T_max must be non-negative")
     levels = [[(a, b)]]
-    for _ in range(T_max):
+    for T in range(1, T_max + 1):
         pre = []
         for lo, hi in levels[-1]:
             pre.extend(_preimage_interval(lo, hi))
-        levels.append(_merge([(a, b)] + pre))
+        level = _merge([(a, b)] + pre)
+        if level == levels[-1]:
+            break
+        if len(level) > HYPO_MAX_INTERVALS:
+            raise InputError(
+                f"exact sublevel set {T} has {len(level)} intervals; the limit is {HYPO_MAX_INTERVALS}"
+            )
+        levels.append(level)
     return levels
 
 
@@ -117,7 +128,7 @@ def hypo_distance(xs, Ws, v_sampler, eps_grid: float):
     Vs = np.asarray(v_sampler(ys), dtype=float)
 
     finite = np.concatenate([Ws[np.isfinite(Ws)], Vs[np.isfinite(Vs)]])
-    cap = 2.0 * (float(finite.max()) if len(finite) else 1.0) + 1.0
+    cap = min(2.0 * (float(finite.max()) if len(finite) else 1.0) + 1.0, float(np.finfo(float).max))
     cap_active = bool(np.any(Ws > cap) or np.any(Vs > cap))
     Wc = np.minimum(Ws, cap)
     Vc = np.minimum(Vs, cap)

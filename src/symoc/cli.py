@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .abstraction import MapReach, SampledReach, abstract_costs, abstraction_sidecar_text, build_abstraction
+from .abstraction import abstract_costs, abstraction_sidecar_text, build_abstraction
 from .analysis import hypo_distance, hypograph_csv, logistic_exact_sublevels, logistic_exact_values, sublevels_csv
 from .config import load_config
 from .core import ControllerTable, FiniteProblem, values_from_text, values_to_text
@@ -74,11 +74,7 @@ def cmd_solve_finite(args):
 
 def _build_from_config(cfg):
     """(problem, cert) of the abstraction that ``cfg`` describes."""
-    if cfg.kind == "map":
-        reach = MapReach(cfg.plant, cfg.cover)
-    else:
-        reach = SampledReach(cfg.plant, cfg.cover, cfg.inputs, cfg.k, cfg.theta, cfg.gamma)
-    return build_abstraction(reach, cfg.cover, cfg.inputs, abstract_costs(cfg.model, cfg.cover, cfg.inputs))
+    return build_abstraction(cfg.reach, cfg.cover, cfg.inputs, abstract_costs(cfg.model, cfg.cover, cfg.inputs))
 
 
 def cmd_synthesize(args):

@@ -27,7 +27,7 @@ from .core import CostModel
 from .errors import InputError
 from .grid import GridCover, InputGrid
 from .sets import Box, Complement, EmptySet, QuadraticSublevel, SetPredicate, UnionSet
-from .systems import LogisticMap, SystemSpec, get_system
+from .systems import get_system
 
 _KEYS = {
     "system": {"dynamics", "preset", "tau", "w", "A0", "A1", "K", "Kprime_margin", "eps"},
@@ -36,6 +36,9 @@ _KEYS = {
     "costs": {"cost_kind", "target", "obstacle"},
     "reach": {"k", "theta", "gamma"},
 }
+# the keys of a sampled ODE plant, which a map config may not name
+_ODE_KEYS = [("system", key) for key in ("tau", "w", "A0", "A1", "Kprime_margin", "eps")]
+_ODE_KEYS += [("reach", key) for key in sorted(_KEYS["reach"])]
 
 
 def _vector(text: str) -> np.ndarray:
@@ -71,11 +74,11 @@ def parse_set(text: str, domain_box) -> SetPredicate:
     fields = text.split(None, 1)
     if len(fields) != 2:
         raise InputError(f"malformed set primitive {text!r}")
-    kind, rest = fields
-    if kind in ("interval", "box"):
+    primitive, rest = fields
+    if primitive in ("interval", "box"):
         lo, hi = _corners(rest)
         n = lo.size
-    elif kind == "quadratic":
+    elif primitive == "quadratic":
         parts = rest.split(";")
         if len(parts) != 3:
             raise InputError(f"quadratic needs 'Q ; b ; c', got {text!r}")
@@ -86,37 +89,25 @@ def parse_set(text: str, domain_box) -> SetPredicate:
             raise InputError("quadratic level must be a single number")
         n = b.size
     else:
-        raise InputError(f"unknown set primitive {kind!r}")
+        raise InputError(f"unknown set primitive {primitive!r}")
     dim = len(domain_box[0])
     if n != dim:
-        raise InputError(f"{kind} of dimension {n} on a {dim}-dimensional domain")
-    if kind == "quadratic":
+        raise InputError(f"{primitive} of dimension {n} on a {dim}-dimensional domain")
+    if primitive == "quadratic":
         return QuadraticSublevel(q.reshape(dim, dim), b, float(c[0]))
     if np.any(lo > hi):
-        raise InputError(f"{kind} has a lower corner above its upper corner")
-    return Box(lo, hi, open_=(kind == "interval"))
+        raise InputError(f"{primitive} has a lower corner above its upper corner")
+    return Box(lo, hi, open_=(primitive == "interval"))
 
 
 @dataclass
 class PipelineConfig:
     name: str
-    kind: str  # "ode" or "map"
-    plant: object  # SampledSystem or discrete map
+    plant: object  # steps as plant.step(x, u, disturbances), bounded by plant.w
+    reach: object  # the transition over-approximator build_abstraction reads
     cover: GridCover
     inputs: InputGrid
     model: CostModel
-    k: int
-    theta: float
-    gamma: float
-
-
-def _preset_of(spec: SystemSpec, raw):
-    name = raw.get("system", "preset", fallback=None)
-    if name is None:
-        return None
-    if name not in spec.presets:
-        raise InputError(f"unknown preset {name!r} for {spec.name!r}; have {sorted(spec.presets)}")
-    return name
 
 
 def load_config(path) -> PipelineConfig:
@@ -139,7 +130,13 @@ def load_config(path) -> PipelineConfig:
     if not raw.has_option("system", "dynamics"):
         raise InputError("config needs dynamics under [system]")
     spec = get_system(raw.get("system", "dynamics"))
-    preset = _preset_of(spec, raw)
+    if spec.kind == "map":
+        for section, key in _ODE_KEYS:
+            if raw.has_option(section, key):
+                raise InputError(f"[{section}] {key} does not apply to the map dynamics {spec.name!r}")
+    preset = raw.get("system", "preset", fallback=None)
+    if preset is not None and preset not in spec.presets:
+        raise InputError(f"unknown preset {preset!r} for {spec.name!r}; have {sorted(spec.presets)}")
 
     def number(section, key, parse, fallback):
         """The value of ``key`` read by ``parse``; ``fallback`` when the key
@@ -169,8 +166,7 @@ def load_config(path) -> PipelineConfig:
     eta = mu = None
     kk, gamma = 1, 0.0
     if preset is not None:
-        eta, mu, kk = spec.presets[preset]
-        gamma = spec.preset_gamma[preset]
+        eta, mu, kk, gamma = spec.presets[preset]
     eta = number("grid", "eta", _vector, eta)
     mu = number("inputs", "mu", _vector, mu)
     kk = number("reach", "k", int, kk)
@@ -185,14 +181,5 @@ def load_config(path) -> PipelineConfig:
 
     cover = GridCover(spec.k_lower, spec.k_upper, eta)
     inputs = InputGrid(spec.input_pieces, mu, states=cover.n_states)
-    return PipelineConfig(
-        name=spec.name,
-        kind=spec.kind,
-        plant=LogisticMap() if spec.kind == "map" else spec.sampled_system(),
-        cover=cover,
-        inputs=inputs,
-        model=model,
-        k=kk,
-        theta=spec.theta,
-        gamma=gamma,
-    )
+    plant, reach = spec.build(cover, inputs, kk, gamma)
+    return PipelineConfig(spec.name, plant, reach, cover, inputs, model)

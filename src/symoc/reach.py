@@ -111,6 +111,17 @@ class SampledSystem:
         margin between the substep-boundary escape checks."""
         return self.tau / k * float(self.A0.max()) <= self.eps
 
+    def step(self, x, u, disturbances):
+        """One sampling period of x' = f(x,u) + d(t), d piecewise constant with
+        one value per row of ``disturbances``, 2 RK4 steps a piece.  With (runs,
+        dim) states, (runs, input_dim) inputs and (pieces, runs, dim)
+        disturbances it steps each run as it steps that run alone."""
+        x = np.asarray(x, dtype=float)
+        h = self.tau / len(disturbances)
+        for d in disturbances:
+            x = rk4(lambda y: self.f(y, u) + d, x, h, 2)
+        return x
+
 
 def integrate_nominal(sys: SampledSystem, x0, u, t, substeps):
     """Nominal flow (disturbance excluded) of x' = f(x, u) over time t."""
@@ -138,9 +149,9 @@ def growth_bound(sys: SampledSystem, r0, t, substeps, with_disturbance=True):
 
 def check_reach_parameters(k, theta, gamma):
     """Reject substep counts below 1, non-positive split thresholds and
-    negative error budgets (NaN included)."""
-    if not (k >= 1 and theta > 0 and gamma >= 0):
-        raise InputError(f"need k >= 1, theta > 0, gamma >= 0; got k={k}, theta={theta}, gamma={gamma}")
+    negative or infinite error budgets (NaN included)."""
+    if not (k >= 1 and theta > 0 and 0 <= gamma < np.inf):
+        raise InputError(f"need k >= 1, theta > 0, 0 <= gamma < inf; got k={k}, theta={theta}, gamma={gamma}")
 
 
 def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_norm):

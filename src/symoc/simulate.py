@@ -1,9 +1,10 @@
 """Closed-loop execution of refined controllers against the perturbed plant.
 
-The plant step integrates the disturbed dynamics with a piecewise-constant
-disturbance, SUBSTEPS pieces per sampling period.  That discretized adversary
-under-approximates the measurable-disturbance semantics, which is fine for
-its only purpose here: falsifying, never certifying.
+Every plant steps under a piecewise-constant disturbance, SUBSTEPS pieces per
+sampling period, drawn in [-w, w] (a map has w = 0 and ignores the pieces).
+That discretized adversary under-approximates the measurable-disturbance
+semantics, which is fine for its only purpose here: falsifying, never
+certifying.
 """
 
 from __future__ import annotations
@@ -15,22 +16,10 @@ import numpy as np
 from .core import INF, CostModel
 from .errors import InputError
 from .grid import GridCover
-from .reach import SUBSTEPS, SampledSystem, rk4
+from .reach import SUBSTEPS
 from .relations import RefinedController, pointwise_upper_bound
 
 CSV_FLOAT = repr
-
-
-def perturbed_step(sys: SampledSystem, x, u, disturbances):
-    """One sampling period of x' = f(x,u) + d(t), d piecewise constant with
-    one value per row of ``disturbances``, 2 RK4 steps a piece.  With (runs,
-    dim) states, (runs, input_dim) inputs and (pieces, runs, dim)
-    disturbances it steps each run as it steps that run alone."""
-    x = np.asarray(x, dtype=float)
-    h = sys.tau / len(disturbances)
-    for d in disturbances:
-        x = rk4(lambda y: sys.f(y, u) + d, x, h, 2)
-    return x
 
 
 POLICIES = ("zero", "uniform", "extremal")  # disturbance policies, by name
@@ -101,8 +90,8 @@ def run_closed_loop(plant, controller: RefinedController, W, costs: CostModel, s
     ``max_steps`` steps leaves with cost inf.  Run i draws its disturbances
     under the seed ``seed + 7919 * i``, once per step that it moves.
 
-    ``plant`` is a SampledSystem or a discrete map object with ``step``;
-    with ``W`` None every bound is inf.
+    ``plant`` steps as ``plant.step(x, u, disturbances)`` and bounds its
+    disturbances by ``plant.w``; with ``W`` None every bound is inf.
     """
     if max_steps < 1:
         raise InputError("max_steps must be at least 1")
@@ -124,11 +113,8 @@ def run_closed_loop(plant, controller: RefinedController, W, costs: CostModel, s
             live, x, u = live[~stop], x[~stop], u[~stop]
         if not len(live):
             break
-        if isinstance(plant, SampledSystem):
-            pieces = np.stack([draws[i](plant.w, SUBSTEPS) for i in live], axis=1)
-            x_next = perturbed_step(plant, x, u, pieces)
-        else:
-            x_next = plant.step(x)
+        pieces = np.stack([draws[i](plant.w, SUBSTEPS) for i in live], axis=1)
+        x_next = plant.step(x, u, pieces)
         total[live] += costs.g_rows(x, u)
         x = x_next
         rows.append(x)

@@ -10,37 +10,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .abstraction import MapReach, SampledReach
 from .errors import InputError
+from .grid import GridCover, InputGrid
 from .reach import SampledSystem
 from .sets import Box, Complement, EmptySet, QuadraticSublevel, SetPredicate
 
 
-def pendulum_field(kappa=0.01):
-    def f(x, u):
-        x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
-        a = np.asarray(u, dtype=float)[..., 0]
-        return np.stack([x2, np.sin(x1) + a * np.cos(x1) - 2.0 * kappa * x2], axis=-1)
-
-    return f
+KAPPA = 0.01  # pendulum friction coefficient
 
 
-def chauffeur_field():
-    def f(x, u):
-        x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
-        a = np.asarray(u, dtype=float)[..., 0]
-        return np.stack([-x2 * a, x1 * a - 1.0], axis=-1)
+def pendulum_field(x, u):
+    x = np.asarray(x, dtype=float)
+    x1, x2 = x[..., 0], x[..., 1]
+    a = np.asarray(u, dtype=float)[..., 0]
+    return np.stack([x2, np.sin(x1) + a * np.cos(x1) - 2.0 * KAPPA * x2], axis=-1)
 
-    return f
+
+def chauffeur_field(x, u):
+    x = np.asarray(x, dtype=float)
+    x1, x2 = x[..., 0], x[..., 1]
+    a = np.asarray(u, dtype=float)[..., 0]
+    return np.stack([-x2 * a, x1 * a - 1.0], axis=-1)
 
 
 class LogisticMap:
-    """The chaotic interval map p -> 4 p (1 - p) on [0, 1] (no disturbance)."""
+    """The chaotic interval map p -> 4 p (1 - p) on [0, 1]: a plant without
+    input or disturbance (w = 0), whose step ignores both."""
 
-    dim = 1
+    w = np.zeros(1)
 
-    def step(self, x, u=None):
+    def step(self, x, u=None, disturbances=None):
         x = np.asarray(x, dtype=float)
         return 4.0 * x * (1.0 - x)
 
@@ -74,15 +74,12 @@ class SystemSpec:
     A1: np.ndarray = None
     kprime_margin: float = 0.0
     eps: float = 0.0
-    field_builder: callable = None
-    presets: dict = field(default_factory=dict)
-    preset_gamma: dict = field(default_factory=dict)
+    f: callable = None  # the vector field f(x, u) of a sampled ODE plant
+    presets: dict = field(default_factory=dict)  # name -> (eta, mu, k, gamma)
 
     def sampled_system(self) -> SampledSystem:
-        if self.kind != "ode":
-            raise InputError(f"system {self.name!r} is not a sampled ODE plant")
         return SampledSystem(
-            f=self.field_builder(),
+            f=self.f,
             w=self.w,
             tau=self.tau,
             A0=self.A0,
@@ -92,6 +89,16 @@ class SystemSpec:
             kprime_margin=self.kprime_margin,
             eps=self.eps,
         )
+
+    def build(self, cover: GridCover, inputs: InputGrid, k: int, gamma: float):
+        """(plant, reach): the plant and its transition over-approximator on
+        ``cover`` and ``inputs``; a sampled plant reaches in ``k`` substeps
+        with the error budget ``gamma``, a map by exact images."""
+        if self.kind == "map":
+            plant = LogisticMap()
+            return plant, MapReach(plant, cover)
+        plant = self.sampled_system()
+        return plant, SampledReach(plant, cover, inputs, k, self.theta, gamma)
 
 
 def _pendulum_spec() -> SystemSpec:
@@ -112,14 +119,13 @@ def _pendulum_spec() -> SystemSpec:
         A1=np.array([[0.0, 1.0], [2.25, -0.02]]),
         kprime_margin=0.9,
         eps=0.1,
-        field_builder=pendulum_field,
+        f=pendulum_field,
         presets={
-            "p1": (np.array([0.08, 0.08]), np.array([0.2]), 1),
-            "p2": (np.array([0.04, 0.04]), np.array([0.15]), 2),
-            "p3": (np.array([0.02, 0.02]), np.array([0.1]), 3),
-            "p4": (np.array([0.01, 0.01]), np.array([0.05]), 4),
+            "p1": (np.array([0.08, 0.08]), np.array([0.2]), 1, 6.3e-7),
+            "p2": (np.array([0.04, 0.04]), np.array([0.15]), 2, 9.9e-9),
+            "p3": (np.array([0.02, 0.02]), np.array([0.1]), 3, 8.7e-10),
+            "p4": (np.array([0.01, 0.01]), np.array([0.05]), 4, 1.6e-10),
         },
-        preset_gamma={"p1": 6.3e-7, "p2": 9.9e-9, "p3": 8.7e-10, "p4": 1.6e-10},
     )
 
 
@@ -140,14 +146,13 @@ def _chauffeur_spec() -> SystemSpec:
         A1=np.array([[0.0, 1.0], [1.0, 0.0]]),
         kprime_margin=1.0,
         eps=0.1,
-        field_builder=chauffeur_field,
+        f=chauffeur_field,
         presets={
-            "p1": (np.array([0.03, 0.03]), np.array([0.2]), 1),
-            "p2": (np.array([0.02, 0.02]), np.array([0.1]), 2),
-            "p3": (np.array([0.015, 0.015]), np.array([0.1]), 3),
-            "p4": (np.array([0.01, 0.01]), np.array([0.05]), 4),
+            "p1": (np.array([0.03, 0.03]), np.array([0.2]), 1, 0.0),
+            "p2": (np.array([0.02, 0.02]), np.array([0.1]), 2, 0.0),
+            "p3": (np.array([0.015, 0.015]), np.array([0.1]), 3, 0.0),
+            "p4": (np.array([0.01, 0.01]), np.array([0.05]), 4, 0.0),
         },
-        preset_gamma={"p1": 0.0, "p2": 0.0, "p3": 0.0, "p4": 0.0},
     )
 
 
@@ -162,12 +167,11 @@ def _logistic_spec() -> SystemSpec:
         target=Box([0.415], [0.69], open_=True),
         obstacle=EmptySet(),
         presets={
-            "N40": (np.array([1.0 / 40.0]), np.array([1.0]), 1),
-            "N60": (np.array([1.0 / 60.0]), np.array([1.0]), 1),
-            "N85": (np.array([1.0 / 85.0]), np.array([1.0]), 1),
-            "N400": (np.array([1.0 / 400.0]), np.array([1.0]), 1),
+            "N40": (np.array([1.0 / 40.0]), np.array([1.0]), 1, 0.0),
+            "N60": (np.array([1.0 / 60.0]), np.array([1.0]), 1, 0.0),
+            "N85": (np.array([1.0 / 85.0]), np.array([1.0]), 1, 0.0),
+            "N400": (np.array([1.0 / 400.0]), np.array([1.0]), 1, 0.0),
         },
-        preset_gamma={"N40": 0.0, "N60": 0.0, "N85": 0.0, "N400": 0.0},
     )
 
 

@@ -18,7 +18,7 @@ from symoc.errors import InputError, SoundnessAlarm
 import symoc.reach
 from symoc.reach import SUBSTEPS, SampledSystem, growth_bound, integrate_nominal
 from symoc.relations import MAX_VIOLATIONS, Verdict, pointwise_upper_bound
-from symoc.simulate import Trajectory, perturbed_step
+from symoc.simulate import Trajectory
 from symoc.solver import SolveResult, SolveStats, dp_operator, is_discrete_cost
 
 INF = math.inf
@@ -840,7 +840,7 @@ def reference_run_closed_loop(plant, controller, x0, policy, max_steps, costs, W
             cum[-1] = total
             break
         if isinstance(plant, SampledSystem):
-            x_next = perturbed_step(plant, x, u_vec, policy(plant.w, SUBSTEPS))
+            x_next = plant.step(x, u_vec, policy(plant.w, SUBSTEPS))
         else:
             x_next = np.atleast_1d(plant.step(x))
         total += point_g(costs, x, x_next, u_vec)

@@ -7,7 +7,6 @@ import pytest
 
 import symoc.reach
 from symoc.abstraction import (
-    MapReach,
     SampledReach,
     _collect_batched,
     _union_branches,
@@ -21,9 +20,8 @@ from symoc.errors import InputError, SoundnessAlarm
 from symoc.grid import GridCover, InputGrid
 from symoc.reach import SampledSystem
 from symoc.sets import Box, EmptySet
-from symoc.simulate import perturbed_step
 from symoc.solver import is_discrete_cost, solve
-from symoc.systems import LogisticMap, get_system
+from symoc.systems import get_system
 
 from abstraction_digests import build, digest
 from oracles import (
@@ -46,7 +44,7 @@ def logistic_setup(N):
     inputs = InputGrid(spec.input_pieces, np.array([1.0]))
     model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs)
-    reach = MapReach(LogisticMap(), cover)
+    _, reach = spec.build(cover, inputs, 1, 0.0)
     problem, cert = build_abstraction(reach, cover, inputs, ac)
     return spec, cover, inputs, model, ac, reach, problem, cert
 
@@ -76,7 +74,7 @@ def test_min_time_cost_abstraction_on_cells():
 
 def test_pendulum_energy_cost_abstraction():
     spec = get_system("pendulum")
-    eta, mu, _ = spec.presets["p1"]
+    eta, mu, *_ = spec.presets["p1"]
     cover = GridCover(spec.k_lower, spec.k_upper, eta)
     inputs = InputGrid(spec.input_pieces, mu)
     model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
@@ -256,13 +254,12 @@ def test_split_cap_hit_is_noted_in_certificate(caplog, monkeypatch):
 
 def test_abstract_transitions_are_supersets_of_simulation():
     spec = get_system("pendulum")
-    sys = spec.sampled_system()
-    eta, mu, k = spec.presets["p1"]
+    eta, mu, k, gamma = spec.presets["p1"]
     cover = GridCover(spec.k_lower, spec.k_upper, eta)
     inputs = InputGrid(spec.input_pieces, mu)
     model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs)
-    reach = SampledReach(sys, cover, inputs, k, spec.theta, spec.preset_gamma["p1"])
+    sys, reach = spec.build(cover, inputs, k, gamma)
     problem, _ = build_abstraction(reach, cover, inputs, ac)
     rng = np.random.default_rng(31)
     for _ in range(300):
@@ -270,7 +267,7 @@ def test_abstract_transitions_are_supersets_of_simulation():
         u_idx = int(rng.integers(0, len(inputs)))
         x0 = rng.uniform(*(bound[0] for bound in cover.cell_boxes([cell])))
         d = rng.uniform(-sys.w, sys.w, size=(8, 2))
-        x1 = perturbed_step(sys, x0, inputs.representatives[u_idx], d)
+        x1 = sys.step(x0, inputs.representatives[u_idx], d)
         succ = set(int(q) for q in successors(problem, cell, u_idx)[0])
         landed = block_cells(cover, x1) or [cover.overflow]
         assert set(landed) <= succ

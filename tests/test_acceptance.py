@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from symoc.abstraction import MapReach, SampledReach, abstract_costs, build_abstraction
+from symoc.abstraction import abstract_costs, build_abstraction
 from symoc.analysis import (
     hypo_distance,
     logistic_exact_sublevels,
@@ -20,9 +20,9 @@ from symoc.core import INF, CostModel, FiniteProblem
 from symoc.grid import GridCover, InputGrid
 from symoc.reach import attain_over_batch
 from symoc.relations import RefinedController, Relation, check_vfrr, pointwise_upper_bound
-from symoc.simulate import perturbed_step, run_closed_loop, sample_winning_states
+from symoc.simulate import run_closed_loop, sample_winning_states
 from symoc.solver import dp_operator, solve
-from symoc.systems import LogisticMap, get_system
+from symoc.systems import get_system
 
 from oracles import (
     boxes_contain,
@@ -45,17 +45,12 @@ def report(k, ok, detail=""):
 
 def synthesize(name, preset):
     spec = get_system(name)
-    eta, mu, k = spec.presets[preset]
+    eta, mu, k, gamma = spec.presets[preset]
     cover = GridCover(spec.k_lower, spec.k_upper, eta)
     inputs = InputGrid(spec.input_pieces, mu)
     model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs)
-    if spec.kind == "map":
-        plant = LogisticMap()
-        reach = MapReach(plant, cover)
-    else:
-        plant = spec.sampled_system()
-        reach = SampledReach(plant, cover, inputs, k, spec.theta, spec.preset_gamma[preset])
+    plant, reach = spec.build(cover, inputs, k, gamma)
     problem, cert = build_abstraction(reach, cover, inputs, ac)
     result = solve(problem, queue="auto")
     return dict(
@@ -195,8 +190,7 @@ def test_criterion_06_reach_set_containment(pendulum, chauffeur):
     for b in (pendulum, chauffeur):
         sys, cover, inputs = b["plant"], b["cover"], b["inputs"]
         spec = b["spec"]
-        eta, mu, k = spec.presets["p1"]
-        gamma = spec.preset_gamma["p1"]
+        eta, mu, k, gamma = spec.presets["p1"]
         centers = cover.centers_all()
         los, his = cover.cell_boxes()
         for _ in range(1000):
@@ -209,7 +203,7 @@ def test_criterion_06_reach_set_containment(pendulum, chauffeur):
             )
             x0 = rng.uniform(los[cell], his[cell])
             d = rng.uniform(-sys.w, sys.w, size=(8, sys.dim))
-            endpoint = perturbed_step(sys, x0, u, d)
+            endpoint = sys.step(x0, u, d)
             assert boxes_contain(np.concatenate(box_lo), np.concatenate(box_hi), endpoint)
     # benchmark map: endpoints of the exact map stay inside the image boxes
     b = synthesize("logistic", "N40")

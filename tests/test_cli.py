@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import resource
 import string
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 import symoc.focp
-from symoc.analysis import HYPO_MAX_POINTS
+from symoc.analysis import HYPO_MAX_INTERVALS, HYPO_MAX_POINTS
 from symoc.cli import main
-from symoc.config import _KEYS, load_config, parse_set
+from symoc.config import _KEYS, _ODE_KEYS, load_config, parse_set
 from symoc.core import INF, ControllerTable, FiniteProblem, values_from_text
 from symoc.errors import InputError
 from symoc.grid import GridCover
@@ -45,11 +46,11 @@ def test_config_loads_shipped_presets():
     assert cfg.name == "pendulum"
     assert cfg.cover.counts.tolist() == [158, 76]
     assert len(cfg.inputs) == 21
-    assert cfg.k == 1 and cfg.gamma == 6.3e-7
+    assert cfg.reach.k == 1 and cfg.reach.gamma == 6.3e-7
     cfg = load_config(os.path.join(CONFIGS, "chauffeur_p1.ini"))
     assert cfg.cover.counts.tolist() == [334, 334]
     assert len(cfg.inputs) == 11
-    assert cfg.theta == 2.0
+    assert cfg.reach.theta == 2.0
 
 
 def test_config_overrides_and_rejections(tmp_path):
@@ -176,6 +177,44 @@ def test_cli_hypo_logistic(tmp_path):
     text = (tmp_path / "h.hypo").read_text()
     assert text.startswith("eps = ")
     assert (tmp_path / "h.hypo_w.csv").read_text().splitlines()[0] == "x,W"
+
+
+def test_hypo_ends_on_values_far_above_the_exact_levels(tmp_path):
+    # one value of 1e12 (or near the float limit) asks for that many exact
+    # levels; on the shipped target level 39 is all of (0, 1) and level 40
+    # repeats it, so the levels stop there.  A child process with a timeout
+    # fails this test instead of hanging it.
+    cfg = os.path.join(CONFIGS, "logistic_n40.ini")
+    assert main(["synthesize", cfg, "--out-prefix", str(tmp_path / "a")]) == 0
+    lines = (tmp_path / "a.values").read_text().splitlines()
+    p = int(np.flatnonzero(np.isfinite(values_from_text("\n".join(lines))))[0])
+    argv = []
+    for big in ("1e12", "1.7e308"):
+        (tmp_path / f"{big}.values").write_text("\n".join(lines[:p] + [f"{p} {big}"] + lines[p + 1:]) + "\n")
+        argv.append(["hypo", cfg, "--values", str(tmp_path / f"{big}.values"), "--samples", "400",
+                     "--out-prefix", str(tmp_path / big)])
+    script = f"import sys\nfrom symoc.cli import main\nsys.exit(max(main(argv) for argv in {argv!r}))\n"
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script], cwd=REPO, capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")),
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    for big in ("1e12", "1.7e308"):
+        assert (tmp_path / f"{big}.sublevels.csv").read_text().splitlines()[-1] == "39,0.0,1.0"
+    assert "cap = 1.7976931348623157e+308" in (tmp_path / "1.7e308.hypo").read_text()
+
+
+def test_hypo_caps_the_intervals_of_one_exact_level(tmp_path, capsys):
+    # a narrow target's levels double in intervals: the first one past the
+    # cap is an input error, not minutes of work
+    config = tmp_path / "narrow.ini"
+    config.write_text("[system]\ndynamics = logistic\npreset = N40\n[costs]\ntarget = interval 0.6 ; 0.6001\n")
+    values = tmp_path / "w.values"
+    values.write_text("".join(f"{p} 20.0\n" for p in range(42)))
+    rc = main(["hypo", str(config), "--values", str(values), "--out-prefix", str(tmp_path / "h")])
+    assert (rc, capsys.readouterr().err) == (
+        1, f"input error: exact sublevel set 16 has 131007 intervals; the limit is {HYPO_MAX_INTERVALS}\n"
+    )
 
 
 def test_cli_check_relation(tmp_path):
@@ -395,7 +434,9 @@ def hostile_values(dim, rng):
 def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
     # every config key (and each removed one) set to each hostile value, on a
     # small pendulum p1 cover and on logistic N40: the exit is 0, 1 or 2, a
-    # non-zero exit names its kind, and nothing escapes main as an exception
+    # non-zero exit names its kind, and nothing escapes main as an exception;
+    # the map refuses every key of a sampled ODE plant by name, and an
+    # infinite error budget is refused rather than escaping every cell
     rng = np.random.default_rng(2018)
     bases = (
         ({("system", "dynamics"): "pendulum", ("system", "preset"): "p1", ("grid", "eta"): "0.4 0.3"}, 2),
@@ -421,12 +462,107 @@ def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
                 err = capsys.readouterr().err
                 if (section, key) in removed:
                     ok = rc == 1 and err.startswith("input error: unknown")
+                elif case[0] == "logistic" and (section, key) in _ODE_KEYS:
+                    ok = rc == 1 and err == f"input error: [{section}] {key} does not apply to the map dynamics 'logistic'\n"
+                elif case == ("pendulum", "reach", "gamma", "inf"):
+                    ok = rc == 1 and err.startswith("input error: need k >= 1, theta > 0, 0 <= gamma < inf")
                 else:
                     ok = rc in (0, 1, 2) and "Traceback" not in err and (
                         rc == 0 or err.startswith(("input error:", "soundness alarm:")))
                 if not ok:
                     failures.append((*case, rc, err))
     assert failures == [], "\n".join(map(repr, failures))
+
+
+OPTION_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "garbage")
+
+# runs each argv of a JSON list on stdin through main(), as a command line
+# would, and prints one (exit code, stderr) pair per argv as JSON
+_FUZZ_CHILD = """
+import contextlib, io, json, sys
+from symoc.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    except Exception as exc:  # a traceback at the command line
+        rc, err = None, io.StringIO(f"raised {type(exc).__name__}: {exc}")
+    results.append((rc, err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def _one_option_changed(argv):
+    """``argv`` with each argument after the subcommand (a positional or an
+    option's value) set in turn to each of OPTION_VALUES."""
+    for i in range(1, len(argv)):
+        if not argv[i].startswith("--"):
+            for value in OPTION_VALUES:
+                yield argv[:i] + [value] + argv[i + 1:]
+
+
+def _flips_and_cuts(data, rng, count):
+    """``count`` copies of ``data`` with one byte set to a seeded random
+    value, then ``count`` seeded truncations of it."""
+    for _ in range(count):
+        flipped = bytearray(data)
+        flipped[rng.integers(len(data))] = rng.integers(256)
+        yield bytes(flipped)
+    for _ in range(count):
+        yield data[: rng.integers(len(data))]
+
+
+def test_option_and_file_fuzz_keeps_the_exit_code_contract(tmp_path, monkeypatch):
+    # every argument of solve-finite, simulate, hypo and check-relation set
+    # to each hostile value, and byte flips and truncations of the FOCP,
+    # value, controller and relation files of logistic N40: the exit is 0, 1
+    # or 2, a non-zero exit names its kind, and no traceback appears.  The
+    # cases run in one child process under an address-space limit and a
+    # timeout, so a hang (hypo once built as many exact levels as a value
+    # file asked for) fails the test instead of stalling it.
+    monkeypatch.chdir(tmp_path)  # an output prefix like "nan" writes here
+    rng = np.random.default_rng(2019)
+    cfg = os.path.join(CONFIGS, "logistic_n40.ini")
+    assert main(["synthesize", cfg, "--out-prefix", "a", "--dump-focp"]) == 0
+    n = len((tmp_path / "a.values").read_text().splitlines())
+    (tmp_path / "a.relation").write_text(Relation([(p, p) for p in range(n)]).to_text())
+    bases = {
+        "solve-finite": ["solve-finite", "a.focp", "--queue", "auto", "--out-prefix", "o"],
+        "simulate": ["simulate", cfg, "--controller", "a.controller", "--values", "a.values", "--x0", "0.3",
+                     "--samples", "2", "--verify-samples", "2", "--policy", "uniform", "--seed", "0",
+                     "--max-steps", "50", "--tol", "1e-9", "--out-prefix", "o"],
+        "hypo": ["hypo", cfg, "--values", "a.values", "--samples", "50", "--eps-grid", "0.01", "--out-prefix", "o"],
+        "check-relation": ["check-relation", "a.focp", "a.focp", "a.relation", "--mode", "vasr",
+                           "--eps", "0.5", "--out", "o.verdict"],
+    }
+    cases = [argv for base in bases.values() for argv in _one_option_changed(base)]
+    for name, uses in (
+        ("a.focp", [bases["solve-finite"], bases["check-relation"]]),
+        ("a.values", [bases["simulate"], bases["hypo"]]),
+        ("a.controller", [bases["simulate"]]),
+        ("a.relation", [bases["check-relation"]]),
+    ):
+        for i, data in enumerate(_flips_and_cuts((tmp_path / name).read_bytes(), rng, 12)):
+            bad = f"bad{i}.{name}"
+            (tmp_path / bad).write_bytes(data)
+            cases += [[bad if arg == name else arg for arg in argv] for argv in uses]
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _FUZZ_CHILD], input=json.dumps(cases), cwd=tmp_path,
+        preexec_fn=limit, env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    results = json.loads(out.stdout)
+    failures = [
+        (argv, rc, err) for argv, (rc, err) in zip(cases, results)
+        if rc not in (0, 1, 2) or "Traceback" in err
+        or (rc != 0 and not err.startswith(("input error:", "soundness alarm:")))
+    ]
+    assert failures == [], "\n".join(map(repr, failures))
+    assert len(results) == len(cases) > 300
 
 
 def test_focp_with_fewer_t_records_than_pairs_stops_before_the_pair_index(tmp_path):

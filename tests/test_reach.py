@@ -179,9 +179,9 @@ def test_attain_over_batch_matches_scalar_path(monkeypatch):
 def test_monte_carlo_containment_pendulum_origin_cell():
     spec = get_system("pendulum")
     sys = spec.sampled_system()
-    eta, mu, k = spec.presets["p1"]
+    eta, mu, k, gamma = spec.presets["p1"]
     cell = (np.array([0.0, 0.0]), eta / 2.0)
-    lo, hi, escaped, _ = reach_one(sys, cell, np.array([0.0]), k, spec.theta, spec.preset_gamma["p1"], float(eta.max()))
+    lo, hi, escaped, _ = reach_one(sys, cell, np.array([0.0]), k, spec.theta, gamma, float(eta.max()))
     assert not escaped
     rng = np.random.default_rng(25)
     for _ in range(300):
@@ -202,7 +202,7 @@ def test_attain_over_rejects_bad_parameters():
     spec = get_system("pendulum")
     sys = spec.sampled_system()
     centers, r0 = np.zeros((1, 2)), np.full(2, 0.04)
-    for k, theta, gamma in ((0, 1.0, 0.0), (1, 0.0, 0.0), (1, -1.0, 0.0), (1, 1.0, -1.0), (1, math.nan, 0.0)):
+    for k, theta, gamma in ((0, 1.0, 0.0), (1, 0.0, 0.0), (1, -1.0, 0.0), (1, 1.0, -1.0), (1, math.nan, 0.0), (1, 1.0, math.inf)):
         with pytest.raises(InputError):
             attain_over_batch(sys, centers, r0, np.array([0.0]), k, theta, gamma, 0.08)
     with pytest.raises(InputError):

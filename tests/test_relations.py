@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 import symoc.relations as relations
-from symoc.abstraction import MapReach, abstract_costs, build_abstraction
+from symoc.abstraction import abstract_costs, build_abstraction
 from symoc.core import INF, ControllerTable, CostModel, FiniteProblem
 from symoc.errors import InputError
 from symoc.grid import GridCover, InputGrid
@@ -20,7 +20,7 @@ from symoc.relations import (
     pointwise_upper_bound,
 )
 from symoc.solver import solve
-from symoc.systems import LogisticMap, get_system
+from symoc.systems import get_system
 
 from oracles import block_cells, certified_vfrr_pair, pair_value, point_G, point_g, relation_pairs, successors
 
@@ -176,8 +176,8 @@ def test_sampled_abstraction_satisfies_refinement_conditions():
     inputs = InputGrid(spec.input_pieces, np.array([1.0]))
     model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs)
-    plant = LogisticMap()
-    problem, _ = build_abstraction(MapReach(plant, cover), cover, inputs, ac)
+    plant, reach = spec.build(cover, inputs, 1, 0.0)
+    problem, _ = build_abstraction(reach, cover, inputs, ac)
     rng = np.random.default_rng(52)
     for _ in range(400):
         x = float(rng.uniform(0, 1))

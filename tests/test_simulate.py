@@ -1,31 +1,25 @@
 import numpy as np
 import pytest
 
-from symoc.abstraction import MapReach, SampledReach, abstract_costs, build_abstraction
+from symoc.abstraction import abstract_costs, build_abstraction
 from symoc.core import INF, STOP, ControllerTable, CostModel
 from symoc.errors import InputError
 from symoc.grid import GridCover, InputGrid
-from symoc.reach import SampledSystem
 from symoc.relations import RefinedController
 from symoc.sets import Box, EmptySet
 from symoc.simulate import POLICIES, VerifyReport, batch_verify, make_policy, run_closed_loop, sample_winning_states
 from symoc.solver import solve
-from symoc.systems import LogisticMap, get_system
+from symoc.systems import SystemSpec, get_system
 
 from oracles import point_G, reference_run_closed_loop
 
 
-def build_pipeline(spec, eta, mu, k, gamma, plant=None, theta=None):
+def build_pipeline(spec, eta, mu, k, gamma):
     cover = GridCover(spec.k_lower, spec.k_upper, eta)
     inputs = InputGrid(spec.input_pieces, mu)
     model = CostModel(spec.cost_kind, spec.target, spec.obstacle)
     ac = abstract_costs(model, cover, inputs)
-    if spec.kind == "map":
-        reach = MapReach(plant, cover)
-        sys = plant
-    else:
-        sys = spec.sampled_system()
-        reach = SampledReach(sys, cover, inputs, k, theta or spec.theta, gamma)
+    sys, reach = spec.build(cover, inputs, k, gamma)
     problem, cert = build_abstraction(reach, cover, inputs, ac)
     result = solve(problem)
     ctrl = RefinedController(result.c, cover, inputs.representatives)
@@ -35,28 +29,25 @@ def build_pipeline(spec, eta, mu, k, gamma, plant=None, theta=None):
 @pytest.fixture(scope="module")
 def logistic_400():
     spec = get_system("logistic")
-    return build_pipeline(spec, np.array([1.0 / 400.0]), np.array([1.0]), 1, 0.0, plant=LogisticMap())
+    return build_pipeline(spec, np.array([1.0 / 400.0]), np.array([1.0]), 1, 0.0)
 
 
 @pytest.fixture(scope="module")
 def pendulum_p1():
     spec = get_system("pendulum")
-    eta, mu, k = spec.presets["p1"]
-    return build_pipeline(spec, eta, mu, k, spec.preset_gamma["p1"])
+    return build_pipeline(spec, *spec.presets["p1"])
 
 
 @pytest.fixture(scope="module")
 def chauffeur_p1():
     spec = get_system("chauffeur")
-    eta, mu, k = spec.presets["p1"]
-    return build_pipeline(spec, eta, mu, k, spec.preset_gamma["p1"])
+    return build_pipeline(spec, *spec.presets["p1"])
 
 
 @pytest.fixture(scope="module")
 def logistic_40():
     spec = get_system("logistic")
-    eta, mu, k = spec.presets["N40"]
-    return build_pipeline(spec, eta, mu, k, 0.0, plant=LogisticMap())
+    return build_pipeline(spec, *spec.presets["N40"])
 
 
 @pytest.mark.parametrize("pipeline", ["pendulum_p1", "chauffeur_p1", "logistic_40"])
@@ -170,34 +161,25 @@ def test_closed_loop_cost_sandwiched_by_exact_oracle(logistic_400):
 
 
 def test_static_field_with_all_covering_target():
-    sys = SampledSystem(
-        f=lambda x, u: np.zeros_like(x),
-        w=[0.0],
+    spec = SystemSpec(
+        name="static",
+        kind="ode",
+        k_lower=np.array([0.0]),
+        k_upper=np.array([1.0]),
+        input_pieces=[([0.0], [0.0])],
+        cost_kind="reach_avoid",
+        target=Box([-1.0], [2.0], open_=True),
+        obstacle=EmptySet(),
         tau=0.5,
+        w=[0.0],
         A0=[0.1],
         A1=[[0.0]],
-        k_lower=[0.0],
-        k_upper=[1.0],
         kprime_margin=0.5,
         eps=0.1,
+        f=lambda x, u: np.zeros_like(x),
     )
-    spec_like = type(
-        "S",
-        (),
-        dict(
-            kind="ode",
-            k_lower=sys.k_lower,
-            k_upper=sys.k_upper,
-            input_pieces=[([0.0], [0.0])],
-            cost_kind="reach_avoid",
-            target=Box([-1.0], [2.0], open_=True),
-            obstacle=EmptySet(),
-            theta=1.0,
-            sampled_system=lambda self: sys,
-        ),
-    )()
-    _, cover, inputs, model, problem, result, ctrl = build_pipeline(
-        spec_like, np.array([0.25]), np.array([1.0]), 1, 0.0
+    sys, cover, inputs, model, problem, result, ctrl = build_pipeline(
+        spec, np.array([0.25]), np.array([1.0]), 1, 0.0
     )
     assert np.all(result.W[: cover.n_cells] == 0.0)
     report = batch_verify(sys, ctrl, result.W, cover, model, 50, "uniform", 3, 10)
