@@ -7,6 +7,7 @@ alarm (an invariant that holds by construction was violated).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -23,8 +24,16 @@ from .solver import QUEUES, solve
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_pieces(path, (text,))
+
+
+def _write_pieces(path, pieces):
+    """Write the text ``pieces`` to ``path``; an OSError is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _number(parse, low, strict=False):
@@ -53,16 +62,20 @@ def _point(text, dim):
     return x
 
 
-def _read(path):
+@contextlib.contextmanager
+def _open(path):
+    """``path`` open for binary reads, which the record readers take a block
+    at a time; an OSError opening or reading it is an input error."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            yield fh
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def cmd_solve_finite(args):
-    problem = FiniteProblem.from_focp_text(_read(args.input))
+    with _open(args.input) as fh:
+        problem = FiniteProblem.from_focp_text(fh)
     t0 = time.perf_counter()
     result = solve(problem, queue=args.queue)
     dt = time.perf_counter() - t0
@@ -88,8 +101,7 @@ def cmd_synthesize(args):
     _write(args.out_prefix + ".values", values_to_text(result.W))
     _write(args.out_prefix + ".controller", result.c.to_text())
     if args.dump_focp:
-        with open(args.out_prefix + ".focp", "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(problem.focp_text_blocks())  # never the whole text in memory
+        _write_pieces(args.out_prefix + ".focp", problem.focp_text_blocks())  # never the whole text in memory
     finite = np.isfinite(result.W[: cfg.cover.n_cells])
     print(
         f"cells={cfg.cover.n_cells} inputs={len(cfg.inputs)} edges={problem.n_edges} "
@@ -101,8 +113,10 @@ def cmd_synthesize(args):
 
 def cmd_simulate(args):
     cfg = load_config(args.config)
-    table = ControllerTable.from_text(_read(args.controller))
-    W = values_from_text(_read(args.values))
+    with _open(args.controller) as fh:
+        table = ControllerTable.from_text(fh)
+    with _open(args.values) as fh:
+        W = values_from_text(fh)
     if len(W) != cfg.cover.n_states or len(table) != cfg.cover.n_states:
         raise InputError("controller/value files do not match the config's cover")
     ctrl = RefinedController(table, cfg.cover, cfg.inputs.representatives)
@@ -131,7 +145,8 @@ def cmd_hypo(args):
     cfg = load_config(args.config)
     if cfg.name != "logistic":
         raise InputError("the only available reference oracle is exact-logistic")
-    W = values_from_text(_read(args.values))
+    with _open(args.values) as fh:
+        W = values_from_text(fh)
     if len(W) != cfg.cover.n_states:
         raise InputError("value file does not match the config's cover")
     xs = np.linspace(float(cfg.cover.lower[0]), float(cfg.cover.upper[0]), args.samples)
@@ -152,9 +167,12 @@ def cmd_hypo(args):
 
 
 def cmd_check_relation(args):
-    p1 = FiniteProblem.from_focp_text(_read(args.problem1))
-    p2 = FiniteProblem.from_focp_text(_read(args.problem2))
-    rel = Relation.from_text(_read(args.relation))
+    with _open(args.problem1) as fh:
+        p1 = FiniteProblem.from_focp_text(fh)
+    with _open(args.problem2) as fh:
+        p2 = FiniteProblem.from_focp_text(fh)
+    with _open(args.relation) as fh:
+        rel = Relation.from_text(fh)
     if args.mode == "vfrr":
         verdict = check_vfrr(p1, p2, rel)
     else:

@@ -86,11 +86,12 @@ class FiniteProblem:
 
     @classmethod
     def from_focp_text(cls, text) -> "FiniteProblem":
-        """Read FOCP v1 text, bytes or a str; an error quotes the first
-        offending line in file order."""
+        """Read FOCP v1 text, a str, bytes or a binary file.  A file is read a
+        block at a time, and one that cannot seek (a pipe) is held whole; an
+        error quotes the first offending line in file order."""
         from . import focp
 
-        return cls(*focp.read(focp.as_bytes(text)))  # n, m, G, trans_ptr, trans_succ, edge_costs
+        return cls(*focp.read(text))  # n, m, G, trans_ptr, trans_succ, edge_costs
 
 
 # --- Canonical problem constructors ------------------------------------------
@@ -165,7 +166,8 @@ class ControllerTable:
 
     @classmethod
     def from_text(cls, text) -> "ControllerTable":
-        """Read a controller file, bytes or a str (grammar in the README)."""
+        """Read a controller file, a str, bytes or a binary file (grammar in
+        the README)."""
         from . import focp
 
         return cls(focp.read_records(text, "controller"))
@@ -179,7 +181,7 @@ def values_to_text(W) -> str:
 
 
 def values_from_text(text) -> np.ndarray:
-    """W of a value file, bytes or a str (grammar in the README)."""
+    """W of a value file, a str, bytes or a binary file (grammar in the README)."""
     from . import focp
 
     return focp.read_records(text, "value")

@@ -2,12 +2,15 @@
 problems and value, controller and relation files.
 
 This module alone reads, checks and writes records, with no Python loop
-over records: _Block tokenizes about 8 MiB of whole lines at once, _columns
+over records: the readers take the text from a binary file a block of about
+_READ_BYTES of whole lines at a time, _Block tokenizes one block, _columns
 converts and checks columns of tokens, and the writers lay records out as
 byte arrays.  symoc imports this module on first use.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -58,20 +61,17 @@ def relation_text(a, b):
     return _render([_decimals(a), b" ", _decimals(b), b"\n"])
 
 
-def as_bytes(text):
-    """An input file given as bytes or str, as bytes; a lone surrogate
-    becomes a backslash escape, which no token rule accepts."""
-    return text.encode("utf-8", "backslashreplace") if isinstance(text, str) else text
-
-
-def read(data: bytes):
-    """(n, m, G, trans_ptr, trans_succ, edge_costs) of FOCP v1 text, read
-    about _READ_BYTES of whole lines at a time; trans_succ is int32.  An
-    error quotes the first offending line in file order."""
+def read(source):
+    """(n, m, G, trans_ptr, trans_succ, edge_costs) of FOCP v1 text, a str,
+    bytes or a binary file, read about _READ_BYTES of whole lines at a time;
+    trans_succ is int32.  Reading holds one block of text beside the parsed
+    columns; a file that cannot seek (a pipe) is held whole.  An error
+    quotes the first offending line in file order."""
+    fh = _seekable(source)
     n = m = None
     columns = [[] for _ in range(5)]  # G: state, cost; T: pair id, successor, cost
-    t_blocks = []  # (block start, T records in it)
-    for block in _blocks(data):
+    t_blocks = []  # (block start, block size, T records in it)
+    for block in _blocks(fh):
         if n is None and len(block.first):
             n, m = _counts(block)
             block.first, block.count, block.bad = block.first[1:], block.count[1:], block.bad[1:]
@@ -79,15 +79,21 @@ def read(data: bytes):
             records = _records(block, n, m)
             for column, values in zip(columns, records):
                 column.append(values)
-            t_blocks.append((block.start, len(records[-1])))
+            t_blocks.append((block.start, block.size, len(records[-1])))
     if n is None:
         raise InputError("missing focp header")
+    del column, values  # else the loop's names keep the T cost blocks alive past their join
     # one column at a time, each freeing its blocks before the next is joined
     g_state, g_cost, pid, succ, costs = (np.concatenate(columns.pop(0)) for _ in range(5))
-    record = first_repeat(pid.astype(np.int64) * n + succ)
-    if record is not None:
-        (p, u), q = divmod(int(pid[record]), m), int(succ[record])
-        raise InputError(f"duplicate transition ({p},{u},{q}): {_record_line(data, t_blocks, record, b'T')!a}")
+    if not _rising(pid, succ):  # else no (pair, successor) repeats
+        key = pid.astype(np.int64)  # (pair, successor) in one int64, built in place
+        key *= n
+        key += succ
+        record = first_repeat(key)
+        del key
+        if record is not None:
+            (p, u), q = divmod(int(pid[record]), m), int(succ[record])
+            raise InputError(f"duplicate transition ({p},{u},{q}): {_record_line(fh, t_blocks, record, b'T')!a}")
     if np.any(pid[1:] < pid[:-1]):
         order = np.argsort(pid, kind="stable")  # pair order; file order within a pair
         pid, succ, costs = pid[order], succ[order], costs[order]
@@ -99,20 +105,21 @@ def read(data: bytes):
     G = np.full(n, INF)
     last = len(g_state) - 1 - np.unique(g_state[::-1], return_index=True)[1]
     G[g_state[last]] = g_cost[last]  # a repeated G record: the last one wins
-    ptr = np.zeros(n * m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pid, minlength=n * m), out=ptr[1:])
+    # the first T record of each pair, by an int32 search of the sorted pair ids
+    ptr = np.append(np.searchsorted(pid, np.arange(n * m, dtype=np.int32)), len(pid))
     return n, m, G, ptr, succ, costs
 
 
-def read_records(text, what):
-    """The records of a two-column file of ``what`` records.  A value or
-    controller file gives its second column indexed by the first, which
-    must list each state 0..n-1 once; a relation file gives both columns
-    in file order.  An error quotes the first offending line in file order."""
-    data = as_bytes(text)
+def read_records(source, what):
+    """The records of a two-column file of ``what`` records, a str, bytes or
+    a binary file, read as ``read`` reads.  A value or controller file gives
+    its second column indexed by the first, which must list each state
+    0..n-1 once; a relation file gives both columns in file order.  An error
+    quotes the first offending line in file order."""
+    fh = _seekable(source)
     kinds = (_UNBOUNDED, {"value": _COST, "controller": _INPUT, "relation": _UNBOUNDED}[what])
     columns, blocks = [], []
-    for block in _blocks(data):
+    for block in _blocks(fh):
         two = (block.count == 2) & ~block.bad
         (first, second), good = _columns(block, block.first[two], kinds)
         bad = ~two
@@ -122,16 +129,24 @@ def read_records(text, what):
             messages = {NOT_AN_INPUT: "controller input is neither an index nor STOP"}  # else malformed
             raise _line_error(block, i, kinds if two[i] else None, messages, f"malformed {what} record")
         columns.append((first, second))
-        blocks.append((block.start, len(first)))
+        blocks.append((block.start, block.size, len(first)))
     first, second = map(np.concatenate, zip(*columns))
     if what == "relation":
         return first, second
     record = first_repeat(first)
     if record is not None:
-        raise InputError(f"state listed twice in {what} record: {_record_line(data, blocks, record)!a}")
+        raise InputError(f"state listed twice in {what} record: {_record_line(fh, blocks, record)!a}")
     if first.max(initial=-1) != len(first) - 1:
         raise InputError(f"{what} file must cover states 0..n-1")
     return second[np.argsort(first)]
+
+
+def _rising(pid, succ):
+    """Whether the (pair id, successor) keys rise strictly, in one byte per key."""
+    rising = succ[1:] > succ[:-1]
+    rising &= pid[1:] == pid[:-1]
+    rising |= pid[1:] > pid[:-1]
+    return bool(rising.all())
 
 
 def first_repeat(key):
@@ -145,7 +160,7 @@ def first_repeat(key):
 
 
 _WRITE_EDGES = 1 << 18  # T records rendered per block by text_blocks
-_READ_BYTES = 1 << 23  # text tokenized per block by _Block
+_READ_BYTES = 1 << 20  # text read and tokenized per block
 _INT_DIGITS = 18  # an index token has 1 to _INT_DIGITS ASCII digits
 _COST_CHARS = 32  # longer cost tokens are read by float(), one at a time
 # bytes.translate table of byte classes: 0 a token byte, 1 a byte outside
@@ -187,13 +202,30 @@ def _render(fields):
     return out[out != 0].tobytes().decode("ascii") if rows else "\n"
 
 
-def _blocks(data):
-    """The _Blocks of ``data`` in order; one, without lines, for no data."""
-    block = _Block(data, 0)
-    yield block
-    while block.stop < len(data):
-        block = _Block(data, block.stop)
-        yield block
+def _seekable(source):
+    """``source``, a str, bytes or a binary file, as a binary file that can
+    seek back to a block.  A str is encoded, a lone surrogate as a backslash
+    escape, which no token rule accepts; a file that cannot seek (a pipe)
+    is read whole."""
+    if isinstance(source, str):
+        source = source.encode("utf-8", "backslashreplace")
+    if isinstance(source, bytes):
+        return io.BytesIO(source)
+    return source if source.seekable() else io.BytesIO(source.read())
+
+
+def _blocks(fh):
+    """The _Blocks of binary file ``fh`` from where it stands, in order, each
+    of the whole lines in about _READ_BYTES; the last holds the text after
+    the last line break, if any.  A line longer than a block doubles the read."""
+    start, text, more = fh.tell(), b"", True
+    while more:
+        more = fh.read(max(_READ_BYTES, len(text)))
+        text += more
+        cut = max(text.rfind(b"\n"), text.rfind(b"\r")) + 1 if more else len(text)
+        if cut or not more:
+            yield _Block(text[:cut], start)
+            start, text = start + cut, text[cut:]
 
 
 def _counts(block):
@@ -278,40 +310,33 @@ def _token_class(block, tok, kind):
     return NEGATIVE  # or NaN
 
 
-def _record_line(data, blocks, record, letter=None):
+def _record_line(fh, blocks, record, letter=None):
     """Text of the line of record number ``record`` in file order, given
-    the (start, records) of each block; with ``letter``, only the lines of
-    that word hold records.  Used on errors only: it tokenizes a block again."""
-    for start, count in blocks:
+    the (start, size, records) of each block; with ``letter``, only the lines
+    of that word hold records.  Used on errors only: it reads and tokenizes
+    a block again."""
+    for start, size, count in blocks:
         if record < count:
             break
         record -= count
-    block = _Block(data, start)
+    fh.seek(start)
+    block = _Block(fh.read(size), start)
     first = block.first if letter is None else block.first[block.is_word(block.first, letter)]
     return block.line(first[record])
 
 
 class _Block:
-    """Tokens and non-blank lines of the whole lines of ``data`` in about
-    _READ_BYTES from ``start`` on: ``first`` holds the first token of each
-    non-blank line, ``count`` its tokens and ``bad`` whether it holds a
-    byte outside the grammar.  Index tokens convert a column at a time;
-    cost tokens of up to _COST_CHARS bytes too, by numpy's bytes-to-float
-    cast, which reads them as float() does."""
+    """Tokens and non-blank lines of ``chunk``, whole lines of text read from
+    byte ``start`` on: ``first`` holds the first token of each non-blank
+    line, ``count`` its tokens and ``bad`` whether it holds a byte outside
+    the grammar.  Index tokens convert a column at a time; cost tokens of up
+    to _COST_CHARS bytes too, by numpy's bytes-to-float cast, which reads
+    them as float() does."""
 
-    def __init__(self, data: bytes, start):
-        size = _READ_BYTES
-        while True:
-            stop = min(start + size, len(data))
-            chunk = data[start:stop]
-            cls = np.frombuffer(chunk.translate(_CLASSES), dtype=np.uint8)
-            breaks = np.flatnonzero(cls == 3)
-            if stop == len(data) or len(breaks):
-                break
-            size *= 2  # a line longer than the block
-        if stop < len(data):
-            chunk, cls = chunk[: breaks[-1] + 1], cls[: breaks[-1] + 1]
-        self.start, self.size, self.stop, self.breaks = start, len(chunk), start + len(chunk), breaks
+    def __init__(self, chunk: bytes, start):
+        cls = np.frombuffer(chunk.translate(_CLASSES), dtype=np.uint8)
+        breaks = np.flatnonzero(cls == 3)
+        self.start, self.size, self.breaks = start, len(chunk), breaks
         # zero bytes after the text: every cost token can be read as a _COST_CHARS window
         self.text = np.frombuffer(chunk + bytes(_COST_CHARS), dtype=np.uint8)
         edges = np.flatnonzero(np.diff(cls >= 2, prepend=True, append=True))

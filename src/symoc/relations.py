@@ -43,7 +43,8 @@ class Relation:
 
     @classmethod
     def from_text(cls, text) -> "Relation":
-        """Read a relation file, bytes or a str (grammar in the README)."""
+        """Read a relation file, a str, bytes or a binary file (grammar in
+        the README)."""
         from . import focp
 
         return cls(np.column_stack(focp.read_records(text, "relation")))

@@ -4,9 +4,13 @@ Everything here is deliberately naive (dicts, plain loops, no shared code with
 the library's solver paths) so that agreement between the two is meaningful.
 """
 
+import contextlib
 import heapq
+import io
 import itertools
 import math
+import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -741,6 +745,36 @@ NON_GRAMMAR_BYTES = [c.encode() for c in "\x85\u2028\u3000\xa0\v\f\x1c\x1d\x1e\x
 def quoted(line: bytes) -> str:
     """How an input error quotes a line: a character per byte, escaped."""
     return ascii(line.decode("latin-1"))
+
+
+def each_source(text, path):
+    """(way, source) for ``text``, a str or bytes, in each form the record
+    readers take: as given, as bytes, as an in-memory file, as a file on
+    disk at ``path`` and as a pipe that a thread feeds.  Each file is closed
+    when the next form is asked for."""
+    data = text.encode("utf-8", "backslashreplace") if isinstance(text, str) else text
+    yield "as given", text
+    if isinstance(text, str):
+        yield "bytes", data
+    yield "in-memory file", io.BytesIO(data)
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        yield "file", fh
+    read_end, write_end = os.pipe()
+    feeder = threading.Thread(target=_feed, args=(write_end, data), daemon=True)
+    feeder.start()
+    try:
+        with open(read_end, "rb") as fh:
+            yield "pipe", fh
+    finally:
+        feeder.join(timeout=60)
+
+
+def _feed(fd, data):
+    """Write ``data`` to file descriptor ``fd``, then close it; a reader
+    that stops early only ends the write."""
+    with contextlib.suppress(BrokenPipeError), open(fd, "wb") as fh:
+        fh.write(data)
 
 
 def parse_cost(token):

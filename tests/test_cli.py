@@ -5,6 +5,7 @@ import resource
 import string
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from symoc.relations import Relation
 from symoc.sets import Box, Complement, EmptySet, QuadraticSublevel, UnionSet
 from symoc.systems import get_system
 
-from oracles import NON_GRAMMAR_BYTES, NON_GRAMMAR_INDICES, from_lists, quoted
+from oracles import NON_GRAMMAR_BYTES, NON_GRAMMAR_INDICES, each_source, from_lists, quoted
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(REPO, "configs")
@@ -116,6 +117,16 @@ def test_cli_solve_finite_round_trip(tmp_path):
     # re-import of the exported problem reproduces the in-memory structure
     back = FiniteProblem.from_focp_text(focp.read_text())
     assert back.to_focp_text() == problem.to_focp_text()
+    # a FIFO, like <(cat p.focp), cannot seek: it is read whole, to the same files
+    fifo = tmp_path / "p.fifo"
+    os.mkfifo(fifo)
+    feeder = threading.Thread(target=fifo.write_bytes, args=(focp.read_bytes(),), daemon=True)
+    feeder.start()
+    assert main(["solve-finite", str(fifo), "--out-prefix", str(tmp_path / "fifo")]) == 0
+    feeder.join(timeout=60)
+    assert not feeder.is_alive()
+    for suffix in (".values", ".controller"):
+        assert sha(tmp_path / ("fifo" + suffix)) == sha(tmp_path / ("out" + suffix))
 
 
 def test_cli_golden_logistic_pipeline(tmp_path):
@@ -288,9 +299,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         main(["--help"])
     assert exc.value.code == 0
     capsys.readouterr()
+    # an output that cannot be written is an input error naming it, the FOCP dump's too
+    cfg = os.path.join(CONFIGS, "logistic_n40.ini")
+    (tmp_path / "d.focp").mkdir()
+    for prefix, path in ((tmp_path / "missing" / "x", tmp_path / "missing" / "x.sidecar"),
+                         (tmp_path / "d", tmp_path / "d.focp")):
+        assert main(["synthesize", cfg, "--out-prefix", str(prefix), "--dump-focp"]) == 1
+        assert capsys.readouterr().err.startswith(f"input error: cannot write {path}: "), prefix
 
     # corrupting the value file downwards makes simulate flag violations -> exit 2
-    cfg = os.path.join(CONFIGS, "logistic_n40.ini")
     assert main(["synthesize", cfg, "--out-prefix", str(tmp_path / "a")]) == 0
     W = values_from_text((tmp_path / "a.values").read_text())
     finite = np.isfinite(W)
@@ -474,7 +491,7 @@ def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
     assert failures == [], "\n".join(map(repr, failures))
 
 
-OPTION_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "garbage")
+OPTION_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "garbage", "missing/x")  # the last: no such directory
 
 # runs each argv of a JSON list on stdin through main(), as a command line
 # would, and prints one (exit code, stderr) pair per argv as JSON
@@ -515,8 +532,9 @@ def _flips_and_cuts(data, rng, count):
 
 
 def test_option_and_file_fuzz_keeps_the_exit_code_contract(tmp_path, monkeypatch):
-    # every argument of solve-finite, simulate, hypo and check-relation set
-    # to each hostile value, and byte flips and truncations of the FOCP,
+    # every argument of synthesize, solve-finite, simulate, hypo and
+    # check-relation set to each hostile value (a path in a missing directory
+    # among them), and byte flips and truncations of the FOCP,
     # value, controller and relation files of logistic N40: the exit is 0, 1
     # or 2, a non-zero exit names its kind, and no traceback appears.  The
     # cases run in one child process under an address-space limit and a
@@ -529,6 +547,7 @@ def test_option_and_file_fuzz_keeps_the_exit_code_contract(tmp_path, monkeypatch
     n = len((tmp_path / "a.values").read_text().splitlines())
     (tmp_path / "a.relation").write_text(Relation([(p, p) for p in range(n)]).to_text())
     bases = {
+        "synthesize": ["synthesize", cfg, "--out-prefix", "o", "--dump-focp"],
         "solve-finite": ["solve-finite", "a.focp", "--queue", "auto", "--out-prefix", "o"],
         "simulate": ["simulate", cfg, "--controller", "a.controller", "--values", "a.values", "--x0", "0.3",
                      "--samples", "2", "--verify-samples", "2", "--policy", "uniform", "--seed", "0",
@@ -675,9 +694,10 @@ def test_malformed_tokens_are_input_errors(tmp_path, capsys, monkeypatch):
     for read_bytes in (symoc.focp._READ_BYTES, 16):  # 16: blocks end inside records
         monkeypatch.setattr(symoc.focp, "_READ_BYTES", read_bytes)
         for reader, text, line in cases:
-            with pytest.raises(InputError) as exc:
-                reader(text)
-            assert str(exc.value).endswith(": " + (quoted(line) if isinstance(line, bytes) else repr(line)))
+            for way, source in each_source(text, tmp_path / "records.txt"):
+                with pytest.raises(InputError) as exc:
+                    reader(source)
+                assert str(exc.value).endswith(": " + (quoted(line) if isinstance(line, bytes) else repr(line))), way
     good = tmp_path / "good.focp"
     good.write_text(focp)
     (tmp_path / "bad.focp").write_text(focp + "G x 0\n")

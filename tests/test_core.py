@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from oracles import (
     Run,
     cost_of,
     dijkstra_distances,
+    each_source,
     edge_cost_view,
     eval_cost_functional,
     from_lists,
@@ -258,8 +260,9 @@ def assert_same_problem(a, b):
 
 
 @pytest.mark.parametrize("read_bytes, write_edges", [(None, None), (64, 5), (7, 1)])
-def test_focp_text_matches_the_reference_reader_and_writer(monkeypatch, read_bytes, write_edges):
-    # small blocks put block boundaries inside records (7 bytes: inside every line)
+def test_focp_text_matches_the_reference_reader_and_writer(monkeypatch, tmp_path, read_bytes, write_edges):
+    # small blocks put block boundaries inside records (7 bytes: inside every
+    # line); the text is read as a str, bytes, an in-memory file, a file and a pipe
     if read_bytes:
         monkeypatch.setattr(symoc.focp, "_READ_BYTES", read_bytes)
         monkeypatch.setattr(symoc.focp, "_WRITE_EDGES", write_edges)
@@ -271,10 +274,12 @@ def test_focp_text_matches_the_reference_reader_and_writer(monkeypatch, read_byt
         text = problem.to_focp_text()
         assert text == reference_to_focp_text(problem)
         cut_inside += bool(read_bytes) and len(text) > read_bytes and text[read_bytes - 1] != "\n"
-        back = FiniteProblem.from_focp_text(text)
-        assert_same_problem(back, reference_from_focp_text(text))
-        assert_same_problem(back, problem)
-        assert back.trans_succ.dtype == np.int32
+        reference = reference_from_focp_text(text)
+        for way, source in each_source(text, tmp_path / "problem.focp"):
+            back = FiniteProblem.from_focp_text(source)
+            assert_same_problem(back, reference)
+            assert_same_problem(back, problem)
+            assert back.trans_succ.dtype == np.int32, way
     assert cut_inside >= (30 if read_bytes else 0)
 
 
@@ -298,8 +303,8 @@ def test_focp_reader_follows_the_ascii_grammar(monkeypatch, tmp_path, capsys, re
     lines = text.splitlines()
     cases["shuffled"] = "\n".join([lines[0]] + list(np.random.default_rng(6).permutation(lines[1:])))
     for name, text in cases.items():
-        assert_same_problem(FiniteProblem.from_focp_text(text), reference_from_focp_text(text))
-        assert_same_problem(FiniteProblem.from_focp_text(text.encode()), reference_from_focp_text(text))
+        for way, source in each_source(text, tmp_path / "case.focp"):
+            assert_same_problem(FiniteProblem.from_focp_text(source), reference_from_focp_text(text))
     back = FiniteProblem.from_focp_text(cases["out of pair order, within-pair order kept"])
     assert back.trans_succ.tolist() == [1, 0, 1, 0]
     assert back.edge_costs.tolist() == [1.0, 4.0, 2.0, 3.0]
@@ -318,9 +323,10 @@ def test_focp_reader_follows_the_ascii_grammar(monkeypatch, tmp_path, capsys, re
         path.write_bytes(good + line + b"\nT 9 0 0 1\n")
         assert main(["solve-finite", str(path), "--out-prefix", prefix]) == 1, line
         assert capsys.readouterr().err == f"input error: {message}\n", line
-        with pytest.raises(InputError) as exc:
-            FiniteProblem.from_focp_text(good + line + b"\n")
-        assert str(exc.value) == message
+        for way, source in each_source(good + line + b"\n", tmp_path / "read.focp"):
+            with pytest.raises(InputError) as exc:
+                FiniteProblem.from_focp_text(source)
+            assert str(exc.value) == message, way
     for header in (b"focp +2 1", b"focp 2 1_0", b"focp\xa02 1", b"focp 2 1\x00"):
         with pytest.raises(InputError, match="malformed focp header"):
             FiniteProblem.from_focp_text(header + good[8:])
@@ -342,7 +348,8 @@ def test_focp_duplicate_check_keys_do_not_wrap():
 
 
 @pytest.mark.parametrize("read_bytes", [None, 16])
-def test_focp_errors_quote_the_first_bad_line(monkeypatch, read_bytes):
+def test_focp_errors_quote_the_first_bad_line(monkeypatch, tmp_path, read_bytes):
+    # the same message whether the text comes as a str, bytes, an in-memory file, a file or a pipe
     if read_bytes:
         monkeypatch.setattr(symoc.focp, "_READ_BYTES", read_bytes)
     good = "focp 2 2\nG 0 0\nT 0 0 1 1.0\nT 0 1 0 1.0\nT 1 0 1 0.0\nT 1 1 1 2\n"
@@ -371,16 +378,18 @@ def test_focp_errors_quote_the_first_bad_line(monkeypatch, read_bytes):
     ]
     for bad, message in cases:
         for text in (good + bad, good + bad + "T 0 0 0 x\nT 9 0 0 1\n"):  # later bad lines are not named
-            with pytest.raises(InputError) as exc:
-                FiniteProblem.from_focp_text(text)
-            assert str(exc.value) == message
+            for way, source in each_source(text, tmp_path / "bad.focp"):
+                with pytest.raises(InputError) as exc:
+                    FiniteProblem.from_focp_text(source)
+                assert str(exc.value) == message, way
             with pytest.raises(InputError):
                 reference_from_focp_text(text)
     # duplicates are found once every record has been read: the first repeat in file order is named
     text = good + "T 1 1 1 5\nT 0 0 1 3\n"
-    with pytest.raises(InputError) as exc:
-        FiniteProblem.from_focp_text(text)
-    assert str(exc.value) == "duplicate transition (1,1,1): 'T 1 1 1 5'"
+    for way, source in each_source(text, tmp_path / "twice.focp"):
+        with pytest.raises(InputError) as exc:
+            FiniteProblem.from_focp_text(source)
+        assert str(exc.value) == "duplicate transition (1,1,1): 'T 1 1 1 5'", way
     with pytest.raises(InputError, match="duplicate transition"):
         reference_from_focp_text(text)
     # the first bad line in file order, not the first of its kind
@@ -394,6 +403,63 @@ def test_focp_errors_quote_the_first_bad_line(monkeypatch, read_bytes):
                           ("focp 0 1\n", "need positive"), ("focp 65536 32768\n", "2\\*\\*31")):
         with pytest.raises(InputError, match=message):
             FiniteProblem.from_focp_text(text)
+
+
+def test_focp_reader_streams_blocks_from_every_source(monkeypatch, tmp_path):
+    # reads of 16 bytes: CR and LF split across two reads, a line longer than
+    # several blocks, a missing final newline, and a bad line and repeats in
+    # later blocks, each read from every source with the same result
+    monkeypatch.setattr(symoc.focp, "_READ_BYTES", 16)
+    head = "focp 3 1\r\nG 0 0\r\n"
+    assert head[15:17] == "\r\n"  # the CR ends the first read, the LF starts the second
+    long_cost = "1." + "0" * 70 + "5"
+    body = f"T 0 0 1 {long_cost}\r\n" + "".join(f"T {p} 0 {q} {p + q}\r\n" for p in (1, 2) for q in (0, 1, 2))
+    text = head + body + "T 0 0 2 7"
+    reference = reference_from_focp_text(text)
+    assert reference.edge_costs[0] == float(long_cost)
+    for way, source in each_source(text, tmp_path / "stream.focp"):
+        assert_same_problem(FiniteProblem.from_focp_text(source), reference)
+    for bad, message in (("T 2 0 x 1", "malformed focp record: 'T 2 0 x 1'"),
+                         ("T 1 0 2 9", "duplicate transition (1,0,2): 'T 1 0 2 9'")):
+        for way, source in each_source(text + "\r\n" + bad + "\r\nG 2 0\r\n", tmp_path / "bad.focp"):
+            with pytest.raises(InputError) as exc:
+                FiniteProblem.from_focp_text(source)
+            assert str(exc.value) == message, way
+    values = "".join(f"{p} {p}.0\n" for p in range(10)) + "3 5.0\n"
+    for way, source in each_source(values, tmp_path / "twice.values"):
+        with pytest.raises(InputError) as exc:
+            values_from_text(source)
+        assert str(exc.value) == "state listed twice in value record: '3 5.0'", way
+
+
+def test_focp_reading_from_disk_holds_no_copy_of_the_text(monkeypatch, tmp_path):
+    # 80 reads of 64 KiB from disk: beyond the parsed arrays the peak holds the
+    # pair ids (4 B per edge), the costs twice while their blocks are joined
+    # (8 B) and one block, 0.46 of the 5.0 MiB text in all.  A reader given
+    # the whole text holds it too: 1.46 of it, and 2.15 for the reader that
+    # tokenized one bytes object a block at a time.
+    monkeypatch.setattr(symoc.focp, "_READ_BYTES", 1 << 16)
+    rng = np.random.default_rng(20)
+    n, m = 20000, 4
+    succ = (rng.integers(0, n - 2, size=n * m)[:, None] + np.arange(3)).ravel()  # 3 rising successors a pair
+    problem = FiniteProblem(n, m, np.round(rng.uniform(0, 9, n), 3), np.arange(0, len(succ) + 1, 3), succ,
+                            edge_costs=np.round(rng.uniform(0, 9, len(succ)), 3))
+    path = tmp_path / "big.focp"
+    with open(path, "w") as fh:
+        fh.writelines(problem.focp_text_blocks())
+    size = path.stat().st_size
+    assert size >= 16 << 16
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with open(path, "rb") as fh:
+            back = FiniteProblem.from_focp_text(fh)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert_same_problem(back, problem)
+    outputs = sum(a.nbytes for a in (back.G, back.trans_ptr, back.trans_succ, back.edge_costs))
+    assert peak - outputs < 0.75 * size, (peak - outputs) / size
 
 
 def test_problem_strictness_enforced():
