@@ -174,9 +174,10 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     per_input = _collect_batched(transitions, cover, gated, m)
 
     sizes = np.zeros(n_states * m, dtype=np.int64)
+    grid_pairs = cover.n_cells * m  # the cells' pairs come first, cell by cell
     for u_idx, (succ_u, cnt_u, escape_u, *_) in enumerate(per_input):
-        sizes[np.arange(cover.n_cells) * m + u_idx] = cnt_u + escape_u
-    sizes[overflow * m : (overflow + 1) * m] = 1
+        sizes[u_idx:grid_pairs:m] = cnt_u + escape_u
+    sizes[grid_pairs:] = 1  # the overflow cell's pairs
     trans_ptr = np.zeros(n_states * m + 1, dtype=np.int64)
     np.cumsum(sizes, out=trans_ptr[1:])
     trans_succ = np.empty(int(trans_ptr[-1]), dtype=np.int32)
@@ -186,18 +187,17 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     for u_idx in range(m):
         succ_u, cnt_u, escape_u, *_ = per_input[u_idx]
         per_input[u_idx] = None  # freed once scattered, so later allocations reuse the memory
-        starts = trans_ptr[np.arange(cover.n_cells, dtype=np.int64) * m + u_idx]
+        starts = trans_ptr[u_idx:grid_pairs:m]
         if len(succ_u):
             dest = np.repeat(starts - (np.cumsum(cnt_u) - cnt_u), cnt_u)
             dest += np.arange(len(succ_u))
             trans_succ[dest] = succ_u
         esc_cells = np.nonzero(escape_u)[0]
         trans_succ[starts[esc_cells] + cnt_u[esc_cells]] = overflow
-    trans_succ[trans_ptr[overflow * m : (overflow + 1) * m]] = overflow
+    trans_succ[trans_ptr[grid_pairs:-1]] = overflow
 
     pair_costs = np.full(n_states * m, INF)
-    grid_pids = (np.arange(cover.n_cells, dtype=np.int64)[:, None] * m + np.arange(m)).ravel()
-    pair_costs[grid_pids] = np.where(
+    pair_costs[:grid_pairs] = np.where(
         costs.g_finite[:, None], costs.input_values[None, :], INF
     ).ravel()
 

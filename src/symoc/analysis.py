@@ -43,12 +43,6 @@ def _merge(intervals):
 
 def _preimage_interval(a, b):
     """Preimage of the open interval (a, b) under p -> 4p(1-p) on [0, 1]."""
-    a = max(a, 0.0)
-    if b > 1.0:
-        if a == 0.0:
-            return [(0.0, 1.0)]
-        s = math.sqrt(1.0 - a)
-        return [((1.0 - s) / 2.0, (1.0 + s) / 2.0)]
     sa = math.sqrt(1.0 - a)
     sb = math.sqrt(1.0 - b)
     return [((1.0 - sa) / 2.0, (1.0 - sb) / 2.0), ((1.0 + sb) / 2.0, (1.0 + sa) / 2.0)]

@@ -29,36 +29,48 @@ from .grid import GridCover, InputGrid
 from .sets import Box, Complement, EmptySet, QuadraticSublevel, SetPredicate, UnionSet
 from .systems import get_system
 
-_KEYS = {
-    "system": {"dynamics", "preset", "tau", "w", "A0", "A1", "K", "Kprime_margin", "eps"},
-    "grid": {"eta"},
-    "inputs": {"U", "mu"},
-    "costs": {"cost_kind", "target", "obstacle"},
-    "reach": {"k", "theta", "gamma"},
-}
-# the keys of a sampled ODE plant, which a map config may not name
-_ODE_KEYS = [("system", key) for key in ("tau", "w", "A0", "A1", "Kprime_margin", "eps")]
-_ODE_KEYS += [("reach", key) for key in sorted(_KEYS["reach"])]
 
-
-def _vector(text: str) -> np.ndarray:
+def _vector(text: str, dim=None, what="state") -> np.ndarray:
+    """The numbers of ``text``: ``dim`` of them (the ``what`` dimension) if given."""
     try:
         vector = np.array([float(v) for v in text.split()])
     except ValueError as exc:
         raise InputError(f"expected a numeric vector, got {text!r}") from exc
     if not np.isfinite(vector).all():
         raise InputError(f"expected finite numbers, got {text.strip()!r}")
+    if dim is not None and vector.size != dim:
+        raise InputError(f"expected the {what} dimension {dim}, got {vector.size}")
     return vector
 
 
-def _corners(text: str):
+def _corners(text: str, dim=None, what="state"):
     parts = text.split(";")
     if len(parts) != 2:
         raise InputError(f"expected 'lower ; upper', got {text!r}")
-    lo, hi = _vector(parts[0]), _vector(parts[1])
+    lo, hi = _vector(parts[0], dim, what), _vector(parts[1], dim, what)
     if lo.shape != hi.shape:
         raise InputError(f"corner dimension mismatch in {text!r}")
     return lo, hi
+
+
+# the [system] keys of a sampled ODE plant, which a map config may not name:
+# config key -> (SampledSystem keyword, parser of the text for state dimension dim)
+_PLANT_KEYS = {
+    "tau": ("tau", lambda text, dim: float(text)),
+    "w": ("w", _vector),
+    "A0": ("A0", _vector),
+    "A1": ("A1", lambda text, dim: _vector(text).reshape(dim, dim)),
+    "Kprime_margin": ("kprime_margin", lambda text, dim: float(text)),
+    "eps": ("eps", lambda text, dim: float(text)),
+}
+_KEYS = {
+    "system": {"dynamics", "preset", "K", *_PLANT_KEYS},
+    "grid": {"eta"},
+    "inputs": {"U", "mu"},
+    "costs": {"cost_kind", "target", "obstacle"},
+    "reach": {"k", "theta", "gamma"},
+}
+_ODE_KEYS = [("system", key) for key in _PLANT_KEYS] + [("reach", key) for key in sorted(_KEYS["reach"])]
 
 
 def parse_set(text: str, domain_box) -> SetPredicate:
@@ -130,7 +142,7 @@ def load_config(path) -> PipelineConfig:
     if not raw.has_option("system", "dynamics"):
         raise InputError("config needs dynamics under [system]")
     spec = get_system(raw.get("system", "dynamics"))
-    if spec.kind == "map":
+    if spec.ode is None:
         for section, key in _ODE_KEYS:
             if raw.has_option(section, key):
                 raise InputError(f"[{section}] {key} does not apply to the map dynamics {spec.name!r}")
@@ -138,45 +150,51 @@ def load_config(path) -> PipelineConfig:
     if preset is not None and preset not in spec.presets:
         raise InputError(f"unknown preset {preset!r} for {spec.name!r}; have {sorted(spec.presets)}")
 
-    def number(section, key, parse, fallback):
-        """The value of ``key`` read by ``parse``; ``fallback`` when the key
-        is absent or empty."""
+    def number(section, key, parse, fallback, *args):
+        """The value of ``key`` read by ``parse(text, *args)``; ``fallback``
+        when the key is absent or empty."""
         text = raw.get(section, key, fallback="")
         if not text:
             return fallback
         try:
-            return parse(text)
+            return parse(text, *args)
         except (ValueError, InputError) as exc:
             raise InputError(f"[{section}] {key} = {text!r}: {exc}") from exc
 
-    # overrides go into the fresh spec, which then builds the plant
-    spec.k_lower, spec.k_upper = number("system", "K", _corners, (spec.k_lower, spec.k_upper))
-    dim = spec.k_lower.size
-    spec.tau = number("system", "tau", float, spec.tau)
-    spec.w = number("system", "w", _vector, spec.w)
-    spec.A0 = number("system", "A0", _vector, spec.A0)
-    spec.A1 = number("system", "A1", lambda t: _vector(t).reshape(dim, dim), spec.A1)
-    spec.kprime_margin = number("system", "Kprime_margin", float, spec.kprime_margin)
-    spec.eps = number("system", "eps", float, spec.eps)
+    # overrides go into the fresh spec, which then builds the plant; they keep
+    # the dimensions of its defaults, and a map's K stays within its default
+    dim, input_dim = spec.k_lower.size, np.size(spec.input_pieces[0][0])
+
+    def k_box(text):
+        lo, hi = _corners(text, dim)
+        if spec.ode is None and (np.any(lo < spec.k_lower) or np.any(hi > spec.k_upper)):
+            home = " ; ".join(" ".join(f"{v:g}" for v in c) for c in (spec.k_lower, spec.k_upper))
+            raise InputError(f"the map {spec.name!r} is defined on K = {home} only")
+        return lo, hi
+
+    spec.k_lower, spec.k_upper = number("system", "K", k_box, (spec.k_lower, spec.k_upper))
+    if spec.ode is not None:
+        for key, (name, parse) in _PLANT_KEYS.items():
+            spec.ode[name] = number("system", key, parse, spec.ode[name], dim)
     spec.theta = number("reach", "theta", float, spec.theta)
     spec.input_pieces = number(
-        "inputs", "U", lambda t: [_corners(part) for part in t.split("|")], spec.input_pieces
+        "inputs", "U", lambda t: [_corners(part, input_dim, "input") for part in t.split("|")], spec.input_pieces
     )
 
     eta = mu = None
     kk, gamma = 1, 0.0
     if preset is not None:
         eta, mu, kk, gamma = spec.presets[preset]
-    eta = number("grid", "eta", _vector, eta)
-    mu = number("inputs", "mu", _vector, mu)
+    eta = number("grid", "eta", _vector, eta, dim)
+    mu = number("inputs", "mu", _vector, mu, input_dim, "input")
     kk = number("reach", "k", int, kk)
     gamma = number("reach", "gamma", float, gamma)
     if eta is None or mu is None:
         raise InputError("need eta and mu (directly or via a preset)")
 
     domain = (spec.k_lower, spec.k_upper)
-    target = number("costs", "target", lambda t: parse_set(t, domain), spec.target)
-    obstacle = number("costs", "obstacle", lambda t: parse_set(t, domain), spec.obstacle)
+    target = number("costs", "target", parse_set, spec.target, domain)
+    obstacle = number("costs", "obstacle", parse_set, spec.obstacle, domain)
     model = CostModel(raw.get("costs", "cost_kind", fallback=spec.cost_kind), target, obstacle)
 
     cover = GridCover(spec.k_lower, spec.k_upper, eta)

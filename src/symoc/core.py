@@ -57,6 +57,8 @@ class FiniteProblem:
             self.trans_succ.min() < 0 or self.trans_succ.max() >= self.n
         ):
             raise InputError("successor index out of range")
+        if not np.issubdtype(self.trans_succ.dtype, np.integer):
+            raise InputError(f"successor indices must be integers, not {self.trans_succ.dtype}")
         if (self.edge_costs is None) == (self.pair_costs is None):
             raise InputError("exactly one of edge_costs/pair_costs required")
         costs = self.edge_costs if self.edge_costs is not None else self.pair_costs

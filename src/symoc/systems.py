@@ -60,7 +60,6 @@ class LogisticMap:
 @dataclass
 class SystemSpec:
     name: str
-    kind: str  # "ode" or "map"
     k_lower: np.ndarray
     k_upper: np.ndarray
     input_pieces: list
@@ -68,33 +67,17 @@ class SystemSpec:
     target: SetPredicate
     obstacle: SetPredicate
     theta: float = 1.0
-    tau: float = 0.0
-    w: np.ndarray = None
-    A0: np.ndarray = None
-    A1: np.ndarray = None
-    kprime_margin: float = 0.0
-    eps: float = 0.0
-    f: callable = None  # the vector field f(x, u) of a sampled ODE plant
+    ode: dict = None  # the SampledSystem keywords but the domain K; None for a map
     presets: dict = field(default_factory=dict)  # name -> (eta, mu, k, gamma)
 
     def sampled_system(self) -> SampledSystem:
-        return SampledSystem(
-            f=self.f,
-            w=self.w,
-            tau=self.tau,
-            A0=self.A0,
-            A1=self.A1,
-            k_lower=self.k_lower,
-            k_upper=self.k_upper,
-            kprime_margin=self.kprime_margin,
-            eps=self.eps,
-        )
+        return SampledSystem(k_lower=self.k_lower, k_upper=self.k_upper, **self.ode)
 
     def build(self, cover: GridCover, inputs: InputGrid, k: int, gamma: float):
         """(plant, reach): the plant and its transition over-approximator on
         ``cover`` and ``inputs``; a sampled plant reaches in ``k`` substeps
         with the error budget ``gamma``, a map by exact images."""
-        if self.kind == "map":
+        if self.ode is None:
             plant = LogisticMap()
             return plant, MapReach(plant, cover)
         plant = self.sampled_system()
@@ -105,21 +88,21 @@ def _pendulum_spec() -> SystemSpec:
     two_pi = 2.0 * np.pi
     return SystemSpec(
         name="pendulum",
-        kind="ode",
         k_lower=np.array([-two_pi, -3.0]),
         k_upper=np.array([two_pi, 3.0]),
         input_pieces=[(np.array([-2.0]), np.array([2.0]))],
         cost_kind="energy_entry",
         target=QuadraticSublevel([[63.0, 6.0], [6.0, 56.0]], [0.0, 0.0], 42.0),
         obstacle=Complement(Box([-two_pi, -3.0], [two_pi, 3.0], open_=True)),
-        theta=1.0,
-        tau=0.2,
-        w=np.array([0.0, 0.1]),
-        A0=np.array([4.0, 2.5]),
-        A1=np.array([[0.0, 1.0], [2.25, -0.02]]),
-        kprime_margin=0.9,
-        eps=0.1,
-        f=pendulum_field,
+        ode=dict(
+            f=pendulum_field,
+            tau=0.2,
+            w=np.array([0.0, 0.1]),
+            A0=np.array([4.0, 2.5]),
+            A1=np.array([[0.0, 1.0], [2.25, -0.02]]),
+            kprime_margin=0.9,
+            eps=0.1,
+        ),
         presets={
             "p1": (np.array([0.08, 0.08]), np.array([0.2]), 1, 6.3e-7),
             "p2": (np.array([0.04, 0.04]), np.array([0.15]), 2, 9.9e-9),
@@ -132,7 +115,6 @@ def _pendulum_spec() -> SystemSpec:
 def _chauffeur_spec() -> SystemSpec:
     return SystemSpec(
         name="chauffeur",
-        kind="ode",
         k_lower=np.array([-5.0, -5.0]),
         k_upper=np.array([5.0, 5.0]),
         input_pieces=[(np.array([-1.0]), np.array([1.0]))],
@@ -140,13 +122,15 @@ def _chauffeur_spec() -> SystemSpec:
         target=QuadraticSublevel([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], 0.9),
         obstacle=Complement(Box([-5.0, -5.0], [5.0, 5.0], open_=True)),
         theta=2.0,
-        tau=0.1,
-        w=np.array([0.3, 0.3]),
-        A0=np.array([6.4, 6.4]),
-        A1=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        kprime_margin=1.0,
-        eps=0.1,
-        f=chauffeur_field,
+        ode=dict(
+            f=chauffeur_field,
+            tau=0.1,
+            w=np.array([0.3, 0.3]),
+            A0=np.array([6.4, 6.4]),
+            A1=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            kprime_margin=1.0,
+            eps=0.1,
+        ),
         presets={
             "p1": (np.array([0.03, 0.03]), np.array([0.2]), 1, 0.0),
             "p2": (np.array([0.02, 0.02]), np.array([0.1]), 2, 0.0),
@@ -159,7 +143,6 @@ def _chauffeur_spec() -> SystemSpec:
 def _logistic_spec() -> SystemSpec:
     return SystemSpec(
         name="logistic",
-        kind="map",
         k_lower=np.array([0.0]),
         k_upper=np.array([1.0]),
         input_pieces=[(np.array([0.0]), np.array([0.0]))],

@@ -433,10 +433,67 @@ def test_solve_section_is_not_a_config_section(tmp_path, capsys):
     assert not (tmp_path / "a.values").exists()
 
 
+def config_text(entries):
+    """Config text setting each ``(section, key): value`` of ``entries``."""
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
+
+
+PENDULUM_P1 = {("system", "dynamics"): "pendulum", ("system", "preset"): "p1", ("grid", "eta"): "0.4 0.3"}
+LOGISTIC_N40 = {("system", "dynamics"): "logistic", ("system", "preset"): "N40"}
+
+
+STATE_2, MAP_DOMAIN = "expected the state dimension 2, got", "the map 'logistic' is defined on K = 0 ; 1 only"
+WRONG_DIMENSIONS = [
+    (PENDULUM_P1, {("system", "K"): "-1 -1 -1 ; 1 1 1", ("grid", "eta"): "0.4 0.3 0.3"}, f"{STATE_2} 3"),
+    (PENDULUM_P1, {("system", "K"): "-1 ; 1"}, f"{STATE_2} 1"),
+    ({("system", "dynamics"): "chauffeur", ("system", "preset"): "p1"}, {("system", "K"): "-5 -5 -5 ; 5 5 5"},
+     f"{STATE_2} 3"),
+    (LOGISTIC_N40, {("system", "K"): "0 ; 2"}, MAP_DOMAIN),
+    (LOGISTIC_N40, {("system", "K"): "-1 ; 1"}, MAP_DOMAIN),
+    (LOGISTIC_N40, {("system", "K"): "0 0 ; 1 1"}, "expected the state dimension 1, got 2"),
+    (PENDULUM_P1, {("inputs", "U"): "-2 -1 ; 2 1", ("inputs", "mu"): "1 1"}, "expected the input dimension 1, got 2"),
+    (PENDULUM_P1, {("inputs", "U"): "-2 ; 2 | -2 -1 ; 2 1"}, "expected the input dimension 1, got 2"),
+    (PENDULUM_P1, {("system", "A0"): "4 2.5 1"}, f"{STATE_2} 3"),
+    (PENDULUM_P1, {("system", "w"): "0 0.1 0"}, f"{STATE_2} 3"),
+    (PENDULUM_P1, {("grid", "eta"): "0.4"}, f"{STATE_2} 1"),
+    (PENDULUM_P1, {("inputs", "mu"): "0.2 0.2"}, "expected the input dimension 1, got 2"),
+]
+
+
+@pytest.mark.parametrize("base, entries, message", WRONG_DIMENSIONS, ids=[
+    f"{base[('system', 'dynamics')]}-{key}={value}" for base, entries, _ in WRONG_DIMENSIONS
+    for (_, key), value in list(entries.items())[:1]
+])
+def test_config_vectors_take_the_dimensions_of_the_dynamics(tmp_path, capsys, base, entries, message):
+    # K, eta, w and A0 have the state's dimension, each piece of U and mu the
+    # input's, and the map's K lies within [0, 1], where its images are
+    # exact; the first key in load order that breaks this is named
+    (section, key), value = next(iter(entries.items()))
+    config = tmp_path / "c.ini"
+    config.write_text(config_text({**base, **entries}))
+    assert main(["synthesize", str(config), "--out-prefix", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err == f"input error: [{section}] {key} = {value!r}: {message}\n"
+    assert not (tmp_path / "a.values").exists()
+
+
+def test_config_overrides_do_not_leak_into_the_next_load(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text(config_text({**PENDULUM_P1, ("system", "w"): "0 0.2", ("system", "tau"): "0.1"}))
+    assert load_config(config).plant.w.tolist() == [0.0, 0.2]
+    config.write_text(config_text(PENDULUM_P1))
+    plant = load_config(config).plant
+    assert plant.w.tolist() == [0.0, 0.1] and plant.tau == 0.2
+    assert get_system("pendulum").ode["w"].tolist() == [0.0, 0.1]
+
+
 def hostile_values(dim, rng):
     """Config values that no key may turn into a traceback: the fixed table
     and a seeded far-from-one number, each also repeated as a ``dim``-vector,
-    then wrong arity, garbage, an inverted box and a seeded printable token.
+    then wrong arity, garbage, an inverted box, boxes in valid order of
+    ``dim - 1`` and ``dim + 1`` coordinates and a seeded printable token.
     No value makes a mid-size cover (eta = 1e-3, say): such a cover allocates
     for real and is slow rather than hostile, so those stay out."""
     exponent = int(rng.choice([-1, 1]) * rng.integers(20, 300))
@@ -444,32 +501,28 @@ def hostile_values(dim, rng):
     if dim > 1:
         numbers += [" ".join([v] * dim) for v in numbers]
     ones, neg = " ".join(["1"] * dim), " ".join(["-1"] * dim)
-    return numbers + [f"{ones} 1", "garbage", f"{ones} ; {neg}", f"box {ones} ; {neg}",
+    boxes = [f"{' '.join(['-1'] * n)} ; {' '.join(['1'] * n)}" for n in (dim - 1, dim + 1)]
+    return numbers + [f"{ones} 1", "garbage", f"{ones} ; {neg}", f"box {ones} ; {neg}", *boxes,
                       "".join(rng.choice(list(string.printable.strip()), size=8))]
 
 
 def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
     # every config key (and each removed one) set to each hostile value, on a
-    # small pendulum p1 cover and on logistic N40: the exit is 0, 1 or 2, a
-    # non-zero exit names its kind, and nothing escapes main as an exception;
-    # the map refuses every key of a sampled ODE plant by name, and an
-    # infinite error budget is refused rather than escaping every cell
+    # small pendulum p1 cover and on logistic N40 (which also tries K = 0 ; 2,
+    # outside the map's domain): the exit is 0 or 1, an exit 1 is an input
+    # error, and nothing escapes main as an exception; no config is a
+    # soundness alarm.  The map refuses every key of a sampled ODE plant by
+    # name, and an infinite error budget is refused rather than escaping
+    # every cell
     rng = np.random.default_rng(2018)
-    bases = (
-        ({("system", "dynamics"): "pendulum", ("system", "preset"): "p1", ("grid", "eta"): "0.4 0.3"}, 2),
-        ({("system", "dynamics"): "logistic", ("system", "preset"): "N40"}, 1),
-    )
+    bases = ((PENDULUM_P1, 2, []), (LOGISTIC_N40, 1, ["0 ; 2"]))
     removed = [("reach", "substeps"), ("reach", "max_splits"), ("solve", "queue")]
     config = tmp_path / "fuzz.ini"
     failures = []
-    for base, dim in bases:
+    for base, dim, extra in bases:
         for section, key in [(sec, k) for sec in sorted(_KEYS) for k in sorted(_KEYS[sec])] + removed:
-            for value in hostile_values(dim, rng):
-                entries = {**base, (section, key): value}
-                sections = {}
-                for (sec, k), v in entries.items():
-                    sections.setdefault(sec, []).append(f"{k} = {v}\n")
-                config.write_text("".join(f"[{sec}]\n" + "".join(lines) for sec, lines in sections.items()))
+            for value in hostile_values(dim, rng) + extra:
+                config.write_text(config_text({**base, (section, key): value}))
                 case = (base[("system", "dynamics")], section, key, value)
                 try:
                     rc = main(["synthesize", str(config), "--out-prefix", str(tmp_path / "out")])
@@ -484,8 +537,7 @@ def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
                 elif case == ("pendulum", "reach", "gamma", "inf"):
                     ok = rc == 1 and err.startswith("input error: need k >= 1, theta > 0, 0 <= gamma < inf")
                 else:
-                    ok = rc in (0, 1, 2) and "Traceback" not in err and (
-                        rc == 0 or err.startswith(("input error:", "soundness alarm:")))
+                    ok = rc in (0, 1) and "Traceback" not in err and (rc == 0 or err.startswith("input error:"))
                 if not ok:
                     failures.append((*case, rc, err))
     assert failures == [], "\n".join(map(repr, failures))

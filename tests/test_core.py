@@ -467,6 +467,28 @@ def test_problem_strictness_enforced():
         from_lists([0.0], [[[]]])
 
 
+VALID_PROBLEM = dict(n=2, m=1, G=[0.0, INF], trans_ptr=[0, 1, 2], trans_succ=[0, 0], pair_costs=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(n=0, G=[]), "need at least one state and one input"),
+    (dict(G=[0.0]), "terminal cost array has wrong length"),
+    (dict(G=[0.0, -1.0]), "terminal costs must be non-negative"),
+    (dict(trans_ptr=[0, 2]), "transition index has wrong length"),
+    (dict(trans_ptr=[0, 1, 3]), "transition index is inconsistent"),
+    (dict(trans_ptr=[0, 2, 2]), "every (state, input) pair needs a successor (F strict): (1,0) has none"),
+    (dict(trans_succ=[0, 2]), "successor index out of range"),
+    (dict(trans_succ=np.array([0.0, 0.0])), "successor indices must be integers, not float64"),
+    (dict(edge_costs=[1.0, 1.0]), "exactly one of edge_costs/pair_costs required"),
+    (dict(pair_costs=[1.0]), "cost array has wrong length"),
+    (dict(pair_costs=[1.0, math.nan]), "running costs must be non-negative"),
+])
+def test_finite_problem_validation_names_the_first_fault(change, message):
+    FiniteProblem(**VALID_PROBLEM)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        FiniteProblem(**{**VALID_PROBLEM, **change})
+
+
 def test_cost_of_totalization():
     problem = from_lists([0.0, 0.0], [[[(1, 2.0)]], [[(1, 0.0)]]])
     assert cost_of(problem, 0, 1, 0) == 2.0

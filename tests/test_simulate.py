@@ -163,20 +163,13 @@ def test_closed_loop_cost_sandwiched_by_exact_oracle(logistic_400):
 def test_static_field_with_all_covering_target():
     spec = SystemSpec(
         name="static",
-        kind="ode",
         k_lower=np.array([0.0]),
         k_upper=np.array([1.0]),
         input_pieces=[([0.0], [0.0])],
         cost_kind="reach_avoid",
         target=Box([-1.0], [2.0], open_=True),
         obstacle=EmptySet(),
-        tau=0.5,
-        w=[0.0],
-        A0=[0.1],
-        A1=[[0.0]],
-        kprime_margin=0.5,
-        eps=0.1,
-        f=lambda x, u: np.zeros_like(x),
+        ode=dict(f=lambda x, u: np.zeros_like(x), tau=0.5, w=[0.0], A0=[0.1], A1=[[0.0]], kprime_margin=0.5, eps=0.1),
     )
     sys, cover, inputs, model, problem, result, ctrl = build_pipeline(
         spec, np.array([0.25]), np.array([1.0]), 1, 0.0
