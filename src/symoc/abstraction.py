@@ -135,8 +135,8 @@ class MapReach:
 
 
 def _expand_ranges(cover: GridCover, lo_idx, hi_idx, active):
-    """Flat successor ids for the index blocks of the active cells, plus the
-    cell id each successor belongs to and the per-cell counts."""
+    """Flat successor ids for the index blocks of the active cells, cell by
+    cell, and the per-cell counts."""
     spans = hi_idx - lo_idx + 1
     cnt = np.where(active, spans.prod(axis=1), 0)
     # a block is rows of consecutive flat ids along the last axis: only the
@@ -151,7 +151,7 @@ def _expand_ranges(cover: GridCover, lo_idx, hi_idx, active):
     length = spans[row_owner, -1]
     flat = np.repeat(first - (np.cumsum(length) - length), length)
     flat += np.arange(len(flat))
-    return flat, np.repeat(np.arange(cover.n_cells), cnt), cnt
+    return flat, cnt
 
 
 def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: AbstractCosts):
@@ -222,7 +222,7 @@ def _collect_batched(transitions, cover, gated, m):
 
     def one(u_idx):
         branches, escaped, slack, capped = transitions.batch_ranges(u_idx)
-        flat, _, cnt = _union_branches(cover, branches, active)
+        flat, cnt = _union_branches(cover, branches, active)
         if np.any((cnt == 0) & ~escaped & active):
             raise SoundnessAlarm("batch_ranges produced an empty successor set")
         return flat.astype(np.int32), cnt, escaped | gated, float(slack), capped
@@ -244,10 +244,10 @@ def _union_branches(cover, branches, active):
     n_states = np.int64(cover.n_states)
 
     def keys(lo_idx, hi_idx, empty):
-        flat, owner, _ = _expand_ranges(cover, lo_idx, hi_idx, active & ~empty)
-        owner *= n_states
-        owner += flat
-        return owner
+        flat, cnt = _expand_ranges(cover, lo_idx, hi_idx, active & ~empty)
+        key = np.repeat(np.arange(cover.n_cells) * n_states, cnt)  # the owner cell
+        key += flat
+        return key
 
     key = np.concatenate([keys(*branch) for branch in branches])
     key.sort(kind="stable")
@@ -257,7 +257,7 @@ def _union_branches(cover, branches, active):
     key = key[keep]
     owner = key // n_states
     key -= owner * n_states
-    return key, owner, np.bincount(owner, minlength=cover.n_cells)
+    return key, np.bincount(owner, minlength=cover.n_cells)
 
 
 def abstraction_sidecar_text(cover: GridCover, inputs: InputGrid, cert: ConservatismCertificate) -> str:

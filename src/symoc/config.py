@@ -143,7 +143,8 @@ def load_config(path) -> PipelineConfig:
         raise InputError("config needs dynamics under [system]")
     spec = get_system(raw.get("system", "dynamics"))
     if spec.ode is None:
-        for section, key in _ODE_KEYS:
+        # the map ignores its input, so an input set would only copy edges
+        for section, key in [*_ODE_KEYS, ("inputs", "U")]:
             if raw.has_option(section, key):
                 raise InputError(f"[{section}] {key} does not apply to the map dynamics {spec.name!r}")
     preset = raw.get("system", "preset", fallback=None)
@@ -167,6 +168,8 @@ def load_config(path) -> PipelineConfig:
 
     def k_box(text):
         lo, hi = _corners(text, dim)
+        if np.any(lo >= hi):
+            raise InputError("the lower corner is at or above the upper corner")
         if spec.ode is None and (np.any(lo < spec.k_lower) or np.any(hi > spec.k_upper)):
             home = " ; ".join(" ".join(f"{v:g}" for v in c) for c in (spec.k_lower, spec.k_upper))
             raise InputError(f"the map {spec.name!r} is defined on K = {home} only")

@@ -16,28 +16,42 @@ holds 4 B per live edge beside the problem (12 B with per-edge costs) and
 O(n m) pair data.
 
 One settle loop serves two queue disciplines.  Each step takes a wave, the
-states to settle next in settle order, and settles it with numpy; its ready
-pairs are taken in the order a per-state loop would reach them, so W, the
-controller and the queue statistics do not depend on the waves.  A binary
-heap with decrease-key by reinsertion (O(m log n), replacing the Fibonacci
-heap of the O(m + n log n) bound) hands out every queued state whose key is
-below w0 + c_min, with w0 the least key and c_min the least finite running
-cost: Dial's bucket queue for unit costs, the OUT-criterion of Crauser,
-Mehlhorn, Meyer and Sanders in general.  This is exact.  A pair made ready
-by a wave state q has M >= fl(c_min + W(q)) >= fl(c_min + w0), as rounding
-is monotone, so no wave state can improve and every push during the wave
-has a key at or above the bound: a per-state loop would pop these very
-states, in (W, index) order.  With c_min = 0, or where w0 + c_min rounds to
-w0, a wave is one state.  A FIFO queue, admissible only for certified
-discrete costs where all queue keys stay within one cost quantum so
-insertion order is value order, hands out the states pushed during the
-previous wave.
+states to settle next in settle order, and settles it with numpy.  Its ready
+pairs are taken in the order a per-state loop would reach them; a state's
+new W is the least M below its old W and its choice the first ready pair
+reaching that M, as a loop taking each strict improvement in turn would
+leave them.  So W, the controller, the settle order and the settled and
+pair_evals counts do not depend on the waves.  An improved state is pushed
+once per wave, at its final key: pushes counts the initial queue plus one
+per state and wave improving it, pops the entries taken, stale ones
+included, and the two end equal.
+
+A binary heap with decrease-key by reinsertion (O(m log n), replacing the
+Fibonacci heap of the O(m + n log n) bound) holds packed int keys
+(bits(W) << 32) | state, which order like (W, state): the bit patterns of
+non-negative floats order like their values (-0.0 is taken as 0.0).  It
+hands out its least entry and every entry below that entry's W plus c_min,
+the least finite running cost: Dial's bucket queue for unit costs, the
+OUT-criterion of Crauser, Mehlhorn, Meyer and Sanders in general.  Stale
+entries, superseded by a later push or of a settled state, are dropped
+from the run with one mask.  This is exact.  The least entry's W is at
+most w0, the least queued W, and a pair made ready by a wave state q has
+M >= fl(c_min + W(q)) >= fl(c_min + w0), as rounding is monotone, so no
+wave state can improve and every push during the wave has a key at or
+above the bound: a per-state loop would pop these very states, in
+(W, index) order.  With c_min = 0, or where w0 + c_min rounds to w0, a wave
+is one state.  A FIFO queue, admissible only for certified discrete costs
+where all queue keys stay within one cost quantum so insertion order is
+value order, hands out the states pushed during the previous wave.
+
+Every result passes check_certificate: each chosen pair's M equals W(p),
+bit for bit, and its successors settled before p.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -66,6 +80,7 @@ class SolveResult:
     stats: SolveStats
     settle_values: np.ndarray  # W at settle time, in settle order
     queue: str  # the discipline that ran, "heap" or "fifo"
+    rank: np.ndarray  # per state, its place in settle order; n if never settled
 
 
 def is_discrete_cost(problem: FiniteProblem):
@@ -81,6 +96,20 @@ def is_discrete_cost(problem: FiniteProblem):
     if np.count_nonzero((G == lo) | (G == hi)) < len(G) or (hi > lo and hi - lo != gamma):
         return None  # three finite terminal costs, or two not gamma apart
     return gamma, float(lo)
+
+
+_STATE = (1 << 32) - 1  # the state bits of a packed heap key
+
+
+def _bits(values) -> np.ndarray:
+    """int64 bit patterns of non-negative floats, which order like the
+    values; -0.0 counts as 0.0."""
+    return (np.asarray(values, dtype=np.float64) + 0.0).view(np.int64)
+
+
+def _keys(values, states) -> list:
+    """Packed heap keys (bits(W) << 32) | state, which order like (W, state)."""
+    return [b << 32 | q for b, q in zip(_bits(values).tolist(), states.tolist())]
 
 
 _INVERSE_EDGES = 1 << 16  # edges sorted per chunk by _build_inverse
@@ -177,7 +206,7 @@ def _build_inverse(problem: FiniteProblem):
 @np.errstate(over="ignore")  # cost sums saturate to inf
 def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     """Run Algorithm 1; returns the value function, an optimal static
-    controller and queue statistics.
+    controller and queue statistics, after check_certificate has passed.
 
     ``queue`` is one of QUEUES; ``auto`` is FIFO for certified discrete
     costs and the heap otherwise, and FIFO is an input error on problems
@@ -193,6 +222,7 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     W = problem.G.copy()
     choice = np.full(n, STOP, dtype=np.int64)
     settled = np.zeros(n, dtype=bool)
+    rank = np.full(n, n, dtype=np.int64)
     pred_ptr, pred_pair, counters, inv_costs = _build_inverse(problem)
     ptr, degree = pred_ptr.tolist(), np.diff(pred_ptr)
     pair_costs = problem.pair_costs
@@ -208,10 +238,10 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     if fifo:
         in_queue = np.zeros(n, dtype=bool)
         in_queue[initial] = True
-        pushed = initial.tolist()
+        pushed = initial
     else:
         c_min = float((pair_costs if inv_costs is None else problem.edge_costs).min(initial=INF))
-        heap = list(zip(W[initial].tolist(), initial.tolist()))  # sorted, so a heap
+        heap = _keys(W[initial], initial)  # sorted, so a heap
     wave = initial[:0]
 
     while True:
@@ -220,31 +250,37 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
             # the previous wave leaves the queue only now: its states stay
             # queued while its pairs improve states
             in_queue[wave] = False
-            taken, pushed = pushed, []
-            stats.pops += len(taken)
-            if settled[taken].any():
+            if not len(pushed):
+                break
+            wave, pushed = pushed, initial[:0]
+            stats.pops += len(wave)
+            if settled[wave].any():
                 raise SoundnessAlarm("fifo queue settled a state twice")
         else:
-            taken, limit = [], INF
-            while heap and heap[0][0] < limit:
-                key, q = heapq.heappop(heap)
-                stats.pops += 1
-                if settled[q] or key != W[q]:
-                    continue  # a stale entry superseded by a reinsertion
-                if not taken:
-                    limit = key + c_min
-                taken.append(q)
-        if not taken:
-            break
-        wave = np.array(taken, dtype=np.int64)
+            # the least key and every key below its W plus c_min; stale
+            # entries, superseded by a later push or of a settled state, drop
+            if not heap:
+                break
+            run = [heappop(heap)]
+            bound = np.int64(run[0] >> 32).view(np.float64) + c_min
+            limit = int(_bits(bound)) << 32  # the least key with W at or above bound
+            while heap and heap[0] < limit:
+                run.append(heappop(heap))
+            stats.pops += len(run)
+            run = np.array(run, dtype=object)
+            wave = (run & _STATE).astype(np.int64)
+            wave = wave[~settled[wave] & ((run >> 32).astype(np.int64) == _bits(W[wave]))]
+            if not len(wave):
+                continue
         vals = W[wave]
         settled[wave] = True
+        rank[wave] = np.arange(stats.settled, stats.settled + len(wave))
         stats.settled += len(wave)
         settle_values.append(vals)
 
         # pairs whose last unsettled successor is in the wave, in the order
         # the states' predecessor lists reach them
-        lists = [slice(ptr[q], ptr[q + 1]) for q in taken]
+        lists = [slice(ptr[q], ptr[q + 1]) for q in wave.tolist()]
         pids = np.concatenate([pred_pair[s] for s in lists]).astype(np.intp)  # intp indexes faster
         np.subtract.at(counters, pids, 1)
         pos = (counters[pids] == 0).nonzero()[0]
@@ -264,20 +300,27 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
             values = pair_max[ready]
         stats.pair_evals += len(ready)
 
-        # improve states in ready order: the first strict improvement wins
-        for pid, M in zip(ready.tolist(), values.tolist()):
-            p = pid // m
-            if W[p] > M:
-                W[p] = M
-                choice[p] = pid - p * m
-                stats.pushes += 1
-                if fifo:
-                    if in_queue[p]:
-                        raise SoundnessAlarm("fifo discipline improved a queued state")
-                    in_queue[p] = True
-                    pushed.append(p)
-                else:
-                    heapq.heappush(heap, (M, p))
+        # improve states, pushing each improved state once (module docstring)
+        p = ready // m
+        better = values < W[p]
+        ready, values, p = ready[better], values[better], p[better]
+        np.minimum.at(W, p, values)
+        hit = np.flatnonzero(values == W[p])
+        improved, first = np.unique(p[hit], return_index=True)
+        hit = hit[first]  # per improved state, the position of its choice
+        W[improved] = values[hit]  # the chosen M's bits, also for M = -0.0
+        choice[improved] = ready[hit] - improved * m
+        stats.pushes += len(improved)
+        if fifo:
+            # a per-pair loop would push each state at its first improvement;
+            # one queued already, or improved again, breaks value order
+            if in_queue[improved].any() or (np.unique(p, return_index=True)[1] != hit).any():
+                raise SoundnessAlarm("fifo discipline improved a queued state")
+            pushed = improved[np.argsort(hit)]
+            in_queue[pushed] = True
+        else:
+            for key in _keys(W[improved], improved):
+                heappush(heap, key)
 
     settle_values = np.concatenate(settle_values)
     if (settle_values[1:] < settle_values[:-1]).any():
@@ -285,7 +328,49 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     # W(p) = inf iff no input was ever recorded for p
     if not np.array_equal(choice == STOP, ~(W < problem.G)):
         raise SoundnessAlarm("controller domain does not match improved states")
-    return SolveResult(W, ControllerTable(choice), stats, settle_values, "fifo" if fifo else "heap")
+    del pred_pair, counters, inv_costs, pair_max, last_pos  # the certificate's edges reuse the memory
+    check_certificate(problem, W, choice, rank)
+    return SolveResult(W, ControllerTable(choice), stats, settle_values, "fifo" if fifo else "heap", rank)
+
+
+@np.errstate(over="ignore")  # cost sums saturate to inf
+def check_certificate(problem: FiniteProblem, W, choice, rank):
+    """Raise SoundnessAlarm, naming the first failing state, unless every
+    state p with a chosen input u has W(p) equal, bit for bit, to the pair's
+    M = max_y g(p,y,u) + W(y) (g(p,u) + max_y W(y) with per-pair costs), and
+    every successor y of the pair settled before p: rank[y] < rank[p].
+
+    With the controller domain check this certifies the output on the
+    abstraction: from any p of finite W the controller stops within
+    rank[p] steps, at a cost of at most W(p).  It reads the chosen pairs'
+    edges only.
+    """
+    states = np.flatnonzero(choice != STOP)
+    if not len(states):
+        return
+    pid = states * problem.m + choice[states]
+    ptr = problem.trans_ptr
+    cnt = ptr[pid + 1] - ptr[pid]
+    starts = np.cumsum(cnt) - cnt
+    edges = np.repeat(ptr[pid] - starts, cnt)
+    edges += np.arange(len(edges))
+    succ = problem.trans_succ[edges]
+    vals = W[succ]
+    if problem.edge_costs is not None:
+        vals += problem.edge_costs[edges]
+    M = np.maximum.reduceat(vals, starts)
+    if problem.pair_costs is not None:
+        M += problem.pair_costs[pid]
+    wrong = _bits(M) != _bits(W[states])
+    bad = np.flatnonzero(wrong | (np.maximum.reduceat(rank[succ], starts) >= rank[states]))
+    if len(bad):
+        i = bad[0]
+        p, u = int(states[i]), int(choice[states[i]])
+        if wrong[i]:
+            why = f"W = {float(W[p])!r} but input {u} gives {float(M[i])!r}"
+        else:
+            why = f"a successor under input {u} settled after it"
+        raise SoundnessAlarm(f"solution certificate fails at state {p}: {why}")
 
 
 def dp_operator(problem: FiniteProblem, W) -> np.ndarray:

@@ -397,18 +397,17 @@ def reach_successors(reach, cell, u_idx):
 
 
 def union_branches_by_unique(cover, branches, active):
-    """(flat, owner, cnt) of the union of the branches' cell index blocks per
+    """(flat, cnt) of the union of the branches' cell index blocks per
     active cell, deduplicated by np.unique over the int64 keys
     owner * n_states + flat (the dedupe the abstraction build once ran)."""
     parts, owners = [], []
     for lo_idx, hi_idx, empty in branches:
-        flat, owner, _ = _expand_ranges(cover, lo_idx, hi_idx, active & ~empty)
+        flat, cnt = _expand_ranges(cover, lo_idx, hi_idx, active & ~empty)
         parts.append(flat)
-        owners.append(owner)
+        owners.append(np.repeat(np.arange(cover.n_cells), cnt))
     key = np.concatenate(owners) * np.int64(cover.n_states) + np.concatenate(parts)
     uniq = np.unique(key)
-    owner = uniq // cover.n_states
-    return uniq % cover.n_states, owner, np.bincount(owner, minlength=cover.n_cells)
+    return uniq % cover.n_states, np.bincount(uniq // cover.n_states, minlength=cover.n_cells)
 
 
 def reference_inverse(problem):
@@ -464,6 +463,7 @@ def reference_solve(problem, queue="heap"):
     pair_costs = problem.pair_costs
     stats = SolveStats()
     settle_values = []
+    rank = np.full(n, n, dtype=np.int64)
 
     initial = [p for p in range(n) if W[p] < INF]
     if queue == "heap":
@@ -505,6 +505,7 @@ def reference_solve(problem, queue="heap"):
         last_settle = W[q]
         settled[q] = True
         in_queue[q] = False
+        rank[q] = stats.settled
         stats.settled += 1
         settle_values.append(W[q])
 
@@ -541,7 +542,7 @@ def reference_solve(problem, queue="heap"):
     # W(p) = inf iff no input was ever recorded for p
     if not np.array_equal(choice == STOP, ~(W < problem.G)):
         raise SoundnessAlarm("controller domain does not match improved states")
-    return SolveResult(W, ControllerTable(choice), stats, np.asarray(settle_values), queue)
+    return SolveResult(W, ControllerTable(choice), stats, np.asarray(settle_values), queue, rank)
 
 
 def dijkstra_distances(n_vertices: int, arcs, source: int):

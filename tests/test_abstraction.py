@@ -207,7 +207,8 @@ def test_union_of_branch_boxes_matches_the_unique_reference():
         want = union_branches_by_unique(cover, branches, active)
         for a, b in zip(got, want):
             assert np.array_equal(a, b), trial
-        flat, owner, cnt = got
+        flat, cnt = got
+        owner = np.repeat(np.arange(cover.n_cells), cnt)
         for cell in range(cover.n_cells):
             cells = set()
             for lo_idx, hi_idx, empty in branches:

@@ -63,6 +63,12 @@ def test_config_overrides_and_rejections(tmp_path):
     cfg = load_config(good)
     assert cfg.cover.counts.tolist() == [101]
     assert isinstance(cfg.model.target, Box) and cfg.model.target.open
+    # the map's input set is a point, one input for any mu; the map ignores
+    # its input, so an input set U would only copy every edge
+    assert len(cfg.inputs) == 1
+    good.write_text(good.read_text().replace("[inputs]\n", "[inputs]\nU = -1 ; 1\n"))
+    with pytest.raises(InputError, match=r"^\[inputs\] U does not apply to the map dynamics 'logistic'$"):
+        load_config(good)
 
     bad = tmp_path / "bad.ini"
     bad.write_text("[system]\ndynamics = logistic\n[grid]\nzeta = 0.01\n")
@@ -446,6 +452,7 @@ LOGISTIC_N40 = {("system", "dynamics"): "logistic", ("system", "preset"): "N40"}
 
 
 STATE_2, MAP_DOMAIN = "expected the state dimension 2, got", "the map 'logistic' is defined on K = 0 ; 1 only"
+INVERTED = "the lower corner is at or above the upper corner"
 WRONG_DIMENSIONS = [
     (PENDULUM_P1, {("system", "K"): "-1 -1 -1 ; 1 1 1", ("grid", "eta"): "0.4 0.3 0.3"}, f"{STATE_2} 3"),
     (PENDULUM_P1, {("system", "K"): "-1 ; 1"}, f"{STATE_2} 1"),
@@ -460,6 +467,9 @@ WRONG_DIMENSIONS = [
     (PENDULUM_P1, {("system", "w"): "0 0.1 0"}, f"{STATE_2} 3"),
     (PENDULUM_P1, {("grid", "eta"): "0.4"}, f"{STATE_2} 1"),
     (PENDULUM_P1, {("inputs", "mu"): "0.2 0.2"}, "expected the input dimension 1, got 2"),
+    (PENDULUM_P1, {("system", "K"): "1 1 ; -1 -1"}, INVERTED),
+    (PENDULUM_P1, {("system", "K"): "-1 1 ; 1 1", ("grid", "eta"): "0.4 0.3"}, INVERTED),
+    (LOGISTIC_N40, {("system", "K"): "1 ; 0"}, INVERTED),
 ]
 
 
@@ -469,8 +479,9 @@ WRONG_DIMENSIONS = [
 ])
 def test_config_vectors_take_the_dimensions_of_the_dynamics(tmp_path, capsys, base, entries, message):
     # K, eta, w and A0 have the state's dimension, each piece of U and mu the
-    # input's, and the map's K lies within [0, 1], where its images are
-    # exact; the first key in load order that breaks this is named
+    # input's, K's lower corner lies below its upper one on every axis, and
+    # the map's K lies within [0, 1], where its images are exact; the first
+    # key in load order that breaks this is named
     (section, key), value = next(iter(entries.items()))
     config = tmp_path / "c.ini"
     config.write_text(config_text({**base, **entries}))
@@ -511,9 +522,9 @@ def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
     # small pendulum p1 cover and on logistic N40 (which also tries K = 0 ; 2,
     # outside the map's domain): the exit is 0 or 1, an exit 1 is an input
     # error, and nothing escapes main as an exception; no config is a
-    # soundness alarm.  The map refuses every key of a sampled ODE plant by
-    # name, and an infinite error budget is refused rather than escaping
-    # every cell
+    # soundness alarm.  The map refuses every key of a sampled ODE plant and
+    # an input set by name, and an infinite error budget is refused rather
+    # than escaping every cell
     rng = np.random.default_rng(2018)
     bases = ((PENDULUM_P1, 2, []), (LOGISTIC_N40, 1, ["0 ; 2"]))
     removed = [("reach", "substeps"), ("reach", "max_splits"), ("solve", "queue")]
@@ -532,7 +543,7 @@ def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, capsys):
                 err = capsys.readouterr().err
                 if (section, key) in removed:
                     ok = rc == 1 and err.startswith("input error: unknown")
-                elif case[0] == "logistic" and (section, key) in _ODE_KEYS:
+                elif case[0] == "logistic" and (section, key) in [*_ODE_KEYS, ("inputs", "U")]:
                     ok = rc == 1 and err == f"input error: [{section}] {key} does not apply to the map dynamics 'logistic'\n"
                 elif case == ("pendulum", "reach", "gamma", "inf"):
                     ok = rc == 1 and err.startswith("input error: need k >= 1, theta > 0, 0 <= gamma < inf")

@@ -11,7 +11,7 @@ from symoc.cli import _build_from_config
 from symoc.config import load_config
 from symoc.core import INF, STOP, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
-from symoc.solver import dp_operator, is_discrete_cost, solve
+from symoc.solver import SolveStats, check_certificate, dp_operator, is_discrete_cost, solve
 
 from oracles import (
     is_stop,
@@ -299,10 +299,18 @@ def assert_matches_reference(problem, queue):
     got = solve(problem, queue=queue)
     assert queue in ("auto", got.queue)
     want = reference_solve(problem, queue=got.queue)
-    assert np.array_equal(got.W, want.W)
+    assert got.W.tobytes() == want.W.tobytes()
     assert np.array_equal(got.c.choice, want.c.choice)
-    assert np.array_equal(got.settle_values, want.settle_values)
-    assert got.stats == want.stats
+    assert got.settle_values.tobytes() == want.settle_values.tobytes()
+    assert np.array_equal(got.rank, want.rank)
+    # the heap takes one push per improved state per wave, where the
+    # reference pushes every strict improvement; a fifo wave improves each
+    # state once, so there the counters agree
+    s, r = got.stats, want.stats
+    assert (s.settled, s.pair_evals) == (r.settled, r.pair_evals)
+    assert s.pushes == s.pops <= r.pushes
+    if got.queue == "fifo":
+        assert s == r
 
 
 def constant_per_pair(problem):
@@ -343,9 +351,22 @@ def test_solve_matches_reference_solve_on_pendulum_p1():
     assert_matches_reference(problem, "heap")
 
 
+def one_wave_problem(costs, levels):
+    """State 0 reaches target state t + 1 (terminal cost levels[t]) under
+    input t at running cost costs[t]; targets only stop.  With every cost at
+    least 1 and every level below 1, the targets settle in one heap wave,
+    in level order, and make state 0's pairs ready in that order."""
+    m = len(costs)
+    stop = [[(t, INF)] for t in range(1, m + 1)]
+    trans = [[[(t + 1, g)] for t, g in enumerate(costs)]] + [stop] * m
+    return from_lists(trans, [INF, *levels])
+
+
 def test_fifo_alarms_on_uncertified_costs(monkeypatch):
     # 0 -> 1 costs 5 and 0 -> 2 costs 1; state 2 reaches 1 at cost 1.  Forced
-    # past the discreteness check, the fifo settles 0 (W = 5) before 2 (W = 1)
+    # past the discreteness check, the fifo settles 0 (W = 5) before 2 (W = 1).
+    # In the second problem the fifo's first wave holds both targets, whose
+    # pairs give state 0 M = 3, then M = 1.5: the queued state improves again
     certify = lambda problem: (1.0, 0.0)
     monkeypatch.setattr(symoc.solver, "is_discrete_cost", certify)
     monkeypatch.setattr(oracles, "is_discrete_cost", certify)
@@ -357,6 +378,121 @@ def test_fifo_alarms_on_uncertified_costs(monkeypatch):
         reference_solve(problem, queue="fifo")
     with pytest.raises(SoundnessAlarm):
         solve(problem, queue="fifo")
+    twice = one_wave_problem([3.0, 1.0], [0.0, 0.5])
+    for stored in (twice, *constant_per_pair(twice)):
+        with pytest.raises(SoundnessAlarm, match="improved a queued state"):
+            reference_solve(stored, queue="fifo")
+        with pytest.raises(SoundnessAlarm, match="improved a queued state"):
+            solve(stored, queue="fifo")
+
+
+def test_state_improved_several_times_in_one_wave_is_pushed_once():
+    # M = 3, 2.4 and 1.8 in ready order: three strict improvements of state
+    # 0, which a per-pair loop pushes three times and the wave once
+    problem = one_wave_problem([3.0, 2.0, 1.0], [0.0, 0.4, 0.8])
+    for stored in (problem, *constant_per_pair(problem)):
+        got = solve(stored)
+        assert got.W[0] == 1.8 and got.c.choice[0] == 2
+        assert got.stats == SolveStats(settled=4, pushes=4, pops=4, pair_evals=3)
+        assert reference_solve(stored).stats.pushes == 6
+        assert_matches_reference(stored, "heap")
+
+
+def test_equal_values_go_to_the_first_ready_pair():
+    # inputs 0 and 1 both give M = 1.5; target 2 (level 0) settles before
+    # target 1 (level 0.5), so input 1's pair is ready first and wins
+    problem = one_wave_problem([1.0, 1.5], [0.5, 0.0])
+    for stored in (problem, *constant_per_pair(problem)):
+        got = solve(stored)
+        assert got.W[0] == 1.5 and got.c.choice[0] == 1
+        assert got.rank.tolist() == [2, 1, 0]
+        assert_matches_reference(stored, "heap")
+
+
+def test_edge_and_pair_storage_of_the_same_costs_solve_alike():
+    # a pair's edges all cost its pair cost: the running maximum over its
+    # edges and the pair cost plus the last settled W are the same sum
+    rng = np.random.default_rng(22)
+    for cost_mode in ("real", "min_time"):
+        for _ in range(20):
+            trans, G = random_problem_lists(rng, n_max=40, cost_mode=cost_mode)
+            per_edge, per_pair = constant_per_pair(from_lists(trans, G))
+            for queue in ("heap", "auto"):
+                a, b = solve(per_edge, queue=queue), solve(per_pair, queue=queue)
+                assert a.W.tobytes() == b.W.tobytes()
+                assert np.array_equal(a.c.choice, b.c.choice)
+                assert np.array_equal(a.rank, b.rank)
+                assert a.stats == b.stats and a.queue == b.queue
+
+
+def test_certificate_names_the_first_failing_state():
+    # state 0 of the several-improvements problem chose input 2 (M = 1.8);
+    # each mutant of the solution fails the certificate there
+    problem = one_wave_problem([3.0, 2.0, 1.0], [0.0, 0.4, 0.8])
+    for stored in (problem, *constant_per_pair(problem)):
+        got = solve(stored)
+        check_certificate(stored, got.W, got.c.choice, got.rank)
+        choice = got.c.choice.copy()
+        choice[0] = 0
+        with pytest.raises(SoundnessAlarm, match="state 0: W = 1.8 but input 0 gives 3.0"):
+            check_certificate(stored, got.W, choice, got.rank)
+        W = got.W.copy()
+        W[0] = np.nextafter(W[0], INF)
+        with pytest.raises(SoundnessAlarm, match="state 0: W = 1.8000000000000003 but input 2 gives 1.8"):
+            check_certificate(stored, W, got.c.choice, got.rank)
+        rank = got.rank.copy()
+        rank[[0, 3]] = rank[[3, 0]]
+        with pytest.raises(SoundnessAlarm, match="state 0: a successor under input 2 settled after it"):
+            check_certificate(stored, got.W, got.c.choice, rank)
+
+
+def pair_values(problem, W, p):
+    """M = max_y g(p,y,u) + W(y) of each input u of state p."""
+    return np.array([max(g + W[q] for q, g in zip(*successors(problem, p, u))) for u in range(problem.m)])
+
+
+def first_uncertified(problem, W, choice, rank):
+    """The least state with a chosen input whose M is not W or one of whose
+    successors under it settled after it, state by state; None if none."""
+    for p in np.flatnonzero(choice != STOP).tolist():
+        succ = successors(problem, p, choice[p])[0]
+        if pair_values(problem, W, p)[choice[p]] != W[p] or (rank[succ] >= rank[p]).any():
+            return p
+    return None
+
+
+def test_certificate_holds_on_pendulum_p1_and_catches_each_mutant():
+    problem = build("pendulum:p1")[0]
+    got = solve(problem, queue="auto")
+    assert first_uncertified(problem, got.W, got.c.choice, got.rank) is None
+    rng = np.random.default_rng(23)
+    chosen = rng.permutation(np.flatnonzero(got.c.choice != STOP)).tolist()
+    mutants = []
+    # a changed controller entry, to an input of another value
+    for p in chosen:
+        other = np.flatnonzero(pair_values(problem, got.W, p) != got.W[p])
+        if len(other):
+            choice = got.c.choice.copy()
+            choice[p] = other[0]
+            mutants.append((got.W, choice, got.rank))
+            break
+    # W moved by one ulp, down and up
+    for direction in (-INF, INF):
+        W = got.W.copy()
+        W[chosen[0]] = np.nextafter(W[chosen[0]], direction)
+        mutants.append((W, got.c.choice, got.rank))
+    # the last settled state with a choice swapped in settle order with one
+    # of its chosen successors
+    p = max(chosen, key=lambda p: got.rank[p])
+    y = successors(problem, p, got.c.choice[p])[0][0]
+    rank = got.rank.copy()
+    rank[[p, y]] = rank[[y, p]]
+    mutants.append((got.W, got.c.choice, rank))
+    assert len(mutants) == 4
+    for W, choice, rank in mutants:
+        p = first_uncertified(problem, W, choice, rank)
+        with pytest.raises(SoundnessAlarm, match=f"^solution certificate fails at state {p}: "):
+            check_certificate(problem, W, choice, rank)
 
 
 def test_duplicate_successor_is_an_input_error():
