@@ -18,13 +18,14 @@ maximum of the certificate components (the two cost components are 0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import INF, CostModel, FiniteProblem
 from .errors import InputError, SoundnessAlarm
 from .grid import GridCover, InputGrid
-from .reach import SampledSystem, attain_over_batch, check_reach_parameters
+from .reach import ReachPlan, SampledSystem, attain_over_batch, check_reach_parameters
 
 import logging
 
@@ -82,8 +83,8 @@ class SampledReach:
     """Transition over-approximator for a sampled ODE plant.
 
     ``batch_ranges`` runs the interval subdivision procedure for all cells of
-    the cover under one input at once, exploiting that the radius dynamics
-    does not depend on the state.
+    the cover under one input at once; the radius, drift and splits depend
+    on no cell and no input, so they are planned once, at the first call.
     """
 
     def __init__(self, sys: SampledSystem, cover: GridCover, inputs: InputGrid, k: int, theta: float, gamma: float):
@@ -103,18 +104,26 @@ class SampledReach:
         else:
             self.guard_note = None
 
+    @cached_property
+    def plan(self) -> ReachPlan:
+        return ReachPlan(self.sys, self.r0, self.k, self.theta, self.gamma, self.cover.max_diameter)
+
+    @cached_property
+    def centers(self):
+        """The cell centers, coordinate-first: (dim, cells)."""
+        return np.ascontiguousarray(self.cover.centers_all().T)
+
     def batch_ranges(self, u_idx: int):
-        u = self.inputs.representatives[u_idx]
-        lo_b, hi_b, escaped, slack, capped = attain_over_batch(
-            self.sys, self.cover.centers_all(), self.r0, u, self.k, self.theta,
-            self.gamma, self.cover.max_diameter,
-        )
-        branches = []
-        for lo, hi in zip(lo_b, hi_b):
-            lo_idx, hi_idx, esc, empty = self.cover.box_index_ranges(lo, hi)
-            escaped = escaped | esc
-            branches.append((lo_idx, hi_idx, empty))
-        return branches, escaped, slack, capped
+        cover, n_branches = self.cover, self.plan.branches
+        lo_idx = np.empty((cover.dim, n_branches, cover.n_cells), dtype=np.int64)
+        hi_idx = np.empty_like(lo_idx)
+        empty = np.empty((n_branches, cover.n_cells), dtype=bool)
+        escaped = np.empty(cover.n_cells, dtype=bool)
+        for cells, lo, hi, esc in attain_over_batch(self.plan, self.centers, self.inputs.representatives[u_idx]):
+            lo_idx[:, :, cells], hi_idx[:, :, cells], out, empty[:, cells] = cover.box_index_ranges(lo, hi)
+            escaped[cells] = esc | out.any(axis=0)
+        branches = [(lo_idx[:, b], hi_idx[:, b], empty[b]) for b in range(n_branches)]
+        return branches, escaped, self.plan.slack, self.plan.capped
 
 
 class MapReach:
@@ -128,27 +137,26 @@ class MapReach:
         self.slack = 4.0 * np.finfo(float).eps
 
     def batch_ranges(self, u_idx: int):
-        lo_idx, hi_idx, escaped, empty = self.cover.box_index_ranges(
-            *self.plant.image_of_box(*self.cover.cell_boxes())
-        )
+        lo, hi = self.plant.image_of_box(*self.cover.cell_boxes())
+        lo_idx, hi_idx, escaped, empty = self.cover.box_index_ranges(lo.T, hi.T)
         return [(lo_idx, hi_idx, empty)], escaped, self.slack, False
 
 
 def _expand_ranges(cover: GridCover, lo_idx, hi_idx, active):
-    """Flat successor ids for the index blocks of the active cells, cell by
-    cell, and the per-cell counts."""
+    """Flat successor ids for the coordinate-first (dim, cells) index blocks
+    of the active cells, cell by cell, and the per-cell counts."""
     spans = hi_idx - lo_idx + 1
-    cnt = np.where(active, spans.prod(axis=1), 0)
+    cnt = np.where(active, spans.prod(axis=0), 0)
     # a block is rows of consecutive flat ids along the last axis: only the
     # rows' first ids need the per-axis index arithmetic
-    rows = np.where(active, spans[:, :-1].prod(axis=1), 0)
+    rows = np.where(active, spans[:-1].prod(axis=0), 0)
     row_owner = np.repeat(np.arange(cover.n_cells), rows)
     rem = np.arange(len(row_owner), dtype=np.int64) - np.repeat(np.cumsum(rows) - rows, rows)
-    first = lo_idx[row_owner, -1]
+    first = lo_idx[-1, row_owner]
     for axis in range(cover.dim - 2, -1, -1):
-        rem, local = np.divmod(rem, spans[row_owner, axis])
-        first += (lo_idx[row_owner, axis] + local) * int(cover._strides[axis])
-    length = spans[row_owner, -1]
+        rem, local = np.divmod(rem, spans[axis, row_owner])
+        first += (lo_idx[axis, row_owner] + local) * int(cover._strides[axis])
+    length = spans[-1, row_owner]
     flat = np.repeat(first - (np.cumsum(length) - length), length)
     flat += np.arange(len(flat))
     return flat, cnt
@@ -159,9 +167,10 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
 
     ``transitions.batch_ranges(input)`` returns, for all cells at once,
     ``(branches, escaped, slack, capped)``: a list of per-branch ``(lo_idx,
-    hi_idx, empty)`` cell index blocks, a per-cell flag for successors outside
-    the cover, a bound on the over-approximation slack and whether a split cap
-    sent every cell to overflow; ``transitions.guard_note`` is a certificate
+    hi_idx, empty)`` cell index blocks (coordinate-first, as
+    ``GridCover.box_index_ranges`` gives them), a per-cell flag for
+    successors outside the cover, a bound on the over-approximation slack
+    and whether a split cap sent every cell to overflow; ``transitions.guard_note`` is a certificate
     note or None.  Cells that are gated (both costs identically infinite)
     get a single transition to overflow.
     """

@@ -85,18 +85,16 @@ def read(source):
     del column, values  # else the loop's names keep the T cost blocks alive past their join
     # one column at a time, each freeing its blocks before the next is joined
     g_state, g_cost, pid, succ, costs = (np.concatenate(columns.pop(0)) for _ in range(5))
-    if not _rising(pid, succ):  # else no (pair, successor) repeats
-        key = pid.astype(np.int64)  # (pair, successor) in one int64, built in place
-        key *= n
-        key += succ
-        record = first_repeat(key)
-        del key
-        if record is not None:
-            (p, u), q = divmod(int(pid[record]), m), int(succ[record])
-            raise InputError(f"duplicate transition ({p},{u},{q}): {_record_line(fh, t_blocks, record, b'T')!a}")
+    order = None  # file order of the records in pair order, when the two differ
     if np.any(pid[1:] < pid[:-1]):
         order = np.argsort(pid, kind="stable")  # pair order; file order within a pair
         pid, succ, costs = pid[order], succ[order], costs[order]
+    duplicate = _first_duplicate(pid, succ, n, order)
+    if duplicate is not None:
+        record, at = duplicate
+        (p, u), q = divmod(int(pid[at]), m), int(succ[at])
+        raise InputError(f"duplicate transition ({p},{u},{q}): {_record_line(fh, t_blocks, record, b'T')!a}")
+    del order
     if len(pid) < n * m:  # a pair without T records, found before any array of n or n * m entries
         pairs = np.unique(pid)
         gap = np.flatnonzero(pairs != np.arange(len(pairs)))
@@ -133,9 +131,9 @@ def read_records(source, what):
     first, second = map(np.concatenate, zip(*columns))
     if what == "relation":
         return first, second
-    record = first_repeat(first)
-    if record is not None:
-        raise InputError(f"state listed twice in {what} record: {_record_line(fh, blocks, record)!a}")
+    repeat = _repeats(first)
+    if len(repeat):
+        raise InputError(f"state listed twice in {what} record: {_record_line(fh, blocks, int(repeat.min()))!a}")
     if first.max(initial=-1) != len(first) - 1:
         raise InputError(f"{what} file must cover states 0..n-1")
     return second[np.argsort(first)]
@@ -149,18 +147,41 @@ def _rising(pid, succ):
     return bool(rising.all())
 
 
-def first_repeat(key):
-    """File-order index of the first entry of ``key`` equal to an earlier
-    one, or None; a strictly increasing ``key`` is not sorted."""
+def _repeats(key):
+    """Indices of the entries of ``key`` equal to an earlier one; a strictly
+    increasing ``key`` is not sorted."""
     if not np.any(key[1:] <= key[:-1]):
-        return None
+        return key[:0]
     order = np.argsort(key, kind="stable")
-    repeat = order[1:][key[order[1:]] == key[order[:-1]]]
-    return int(repeat.min()) if len(repeat) else None
+    return order[1:][key[order[1:]] == key[order[:-1]]]
+
+
+def _first_duplicate(pid, succ, n, order):
+    """(file-order index, index) of the first T record in file order whose
+    (pair, successor) an earlier one has, or None.  ``pid`` does not fall;
+    ``order`` gives each record's file-order index (None: its own).  The
+    check runs over chunks of whole pairs, about _CHECK_EDGES records each,
+    with an int64 (pair, successor) key per chunk only."""
+    if _rising(pid, succ):
+        return None
+    first = None
+    starts = np.unique(np.searchsorted(pid, pid[::_CHECK_EDGES]))
+    for a, b in zip(starts, [*starts[1:], len(pid)]):
+        key = (pid[a:b] - pid[a]).astype(np.int64)
+        key *= n
+        key += succ[a:b]
+        repeat = _repeats(key) + a
+        if len(repeat):
+            records = repeat if order is None else order[repeat]
+            i = int(np.argmin(records))
+            if first is None or records[i] < first[0]:
+                first = int(records[i]), int(repeat[i])
+    return first
 
 
 _WRITE_EDGES = 1 << 18  # T records rendered per block by text_blocks
 _READ_BYTES = 1 << 20  # text read and tokenized per block
+_CHECK_EDGES = 1 << 16  # T records per chunk of whole pairs in the duplicate check
 _INT_DIGITS = 18  # an index token has 1 to _INT_DIGITS ASCII digits
 _COST_CHARS = 32  # longer cost tokens are read by float(), one at a time
 # bytes.translate table of byte classes: 0 a token byte, 1 a byte outside

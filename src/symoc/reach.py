@@ -19,6 +19,14 @@ attainable set: per interval it is ||r + b|| where b tracks how far the
 interval's center may have drifted from an attainable point (zero until a
 bisection re-centers it; afterwards propagated through the disturbance-free
 growth dynamics, since nominal trajectories diverge no faster).
+
+The radius, drift, splits and split cap depend on no cell and no input, so
+a ReachPlan fixes them once; only the centers are integrated per input.
+States are coordinate-first, (dim, ...) arrays with the coordinate on the
+first axis, and the plant field writes its derivative in place, so the one
+in-place RK4 here steps the cell centers (as (dim, branches, cells)
+chunks of CHUNK_CELLS cells), the radius and the closed-loop runs of
+``SampledSystem.step`` alike.
 """
 
 from __future__ import annotations
@@ -34,18 +42,36 @@ log = logging.getLogger(__name__)
 
 SUBSTEPS = 5  # RK4 steps per reach substep: every preset gamma is sized for this step count
 MAX_SPLITS = 64  # intervals per input; past it the input is capped rather than exhaust memory
+CHUNK_CELLS = 16_384  # cells integrated at once: their RK4 stage buffers stay within a 2 MiB L2 cache
 
 
-def rk4(f, x0, t, steps):
-    """Classical fixed-step Runge-Kutta; x0 may carry leading batch axes."""
-    x = np.asarray(x0, dtype=float)
+def rk4(f, x, u, t, steps):
+    """Classical fixed-step Runge-Kutta for x' = f(x, u), in place on x.
+
+    The field writes its derivative at x into ``out`` as ``f(x, u, out)``;
+    every stage lives in one of five buffers shaped like x, and each step
+    keeps the operation order of x + (h/6) (k1 + 2 k2 + 2 k3 + k4).
+    Returns x."""
     h = t / steps
+    k1, k2, k3, k4, y = (np.empty_like(x) for _ in range(5))
     for _ in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        f(x, u, k1)
+        np.multiply(k1, 0.5 * h, out=y)
+        y += x
+        f(y, u, k2)
+        np.multiply(k2, 0.5 * h, out=y)
+        y += x
+        f(y, u, k3)
+        np.multiply(k3, h, out=y)
+        y += x
+        f(y, u, k4)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= h / 6.0
+        x += k2
     return x
 
 
@@ -53,10 +79,13 @@ def rk4(f, x0, t, steps):
 class SampledSystem:
     """Sampled perturbed plant x' in f(x,u) + [-w, w] with certified bounds.
 
-    ``f(x, u)`` must be vectorized over a leading batch axis of x.  A0 bounds
-    |f| + w on the safety hull, A1 bounds the Jacobian of f there (signed on
-    the diagonal, absolute off-diagonal), K is the domain box and Kprime the
-    hull K expanded by ``kprime_margin`` per axis.
+    The field is coordinate-first and writes in place: ``f(x, u, out)``
+    stores f(x, u) in ``out``, where x and out are (dim, ...) arrays with at
+    least one batch axis after the coordinate and u is (input_dim, ...),
+    its batch axes broadcasting against x's.  A0 bounds |f| + w on the
+    safety hull, A1 bounds the Jacobian of f there (signed on the diagonal,
+    absolute off-diagonal), K is the domain box and Kprime the hull K
+    expanded by ``kprime_margin`` per axis.
     """
 
     f: callable
@@ -115,36 +144,51 @@ class SampledSystem:
         """One sampling period of x' = f(x,u) + d(t), d piecewise constant with
         one value per row of ``disturbances``, 2 RK4 steps a piece.  With (runs,
         dim) states, (runs, input_dim) inputs and (pieces, runs, dim)
-        disturbances it steps each run as it steps that run alone."""
+        disturbances it steps each run as it steps that run alone; one state,
+        input and (pieces, dim) disturbances give one state back."""
         x = np.asarray(x, dtype=float)
-        h = self.tau / len(disturbances)
-        for d in disturbances:
-            x = rk4(lambda y: self.f(y, u) + d, x, h, 2)
-        return x
+        y = x.reshape(-1, self.dim).T.copy()  # coordinate-first (dim, runs)
+        u = np.atleast_2d(np.asarray(u, dtype=float)).T
+        d = np.asarray(disturbances, dtype=float).reshape(len(disturbances), -1, self.dim).transpose(0, 2, 1)
+
+        def perturbed(y, piece, out):
+            self.f(y, u, out)
+            out += piece
+
+        for piece in d:
+            rk4(perturbed, y, piece, self.tau / len(d), 2)
+        return y.T.reshape(x.shape)
 
 
-def integrate_nominal(sys: SampledSystem, x0, u, t, substeps):
-    """Nominal flow (disturbance excluded) of x' = f(x, u) over time t."""
+def integrate_nominal(sys: SampledSystem, x, u, t, substeps):
+    """Nominal flow (disturbance excluded) of x' = f(x, u) over time t, in
+    place on the coordinate-first states x (dim, ...); returns x."""
     if t <= 0 or substeps < 1:
         raise InputError("need t > 0 and substeps >= 1")
     with np.errstate(over="ignore", invalid="ignore"):  # checked by name below
-        out = rk4(lambda x: sys.f(x, u), x0, t, substeps)
-    if not np.all(np.isfinite(out)):
+        rk4(sys.f, x, u, t, substeps)
+    if not np.all(np.isfinite(x)):
         raise SoundnessAlarm("nominal integration diverged")
-    return out
+    return x
 
 
 def growth_bound(sys: SampledSystem, r0, t, substeps, with_disturbance=True):
     """Radius dynamics r' = A1 r + w integrated over time t; never negative."""
-    r0 = np.asarray(r0, dtype=float)
-    if np.any(r0 < 0):
+    r = np.array(r0, dtype=float)
+    if np.any(r < 0):
         raise InputError("radius must be non-negative")
     w = sys.w if with_disturbance else np.zeros(sys.dim)
+    a1t = sys.A1.T
+
+    def radius_field(r, w, out):
+        np.matmul(r, a1t, out=out)
+        out += w
+
     with np.errstate(over="ignore", invalid="ignore"):  # linear: only too large inputs overflow
-        out = rk4(lambda r: r @ sys.A1.T + w, r0, t, substeps)
-    if not np.all(np.isfinite(out)):
+        rk4(radius_field, r, w, t, substeps)
+    if not np.all(np.isfinite(r)):
         raise InputError("the growth-bound radius overflows: the cell widths, w or A1 are too large")
-    return np.maximum(out, 0.0)
+    return np.maximum(r, 0.0)
 
 
 def check_reach_parameters(k, theta, gamma):
@@ -154,44 +198,73 @@ def check_reach_parameters(k, theta, gamma):
         raise InputError(f"need k >= 1, theta > 0, 0 <= gamma < inf; got k={k}, theta={theta}, gamma={gamma}")
 
 
-def attain_over_batch(sys: SampledSystem, centers, r0, u, k, theta, gamma, eta_norm):
-    """Over-approximate the attainable sets from cells (centers +- r0) under
-    the constant input u, splitting as the module docstring says.
+class ReachPlan:
+    """The part of reach that is the same for every cell and input.
 
-    ``eta_norm`` is the cover's cell width used in the subdivision threshold
-    theta * eta_norm.  All cells share one radius r and drift b, so the
-    intervals are one (branches, cells, dim) array of centers beside them;
-    a single cell is a batch of one center.
-
-    Returns (boxes_lo, boxes_hi, escaped, slack, capped): lists over branches
-    of (N, dim) bound arrays, a per-cell escape flag array (some box left the
-    safety hull, or the split cap hit), the slack common to all cells and
-    whether the split cap hit.
+    The radius and drift dynamics depend on neither, so from cells of radius
+    ``r0`` the plan fixes, per substep, the bisections made before it (an
+    axis and an offset each) and the radius after it; then the branch
+    count, the slack and whether the split cap hit.  ``eta_norm`` is the
+    cover's cell width in the split threshold theta * eta_norm.
     """
-    check_reach_parameters(k, theta, gamma)
-    cs = np.asarray(centers, dtype=float)[None]
-    r = np.array(r0, dtype=float)
-    b = np.zeros(sys.dim)
-    t_sub = sys.tau / k
-    escaped = np.zeros(cs.shape[1], dtype=bool)
-    capped = False
-    for step in range(k):
-        while step and float(r.max()) > theta * eta_norm:
-            if 2 * len(cs) > MAX_SPLITS:
-                capped = True
-                break
-            j = int(np.argmax(r))
-            r[j] /= 2.0
-            b[j] += r[j]
-            half = len(cs)
-            cs = np.concatenate([cs, cs])
-            cs[:half, :, j] -= r[j]
-            cs[half:, :, j] += r[j]
-        cs = integrate_nominal(sys, cs, u, t_sub, SUBSTEPS)
-        r = growth_bound(sys, r, t_sub, SUBSTEPS) + gamma
-        b = growth_bound(sys, b, t_sub, SUBSTEPS, with_disturbance=False)
-        escaped |= np.any((cs - r < sys.hull_lower) | (cs + r > sys.hull_upper), axis=(0, 2))
-    if capped:
-        escaped[:] = True
+
+    def __init__(self, sys: SampledSystem, r0, k, theta, gamma, eta_norm):
+        check_reach_parameters(k, theta, gamma)
+        k = int(k)
+        self.sys = sys
+        self.t_sub = sys.tau / k
+        self.splits, self.radii = [], []
+        self.branches, self.capped = 1, False
+        r = np.array(r0, dtype=float)
+        b = np.zeros(sys.dim)
+        for step in range(k):
+            level = []
+            while step and float(r.max()) > theta * eta_norm:
+                if 2 * self.branches > MAX_SPLITS:
+                    self.capped = True
+                    break
+                j = int(np.argmax(r))
+                r[j] /= 2.0
+                b[j] += r[j]
+                self.branches *= 2
+                level.append((j, r[j]))
+            self.splits.append(level)
+            r = growth_bound(sys, r, self.t_sub, SUBSTEPS) + gamma
+            b = growth_bound(sys, b, self.t_sub, SUBSTEPS, with_disturbance=False)
+            self.radii.append(r[:, None, None].copy())  # to broadcast over (dim, branches, cells)
+        self.slack = float((r + b).max())
+
+
+def attain_over_batch(plan: ReachPlan, centers, u):
+    """Over-approximate the attainable sets from the cells (centers +- r0)
+    under the constant input u, splitting as the module docstring says.
+
+    ``centers`` is the coordinate-first (dim, cells) array of the cell
+    centers; a single cell is a batch of one center.  They are integrated
+    CHUNK_CELLS cells at a time, as (dim, branches, cells) arrays.
+
+    Yields, per chunk, (cells, lo, hi, escaped): the chunk's slice of the
+    cells, the (dim, branches, cells) bounds of its boxes and a per-cell
+    flag for a box that left the safety hull (every flag when the split cap
+    hit).
+    """
+    sys = plan.sys
+    hull_lower, hull_upper = sys.hull_lower[:, None, None], sys.hull_upper[:, None, None]
+    r = plan.radii[-1]
+    if plan.capped:
         log.warning("split cap hit for input %s; routing to overflow", u)
-    return list(cs - r), list(cs + r), escaped, float((r + b).max()), capped
+    for start in range(0, centers.shape[1], CHUNK_CELLS):
+        cells = slice(start, start + CHUNK_CELLS)
+        x = centers[:, None, cells].copy()
+        escaped = np.full(x.shape[2], plan.capped)
+        for level, radius in zip(plan.splits, plan.radii):
+            for j, offset in level:
+                half = x.shape[1]
+                x = np.concatenate([x, x], axis=1)
+                x[j, :half] -= offset
+                x[j, half:] += offset
+            integrate_nominal(sys, x, u, plan.t_sub, SUBSTEPS)
+            escaped |= np.any((x - radius < hull_lower) | (x + radius > hull_upper), axis=(0, 1))
+        lo = x - r
+        x += r
+        yield cells, lo, x, escaped

@@ -300,10 +300,10 @@ def pointwise_upper_bound(W, cover: GridCover, xs):
     pts = np.atleast_2d(xs)
     inside = np.all((cover.lower <= pts) & (pts <= cover.upper), axis=1)
     pts = np.where(inside[:, None], pts, cover.lower)  # keep the index casts finite
-    lo_idx, hi_idx, _, _ = cover.box_index_ranges(pts, pts)
+    lo_idx, hi_idx, _, _ = cover.box_index_ranges(pts.T, pts.T)
     bound = np.full(len(pts), -INF)
     for corner in itertools.product((False, True), repeat=cover.dim):  # the block spans <= 2 cells per axis
-        cells = np.ravel_multi_index(tuple(np.where(corner, hi_idx, lo_idx).T), cover.counts)
+        cells = np.ravel_multi_index(tuple(h if c else l for c, l, h in zip(corner, lo_idx, hi_idx)), cover.counts)
         bound = np.maximum(bound, W[cells])
     bound[~inside] = INF
     return float(bound[0]) if xs.ndim < 2 else bound

@@ -20,18 +20,29 @@ from .sets import Box, Complement, EmptySet, QuadraticSublevel, SetPredicate
 KAPPA = 0.01  # pendulum friction coefficient
 
 
-def pendulum_field(x, u):
-    x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    a = np.asarray(u, dtype=float)[..., 0]
-    return np.stack([x2, np.sin(x1) + a * np.cos(x1) - 2.0 * KAPPA * x2], axis=-1)
+def pendulum_field(x, u, out):
+    """(x2, sin x1 + a cos x1 - 2 kappa x2) at the coordinate-first states x,
+    a = u[0], written into out."""
+    x1, x2 = x
+    f1, f2 = out
+    np.cos(x1, out=f1)
+    f1 *= u[0]
+    np.sin(x1, out=f2)
+    f2 += f1
+    np.multiply(x2, 2.0 * KAPPA, out=f1)
+    f2 -= f1
+    np.copyto(f1, x2)
 
 
-def chauffeur_field(x, u):
-    x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    a = np.asarray(u, dtype=float)[..., 0]
-    return np.stack([-x2 * a, x1 * a - 1.0], axis=-1)
+def chauffeur_field(x, u, out):
+    """(-x2 a, x1 a - 1) at the coordinate-first states x, a = u[0],
+    written into out."""
+    x1, x2 = x
+    f1, f2 = out
+    np.negative(x2, out=f1)
+    f1 *= u[0]
+    np.multiply(x1, u[0], out=f2)
+    f2 -= 1.0
 
 
 class LogisticMap:

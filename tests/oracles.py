@@ -20,7 +20,7 @@ from symoc.abstraction import _expand_ranges
 from symoc.core import STOP, ControllerTable, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
 import symoc.reach
-from symoc.reach import SUBSTEPS, SampledSystem, growth_bound, integrate_nominal
+from symoc.reach import SUBSTEPS, SampledSystem
 from symoc.relations import MAX_VIOLATIONS, Verdict, pointwise_upper_bound
 from symoc.simulate import Trajectory
 from symoc.solver import SolveResult, SolveStats, dp_operator, is_discrete_cost
@@ -281,12 +281,40 @@ def certified_vfrr_pair(rng, n2_max=10, m_max=3, split_max=3):
     return (trans1, G1), (trans2, G2), pairs
 
 
+def plain_rk4(f, x0, t, steps):
+    """Classical fixed-step Runge-Kutta for x' = f(x), a fresh array per
+    stage: the integrator ``symoc.reach.rk4`` runs in place."""
+    x = np.asarray(x0, dtype=float)
+    h = t / steps
+    for _ in range(steps):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def returning(field, u, d=0.0):
+    """The in-place plant field ``field(x, u, out)`` plus the disturbance d,
+    as a function of the coordinate-first states alone that returns a new
+    array."""
+
+    def f(x):
+        out = np.empty_like(x)
+        field(x, u, out)
+        return out + d
+
+    return f
+
+
 def attain_over(sys, cell, u, k, theta, gamma, eta_norm, max_splits):
     """Per-cell interval subdivision, one (center, radius, drift) at a time.
 
     Reference for ``symoc.reach.attain_over_batch``: the same substep, split
-    and split-cap rules, run on a Python list of intervals instead of
-    batches of centers; only the integrators are shared with the library.
+    and split-cap rules, run on a Python list of intervals with
+    ``plain_rk4`` instead of batches of centers and the library's in-place
+    integrator; only the plant field is shared with the library.
     Splits come only between substeps, a whole level at a time: while some
     interval is wider than theta * eta_norm, every interval is bisected along
     its widest axis, unless that makes more than ``max_splits`` intervals, in
@@ -296,6 +324,8 @@ def attain_over(sys, cell, u, k, theta, gamma, eta_norm, max_splits):
     c0, r0 = (np.asarray(v, dtype=float) for v in cell)
     work = [(c0, r0, np.zeros(sys.dim))]
     t_sub = sys.tau / k
+    nominal = returning(sys.f, u)
+    radius = lambda w: lambda r: r @ sys.A1.T + w
     escaped = capped = False
     for step in range(k):
         while step and not capped and any(float(r.max()) > theta * eta_norm for _, r, _ in work):
@@ -313,9 +343,9 @@ def attain_over(sys, cell, u, k, theta, gamma, eta_norm, max_splits):
             work = halves
         moved = []
         for c, r, b in work:
-            c2 = integrate_nominal(sys, c, u, t_sub, SUBSTEPS)
-            r2 = growth_bound(sys, r, t_sub, SUBSTEPS) + gamma
-            b2 = growth_bound(sys, b, t_sub, SUBSTEPS, with_disturbance=False)
+            c2 = plain_rk4(nominal, c[:, None], t_sub, SUBSTEPS)[:, 0]
+            r2 = np.maximum(plain_rk4(radius(sys.w), r, t_sub, SUBSTEPS), 0.0) + gamma
+            b2 = np.maximum(plain_rk4(radius(np.zeros(sys.dim)), b, t_sub, SUBSTEPS), 0.0)
             if np.any(c2 - r2 < sys.hull_lower) or np.any(c2 + r2 > sys.hull_upper):
                 escaped = True
             moved.append((c2, r2, b2))
@@ -360,8 +390,8 @@ def block_cells(cover, x):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if not np.all((cover.lower <= x) & (x <= cover.upper)):
         return []
-    lo_idx, hi_idx, _, _ = cover.box_index_ranges(x, x)
-    ranges = [range(a, b + 1) for a, b in zip(lo_idx[0], hi_idx[0])]
+    lo_idx, hi_idx, _, _ = cover.box_index_ranges(x.T, x.T)
+    ranges = [range(a, b + 1) for a, b in zip(lo_idx[:, 0], hi_idx[:, 0])]
     return sorted(int(np.ravel_multi_index(idx, cover.counts)) for idx in itertools.product(*ranges))
 
 

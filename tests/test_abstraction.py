@@ -110,7 +110,7 @@ def test_point_costs_are_finite_at_every_corner_of_a_finite_cell(name):
 
 def test_identity_dynamics_transitions_are_overlapping_cells():
     sys = SampledSystem(
-        f=lambda x, u: np.zeros_like(x),
+        f=lambda x, u, out: out.fill(0.0),
         w=[0.0, 0.0],
         tau=0.1,
         A0=[0.5, 0.5],
@@ -184,7 +184,7 @@ def random_branch_boxes(rng, cover, k):
     for cell in np.flatnonzero(layout == 5):  # one box inside, the others beyond the upper face
         lo[1:, cell], hi[1:, cell] = upper, upper + rng.uniform(0.0, 1.0, size=(k - 1, dim))
         hi[0, cell] = upper
-    return [cover.box_index_ranges(lo[b], hi[b]) for b in range(k)]
+    return [cover.box_index_ranges(lo[b].T, hi[b].T) for b in range(k)]
 
 
 def test_union_of_branch_boxes_matches_the_unique_reference():
@@ -213,7 +213,7 @@ def test_union_of_branch_boxes_matches_the_unique_reference():
             cells = set()
             for lo_idx, hi_idx, empty in branches:
                 if active[cell] and not empty[cell]:
-                    ranges = [range(a, b + 1) for a, b in zip(lo_idx[cell], hi_idx[cell])]
+                    ranges = [range(a, b + 1) for a, b in zip(lo_idx[:, cell], hi_idx[:, cell])]
                     cells.update(int(np.ravel_multi_index(idx, cover.counts)) for idx in itertools.product(*ranges))
             assert flat[owner == cell].tolist() == sorted(cells), (trial, cell)
 

@@ -18,7 +18,7 @@ from symoc.analysis import (
 from symoc.cli import main
 from symoc.core import INF, CostModel, FiniteProblem
 from symoc.grid import GridCover, InputGrid
-from symoc.reach import attain_over_batch
+from symoc.reach import ReachPlan, attain_over_batch
 from symoc.relations import RefinedController, Relation, check_vfrr, pointwise_upper_bound
 from symoc.simulate import run_closed_loop, sample_winning_states
 from symoc.solver import dp_operator, solve
@@ -191,20 +191,18 @@ def test_criterion_06_reach_set_containment(pendulum, chauffeur):
         sys, cover, inputs = b["plant"], b["cover"], b["inputs"]
         spec = b["spec"]
         eta, mu, k, gamma = spec.presets["p1"]
+        plan = ReachPlan(sys, cover.eta / 2, k, spec.theta, gamma, cover.max_diameter)
         centers = cover.centers_all()
         los, his = cover.cell_boxes()
         for _ in range(1000):
             cell = int(rng.integers(0, cover.n_cells))
             u_idx = int(rng.integers(0, len(inputs)))
             u = inputs.representatives[u_idx]
-            box_lo, box_hi, *_ = attain_over_batch(
-                sys, centers[cell : cell + 1], cover.eta / 2, u, k, spec.theta, gamma,
-                cover.max_diameter,
-            )
+            [(_, box_lo, box_hi, _)] = attain_over_batch(plan, centers[cell][:, None], u)
             x0 = rng.uniform(los[cell], his[cell])
             d = rng.uniform(-sys.w, sys.w, size=(8, sys.dim))
             endpoint = sys.step(x0, u, d)
-            assert boxes_contain(np.concatenate(box_lo), np.concatenate(box_hi), endpoint)
+            assert boxes_contain(box_lo[:, :, 0].T, box_hi[:, :, 0].T, endpoint)
     # benchmark map: endpoints of the exact map stay inside the image boxes
     b = synthesize("logistic", "N40")
     plant, cover = b["plant"], b["cover"]

@@ -347,6 +347,28 @@ def test_focp_duplicate_check_keys_do_not_wrap():
     assert np.array_equal(problem.trans_ptr, np.arange(n + 1))
 
 
+@pytest.mark.parametrize("check_edges", [2, 1 << 16])
+def test_focp_duplicate_check_names_the_first_repeat_in_file_order(monkeypatch, check_edges):
+    # repeats in two pairs, successors falling within a pair and pairs out of
+    # file order: chunks of whole pairs (two records a chunk, or all in one)
+    # still name the first repeat in file order
+    monkeypatch.setattr(symoc.focp, "_CHECK_EDGES", check_edges)
+    head = "focp 3 1\nG 0 0\n"
+    for body, message in (
+        ("T 0 0 1 1\nT 1 0 2 1\nT 1 0 0 1\nT 2 0 0 1\nT 1 0 2 4\nT 0 0 1 3\n", "(1,0,2): 'T 1 0 2 4'"),
+        ("T 0 0 2 1\nT 0 0 1 1\nT 1 0 0 1\nT 2 0 0 1\nT 0 0 1 5\nT 1 0 0 1\n", "(0,0,1): 'T 0 0 1 5'"),
+        ("T 0 0 2 1\nT 0 0 1 1\nT 0 0 2 3\nT 1 0 0 1\nT 2 0 1 1\nT 2 0 1 1\n", "(0,0,2): 'T 0 0 2 3'"),
+    ):
+        with pytest.raises(InputError) as exc:
+            FiniteProblem.from_focp_text(head + body)
+        assert str(exc.value) == "duplicate transition " + message
+        with pytest.raises(InputError, match="duplicate transition"):
+            reference_from_focp_text(head + body)
+    # without repeats the falling successors are kept in file order
+    problem = FiniteProblem.from_focp_text(head + "T 2 0 1 1\nT 0 0 2 1\nT 0 0 1 1\nT 1 0 0 1\n")
+    assert problem.trans_succ.tolist() == [2, 1, 0, 1]
+
+
 @pytest.mark.parametrize("read_bytes", [None, 16])
 def test_focp_errors_quote_the_first_bad_line(monkeypatch, tmp_path, read_bytes):
     # the same message whether the text comes as a str, bytes, an in-memory file, a file or a pipe

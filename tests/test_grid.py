@@ -109,11 +109,11 @@ def test_quantizer_cell_lies_in_the_block_on_every_face(cover):
     faces = [np.unique(np.concatenate([lo[:, k], hi[:, k]])) for k in range(cover.dim)]
     count = max(len(f) for f in faces)
     pts = np.stack([f[np.arange(count) % len(f)] for f in faces], axis=1)
-    lo_idx, hi_idx, escape, empty = cover.box_index_ranges(pts, pts)
+    lo_idx, hi_idx, escape, empty = cover.box_index_ranges(pts.T, pts.T)
     assert not escape.any() and not empty.any()
     assert np.all(hi_idx - lo_idx <= 1)
     cells = np.array([cover.quantize(x) for x in pts])
-    multi = np.stack(np.unravel_index(cells, cover.counts), axis=1)
+    multi = np.stack(np.unravel_index(cells, cover.counts))
     assert np.all((lo_idx <= multi) & (multi <= hi_idx))
     # W rising along every axis: the bound is the quantizer's cell's value
     W = np.arange(cover.n_states, dtype=float)
@@ -127,16 +127,16 @@ def test_quantizer_cell_lies_in_the_block_on_every_face(cover):
 def test_cells_overlapping_box():
     cover = GridCover([0.0], [1.0], [0.25])
     lo_idx, hi_idx, escape, empty = cover.box_index_ranges(
-        np.array([[0.3], [0.9], [1.1]]), np.array([[0.6], [1.2], [1.2]])
+        np.array([[0.3, 0.9, 1.1]]), np.array([[0.6, 1.2, 1.2]])
     )
     assert escape.tolist() == [False, True, True]
     assert empty.tolist() == [False, False, True]
-    cells = range(lo_idx[0][0], hi_idx[0][0] + 1)
+    cells = range(lo_idx[0, 0], hi_idx[0, 0] + 1)
     lo, hi = (b[:, 0] for b in cover.cell_boxes())
     for idx in range(cover.n_cells):
         meets = hi[idx] >= 0.3 and lo[idx] <= 0.6
         assert meets == (idx in cells)
-    assert hi_idx[1][0] == cover.n_cells - 1
+    assert hi_idx[0, 1] == cover.n_cells - 1
 
 
 def test_box_ranges_agree_with_scalar_path():
@@ -148,7 +148,7 @@ def test_box_ranges_agree_with_scalar_path():
         r = rng.uniform(0.0, 0.4, size=2)
         los.append(c - r)
         his.append(c + r)
-    lo_idx, hi_idx, escape, empty = cover.box_index_ranges(np.array(los), np.array(his))
+    lo_idx, hi_idx, escape, empty = cover.box_index_ranges(np.array(los).T, np.array(his).T)
     for k in range(200):
         cells, esc = cells_overlapping_box(cover, los[k], his[k])
         assert esc == bool(escape[k])
@@ -157,8 +157,8 @@ def test_box_ranges_agree_with_scalar_path():
             continue
         expect = [
             int(np.ravel_multi_index((i, j), cover.counts))
-            for i in range(lo_idx[k][0], hi_idx[k][0] + 1)
-            for j in range(lo_idx[k][1], hi_idx[k][1] + 1)
+            for i in range(lo_idx[0, k], hi_idx[0, k] + 1)
+            for j in range(lo_idx[1, k], hi_idx[1, k] + 1)
         ]
         assert cells == sorted(expect)
 

@@ -6,10 +6,12 @@ import pytest
 
 import symoc.reach
 from symoc.errors import InputError
-from symoc.reach import SampledSystem, attain_over_batch, growth_bound, integrate_nominal, rk4
+from symoc.abstraction import SampledReach
+from symoc.grid import GridCover, InputGrid
+from symoc.reach import ReachPlan, SampledSystem, attain_over_batch, growth_bound, integrate_nominal
 from symoc.systems import get_system
 
-from oracles import attain_over, boxes_contain, chauffeur_nominal_exact
+from oracles import attain_over, boxes_contain, chauffeur_nominal_exact, plain_rk4, returning
 
 
 def make_system(f, w, A1, tau=0.1, A0=None, box=4.0, margin=None, eps=0.1):
@@ -29,35 +31,42 @@ def make_system(f, w, A1, tau=0.1, A0=None, box=4.0, margin=None, eps=0.1):
     )
 
 
+def zero_field(x, u, out):
+    out.fill(0.0)
+
+
+def identity_field(x, u, out):
+    np.copyto(out, x)
+
+
 def reach_one(sys, cell, u, k, theta, gamma, eta_norm):
     """attain_over_batch on a single cell: (lo, hi, escaped, slack) with one
     row of lo/hi per branch."""
-    lo_b, hi_b, escaped, slack, _ = attain_over_batch(
-        sys, np.atleast_2d(cell[0]), cell[1], u, k, theta, gamma, eta_norm
-    )
-    return np.array([lo[0] for lo in lo_b]), np.array([hi[0] for hi in hi_b]), bool(escaped[0]), slack
+    plan = ReachPlan(sys, cell[1], k, theta, gamma, eta_norm)
+    [(_, lo, hi, escaped)] = attain_over_batch(plan, np.asarray(cell[0], dtype=float)[:, None], u)
+    return lo[:, :, 0].T, hi[:, :, 0].T, bool(escaped[0]), plan.slack
 
 
 def perturbed_endpoint(sys, x0, u, disturbances, substeps_per_piece=8):
     """Independent trajectory oracle: RK4 with a piecewise-constant
     disturbance, one piece per entry of ``disturbances``."""
-    x = np.asarray(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)[:, None]
     h = sys.tau / len(disturbances)
     for d in disturbances:
-        x = rk4(lambda y: sys.f(y, None if u is None else u) + d, x, h, substeps_per_piece)
-    return x
+        x = plain_rk4(returning(sys.f, u, d[:, None]), x, h, substeps_per_piece)
+    return x[:, 0]
 
 
 def test_constant_zero_field_is_identity():
-    sys = make_system(lambda x, u: np.zeros_like(x), w=[0.0], A1=[[0.0]])
-    x = integrate_nominal(sys, np.array([0.3]), np.array([0.0]), sys.tau, 5)
-    assert x[0] == 0.3
+    sys = make_system(zero_field, w=[0.0], A1=[[0.0]])
+    x = integrate_nominal(sys, np.array([[0.3]]), np.array([0.0]), sys.tau, 5)
+    assert x[0, 0] == 0.3
 
 
 def test_exponential_flow_matches_closed_form():
-    sys = make_system(lambda x, u: x, w=[0.0], A1=[[1.0]])
-    x = integrate_nominal(sys, np.array([1.0]), np.array([0.0]), 0.1, 10)
-    assert abs(x[0] - math.exp(0.1)) < 1e-8
+    sys = make_system(identity_field, w=[0.0], A1=[[1.0]])
+    x = integrate_nominal(sys, np.array([[1.0]]), np.array([0.0]), 0.1, 10)
+    assert abs(x[0, 0] - math.exp(0.1)) < 1e-8
 
 
 def test_chauffeur_nominal_matches_rotation_oracle():
@@ -67,23 +76,23 @@ def test_chauffeur_nominal_matches_rotation_oracle():
     for _ in range(25):
         x0 = rng.uniform(-4, 4, size=2)
         u = np.array([rng.choice([-1.0, -0.4, 0.0, 0.7, 1.0])])
-        got = integrate_nominal(sys, x0, u, sys.tau, 10)
+        got = integrate_nominal(sys, x0[:, None].copy(), u, sys.tau, 10)[:, 0]
         want = chauffeur_nominal_exact(x0, u, sys.tau)
         assert np.allclose(got, want, atol=1e-10)
 
 
 def test_growth_bound_trivial_cases():
-    sys = make_system(lambda x, u: np.zeros_like(x), w=[0.0], A1=[[0.0]])
+    sys = make_system(zero_field, w=[0.0], A1=[[0.0]])
     r = growth_bound(sys, np.array([0.5]), 0.2, 5)
     assert r[0] == 0.5
-    sys = make_system(lambda x, u: np.zeros_like(x), w=[0.1], A1=[[0.0]], tau=0.2)
+    sys = make_system(zero_field, w=[0.1], A1=[[0.0]], tau=0.2)
     r = growth_bound(sys, np.array([0.5]), 0.2, 5)
     assert r[0] == pytest.approx(0.52, abs=1e-14)
 
 
 def test_growth_bound_scalar_exponential():
     a = 0.7
-    sys = make_system(lambda x, u: np.zeros_like(x), w=[0.0], A1=[[a]])
+    sys = make_system(zero_field, w=[0.0], A1=[[a]])
     r = growth_bound(sys, np.array([0.3]), 0.5, 40)
     assert abs(r[0] - 0.3 * math.exp(a * 0.5)) < 1e-8
 
@@ -101,7 +110,7 @@ def test_growth_bound_positivity_and_monotonicity():
 
 
 def test_attain_over_identity_dynamics():
-    sys = make_system(lambda x, u: np.zeros_like(x), w=[0.0, 0.0], A1=np.zeros((2, 2)))
+    sys = make_system(zero_field, w=[0.0, 0.0], A1=np.zeros((2, 2)))
     cell = (np.array([0.2, -0.1]), np.array([0.05, 0.05]))
     for k in (1, 2, 4):
         lo, hi, escaped, _ = reach_one(sys, cell, np.array([0.0]), k=k, theta=3.0, gamma=0.0, eta_norm=0.1)
@@ -112,7 +121,7 @@ def test_attain_over_identity_dynamics():
 
 
 def test_attain_over_exponential_closed_form():
-    sys = make_system(lambda x, u: x, w=[0.0], A1=[[1.0]], tau=0.1, A0=[6.0])
+    sys = make_system(identity_field, w=[0.0], A1=[[1.0]], tau=0.1, A0=[6.0])
     lo, hi, _, _ = reach_one(sys, (np.array([1.0]), np.array([0.1])), np.array([0.0]), k=1, theta=100.0, gamma=0.0, eta_norm=0.1)
     assert len(lo) == 1
     assert (lo[0][0] + hi[0][0]) / 2 == pytest.approx(math.exp(0.1), abs=1e-8)
@@ -162,18 +171,48 @@ def test_attain_over_batch_matches_scalar_path(monkeypatch):
     # theta 0.5 needs two split levels (four branches), so split caps 1 and 3 cap
     for u, theta, max_splits in itertools.product((np.array([-2.0]), np.array([0.2])), (1.0, 0.5), (1, 3, 64)):
         monkeypatch.setattr(symoc.reach, "MAX_SPLITS", max_splits)
-        lo_b, hi_b, escaped, slack, capped = attain_over_batch(sys, centers, r0, u, 2, theta, 1e-7, 0.08)
-        assert capped == (theta == 0.5 and max_splits < 4)
+        plan = ReachPlan(sys, r0, 2, theta, 1e-7, 0.08)
+        [(_, lo, hi, escaped)] = attain_over_batch(plan, centers.T.copy(), u)
+        assert plan.capped == (theta == 0.5 and max_splits < 4)
         for i, c in enumerate(centers):
             want_c, want_r, want_escaped, want_slack = attain_over(
                 sys, (c, r0), u, 2, theta, 1e-7, 0.08, max_splits
             )
-            got_lo = np.sort(np.array([lo[i] for lo in lo_b]), axis=0)
-            got_hi = np.sort(np.array([hi[i] for hi in hi_b]), axis=0)
-            assert np.allclose(got_lo, np.sort(want_c - want_r, axis=0), atol=1e-13)
-            assert np.allclose(got_hi, np.sort(want_c + want_r, axis=0), atol=1e-13)
+            # the same arithmetic in the same order: equal to the last bit
+            assert np.array_equal(np.sort(lo[:, :, i].T, axis=0), np.sort(want_c - want_r, axis=0))
+            assert np.array_equal(np.sort(hi[:, :, i].T, axis=0), np.sort(want_c + want_r, axis=0))
             assert bool(escaped[i]) == want_escaped
-            assert slack == pytest.approx(want_slack, abs=1e-13)
+            assert plan.slack == want_slack
+
+
+def small_reaches():
+    """(theta, make) pairs: a theta and a function building SampledReach at
+    it on a small pendulum or chauffeur cover; theta 0.5 is split-heavy
+    (four branches per input on the pendulum)."""
+    for name, eta, mu, theta in (("pendulum", [0.8, 0.6], [1.0], 1.0), ("pendulum", [0.8, 0.6], [1.0], 0.5), ("chauffeur", [0.5, 0.5], [0.5], 2.0)):
+        spec = get_system(name)
+        cover = GridCover(spec.k_lower, spec.k_upper, np.array(eta))
+        inputs = InputGrid(spec.input_pieces, np.array(mu))
+        yield theta, lambda: SampledReach(spec.sampled_system(), cover, inputs, 2, theta, 1e-7)
+
+
+def test_batch_ranges_do_not_depend_on_the_chunk_size(monkeypatch):
+    for theta, make in small_reaches():
+        for max_splits in (1, 3, 64):
+            monkeypatch.setattr(symoc.reach, "MAX_SPLITS", max_splits)
+            reach = make()
+            assert reach.plan.capped == (theta == 0.5 and max_splits < 4)
+            assert reach.plan.branches == ({1: 1, 3: 2, 64: 4}[max_splits] if theta == 0.5 else 1)
+            got = {}
+            for chunk in (7, reach.cover.n_cells + 1):
+                monkeypatch.setattr(symoc.reach, "CHUNK_CELLS", chunk)
+                got[chunk] = [reach.batch_ranges(u) for u in range(len(reach.inputs))]
+            for (branches, escaped, slack, capped), (want_branches, want_escaped, want_slack, want_capped) in zip(*got.values()):
+                assert len(branches) == len(want_branches)
+                for branch, want in zip(branches, want_branches):
+                    assert all(np.array_equal(a, b) for a, b in zip(branch, want))  # lo_idx, hi_idx, empty
+                assert np.array_equal(escaped, want_escaped)
+                assert slack == want_slack and capped == want_capped
 
 
 def test_monte_carlo_containment_pendulum_origin_cell():
@@ -201,18 +240,18 @@ def test_escape_detection():
 def test_attain_over_rejects_bad_parameters():
     spec = get_system("pendulum")
     sys = spec.sampled_system()
-    centers, r0 = np.zeros((1, 2)), np.full(2, 0.04)
+    r0 = np.full(2, 0.04)
     for k, theta, gamma in ((0, 1.0, 0.0), (1, 0.0, 0.0), (1, -1.0, 0.0), (1, 1.0, -1.0), (1, math.nan, 0.0), (1, 1.0, math.inf)):
         with pytest.raises(InputError):
-            attain_over_batch(sys, centers, r0, np.array([0.0]), k, theta, gamma, 0.08)
+            ReachPlan(sys, r0, k, theta, gamma, 0.08)
     with pytest.raises(InputError):
-        integrate_nominal(sys, np.zeros(2), np.array([0.0]), -1.0, 5)
+        integrate_nominal(sys, np.zeros((2, 1)), np.array([0.0]), -1.0, 5)
 
 
 def test_sampled_system_validation():
     with pytest.raises(InputError):
         SampledSystem(
-            f=lambda x, u: x,
+            f=identity_field,
             w=[0.0],
             tau=0.1,
             A0=[1.0],
@@ -224,7 +263,7 @@ def test_sampled_system_validation():
         )
     with pytest.raises(InputError):
         SampledSystem(
-            f=lambda x, u: x,
+            f=identity_field,
             w=[0.0],
             tau=1.0,
             A0=[5.0],

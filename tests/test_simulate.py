@@ -169,7 +169,7 @@ def test_static_field_with_all_covering_target():
         cost_kind="reach_avoid",
         target=Box([-1.0], [2.0], open_=True),
         obstacle=EmptySet(),
-        ode=dict(f=lambda x, u: np.zeros_like(x), tau=0.5, w=[0.0], A0=[0.1], A1=[[0.0]], kprime_margin=0.5, eps=0.1),
+        ode=dict(f=lambda x, u, out: out.fill(0.0), tau=0.5, w=[0.0], A0=[0.1], A1=[[0.0]], kprime_margin=0.5, eps=0.1),
     )
     sys, cover, inputs, model, problem, result, ctrl = build_pipeline(
         spec, np.array([0.25]), np.array([1.0]), 1, 0.0
