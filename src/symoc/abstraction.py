@@ -27,10 +27,6 @@ from .errors import InputError, SoundnessAlarm
 from .grid import GridCover, InputGrid
 from .reach import ReachPlan, SampledSystem, attain_over_batch, check_reach_parameters
 
-import logging
-
-log = logging.getLogger(__name__)
-
 
 @dataclass
 class ConservatismCertificate:
@@ -142,24 +138,25 @@ class MapReach:
         return [(lo_idx, hi_idx, empty)], escaped, self.slack, False
 
 
-def _expand_ranges(cover: GridCover, lo_idx, hi_idx, active):
-    """Flat successor ids for the coordinate-first (dim, cells) index blocks
-    of the active cells, cell by cell, and the per-cell counts."""
-    spans = hi_idx - lo_idx + 1
-    cnt = np.where(active, spans.prod(axis=0), 0)
-    # a block is rows of consecutive flat ids along the last axis: only the
-    # rows' first ids need the per-axis index arithmetic
-    rows = np.where(active, spans[:-1].prod(axis=0), 0)
-    row_owner = np.repeat(np.arange(cover.n_cells), rows)
-    rem = np.arange(len(row_owner), dtype=np.int64) - np.repeat(np.cumsum(rows) - rows, rows)
-    first = lo_idx[-1, row_owner]
+CSR_CHUNK_CELLS = 2_048  # cells whose stretch of trans_succ is written at once: about 1.5 MiB on chauffeur p1
+
+
+def _expand_ranges(cover: GridCover, corner, span):
+    """Rows of consecutive successor ids of the blocks with flat corner ids
+    ``corner`` and per-axis spans ``span`` (dim, blocks): (block, first id,
+    offset of the row in its block), block by block in increasing ids.  A
+    block's rows all have its last-axis span as length, so only their first
+    ids need the per-axis index arithmetic."""
+    length = span[-1]
+    rows = np.where(length > 0, span[:-1].prod(axis=0), 0)
+    block = np.repeat(np.arange(len(corner)), rows)
+    rem = np.arange(len(block)) - np.repeat(np.cumsum(rows) - rows, rows)
+    offset = rem * length[block]
+    first = corner[block].astype(np.int64)
     for axis in range(cover.dim - 2, -1, -1):
-        rem, local = np.divmod(rem, spans[axis, row_owner])
-        first += (lo_idx[axis, row_owner] + local) * int(cover._strides[axis])
-    length = spans[-1, row_owner]
-    flat = np.repeat(first - (np.cumsum(length) - length), length)
-    flat += np.arange(len(flat))
-    return flat, cnt
+        rem, local = np.divmod(rem, span[axis, block])
+        first += local * int(cover._strides[axis])
+    return block, first, offset
 
 
 def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: AbstractCosts):
@@ -173,37 +170,56 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     and whether a split cap sent every cell to overflow; ``transitions.guard_note`` is a certificate
     note or None.  Cells that are gated (both costs identically infinite)
     get a single transition to overflow.
+
+    Every input's blocks (``_collect_batched``) are expanded once, straight
+    into ``trans_succ``, CSR_CHUNK_CELLS cells at a time: their pairs'
+    stretch is the running sum of 1 per edge, plus ``first - 1`` at each row
+    head and ``-(first + length - 1)`` past its end.  The rows (an escape is
+    a row of the overflow cell) tile the stretch, so every partial sum is an id.
     """
     n_states = cover.n_states
     m = len(inputs)
     overflow = cover.overflow
-    gated = costs.gated
     if n_states * m >= 2**31:  # pair ids and successors are int32
         raise InputError(f"{n_states} states x {m} inputs: need fewer than 2**31 pairs")
-    per_input = _collect_batched(transitions, cover, gated, m)
+    per_input = _collect_batched(transitions, cover, costs.gated, m)
 
-    sizes = np.zeros(n_states * m, dtype=np.int64)
     grid_pairs = cover.n_cells * m  # the cells' pairs come first, cell by cell
-    for u_idx, (succ_u, cnt_u, escape_u, *_) in enumerate(per_input):
-        sizes[u_idx:grid_pairs:m] = cnt_u + escape_u
-    sizes[grid_pairs:] = 1  # the overflow cell's pairs
-    trans_ptr = np.zeros(n_states * m + 1, dtype=np.int64)
-    np.cumsum(sizes, out=trans_ptr[1:])
+    trans_ptr = np.ones(n_states * m + 1, dtype=np.int64)  # the overflow cell's pairs hold one edge
+    trans_ptr[0] = 0
+    for u_idx, (corner, span, cells, escape, *_) in enumerate(per_input):
+        cnt = span.prod(axis=0) if cells is None else np.bincount(cells, span, cover.n_cells)
+        trans_ptr[1 + u_idx : 1 + grid_pairs : m] = cnt + escape
+    if not trans_ptr[1 : 1 + grid_pairs].all():  # a cell that neither escaped nor met the cover
+        raise SoundnessAlarm("batch_ranges produced an empty successor set")
+    np.cumsum(trans_ptr, out=trans_ptr)
     trans_succ = np.empty(int(trans_ptr[-1]), dtype=np.int32)
-
-    transition_slack = max(entry[3] for entry in per_input)
-    capped = [u_idx for u_idx, entry in enumerate(per_input) if entry[4]]
-    for u_idx in range(m):
-        succ_u, cnt_u, escape_u, *_ = per_input[u_idx]
-        per_input[u_idx] = None  # freed once scattered, so later allocations reuse the memory
-        starts = trans_ptr[u_idx:grid_pairs:m]
-        if len(succ_u):
-            dest = np.repeat(starts - (np.cumsum(cnt_u) - cnt_u), cnt_u)
-            dest += np.arange(len(succ_u))
-            trans_succ[dest] = succ_u
-        esc_cells = np.nonzero(escape_u)[0]
-        trans_succ[starts[esc_cells] + cnt_u[esc_cells]] = overflow
+    for c0 in range(0, cover.n_cells, CSR_CHUNK_CELLS):
+        c1 = min(c0 + CSR_CHUNK_CELLS, cover.n_cells)
+        base = trans_ptr[c0 * m]
+        # one slot more, where the last row ends: written later, as the next chunk's or an overflow pair's
+        delta = trans_succ[base : trans_ptr[c1 * m] + 1]
+        delta.fill(1)
+        for u_idx, (corner, span, cells, escape, *_) in enumerate(per_input):
+            pos = trans_ptr[c0 * m + u_idx : c1 * m : m] - base  # where each cell's pair starts
+            if cells is None:
+                block, first, offset = _expand_ranges(cover, corner[c0:c1], span[:, c0:c1])
+                pos, length = pos[block] + offset, span[-1, c0 + block]
+            else:  # rows, several per cell
+                b0, b1 = np.searchsorted(cells, (c0, c1))
+                own, first, length = cells[b0:b1] - c0, corner[b0:b1], span[b0:b1]
+                before = np.cumsum(length) - length
+                pos = pos[own] + before - before[np.searchsorted(own, own)]
+            delta[pos] += first - 1
+            delta[pos + length] -= first + length - 1  # the row's last id, taken back past its end
+            pos = trans_ptr[(c0 + np.flatnonzero(escape[c0:c1])) * m + u_idx + 1] - 1 - base
+            delta[pos] += overflow - 1  # the escape, its pair's last slot
+            delta[pos + 1] -= overflow
+        np.cumsum(delta[:-1], dtype=np.int32, out=delta[:-1])
     trans_succ[trans_ptr[grid_pairs:-1]] = overflow
+    transition_slack = max(entry[4] for entry in per_input)
+    capped = [u_idx for u_idx, entry in enumerate(per_input) if entry[5]]
+    del per_input  # before the problem's checks allocate
 
     pair_costs = np.full(n_states * m, INF)
     pair_costs[:grid_pairs] = np.where(
@@ -225,48 +241,49 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
 
 
 def _collect_batched(transitions, cover, gated, m):
-    """Per input: int32 successors, per-cell counts, the overflow
-    flags, the reach slack and whether the split cap was hit."""
-    active = ~gated
-
-    def one(u_idx):
+    """Per input, ``(corner, span, cells, escape, slack, capped)``: the
+    successor blocks of ``_union_branches``, the overflow flags (gated cells
+    have no other successor), the reach slack and whether the split cap hit."""
+    per_input = []
+    for u_idx in range(m):
         branches, escaped, slack, capped = transitions.batch_ranges(u_idx)
-        flat, cnt = _union_branches(cover, branches, active)
-        if np.any((cnt == 0) & ~escaped & active):
-            raise SoundnessAlarm("batch_ranges produced an empty successor set")
-        return flat.astype(np.int32), cnt, escaped | gated, float(slack), capped
-
-    return [one(u) for u in range(m)]
+        per_input.append((*_union_branches(cover, branches, ~gated), escaped | gated, float(slack), capped))
+    return per_input
 
 
 def _union_branches(cover, branches, active):
-    """``_expand_ranges`` of the union of the branches' index blocks: per
-    active cell, its distinct successors in increasing order.
-
-    Branch boxes may overlap.  Each branch yields its (owner, successor) keys
-    in increasing order, so the joined keys are a few sorted runs, which a
-    stable sort (timsort) merges; equal neighbours are then duplicates.
+    """The union of the branches' index blocks per active cell, as
+    ``(corner, span, cells)``.  One branch keeps its blocks: int32 flat
+    corner ids and per-axis spans (dim, cells), as ``_expand_ranges`` reads
+    them, and cells None.  Several give rows, the runs of consecutive ids
+    among each cell's distinct successors: int32 first ids, lengths and
+    owner cells.  Branch boxes may overlap; each branch's rows, keyed owner
+    * n_states + id, come in increasing order, so a stable sort (timsort)
+    merges them, and a row starting past every earlier row's end starts a run.
     """
+
+    def blocks(lo_idx, hi_idx, empty):
+        corner = (cover._strides @ lo_idx).astype(np.int32)
+        return corner, np.where(active & ~empty, hi_idx - lo_idx + 1, 0).astype(np.int32)
+
     if len(branches) == 1:
-        lo_idx, hi_idx, empty = branches[0]
-        return _expand_ranges(cover, lo_idx, hi_idx, active & ~empty)
+        return (*blocks(*branches[0]), None)
     n_states = np.int64(cover.n_states)
-
-    def keys(lo_idx, hi_idx, empty):
-        flat, cnt = _expand_ranges(cover, lo_idx, hi_idx, active & ~empty)
-        key = np.repeat(np.arange(cover.n_cells) * n_states, cnt)  # the owner cell
-        key += flat
-        return key
-
-    key = np.concatenate([keys(*branch) for branch in branches])
-    key.sort(kind="stable")
-    keep = np.empty(len(key), dtype=bool)
-    keep[:1] = True
-    np.not_equal(key[1:], key[:-1], out=keep[1:])
-    key = key[keep]
-    owner = key // n_states
-    key -= owner * n_states
-    return key, np.bincount(owner, minlength=cover.n_cells)
+    start, length = [], []
+    for branch in branches:
+        corner, span = blocks(*branch)
+        cell, first, _ = _expand_ranges(cover, corner, span)
+        start.append(first + cell * n_states)
+        length.append(span[-1, cell])
+    start = np.concatenate(start)
+    order = np.argsort(start, kind="stable")
+    start = start[order]
+    stop = start + np.concatenate(length)[order]
+    np.maximum.accumulate(stop, out=stop)
+    head = np.flatnonzero(np.insert(start[1:] > stop[:-1], 0, True))
+    cells, first = np.divmod(start[head], n_states)
+    length = stop[np.append(head[1:], len(start)) - 1] - start[head]
+    return first.astype(np.int32), length.astype(np.int32), cells.astype(np.int32)
 
 
 def abstraction_sidecar_text(cover: GridCover, inputs: InputGrid, cert: ConservatismCertificate) -> str:

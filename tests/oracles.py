@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from symoc.abstraction import _expand_ranges
 from symoc.core import STOP, ControllerTable, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
 import symoc.reach
@@ -426,18 +425,114 @@ def reach_successors(reach, cell, u_idx):
     return sorted(found), escaped, slack
 
 
+def expand_ranges_flat(cover, lo_idx, hi_idx, active):
+    """Flat successor ids for the coordinate-first (dim, cells) index blocks
+    of the active cells, cell by cell, and the per-cell counts (the
+    per-edge expansion the abstraction build once ran)."""
+    spans = hi_idx - lo_idx + 1
+    cnt = np.where(active, spans.prod(axis=0), 0)
+    rows = np.where(active, spans[:-1].prod(axis=0), 0)
+    row_owner = np.repeat(np.arange(cover.n_cells), rows)
+    rem = np.arange(len(row_owner), dtype=np.int64) - np.repeat(np.cumsum(rows) - rows, rows)
+    first = lo_idx[-1, row_owner]
+    for axis in range(cover.dim - 2, -1, -1):
+        rem, local = np.divmod(rem, spans[axis, row_owner])
+        first += (lo_idx[axis, row_owner] + local) * int(cover._strides[axis])
+    length = spans[-1, row_owner]
+    flat = np.repeat(first - (np.cumsum(length) - length), length)
+    flat += np.arange(len(flat))
+    return flat, cnt
+
+
+def union_branches_flat(cover, branches, active):
+    """(flat, cnt): ``expand_ranges_flat`` of the union of the branches'
+    index blocks, per active cell its distinct successors in increasing
+    order, merged by a stable sort of the int64 keys owner * n_states + id."""
+    if len(branches) == 1:
+        lo_idx, hi_idx, empty = branches[0]
+        return expand_ranges_flat(cover, lo_idx, hi_idx, active & ~empty)
+    n_states = np.int64(cover.n_states)
+
+    def keys(lo_idx, hi_idx, empty):
+        flat, cnt = expand_ranges_flat(cover, lo_idx, hi_idx, active & ~empty)
+        key = np.repeat(np.arange(cover.n_cells) * n_states, cnt)
+        key += flat
+        return key
+
+    key = np.concatenate([keys(*branch) for branch in branches])
+    key.sort(kind="stable")
+    keep = np.empty(len(key), dtype=bool)
+    keep[:1] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    key = key[keep]
+    owner = key // n_states
+    key -= owner * n_states
+    return key, np.bincount(owner, minlength=cover.n_cells)
+
+
+def blocks_flat(cover, corner, span, cells):
+    """(flat, cnt) of one input's successors as ``_collect_batched`` keeps
+    them, blocks or rows, expanded one by one with a plain loop."""
+    flat, cnt = [], np.zeros(cover.n_cells, dtype=np.int64)
+    if cells is not None:  # rows: first ids, lengths and owner cells
+        for first, length, owner in zip(corner.tolist(), span.tolist(), cells.tolist()):
+            flat.extend(range(first, first + length))
+            cnt[owner] += length
+        return np.array(flat, dtype=np.int64), cnt
+    for cell in range(cover.n_cells):
+        for local in itertools.product(*(range(int(n)) for n in span[:, cell])):
+            flat.append(int(corner[cell]) + int(np.dot(local, cover._strides)))
+            cnt[cell] += 1
+    return np.array(flat, dtype=np.int64), cnt
+
+
+def reference_csr(transitions, cover, m, gated):
+    """(trans_ptr, trans_succ) of an abstraction built the flat way: each
+    input's successors expanded to ids and deduplicated, then scattered to
+    their CSR slots through a per-edge destination array."""
+    n_states, grid_pairs = cover.n_states, cover.n_cells * m
+    per_input = []
+    for u_idx in range(m):
+        branches, escaped, _, _ = transitions.batch_ranges(u_idx)
+        flat, cnt = union_branches_flat(cover, branches, ~gated)
+        per_input.append((flat.astype(np.int32), cnt, escaped | gated))
+    sizes = np.ones(n_states * m, dtype=np.int64)
+    for u_idx, (_, cnt, escape) in enumerate(per_input):
+        sizes[u_idx:grid_pairs:m] = cnt + escape
+    trans_ptr = np.zeros(n_states * m + 1, dtype=np.int64)
+    np.cumsum(sizes, out=trans_ptr[1:])
+    trans_succ = np.empty(int(trans_ptr[-1]), dtype=np.int32)
+    for u_idx, (succ, cnt, escape) in enumerate(per_input):
+        starts = trans_ptr[u_idx:grid_pairs:m]
+        dest = np.repeat(starts - (np.cumsum(cnt) - cnt), cnt)
+        dest += np.arange(len(succ))
+        trans_succ[dest] = succ
+        esc_cells = np.nonzero(escape)[0]
+        trans_succ[starts[esc_cells] + cnt[esc_cells]] = cover.overflow
+    trans_succ[trans_ptr[grid_pairs:-1]] = cover.overflow
+    return trans_ptr, trans_succ
+
+
 def union_branches_by_unique(cover, branches, active):
-    """(flat, cnt) of the union of the branches' cell index blocks per
-    active cell, deduplicated by np.unique over the int64 keys
-    owner * n_states + flat (the dedupe the abstraction build once ran)."""
+    """(first, length, cells) of the union of the branches' cell index
+    blocks per active cell: rows, each a run of consecutive ids among the
+    cell's successors, deduplicated by np.unique over the int64 keys
+    owner * n_states + id (the dedupe the abstraction build once ran) and
+    split into runs by a plain loop."""
+    n_states = cover.n_states
     parts, owners = [], []
     for lo_idx, hi_idx, empty in branches:
-        flat, cnt = _expand_ranges(cover, lo_idx, hi_idx, active & ~empty)
+        flat, cnt = expand_ranges_flat(cover, lo_idx, hi_idx, active & ~empty)
         parts.append(flat)
         owners.append(np.repeat(np.arange(cover.n_cells), cnt))
-    key = np.concatenate(owners) * np.int64(cover.n_states) + np.concatenate(parts)
-    uniq = np.unique(key)
-    return uniq % cover.n_states, np.bincount(uniq // cover.n_states, minlength=cover.n_cells)
+    key = np.concatenate(owners) * np.int64(n_states) + np.concatenate(parts)
+    corner, length, cells = [], [], []
+    for owner, succ in (divmod(k, n_states) for k in np.unique(key).tolist()):
+        if cells and cells[-1] == owner and corner[-1] + length[-1] == succ:
+            length[-1] += 1
+        else:
+            corner.append(succ), length.append(1), cells.append(owner)
+    return tuple(np.array(column, dtype=np.int32) for column in (corner, length, cells))
 
 
 def reference_inverse(problem):

@@ -1,10 +1,15 @@
 import itertools
 import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import symoc.abstraction
 import symoc.reach
 from symoc.abstraction import (
     SampledReach,
@@ -26,6 +31,7 @@ from symoc.systems import get_system
 from abstraction_digests import build, digest
 from oracles import (
     block_cells,
+    blocks_flat,
     cells_overlapping_box,
     check_conservatism,
     map_endpoints,
@@ -33,6 +39,7 @@ from oracles import (
     pair_value,
     point_G,
     point_g,
+    reference_csr,
     successors,
     union_branches_by_unique,
 )
@@ -206,8 +213,8 @@ def test_union_of_branch_boxes_matches_the_unique_reference():
         got = _union_branches(cover, branches, active)
         want = union_branches_by_unique(cover, branches, active)
         for a, b in zip(got, want):
-            assert np.array_equal(a, b), trial
-        flat, cnt = got
+            assert a.dtype == np.int32 and np.array_equal(a, b), trial
+        flat, cnt = blocks_flat(cover, *got)
         owner = np.repeat(np.arange(cover.n_cells), cnt)
         for cell in range(cover.n_cells):
             cells = set()
@@ -222,9 +229,111 @@ def test_union_of_branch_boxes_matches_the_unique_reference():
                 return branches, escaped, 0.0, False
 
         # a box meets no cell only outside the cover, so every empty cell escaped
-        (succ, cnt_u, overflow, _, _), = _collect_batched(Fixed(), cover, gated, 1)
-        assert succ.dtype == np.int32 and np.array_equal(succ, flat)
-        assert np.array_equal(cnt_u, cnt) and np.array_equal(overflow, escaped | gated)
+        (corner, span, block_cells_u, overflow, _, _), = _collect_batched(Fixed(), cover, gated, 1)
+        for a, b in zip((corner, span, block_cells_u), got):
+            assert a.dtype == np.int32 and np.array_equal(a, b)
+        assert np.array_equal(overflow, escaped | gated)
+
+
+def test_union_keys_pass_int32_on_a_large_cover():
+    # owner * n_states + id passes 2**31 once the cover has 46,341 cells
+    rng = np.random.default_rng(21)
+    cover = GridCover([0.0], [50_000.0], [1.0])
+    gated = rng.random(cover.n_cells) < 0.2
+    lo = rng.uniform(-2.0, 50_000.0, size=(2, 3, 1, cover.n_cells))
+    inputs = [
+        [cover.box_index_ranges(lo_u, lo_u + rng.uniform(0.0, 4.0, size=lo_u.shape)) for lo_u in lo_input]
+        for lo_input in lo
+    ]
+    branches = [[(lo_idx, hi_idx, empty) for lo_idx, hi_idx, _, empty in boxes] for boxes in inputs]
+    got = _union_branches(cover, branches[0], ~gated)
+    want = union_branches_by_unique(cover, branches[0], ~gated)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    transitions = SimpleNamespace(
+        guard_note=None,
+        batch_ranges=lambda u: (branches[u], np.any([b[2] for b in inputs[u]], axis=0), 0.0, False),
+    )
+    costs = SimpleNamespace(gated=gated, g_finite=~gated, input_values=np.zeros(2), G2=np.zeros(cover.n_states))
+    problem, _ = build_abstraction(transitions, cover, InputGrid([([0.0], [1.0])], [1.0]), costs)
+    want_ptr, want_succ = reference_csr(transitions, cover, 2, gated)
+    assert np.array_equal(problem.trans_ptr, want_ptr) and np.array_equal(problem.trans_succ, want_succ)
+
+
+class RandomBlocks:
+    """A transition over-approximator whose inputs give random index blocks:
+    1 to 4 branches of ``random_branch_boxes``, further escape flags on
+    some cells and, on a capped input, on every cell."""
+
+    guard_note = None
+
+    def __init__(self, rng, cover, m):
+        self.inputs = []
+        for u_idx in range(m):
+            boxes = random_branch_boxes(rng, cover, int(rng.integers(2, 5)))
+            if u_idx % 3 == 0:
+                boxes = boxes[:1]
+            branches = [(lo_idx, hi_idx, empty) for lo_idx, hi_idx, _, empty in boxes]
+            escaped = np.any([esc for _, _, esc, _ in boxes], axis=0) | (rng.random(cover.n_cells) < 0.1)
+            capped = u_idx == m - 1
+            self.inputs.append((branches, escaped | capped, float(rng.random()), capped))
+
+    def batch_ranges(self, u_idx):
+        return self.inputs[u_idx]
+
+
+def test_csr_matches_the_flat_reference_at_every_chunk_size(monkeypatch):
+    rng = np.random.default_rng(24)
+    covers = [
+        GridCover([0.0], [7.0], [1.0]),
+        GridCover([-1.0, 0.0], [1.0, 1.0], [0.3, 0.25]),
+        GridCover([0.0, 0.0, 0.0], [1.0, 2.0, 1.0], [0.5, 0.5, 0.25]),
+    ]
+    for trial in range(24):
+        cover = covers[trial % len(covers)]
+        m = int(rng.integers(1, 5))
+        inputs = InputGrid([([0.0], [float(m - 1)])], [1.0])
+        transitions = RandomBlocks(rng, cover, m)
+        gated = rng.random(cover.n_cells) < 0.2
+        costs = SimpleNamespace(
+            gated=gated, g_finite=~gated, input_values=np.arange(m, dtype=float), G2=np.zeros(cover.n_states)
+        )
+        want_ptr, want_succ = reference_csr(transitions, cover, m, gated)
+        for chunk in (1, 7, cover.n_cells + 1):
+            monkeypatch.setattr(symoc.abstraction, "CSR_CHUNK_CELLS", chunk)
+            problem, cert = build_abstraction(transitions, cover, inputs, costs)
+            assert np.array_equal(problem.trans_ptr, want_ptr), (trial, chunk)
+            assert problem.trans_succ.dtype == np.int32 and np.array_equal(problem.trans_succ, want_succ), (trial, chunk)
+            assert cert.transition_slack == max(entry[2] for entry in transitions.inputs)
+            assert any(note.startswith(f"split cap hit for inputs {m - 1}:") for note in cert.notes)
+
+
+def test_build_holds_about_a_block_per_pair_beyond_its_arrays():
+    # pendulum p1 has 1,667,191 edges; the flat build held 6.2 B per edge
+    # beyond its returned arrays (successor lists and a per-edge scatter
+    # index), the block build holds 1.7, mostly its blocks
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "pendulum_p1.ini"))
+    costs = abstract_costs(cfg.model, cfg.cover, cfg.inputs)
+    tracemalloc.start()
+    try:
+        problem, _ = build_abstraction(cfg.reach, cfg.cover, cfg.inputs, costs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = problem.trans_ptr.nbytes + problem.trans_succ.nbytes + problem.pair_costs.nbytes
+    assert problem.n_edges == 1_667_191
+    assert (peak - kept) / problem.n_edges < 3.0
+
+
+def test_perfbench_finds_every_function_it_wraps():
+    # perfbench wraps symoc functions by name; a refactor that drops one
+    # must fail here, not only in the benchmark's traced pass
+    root = Path(__file__).resolve().parent.parent
+    code = "import spans, workloads; workloads.install_spans(spans.Tracer())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "perfbench"), str(root / "src")]))
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_split_cap_hit_is_noted_in_certificate(caplog, monkeypatch):
@@ -323,7 +432,7 @@ def test_empty_callback_raises_strictness_alarm():
         """Every cell maps to an empty block and nothing escapes."""
 
         def batch_ranges(self, u_idx):
-            idx = np.zeros((cover.n_cells, cover.dim), dtype=np.int64)
+            idx = np.zeros((cover.dim, cover.n_cells), dtype=np.int64)
             empty = np.ones(cover.n_cells, dtype=bool)
             return [(idx, idx, empty)], np.zeros(cover.n_cells, dtype=bool), 0.0, False
 
@@ -331,9 +440,10 @@ def test_empty_callback_raises_strictness_alarm():
         build_abstraction(EmptyReach(), cover, inputs, ac)
 
 
-# sha256 of the CSR arrays and the transition slack of two ODE abstractions,
-# recorded before the reach layer kept one radius per input; the second one
-# splits between substeps
+# sha256 of the CSR arrays and the transition slack of three ODE abstractions,
+# the first two recorded before the reach layer kept one radius per input, the
+# third before the CSR was built from blocks: the second splits between
+# substeps, the third hits the split cap, so every cell escapes under every input
 PINNED_ABSTRACTIONS = {
     "pendulum:p1": (
         "int64:c75fffc3c9790a49e323d855e836f4d3c60c6dc2c539c9389eb4994fdb2b930c",
@@ -344,6 +454,12 @@ PINNED_ABSTRACTIONS = {
     "pendulum:p1:theta=0.5:k=3": (
         "int64:226c22a0ccb69c915bb4720e7890c1bbad6a8f88bbd82fbf2ffd12b68d733ddc",
         "int32:89633278566eabd9fd3bd9722e39abccedb5e772656b067fe91bf59f174b2165",
+        "float64:c6f829ce95ef568270eb84c2d0e699dd47172b08d21ffe8c258813c0895a6dfa",
+        0.08014675064854959,
+    ),
+    "pendulum:p1:theta=0.3:k=3:max_splits=5": (
+        "int64:678f4a42839c9ebfd2cd5b41ba3cbe0d22a3c1ecd86c4af02b5e2571cf41c78d",
+        "int32:e35745fde4b4069df814efc516e14a6b86ab3c178832cfad1fc41b77075ec3a9",
         "float64:c6f829ce95ef568270eb84c2d0e699dd47172b08d21ffe8c258813c0895a6dfa",
         0.08014675064854959,
     ),
