@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import INF, CostModel, FiniteProblem
+from .core import INF, CostModel, FiniteProblem, ranges
 from .errors import InputError, SoundnessAlarm
 from .grid import GridCover, InputGrid
 from .reach import ReachPlan, SampledSystem, attain_over_batch, check_reach_parameters
@@ -148,9 +148,7 @@ def _expand_ranges(cover: GridCover, corner, span):
     block's rows all have its last-axis span as length, so only their first
     ids need the per-axis index arithmetic."""
     length = span[-1]
-    rows = np.where(length > 0, span[:-1].prod(axis=0), 0)
-    block = np.repeat(np.arange(len(corner)), rows)
-    rem = np.arange(len(block)) - np.repeat(np.cumsum(rows) - rows, rows)
+    block, rem = ranges(0, np.where(length > 0, span[:-1].prod(axis=0), 0))
     offset = rem * length[block]
     first = corner[block].astype(np.int64)
     for axis in range(cover.dim - 2, -1, -1):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .abstraction import abstract_costs, abstraction_sidecar_text, build_abstraction
 from .analysis import hypo_distance, hypograph_csv, logistic_exact_sublevels, logistic_exact_values, sublevels_csv
-from .config import load_config
+from .config import _vector, load_config
 from .core import ControllerTable, FiniteProblem, values_from_text, values_to_text
 from .errors import InputError, SoundnessAlarm
 from .relations import RefinedController, Relation, check_vasr, check_vfrr, pointwise_upper_bound
@@ -53,13 +53,11 @@ def _number(parse, low, strict=False):
 
 
 def _point(text, dim):
+    """The --x0 point ``text``: ``dim`` finite numbers."""
     try:
-        x = np.array([float(v) for v in text.split()])
-    except ValueError:
-        raise InputError(f"--x0 {text!r}: not a list of numbers") from None
-    if x.shape != (dim,):
-        raise InputError(f"--x0 {text!r}: need {dim} coordinates")
-    return x
+        return _vector(text, dim)
+    except InputError as exc:
+        raise InputError(f"--x0 {text!r}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -101,7 +99,9 @@ def cmd_synthesize(args):
     _write(args.out_prefix + ".values", values_to_text(result.W))
     _write(args.out_prefix + ".controller", result.c.to_text())
     if args.dump_focp:
-        _write_pieces(args.out_prefix + ".focp", problem.focp_text_blocks())  # never the whole text in memory
+        from . import focp  # the record module loads on first use
+
+        _write_pieces(args.out_prefix + ".focp", focp.text_blocks(problem))  # never the whole text in memory
     finite = np.isfinite(result.W[: cfg.cover.n_cells])
     print(
         f"cells={cfg.cover.n_cells} inputs={len(cfg.inputs)} edges={problem.n_edges} "

@@ -19,6 +19,36 @@ INF = math.inf
 STOP = -1  # controller table entry meaning "no input chosen, stop here"
 
 
+# --- CSR primitives: every walk over index ranges or runs of edges ------------
+
+
+def ranges(starts, stops):
+    """(owner k, index) of every element of the ranges [starts[k], stops[k]),
+    concatenated in k order."""
+    sizes = stops - starts
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    index = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    index += np.arange(len(owner))
+    return owner, index
+
+
+def chunks(ptr, size):
+    """Item ids cutting the items of CSR index ``ptr`` into runs of whole
+    items, in order: a run holds fewer than ``size`` plus the largest item's
+    elements (its items start within ``size`` of each other), and an item
+    of more than ``size`` elements is a run of its own."""
+    cuts = np.searchsorted(ptr, np.arange(0, ptr[-1], size))  # the first item starting at or past each multiple
+    last = cuts[cuts > 0] - 1  # an item of more than size elements spans a multiple, so a cut follows it
+    big = last[ptr[last + 1] - ptr[last] > size]
+    return np.unique(np.concatenate(([0, len(ptr) - 1], cuts, big))).tolist()
+
+
+def offsets(keys, n):
+    """CSR offsets of the runs of 0..n-1 in the ascending array ``keys``,
+    searched in the keys' dtype."""
+    return np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype))
+
+
 class FiniteProblem:
     """A finite optimal control problem (X, U, F, G, g) in indexed form.
 
@@ -42,6 +72,8 @@ class FiniteProblem:
     def _validate(self):
         if self.n <= 0 or self.m <= 0:
             raise InputError("need at least one state and one input")
+        if self.n * self.m >= 2**31:
+            raise InputError(f"{self.n} states x {self.m} inputs exceed the int32 pair ids")
         if self.G.shape != (self.n,):
             raise InputError("terminal cost array has wrong length")
         if np.any(np.isnan(self.G)) or np.any(self.G < 0):
@@ -61,12 +93,16 @@ class FiniteProblem:
             raise InputError(f"successor indices must be integers, not {self.trans_succ.dtype}")
         if (self.edge_costs is None) == (self.pair_costs is None):
             raise InputError("exactly one of edge_costs/pair_costs required")
-        costs = self.edge_costs if self.edge_costs is not None else self.pair_costs
         want = len(self.trans_succ) if self.edge_costs is not None else self.n * self.m
-        if costs.shape != (want,):
+        if self.costs.shape != (want,):
             raise InputError("cost array has wrong length")
-        if np.any(np.isnan(costs)) or np.any(costs < 0):
+        if np.any(np.isnan(self.costs)) or np.any(self.costs < 0):
             raise InputError("running costs must be non-negative")
+
+    @property
+    def costs(self) -> np.ndarray:
+        """The running costs as given: per edge, or per pair."""
+        return self.edge_costs if self.edge_costs is not None else self.pair_costs
 
     @property
     def n_edges(self) -> int:
@@ -77,14 +113,9 @@ class FiniteProblem:
     def to_focp_text(self) -> str:
         """FOCP v1 text (grammar in the README): the header, one G record per
         state, then one T record per edge in pair order."""
-        return "".join(self.focp_text_blocks())
-
-    def focp_text_blocks(self):
-        """The text of to_focp_text in consecutive pieces, so that a writer
-        need not hold all of it."""
         from . import focp  # compiled on first use, not when symoc starts
 
-        return focp.text_blocks(self)
+        return "".join(focp.text_blocks(self))
 
     @classmethod
     def from_focp_text(cls, text) -> "FiniteProblem":

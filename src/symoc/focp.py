@@ -15,28 +15,26 @@ import io
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import INF, STOP
+from .core import INF, STOP, chunks, offsets
 from .errors import InputError
 
 
 def text_blocks(problem):
     """FOCP v1 text of ``problem`` in consecutive pieces: the header, G for
     every state, then T records in pair order, a block of pairs at a time."""
-    costs = problem.edge_costs if problem.edge_costs is not None else problem.pair_costs
-    tokens = _cost_tokens(np.concatenate([problem.G, costs]))
+    tokens = _cost_tokens(np.concatenate([problem.G, problem.costs]))
     states, inputs = _decimals(np.arange(problem.n)), _decimals(np.arange(problem.m))
     pair_token = None if problem.pair_costs is None else tokens(problem.pair_costs)
     yield f"focp {problem.n} {problem.m}\n"
     yield _render([b"G ", states, b" ", tokens(problem.G), b"\n"])
-    ptr, start = problem.trans_ptr, 0
-    while start < problem.n * problem.m:
-        stop = max(start + 1, int(np.searchsorted(ptr, ptr[start] + _WRITE_EDGES, "right")) - 1)
+    ptr = problem.trans_ptr
+    cuts = chunks(ptr, _WRITE_EDGES)
+    for start, stop in zip(cuts, cuts[1:]):
         pid = np.repeat(np.arange(start, stop), np.diff(ptr[start : stop + 1]))
         a, b = ptr[start], ptr[stop]
         token = tokens(problem.edge_costs[a:b]) if pair_token is None else pair_token[pid]
         yield _render([b"T ", states[pid // problem.m], b" ", inputs[pid % problem.m], b" ",
                        states[problem.trans_succ[a:b]], b" ", token, b"\n"])
-        start = stop
 
 
 def values_text(W):
@@ -103,9 +101,7 @@ def read(source):
     G = np.full(n, INF)
     last = len(g_state) - 1 - np.unique(g_state[::-1], return_index=True)[1]
     G[g_state[last]] = g_cost[last]  # a repeated G record: the last one wins
-    # the first T record of each pair, by an int32 search of the sorted pair ids
-    ptr = np.append(np.searchsorted(pid, np.arange(n * m, dtype=np.int32)), len(pid))
-    return n, m, G, ptr, succ, costs
+    return n, m, G, offsets(pid, n * m), succ, costs  # pid is int32, so the search is too
 
 
 def read_records(source, what):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INF, STOP, ControllerTable, FiniteProblem
+from .core import INF, STOP, ControllerTable, FiniteProblem, chunks, offsets, ranges
 from .errors import InputError
 from .grid import GridCover
 from .solver import dp_operator
@@ -50,32 +50,14 @@ class Relation:
         return cls(np.column_stack(focp.read_records(text, "relation")))
 
 
-def _csr_ptr(keys, n):
-    """CSR offsets of the runs of 0..n-1 in the ascending array keys."""
-    return np.searchsorted(keys, np.arange(n + 1))
-
-
-def _ranges(starts, stops):
-    """(owner k, index) of every element of the ranges [starts[k], stops[k]),
-    concatenated in k order."""
-    sizes = stops - starts
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    return owner, np.arange(len(owner)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-
-
 BLOCK = 1 << 20  # join elements a checker expands at a time
 
 
 def _blocks(sizes):
-    """(lo, hi) bounds of consecutive items whose sizes sum to at most BLOCK,
-    or of one item where a single one is larger."""
-    ends = np.cumsum(sizes)
-    lo = 0
-    while lo < len(sizes):
-        done = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, done + BLOCK, side="right")), lo + 1)
-        yield lo, hi
-        lo = hi
+    """(lo, hi) bounds of the runs of items of ``sizes`` that core.chunks
+    cuts at BLOCK elements."""
+    cuts = chunks(np.append(0, np.cumsum(sizes)), BLOCK)
+    return zip(cuts, cuts[1:])
 
 
 def _edge_keys(problem: FiniteProblem):
@@ -154,7 +136,7 @@ def check_vfrr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation) -> Verdict:
         return Verdict(False, [("i", f"input alphabet of problem 2 ({p2.m}) exceeds problem 1 ({p1.m})")])
     A, B = rel.a, rel.b
     violations = []
-    fwd_ptr = _csr_ptr(A, p1.n)  # the images of a are B[fwd_ptr[a]:fwd_ptr[a + 1]]
+    fwd_ptr = offsets(A, p1.n)  # the images of a are B[fwd_ptr[a]:fwd_ptr[a + 1]]
     unrelated = np.flatnonzero(np.diff(fwd_ptr) == 0)
     if len(unrelated):
         violations.append(("strict", f"state {unrelated[0]} of problem 1 has no related state"))
@@ -169,15 +151,15 @@ def check_vfrr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation) -> Verdict:
     keys, g2 = keys2[finite], costs2[finite]
     del finite
     inv_idx = np.lexsort((A, B))  # the pairs of b are inv_idx[inv_ptr[b]:inv_ptr[b + 1]]
-    inv_ptr = _csr_ptr(B[inv_idx], p2.n)
+    inv_ptr = offsets(B[inv_idx], p2.n)
     n_pre = np.diff(inv_ptr)
     room = MAX_VIOLATIONS - len(violations)
     found = []
     for lo, hi in _blocks(n_pre[keys // (p2.m * p2.n)] * n_pre[keys % p2.n]) if room else ():
         pid2, qb = np.divmod(keys[lo:hi], p2.n)
         b, u = np.divmod(pid2, p2.m)
-        edge, pos = _ranges(inv_ptr[b], inv_ptr[b + 1])
-        join, pos_q = _ranges(inv_ptr[qb[edge]], inv_ptr[qb[edge] + 1])
+        edge, pos = ranges(inv_ptr[b], inv_ptr[b + 1])
+        join, pos_q = ranges(inv_ptr[qb[edge]], inv_ptr[qb[edge] + 1])
         edge, i, j = edge[join], inv_idx[pos[join]], inv_idx[pos_q]
         g1, _ = _lookup(table1, (A[i] * p1.m + u[edge]) * p1.n + A[j])
         bad = np.flatnonzero(g1 > g2[lo:hi][edge])
@@ -196,9 +178,9 @@ def check_vfrr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation) -> Verdict:
         room = MAX_VIOLATIONS - len(violations)
         if not room:
             break
-        row, e = _ranges(p1.trans_ptr[rows[lo:hi]], p1.trans_ptr[rows[lo:hi] + 1])
+        row, e = ranges(p1.trans_ptr[rows[lo:hi]], p1.trans_ptr[rows[lo:hi] + 1])
         q1 = p1.trans_succ[e]
-        succ, r = _ranges(fwd_ptr[q1], fwd_ptr[q1 + 1])
+        succ, r = ranges(fwd_ptr[q1], fwd_ptr[q1 + 1])
         i, u = np.divmod(row[succ] + lo, p2.m)
         _, hit = _lookup(table2, (B[i] * p2.m + u) * p2.n + B[r])
         for k in np.flatnonzero(~hit)[:room]:
@@ -238,16 +220,16 @@ def check_vasr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation, eps: float) 
 
     # cases: (live row, u1), then its successors q1, then their images q2,
     # in blocks of live rows
-    fwd_ptr = _csr_ptr(A, p1.n)
+    fwd_ptr = offsets(A, p1.n)
     failing = []
     p1_edges = p1.trans_ptr[(A[i] + 1) * p1.m] - p1.trans_ptr[A[i] * p1.m]
     for lo, hi in _blocks(p1_edges):
         case = np.repeat(np.arange(lo, hi), p1.m)
         pid1 = A[i[case]] * p1.m + np.tile(np.arange(p1.m), hi - lo)
-        succ_case, e = _ranges(p1.trans_ptr[pid1], p1.trans_ptr[pid1 + 1])
+        succ_case, e = ranges(p1.trans_ptr[pid1], p1.trans_ptr[pid1 + 1])
         q1 = p1.trans_succ[e]
         g1, _ = _lookup(table1, pid1[succ_case] * p1.n + q1)
-        img_succ, r = _ranges(fwd_ptr[q1], fwd_ptr[q1 + 1])
+        img_succ, r = ranges(fwd_ptr[q1], fwd_ptr[q1 + 1])
         row = case[succ_case[img_succ]]
         g2, hit = _lookup(table2, (B[i[row]] * p2.m + u2[row]) * p2.n + B[r])
         matched = np.zeros(len(e), dtype=bool)

@@ -55,7 +55,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .core import INF, STOP, ControllerTable, FiniteProblem
+from .core import INF, STOP, ControllerTable, FiniteProblem, chunks
 from .errors import InputError, SoundnessAlarm
 
 QUEUES = ("auto", "heap", "fifo")  # queue disciplines; auto picks one per problem
@@ -86,7 +86,7 @@ class SolveResult:
 def is_discrete_cost(problem: FiniteProblem):
     """Witnesses (gamma, Gamma) with g(X,X,U) in {gamma, inf} and
     G(X) in {Gamma, gamma + Gamma, inf}, or None if none exist."""
-    costs = problem.edge_costs if problem.edge_costs is not None else problem.pair_costs
+    costs = problem.costs
     g = costs.min(initial=INF)  # the one finite running cost, if any
     if g < INF and np.count_nonzero(costs == g) + np.count_nonzero(costs == INF) < len(costs):
         return None  # two finite running costs
@@ -115,13 +115,6 @@ def _keys(values, states) -> list:
 _INVERSE_EDGES = 1 << 16  # edges sorted per chunk by _build_inverse
 
 
-def _pair_chunks(ptr, edges):
-    """Pair ids cutting the pairs of CSR index ``ptr`` into runs of about
-    ``edges`` edges each; a pair with more edges is a run of its own."""
-    cuts = np.searchsorted(ptr, np.arange(0, ptr[-1], edges))
-    return np.unique(np.append(cuts, len(ptr) - 1)).tolist()
-
-
 def _build_inverse(problem: FiniteProblem):
     """Inverse adjacency over non-inert pairs.
 
@@ -142,8 +135,6 @@ def _build_inverse(problem: FiniteProblem):
     per chunk.
     """
     n, m = problem.n, problem.m
-    if n * m >= 2**31:
-        raise InputError(f"{n} states x {m} inputs exceed the int32 pair ids")
     ptr, succ, edge_costs = problem.trans_ptr, problem.trans_succ, problem.edge_costs
     pair_alive = np.isfinite(problem.pair_costs) if edge_costs is None else np.empty(n * m, dtype=bool)
 
@@ -155,7 +146,7 @@ def _build_inverse(problem: FiniteProblem):
     # count pass, in chunks of at least n edges so that each bincount costs
     # O(edges)
     pred_ptr = np.zeros(n + 1, dtype=np.int64)
-    cuts = _pair_chunks(ptr, max(_INVERSE_EDGES, n))
+    cuts = chunks(ptr, max(_INVERSE_EDGES, n))
     for pa, pb in zip(cuts, cuts[1:]):
         a, b = ptr[pa], ptr[pb]
         if edge_costs is not None:
@@ -168,7 +159,7 @@ def _build_inverse(problem: FiniteProblem):
     cursor = pred_ptr[:-1].copy()  # next free slot of each list
     pred_pair = np.empty(pred_ptr[-1], dtype=np.int32)
     inv_costs = None if edge_costs is None else np.empty(pred_ptr[-1])
-    cuts = _pair_chunks(ptr, _INVERSE_EDGES)
+    cuts = chunks(ptr, _INVERSE_EDGES)
     local = np.arange(np.diff(ptr[cuts]).max())
     dups = []  # (successor, pair) of duplicate edges
     for pa, pb in zip(cuts, cuts[1:]):
@@ -240,7 +231,7 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
         in_queue[initial] = True
         pushed = initial
     else:
-        c_min = float((pair_costs if inv_costs is None else problem.edge_costs).min(initial=INF))
+        c_min = float(problem.costs.min(initial=INF))
         heap = _keys(W[initial], initial)  # sorted, so a heap
     wave = initial[:0]
 

@@ -1,9 +1,6 @@
 import itertools
 import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -322,18 +319,6 @@ def test_build_holds_about_a_block_per_pair_beyond_its_arrays():
     kept = problem.trans_ptr.nbytes + problem.trans_succ.nbytes + problem.pair_costs.nbytes
     assert problem.n_edges == 1_667_191
     assert (peak - kept) / problem.n_edges < 3.0
-
-
-def test_perfbench_finds_every_function_it_wraps():
-    # perfbench wraps symoc functions by name; a refactor that drops one
-    # must fail here, not only in the benchmark's traced pass
-    root = Path(__file__).resolve().parent.parent
-    code = "import spans, workloads; workloads.install_spans(spans.Tracer())"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "perfbench"), str(root / "src")]))
-    out = subprocess.run(
-        [sys.executable, "-B", "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
 
 
 def test_split_cap_hit_is_noted_in_certificate(caplog, monkeypatch):

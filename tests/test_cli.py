@@ -788,6 +788,8 @@ def test_malformed_tokens_are_input_errors(tmp_path, capsys, monkeypatch):
     for argv in (
         simulate + ["--x0", "abc"],
         simulate + ["--x0", "0.5 0.5"],  # the logistic plant is 1-D
+        simulate + ["--x0", "inf"],
+        simulate + ["--x0", "nan"],
         simulate + ["--samples", "-1"],
         simulate + ["--verify-samples", "-2"],
         simulate + ["--max-steps", "0"],
@@ -807,6 +809,8 @@ def test_malformed_tokens_are_input_errors(tmp_path, capsys, monkeypatch):
         assert err.startswith("input error: ") and "Traceback" not in err, argv[-2:]
     assert main(hypo + ["--eps-grid", "1e-6"]) == 1
     assert f"--eps-grid 1e-06 needs 1e+06 reference points; the limit is {HYPO_MAX_POINTS}" in capsys.readouterr().err
+    assert main(simulate + ["--x0", "nan"]) == 1
+    assert "input error: --x0 'nan': expected finite numbers" in capsys.readouterr().err
     # the smallest accepted values still run
     assert main(simulate + ["--x0", "0.5", "--samples", "0", "--verify-samples", "0", "--seed", "0"]) == 0
     assert main(hypo + ["--samples", "1", "--eps-grid", "0.5"]) == 0
@@ -830,7 +834,7 @@ def test_benchmark_span_hooks_install():
         [os.path.join(REPO, "src"), os.path.join(REPO, "perfbench")]
     ))
     out = subprocess.run(
-        [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-B", "-c", script], cwd=REPO, env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
 

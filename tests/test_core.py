@@ -14,6 +14,9 @@ from symoc.core import (
     ControllerTable,
     CostModel,
     FiniteProblem,
+    chunks,
+    offsets,
+    ranges,
     values_from_text,
     values_to_text,
 )
@@ -468,7 +471,7 @@ def test_focp_reading_from_disk_holds_no_copy_of_the_text(monkeypatch, tmp_path)
                             edge_costs=np.round(rng.uniform(0, 9, len(succ)), 3))
     path = tmp_path / "big.focp"
     with open(path, "w") as fh:
-        fh.writelines(problem.focp_text_blocks())
+        fh.writelines(symoc.focp.text_blocks(problem))
     size = path.stat().st_size
     assert size >= 16 << 16
     tracemalloc.start()
@@ -504,11 +507,47 @@ VALID_PROBLEM = dict(n=2, m=1, G=[0.0, INF], trans_ptr=[0, 1, 2], trans_succ=[0,
     (dict(edge_costs=[1.0, 1.0]), "exactly one of edge_costs/pair_costs required"),
     (dict(pair_costs=[1.0]), "cost array has wrong length"),
     (dict(pair_costs=[1.0, math.nan]), "running costs must be non-negative"),
+    # before any array of n * m entries is checked
+    (dict(n=2**16, m=2**15, G=np.zeros(2**16), trans_ptr=[0]), "65536 states x 32768 inputs exceed the int32 pair ids"),
 ])
 def test_finite_problem_validation_names_the_first_fault(change, message):
     FiniteProblem(**VALID_PROBLEM)
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         FiniteProblem(**{**VALID_PROBLEM, **change})
+
+
+def test_ranges_expand_every_range_in_order():
+    owner, index = ranges(np.array([5, 2, 7, 0]), np.array([8, 2, 7, 1]))  # [2, 2) and [7, 7) are empty
+    assert owner.tolist() == [0, 0, 0, 3] and index.tolist() == [5, 6, 7, 0]
+    owner, index = ranges(0, np.array([0, 2, 0, 1]))
+    assert owner.tolist() == [1, 1, 3] and index.tolist() == [0, 1, 0]
+    for owner_index in ranges(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)):
+        assert len(owner_index) == 0
+
+
+def test_chunks_cut_runs_of_whole_items():
+    rng = np.random.default_rng(25)
+    for _ in range(200):
+        sizes = rng.integers(0, 12, size=int(rng.integers(1, 60)))
+        sizes[rng.random(len(sizes)) < 0.1] = rng.integers(20, 40)  # some items of more than size elements
+        size = int(rng.integers(1, 25))
+        ptr = np.append(0, np.cumsum(sizes))
+        cuts = chunks(ptr, size)
+        # the runs cover every item in order, each of whole items
+        assert cuts[0] == 0 and cuts[-1] == len(sizes) and all(a < b for a, b in zip(cuts, cuts[1:]))
+        for a, b in zip(cuts, cuts[1:]):
+            assert ptr[b] - ptr[a] < size + sizes.max()
+            assert b - a == 1 or sizes[a:b].max() <= size  # an oversized item is a run of its own
+    assert chunks(np.zeros(6, dtype=np.int64), 4) == [0, 5]  # zero-size items still lie in a run
+    assert chunks(np.zeros(1, dtype=np.int64), 4) == [0]  # no items, no runs
+
+
+def test_offsets_of_sorted_keys():
+    keys = np.array([0, 0, 2, 2, 2, 5])
+    assert offsets(keys, 6).tolist() == [0, 2, 2, 5, 5, 5, 6]  # keys 1, 3 and 4 have no run
+    assert offsets(keys, 8).tolist() == [0, 2, 2, 5, 5, 5, 6, 6, 6]  # n above the largest key
+    assert offsets(np.zeros(0, dtype=np.int32), 3).tolist() == [0, 0, 0, 0]
+    assert offsets(keys.astype(np.int32), 6).tolist() == offsets(keys, 6).tolist()
 
 
 def test_cost_of_totalization():
