@@ -9,22 +9,31 @@ state q whose settle made the pair ready has the largest W among its
 successors and M = g(p,u) + W(q) with per-pair costs.  With per-edge costs a
 running maximum of g(p,y,u) + W(y) is kept per pair, raised as each successor
 settles.  Pairs with an infinite-cost transition can never improve anything
-and are dropped from the inverse adjacency up front.  Cost sums saturate to
-inf, the sound upper bound.  The inverse adjacency, int32 pair ids per
-successor, is built by a counting sort over chunks of pairs, so the solver
-holds 4 B per live edge beside the problem (12 B with per-edge costs) and
-O(n m) pair data.
+and are left out up front.  Cost sums saturate to inf, the sound upper bound.
+
+Successor sets are index blocks, so a pair's list is a few runs of
+consecutive ids.  The solver reads these as rows of at most ROW_MAX ids,
+indexed by (length L, first id): a settled q lies in exactly the rows of
+length L whose first id is in [q - L + 1, q], so a wave's (successor, pair)
+incidences are one range query per state and length (interval stabbing).
+The index is built by a counting sort over chunks of pairs, and the solver
+holds 4 B per live row beside the problem (12 B with per-edge costs, read
+at the row's first edge plus q - first id), ROW_MAX (n + ROW_MAX) offsets
+and O(n m) pair data.
 
 One settle loop serves two queue disciplines.  Each step takes a wave, the
-states to settle next in settle order, and settles it with numpy.  Its ready
-pairs are taken in the order a per-state loop would reach them; a state's
-new W is the least M below its old W and its choice the first ready pair
-reaching that M, as a loop taking each strict improvement in turn would
-leave them.  So W, the controller, the settle order and the settled and
-pair_evals counts do not depend on the waves.  An improved state is pushed
-once per wave, at its final key: pushes counts the initial queue plus one
-per state and wave improving it, pops the entries taken, stale ones
-included, and the two end equal.
+states to settle next in settle order, and settles it with numpy.  The tie
+rule: a ready pair's key is (the wave position of the state whose settle
+made it ready, pair id).  A state's new W is the least M below its old W
+and its choice the ready pair of least key reaching that M, as a per-state
+loop taking each strict improvement in turn, in pair order, would leave
+them; FIFO pushes follow the same keys.  The key does not depend on the
+order of a pair's successors, nor on how they are cut into rows, and W,
+the controller, the settle order and the settled and pair_evals counts do
+not depend on the waves.  An improved state is pushed once per wave, at its
+final key: pushes counts the initial queue plus one per state and wave
+improving it, pops the entries taken, stale ones included, and the two end
+equal.
 
 A binary heap with decrease-key by reinsertion (O(m log n), replacing the
 Fibonacci heap of the O(m + n log n) bound) holds packed int keys
@@ -50,12 +59,13 @@ bit for bit, and its successors settled before p.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
 
-from .core import INF, STOP, ControllerTable, FiniteProblem, chunks
+from .core import INF, STOP, ControllerTable, FiniteProblem, chunks, ranges
 from .errors import InputError, SoundnessAlarm
 
 QUEUES = ("auto", "heap", "fifo")  # queue disciplines; auto picks one per problem
@@ -99,6 +109,7 @@ def is_discrete_cost(problem: FiniteProblem):
 
 
 _STATE = (1 << 32) - 1  # the state bits of a packed heap key
+_FLOAT64, _INT64 = struct.Struct("d"), struct.Struct("q")
 
 
 def _bits(values) -> np.ndarray:
@@ -107,91 +118,179 @@ def _bits(values) -> np.ndarray:
     return (np.asarray(values, dtype=np.float64) + 0.0).view(np.int64)
 
 
+def _int_bits(value: float) -> int:
+    """The int64 bit pattern of a non-negative float, as _bits."""
+    return _INT64.unpack(_FLOAT64.pack(value + 0.0))[0]
+
+
+def _float_bits(bits: int) -> float:
+    """The float of an int64 bit pattern."""
+    return _FLOAT64.unpack(_INT64.pack(bits))[0]
+
+
 def _keys(values, states) -> list:
     """Packed heap keys (bits(W) << 32) | state, which order like (W, state)."""
     return [b << 32 | q for b, q in zip(_bits(values).tolist(), states.tolist())]
 
 
-_INVERSE_EDGES = 1 << 16  # edges sorted per chunk by _build_inverse
+ROW_MAX = 8  # the longest row of the index; longer runs of consecutive successors are cut
+_INVERSE_EDGES = 1 << 16  # edges per chunk of the index's build
 
 
-def _build_inverse(problem: FiniteProblem):
-    """Inverse adjacency over non-inert pairs.
+class RowIndex:
+    """The live pairs' successor rows, indexed by (length, first id).
 
-    Returns (pred_ptr, pred_pair, counters, inv_costs);
-    pred_pair[pred_ptr[q]:pred_ptr[q+1]] lists, in increasing order, the int32
-    ids of the pairs having q among their successors, and inv_costs holds the
-    matching edge costs (None with per-pair costs).  Pairs with any infinite
-    transition cost are inert (their M is always inf) and omitted.  A pair
-    listing a successor twice would never become ready (its counter counts
-    the successor twice, a settle decrements it once), so that is an input
-    error naming the least such (successor, pair).
+    A row is a run of at most ROW_MAX consecutive successor ids in one
+    pair's list; each maximal run is cut into rows of ROW_MAX and a rest.
+    Rows sort by (length L, first id f); with stride = n + ROW_MAX,
+    offsets[(L - 1) * stride + ROW_MAX - 1 + f], for f from 1 - ROW_MAX to
+    n, counts the rows sorting below (L, f).  ``pair`` holds each row's
+    int32 pair id and ``base``, with per-edge costs, its first edge minus
+    its first id, so a successor q of the row is edge base + q.
+    ``counters`` counts each pair's unsettled successors, -1 if inert.
+    """
 
-    A two-pass counting sort.  The first pass counts the live edges into
-    each state.  The second walks the edges in pair order, in chunks of
-    whole pairs, sorts each chunk by (successor, edge) and writes its pair
-    ids at each successor's cursor, so every list comes out in pair order.
-    Beyond the outputs it holds O(n m) pair data and O(n + _INVERSE_EDGES)
-    per chunk.
+    def __init__(self, lengths, offsets, pair, base, counters):
+        self.lengths = lengths  # the row lengths present, ascending
+        self.offsets, self.pair, self.base, self.counters = offsets, pair, base, counters
+        stride = len(offsets) // ROW_MAX
+        self._lo = (lengths - 1) * stride + ROW_MAX - lengths  # column of f = q - L + 1, less q
+        self._hi = self._lo + lengths  # column of f = q + 1, less q
+
+    def incidences(self, states):
+        """(owner, rows) of the rows holding each state, by core.ranges over
+        (state, length): those of states[k] have owner // len(lengths) == k."""
+        return ranges(self.offsets[(states[:, None] + self._lo).ravel()],
+                      self.offsets[(states[:, None] + self._hi).ravel()])
+
+
+def _row_starts(s, heads):
+    """The first edges and lengths of the rows of the successor lists s,
+    whose pairs start at edges ``heads``, and the cut mask they come from."""
+    cut = np.empty(len(s), dtype=bool)
+    cut[0] = True
+    np.not_equal(np.diff(s), 1, out=cut[1:])
+    cut[heads] = True
+    edge = np.flatnonzero(cut)
+    size = np.diff(edge, append=len(s))
+    if size.max() > ROW_MAX:
+        long = np.flatnonzero(size > ROW_MAX)
+        piece, k = ranges(1, (size[long] - 1) // ROW_MAX + 1)
+        cut[edge[long[piece]] + k * ROW_MAX] = True
+        edge = np.flatnonzero(cut)
+        size = np.diff(edge, append=len(s))
+    return edge, size, cut
+
+
+def _least_duplicate(succ, ptr, alive, pa, pb):
+    """The least (successor, pair) listed twice by a live pair among
+    pa..pb-1, or None: a sort of their edges by (pair, successor)."""
+    a, b = ptr[pa], ptr[pb]
+    sizes = np.diff(ptr[pa : pb + 1])
+    key = np.left_shift(np.repeat(np.arange(pb - pa, dtype=np.int64), sizes), 32)
+    key |= succ[a:b]
+    key = key[np.repeat(alive[pa:pb], sizes)]
+    key.sort()
+    dup = key[1:][key[1:] == key[:-1]]
+    if not len(dup):
+        return None
+    q, pid = dup & 0xFFFFFFFF, (dup >> 32) + pa
+    i = np.lexsort((pid, q))[0]
+    return int(q[i]), int(pid[i])
+
+
+def _build_inverse(problem: FiniteProblem) -> RowIndex:
+    """The RowIndex of the non-inert pairs.
+
+    Pairs with any infinite transition cost are inert (their M is always
+    inf) and left out.  A pair listing a successor twice would never
+    become ready (its counter counts the successor twice, a settle
+    decrements it once), so that is an input error naming the least such
+    (successor, pair).  A chunk whose pairs' rows all rise without
+    overlapping lists no successor twice; any other chunk is sorted.
+
+    A two-pass counting sort over chunks of whole pairs.  The first pass
+    counts the rows of each (length, first id), the second cuts the rows
+    again, sorts each chunk's by (length, first id) and writes them at
+    cursors kept in the offsets.  Beyond the index it holds O(n m) pair
+    data and O(_INVERSE_EDGES) per chunk.
     """
     n, m = problem.n, problem.m
     ptr, succ, edge_costs = problem.trans_ptr, problem.trans_succ, problem.edge_costs
-    pair_alive = np.isfinite(problem.pair_costs) if edge_costs is None else np.empty(n * m, dtype=bool)
+    alive = np.isfinite(problem.pair_costs) if edge_costs is None else np.empty(n * m, dtype=bool)
+    stride = n + ROW_MAX
+    inert = ROW_MAX * stride - 1  # the column of inert pairs' rows, past every row's
 
-    def live(pa, pb, per_edge):
-        """per_edge, for the edges of pairs pa..pb-1, without the inert pairs' edges"""
-        alive = pair_alive[pa:pb]
-        return per_edge if alive.all() else per_edge[np.repeat(alive, np.diff(ptr[pa : pb + 1]))]
-
-    # count pass, in chunks of at least n edges so that each bincount costs
-    # O(edges)
-    pred_ptr = np.zeros(n + 1, dtype=np.int64)
-    cuts = chunks(ptr, max(_INVERSE_EDGES, n))
-    for pa, pb in zip(cuts, cuts[1:]):
+    def rows(pa, pb):
+        """The rows of pairs pa..pb-1 in list order: first edges (chunk
+        local), lengths, first ids and columns, and the cut mask."""
         a, b = ptr[pa], ptr[pb]
-        if edge_costs is not None:
-            pair_alive[pa:pb] = np.logical_and.reduceat(np.isfinite(edge_costs[a:b]), ptr[pa:pb] - a)
-        pred_ptr[1:] += np.bincount(live(pa, pb, succ[a:b]), minlength=n)
-    np.cumsum(pred_ptr, out=pred_ptr)
+        s = succ[a:b]
+        heads = ptr[pa:pb] - a
+        edge, size, cut = _row_starts(s, heads)
+        first = s[edge]
+        col = (size - 1) * stride + (ROW_MAX - 1) + first  # as in RowIndex
+        dead = np.flatnonzero(~alive[pa:pb])
+        if len(dead):
+            lo = np.searchsorted(edge, heads[dead])
+            hi = np.searchsorted(edge, ptr[pa + dead + 1] - a)
+            col[ranges(lo, hi)[1]] = inert
+        return edge, size, first, col, cut, heads
 
-    # fill pass: a chunk's edges, sorted by (successor, chunk-local edge),
-    # form one run per successor, in pair order
-    cursor = pred_ptr[:-1].copy()  # next free slot of each list
-    pred_pair = np.empty(pred_ptr[-1], dtype=np.int32)
-    inv_costs = None if edge_costs is None else np.empty(pred_ptr[-1])
+    # count pass: offsets[c + 2] counts the rows in column c
+    offsets = np.zeros(inert + 3, dtype=np.int64)
     cuts = chunks(ptr, _INVERSE_EDGES)
-    local = np.arange(np.diff(ptr[cuts]).max())
-    dups = []  # (successor, pair) of duplicate edges
     for pa, pb in zip(cuts, cuts[1:]):
-        a, b = ptr[pa], ptr[pb]
-        key = np.left_shift(succ[a:b], 32, dtype=np.int64)
-        key |= local[: b - a]
-        key = live(pa, pb, key)
-        if not len(key):
-            continue
+        if edge_costs is not None:
+            a, b = ptr[pa], ptr[pb]
+            alive[pa:pb] = np.logical_and.reduceat(np.isfinite(edge_costs[a:b]), ptr[pa:pb] - a)
+        np.add.at(offsets[2:], rows(pa, pb)[3], 1)
+    offsets[-1] = 0  # the inert rows' count goes
+    lengths = 1 + np.flatnonzero(offsets[2:].reshape(ROW_MAX, stride).any(axis=1))
+    np.cumsum(offsets, out=offsets)
+
+    # fill pass: a chunk's rows, sorted by (column, chunk-local row), form
+    # one run per column.  cursor[c] = offsets[c + 1] starts at column c's
+    # first slot and ends at column c + 1's, so offsets[c] ends at column c's
+    cursor = offsets[1:]
+    pair = np.empty(offsets[-1], dtype=np.int32)
+    base = None if edge_costs is None else np.empty(offsets[-1], dtype=np.int64)
+    dups = []  # per chunk, its least duplicate (successor, pair)
+    for pa, pb in zip(cuts, cuts[1:]):
+        edge, size, first, col, cut, heads = rows(pa, pb)
+        cut[:] = False
+        cut[heads] = True
+        head = cut[edge]  # the rows starting a pair
+        if ((first[1:] < first[:-1] + size[:-1]) & ~head[1:]).any():
+            dup = _least_duplicate(succ, ptr, alive, pa, pb)
+            if dup is not None:
+                dups.append(dup)
+        shift = len(col).bit_length()
+        key = col << shift
+        key |= np.arange(len(key))
         key.sort()
-        q = key >> 32
-        key &= 0xFFFFFFFF  # the edge
-        pids = np.repeat(np.arange(pa, pb, dtype=np.int32), np.diff(ptr[pa : pb + 1]))[key]
-        new_q = q[1:] != q[:-1]
-        dup = np.flatnonzero((pids[1:] == pids[:-1]) & ~new_q)
-        if len(dup):
-            dups.append((int(q[dup[0]]), int(pids[dup[0]])))  # the chunk's least
-        starts = np.concatenate(([0], np.flatnonzero(new_q) + 1))
-        runs = np.diff(starts, append=len(q))
-        heads = q[starts]
-        dest = np.repeat(cursor[heads] - starts, runs)
-        dest += local[: len(q)]
-        cursor[heads] += runs
-        pred_pair[dest] = pids
-        if inv_costs is not None:
-            inv_costs[dest] = edge_costs[a:b][key]
+        col = key >> shift
+        live = np.searchsorted(col, inert)
+        col, key = col[:live], key[:live] & ((1 << shift) - 1)  # the rows, by column
+        if not live:
+            continue
+        starts = np.concatenate(([0], np.flatnonzero(col[1:] != col[:-1]) + 1))
+        runs = np.diff(starts, append=live)
+        run_col = col[starts]
+        dest = np.repeat(cursor[run_col] - starts, runs)
+        dest += np.arange(live)
+        cursor[run_col] += runs
+        pids = np.cumsum(head, dtype=np.int32)
+        pids += pa - 1
+        pair[dest] = pids[key]
+        if base is not None:
+            base[dest] = (edge + (ptr[pa] - first))[key]
     if dups:
         q, pid = min(dups)
         raise InputError(f"duplicate transition ({pid // m},{pid % m},{q})")
     counters = np.diff(ptr)
-    counters[~pair_alive] = -1
-    return pred_ptr, pred_pair, counters, inv_costs
+    counters[~alive] = -1
+    return RowIndex(lengths, offsets[:-2], pair, base, counters)
 
 
 @np.errstate(over="ignore")  # cost sums saturate to inf
@@ -214,11 +313,11 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     choice = np.full(n, STOP, dtype=np.int64)
     settled = np.zeros(n, dtype=bool)
     rank = np.full(n, n, dtype=np.int64)
-    pred_ptr, pred_pair, counters, inv_costs = _build_inverse(problem)
-    ptr, degree = pred_ptr.tolist(), np.diff(pred_ptr)
-    pair_costs = problem.pair_costs
+    index = _build_inverse(problem)
+    counters, n_lengths = index.counters, len(index.lengths)
+    pair_costs, edge_costs = problem.pair_costs, problem.edge_costs
     # per-edge costs: running max of g + W(y) over the settled successors y
-    pair_max = None if inv_costs is None else np.full(n * m, -INF)
+    pair_max = None if edge_costs is None else np.full(n * m, -INF)
     last_pos = np.empty(n * m, dtype=np.int64)
     stats = SolveStats()
     settle_values = [np.empty(0)]
@@ -253,14 +352,13 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
             if not heap:
                 break
             run = [heappop(heap)]
-            bound = np.int64(run[0] >> 32).view(np.float64) + c_min
-            limit = int(_bits(bound)) << 32  # the least key with W at or above bound
+            limit = _int_bits(_float_bits(run[0] >> 32) + c_min) << 32  # the least key with W at or above the bound
             while heap and heap[0] < limit:
                 run.append(heappop(heap))
             stats.pops += len(run)
-            run = np.array(run, dtype=object)
-            wave = (run & _STATE).astype(np.int64)
-            wave = wave[~settled[wave] & ((run >> 32).astype(np.int64) == _bits(W[wave]))]
+            wave = np.array([key & _STATE for key in run])
+            pushed = np.array([key >> 32 for key in run]).view(np.float64)  # W when pushed
+            wave = wave[~settled[wave] & (pushed == W[wave])]
             if not len(wave):
                 continue
         vals = W[wave]
@@ -269,25 +367,32 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
         stats.settled += len(wave)
         settle_values.append(vals)
 
-        # pairs whose last unsettled successor is in the wave, in the order
-        # the states' predecessor lists reach them
-        lists = [slice(ptr[q], ptr[q + 1]) for q in wave.tolist()]
-        pids = np.concatenate([pred_pair[s] for s in lists]).astype(np.intp)  # intp indexes faster
+        # pairs whose last unsettled successor is in the wave: a state lies
+        # in one row of each pair listing it
+        owner, rows = index.incidences(wave)
+        pids = index.pair[rows].astype(np.intp)  # intp indexes faster
         np.subtract.at(counters, pids, 1)
         pos = (counters[pids] == 0).nonzero()[0]
         if len(wave) > 1:
-            # a pair with several successors in the wave is ready at the last
-            # (a single state lists each pair once)
+            # a pair with several successors in the wave is ready at the
+            # last, and the incidences come in wave order
             ready = pids[pos]
             last_pos[ready] = -1
             np.maximum.at(last_pos, ready, pos)
             pos = pos[last_pos[ready] == pos]
-        ready = pids[pos]
-        succ_vals = vals.repeat(degree[wave])  # per listed pair, W of the settled successor
-        if pair_max is None:
-            values = pair_costs[ready] + succ_vals[pos]
+            # the tie rule: by (wave position of the state making the pair
+            # ready, pair id)
+            tie = np.left_shift(owner[pos] // n_lengths, 32)
+            tie |= pids[pos]
+            tie.sort()
+            ready, at = tie & 0xFFFFFFFF, tie >> 32
         else:
-            np.maximum.at(pair_max, pids, np.concatenate([inv_costs[s] for s in lists]) + succ_vals)
+            ready, at = np.sort(pids[pos]), 0
+        if pair_max is None:
+            values = pair_costs[ready] + vals[at]
+        else:
+            at = owner // n_lengths  # per incidence, its state's wave position
+            np.maximum.at(pair_max, pids, edge_costs[index.base[rows] + wave[at]] + vals[at])
             values = pair_max[ready]
         stats.pair_evals += len(ready)
 
@@ -319,7 +424,7 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     # W(p) = inf iff no input was ever recorded for p
     if not np.array_equal(choice == STOP, ~(W < problem.G)):
         raise SoundnessAlarm("controller domain does not match improved states")
-    del pred_pair, counters, inv_costs, pair_max, last_pos  # the certificate's edges reuse the memory
+    del index, counters, pair_max, last_pos  # the certificate's edges reuse the memory
     check_certificate(problem, W, choice, rank)
     return SolveResult(W, ControllerTable(choice), stats, settle_values, "fifo" if fifo else "heap", rank)
 
@@ -334,26 +439,28 @@ def check_certificate(problem: FiniteProblem, W, choice, rank):
     With the controller domain check this certifies the output on the
     abstraction: from any p of finite W the controller stops within
     rank[p] steps, at a cost of at most W(p).  It reads the chosen pairs'
-    edges only.
+    edges only, in chunks of about _INVERSE_EDGES.
     """
     states = np.flatnonzero(choice != STOP)
     if not len(states):
         return
     pid = states * problem.m + choice[states]
     ptr = problem.trans_ptr
-    cnt = ptr[pid + 1] - ptr[pid]
-    starts = np.cumsum(cnt) - cnt
-    edges = np.repeat(ptr[pid] - starts, cnt)
-    edges += np.arange(len(edges))
-    succ = problem.trans_succ[edges]
-    vals = W[succ]
-    if problem.edge_costs is not None:
-        vals += problem.edge_costs[edges]
-    M = np.maximum.reduceat(vals, starts)
+    M, late = np.empty(len(pid)), np.empty(len(pid), dtype=bool)
+    cuts = chunks(np.append(0, np.cumsum(ptr[pid + 1] - ptr[pid])), _INVERSE_EDGES)
+    for a, b in zip(cuts, cuts[1:]):
+        owner, edges = ranges(ptr[pid[a:b]], ptr[pid[a:b] + 1])
+        starts = np.searchsorted(owner, np.arange(b - a))  # each pair's first place in edges
+        succ = problem.trans_succ[edges]
+        vals = W[succ]
+        if problem.edge_costs is not None:
+            vals += problem.edge_costs[edges]
+        M[a:b] = np.maximum.reduceat(vals, starts)
+        late[a:b] = np.maximum.reduceat(rank[succ], starts) >= rank[states[a:b]]
     if problem.pair_costs is not None:
         M += problem.pair_costs[pid]
     wrong = _bits(M) != _bits(W[states])
-    bad = np.flatnonzero(wrong | (np.maximum.reduceat(rank[succ], starts) >= rank[states]))
+    bad = np.flatnonzero(wrong | late)
     if len(bad):
         i = bad[0]
         p, u = int(states[i]), int(choice[states[i]])

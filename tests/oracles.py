@@ -569,6 +569,12 @@ def reference_solve(problem, queue="heap"):
     recomputes M = max_y g + W(y) from all successors of the pair; the
     reference for ``symoc.solver.solve``.
 
+    The tie rule: a ready pair's key is (the place in settle order of the
+    state whose settle made it ready, pair id), and a state takes the pair
+    of least key among those reaching its least M.  Settling one state at a
+    time and walking its predecessor list in pair order takes each strict
+    improvement in key order, which is this rule.
+
     ``queue`` is "heap" or "fifo"; the FIFO discipline is an input error on
     problems without certified discrete costs.
     """

@@ -11,7 +11,7 @@ from symoc.cli import _build_from_config
 from symoc.config import load_config
 from symoc.core import INF, STOP, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
-from symoc.solver import SolveStats, check_certificate, dp_operator, is_discrete_cost, solve
+from symoc.solver import ROW_MAX, SolveStats, check_certificate, dp_operator, is_discrete_cost, solve
 
 from oracles import (
     is_stop,
@@ -351,6 +351,51 @@ def test_solve_matches_reference_solve_on_pendulum_p1():
     assert_matches_reference(problem, "heap")
 
 
+def with_costs(problem, pair_costs, per_edge):
+    """The problem with the given per-pair costs, stored per edge or per pair."""
+    args = (problem.n, problem.m, problem.G, problem.trans_ptr, problem.trans_succ)
+    if per_edge:
+        return FiniteProblem(*args, edge_costs=np.repeat(pair_costs, np.diff(problem.trans_ptr)))
+    return FiniteProblem(*args, pair_costs=pair_costs)
+
+
+def permuted_successors(problem, rng):
+    """The problem with each pair's successors, and their edge costs, in a
+    random order."""
+    sizes = np.diff(problem.trans_ptr)
+    order = np.lexsort((rng.random(problem.n_edges), np.repeat(np.arange(len(sizes)), sizes)))
+    args = (problem.n, problem.m, problem.G, problem.trans_ptr, problem.trans_succ[order])
+    if problem.edge_costs is None:
+        return FiniteProblem(*args, pair_costs=problem.pair_costs)
+    return FiniteProblem(*args, edge_costs=problem.edge_costs[order])
+
+
+def test_solution_does_not_depend_on_the_order_of_successors():
+    # the tie rule keys a ready pair by (wave position of the state making
+    # it ready, pair id), so listing a pair's successors in another order,
+    # which cuts other rows, changes no output; unit costs take the fifo
+    rng = np.random.default_rng(24)
+    pendulum = _build_from_config(load_config(os.path.join(CONFIGS, "pendulum_p1.ini")))[0]
+    problems = []
+    for per_edge in (True, False):
+        for problem in (random_csr_problem(rng, 400, 3, 12, per_edge, np.int32), pendulum):
+            costs = problem.pair_costs if problem.edge_costs is None else problem.edge_costs[problem.trans_ptr[:-1]]
+            problems.append(with_costs(problem, costs, per_edge))
+            problems.append(with_costs(problem, np.where(np.isfinite(costs), 1.0, INF), per_edge))
+    for problem in problems:
+        shuffled = permuted_successors(problem, rng)
+        if problem.n == pendulum.n:
+            rows = [len(symoc.solver._build_inverse(p).pair) for p in (problem, shuffled)]
+            assert rows[1] > 2 * rows[0]
+        for queue in ["heap"] if is_discrete_cost(problem) is None else ["fifo"]:
+            a, b = solve(problem, queue=queue), solve(shuffled, queue=queue)
+            assert a.W.tobytes() == b.W.tobytes()
+            assert np.array_equal(a.c.choice, b.c.choice)
+            assert np.array_equal(a.rank, b.rank)
+            assert a.settle_values.tobytes() == b.settle_values.tobytes()
+            assert a.stats == b.stats and a.queue == b.queue == queue
+
+
 def one_wave_problem(costs, levels):
     """State 0 reaches target state t + 1 (terminal cost levels[t]) under
     input t at running cost costs[t]; targets only stop.  With every cost at
@@ -527,18 +572,68 @@ def random_csr_problem(rng, n, m, max_succ, per_edge, dtype):
     return FiniteProblem(n, m, G, ptr, succ, pair_costs=costs)
 
 
+def run_problem(rng, n, m, per_edge, shuffle=False):
+    """A problem whose pairs list 1 to 3 runs of consecutive successors, some
+    longer than ROW_MAX, with about a tenth of the pairs inert; each pair's
+    successors rise, or come in random order with ``shuffle``."""
+    lists = []
+    for _ in range(n * m):
+        succ = set()
+        for _ in range(rng.integers(1, 4)):
+            start = int(rng.integers(0, n))
+            succ.update(range(start, min(n, start + int(rng.integers(1, 3 * ROW_MAX + 3)))))
+        succ = sorted(succ)
+        lists.append(rng.permutation(succ) if shuffle else succ)
+    ptr = np.zeros(n * m + 1, dtype=np.int64)
+    np.cumsum([len(succ) for succ in lists], out=ptr[1:])
+    succ = np.concatenate(lists).astype(np.int32)
+    inert = rng.random(n * m) < 0.1
+    G = np.where(rng.random(n) < 0.3, 0.0, INF)
+    if per_edge:
+        costs = np.round(rng.uniform(0.5, 1.5, size=ptr[-1]), 3)
+        costs[ptr[:-1][inert]] = INF
+        return FiniteProblem(n, m, G, ptr, succ, edge_costs=costs)
+    costs = np.where(inert, INF, np.round(rng.uniform(0.5, 1.5, size=n * m), 3))
+    return FiniteProblem(n, m, G, ptr, succ, pair_costs=costs)
+
+
+def row_incidences(index, n):
+    """Per successor q, the set of (pair, edge of q) of the index's rows
+    holding q; the edge is None with per-pair costs."""
+    owner, rows = index.incidences(np.arange(n))
+    q = owner // len(index.lengths)
+    pairs = index.pair[rows].tolist()
+    costs = [None] * len(rows) if index.base is None else (index.base[rows] + q).tolist()
+    got = [set() for _ in range(n)]
+    for y, pid, edge in zip(q.tolist(), pairs, costs):
+        got[y].add((pid, edge))
+    return got
+
+
 def assert_inverse_matches_reference(problem):
-    got = symoc.solver._build_inverse(problem)
-    want = reference_inverse(problem)
-    assert [a.dtype for a in got[:3]] == [np.int64, np.int32, np.int64]
-    for a, b in zip(got, want):
-        assert (a is None and b is None) or np.array_equal(a, b)
+    index = symoc.solver._build_inverse(problem)
+    pred_ptr, pred_pair, counters, inv_costs = reference_inverse(problem)
+    assert (index.offsets.dtype, index.pair.dtype) == (np.int64, np.int32)
+    assert index.lengths.max(initial=1) <= ROW_MAX
+    assert np.array_equal(index.counters, counters)
+    got = row_incidences(index, problem.n)
+    for q in range(problem.n):
+        lo, hi = pred_ptr[q], pred_ptr[q + 1]
+        pairs = pred_pair[lo:hi].tolist()
+        if inv_costs is None:
+            assert got[q] == {(pid, None) for pid in pairs}
+        else:
+            # the row's edge of q, by its cost
+            assert {(pid, problem.edge_costs[e]) for pid, e in got[q]} == set(zip(pairs, inv_costs[lo:hi].tolist()))
+            assert all(problem.trans_succ[e] == q for _, e in got[q])
+        assert len(got[q]) == hi - lo  # no pair holds q in two rows
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64, None])
 def test_build_inverse_matches_reference_inverse(monkeypatch, chunk):
-    # chunks of 1, 3 and 64 edges cut the problems into many fill chunks,
-    # some of inert pairs only; None keeps the default
+    # the row index expands to the reference's (successor, pair) incidences;
+    # chunks of 1, 3 and 64 edges cut the problems into many chunks, some of
+    # inert pairs only; None keeps the default
     if chunk is not None:
         monkeypatch.setattr(symoc.solver, "_INVERSE_EDGES", chunk)
     rng = np.random.default_rng(5)
@@ -549,6 +644,13 @@ def test_build_inverse_matches_reference_inverse(monkeypatch, chunk):
     for per_edge in (True, False):
         for dtype in (np.int32, np.int64):
             assert_inverse_matches_reference(random_csr_problem(rng, 400, 3, 12, per_edge, dtype))
+        for shuffle in (False, True):
+            # rows longer than ROW_MAX, in list order or not
+            problem = run_problem(rng, 120, 3, per_edge, shuffle)
+            if not shuffle:  # ROW_MAX steps by one: a run of ROW_MAX + 1 ids
+                steps = np.diff(problem.trans_succ) == 1
+                assert np.convolve(steps, np.ones(ROW_MAX, dtype=int), "valid").max() == ROW_MAX
+            assert_inverse_matches_reference(problem)
     # more than one default chunk
     assert_inverse_matches_reference(random_csr_problem(rng, 3000, 5, 20, True, np.int32))
 
@@ -567,21 +669,55 @@ def test_duplicate_message_names_the_least_successor_and_pair(monkeypatch, chunk
     assert str(exc.value) == "duplicate transition (3,0,2)"
 
 
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_duplicate_in_rows_that_are_not_adjacent(monkeypatch, chunk):
+    # pair 1 lists 2, 7, 3, 2: four rows, the duplicate 2 in the first and
+    # the last; pair 0 lists 2 twice too, but is inert
+    if chunk is not None:
+        monkeypatch.setattr(symoc.solver, "_INVERSE_EDGES", chunk)
+    succ = [2, 2, 2, 7, 3, 2, 4, 5, 6, 0, 0, 0, 0, 0]
+    ptr = [0, 2, 6, 9, 10, 11, 12, 13, 14]
+    G = [INF, 0.0, *[INF] * 6]
+    problem = FiniteProblem(8, 1, G, ptr, np.array(succ), pair_costs=[INF, *[1.0] * 7])
+    with pytest.raises(InputError) as exc:
+        symoc.solver._build_inverse(problem)
+    assert str(exc.value) == "duplicate transition (1,0,2)"
+
+
 @pytest.mark.parametrize("per_edge", [True, False])
 def test_build_inverse_holds_little_beyond_its_outputs(per_edge):
-    # 2.4 M edges over 80,000 pairs: besides its outputs the build may hold
-    # O(n m) pair data and O(n + _INVERSE_EDGES) per chunk, not an array per
-    # edge (a sort of (successor, pair) int64 keys over all edges holds at
-    # least 8 B per edge more, 19 MB here)
+    # 3.2 M edges in runs, about 0.3 rows per edge: besides the index the
+    # build may hold O(n m) pair data and O(_INVERSE_EDGES) per chunk, not
+    # an array per row (a sort of int64 (column, row) keys over all rows
+    # would hold 8 B per row more)
     n, m = 20_000, 4
-    problem = random_csr_problem(np.random.default_rng(8), n, m, 59, per_edge, np.int32)
-    assert problem.n_edges >= 2_000_000
+    rng = np.random.default_rng(8)
+    sizes = rng.integers(10, 70, size=n * m)
+    ptr = np.zeros(n * m + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    # each pair's successors rise from a random start, 7 steps in 10 by one
+    step = np.where(rng.random(ptr[-1]) < 0.3, rng.integers(2, 40, size=ptr[-1]), 1)
+    step[ptr[:-1]] = 0
+    np.cumsum(step, out=step)
+    succ = np.repeat(rng.integers(0, n - 3000, size=n * m) - step[ptr[:-1]], sizes) + step
+    G = np.where(rng.random(n) < 0.3, 0.0, INF)
+    inert = rng.random(n * m) < 0.1
+    if per_edge:
+        costs = rng.uniform(0.5, 1.5, size=ptr[-1])
+        costs[ptr[:-1][inert]] = INF
+        problem = FiniteProblem(n, m, G, ptr, succ.astype(np.int32), edge_costs=costs)
+    else:
+        problem = FiniteProblem(n, m, G, ptr, succ.astype(np.int32), pair_costs=np.where(inert, INF, 1.0))
+    assert problem.n_edges >= 3_000_000
     tracemalloc.start()
     try:
-        out = symoc.solver._build_inverse(problem)
+        index = symoc.solver._build_inverse(problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = sum(a.nbytes for a in out if a is not None)
-    chunk = max(symoc.solver._INVERSE_EDGES, n)
-    assert peak <= outputs + 24 * n * m + 32 * n + 64 * chunk
+    rows = len(index.pair)
+    assert 0.2 < rows / problem.n_edges < 0.4
+    outputs = sum(a.nbytes for a in (index.offsets, index.pair, index.base, index.counters) if a is not None)
+    beyond = 24 * n * m + 64 * symoc.solver._INVERSE_EDGES
+    assert peak <= outputs + beyond
+    assert 8 * rows > beyond
