@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import INF, CostModel, FiniteProblem, ranges
+from .core import INF, CostModel, FiniteProblem, cut_rows, offsets, ranges
 from .errors import InputError, SoundnessAlarm
 from .grid import GridCover, InputGrid
 from .reach import ReachPlan, SampledSystem, attain_over_batch, check_reach_parameters
@@ -138,7 +138,7 @@ class MapReach:
         return [(lo_idx, hi_idx, empty)], escaped, self.slack, False
 
 
-CSR_CHUNK_CELLS = 2_048  # cells whose stretch of trans_succ is written at once: about 1.5 MiB on chauffeur p1
+CHUNK_PAIRS = 4_096  # pairs whose rows are read at once: about 17,000 rows, 1.4 MiB of them, on chauffeur p1
 
 
 def _expand_ranges(cover: GridCover, corner, span):
@@ -151,10 +151,146 @@ def _expand_ranges(cover: GridCover, corner, span):
     block, rem = ranges(0, np.where(length > 0, span[:-1].prod(axis=0), 0))
     offset = rem * length[block]
     first = corner[block].astype(np.int64)
-    for axis in range(cover.dim - 2, -1, -1):
+    for axis in range(cover.dim - 2, 0, -1):
         rem, local = np.divmod(rem, span[axis, block])
         first += local * int(cover._strides[axis])
+    if cover.dim > 1:  # what is left of rem is the first axis's local index
+        rem *= int(cover._strides[0])
+        first += rem
     return block, first, offset
+
+
+class Abstraction(FiniteProblem):
+    """A finite abstraction whose successor lists are its reach blocks.
+
+    The cells' pairs, in pair order, each keep one block (an int32 flat
+    corner id and an int32 span per axis, all 0 for an input with several
+    reach branches, whose pairs keep their union rows instead: int32 first
+    ids and lengths by an int64 offset per pair); the escaping pairs are
+    listed, ascending.  A pair's list is the block's ids, or the union rows,
+    and then the overflow id if the pair escapes.  Each overflow pair lists
+    the overflow cell only.  ``rows`` reads these directly; ``trans_succ``
+    is written from them the first time something reads it
+    (``_write_successors``), after which the blocks go and the rows are cut
+    from the CSR.  A block lists distinct ids, union rows do not overlap
+    and the overflow id lies outside every block, so no pair lists a
+    successor twice.
+    """
+
+    distinct_successors = True
+
+    def __init__(self, cover: GridCover, m, G, trans_ptr, pair_costs, corner, span, escaped, union):
+        self.cover = cover
+        self.blocks = corner, span, escaped, union
+        super().__init__(cover.n_states, m, G, trans_ptr, None, pair_costs=pair_costs)
+
+    @property
+    def trans_succ(self) -> np.ndarray:
+        if self._succ is None:
+            succ = _write_successors(self)
+            self._check_successors(succ)
+            self._succ, self.blocks = succ, None
+        return self._succ
+
+    def rows(self, pairs, row_max=None):
+        """As ``FiniteProblem.rows``, read from the blocks: block by block,
+        then the union rows, the escapes and the overflow pairs."""
+        if self.blocks is None:
+            return super().rows(pairs, row_max)
+        corner, span, escaped, union = self.blocks
+        ptr, overflow, n_grid = self.trans_ptr, self.cover.overflow, len(corner)
+        if isinstance(pairs, slice):  # the cells' pairs by slices, not gathers
+            at = slice(min(pairs.start, n_grid), min(pairs.stop, n_grid))
+            esc = escaped[slice(*np.searchsorted(escaped, (at.start, at.stop)))]
+            over = np.arange(max(pairs.start, n_grid), max(pairs.stop, n_grid))
+            esc_place, over_place = esc - pairs.start, over - pairs.start
+        else:
+            at = pairs[: np.searchsorted(pairs, n_grid)]
+            found = np.minimum(np.searchsorted(escaped, at), len(escaped) - 1)
+            esc_place = np.flatnonzero(escaped[found] == at) if len(escaped) else found[:0]
+            esc, over = at[esc_place], pairs[len(at) :]
+            over_place = np.arange(len(at), len(pairs))
+        start = ptr[at]
+        sp = span[:, at]
+        block, first, offset = _expand_ranges(self.cover, corner[at], sp)
+        parts = [(block, first, sp[-1, block], start[block] + offset)]
+        if union is not None:
+            row_ptr, row_first, row_length = union
+            own, r = ranges(row_ptr[at], row_ptr[1:][at])
+            length = row_length[r]
+            before = np.cumsum(length) - length
+            parts.append((own, row_first[r], length, start[own] + before - before[np.searchsorted(own, own)]))
+        for place, pid, edge in ((esc_place, esc, ptr[esc + 1] - 1), (over_place, over, ptr[over])):
+            parts.append((place, np.full(len(pid), overflow), np.ones(len(pid), dtype=np.int32), edge))
+        return cut_rows(*(np.concatenate(column) for column in zip(*parts)), row_max)
+
+    def row_counts(self, out, stride, row_max, alive, cuts):
+        """As ``FiniteProblem.row_counts``, without expanding the blocks.  A
+        block's rows of one length (all of them, or a piece of each cut row)
+        start at the cells of a box, so as a difference array each adds +1
+        and -1 at the box's corners, -1 at each far end of its leading axes
+        (dropped where that is past the grid), and running sums along those
+        axes of each length's cell grid give the counts."""
+        if self.blocks is None:
+            return super().row_counts(out, stride, row_max, alive, cuts)
+        corner, span, escaped, union = self.blocks
+        cover, grid, chunk = self.cover, len(corner), CHUNK_PAIRS
+        lead = cover.dim - 1
+        slab = np.append(cover.n_cells, cover._strides[:-1])  # the ids an axis steps within
+        for pa in range(0, grid, chunk):
+            hi = min(pa + chunk, grid)
+            live = pa + np.flatnonzero(alive[pa:hi] & (span[-1, pa:hi] > 0))
+            sp = span[:, live]
+            first, length = corner[live].astype(np.int64), sp[-1].astype(np.int64)
+            if length.max(initial=0) > row_max:  # a box per piece of a cut row
+                own, piece = ranges(0, (length - 1) // row_max + 1)
+                piece *= row_max
+                sp, first, length = sp[:, own], first[own] + piece, np.minimum(length[own] - piece, row_max)
+            length -= 1
+            length *= stride
+            for box in range(1 << lead):  # each corner, at the far end of the axes in box's bits
+                cell, keep, sign = first + length, np.ones(len(first), dtype=bool), 1
+                for axis in (axis for axis in range(lead) if box >> axis & 1):
+                    step = sp[axis] * cover._strides[axis]
+                    keep &= (first % slab[axis] if axis else first) + step < slab[axis]
+                    cell += step
+                    sign = -sign
+                np.add.at(out, cell[keep], sign)
+        for start in range(0, row_max * stride, stride):
+            cells = out[start : start + cover.n_cells].reshape(cover.counts)  # one length's cell grid
+            for axis in range(lead):
+                np.cumsum(cells, axis=axis, out=cells)
+        for pa in range(0, grid, chunk) if union is not None else ():
+            row_ptr, row_first, row_length = union
+            hi = min(pa + chunk, grid)
+            pair, r = ranges(row_ptr[pa:hi], row_ptr[pa + 1 : hi + 1])
+            r = r[alive[pa + pair]]
+            _, first, length, _ = cut_rows(r, row_first[r], row_length[r], r, row_max)
+            np.add.at(out, (length - 1) * stride + first, 1)
+        out[cover.overflow] += np.count_nonzero(alive[escaped]) + np.count_nonzero(alive[grid:])
+
+
+def _write_successors(problem: Abstraction):
+    """trans_succ of an abstraction, from its rows, CHUNK_PAIRS pairs at a
+    time: a chunk's stretch is the running sum of 1 per edge, plus
+    ``first - 1`` at each row head and ``-(first + length - 1)`` past its
+    end.  The rows (an escape is a row of the overflow cell) tile the
+    stretch, so every partial sum is an id."""
+    cover, m, ptr = problem.cover, problem.m, problem.trans_ptr
+    succ = np.empty(problem.n_edges, dtype=np.int32)
+    for pa in range(0, cover.n_cells * m, CHUNK_PAIRS):
+        pb = min(pa + CHUNK_PAIRS, cover.n_cells * m)
+        base = ptr[pa]
+        # one slot more, where the last row ends: written later, as the next chunk's or an overflow pair's
+        delta = succ[base : ptr[pb] + 1]
+        delta.fill(1)
+        _, first, length, edge = problem.rows(slice(pa, pb))
+        edge -= base
+        delta[edge] += first - 1
+        delta[edge + length] -= first + length - 1  # the row's last id, taken back past its end
+        np.cumsum(delta[:-1], dtype=np.int32, out=delta[:-1])
+    succ[ptr[cover.n_cells * m : -1]] = cover.overflow
+    return succ
 
 
 def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: AbstractCosts):
@@ -169,62 +305,50 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     note or None.  Cells that are gated (both costs identically infinite)
     get a single transition to overflow.
 
-    Every input's blocks (``_collect_batched``) are expanded once, straight
-    into ``trans_succ``, CSR_CHUNK_CELLS cells at a time: their pairs'
-    stretch is the running sum of 1 per edge, plus ``first - 1`` at each row
-    head and ``-(first + length - 1)`` past its end.  The rows (an escape is
-    a row of the overflow cell) tile the stretch, so every partial sum is an id.
+    Every input's blocks (``_collect_batched``) are laid out in pair order
+    and kept by the ``Abstraction`` in place of ``trans_succ``; ``trans_ptr``
+    is the running sum of their sizes and escapes.
     """
     n_states = cover.n_states
     m = len(inputs)
-    overflow = cover.overflow
     if n_states * m >= 2**31:  # pair ids and successors are int32
         raise InputError(f"{n_states} states x {m} inputs: need fewer than 2**31 pairs")
-    per_input = _collect_batched(transitions, cover, costs.gated, m)
-
     grid_pairs = cover.n_cells * m  # the cells' pairs come first, cell by cell
+    corner = np.zeros(grid_pairs, dtype=np.int32)
+    span = np.zeros((cover.dim, grid_pairs), dtype=np.int32)
+    per_input = _collect_batched(transitions, cover, costs.gated, m, corner, span)
+    transition_slack = max(entry[4] for entry in per_input)
+    capped = [u_idx for u_idx, entry in enumerate(per_input) if entry[5]]
+
+    escaped = []  # per input, its escaping pairs
+    union = []  # (pair, first id, length) of the rows of inputs with several branches
     trans_ptr = np.ones(n_states * m + 1, dtype=np.int64)  # the overflow cell's pairs hold one edge
     trans_ptr[0] = 0
-    for u_idx, (corner, span, cells, escape, *_) in enumerate(per_input):
-        cnt = span.prod(axis=0) if cells is None else np.bincount(cells, span, cover.n_cells)
+    for u_idx in range(m):
+        first, size, cells, escape, *_ = per_input[u_idx]
+        if cells is None:
+            cnt = size.prod(axis=0)
+        else:  # rows, several per cell
+            union.append((cells * m + u_idx, first, size))
+            cnt = np.bincount(cells, size, cover.n_cells)
         trans_ptr[1 + u_idx : 1 + grid_pairs : m] = cnt + escape
+        escaped.append((np.flatnonzero(escape) * m + u_idx).astype(np.int32))
     if not trans_ptr[1 : 1 + grid_pairs].all():  # a cell that neither escaped nor met the cover
         raise SoundnessAlarm("batch_ranges produced an empty successor set")
     np.cumsum(trans_ptr, out=trans_ptr)
-    trans_succ = np.empty(int(trans_ptr[-1]), dtype=np.int32)
-    for c0 in range(0, cover.n_cells, CSR_CHUNK_CELLS):
-        c1 = min(c0 + CSR_CHUNK_CELLS, cover.n_cells)
-        base = trans_ptr[c0 * m]
-        # one slot more, where the last row ends: written later, as the next chunk's or an overflow pair's
-        delta = trans_succ[base : trans_ptr[c1 * m] + 1]
-        delta.fill(1)
-        for u_idx, (corner, span, cells, escape, *_) in enumerate(per_input):
-            pos = trans_ptr[c0 * m + u_idx : c1 * m : m] - base  # where each cell's pair starts
-            if cells is None:
-                block, first, offset = _expand_ranges(cover, corner[c0:c1], span[:, c0:c1])
-                pos, length = pos[block] + offset, span[-1, c0 + block]
-            else:  # rows, several per cell
-                b0, b1 = np.searchsorted(cells, (c0, c1))
-                own, first, length = cells[b0:b1] - c0, corner[b0:b1], span[b0:b1]
-                before = np.cumsum(length) - length
-                pos = pos[own] + before - before[np.searchsorted(own, own)]
-            delta[pos] += first - 1
-            delta[pos + length] -= first + length - 1  # the row's last id, taken back past its end
-            pos = trans_ptr[(c0 + np.flatnonzero(escape[c0:c1])) * m + u_idx + 1] - 1 - base
-            delta[pos] += overflow - 1  # the escape, its pair's last slot
-            delta[pos + 1] -= overflow
-        np.cumsum(delta[:-1], dtype=np.int32, out=delta[:-1])
-    trans_succ[trans_ptr[grid_pairs:-1]] = overflow
-    transition_slack = max(entry[4] for entry in per_input)
-    capped = [u_idx for u_idx, entry in enumerate(per_input) if entry[5]]
-    del per_input  # before the problem's checks allocate
+    if union:
+        pair, first, size = (np.concatenate(column) for column in zip(*union))
+        order = np.argsort(pair, kind="stable")
+        union = offsets(pair[order], grid_pairs), first[order], size[order]
+    del per_input
 
     pair_costs = np.full(n_states * m, INF)
     pair_costs[:grid_pairs] = np.where(
         costs.g_finite[:, None], costs.input_values[None, :], INF
     ).ravel()
 
-    problem = FiniteProblem(n_states, m, costs.G2, trans_ptr, trans_succ, pair_costs=pair_costs)
+    escaped = np.sort(np.concatenate(escaped))
+    problem = Abstraction(cover, m, costs.G2, trans_ptr, pair_costs, corner, span, escaped, union or None)
     cert = ConservatismCertificate(
         input_radius=inputs.radius, transition_slack=transition_slack, cell_diameter=cover.max_diameter
     )
@@ -238,14 +362,21 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     return problem, cert
 
 
-def _collect_batched(transitions, cover, gated, m):
+def _collect_batched(transitions, cover, gated, m, corner, span):
     """Per input, ``(corner, span, cells, escape, slack, capped)``: the
     successor blocks of ``_union_branches``, the overflow flags (gated cells
-    have no other successor), the reach slack and whether the split cap hit."""
+    have no other successor), the reach slack and whether the split cap hit.
+    One branch's blocks are written into ``corner`` and ``span``, the flat
+    corner ids and per-axis spans of the cells' pairs in pair order, as each
+    input comes, and its entry views them."""
     per_input = []
     for u_idx in range(m):
         branches, escaped, slack, capped = transitions.batch_ranges(u_idx)
-        per_input.append((*_union_branches(cover, branches, ~gated), escaped | gated, float(slack), capped))
+        first, size, cells = _union_branches(cover, branches, ~gated)
+        if cells is None:
+            corner[u_idx::m], span[:, u_idx::m] = first, size
+            first, size = corner[u_idx::m], span[:, u_idx::m]
+        per_input.append((first, size, cells, escaped | gated, float(slack), capped))
     return per_input
 
 

@@ -43,6 +43,17 @@ def chunks(ptr, size):
     return np.unique(np.concatenate(([0, len(ptr) - 1], cuts, big))).tolist()
 
 
+def cut_rows(place, first, length, edge, row_max):
+    """Rows (pair's place, first id, length, first edge) with each row
+    longer than ``row_max`` cut into rows of ``row_max`` and a rest, in
+    place of it."""
+    if row_max is None or length.max(initial=0) <= row_max:
+        return place, first, length, edge
+    own, piece = ranges(0, (length - 1) // row_max + 1)
+    piece *= row_max
+    return place[own], first[own] + piece, np.minimum(length[own] - piece, row_max), edge[own] + piece
+
+
 def offsets(keys, n):
     """CSR offsets of the runs of 0..n-1 in the ascending array ``keys``,
     searched in the keys' dtype."""
@@ -57,14 +68,20 @@ class FiniteProblem:
     costs are attached per transition, or per (state, input) pair when they do
     not depend on the successor (``pair_costs`` mode, used by large
     abstractions to keep memory linear in the pair count).
+
+    The solver reads successor lists as rows (``rows``).  A subclass may keep
+    its lists in another form and build ``trans_succ`` when it is first read;
+    it sets ``distinct_successors`` when no pair can list a successor twice.
     """
+
+    distinct_successors = False  # a CSR read from outside may list a successor twice
 
     def __init__(self, n, m, G, trans_ptr, trans_succ, edge_costs=None, pair_costs=None):
         self.n = int(n)
         self.m = int(m)
         self.G = np.asarray(G, dtype=float)
         self.trans_ptr = np.asarray(trans_ptr, dtype=np.int64)
-        self.trans_succ = np.asarray(trans_succ)
+        self._succ = None if trans_succ is None else np.asarray(trans_succ)
         self.edge_costs = None if edge_costs is None else np.asarray(edge_costs, dtype=float)
         self.pair_costs = None if pair_costs is None else np.asarray(pair_costs, dtype=float)
         self._validate()
@@ -80,24 +97,31 @@ class FiniteProblem:
             raise InputError("terminal costs must be non-negative")
         if self.trans_ptr.shape != (self.n * self.m + 1,):
             raise InputError("transition index has wrong length")
-        if self.trans_ptr[0] != 0 or self.trans_ptr[-1] != len(self.trans_succ):
+        if self.trans_ptr[0] != 0 or (self._succ is not None and self.trans_ptr[-1] != len(self._succ)):
             raise InputError("transition index is inconsistent")
         if np.any(np.diff(self.trans_ptr) < 1):
             p, u = divmod(int(np.flatnonzero(np.diff(self.trans_ptr) < 1)[0]), self.m)
             raise InputError(f"every (state, input) pair needs a successor (F strict): ({p},{u}) has none")
-        if len(self.trans_succ) and (
-            self.trans_succ.min() < 0 or self.trans_succ.max() >= self.n
-        ):
-            raise InputError("successor index out of range")
-        if not np.issubdtype(self.trans_succ.dtype, np.integer):
-            raise InputError(f"successor indices must be integers, not {self.trans_succ.dtype}")
+        if self._succ is not None:
+            self._check_successors(self._succ)
         if (self.edge_costs is None) == (self.pair_costs is None):
             raise InputError("exactly one of edge_costs/pair_costs required")
-        want = len(self.trans_succ) if self.edge_costs is not None else self.n * self.m
+        want = self.n_edges if self.edge_costs is not None else self.n * self.m
         if self.costs.shape != (want,):
             raise InputError("cost array has wrong length")
         if np.any(np.isnan(self.costs)) or np.any(self.costs < 0):
             raise InputError("running costs must be non-negative")
+
+    def _check_successors(self, succ):
+        if len(succ) and (succ.min() < 0 or succ.max() >= self.n):
+            raise InputError("successor index out of range")
+        if not np.issubdtype(succ.dtype, np.integer):
+            raise InputError(f"successor indices must be integers, not {succ.dtype}")
+
+    @property
+    def trans_succ(self) -> np.ndarray:
+        """The successor ids of every pair, pair after pair."""
+        return self._succ
 
     @property
     def costs(self) -> np.ndarray:
@@ -106,7 +130,48 @@ class FiniteProblem:
 
     @property
     def n_edges(self) -> int:
-        return len(self.trans_succ)
+        return int(self.trans_ptr[-1])
+
+    def rows(self, pairs, row_max=None):
+        """The successor rows of ``pairs``, a slice of consecutive pair ids
+        or an ascending array of them: per row the place of its pair in
+        ``pairs``, its first successor id, its length and its first edge
+        (its place in ``trans_succ``).  A row is a run of consecutive ids in
+        one pair's list, at most ``row_max`` long (no bound when None); a
+        pair's rows come in list order.  Here they are the maximal runs, cut
+        at ``row_max``, in pair order."""
+        ptr = self.trans_ptr
+        if isinstance(pairs, slice):
+            heads = ptr[pairs.start : pairs.stop] - ptr[pairs.start]
+            s = self.trans_succ[ptr[pairs.start] : ptr[pairs.stop]]
+        else:
+            sizes = ptr[pairs + 1] - ptr[pairs]
+            heads = np.cumsum(sizes) - sizes
+            edges = ranges(ptr[pairs], ptr[pairs + 1])[1]
+            s = self.trans_succ[edges]
+        cut = np.empty(len(s), dtype=bool)
+        cut[:1] = True
+        np.not_equal(np.diff(s), 1, out=cut[1:])
+        cut[heads] = True
+        at = np.flatnonzero(cut)
+        cut[:] = False
+        cut[heads] = True
+        place = np.cumsum(cut[at]) - 1  # rows starting a pair, counted
+        length = np.diff(at, append=len(s))
+        edge = at + ptr[pairs.start] if isinstance(pairs, slice) else edges[at]
+        return cut_rows(place, s[at], length, edge, row_max)
+
+    def row_counts(self, out, stride, row_max, alive, cuts):
+        """Add to out[(length - 1) * stride + first id], which holds zeros,
+        the number of rows of that length and first id (``rows``, at most
+        ``row_max`` long) among the pairs whose ``alive`` is set, reading a
+        chunk of pairs between ``cuts`` at a time."""
+        for pa, pb in zip(cuts, cuts[1:]):
+            place, first, length, _ = self.rows(slice(pa, pb), row_max)
+            length -= 1
+            length *= stride
+            length += first
+            np.add.at(out, length[alive[pa:pb][place]], 1)
 
     # --- FOCP v1 text format -------------------------------------------------
 

@@ -80,9 +80,8 @@ def read(source):
             t_blocks.append((block.start, block.size, len(records[-1])))
     if n is None:
         raise InputError("missing focp header")
-    del column, values  # else the loop's names keep the T cost blocks alive past their join
-    # one column at a time, each freeing its blocks before the next is joined
-    g_state, g_cost, pid, succ, costs = (np.concatenate(columns.pop(0)) for _ in range(5))
+    del block, column, values, records  # else the loop's names keep the last block alive past the joins
+    g_state, g_cost, pid, succ, costs = (_join(columns.pop(0)) for _ in range(5))
     order = None  # file order of the records in pair order, when the two differ
     if np.any(pid[1:] < pid[:-1]):
         order = np.argsort(pid, kind="stable")  # pair order; file order within a pair
@@ -101,6 +100,7 @@ def read(source):
     G = np.full(n, INF)
     last = len(g_state) - 1 - np.unique(g_state[::-1], return_index=True)[1]
     G[g_state[last]] = g_cost[last]  # a repeated G record: the last one wins
+    del g_state, g_cost, last
     return n, m, G, offsets(pid, n * m), succ, costs  # pid is int32, so the search is too
 
 
@@ -135,12 +135,31 @@ def read_records(source, what):
     return second[np.argsort(first)]
 
 
+def _join(blocks):
+    """The blocks of one column as one array, grown a block at a time
+    (``ndarray.resize``, a realloc) and each block released once it is
+    copied, so no column is held twice."""
+    out = np.empty(0, dtype=blocks[0].dtype)
+    blocks.reverse()
+    while blocks:
+        block = blocks.pop()
+        at = len(out)
+        out.resize(at + len(block), refcheck=False)
+        out[at:] = block
+    return out
+
+
 def _rising(pid, succ):
-    """Whether the (pair id, successor) keys rise strictly, in one byte per key."""
-    rising = succ[1:] > succ[:-1]
-    rising &= pid[1:] == pid[:-1]
-    rising |= pid[1:] > pid[:-1]
-    return bool(rising.all())
+    """Whether the (pair id, successor) keys rise strictly, checked in
+    chunks of _CHECK_EDGES keys, a byte per key of a chunk."""
+    for a in range(0, len(pid), _CHECK_EDGES):
+        p, s = pid[a : a + _CHECK_EDGES + 1], succ[a : a + _CHECK_EDGES + 1]
+        rising = s[1:] > s[:-1]
+        rising &= p[1:] == p[:-1]
+        rising |= p[1:] > p[:-1]
+        if not rising.all():
+            return False
+    return True
 
 
 def _repeats(key):

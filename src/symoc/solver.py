@@ -164,24 +164,6 @@ class RowIndex:
                       self.offsets[(states[:, None] + self._hi).ravel()])
 
 
-def _row_starts(s, heads):
-    """The first edges and lengths of the rows of the successor lists s,
-    whose pairs start at edges ``heads``, and the cut mask they come from."""
-    cut = np.empty(len(s), dtype=bool)
-    cut[0] = True
-    np.not_equal(np.diff(s), 1, out=cut[1:])
-    cut[heads] = True
-    edge = np.flatnonzero(cut)
-    size = np.diff(edge, append=len(s))
-    if size.max() > ROW_MAX:
-        long = np.flatnonzero(size > ROW_MAX)
-        piece, k = ranges(1, (size[long] - 1) // ROW_MAX + 1)
-        cut[edge[long[piece]] + k * ROW_MAX] = True
-        edge = np.flatnonzero(cut)
-        size = np.diff(edge, append=len(s))
-    return edge, size, cut
-
-
 def _least_duplicate(succ, ptr, alive, pa, pb):
     """The least (successor, pair) listed twice by a live pair among
     pa..pb-1, or None: a sort of their edges by (pair, successor)."""
@@ -200,52 +182,51 @@ def _least_duplicate(succ, ptr, alive, pa, pb):
 
 
 def _build_inverse(problem: FiniteProblem) -> RowIndex:
-    """The RowIndex of the non-inert pairs.
+    """The RowIndex of the non-inert pairs, from the rows the problem gives
+    (``FiniteProblem.rows``) a chunk of pairs at a time.
 
     Pairs with any infinite transition cost are inert (their M is always
     inf) and left out.  A pair listing a successor twice would never
     become ready (its counter counts the successor twice, a settle
     decrements it once), so that is an input error naming the least such
-    (successor, pair).  A chunk whose pairs' rows all rise without
-    overlapping lists no successor twice; any other chunk is sorted.
+    (successor, pair).  Only a problem that may list one twice is checked:
+    an abstraction's rows come from reach blocks, each of distinct ids, from
+    merged union rows, which do not overlap, and from the overflow id,
+    outside every block (``distinct_successors``).  A chunk whose pairs'
+    rows all rise without overlapping lists no successor twice; any other
+    chunk is sorted.
 
     A two-pass counting sort over chunks of whole pairs.  The first pass
-    counts the rows of each (length, first id), the second cuts the rows
+    counts the rows of each (length, first id), the second takes the rows
     again, sorts each chunk's by (length, first id) and writes them at
     cursors kept in the offsets.  Beyond the index it holds O(n m) pair
     data and O(_INVERSE_EDGES) per chunk.
     """
     n, m = problem.n, problem.m
-    ptr, succ, edge_costs = problem.trans_ptr, problem.trans_succ, problem.edge_costs
+    ptr, edge_costs = problem.trans_ptr, problem.edge_costs
     alive = np.isfinite(problem.pair_costs) if edge_costs is None else np.empty(n * m, dtype=bool)
     stride = n + ROW_MAX
     inert = ROW_MAX * stride - 1  # the column of inert pairs' rows, past every row's
 
     def rows(pa, pb):
-        """The rows of pairs pa..pb-1 in list order: first edges (chunk
-        local), lengths, first ids and columns, and the cut mask."""
-        a, b = ptr[pa], ptr[pb]
-        s = succ[a:b]
-        heads = ptr[pa:pb] - a
-        edge, size, cut = _row_starts(s, heads)
-        first = s[edge]
-        col = (size - 1) * stride + (ROW_MAX - 1) + first  # as in RowIndex
-        dead = np.flatnonzero(~alive[pa:pb])
-        if len(dead):
-            lo = np.searchsorted(edge, heads[dead])
-            hi = np.searchsorted(edge, ptr[pa + dead + 1] - a)
-            col[ranges(lo, hi)[1]] = inert
-        return edge, size, first, col, cut, heads
+        """The rows of pairs pa..pb-1 (``FiniteProblem.rows``, with pair
+        ids) and their columns."""
+        pair, first, size, edge = problem.rows(slice(pa, pb), ROW_MAX)
+        pair += pa
+        col = np.multiply(size - 1, stride, dtype=np.int64)  # as in RowIndex
+        col += first
+        col += ROW_MAX - 1
+        col[~alive[pair]] = inert
+        return pair, first, size, edge, col
 
     # count pass: offsets[c + 2] counts the rows in column c
-    offsets = np.zeros(inert + 3, dtype=np.int64)
     cuts = chunks(ptr, _INVERSE_EDGES)
-    for pa, pb in zip(cuts, cuts[1:]):
-        if edge_costs is not None:
+    if edge_costs is not None:
+        for pa, pb in zip(cuts, cuts[1:]):
             a, b = ptr[pa], ptr[pb]
             alive[pa:pb] = np.logical_and.reduceat(np.isfinite(edge_costs[a:b]), ptr[pa:pb] - a)
-        np.add.at(offsets[2:], rows(pa, pb)[3], 1)
-    offsets[-1] = 0  # the inert rows' count goes
+    offsets = np.zeros(inert + 3, dtype=np.int64)
+    problem.row_counts(offsets[ROW_MAX + 1 :], stride, ROW_MAX, alive, cuts)  # from column (1, 0)
     lengths = 1 + np.flatnonzero(offsets[2:].reshape(ROW_MAX, stride).any(axis=1))
     np.cumsum(offsets, out=offsets)
 
@@ -253,16 +234,15 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
     # one run per column.  cursor[c] = offsets[c + 1] starts at column c's
     # first slot and ends at column c + 1's, so offsets[c] ends at column c's
     cursor = offsets[1:]
-    pair = np.empty(offsets[-1], dtype=np.int32)
+    index_pair = np.empty(offsets[-1], dtype=np.int32)
     base = None if edge_costs is None else np.empty(offsets[-1], dtype=np.int64)
     dups = []  # per chunk, its least duplicate (successor, pair)
     for pa, pb in zip(cuts, cuts[1:]):
-        edge, size, first, col, cut, heads = rows(pa, pb)
-        cut[:] = False
-        cut[heads] = True
-        head = cut[edge]  # the rows starting a pair
-        if ((first[1:] < first[:-1] + size[:-1]) & ~head[1:]).any():
-            dup = _least_duplicate(succ, ptr, alive, pa, pb)
+        pair, first, size, edge, col = rows(pa, pb)
+        if not problem.distinct_successors and (  # a CSR's rows, in pair order
+            (first[1:] < first[:-1] + size[:-1]) & (pair[1:] == pair[:-1])
+        ).any():
+            dup = _least_duplicate(problem.trans_succ, ptr, alive, pa, pb)
             if dup is not None:
                 dups.append(dup)
         shift = len(col).bit_length()
@@ -280,17 +260,15 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
         dest = np.repeat(cursor[run_col] - starts, runs)
         dest += np.arange(live)
         cursor[run_col] += runs
-        pids = np.cumsum(head, dtype=np.int32)
-        pids += pa - 1
-        pair[dest] = pids[key]
+        index_pair[dest] = pair[key]
         if base is not None:
-            base[dest] = (edge + (ptr[pa] - first))[key]
+            base[dest] = (edge - first)[key]
     if dups:
         q, pid = min(dups)
         raise InputError(f"duplicate transition ({pid // m},{pid % m},{q})")
     counters = np.diff(ptr)
     counters[~alive] = -1
-    return RowIndex(lengths, offsets[:-2], pair, base, counters)
+    return RowIndex(lengths, offsets[:-2], index_pair, base, counters)
 
 
 @np.errstate(over="ignore")  # cost sums saturate to inf
@@ -439,24 +417,27 @@ def check_certificate(problem: FiniteProblem, W, choice, rank):
     With the controller domain check this certifies the output on the
     abstraction: from any p of finite W the controller stops within
     rank[p] steps, at a cost of at most W(p).  It reads the chosen pairs'
-    edges only, in chunks of about _INVERSE_EDGES.
+    rows only (``FiniteProblem.rows``), in chunks of about _INVERSE_EDGES
+    edges.
     """
     states = np.flatnonzero(choice != STOP)
     if not len(states):
         return
     pid = states * problem.m + choice[states]
     ptr = problem.trans_ptr
-    M, late = np.empty(len(pid)), np.empty(len(pid), dtype=bool)
+    M, late = np.full(len(pid), -INF), np.empty(len(pid), dtype=bool)
     cuts = chunks(np.append(0, np.cumsum(ptr[pid + 1] - ptr[pid])), _INVERSE_EDGES)
     for a, b in zip(cuts, cuts[1:]):
-        owner, edges = ranges(ptr[pid[a:b]], ptr[pid[a:b] + 1])
-        starts = np.searchsorted(owner, np.arange(b - a))  # each pair's first place in edges
-        succ = problem.trans_succ[edges]
+        owner, first, length, edge = problem.rows(pid[a:b])
+        row, succ = ranges(first, first + length)
+        starts = np.cumsum(length) - length  # each row's first place in succ
         vals = W[succ]
         if problem.edge_costs is not None:
-            vals += problem.edge_costs[edges]
-        M[a:b] = np.maximum.reduceat(vals, starts)
-        late[a:b] = np.maximum.reduceat(rank[succ], starts) >= rank[states[a:b]]
+            vals += problem.edge_costs[succ + (edge - first)[row]]
+        np.maximum.at(M[a:b], owner, np.maximum.reduceat(vals, starts))
+        latest = np.full(b - a, -1, dtype=np.int64)  # per pair, its successors' last settle
+        np.maximum.at(latest, owner, np.maximum.reduceat(rank[succ], starts))
+        late[a:b] = latest >= rank[states[a:b]]
     if problem.pair_costs is not None:
         M += problem.pair_costs[pid]
     wrong = _bits(M) != _bits(W[states])

@@ -137,7 +137,7 @@ def _chauffeur_spec() -> SystemSpec:
             f=chauffeur_field,
             tau=0.1,
             w=np.array([0.3, 0.3]),
-            A0=np.array([6.4, 6.4]),
+            A0=np.array([6.4, 7.4]),  # |x1 a - 1| + w2 reaches 6.1 + 1 + 0.3 on the hull
             A1=np.array([[0.0, 1.0], [1.0, 0.0]]),
             kprime_margin=1.0,
             eps=0.1,

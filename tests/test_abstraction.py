@@ -8,6 +8,7 @@ import pytest
 
 import symoc.abstraction
 import symoc.reach
+import symoc.solver
 from symoc.abstraction import (
     SampledReach,
     _collect_batched,
@@ -17,7 +18,7 @@ from symoc.abstraction import (
     build_abstraction,
 )
 from symoc.config import load_config
-from symoc.core import INF, CostModel
+from symoc.core import INF, CostModel, FiniteProblem, ranges
 from symoc.errors import InputError, SoundnessAlarm
 from symoc.grid import GridCover, InputGrid
 from symoc.reach import SampledSystem
@@ -26,6 +27,7 @@ from symoc.solver import is_discrete_cost, solve
 from symoc.systems import get_system
 
 from abstraction_digests import build, digest
+from test_solver import assert_inverse_matches_reference
 from oracles import (
     block_cells,
     blocks_flat,
@@ -226,7 +228,8 @@ def test_union_of_branch_boxes_matches_the_unique_reference():
                 return branches, escaped, 0.0, False
 
         # a box meets no cell only outside the cover, so every empty cell escaped
-        (corner, span, block_cells_u, overflow, _, _), = _collect_batched(Fixed(), cover, gated, 1)
+        pairs = (np.zeros(cover.n_cells, dtype=np.int32), np.zeros((cover.dim, cover.n_cells), dtype=np.int32))
+        (corner, span, block_cells_u, overflow, _, _), = _collect_batched(Fixed(), cover, gated, 1, *pairs)
         for a, b in zip((corner, span, block_cells_u), got):
             assert a.dtype == np.int32 and np.array_equal(a, b)
         assert np.array_equal(overflow, escaped | gated)
@@ -295,8 +298,8 @@ def test_csr_matches_the_flat_reference_at_every_chunk_size(monkeypatch):
             gated=gated, g_finite=~gated, input_values=np.arange(m, dtype=float), G2=np.zeros(cover.n_states)
         )
         want_ptr, want_succ = reference_csr(transitions, cover, m, gated)
-        for chunk in (1, 7, cover.n_cells + 1):
-            monkeypatch.setattr(symoc.abstraction, "CSR_CHUNK_CELLS", chunk)
+        for chunk in (1, 7, cover.n_cells * m + 1):
+            monkeypatch.setattr(symoc.abstraction, "CHUNK_PAIRS", chunk)
             problem, cert = build_abstraction(transitions, cover, inputs, costs)
             assert np.array_equal(problem.trans_ptr, want_ptr), (trial, chunk)
             assert problem.trans_succ.dtype == np.int32 and np.array_equal(problem.trans_succ, want_succ), (trial, chunk)
@@ -304,10 +307,100 @@ def test_csr_matches_the_flat_reference_at_every_chunk_size(monkeypatch):
             assert any(note.startswith(f"split cap hit for inputs {m - 1}:") for note in cert.notes)
 
 
+def block_problems(rng, trials):
+    """(problem, transitions, gated) of random abstractions as they leave
+    build_abstraction, on one- to three-dimensional covers: inputs of one
+    reach branch and of several, escapes, a capped input and gated cells,
+    whose pairs are inert."""
+    covers = [
+        GridCover([0.0], [7.0], [1.0]),
+        GridCover([-1.0, 0.0], [1.0, 1.0], [0.3, 0.25]),
+        GridCover([0.0, 0.0, 0.0], [1.0, 2.0, 1.0], [0.5, 0.5, 0.25]),
+    ]
+    for trial in range(trials):
+        cover = covers[trial % len(covers)]
+        m = int(rng.integers(2, 5))
+        transitions = RandomBlocks(rng, cover, m)
+        gated = rng.random(cover.n_cells) < 0.2
+        costs = SimpleNamespace(
+            gated=gated, g_finite=~gated, input_values=np.arange(m, dtype=float), G2=np.zeros(cover.n_states)
+        )
+        problem, _ = build_abstraction(transitions, cover, InputGrid([([0.0], [float(m - 1)])], [1.0]), costs)
+        yield problem, transitions, gated
+
+
+@pytest.mark.parametrize("row_max", [None, 2])
+def test_block_rows_expand_to_the_materialized_csr(row_max):
+    # the rows an abstraction reads from its blocks, for a slice of pairs or
+    # an ascending array of them, tile those pairs' stretches of the
+    # trans_succ it builds later: per row, consecutive ids at its edges, at
+    # most row_max of them
+    rng = np.random.default_rng(28)
+    longest = 0
+    for problem, transitions, gated in block_problems(rng, 12):
+        n_pairs = problem.n * problem.m
+        sets = [np.arange(n_pairs), np.flatnonzero(rng.random(n_pairs) < 0.3), np.arange(5, n_pairs - 3)]
+        got = [problem.rows(slice(0, n_pairs), row_max), problem.rows(sets[1], row_max),
+               problem.rows(slice(5, n_pairs - 3), row_max)]
+        assert problem.blocks is not None and problem.blocks[3] is not None  # several branches: union rows
+        longest = max(longest, problem.rows(slice(0, n_pairs))[2].max())
+        want_ptr, want_succ = reference_csr(transitions, problem.cover, problem.m, gated)
+        assert np.array_equal(problem.trans_succ, want_succ) and problem.blocks is None
+        for pids, (place, first, length, edge) in zip(sets, got):
+            assert length.min() >= 1 and (row_max is None or length.max() <= row_max)
+            pair = pids[place]
+            order = np.argsort(edge)
+            row, edges = ranges(edge[order], edge[order] + length[order])
+            assert np.array_equal(edges, ranges(want_ptr[pids], want_ptr[pids + 1])[1])
+            assert np.array_equal(pair[order][row], np.searchsorted(want_ptr, edges, side="right") - 1)
+            assert np.array_equal(first[order][row] + edges - edge[order][row], want_succ[edges])
+    assert longest > 2  # so row_max = 2 cuts rows
+
+
+@pytest.mark.parametrize("row_max", [None, 2])
+def test_inverse_from_blocks_matches_reference_inverse(monkeypatch, row_max):
+    # the row index built from the blocks, without trans_succ, lists the
+    # reference's (successor, pair) incidences; rows longer than ROW_MAX
+    # count and fill as their pieces
+    if row_max is not None:
+        monkeypatch.setattr(symoc.solver, "ROW_MAX", row_max)
+    rng = np.random.default_rng(29)
+    for problem, _, _ in block_problems(rng, 12):
+        # the counts from the blocks' boxes, for any live pairs, are the rows'
+        n_pairs = problem.n * problem.m
+        alive, cuts = rng.random(n_pairs) < 0.7, [0, n_pairs // 3, n_pairs]
+        got, want = (np.zeros(symoc.solver.ROW_MAX * (problem.n + 3), dtype=np.int64) for _ in range(2))
+        problem.row_counts(got, problem.n + 3, symoc.solver.ROW_MAX, alive, cuts)
+        FiniteProblem.row_counts(problem, want, problem.n + 3, symoc.solver.ROW_MAX, alive, cuts)
+        assert np.array_equal(got, want)
+        index = symoc.solver._build_inverse(problem)
+        assert problem.blocks is not None
+        assert index.lengths.max() <= symoc.solver.ROW_MAX
+        assert_inverse_matches_reference(problem)
+
+
+def test_solve_reads_blocks_and_their_csr_alike():
+    # an abstraction solved from its blocks, and as the CSR they expand to
+    rng = np.random.default_rng(30)
+    problems = [problem for problem, _, _ in block_problems(rng, 6)]
+    problems.append(build("pendulum:p1")[0])
+    for problem in problems:
+        got = solve(problem, queue="auto")
+        assert problem.blocks is not None
+        csr = FiniteProblem(problem.n, problem.m, problem.G, problem.trans_ptr, problem.trans_succ,
+                            pair_costs=problem.pair_costs)
+        want = solve(csr, queue="auto")
+        assert np.array_equal(got.W, want.W) and np.array_equal(got.c.choice, want.c.choice)
+        assert np.array_equal(got.rank, want.rank) and np.array_equal(got.settle_values, want.settle_values)
+        assert got.stats == want.stats
+
+
 def test_build_holds_about_a_block_per_pair_beyond_its_arrays():
     # pendulum p1 has 1,667,191 edges; the flat build held 6.2 B per edge
     # beyond its returned arrays (successor lists and a per-edge scatter
-    # index), the block build holds 1.7, mostly its blocks
+    # index), the block build that wrote trans_succ 1.7, mostly its blocks.
+    # The build now keeps its blocks in place of trans_succ and holds 1.55
+    # beyond them
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "pendulum_p1.ini"))
     costs = abstract_costs(cfg.model, cfg.cover, cfg.inputs)
     tracemalloc.start()
@@ -316,8 +409,8 @@ def test_build_holds_about_a_block_per_pair_beyond_its_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = problem.trans_ptr.nbytes + problem.trans_succ.nbytes + problem.pair_costs.nbytes
-    assert problem.n_edges == 1_667_191
+    kept = problem.trans_ptr.nbytes + problem.pair_costs.nbytes + sum(a.nbytes for a in problem.blocks[:3])
+    assert problem.blocks[3] is None and problem.n_edges == 1_667_191
     assert (peak - kept) / problem.n_edges < 3.0
 
 

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import symoc.abstraction
 import symoc.focp
 from symoc.analysis import HYPO_MAX_INTERVALS, HYPO_MAX_POINTS
 from symoc.cli import main
@@ -709,6 +710,28 @@ def test_covers_of_2_31_pairs_or_more_are_input_errors(tmp_path, capsys):
     config.write_text("[system]\ndynamics = pendulum\npreset = p1\n[grid]\neta = 1e-12 1e-12\n")
     assert main(["synthesize", str(config), "--out-prefix", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.endswith(" cells: a flat cell index needs fewer than 2**63\n")
+
+
+PENDULUM_P1_FOCP = "1eed93c6d03856ba7af52988c0c1605fa9f5c71f9d631c4ffbf4d258ada4118e"  # as pinned in CI
+
+
+def test_synthesize_builds_the_successor_array_only_for_the_dump(tmp_path, monkeypatch):
+    # the solve reads the abstraction's rows from its reach blocks, so
+    # without --dump-focp the successor array is never built; the dump builds
+    # it, and the values and controller are the same either way
+    cfg = os.path.join(CONFIGS, "pendulum_p1.ini")
+    write = symoc.abstraction._write_successors
+
+    def refuse(problem):
+        raise AssertionError("trans_succ built")
+
+    monkeypatch.setattr(symoc.abstraction, "_write_successors", refuse)
+    assert main(["synthesize", cfg, "--out-prefix", str(tmp_path / "a")]) == 0
+    monkeypatch.setattr(symoc.abstraction, "_write_successors", write)
+    assert main(["synthesize", cfg, "--out-prefix", str(tmp_path / "b"), "--dump-focp"]) == 0
+    assert sha(tmp_path / "b.focp") == PENDULUM_P1_FOCP
+    for ext in ("values", "controller", "sidecar"):
+        assert sha(tmp_path / f"a.{ext}") == sha(tmp_path / f"b.{ext}"), ext
 
 
 def test_cli_rerun_is_byte_identical(tmp_path):

@@ -1,4 +1,5 @@
 import functools
+import io
 import math
 import re
 import tracemalloc
@@ -459,10 +460,10 @@ def test_focp_reader_streams_blocks_from_every_source(monkeypatch, tmp_path):
 
 def test_focp_reading_from_disk_holds_no_copy_of_the_text(monkeypatch, tmp_path):
     # 80 reads of 64 KiB from disk: beyond the parsed arrays the peak holds the
-    # pair ids (4 B per edge), the costs twice while their blocks are joined
-    # (8 B) and one block, 0.46 of the 5.0 MiB text in all.  A reader given
-    # the whole text holds it too: 1.46 of it, and 2.15 for the reader that
-    # tokenized one bytes object a block at a time.
+    # pair ids (4 B per edge) and one block; with the costs held twice while
+    # their blocks were joined (8 B more) it was 0.46 of the 5.0 MiB text in
+    # all.  A reader given the whole text holds it too: 1.46 of it, and 2.15
+    # for the reader that tokenized one bytes object a block at a time.
     monkeypatch.setattr(symoc.focp, "_READ_BYTES", 1 << 16)
     rng = np.random.default_rng(20)
     n, m = 20000, 4
@@ -485,6 +486,41 @@ def test_focp_reading_from_disk_holds_no_copy_of_the_text(monkeypatch, tmp_path)
     assert_same_problem(back, problem)
     outputs = sum(a.nbytes for a in (back.G, back.trans_ptr, back.trans_succ, back.edge_costs))
     assert peak - outputs < 0.75 * size, (peak - outputs) / size
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes tracemalloc saw while ``fn(*args)`` ran)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_focp_read_holds_no_column_twice(monkeypatch):
+    # 190 blocks of 64 KiB: beyond its outputs a read holds the pair ids (4 B
+    # per edge, until it returns) and about one block's parse, as each
+    # column is grown a block at a time while its blocks are released.  A
+    # join of all of a column's blocks at once held the costs twice, 4.6 MiB
+    # here against 0.75 MiB for a block's parse
+    monkeypatch.setattr(symoc.focp, "_READ_BYTES", 1 << 16)
+    rng = np.random.default_rng(21)
+    n, m = 20_000, 5
+    succ = (rng.integers(0, n - 5, size=n * m)[:, None] + np.arange(6)).ravel()  # 6 rising successors a pair
+    problem = FiniteProblem(n, m, np.round(rng.uniform(0, 9, n), 3), np.arange(0, len(succ) + 1, 6), succ,
+                            edge_costs=np.round(rng.uniform(0, 9, len(succ)), 3))
+    text = "".join(symoc.focp.text_blocks(problem)).encode()
+    assert len(text) >= 190 << 16
+    middle = text[len(text) // 2 : len(text) // 2 + (1 << 16)]
+    middle = middle[middle.index(b"\n") + 1 : middle.rindex(b"\n") + 1]
+    _, block = traced_peak(lambda: symoc.focp._records(symoc.focp._Block(middle, 0), n, m))
+    back, peak = traced_peak(symoc.focp.read, io.BytesIO(text))
+    n_back, m_back, G, ptr, succ_back, costs = back
+    assert (n_back, m_back) == (n, m) and np.array_equal(succ_back, succ) and np.array_equal(costs, problem.edge_costs)
+    outputs = sum(a.nbytes for a in (G, ptr, succ_back, costs))
+    assert peak <= outputs + 4 * len(succ) + 2 * block, (peak - outputs - 4 * len(succ)) / block
 
 
 def test_problem_strictness_enforced():

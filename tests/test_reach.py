@@ -229,6 +229,42 @@ def test_monte_carlo_containment_pendulum_origin_cell():
         assert boxes_contain(lo, hi, perturbed_endpoint(sys, x0, np.array([0.0]), d))
 
 
+PLANT_BOUND_TOL = 1e-9  # relative, on A0: rounding of f; A1 takes 1e-6 of its largest entry for the differences
+
+
+@pytest.mark.parametrize("name", ["pendulum", "chauffeur"])
+def test_plant_bounds_hold_on_the_hull(name):
+    # A0 bounds |f| + w and A1 the Jacobian of f (signed on the diagonal,
+    # absolute off it) on the safety hull, under every input of every
+    # preset's grid: sampled on a 101-point grid per axis, corners included,
+    # and 20,000 seeded points, the Jacobian by central differences
+    spec = get_system(name)
+    sys = spec.sampled_system()
+    lo, hi = sys.hull_lower[:, None], sys.hull_upper[:, None]
+    axes = np.meshgrid(*(np.linspace(a, b, 101) for a, b in zip(lo[:, 0], hi[:, 0])), indexing="ij")
+    x = np.concatenate([np.stack([a.ravel() for a in axes]),
+                        np.random.default_rng(10).uniform(lo, hi, size=(sys.dim, 20_000))], axis=1)
+    inputs = np.unique(np.concatenate(
+        [InputGrid(spec.input_pieces, mu).representatives for _, mu, _, _ in spec.presets.values()]), axis=0)
+    h = 1e-6
+    steps = h * np.eye(sys.dim)[:, :, None]
+    out, plus, minus = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    size, jac = np.zeros(sys.dim), np.full((sys.dim, sys.dim), -np.inf)
+    for u in inputs:
+        sys.f(x, u[:, None], out)
+        size = np.maximum(size, np.abs(out).max(axis=1))
+        for j in range(sys.dim):
+            sys.f(x + steps[j], u[:, None], plus)
+            sys.f(x - steps[j], u[:, None], minus)
+            column = (plus - minus) / (2 * h)
+            column[np.arange(sys.dim) != j] = np.abs(column[np.arange(sys.dim) != j])
+            jac[:, j] = np.maximum(jac[:, j], column.max(axis=1))
+    assert np.all(size + sys.w <= sys.A0 * (1 + PLANT_BOUND_TOL)), (size + sys.w, sys.A0)
+    assert np.all(jac <= sys.A1 + 1e-6 * np.abs(sys.A1).max()), (jac, sys.A1)
+    # the samples reach the bounds within 4%: the hull's corners are sampled
+    assert np.allclose(size + sys.w, sys.A0, rtol=0.04), (size + sys.w, sys.A0)
+
+
 def test_escape_detection():
     spec = get_system("chauffeur")
     sys = spec.sampled_system()
