@@ -224,7 +224,7 @@ class Abstraction(FiniteProblem):
             parts.append((place, np.full(len(pid), overflow), np.ones(len(pid), dtype=np.int32), edge))
         return cut_rows(*(np.concatenate(column) for column in zip(*parts)), row_max)
 
-    def row_counts(self, out, stride, row_max, alive, cuts):
+    def row_counts(self, counts, alive, cuts):
         """As ``FiniteProblem.row_counts``, without expanding the blocks.  A
         block's rows of one length (all of them, or a piece of each cut row)
         start at the cells of a box, so as a difference array each adds +1
@@ -232,9 +232,10 @@ class Abstraction(FiniteProblem):
         (dropped where that is past the grid), and running sums along those
         axes of each length's cell grid give the counts."""
         if self.blocks is None:
-            return super().row_counts(out, stride, row_max, alive, cuts)
+            return super().row_counts(counts, alive, cuts)
         corner, span, escaped, union = self.blocks
         cover, grid, chunk = self.cover, len(corner), CHUNK_PAIRS
+        flat, width, row_max = counts.reshape(-1), counts.shape[1], len(counts)  # flat is a view
         lead = cover.dim - 1
         slab = np.append(cover.n_cells, cover._strides[:-1])  # the ids an axis steps within
         for pa in range(0, grid, chunk):
@@ -247,7 +248,7 @@ class Abstraction(FiniteProblem):
                 piece *= row_max
                 sp, first, length = sp[:, own], first[own] + piece, np.minimum(length[own] - piece, row_max)
             length -= 1
-            length *= stride
+            length *= width
             for box in range(1 << lead):  # each corner, at the far end of the axes in box's bits
                 cell, keep, sign = first + length, np.ones(len(first), dtype=bool), 1
                 for axis in (axis for axis in range(lead) if box >> axis & 1):
@@ -255,9 +256,9 @@ class Abstraction(FiniteProblem):
                     keep &= (first % slab[axis] if axis else first) + step < slab[axis]
                     cell += step
                     sign = -sign
-                np.add.at(out, cell[keep], sign)
-        for start in range(0, row_max * stride, stride):
-            cells = out[start : start + cover.n_cells].reshape(cover.counts)  # one length's cell grid
+                np.add.at(flat, cell[keep], sign)
+        for row in counts:
+            cells = row[: cover.n_cells].reshape(cover.counts)  # one length's cell grid
             for axis in range(lead):
                 np.cumsum(cells, axis=axis, out=cells)
         for pa in range(0, grid, chunk) if union is not None else ():
@@ -266,8 +267,8 @@ class Abstraction(FiniteProblem):
             pair, r = ranges(row_ptr[pa:hi], row_ptr[pa + 1 : hi + 1])
             r = r[alive[pa + pair]]
             _, first, length, _ = cut_rows(r, row_first[r], row_length[r], r, row_max)
-            np.add.at(out, (length - 1) * stride + first, 1)
-        out[cover.overflow] += np.count_nonzero(alive[escaped]) + np.count_nonzero(alive[grid:])
+            np.add.at(flat, (length - 1) * width + first, 1)
+        counts[0, cover.overflow] += np.count_nonzero(alive[escaped]) + np.count_nonzero(alive[grid:])
 
 
 def _write_successors(problem: Abstraction):

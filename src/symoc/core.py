@@ -161,17 +161,18 @@ class FiniteProblem:
         edge = at + ptr[pairs.start] if isinstance(pairs, slice) else edges[at]
         return cut_rows(place, s[at], length, edge, row_max)
 
-    def row_counts(self, out, stride, row_max, alive, cuts):
-        """Add to out[(length - 1) * stride + first id], which holds zeros,
-        the number of rows of that length and first id (``rows``, at most
-        ``row_max`` long) among the pairs whose ``alive`` is set, reading a
-        chunk of pairs between ``cuts`` at a time."""
+    def row_counts(self, counts, alive, cuts):
+        """Add to counts[L - 1, f], a C-contiguous array of at least n
+        columns, the number of rows of length L and first id f (``rows``,
+        at most len(counts) long) among the pairs whose ``alive`` is set,
+        reading the pairs between consecutive ``cuts`` a chunk at a time."""
+        flat, width = counts.reshape(-1), counts.shape[1]  # a view: updates land in counts
         for pa, pb in zip(cuts, cuts[1:]):
-            place, first, length, _ = self.rows(slice(pa, pb), row_max)
+            place, first, length, _ = self.rows(slice(pa, pb), len(counts))
             length -= 1
-            length *= stride
+            length *= width
             length += first
-            np.add.at(out, length[alive[pa:pb][place]], 1)
+            np.add.at(flat, length[alive[pa:pb][place]], 1)
 
     # --- FOCP v1 text format -------------------------------------------------
 

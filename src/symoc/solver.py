@@ -219,15 +219,17 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
         col[~alive[pair]] = inert
         return pair, first, size, edge, col
 
-    # count pass: offsets[c + 2] counts the rows in column c
+    # count pass: offsets[c + 2] counts the rows in column c, and
+    # counts[L - 1, f] is the slot of column (L, f) for f from 0 to n - 1
     cuts = chunks(ptr, _INVERSE_EDGES)
     if edge_costs is not None:
         for pa, pb in zip(cuts, cuts[1:]):
             a, b = ptr[pa], ptr[pb]
             alive[pa:pb] = np.logical_and.reduceat(np.isfinite(edge_costs[a:b]), ptr[pa:pb] - a)
-    offsets = np.zeros(inert + 3, dtype=np.int64)
-    problem.row_counts(offsets[ROW_MAX + 1 :], stride, ROW_MAX, alive, cuts)  # from column (1, 0)
-    lengths = 1 + np.flatnonzero(offsets[2:].reshape(ROW_MAX, stride).any(axis=1))
+    offsets = np.zeros(inert + ROW_MAX + 2, dtype=np.int64)  # room for counts' last row
+    counts = offsets[ROW_MAX + 1 :].reshape(ROW_MAX, stride)
+    problem.row_counts(counts, alive, cuts)
+    lengths = 1 + np.flatnonzero(counts.any(axis=1))
     np.cumsum(offsets, out=offsets)
 
     # fill pass: a chunk's rows, sorted by (column, chunk-local row), form
@@ -268,7 +270,7 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
         raise InputError(f"duplicate transition ({pid // m},{pid % m},{q})")
     counters = np.diff(ptr)
     counters[~alive] = -1
-    return RowIndex(lengths, offsets[:-2], index_pair, base, counters)
+    return RowIndex(lengths, offsets[: inert + 1], index_pair, base, counters)
 
 
 @np.errstate(over="ignore")  # cost sums saturate to inf
@@ -425,19 +427,18 @@ def check_certificate(problem: FiniteProblem, W, choice, rank):
         return
     pid = states * problem.m + choice[states]
     ptr = problem.trans_ptr
-    M, late = np.full(len(pid), -INF), np.empty(len(pid), dtype=bool)
-    cuts = chunks(np.append(0, np.cumsum(ptr[pid + 1] - ptr[pid])), _INVERSE_EDGES)
+    M, late = np.empty(len(pid)), np.empty(len(pid), dtype=bool)
+    starts = np.append(0, np.cumsum(ptr[pid + 1] - ptr[pid]))  # each pair's first place among the chosen pairs' ids
+    cuts = chunks(starts, _INVERSE_EDGES)
     for a, b in zip(cuts, cuts[1:]):
-        owner, first, length, edge = problem.rows(pid[a:b])
+        _, first, length, edge = problem.rows(pid[a:b])  # a pair's rows tile its list
         row, succ = ranges(first, first + length)
-        starts = np.cumsum(length) - length  # each row's first place in succ
         vals = W[succ]
         if problem.edge_costs is not None:
             vals += problem.edge_costs[succ + (edge - first)[row]]
-        np.maximum.at(M[a:b], owner, np.maximum.reduceat(vals, starts))
-        latest = np.full(b - a, -1, dtype=np.int64)  # per pair, its successors' last settle
-        np.maximum.at(latest, owner, np.maximum.reduceat(rank[succ], starts))
-        late[a:b] = latest >= rank[states[a:b]]
+        at = starts[a:b] - starts[a]
+        M[a:b] = np.maximum.reduceat(vals, at)
+        late[a:b] = np.maximum.reduceat(rank[succ], at) >= rank[states[a:b]]
     if problem.pair_costs is not None:
         M += problem.pair_costs[pid]
     wrong = _bits(M) != _bits(W[states])

@@ -369,9 +369,9 @@ def test_inverse_from_blocks_matches_reference_inverse(monkeypatch, row_max):
         # the counts from the blocks' boxes, for any live pairs, are the rows'
         n_pairs = problem.n * problem.m
         alive, cuts = rng.random(n_pairs) < 0.7, [0, n_pairs // 3, n_pairs]
-        got, want = (np.zeros(symoc.solver.ROW_MAX * (problem.n + 3), dtype=np.int64) for _ in range(2))
-        problem.row_counts(got, problem.n + 3, symoc.solver.ROW_MAX, alive, cuts)
-        FiniteProblem.row_counts(problem, want, problem.n + 3, symoc.solver.ROW_MAX, alive, cuts)
+        got, want = (np.zeros((symoc.solver.ROW_MAX, problem.n + 3), dtype=np.int64) for _ in range(2))
+        problem.row_counts(got, alive, cuts)
+        FiniteProblem.row_counts(problem, want, alive, cuts)
         assert np.array_equal(got, want)
         index = symoc.solver._build_inverse(problem)
         assert problem.blocks is not None
@@ -409,9 +409,14 @@ def test_build_holds_about_a_block_per_pair_beyond_its_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = problem.trans_ptr.nbytes + problem.pair_costs.nbytes + sum(a.nbytes for a in problem.blocks[:3])
-    assert problem.blocks[3] is None and problem.n_edges == 1_667_191
+    corner, span, escaped, union = problem.blocks
+    blocks = corner.nbytes + span.nbytes + escaped.nbytes
+    kept = problem.trans_ptr.nbytes + problem.pair_costs.nbytes + blocks
+    assert union is None and problem.n_edges == 1_667_191
     assert (peak - kept) / problem.n_edges < 3.0
+    # the blocks themselves: an int32 corner and span per axis per cell pair, an int32 per escaping pair
+    assert corner.dtype == span.dtype == escaped.dtype == np.int32
+    assert blocks <= (4 * (problem.cover.dim + 1) + 4) * problem.n * problem.m
 
 
 def test_split_cap_hit_is_noted_in_certificate(caplog, monkeypatch):
