@@ -171,13 +171,9 @@ class Abstraction(FiniteProblem):
     and then the overflow id if the pair escapes.  Each overflow pair lists
     the overflow cell only.  ``rows`` reads these directly; ``trans_succ``
     is written from them the first time something reads it
-    (``_write_successors``), after which the blocks go and the rows are cut
-    from the CSR.  A block lists distinct ids, union rows do not overlap
-    and the overflow id lies outside every block, so no pair lists a
-    successor twice.
+    (``_write_successors``) and checked as a given CSR is, after which the
+    blocks go and the rows are cut from the CSR.
     """
-
-    distinct_successors = True
 
     def __init__(self, cover: GridCover, m, G, trans_ptr, pair_costs, corner, span, escaped, union):
         self.cover = cover
@@ -192,11 +188,11 @@ class Abstraction(FiniteProblem):
             self._succ, self.blocks = succ, None
         return self._succ
 
-    def rows(self, pairs, row_max=None):
+    def rows(self, pairs):
         """As ``FiniteProblem.rows``, read from the blocks: block by block,
         then the union rows, the escapes and the overflow pairs."""
         if self.blocks is None:
-            return super().rows(pairs, row_max)
+            return super().rows(pairs)
         corner, span, escaped, union = self.blocks
         ptr, overflow, n_grid = self.trans_ptr, self.cover.overflow, len(corner)
         if isinstance(pairs, slice):  # the cells' pairs by slices, not gathers
@@ -222,7 +218,7 @@ class Abstraction(FiniteProblem):
             parts.append((own, row_first[r], length, start[own] + before - before[np.searchsorted(own, own)]))
         for place, pid, edge in ((esc_place, esc, ptr[esc + 1] - 1), (over_place, over, ptr[over])):
             parts.append((place, np.full(len(pid), overflow), np.ones(len(pid), dtype=np.int32), edge))
-        return cut_rows(*(np.concatenate(column) for column in zip(*parts)), row_max)
+        return cut_rows(*(np.concatenate(column) for column in zip(*parts)))
 
     def row_counts(self, counts, alive, cuts):
         """As ``FiniteProblem.row_counts``, without expanding the blocks.  A
@@ -235,18 +231,15 @@ class Abstraction(FiniteProblem):
             return super().row_counts(counts, alive, cuts)
         corner, span, escaped, union = self.blocks
         cover, grid, chunk = self.cover, len(corner), CHUNK_PAIRS
-        flat, width, row_max = counts.reshape(-1), counts.shape[1], len(counts)  # flat is a view
+        flat, width = counts.reshape(-1), counts.shape[1]  # flat is a view
         lead = cover.dim - 1
         slab = np.append(cover.n_cells, cover._strides[:-1])  # the ids an axis steps within
         for pa in range(0, grid, chunk):
             hi = min(pa + chunk, grid)
             live = pa + np.flatnonzero(alive[pa:hi] & (span[-1, pa:hi] > 0))
-            sp = span[:, live]
-            first, length = corner[live].astype(np.int64), sp[-1].astype(np.int64)
-            if length.max(initial=0) > row_max:  # a box per piece of a cut row
-                own, piece = ranges(0, (length - 1) // row_max + 1)
-                piece *= row_max
-                sp, first, length = sp[:, own], first[own] + piece, np.minimum(length[own] - piece, row_max)
+            first, length = corner[live].astype(np.int64), span[-1, live].astype(np.int64)
+            own, first, length, _ = cut_rows(live, first, length, first)  # a box per piece of a cut row
+            sp = span[:, own]
             length -= 1
             length *= width
             for box in range(1 << lead):  # each corner, at the far end of the axes in box's bits
@@ -266,7 +259,7 @@ class Abstraction(FiniteProblem):
             hi = min(pa + chunk, grid)
             pair, r = ranges(row_ptr[pa:hi], row_ptr[pa + 1 : hi + 1])
             r = r[alive[pa + pair]]
-            _, first, length, _ = cut_rows(r, row_first[r], row_length[r], r, row_max)
+            _, first, length, _ = cut_rows(r, row_first[r], row_length[r], r)
             np.add.at(flat, (length - 1) * width + first, 1)
         counts[0, cover.overflow] += np.count_nonzero(alive[escaped]) + np.count_nonzero(alive[grid:])
 

@@ -43,21 +43,49 @@ def chunks(ptr, size):
     return np.unique(np.concatenate(([0, len(ptr) - 1], cuts, big))).tolist()
 
 
-def cut_rows(place, first, length, edge, row_max):
+ROW_MAX = 8  # the longest row: longer runs of consecutive successors are cut
+
+
+def cut_rows(place, first, length, edge):
     """Rows (pair's place, first id, length, first edge) with each row
-    longer than ``row_max`` cut into rows of ``row_max`` and a rest, in
-    place of it."""
-    if row_max is None or length.max(initial=0) <= row_max:
+    longer than ROW_MAX cut into rows of ROW_MAX and a rest, in place of it."""
+    if length.max(initial=0) <= ROW_MAX:
         return place, first, length, edge
-    own, piece = ranges(0, (length - 1) // row_max + 1)
-    piece *= row_max
-    return place[own], first[own] + piece, np.minimum(length[own] - piece, row_max), edge[own] + piece
+    own, piece = ranges(0, (length - 1) // ROW_MAX + 1)
+    piece *= ROW_MAX
+    return place[own], first[own] + piece, np.minimum(length[own] - piece, ROW_MAX), edge[own] + piece
 
 
 def offsets(keys, n):
     """CSR offsets of the runs of 0..n-1 in the ascending array ``keys``,
     searched in the keys' dtype."""
     return np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype))
+
+
+CHECK_EDGES = 1 << 16  # edges per chunk of whole pairs in the repeat check
+
+
+def repeats(heads, succ):
+    """Places in ``succ``, the lists of consecutive pairs starting at
+    ``heads`` (0 first), of the entries that an earlier entry of their
+    pair's list repeats, ascending.  Rising lists pass with one compare per
+    entry; any others are sorted by (pair, successor), with successors
+    below 2**32 where there are several pairs, and only a sort that finds a
+    repeat is redone as a stable argsort."""
+    rise = succ[1:] > succ[:-1]
+    rise[heads[1:] - 1] = True
+    if rise.all():
+        return heads[:0]
+    key = np.zeros(len(succ), dtype=np.int64)
+    key[heads[1:]] = 1 << 32
+    np.cumsum(key, out=key)
+    key += succ
+    ordered = np.sort(key)
+    if (ordered[1:] != ordered[:-1]).all():
+        return heads[:0]
+    order = key.argsort(kind="stable")
+    key = key[order]
+    return np.sort(order[1:][key[1:] == key[:-1]])
 
 
 class FiniteProblem:
@@ -69,12 +97,10 @@ class FiniteProblem:
     not depend on the successor (``pair_costs`` mode, used by large
     abstractions to keep memory linear in the pair count).
 
-    The solver reads successor lists as rows (``rows``).  A subclass may keep
-    its lists in another form and build ``trans_succ`` when it is first read;
-    it sets ``distinct_successors`` when no pair can list a successor twice.
+    F(p, u) is a set: no pair lists a successor twice.  The solver reads
+    successor lists as rows (``rows``).  A subclass may keep its lists in
+    another form and build ``trans_succ`` when it is first read.
     """
-
-    distinct_successors = False  # a CSR read from outside may list a successor twice
 
     def __init__(self, n, m, G, trans_ptr, trans_succ, edge_costs=None, pair_costs=None):
         self.n = int(n)
@@ -109,14 +135,27 @@ class FiniteProblem:
         want = self.n_edges if self.edge_costs is not None else self.n * self.m
         if self.costs.shape != (want,):
             raise InputError("cost array has wrong length")
-        if np.any(np.isnan(self.costs)) or np.any(self.costs < 0):
+        if not self.costs.min() >= 0:  # NaN fails too, with no temporary per edge
             raise InputError("running costs must be non-negative")
 
     def _check_successors(self, succ):
+        """The check every CSR a problem holds passes: successors are
+        integer state ids and no pair lists one twice.  It reads chunks of
+        whole pairs (``repeats``) and names the first repeat in pair order,
+        then list order."""
         if len(succ) and (succ.min() < 0 or succ.max() >= self.n):
             raise InputError("successor index out of range")
         if not np.issubdtype(succ.dtype, np.integer):
             raise InputError(f"successor indices must be integers, not {succ.dtype}")
+        ptr = self.trans_ptr
+        cuts = chunks(ptr, CHECK_EDGES)
+        for pa, pb in zip(cuts, cuts[1:]):
+            a = ptr[pa]
+            at = repeats(ptr[pa:pb] - a, succ[a : ptr[pb]])
+            if len(at):
+                e = a + int(at[0])
+                p, u = divmod(int(np.searchsorted(ptr, e, side="right")) - 1, self.m)
+                raise InputError(f"duplicate transition ({p},{u},{succ[e]})")
 
     @property
     def trans_succ(self) -> np.ndarray:
@@ -132,14 +171,14 @@ class FiniteProblem:
     def n_edges(self) -> int:
         return int(self.trans_ptr[-1])
 
-    def rows(self, pairs, row_max=None):
+    def rows(self, pairs):
         """The successor rows of ``pairs``, a slice of consecutive pair ids
         or an ascending array of them: per row the place of its pair in
         ``pairs``, its first successor id, its length and its first edge
         (its place in ``trans_succ``).  A row is a run of consecutive ids in
-        one pair's list, at most ``row_max`` long (no bound when None); a
-        pair's rows come in list order.  Here they are the maximal runs, cut
-        at ``row_max``, in pair order."""
+        one pair's list, at most ROW_MAX long; a pair's rows come in list
+        order.  Here they are the maximal runs, cut at ROW_MAX, in pair
+        order."""
         ptr = self.trans_ptr
         if isinstance(pairs, slice):
             heads = ptr[pairs.start : pairs.stop] - ptr[pairs.start]
@@ -159,16 +198,16 @@ class FiniteProblem:
         place = np.cumsum(cut[at]) - 1  # rows starting a pair, counted
         length = np.diff(at, append=len(s))
         edge = at + ptr[pairs.start] if isinstance(pairs, slice) else edges[at]
-        return cut_rows(place, s[at], length, edge, row_max)
+        return cut_rows(place, s[at], length, edge)
 
     def row_counts(self, counts, alive, cuts):
         """Add to counts[L - 1, f], a C-contiguous array of at least n
-        columns, the number of rows of length L and first id f (``rows``,
-        at most len(counts) long) among the pairs whose ``alive`` is set,
-        reading the pairs between consecutive ``cuts`` a chunk at a time."""
+        columns, the number of rows of length L and first id f (``rows``)
+        among the pairs whose ``alive`` is set, reading the pairs between
+        consecutive ``cuts`` a chunk at a time."""
         flat, width = counts.reshape(-1), counts.shape[1]  # a view: updates land in counts
         for pa, pb in zip(cuts, cuts[1:]):
-            place, first, length, _ = self.rows(slice(pa, pb), len(counts))
+            place, first, length, _ = self.rows(slice(pa, pb))
             length -= 1
             length *= width
             length += first

@@ -15,7 +15,8 @@ import io
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .core import INF, STOP, chunks, offsets
+from . import core
+from .core import INF, STOP, chunks, offsets, repeats
 from .errors import InputError
 
 
@@ -86,7 +87,7 @@ def read(source):
     if np.any(pid[1:] < pid[:-1]):
         order = np.argsort(pid, kind="stable")  # pair order; file order within a pair
         pid, succ, costs = pid[order], succ[order], costs[order]
-    duplicate = _first_duplicate(pid, succ, n, order)
+    duplicate = _first_duplicate(pid, succ, order)
     if duplicate is not None:
         record, at = duplicate
         (p, u), q = divmod(int(pid[at]), m), int(succ[at])
@@ -127,9 +128,9 @@ def read_records(source, what):
     first, second = map(np.concatenate, zip(*columns))
     if what == "relation":
         return first, second
-    repeat = _repeats(first)
+    repeat = repeats(np.zeros(1, dtype=np.int64), first)  # one list: the states
     if len(repeat):
-        raise InputError(f"state listed twice in {what} record: {_record_line(fh, blocks, int(repeat.min()))!a}")
+        raise InputError(f"state listed twice in {what} record: {_record_line(fh, blocks, int(repeat[0]))!a}")
     if first.max(initial=-1) != len(first) - 1:
         raise InputError(f"{what} file must cover states 0..n-1")
     return second[np.argsort(first)]
@@ -149,43 +150,17 @@ def _join(blocks):
     return out
 
 
-def _rising(pid, succ):
-    """Whether the (pair id, successor) keys rise strictly, checked in
-    chunks of _CHECK_EDGES keys, a byte per key of a chunk."""
-    for a in range(0, len(pid), _CHECK_EDGES):
-        p, s = pid[a : a + _CHECK_EDGES + 1], succ[a : a + _CHECK_EDGES + 1]
-        rising = s[1:] > s[:-1]
-        rising &= p[1:] == p[:-1]
-        rising |= p[1:] > p[:-1]
-        if not rising.all():
-            return False
-    return True
-
-
-def _repeats(key):
-    """Indices of the entries of ``key`` equal to an earlier one; a strictly
-    increasing ``key`` is not sorted."""
-    if not np.any(key[1:] <= key[:-1]):
-        return key[:0]
-    order = np.argsort(key, kind="stable")
-    return order[1:][key[order[1:]] == key[order[:-1]]]
-
-
-def _first_duplicate(pid, succ, n, order):
+def _first_duplicate(pid, succ, order):
     """(file-order index, index) of the first T record in file order whose
     (pair, successor) an earlier one has, or None.  ``pid`` does not fall;
     ``order`` gives each record's file-order index (None: its own).  The
-    check runs over chunks of whole pairs, about _CHECK_EDGES records each,
-    with an int64 (pair, successor) key per chunk only."""
-    if _rising(pid, succ):
-        return None
+    search (``core.repeats``) runs over chunks of whole pairs, about
+    CHECK_EDGES records each."""
     first = None
-    starts = np.unique(np.searchsorted(pid, pid[::_CHECK_EDGES]))
+    starts = np.unique(np.searchsorted(pid, pid[:: core.CHECK_EDGES]))
     for a, b in zip(starts, [*starts[1:], len(pid)]):
-        key = (pid[a:b] - pid[a]).astype(np.int64)
-        key *= n
-        key += succ[a:b]
-        repeat = _repeats(key) + a
+        p = pid[a:b]
+        repeat = repeats(np.flatnonzero(np.append(True, p[1:] != p[:-1])), succ[a:b]) + a
         if len(repeat):
             records = repeat if order is None else order[repeat]
             i = int(np.argmin(records))
@@ -196,7 +171,6 @@ def _first_duplicate(pid, succ, n, order):
 
 _WRITE_EDGES = 1 << 18  # T records rendered per block by text_blocks
 _READ_BYTES = 1 << 20  # text read and tokenized per block
-_CHECK_EDGES = 1 << 16  # T records per chunk of whole pairs in the duplicate check
 _INT_DIGITS = 18  # an index token has 1 to _INT_DIGITS ASCII digits
 _COST_CHARS = 32  # longer cost tokens are read by float(), one at a time
 # bytes.translate table of byte classes: 0 a token byte, 1 a byte outside

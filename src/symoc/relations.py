@@ -3,8 +3,8 @@
 The checkers evaluate the defining conditions over all related pairs as
 array joins of the relation with the problems' edges, and report violations
 instead of raising; running costs are the totalized per-transition costs of
-the finite problems (inf off transitions, the first occurrence's cost on a
-repeated transition).
+the finite problems (inf off transitions).  No pair lists a successor twice
+(``FiniteProblem``), so a transition has one cost.
 """
 
 from __future__ import annotations
@@ -67,21 +67,23 @@ def _edge_keys(problem: FiniteProblem):
     return keys
 
 
+def _edge_costs(problem: FiniteProblem):
+    """The running cost of every edge, in CSR order."""
+    if problem.edge_costs is not None:
+        return problem.edge_costs
+    return np.repeat(problem.pair_costs, np.diff(problem.trans_ptr))
+
+
 def _edge_table(problem: FiniteProblem):
-    """The edge keys sorted stably, so that a repeated edge's first
-    occurrence leads its run, with their costs."""
+    """The edge keys, sorted, with their costs."""
     keys = _edge_keys(problem)
-    costs = problem.edge_costs
-    if costs is None:
-        costs = np.repeat(problem.pair_costs, np.diff(problem.trans_ptr))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    return keys, costs[order]
+    order = keys.argsort()
+    return keys[order], _edge_costs(problem)[order]
 
 
 def _lookup(table, keys):
-    """(cost, found) of the first edge with each key; the cost is inf where
-    there is none, as for the totalized running cost."""
+    """(cost, found) of the edge with each key; the cost is inf where there
+    is none, as for the totalized running cost."""
     sorted_keys, costs = table
     pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
     found = sorted_keys[pos] == keys
@@ -143,11 +145,11 @@ def check_vfrr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation) -> Verdict:
     _terminal_violations("ii", violations, p1, p2, rel)
     table1, table2 = _edge_table(p1), _edge_table(p2)
 
-    # (iii) on the first occurrence of each finite-cost edge (b, u, qb) of
-    # problem 2, against every (a, qa) in R^-1(b) x R^-1(qb); a block's
-    # first violations in (pair, successor pair, input) order are kept
+    # (iii) on each finite-cost edge (b, u, qb) of problem 2, against every
+    # (a, qa) in R^-1(b) x R^-1(qb); a block's first violations in (pair,
+    # successor pair, input) order are kept
     keys2, costs2 = table2
-    finite = np.append(True, keys2[1:] != keys2[:-1]) & (costs2 < INF)
+    finite = costs2 < INF
     keys, g2 = keys2[finite], costs2[finite]
     del finite
     inv_idx = np.lexsort((A, B))  # the pairs of b are inv_idx[inv_ptr[b]:inv_ptr[b + 1]]
@@ -207,11 +209,10 @@ def check_vasr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation, eps: float) 
 
     # gates per pair (b, u2) of problem 2: an edge of infinite running cost,
     # or a successor related to a state of problem 1 where P(0) is infinite
-    table1, table2 = _edge_table(p1), _edge_table(p2)
-    g2_edge, _ = _lookup(table2, _edge_keys(p2))
+    table2 = _edge_table(p2)
     unbounded = np.zeros(p2.n, dtype=bool)
     unbounded[B[dp_operator(p1, np.zeros(p1.n))[A] == INF]] = True
-    gated_pair = np.logical_or.reduceat((g2_edge == INF) | unbounded[p2.trans_succ], p2.trans_ptr[:-1])
+    gated_pair = np.logical_or.reduceat((_edge_costs(p2) == INF) | unbounded[p2.trans_succ], p2.trans_ptr[:-1])
     active = np.flatnonzero(p1.G[A] > 0.0)
     rows = (B[active, None] * p2.m + np.arange(p2.m)).ravel()  # row k·m2 + u2 for active pair k
     gated = int(gated_pair[rows].sum())
@@ -220,15 +221,14 @@ def check_vasr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation, eps: float) 
 
     # cases: (live row, u1), then its successors q1, then their images q2,
     # in blocks of live rows
-    fwd_ptr = offsets(A, p1.n)
+    fwd_ptr, costs1 = offsets(A, p1.n), _edge_costs(p1)
     failing = []
     p1_edges = p1.trans_ptr[(A[i] + 1) * p1.m] - p1.trans_ptr[A[i] * p1.m]
     for lo, hi in _blocks(p1_edges):
         case = np.repeat(np.arange(lo, hi), p1.m)
         pid1 = A[i[case]] * p1.m + np.tile(np.arange(p1.m), hi - lo)
         succ_case, e = ranges(p1.trans_ptr[pid1], p1.trans_ptr[pid1 + 1])
-        q1 = p1.trans_succ[e]
-        g1, _ = _lookup(table1, pid1[succ_case] * p1.n + q1)
+        q1, g1 = p1.trans_succ[e], costs1[e]
         img_succ, r = ranges(fwd_ptr[q1], fwd_ptr[q1 + 1])
         row = case[succ_case[img_succ]]
         g2, hit = _lookup(table2, (B[i[row]] * p2.m + u2[row]) * p2.n + B[r])

@@ -65,6 +65,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
+from . import core
 from .core import INF, STOP, ControllerTable, FiniteProblem, chunks, ranges
 from .errors import InputError, SoundnessAlarm
 
@@ -133,28 +134,27 @@ def _keys(values, states) -> list:
     return [b << 32 | q for b, q in zip(_bits(values).tolist(), states.tolist())]
 
 
-ROW_MAX = 8  # the longest row of the index; longer runs of consecutive successors are cut
 _INVERSE_EDGES = 1 << 16  # edges per chunk of the index's build
 
 
 class RowIndex:
     """The live pairs' successor rows, indexed by (length, first id).
 
-    A row is a run of at most ROW_MAX consecutive successor ids in one
-    pair's list; each maximal run is cut into rows of ROW_MAX and a rest.
-    Rows sort by (length L, first id f); with stride = n + ROW_MAX,
-    offsets[(L - 1) * stride + ROW_MAX - 1 + f], for f from 1 - ROW_MAX to
-    n, counts the rows sorting below (L, f).  ``pair`` holds each row's
-    int32 pair id and ``base``, with per-edge costs, its first edge minus
-    its first id, so a successor q of the row is edge base + q.
+    A row is a run of at most ROW_MAX (``core.ROW_MAX``) consecutive
+    successor ids in one pair's list; each maximal run is cut into rows of
+    ROW_MAX and a rest.  Rows sort by (length L, first id f); with stride =
+    n + ROW_MAX, offsets[(L - 1) * stride + ROW_MAX - 1 + f], for f from
+    1 - ROW_MAX to n, counts the rows sorting below (L, f).  ``pair`` holds
+    each row's int32 pair id and ``base``, with per-edge costs, its first
+    edge minus its first id, so a successor q of the row is edge base + q.
     ``counters`` counts each pair's unsettled successors, -1 if inert.
     """
 
     def __init__(self, lengths, offsets, pair, base, counters):
         self.lengths = lengths  # the row lengths present, ascending
         self.offsets, self.pair, self.base, self.counters = offsets, pair, base, counters
-        stride = len(offsets) // ROW_MAX
-        self._lo = (lengths - 1) * stride + ROW_MAX - lengths  # column of f = q - L + 1, less q
+        stride = len(offsets) // core.ROW_MAX
+        self._lo = (lengths - 1) * stride + core.ROW_MAX - lengths  # column of f = q - L + 1, less q
         self._hi = self._lo + lengths  # column of f = q + 1, less q
 
     def incidences(self, states):
@@ -164,37 +164,13 @@ class RowIndex:
                       self.offsets[(states[:, None] + self._hi).ravel()])
 
 
-def _least_duplicate(succ, ptr, alive, pa, pb):
-    """The least (successor, pair) listed twice by a live pair among
-    pa..pb-1, or None: a sort of their edges by (pair, successor)."""
-    a, b = ptr[pa], ptr[pb]
-    sizes = np.diff(ptr[pa : pb + 1])
-    key = np.left_shift(np.repeat(np.arange(pb - pa, dtype=np.int64), sizes), 32)
-    key |= succ[a:b]
-    key = key[np.repeat(alive[pa:pb], sizes)]
-    key.sort()
-    dup = key[1:][key[1:] == key[:-1]]
-    if not len(dup):
-        return None
-    q, pid = dup & 0xFFFFFFFF, (dup >> 32) + pa
-    i = np.lexsort((pid, q))[0]
-    return int(q[i]), int(pid[i])
-
-
 def _build_inverse(problem: FiniteProblem) -> RowIndex:
     """The RowIndex of the non-inert pairs, from the rows the problem gives
     (``FiniteProblem.rows``) a chunk of pairs at a time.
 
     Pairs with any infinite transition cost are inert (their M is always
-    inf) and left out.  A pair listing a successor twice would never
-    become ready (its counter counts the successor twice, a settle
-    decrements it once), so that is an input error naming the least such
-    (successor, pair).  Only a problem that may list one twice is checked:
-    an abstraction's rows come from reach blocks, each of distinct ids, from
-    merged union rows, which do not overlap, and from the overflow id,
-    outside every block (``distinct_successors``).  A chunk whose pairs'
-    rows all rise without overlapping lists no successor twice; any other
-    chunk is sorted.
+    inf) and left out.  A pair's counter counts its successors, each once,
+    as no pair lists one twice (``FiniteProblem._check_successors``).
 
     A two-pass counting sort over chunks of whole pairs.  The first pass
     counts the rows of each (length, first id), the second takes the rows
@@ -205,19 +181,9 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
     n, m = problem.n, problem.m
     ptr, edge_costs = problem.trans_ptr, problem.edge_costs
     alive = np.isfinite(problem.pair_costs) if edge_costs is None else np.empty(n * m, dtype=bool)
-    stride = n + ROW_MAX
-    inert = ROW_MAX * stride - 1  # the column of inert pairs' rows, past every row's
-
-    def rows(pa, pb):
-        """The rows of pairs pa..pb-1 (``FiniteProblem.rows``, with pair
-        ids) and their columns."""
-        pair, first, size, edge = problem.rows(slice(pa, pb), ROW_MAX)
-        pair += pa
-        col = np.multiply(size - 1, stride, dtype=np.int64)  # as in RowIndex
-        col += first
-        col += ROW_MAX - 1
-        col[~alive[pair]] = inert
-        return pair, first, size, edge, col
+    row_max = core.ROW_MAX
+    stride = n + row_max
+    inert = row_max * stride - 1  # the column of inert pairs' rows, past every row's
 
     # count pass: offsets[c + 2] counts the rows in column c, and
     # counts[L - 1, f] is the slot of column (L, f) for f from 0 to n - 1
@@ -226,8 +192,8 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
         for pa, pb in zip(cuts, cuts[1:]):
             a, b = ptr[pa], ptr[pb]
             alive[pa:pb] = np.logical_and.reduceat(np.isfinite(edge_costs[a:b]), ptr[pa:pb] - a)
-    offsets = np.zeros(inert + ROW_MAX + 2, dtype=np.int64)  # room for counts' last row
-    counts = offsets[ROW_MAX + 1 :].reshape(ROW_MAX, stride)
+    offsets = np.zeros(inert + row_max + 2, dtype=np.int64)  # room for counts' last row
+    counts = offsets[row_max + 1 :].reshape(row_max, stride)
     problem.row_counts(counts, alive, cuts)
     lengths = 1 + np.flatnonzero(counts.any(axis=1))
     np.cumsum(offsets, out=offsets)
@@ -238,15 +204,13 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
     cursor = offsets[1:]
     index_pair = np.empty(offsets[-1], dtype=np.int32)
     base = None if edge_costs is None else np.empty(offsets[-1], dtype=np.int64)
-    dups = []  # per chunk, its least duplicate (successor, pair)
     for pa, pb in zip(cuts, cuts[1:]):
-        pair, first, size, edge, col = rows(pa, pb)
-        if not problem.distinct_successors and (  # a CSR's rows, in pair order
-            (first[1:] < first[:-1] + size[:-1]) & (pair[1:] == pair[:-1])
-        ).any():
-            dup = _least_duplicate(problem.trans_succ, ptr, alive, pa, pb)
-            if dup is not None:
-                dups.append(dup)
+        pair, first, size, edge = problem.rows(slice(pa, pb))
+        pair += pa
+        col = np.multiply(size - 1, stride, dtype=np.int64)  # as in RowIndex
+        col += first
+        col += row_max - 1
+        col[~alive[pair]] = inert
         shift = len(col).bit_length()
         key = col << shift
         key |= np.arange(len(key))
@@ -265,9 +229,6 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
         index_pair[dest] = pair[key]
         if base is not None:
             base[dest] = (edge - first)[key]
-    if dups:
-        q, pid = min(dups)
-        raise InputError(f"duplicate transition ({pid // m},{pid % m},{q})")
     counters = np.diff(ptr)
     counters[~alive] = -1
     return RowIndex(lengths, offsets[: inert + 1], index_pair, base, counters)

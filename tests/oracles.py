@@ -41,8 +41,7 @@ def successors(problem, p, u):
 
 
 def cost_of(problem, p, q, u) -> float:
-    """Totalized running cost: inf when q is not a successor of (p, u), the
-    first occurrence's cost when it is one more than once."""
+    """Totalized running cost: inf when q is not a successor of (p, u)."""
     a, b = problem.trans_ptr[pair_id(problem, p, u)], problem.trans_ptr[pair_id(problem, p, u) + 1]
     idx = np.nonzero(problem.trans_succ[a:b] == q)[0]
     if len(idx) == 0:

@@ -330,24 +330,26 @@ def block_problems(rng, trials):
 
 
 @pytest.mark.parametrize("row_max", [None, 2])
-def test_block_rows_expand_to_the_materialized_csr(row_max):
+def test_block_rows_expand_to_the_materialized_csr(monkeypatch, row_max):
     # the rows an abstraction reads from its blocks, for a slice of pairs or
     # an ascending array of them, tile those pairs' stretches of the
     # trans_succ it builds later: per row, consecutive ids at its edges, at
-    # most row_max of them
+    # most ROW_MAX of them (the default, or 2)
+    if row_max is not None:
+        monkeypatch.setattr(symoc.core, "ROW_MAX", row_max)
     rng = np.random.default_rng(28)
     longest = 0
     for problem, transitions, gated in block_problems(rng, 12):
         n_pairs = problem.n * problem.m
         sets = [np.arange(n_pairs), np.flatnonzero(rng.random(n_pairs) < 0.3), np.arange(5, n_pairs - 3)]
-        got = [problem.rows(slice(0, n_pairs), row_max), problem.rows(sets[1], row_max),
-               problem.rows(slice(5, n_pairs - 3), row_max)]
-        assert problem.blocks is not None and problem.blocks[3] is not None  # several branches: union rows
-        longest = max(longest, problem.rows(slice(0, n_pairs))[2].max())
+        got = [problem.rows(slice(0, n_pairs)), problem.rows(sets[1]), problem.rows(slice(5, n_pairs - 3))]
+        _, span, _, union = problem.blocks
+        assert union is not None  # several branches: union rows
+        longest = max(longest, span[-1].max(), union[2].max())  # before cutting
         want_ptr, want_succ = reference_csr(transitions, problem.cover, problem.m, gated)
         assert np.array_equal(problem.trans_succ, want_succ) and problem.blocks is None
         for pids, (place, first, length, edge) in zip(sets, got):
-            assert length.min() >= 1 and (row_max is None or length.max() <= row_max)
+            assert length.min() >= 1 and length.max() <= symoc.core.ROW_MAX
             pair = pids[place]
             order = np.argsort(edge)
             row, edges = ranges(edge[order], edge[order] + length[order])
@@ -363,20 +365,44 @@ def test_inverse_from_blocks_matches_reference_inverse(monkeypatch, row_max):
     # reference's (successor, pair) incidences; rows longer than ROW_MAX
     # count and fill as their pieces
     if row_max is not None:
-        monkeypatch.setattr(symoc.solver, "ROW_MAX", row_max)
+        monkeypatch.setattr(symoc.core, "ROW_MAX", row_max)
     rng = np.random.default_rng(29)
     for problem, _, _ in block_problems(rng, 12):
         # the counts from the blocks' boxes, for any live pairs, are the rows'
         n_pairs = problem.n * problem.m
         alive, cuts = rng.random(n_pairs) < 0.7, [0, n_pairs // 3, n_pairs]
-        got, want = (np.zeros((symoc.solver.ROW_MAX, problem.n + 3), dtype=np.int64) for _ in range(2))
+        got, want = (np.zeros((symoc.core.ROW_MAX, problem.n + 3), dtype=np.int64) for _ in range(2))
         problem.row_counts(got, alive, cuts)
         FiniteProblem.row_counts(problem, want, alive, cuts)
         assert np.array_equal(got, want)
         index = symoc.solver._build_inverse(problem)
         assert problem.blocks is not None
-        assert index.lengths.max() <= symoc.solver.ROW_MAX
+        assert index.lengths.max() <= symoc.core.ROW_MAX
         assert_inverse_matches_reference(problem)
+
+
+def test_materialized_csr_passes_the_constructor_check(monkeypatch):
+    # the trans_succ an abstraction writes from its blocks is checked as a
+    # given CSR is: it passes, and a write that lists a successor twice is
+    # refused when something first reads it
+    rng = np.random.default_rng(34)
+    problems = [problem for problem, _, _ in block_problems(rng, 6)]
+    for problem in problems[:3]:
+        args = problem.n, problem.m, problem.G, problem.trans_ptr, problem.trans_succ
+        FiniteProblem(*args, pair_costs=problem.pair_costs)
+    write = symoc.abstraction._write_successors
+
+    def write_a_repeat(problem):
+        succ = write(problem)
+        pid = int(np.flatnonzero(np.diff(problem.trans_ptr) > 1)[0])
+        succ[problem.trans_ptr[pid] + 1] = succ[problem.trans_ptr[pid]]
+        return succ
+
+    monkeypatch.setattr(symoc.abstraction, "_write_successors", write_a_repeat)
+    for problem in problems[3:]:
+        with pytest.raises(InputError, match="^duplicate transition"):
+            problem.trans_succ
+        assert problem.blocks is not None
 
 
 def test_solve_reads_blocks_and_their_csr_alike():

@@ -356,7 +356,7 @@ def test_focp_duplicate_check_names_the_first_repeat_in_file_order(monkeypatch, 
     # repeats in two pairs, successors falling within a pair and pairs out of
     # file order: chunks of whole pairs (two records a chunk, or all in one)
     # still name the first repeat in file order
-    monkeypatch.setattr(symoc.focp, "_CHECK_EDGES", check_edges)
+    monkeypatch.setattr(symoc.core, "CHECK_EDGES", check_edges)
     head = "focp 3 1\nG 0 0\n"
     for body, message in (
         ("T 0 0 1 1\nT 1 0 2 1\nT 1 0 0 1\nT 2 0 0 1\nT 1 0 2 4\nT 0 0 1 3\n", "(1,0,2): 'T 1 0 2 4'"),
@@ -550,6 +550,113 @@ def test_finite_problem_validation_names_the_first_fault(change, message):
     FiniteProblem(**VALID_PROBLEM)
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         FiniteProblem(**{**VALID_PROBLEM, **change})
+
+
+def problem_lists(rng, repeats):
+    """(n, m, trans_ptr, trans_succ) of a random problem whose pairs list
+    1 to 8 successors, rising, falling or shuffled; with ``repeats`` about
+    one pair in five lists one of its successors again, at a random place."""
+    n, m = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+    lists = []
+    for _ in range(n * m):
+        succ = rng.choice(n, size=int(rng.integers(1, min(n, 8) + 1)), replace=False)
+        succ = [np.sort(succ), np.sort(succ)[::-1], succ][int(rng.integers(3))].tolist()
+        if repeats and rng.random() < 0.2:
+            succ.insert(int(rng.integers(len(succ) + 1)), succ[int(rng.integers(len(succ)))])
+        lists.append(succ)
+    ptr = np.append(0, np.cumsum([len(succ) for succ in lists]))
+    return n, m, ptr, np.array([q for succ in lists for q in succ], dtype=np.int32)
+
+
+def first_repeat(m, ptr, succ):
+    """(pair id, message) of the first repeat in pair order, then list
+    order, by a loop over the lists, or None."""
+    for pid in range(len(ptr) - 1):
+        seen = set()
+        for k in range(ptr[pid], ptr[pid + 1]):
+            if succ[k] in seen:
+                return pid, f"duplicate transition ({pid // m},{pid % m},{succ[k]})"
+            seen.add(succ[k])
+    return None
+
+
+def random_costs(rng, m, n, ptr, per_edge):
+    """G and the costs keywords: about a third of the pairs inert (a cost inf)."""
+    G = np.where(rng.random(n) < 0.3, 0.0, INF)
+    inert = rng.random(n * m) < 0.3
+    if per_edge:
+        costs = np.round(rng.uniform(0, 2, size=ptr[-1]), 3)
+        costs[ptr[:-1][inert]] = INF
+        return G, inert, dict(edge_costs=costs)
+    return G, inert, dict(pair_costs=np.where(inert, INF, np.round(rng.uniform(0, 2, size=n * m), 3)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, None])
+def test_constructor_names_the_first_repeated_successor(monkeypatch, chunk):
+    # every cost mode, live and inert pairs, the repeat next to its first
+    # occurrence or not: the first repeat in pair order, then list order, is
+    # named; chunks of 1 and 3 edges put a problem's pairs in many chunks
+    if chunk is not None:
+        monkeypatch.setattr(symoc.core, "CHECK_EDGES", chunk)
+    rng = np.random.default_rng(31)
+    seen = set()
+    for case in range(400):
+        n, m, ptr, succ = problem_lists(rng, repeats=True)
+        G, inert, costs = random_costs(rng, m, n, ptr, case % 2 == 0)
+        want = first_repeat(m, ptr, succ)
+        if want is None:
+            FiniteProblem(n, m, G, ptr, succ, **costs)
+            continue
+        with pytest.raises(InputError) as exc:
+            FiniteProblem(n, m, G, ptr, succ, **costs)
+        pid, message = want
+        assert str(exc.value) == message, case
+        list_ = succ[ptr[pid] : ptr[pid + 1]].tolist()
+        q = int(message.rstrip(")").rsplit(",", 1)[1])
+        k = list_.index(q)
+        seen.add((case % 2 == 0, bool(inert[pid]), list_[k + 1] == q))  # per edge, inert, adjacent
+    assert seen == {(e, i, a) for e in (True, False) for i in (True, False) for a in (True, False)}
+
+
+def test_focp_text_of_every_constructible_problem_reads_back():
+    # a problem the constructor accepts is written and read back to equal
+    # arrays; one listing a successor twice is refused when it is made, so
+    # no written problem fails to read back
+    rng = np.random.default_rng(32)
+    accepted = refused = 0
+    for case in range(300):
+        n, m, ptr, succ = problem_lists(rng, repeats=case % 2 == 0)
+        G, _, costs = random_costs(rng, m, n, ptr, case % 3 == 0)
+        try:
+            problem = FiniteProblem(n, m, G, ptr, succ, **costs)
+        except InputError as exc:
+            assert str(exc).startswith("duplicate transition"), case
+            refused += 1
+            continue
+        assert_same_problem(FiniteProblem.from_focp_text(problem.to_focp_text()), problem)
+        accepted += 1
+    assert accepted > 150 and refused > 30
+
+
+def test_constructing_a_shuffled_problem_holds_no_array_per_edge():
+    # 3.0 M edges, each pair's list shuffled, so every chunk of the repeat
+    # check is sorted: beyond the given arrays the constructor holds
+    # O(CHECK_EDGES) per chunk and O(n m) pair data, never a byte per edge
+    rng = np.random.default_rng(33)
+    n, m = 6000, 3
+    sizes = rng.integers(100, 236, size=n * m)
+    ptr = np.append(0, np.cumsum(sizes))
+    owner = np.arange(n * m).repeat(sizes)
+    succ = (rng.integers(0, n - 250, size=n * m)[owner] + np.arange(ptr[-1]) - ptr[owner]).astype(np.int32)
+    succ = succ[np.lexsort((rng.random(ptr[-1]), owner))]
+    del owner
+    G = np.where(rng.random(n) < 0.3, 0.0, INF)
+    bound = 32 * symoc.core.CHECK_EDGES + 16 * n * m
+    assert ptr[-1] >= 3_000_000 > bound
+    for costs in (dict(edge_costs=rng.uniform(0.5, 1.5, ptr[-1])), dict(pair_costs=rng.uniform(0.5, 1.5, n * m))):
+        FiniteProblem(n, m, G, ptr, succ, **costs)  # numpy's first sorts allocate once
+        _, peak = traced_peak(lambda: FiniteProblem(n, m, G, ptr, succ, **costs))
+        assert peak <= bound, peak
 
 
 def test_ranges_expand_every_range_in_order():

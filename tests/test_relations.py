@@ -191,28 +191,14 @@ def test_sampled_abstraction_satisfies_refinement_conditions():
             assert set(block_cells(cover, [y])) <= succ
 
 
-def _problem_with_repeats(rng, lists, repeats, per_pair):
-    """A FiniteProblem from (trans, G) lists, built without the duplicate
-    check: with ``repeats`` some pairs list a successor twice, the copy at a
-    random place and with its own cost; with ``per_pair`` each pair costs
-    its first edge's cost."""
-    trans, G = lists
-    ptr, succ, costs, pair_costs = [0], [], [], []
-    for per_input in trans:
-        for entries in per_input:
-            entries = list(entries)
-            if repeats and rng.random() < 0.3:
-                q = entries[int(rng.integers(len(entries)))][0]
-                g = INF if rng.random() < 0.4 else float(np.round(rng.uniform(0, 10), 3))
-                entries.insert(int(rng.integers(len(entries) + 1)), (q, g))
-            succ.extend(q for q, _ in entries)
-            costs.extend(g for _, g in entries)
-            pair_costs.append(entries[0][1])
-            ptr.append(len(succ))
-    n, m = len(trans), len(trans[0])
-    if per_pair:
-        return FiniteProblem(n, m, G, ptr, np.array(succ), pair_costs=pair_costs)
-    return FiniteProblem(n, m, G, ptr, np.array(succ), edge_costs=costs)
+def _problem(lists, per_pair):
+    """A FiniteProblem from (trans, G) lists; with ``per_pair`` each pair
+    costs its first edge's cost."""
+    problem = from_lists(lists)
+    if not per_pair:
+        return problem
+    pair_costs = problem.edge_costs[problem.trans_ptr[:-1]]
+    return FiniteProblem(problem.n, problem.m, problem.G, problem.trans_ptr, problem.trans_succ, pair_costs=pair_costs)
 
 
 def _random_relation(rng, n1, n2, density, strict):
@@ -241,7 +227,7 @@ def test_array_checkers_match_the_loop_oracles(block, monkeypatch):
     rng = np.random.default_rng(1101)
     seen = {"vfrr": set(), "vasr": set()}
     cut_at = set()  # (check, tag of the last kept violation) of truncated verdicts
-    shapes, gated, passed, repeats = set(), {0.0: 0, 2.5: 0}, 0, 0
+    shapes, gated, passed = set(), {0.0: 0, 2.5: 0}, 0
     for case in range(240):
         kind = ("dense", "costly", "free")[case // 8 % 3] if case % 8 == 0 else ("random", "certified", "self")[case % 3]
         lists1 = oracles.random_problem_lists(rng, n_max=12 if case % 8 == 0 else 7)
@@ -255,14 +241,12 @@ def test_array_checkers_match_the_loop_oracles(block, monkeypatch):
             lists1, lists2, pairs = certified_vfrr_pair(rng, n2_max=5)
             p1, p2, rel = from_lists(lists1), from_lists(lists2), Relation(pairs)
         elif kind == "self":  # equal costs on related edges: ties decide (iii) and vasr
-            p1 = p2 = _problem_with_repeats(rng, lists1, False, False)
+            p1 = p2 = from_lists(lists1)
             rel = _random_relation(rng, p1.n, p1.n, 0.1, strict=False)
             rel = Relation(relation_pairs(rel) + [(a, a) for a in range(p1.n)])
         else:
-            with_repeats = case % 3 != 1
-            repeats += with_repeats
-            p1 = _problem_with_repeats(rng, lists1, with_repeats, case % 5 == 0)
-            p2 = _problem_with_repeats(rng, lists2, with_repeats, case % 7 == 0)
+            p1 = _problem(lists1, case % 5 == 0)
+            p2 = _problem(lists2, case % 7 == 0)
             density = 0.9 if case % 8 == 0 else float(rng.choice([0.1, 0.25, 0.5]))
             rel = _random_relation(rng, p1.n, p2.n, density, strict=case % 2 == 0 or kind == "free")
         shapes.add(np.sign(p2.m - p1.m))
@@ -280,7 +264,7 @@ def test_array_checkers_match_the_loop_oracles(block, monkeypatch):
                 gated[args[0]] += 1
     assert seen == {"vfrr": {"strict", "i", "ii", "iii", "iv"}, "vasr": {"i", "ii"}}
     assert {("vfrr", "iii"), ("vfrr", "iv"), ("vasr", "ii")} <= cut_at
-    assert shapes == {-1, 0, 1} and all(gated.values()) and passed and repeats
+    assert shapes == {-1, 0, 1} and all(gated.values()) and passed
 
 
 def test_array_checkers_reject_the_first_out_of_range_pair_as_the_oracle_does():

@@ -9,9 +9,9 @@ import symoc.solver
 from abstraction_digests import build
 from symoc.cli import _build_from_config
 from symoc.config import load_config
-from symoc.core import INF, STOP, FiniteProblem
+from symoc.core import INF, ROW_MAX, STOP, FiniteProblem
 from symoc.errors import InputError, SoundnessAlarm
-from symoc.solver import ROW_MAX, SolveStats, check_certificate, dp_operator, is_discrete_cost, solve
+from symoc.solver import SolveStats, check_certificate, dp_operator, is_discrete_cost, solve
 
 from oracles import (
     is_stop,
@@ -541,13 +541,11 @@ def test_certificate_holds_on_pendulum_p1_and_catches_each_mutant():
 
 
 def test_duplicate_successor_is_an_input_error():
-    # from_lists rejects this; the constructor leaves it to the solver, whose
-    # counters would never release a pair listing a successor twice
-    problem = FiniteProblem(2, 1, [INF, 0.0], [0, 2, 3], np.array([1, 1, 1]), pair_costs=[1.0, 1.0])
-    with pytest.raises(InputError, match="duplicate transition"):
-        solve(problem)
-    with pytest.raises(InputError, match="duplicate transition"):
-        solve(problem, queue="fifo")
+    # the solver's counters would never release a pair listing a successor
+    # twice, so the constructor refuses one
+    with pytest.raises(InputError) as exc:
+        FiniteProblem(2, 1, [INF, 0.0], [0, 2, 3], np.array([1, 1, 1]), pair_costs=[1.0, 1.0])
+    assert str(exc.value) == "duplicate transition (0,0,1)"
 
 
 def random_csr_problem(rng, n, m, max_succ, per_edge, dtype):
@@ -614,7 +612,7 @@ def assert_inverse_matches_reference(problem):
     index = symoc.solver._build_inverse(problem)
     pred_ptr, pred_pair, counters, inv_costs = reference_inverse(problem)
     assert (index.offsets.dtype, index.pair.dtype) == (np.int64, np.int32)
-    assert index.lengths.max(initial=1) <= ROW_MAX
+    assert index.lengths.max(initial=1) <= symoc.core.ROW_MAX
     assert np.array_equal(index.counters, counters)
     got = row_incidences(index, problem.n)
     for q in range(problem.n):
@@ -656,31 +654,33 @@ def test_build_inverse_matches_reference_inverse(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None])
-def test_duplicate_message_names_the_least_successor_and_pair(monkeypatch, chunk):
-    # pairs 0, 3 and 4 list a successor twice; the least (successor, pair)
-    # is (2, 3), in a later chunk than pair 0's duplicate 5 when chunks are small
+def test_duplicate_message_names_the_first_repeat_in_pair_order(monkeypatch, chunk):
+    # pairs 0, 3 and 4 list a successor twice: pair 0's 5 is named, also
+    # where chunks of 1 or 3 edges put the repeats in different chunks
     if chunk is not None:
-        monkeypatch.setattr(symoc.solver, "_INVERSE_EDGES", chunk)
+        monkeypatch.setattr(symoc.core, "CHECK_EDGES", chunk)
     succ = [5, 5, 1, 0, 1, 2, 4, 2, 2, 2, 0]
     ptr = [0, 3, 4, 5, 8, 10, 11]
-    problem = FiniteProblem(6, 1, [INF, 0.0, INF, INF, INF, INF], ptr, np.array(succ), pair_costs=np.ones(6))
     with pytest.raises(InputError) as exc:
-        symoc.solver._build_inverse(problem)
-    assert str(exc.value) == "duplicate transition (3,0,2)"
+        FiniteProblem(6, 1, [INF, 0.0, INF, INF, INF, INF], ptr, np.array(succ), pair_costs=np.ones(6))
+    assert str(exc.value) == "duplicate transition (0,0,5)"
 
 
 @pytest.mark.parametrize("chunk", [1, 3, None])
 def test_duplicate_in_rows_that_are_not_adjacent(monkeypatch, chunk):
     # pair 1 lists 2, 7, 3, 2: four rows, the duplicate 2 in the first and
-    # the last; pair 0 lists 2 twice too, but is inert
+    # the last; pair 0 lists 2 twice too, and though inert is named first
     if chunk is not None:
-        monkeypatch.setattr(symoc.solver, "_INVERSE_EDGES", chunk)
+        monkeypatch.setattr(symoc.core, "CHECK_EDGES", chunk)
     succ = [2, 2, 2, 7, 3, 2, 4, 5, 6, 0, 0, 0, 0, 0]
     ptr = [0, 2, 6, 9, 10, 11, 12, 13, 14]
     G = [INF, 0.0, *[INF] * 6]
-    problem = FiniteProblem(8, 1, G, ptr, np.array(succ), pair_costs=[INF, *[1.0] * 7])
     with pytest.raises(InputError) as exc:
-        symoc.solver._build_inverse(problem)
+        FiniteProblem(8, 1, G, ptr, np.array(succ), pair_costs=[INF, *[1.0] * 7])
+    assert str(exc.value) == "duplicate transition (0,0,2)"
+    succ[1] = 3
+    with pytest.raises(InputError) as exc:
+        FiniteProblem(8, 1, G, ptr, np.array(succ), pair_costs=[INF, *[1.0] * 7])
     assert str(exc.value) == "duplicate transition (1,0,2)"
 
 
