@@ -224,12 +224,13 @@ class FiniteProblem:
 
     @classmethod
     def from_focp_text(cls, text) -> "FiniteProblem":
-        """Read FOCP v1 text, a str, bytes or a binary file.  A file is read a
-        block at a time, and one that cannot seek (a pipe) is held whole; an
-        error quotes the first offending line in file order."""
+        """Read FOCP v1 text, a str, bytes or a binary file, as a problem
+        with per-edge costs.  A file is read a block at a time, and one that
+        cannot seek (a pipe) is held whole; an error quotes the first
+        offending line in file order."""
         from . import focp
 
-        return cls(*focp.read(text))  # n, m, G, trans_ptr, trans_succ, edge_costs
+        return focp.read(text)
 
 
 # --- Canonical problem constructors ------------------------------------------

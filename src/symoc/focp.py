@@ -6,6 +6,13 @@ over records: the readers take the text from a binary file a block of about
 _READ_BYTES of whole lines at a time, _Block tokenizes one block, _columns
 converts and checks columns of tokens, and the writers lay records out as
 byte arrays.  symoc imports this module on first use.
+
+Costs are read as float() reads them and written in their shortest
+round-trip form.  An exact short decimal such as 1.484 is read with integer
+arithmetic, as m / 10**k (_Block._exact_decimals), and a table of exact
+decimals of one scale finds each cost's token at its decimal key m
+(_cost_tokens); any other token takes numpy's cast, and any other table a
+binary search.
 """
 
 from __future__ import annotations
@@ -61,11 +68,11 @@ def relation_text(a, b):
 
 
 def read(source):
-    """(n, m, G, trans_ptr, trans_succ, edge_costs) of FOCP v1 text, a str,
-    bytes or a binary file, read about _READ_BYTES of whole lines at a time;
-    trans_succ is int32.  Reading holds one block of text beside the parsed
-    columns; a file that cannot seek (a pipe) is held whole.  An error
-    quotes the first offending line in file order."""
+    """The FiniteProblem of FOCP v1 text, a str, bytes or a binary file,
+    read about _READ_BYTES of whole lines at a time; its trans_succ is
+    int32 and its costs are per edge.  Reading holds one block of text
+    beside the parsed columns; a file that cannot seek (a pipe) is held
+    whole.  An error quotes the first offending line in file order."""
     fh = _seekable(source)
     n = m = None
     columns = [[] for _ in range(5)]  # G: state, cost; T: pair id, successor, cost
@@ -87,22 +94,23 @@ def read(source):
     if np.any(pid[1:] < pid[:-1]):
         order = np.argsort(pid, kind="stable")  # pair order; file order within a pair
         pid, succ, costs = pid[order], succ[order], costs[order]
-    duplicate = _first_duplicate(pid, succ, order)
-    if duplicate is not None:
-        record, at = duplicate
-        (p, u), q = divmod(int(pid[at]), m), int(succ[at])
-        raise InputError(f"duplicate transition ({p},{u},{q}): {_record_line(fh, t_blocks, record, b'T')!a}")
-    del order
     if len(pid) < n * m:  # a pair without T records, found before any array of n or n * m entries
         pairs = np.unique(pid)
         gap = np.flatnonzero(pairs != np.arange(len(pairs)))
         p, u = divmod(int(gap[0]) if len(gap) else len(pairs), m)
-        raise InputError(f"every (state, input) pair needs a successor (F strict): ({p},{u}) has none")
+        strict = f"every (state, input) pair needs a successor (F strict): ({p},{u}) has none"
+        raise _duplicate(fh, t_blocks, pid, succ, order, m) or InputError(strict)  # a repeat is named first
     G = np.full(n, INF)
     last = len(g_state) - 1 - np.unique(g_state[::-1], return_index=True)[1]
     G[g_state[last]] = g_cost[last]  # a repeated G record: the last one wins
     del g_state, g_cost, last
-    return n, m, G, offsets(pid, n * m), succ, costs  # pid is int32, so the search is too
+    ptr = offsets(pid, n * m)  # pid is int32, so the search is too
+    del pid
+    try:  # the constructor's repeat search is the only one a good file pays for
+        return core.FiniteProblem(n, m, G, ptr, succ, edge_costs=costs)
+    except InputError as error:  # it names the first repeat in pair order: quote the first in file order
+        pid = np.arange(n * m, dtype=np.int32).repeat(np.diff(ptr))
+        raise _duplicate(fh, t_blocks, pid, succ, order, m) or error from None
 
 
 def read_records(source, what):
@@ -150,12 +158,12 @@ def _join(blocks):
     return out
 
 
-def _first_duplicate(pid, succ, order):
-    """(file-order index, index) of the first T record in file order whose
-    (pair, successor) an earlier one has, or None.  ``pid`` does not fall;
-    ``order`` gives each record's file-order index (None: its own).  The
-    search (``core.repeats``) runs over chunks of whole pairs, about
-    CHECK_EDGES records each."""
+def _duplicate(fh, blocks, pid, succ, order, m):
+    """The InputError quoting the first T record in file order whose (pair,
+    successor) an earlier one has, or None; ``blocks`` as _record_line
+    takes them.  ``pid`` does not fall; ``order`` gives each record's
+    file-order index (None: its own).  The search (``core.repeats``) runs
+    over chunks of whole pairs, about CHECK_EDGES records each."""
     first = None
     starts = np.unique(np.searchsorted(pid, pid[:: core.CHECK_EDGES]))
     for a, b in zip(starts, [*starts[1:], len(pid)]):
@@ -166,13 +174,21 @@ def _first_duplicate(pid, succ, order):
             i = int(np.argmin(records))
             if first is None or records[i] < first[0]:
                 first = int(records[i]), int(repeat[i])
-    return first
+    if first is None:
+        return None
+    record, at = first
+    (p, u), q = divmod(int(pid[at]), m), int(succ[at])
+    return InputError(f"duplicate transition ({p},{u},{q}): {_record_line(fh, blocks, record, b'T')!a}")
 
 
 _WRITE_EDGES = 1 << 18  # T records rendered per block by text_blocks
 _READ_BYTES = 1 << 20  # text read and tokenized per block
 _INT_DIGITS = 18  # an index token has 1 to _INT_DIGITS ASCII digits
 _COST_CHARS = 32  # longer cost tokens are read by float(), one at a time
+_DECIMAL_DIGITS = 15  # an exact-decimal cost token has 1 to _DECIMAL_DIGITS digits: below 10**15 < 2**53
+_DECIMAL_CHARS = _DECIMAL_DIGITS + 1  # and a '.' at most; longer tokens go to the cast at once
+_POW10 = (10 ** np.arange(_DECIMAL_DIGITS + 1)).astype(np.float64)  # 10**k, exact doubles
+_SPAN_ROWS = 4  # the decimal-keyed token table may hold this many rows per distinct cost
 # bytes.translate table of byte classes: 0 a token byte, 1 a byte outside
 # the grammar (it makes its line malformed), 2 a space or tab, 3 a line end
 _CLASSES = bytes(
@@ -194,12 +210,56 @@ def _decimals(values):
 
 def _cost_tokens(costs):
     """A map from float64 arrays of costs among ``costs`` to the byte rows of
-    their tokens (shortest round-trip form, or inf), formatted once each."""
+    their tokens (shortest round-trip form, or inf), formatted once each.
+    A cost finds its token by a binary search of the distinct costs' bits,
+    or, where they are exact decimals of one scale (_decimal_keys), at its
+    decimal key in a table of a row per integer of their span."""
     bits = np.sort(costs.view(np.uint64))  # not np.unique, which hashes integers: several times slower
     bits = bits[np.diff(bits, prepend=bits[:1] - 1) != 0]  # the first of each run
-    table = np.array(["inf" if v == INF else repr(v) for v in bits.view(np.float64).tolist()], dtype="S")
+    distinct = bits.view(np.float64)
+    table = np.array(["inf" if v == INF else repr(v) for v in distinct.tolist()], dtype="S")
     table = table.view(np.uint8).reshape(len(bits), table.itemsize)
-    return lambda values: table[np.searchsorted(bits, values.view(np.uint64))]
+    decimal = _decimal_keys(distinct)
+    if decimal is None:
+        return lambda values: table[np.searchsorted(bits, values.view(np.uint64))]
+    scale, keys = decimal  # ascending, as the distinct costs are; inf, if any, comes last
+    low, top = keys[0], keys[-1] + 1  # inf's key is top: scaled and clipped to it
+    rows = np.zeros((int(top - low) + 1, table.shape[1]), dtype=np.uint8)
+    rows[(keys - low).astype(np.intp)] = table[: len(keys)]
+    if distinct[-1] == INF:
+        rows[-1] = table[-1]
+
+    def tokens(values):
+        key = values * scale
+        np.rint(key, out=key)
+        np.minimum(key, top, out=key)
+        key -= low
+        index = key.astype(np.intp)
+        del key  # freed before the rows are gathered: their array can take its place in the heap
+        return rows[index]
+
+    return tokens
+
+
+def _decimal_keys(distinct):
+    """(10**k, m) for the least k <= _DECIMAL_DIGITS at which each finite
+    cost among the ascending ``distinct`` costs is m / 10**k, with integers
+    0 <= m < 2**53 spanning at most _SPAN_ROWS per distinct cost, else
+    None: also when a cost has its sign bit set, as -0.0 and 0.0 would
+    share m = 0.  The key of a cost c is rint(c * 10**k); each is checked
+    to give back its cost, so distinct costs have distinct keys."""
+    finite = distinct[distinct < INF]
+    if not len(finite) or finite[-1] >= 2**53 or np.signbit(distinct).any() or np.isnan(distinct).any():
+        return None  # a cost of 2**53 or more has m >= 2**53 at every k
+    for scale in _POW10:
+        keys = np.rint(finite * scale)
+        if np.array_equal(keys / scale, finite):
+            break
+    else:
+        return None
+    if keys[-1] >= 2**53 or keys[-1] - keys[0] >= _SPAN_ROWS * len(distinct):
+        return None
+    return scale, keys
 
 
 def _render(fields):
@@ -339,9 +399,11 @@ class _Block:
     """Tokens and non-blank lines of ``chunk``, whole lines of text read from
     byte ``start`` on: ``first`` holds the first token of each non-blank
     line, ``count`` its tokens and ``bad`` whether it holds a byte outside
-    the grammar.  Index tokens convert a column at a time; cost tokens of up
-    to _COST_CHARS bytes too, by numpy's bytes-to-float cast, which reads
-    them as float() does."""
+    the grammar.  Index tokens convert a column at a time, and cost tokens
+    too: an exact decimal of at most _DECIMAL_CHARS bytes by one division,
+    which gives the bits float() gives, and any other token of up to
+    _COST_CHARS bytes by numpy's bytes-to-float cast, which reads it as
+    float() does."""
 
     def __init__(self, chunk: bytes, start):
         cls = np.frombuffer(chunk.translate(_CLASSES), dtype=np.uint8)
@@ -397,14 +459,61 @@ class _Block:
         return value
 
     def costs(self, tok):
-        """Cost tokens as float() reads them; NaN where a token is not a number."""
+        """Cost tokens as float() reads them; NaN where a token is not a
+        number.  A token of at most _DECIMAL_CHARS bytes is read as an exact
+        decimal (``_exact_decimals``) if it is one; any other token by numpy's
+        bytes-to-float cast, and, if the cast refuses some token, each by
+        float() alone."""
         start, length = self.tok_start[tok], self.tok_end[tok] - self.tok_start[tok]
+        value = np.empty(len(tok))
+        read = length <= _DECIMAL_CHARS  # a long token goes to the cast at once, and is read once
+        short = slice(None) if read.all() else np.flatnonzero(read)
+        if read.any():
+            value[short], read[short] = self._exact_decimals(start[short], length[short])
+        rest = np.flatnonzero(~read)
+        if len(rest):
+            value[rest] = self._cast(start[rest], length[rest])
+        return value
+
+    def _exact_decimals(self, start, length):
+        """(value, whether exact) of the tokens at ``start`` of at most
+        _DECIMAL_CHARS bytes.  An exact decimal, a token of ASCII digits and
+        at most one '.', with 1 to _DECIMAL_DIGITS digits and k of them after
+        the '.', is m / 10**k: m < 10**15 < 2**53 and 10**k are exact
+        doubles, so the one correctly rounded division gives the bits float()
+        gives (Clinger 1990).  One pass reads the tokens byte by byte, a row
+        of a (width, tokens) window at a time."""
+        width, count = int(length.max()), len(start)
+        window = np.empty((width, count), dtype=np.uint8)
+        for j, row in enumerate(window):
+            np.take(self.text[j:], start, out=row)
+        window *= np.arange(width)[:, None] < length  # zero after each token's end: neither digit nor '.'
+        m = np.zeros(count)  # the digits so far, an integer below 2**53: exact
+        digits, dots, point = (np.zeros(count, dtype=np.uint8) for _ in range(3))
+        for j, byte in enumerate(window):
+            digit = byte - np.uint8(ord("0"))
+            is_digit = digit < 10
+            np.multiply(m, 10.0, out=m, where=is_digit)
+            np.add(m, digit, out=m, where=is_digit)
+            digits += is_digit
+            is_dot = byte == ord(".")
+            dots += is_dot
+            np.copyto(point, j, where=is_dot)
+        exact = (digits + dots == length) & (dots <= 1) & (digits >= 1) & (digits <= _DECIMAL_DIGITS)
+        k = np.where(dots == 1, length - 1 - point, 0)  # below _DECIMAL_CHARS: in _POW10 for every token
+        return m / _POW10[k], exact
+
+    def _cast(self, start, length):
+        """The tokens at ``start`` as float() reads them, NaN where one is
+        not a number: those of up to _COST_CHARS bytes by numpy's
+        bytes-to-float cast, and each by float() alone if the cast refuses
+        some token."""
         width = max(min(int(length.max(initial=0)), _COST_CHARS), 1)
         # the first ``width`` bytes of each token, zero after its end
         raw = as_strided(self.text, shape=(self.size, width), strides=(1, 1))[start]
         raw[np.arange(width) >= length[:, None]] = 0
         cast = length <= width
-        value = np.full(len(tok), np.nan)
+        value = np.full(len(start), np.nan)
         try:
             value[cast] = (raw if cast.all() else raw[cast]).view(f"S{width}").ravel().astype(np.float64)
         except ValueError:

@@ -235,16 +235,26 @@ def test_focp_rejects_garbage():
 FOCP_COSTS = [INF, 0.0, -0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1 + 0.2, 1.5]
 
 
-def random_focp_problem(rng, n_max=40, m_max=4, pair_costs=False):
+def decimal_pool(rng):
+    """Six consecutive multiples of 10**-k, exact decimals of k = 0 to 3
+    places, and inf: costs drawn from them have their tokens keyed by
+    decimal (_decimal_keys)."""
+    k = int(rng.integers(0, 4))
+    return np.append((int(rng.integers(0, 10**6)) + np.arange(6)) / 10**k, INF)
+
+
+def random_focp_problem(rng, n_max=40, m_max=4, pair_costs=False, decimals=False):
     """A random problem whose costs mix FOCP_COSTS, 3-decimal and
-    17-significant-digit values."""
+    17-significant-digit values; with ``decimals``, costs of one decimal_pool."""
     n, m = int(rng.integers(1, n_max + 1)), int(rng.integers(1, m_max + 1))
     sizes = rng.integers(1, min(n, 4) + 1, size=n * m)
     ptr = np.concatenate([[0], np.cumsum(sizes)])
     succ = np.concatenate([rng.choice(n, size=k, replace=False) for k in sizes])
+    decimal = decimal_pool(rng) if decimals else None
 
     def costs(size):
-        pool = np.concatenate([FOCP_COSTS, np.round(rng.uniform(0, 2, size=5), 3), rng.uniform(0, 1e3, size=5)])
+        pool = decimal if decimals else np.concatenate(
+            [FOCP_COSTS, np.round(rng.uniform(0, 2, size=5), 3), rng.uniform(0, 1e3, size=5)])
         return pool[rng.integers(0, len(pool), size=size)]
 
     G = costs(n)
@@ -273,6 +283,8 @@ def test_focp_text_matches_the_reference_reader_and_writer(monkeypatch, tmp_path
     rng = np.random.default_rng(17)
     problems = [FiniteProblem(1, 1, [0.0], [0, 1], [0], edge_costs=[INF])]  # a single state
     problems += [random_focp_problem(rng, pair_costs=bool(i % 2)) for i in range(40)]
+    problems += [random_focp_problem(rng, pair_costs=bool(i % 2), decimals=True) for i in range(12)]
+    keyed = spy_decimal_keys(monkeypatch)
     cut_inside = 0  # problems whose first block ends inside a record
     for problem in problems:
         text = problem.to_focp_text()
@@ -285,6 +297,22 @@ def test_focp_text_matches_the_reference_reader_and_writer(monkeypatch, tmp_path
             assert_same_problem(back, problem)
             assert back.trans_succ.dtype == np.int32, way
     assert cut_inside >= (30 if read_bytes else 0)
+    # the decimal draws are keyed by decimal; a draw that holds one of FOCP_COSTS' 17-digit costs is not
+    assert keyed[-12:] == [True] * 12 and keyed.count(False) >= 30, keyed
+
+
+def spy_decimal_keys(monkeypatch):
+    """A list that records, per cost token table, whether its tokens are
+    keyed by decimal."""
+    keyed, keys = [], symoc.focp._decimal_keys
+
+    def spy(distinct):
+        result = keys(distinct)
+        keyed.append(result is not None)
+        return result
+
+    monkeypatch.setattr(symoc.focp, "_decimal_keys", spy)
+    return keyed
 
 
 @pytest.mark.parametrize("read_bytes", [None, 16])
@@ -314,6 +342,22 @@ def test_focp_reader_follows_the_ascii_grammar(monkeypatch, tmp_path, capsys, re
     assert back.edge_costs.tolist() == [1.0, 4.0, 2.0, 3.0]
     assert FiniteProblem.from_focp_text(cases["missing G is inf"]).G.tolist() == [INF, 0.0, INF]
     assert FiniteProblem.from_focp_text(cases["repeated G: the last one wins"]).G.tolist() == [7.5]
+
+    # costs on both sides of the exact-decimal read (at most 16 bytes, 1 to 15 digits, one '.')
+    # have the bits float() gives them
+    tokens = ["123456789012345", "1234567890123456", "99999999999999.9", "9999999999999999", ".123456789012345",
+              "0.0000000000000001", "1.", ".5", "00012.50", "0.1", "2.675", "0", "000", "0.30000000000000004",
+              "1.7976931348623157e308", "5e-324", "-0.0", "+.5", "inf", "1_0", "1234567890123.456"]
+    text = f"focp 1 {len(tokens)}\nG 0 {tokens[2]}\n" + "".join(f"T 0 {u} 0 {t}\n" for u, t in enumerate(tokens))
+    bits = np.array([float(t) for t in tokens]).view(np.uint64)
+    for way, source in each_source(text, tmp_path / "decimals.focp"):
+        back = FiniteProblem.from_focp_text(source)
+        assert np.array_equal(back.edge_costs.view(np.uint64), bits), way
+        assert back.G.view(np.uint64)[0] == bits[2], way
+    for token in (".", "1.2.3", "1..", "12a.5"):
+        with pytest.raises(InputError) as exc:
+            FiniteProblem.from_focp_text(f"focp 1 1\nT 0 0 0 {token}\n")
+        assert str(exc.value) == f"malformed focp record: 'T 0 0 0 {token}'"
 
     # what int(), float() and str.split accept beyond the grammar exits 1, quoting its line
     good = b"focp 2 1\nG 0 0\nT 0 0 1 1\nT 1 0 1 2\n"
@@ -368,7 +412,9 @@ def test_focp_duplicate_check_names_the_first_repeat_in_file_order(monkeypatch, 
         assert str(exc.value) == "duplicate transition " + message
         with pytest.raises(InputError, match="duplicate transition"):
             reference_from_focp_text(head + body)
-    # without repeats the falling successors are kept in file order
+    # without repeats the falling successors are kept in file order, and the
+    # constructor's repeat search is the only one: the file-order one is not run
+    monkeypatch.setattr(symoc.focp, "_duplicate", None)
     problem = FiniteProblem.from_focp_text(head + "T 2 0 1 1\nT 0 0 2 1\nT 0 0 1 1\nT 1 0 0 1\n")
     assert problem.trans_succ.tolist() == [2, 1, 0, 1]
 
@@ -517,9 +563,9 @@ def test_focp_read_holds_no_column_twice(monkeypatch):
     middle = middle[middle.index(b"\n") + 1 : middle.rindex(b"\n") + 1]
     _, block = traced_peak(lambda: symoc.focp._records(symoc.focp._Block(middle, 0), n, m))
     back, peak = traced_peak(symoc.focp.read, io.BytesIO(text))
-    n_back, m_back, G, ptr, succ_back, costs = back
-    assert (n_back, m_back) == (n, m) and np.array_equal(succ_back, succ) and np.array_equal(costs, problem.edge_costs)
-    outputs = sum(a.nbytes for a in (G, ptr, succ_back, costs))
+    assert (back.n, back.m) == (n, m) and np.array_equal(back.trans_succ, succ)
+    assert np.array_equal(back.edge_costs, problem.edge_costs)
+    outputs = sum(a.nbytes for a in (back.G, back.trans_ptr, back.trans_succ, back.edge_costs))
     assert peak <= outputs + 4 * len(succ) + 2 * block, (peak - outputs - 4 * len(succ)) / block
 
 
@@ -706,20 +752,31 @@ def test_validate_run_against_problem():
         validate_run(problem, Run(x=(0, 0), u=(0,), v=(0, 1)))
 
 
-def test_record_writers_match_the_per_record_references():
+def test_record_writers_match_the_per_record_references(monkeypatch):
     # the array writers of value, controller and relation files against the
-    # per-line writers, byte for byte, and write -> read -> write
+    # per-line writers, byte for byte, and write -> read -> write; values
+    # mixing the specials and 17-digit costs, and values of decimals only
     rng = np.random.default_rng(29)
     specials = np.array([INF, 0.0, -0.0, 5e-324, 1e300, 1e-05, 1e16, 0.1 + 0.2, 1.7976931348623157e308])
     sizes = [0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, *rng.integers(1, 3000, size=8)]
-    for n in sizes:
-        W = np.concatenate([specials, np.round(rng.uniform(0, 50, size=n), 3), rng.uniform(0, 1e3, size=n)])
-        W = W[rng.integers(0, len(W), size=n)]
+    keyed = spy_decimal_keys(monkeypatch)
+
+    def write_read_write(W):
+        """Per write, whether it keyed W's tokens by decimal, once checked."""
+        keyed.clear()
         text = values_to_text(W)
         assert text == reference_values_to_text(W)
         back = values_from_text(text)
         assert np.array_equal(back.view(np.uint64), W.view(np.uint64))  # -0.0 keeps its sign
         assert values_to_text(back) == text
+        return keyed
+
+    for n in sizes:
+        W = np.concatenate([specials, np.round(rng.uniform(0, 50, size=n), 3), rng.uniform(0, 1e3, size=n)])
+        write_read_write(W[rng.integers(0, len(W), size=n)])
+        pool = decimal_pool(rng)
+        W = pool[rng.integers(0, len(pool), size=n)]
+        assert write_read_write(W) == [True, True] or not np.isfinite(W).any()
 
         m = int(rng.choice([1, 2, 10, 11, 100, 101, 1001]))
         stops = rng.choice([0.0, 0.3, 1.0])  # no STOP, some, all
@@ -736,6 +793,16 @@ def test_record_writers_match_the_per_record_references():
         assert text == reference_relation_to_text(relation_pairs(rel))
         back = Relation.from_text(text)
         assert relation_pairs(back) == relation_pairs(rel) and back.to_text() == text
+
+    # exact decimals of one scale whose keys span at most _SPAN_ROWS per cost are keyed by
+    # decimal; a sign bit (-0.0 and 0.0 would share a key), a cost of 2**53 or more (1e300
+    # overflows at 10**k), a 17-digit cost or a wider span fall back to the binary search
+    cents, top = [0.01, 0.02, 0.05, 0.1, INF], [2.0**53 - 3, 2.0**53 - 2, 2.0**53 - 1]
+    for table, decimal in ((cents, True), (cents[:-1], True), (cents + [-0.0], False), (cents + [1e300], False),
+                           (cents + [2.0**53], False), (cents + [0.5], False), (cents + [0.1 + 0.2], False),
+                           (top, True), (top + [2.0**53], False), ([0.0, 0.5, 10.0, 12.5], False), ([INF], False)):
+        W = np.concatenate([table, np.array(table)[rng.integers(0, len(table), size=50)]])
+        assert write_read_write(W) == [decimal] * 2, table
 
 
 def test_tables_that_cannot_be_written_are_rejected():
