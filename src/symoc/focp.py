@@ -7,6 +7,11 @@ _READ_BYTES of whole lines at a time, _Block tokenizes one block, _columns
 converts and checks columns of tokens, and the writers lay records out as
 byte arrays.  symoc imports this module on first use.
 
+An index token is read from the 8-byte words that end at its last byte,
+8 digits a word (_eight_digits).  The writers build digit rows by integer
+arithmetic (_decimals), and the FOCP writer lays out 'T <p> <u> ' once per
+pair and repeats it for each of the pair's records.
+
 Costs are read as float() reads them and written in their shortest
 round-trip form.  An exact short decimal such as 1.484 is read with integer
 arithmetic, as m / 10**k (_Block._exact_decimals), and a table of exact
@@ -38,11 +43,11 @@ def text_blocks(problem):
     ptr = problem.trans_ptr
     cuts = chunks(ptr, _WRITE_EDGES)
     for start, stop in zip(cuts, cuts[1:]):
-        pid = np.repeat(np.arange(start, stop), np.diff(ptr[start : stop + 1]))
+        pairs, sizes = np.arange(start, stop), np.diff(ptr[start : stop + 1])
+        prefix = _fields([b"T ", states[pairs // problem.m], b" ", inputs[pairs % problem.m], b" "])
         a, b = ptr[start], ptr[stop]
-        token = tokens(problem.edge_costs[a:b]) if pair_token is None else pair_token[pid]
-        yield _render([b"T ", states[pid // problem.m], b" ", inputs[pid % problem.m], b" ",
-                       states[problem.trans_succ[a:b]], b" ", token, b"\n"])
+        token = tokens(problem.edge_costs[a:b]) if pair_token is None else pair_token[start:stop].repeat(sizes, 0)
+        yield _render([prefix.repeat(sizes, 0), states[problem.trans_succ[a:b]], b" ", token, b"\n"])
 
 
 def values_text(W):
@@ -189,6 +194,8 @@ _DECIMAL_DIGITS = 15  # an exact-decimal cost token has 1 to _DECIMAL_DIGITS dig
 _DECIMAL_CHARS = _DECIMAL_DIGITS + 1  # and a '.' at most; longer tokens go to the cast at once
 _POW10 = (10 ** np.arange(_DECIMAL_DIGITS + 1)).astype(np.float64)  # 10**k, exact doubles
 _SPAN_ROWS = 4  # the decimal-keyed token table may hold this many rows per distinct cost
+# row c, 0 to 8, keeps the last c bytes of a little-endian word
+_LAST_BYTES = np.array([(1 << 64) - (1 << 8 * (8 - c)) for c in range(9)], dtype=np.uint64)
 # bytes.translate table of byte classes: 0 a token byte, 1 a byte outside
 # the grammar (it makes its line malformed), 2 a space or tab, 3 a line end
 _CLASSES = bytes(
@@ -202,10 +209,18 @@ NEGATIVE, NOT_A_NUMBER, NOT_AN_INPUT, OUT_OF_RANGE, NOT_AN_INDEX, WRONG_SHAPE, B
 
 
 def _decimals(values):
-    """Row k: the ASCII digits of values[k] >= 0, left-aligned, zero-padded."""
-    v = np.asarray(values, dtype=np.int64)
-    digits = v.astype("S")  # zero-padded to the width of any int64
-    return digits.view(np.uint8).reshape(len(v), digits.itemsize)[:, : len(str(v.max(initial=0)))]
+    """Row k: the ASCII digits of values[k] >= 0, right-aligned after zero
+    bytes, which are padding."""
+    v = np.array(values, dtype=np.uint64)
+    rows = np.empty((len(str(v.max(initial=0))), len(v)), dtype=np.uint8)
+    for j, row in enumerate(rows[::-1]):  # the last digit first
+        quotient = v // np.uint64(10)
+        np.subtract(v, quotient * np.uint64(10), out=row, casting="unsafe")
+        row += np.uint8(ord("0"))
+        if j:
+            row *= v > 0  # zero digits before the first are padding
+        v = quotient
+    return np.ascontiguousarray(rows.T)
 
 
 def _cost_tokens(costs):
@@ -262,14 +277,20 @@ def _decimal_keys(distinct):
     return scale, keys
 
 
-def _render(fields):
-    """ASCII text of records laid out field by field, one empty line for no
-    records.  A field is a (records, width) uint8 array, whose zero bytes
-    are padding, or bytes that every record repeats."""
+def _fields(fields):
+    """Records laid out field by field, a (records, width) uint8 array whose
+    zero bytes are padding.  A field is such an array or bytes that every
+    record repeats."""
     rows = max(len(f) for f in fields if isinstance(f, np.ndarray))
-    out = np.hstack([f if isinstance(f, np.ndarray) else np.broadcast_to(np.frombuffer(f, np.uint8), (rows, len(f)))
-                     for f in fields])
-    return out[out != 0].tobytes().decode("ascii") if rows else "\n"
+    return np.hstack([f if isinstance(f, np.ndarray) else np.broadcast_to(np.frombuffer(f, np.uint8), (rows, len(f)))
+                      for f in fields])
+
+
+def _render(fields):
+    """ASCII text of the records _fields lays out, one empty line for no
+    records; the bytes kept are decoded where they lie, not copied first."""
+    out = _fields(fields)
+    return str(out[out != 0].data, "ascii") if len(out) else "\n"
 
 
 def _seekable(source):
@@ -319,8 +340,11 @@ def _records(block, n, m):
     """State and cost of the G records, then pair id, successor and cost
     of the T records of a block; raises on the first bad line."""
     first, g_kinds, t_kinds = block.first, (n, _COST), (n, m, n, _COST)
-    is_g = block.is_word(first, b"G") & (block.count == 3) & ~block.bad
-    is_t = block.is_word(first, b"T") & (block.count == 5) & ~block.bad
+    start = block.tok_start[first]
+    lead = np.where(block.tok_end[first] - start == 1, block.text[start], 0)  # a one-byte first token, else 0
+    good = ~block.bad
+    is_g = (lead == ord("G")) & (block.count == 3) & good
+    is_t = (lead == ord("T")) & (block.count == 5) & good
     (g_state, g_cost), g_good = _columns(block, first[is_g] + 1, g_kinds)
     (p, u, q, cost), t_good = _columns(block, first[is_t] + 1, t_kinds)
     bad = ~(is_g | is_t)
@@ -395,24 +419,51 @@ def _record_line(fh, blocks, record, letter=None):
     return block.line(first[record])
 
 
+def _eight_digits(words, count):
+    """(value, whether all are ASCII digits) of the last ``count`` bytes, 0
+    to 8, of each little-endian word, read as a decimal number: the 8-digit
+    multiply-shift parse of Langdale & Lemire (VLDB J. 2019)."""
+    d = words ^ np.uint64(0x3030303030303030)  # an ASCII digit byte becomes its digit
+    d &= _LAST_BYTES[count]  # the bytes before the token become zero digits
+    check = d + np.uint64(0x0606060606060606)  # a byte above 9 reaches the high nibble
+    check |= d
+    good = (check & np.uint64(0xF0F0F0F0F0F0F0F0)) == 0
+    d *= np.uint64(10 << 8 | 1)  # digits at bytes 0..7, the first most significant: pairs,
+    d >>= np.uint64(8)
+    d &= np.uint64(0x00FF00FF00FF00FF)
+    d *= np.uint64(100 << 16 | 1)  # then groups of 4,
+    d >>= np.uint64(16)
+    d &= np.uint64(0x0000FFFF0000FFFF)
+    d *= np.uint64(10000 << 32 | 1)  # then all 8
+    d >>= np.uint64(32)
+    return d.view(np.int64), good
+
+
 class _Block:
     """Tokens and non-blank lines of ``chunk``, whole lines of text read from
-    byte ``start`` on: ``first`` holds the first token of each non-blank
-    line, ``count`` its tokens and ``bad`` whether it holds a byte outside
-    the grammar.  Index tokens convert a column at a time, and cost tokens
-    too: an exact decimal of at most _DECIMAL_CHARS bytes by one division,
-    which gives the bits float() gives, and any other token of up to
-    _COST_CHARS bytes by numpy's bytes-to-float cast, which reads it as
-    float() does."""
+    byte ``start`` on: ``tok_start`` and ``tok_end`` bound each token,
+    ``first`` holds the first token of each non-blank line, ``count`` its
+    tokens and ``bad`` whether it holds a byte outside the grammar.  The
+    one padded copy of the text has zero bytes on both sides; ``text`` views
+    the text in it and ``words`` the little-endian word that ends at each of
+    its bytes.  Index tokens convert a column at a time, from those words,
+    and cost tokens too: an exact decimal of at most _DECIMAL_CHARS bytes by
+    one division, which gives the bits float() gives, and any other token of
+    up to _COST_CHARS bytes by numpy's bytes-to-float cast, which reads it
+    as float() does."""
 
     def __init__(self, chunk: bytes, start):
         cls = np.frombuffer(chunk.translate(_CLASSES), dtype=np.uint8)
         breaks = np.flatnonzero(cls == 3)
         self.start, self.size, self.breaks = start, len(chunk), breaks
-        # zero bytes after the text: every cost token can be read as a _COST_CHARS window
-        self.text = np.frombuffer(chunk + bytes(_COST_CHARS), dtype=np.uint8)
+        # 8 zero bytes before the text, so every token ends a word, and zero bytes
+        # after it: every cost token can be read as a _COST_CHARS window
+        padded = np.frombuffer(b"".join((bytes(8), chunk, bytes(_COST_CHARS))), dtype=np.uint8)
+        self.text = padded[8:]
+        # words[e]: the 8 bytes before text byte e, a little-endian word at any byte
+        self.words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
         edges = np.flatnonzero(np.diff(cls >= 2, prepend=True, append=True))
-        self.tok_start, self.tok_end = edges[0::2], edges[1::2]
+        self.tok_start, self.tok_end = edges.reshape(-1, 2).T.copy()  # contiguous: faster to gather from
         # a token starts a line when the whitespace before it holds a line break
         starts_line = np.ones(len(self.tok_start), dtype=bool)
         starts_line[1:] = cls[self.tok_end[:-1]] == 3
@@ -442,20 +493,20 @@ class _Block:
         return self.text[a:b].tobytes().decode("latin-1")
 
     def ints(self, tok):
-        """Index tokens; -1 where a token is not one."""
-        begin = self.tok_start[tok]
-        width = np.minimum(self.tok_end[tok] - begin, _INT_DIGITS + 1)
-        value = np.full(len(tok), -1, dtype=np.int64)
-        for w in np.flatnonzero(np.bincount(width)[: _INT_DIGITS + 1]):
-            group = np.flatnonzero(width == w)
-            start = begin[group]
-            v = np.zeros(len(group), dtype=np.int64)
-            digits = np.ones(len(group), dtype=bool)
-            for j in range(w):
-                d = self.text[start + j] - np.uint8(ord("0"))
-                digits &= d < 10
-                v = v * 10 + d
-            value[group[digits]] = v[digits]
+        """Index tokens; -1 where a token is not one.  A token's digits are
+        read 8 at a time from the words that end at its last byte and 8 and
+        16 bytes before it (_eight_digits)."""
+        end = self.tok_end[tok]
+        width = end - self.tok_start[tok]
+        value, good = _eight_digits(self.words[end], np.minimum(width, 8))
+        long = np.flatnonzero(width > 8)
+        if len(long):
+            end, width = end[long], width[long]
+            middle, middle_good = _eight_digits(self.words[end - 8], np.minimum(width - 8, 8))
+            top, top_good = _eight_digits(self.words[np.maximum(end - 16, 0)], np.clip(width - 16, 0, 8))
+            value[long] += (top * 10**8 + middle) * 10**8
+            good[long] &= middle_good & top_good & (width <= _INT_DIGITS)
+        value[~good] = -1
         return value
 
     def costs(self, tok):

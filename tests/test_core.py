@@ -243,10 +243,10 @@ def decimal_pool(rng):
     return np.append((int(rng.integers(0, 10**6)) + np.arange(6)) / 10**k, INF)
 
 
-def random_focp_problem(rng, n_max=40, m_max=4, pair_costs=False, decimals=False):
+def random_focp_problem(rng, n_max=40, m_max=4, pair_costs=False, decimals=False, n_min=1, m_min=1):
     """A random problem whose costs mix FOCP_COSTS, 3-decimal and
     17-significant-digit values; with ``decimals``, costs of one decimal_pool."""
-    n, m = int(rng.integers(1, n_max + 1)), int(rng.integers(1, m_max + 1))
+    n, m = int(rng.integers(n_min, n_max + 1)), int(rng.integers(m_min, m_max + 1))
     sizes = rng.integers(1, min(n, 4) + 1, size=n * m)
     ptr = np.concatenate([[0], np.cumsum(sizes)])
     succ = np.concatenate([rng.choice(n, size=k, replace=False) for k in sizes])
@@ -283,6 +283,11 @@ def test_focp_text_matches_the_reference_reader_and_writer(monkeypatch, tmp_path
     rng = np.random.default_rng(17)
     problems = [FiniteProblem(1, 1, [0.0], [0, 1], [0], edge_costs=[INF])]  # a single state
     problems += [random_focp_problem(rng, pair_costs=bool(i % 2)) for i in range(40)]
+    if write_edges != 1:  # at 5 edges and at the default: inputs of two digits, and state ids that
+        # cross 9 -> 10 and 99 -> 100, so T records whose prefixes differ in width share a write chunk
+        wide = np.random.default_rng(18)
+        problems += [random_focp_problem(wide, n_min=101, n_max=110, m_min=10, m_max=11, pair_costs=bool(i % 2))
+                     for i in range(2)]
     problems += [random_focp_problem(rng, pair_costs=bool(i % 2), decimals=True) for i in range(12)]
     keyed = spy_decimal_keys(monkeypatch)
     cut_inside = 0  # problems whose first block ends inside a record
@@ -299,6 +304,43 @@ def test_focp_text_matches_the_reference_reader_and_writer(monkeypatch, tmp_path
     assert cut_inside >= (30 if read_bytes else 0)
     # the decimal draws are keyed by decimal; a draw that holds one of FOCP_COSTS' 17-digit costs is not
     assert keyed[-12:] == [True] * 12 and keyed.count(False) >= 30, keyed
+
+
+@pytest.mark.parametrize("read_bytes", [None, 7])
+def test_index_tokens_read_as_int_reads_them(monkeypatch, read_bytes):
+    # every token of random lines, read by the words that end at its last
+    # byte, against int() on 1 to 18 ASCII digits and -1 for anything else;
+    # at 7 bytes a block holds a line or two, so tokens start in the 8 zero
+    # bytes before a block's text and end at its last byte
+    if read_bytes:
+        monkeypatch.setattr(symoc.focp, "_READ_BYTES", read_bytes)
+    rng = np.random.default_rng(31)
+    # '/' and ':' are the bytes just below and above the digits; 0xCA to 0xCF (outside the
+    # grammar, which only marks their line) are those whose nibble above 9 carries out of the byte
+    odd = [b"+", b"-", b"_", b"/", b":", b"STOP", b"\xca", b"\xcf"]
+
+    def token():
+        digits = bytes(rng.integers(ord("0"), ord("9") + 1, size=int(rng.integers(1, 21))).tolist())
+        if rng.random() < 0.3:
+            digits = b"0" * int(rng.integers(1, 4)) + digits  # leading zeros
+        if rng.random() < 0.4:
+            at = int(rng.integers(0, len(digits) + 1))
+            digits = digits[:at] + odd[rng.integers(0, len(odd))] + digits[at:]
+        return digits[: rng.integers(1, 21)] if rng.random() < 0.5 else digits[-rng.integers(1, 21):]
+
+    lines = [(b" ", b"\t")[rng.integers(0, 2)].join(token() for _ in range(rng.integers(1, 4))) for _ in range(3000)]
+    text = b"\n".join(lines)  # no final line break: the last token ends the text
+    seen, widths, at_start = [], set(), 0
+    for block in symoc.focp._blocks(io.BytesIO(text)):
+        tokens = [block.text[a:b].tobytes() for a, b in zip(block.tok_start, block.tok_end)]
+        want = [int(t) if t.isdigit() and len(t) <= 18 else -1 for t in tokens]
+        assert block.ints(np.arange(len(tokens))).tolist() == want
+        seen += tokens
+        widths |= {len(t) for t in tokens if t.isdigit()}
+        at_start += bool(len(tokens)) and block.tok_start[0] == 0
+    assert seen == text.split()
+    assert widths == set(range(1, 21))  # one, two and three words; too long
+    assert at_start >= (1000 if read_bytes else 1)
 
 
 def spy_decimal_keys(monkeypatch):
