@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import INF, CostModel, FiniteProblem, cut_rows, offsets, ranges
+from . import core
+from .core import INF, CostModel, FiniteProblem, chunks, cut_rows, offsets, ranges
 from .errors import InputError, SoundnessAlarm
 from .grid import GridCover, InputGrid
 from .reach import ReachPlan, SampledSystem, attain_over_batch, check_reach_parameters
@@ -138,9 +139,6 @@ class MapReach:
         return [(lo_idx, hi_idx, empty)], escaped, self.slack, False
 
 
-CHUNK_PAIRS = 4_096  # pairs whose rows are read at once: about 17,000 rows, 1.4 MiB of them, on chauffeur p1
-
-
 def _expand_ranges(cover: GridCover, corner, span):
     """Rows of consecutive successor ids of the blocks with flat corner ids
     ``corner`` and per-axis spans ``span`` (dim, blocks): (block, first id,
@@ -163,21 +161,21 @@ def _expand_ranges(cover: GridCover, corner, span):
 class Abstraction(FiniteProblem):
     """A finite abstraction whose successor lists are its reach blocks.
 
-    The cells' pairs, in pair order, each keep one block (an int32 flat
-    corner id and an int32 span per axis, all 0 for an input with several
-    reach branches, whose pairs keep their union rows instead: int32 first
-    ids and lengths by an int64 offset per pair); the escaping pairs are
-    listed, ascending.  A pair's list is the block's ids, or the union rows,
-    and then the overflow id if the pair escapes.  Each overflow pair lists
-    the overflow cell only.  ``rows`` reads these directly; ``trans_succ``
-    is written from them the first time something reads it
-    (``_write_successors``) and checked as a given CSR is, after which the
-    blocks go and the rows are cut from the CSR.
+    The cells' pairs, in pair order, keep one form: ``blocks``, a block per
+    pair (an int32 flat corner id and an int32 span per axis) where every
+    input has one reach branch, or ``union``, the rows of the branches'
+    union (int32 first ids and lengths by an int64 offset per pair) where
+    every input has several.  A pair's list is its block's ids or its rows',
+    then the overflow id iff ``trans_ptr`` gives it one edge more (it
+    escapes).  Each overflow pair lists the overflow cell only.  ``rows``
+    reads these directly; ``trans_succ`` is written from them the first time
+    something reads it (``_write_successors``) and checked as a given CSR
+    is, after which the form goes and the rows are cut from the CSR.
     """
 
-    def __init__(self, cover: GridCover, m, G, trans_ptr, pair_costs, corner, span, escaped, union):
+    def __init__(self, cover: GridCover, m, G, trans_ptr, pair_costs, blocks, union):
         self.cover = cover
-        self.blocks = corner, span, escaped, union
+        self.blocks, self.union = blocks, union  # one of them, the other None
         super().__init__(cover.n_states, m, G, trans_ptr, None, pair_costs=pair_costs)
 
     @property
@@ -185,40 +183,41 @@ class Abstraction(FiniteProblem):
         if self._succ is None:
             succ = _write_successors(self)
             self._check_successors(succ)
-            self._succ, self.blocks = succ, None
+            self._succ, self.blocks, self.union = succ, None, None
         return self._succ
 
     def rows(self, pairs):
-        """As ``FiniteProblem.rows``, read from the blocks: block by block,
-        then the union rows, the escapes and the overflow pairs."""
-        if self.blocks is None:
+        """As ``FiniteProblem.rows``, read from the blocks or union rows in
+        pair order, then the overflow rows of the escaping and overflow
+        pairs: the only rows out of pair order."""
+        if self._succ is not None:
             return super().rows(pairs)
-        corner, span, escaped, union = self.blocks
-        ptr, overflow, n_grid = self.trans_ptr, self.cover.overflow, len(corner)
+        ptr, n_grid = self.trans_ptr, self.cover.n_cells * self.m
         if isinstance(pairs, slice):  # the cells' pairs by slices, not gathers
             at = slice(min(pairs.start, n_grid), min(pairs.stop, n_grid))
-            esc = escaped[slice(*np.searchsorted(escaped, (at.start, at.stop)))]
             over = np.arange(max(pairs.start, n_grid), max(pairs.stop, n_grid))
-            esc_place, over_place = esc - pairs.start, over - pairs.start
         else:
             at = pairs[: np.searchsorted(pairs, n_grid)]
-            found = np.minimum(np.searchsorted(escaped, at), len(escaped) - 1)
-            esc_place = np.flatnonzero(escaped[found] == at) if len(escaped) else found[:0]
-            esc, over = at[esc_place], pairs[len(at) :]
-            over_place = np.arange(len(at), len(pairs))
-        start = ptr[at]
-        sp = span[:, at]
-        block, first, offset = _expand_ranges(self.cover, corner[at], sp)
-        parts = [(block, first, sp[-1, block], start[block] + offset)]
-        if union is not None:
-            row_ptr, row_first, row_length = union
-            own, r = ranges(row_ptr[at], row_ptr[1:][at])
-            length = row_length[r]
+            over = pairs[len(at) :]
+        start, stop = ptr[at], ptr[1:][at]
+        if self.blocks is not None:
+            corner, span = self.blocks
+            sp = span[:, at]
+            place, first, offset = _expand_ranges(self.cover, corner[at], sp)
+            length, edge = sp[-1, place], start[place] + offset
+            held = sp.prod(axis=0)
+        else:
+            row_ptr, row_first, row_length = self.union
+            place, r = ranges(row_ptr[at], row_ptr[1:][at])
+            first, length = row_first[r], row_length[r]
             before = np.cumsum(length) - length
-            parts.append((own, row_first[r], length, start[own] + before - before[np.searchsorted(own, own)]))
-        for place, pid, edge in ((esc_place, esc, ptr[esc + 1] - 1), (over_place, over, ptr[over])):
-            parts.append((place, np.full(len(pid), overflow), np.ones(len(pid), dtype=np.int32), edge))
-        return cut_rows(*(np.concatenate(column) for column in zip(*parts)))
+            edge = start[place] + before - before[np.searchsorted(place, place)]
+            held = np.bincount(place, length, len(start))
+        esc = np.flatnonzero(stop - start > held)
+        spill = np.concatenate((esc, np.arange(len(start), len(start) + len(over))))  # overflow rows
+        columns = ((place, spill), (first, np.full(len(spill), self.cover.overflow)),
+                   (length, np.ones(len(spill), dtype=np.int32)), (edge, stop[esc] - 1, ptr[over]))
+        return cut_rows(*map(np.concatenate, columns))
 
     def row_counts(self, counts, alive, cuts):
         """As ``FiniteProblem.row_counts``, without expanding the blocks.  A
@@ -226,17 +225,32 @@ class Abstraction(FiniteProblem):
         start at the cells of a box, so as a difference array each adds +1
         and -1 at the box's corners, -1 at each far end of its leading axes
         (dropped where that is past the grid), and running sums along those
-        axes of each length's cell grid give the counts."""
-        if self.blocks is None:
+        axes of each length's cell grid give the counts.  Union rows count
+        one by one, overflow rows as the edges their pairs' blocks or rows
+        do not hold."""
+        if self._succ is not None:
             return super().row_counts(counts, alive, cuts)
-        corner, span, escaped, union = self.blocks
-        cover, grid, chunk = self.cover, len(corner), CHUNK_PAIRS
+        cover, ptr, grid = self.cover, self.trans_ptr, self.cover.n_cells * self.m
         flat, width = counts.reshape(-1), counts.shape[1]  # flat is a view
         lead = cover.dim - 1
         slab = np.append(cover.n_cells, cover._strides[:-1])  # the ids an axis steps within
-        for pa in range(0, grid, chunk):
-            hi = min(pa + chunk, grid)
-            live = pa + np.flatnonzero(alive[pa:hi] & (span[-1, pa:hi] > 0))
+        spill = 0
+        for pa, pb in zip(cuts, cuts[1:]):
+            live = alive[pa:pb]
+            spill += int(np.diff(ptr[pa : pb + 1])[live].sum())
+            hi = max(pa, min(pb, grid))
+            live = live[: hi - pa]
+            if self.union is not None:
+                row_ptr, row_first, row_length = self.union
+                pair, r = ranges(row_ptr[pa:hi], row_ptr[pa + 1 : hi + 1])
+                r = r[live[pair]]
+                _, first, length, _ = cut_rows(r, row_first[r], row_length[r], r)
+                spill -= int(length.sum())
+                np.add.at(flat, (length - 1) * width + first, 1)
+                continue
+            corner, span = self.blocks
+            spill -= int(span[:, pa:hi].prod(axis=0)[live].sum())
+            live = pa + np.flatnonzero(live & (span[-1, pa:hi] > 0))
             first, length = corner[live].astype(np.int64), span[-1, live].astype(np.int64)
             own, first, length, _ = cut_rows(live, first, length, first)  # a box per piece of a cut row
             sp = span[:, own]
@@ -250,40 +264,22 @@ class Abstraction(FiniteProblem):
                     cell += step
                     sign = -sign
                 np.add.at(flat, cell[keep], sign)
-        for row in counts:
+        for row in counts if self.blocks is not None else ():
             cells = row[: cover.n_cells].reshape(cover.counts)  # one length's cell grid
             for axis in range(lead):
                 np.cumsum(cells, axis=axis, out=cells)
-        for pa in range(0, grid, chunk) if union is not None else ():
-            row_ptr, row_first, row_length = union
-            hi = min(pa + chunk, grid)
-            pair, r = ranges(row_ptr[pa:hi], row_ptr[pa + 1 : hi + 1])
-            r = r[alive[pa + pair]]
-            _, first, length, _ = cut_rows(r, row_first[r], row_length[r], r)
-            np.add.at(flat, (length - 1) * width + first, 1)
-        counts[0, cover.overflow] += np.count_nonzero(alive[escaped]) + np.count_nonzero(alive[grid:])
+        counts[0, cover.overflow] += spill
 
 
 def _write_successors(problem: Abstraction):
-    """trans_succ of an abstraction, from its rows, CHUNK_PAIRS pairs at a
-    time: a chunk's stretch is the running sum of 1 per edge, plus
-    ``first - 1`` at each row head and ``-(first + length - 1)`` past its
-    end.  The rows (an escape is a row of the overflow cell) tile the
-    stretch, so every partial sum is an id."""
-    cover, m, ptr = problem.cover, problem.m, problem.trans_ptr
+    """trans_succ of an abstraction, from its rows, a chunk of whole pairs at
+    a time (``core.CHECK_EDGES``): each row's ids laid out from its first edge."""
     succ = np.empty(problem.n_edges, dtype=np.int32)
-    for pa in range(0, cover.n_cells * m, CHUNK_PAIRS):
-        pb = min(pa + CHUNK_PAIRS, cover.n_cells * m)
-        base = ptr[pa]
-        # one slot more, where the last row ends: written later, as the next chunk's or an overflow pair's
-        delta = succ[base : ptr[pb] + 1]
-        delta.fill(1)
+    cuts = chunks(problem.trans_ptr, core.CHECK_EDGES)
+    for pa, pb in zip(cuts, cuts[1:]):
         _, first, length, edge = problem.rows(slice(pa, pb))
-        edge -= base
-        delta[edge] += first - 1
-        delta[edge + length] -= first + length - 1  # the row's last id, taken back past its end
-        np.cumsum(delta[:-1], dtype=np.int32, out=delta[:-1])
-    succ[ptr[cover.n_cells * m : -1]] = cover.overflow
+        row, at = ranges(edge, edge + length)
+        succ[at] = (first - edge)[row] + at
     return succ
 
 
@@ -299,50 +295,46 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     note or None.  Cells that are gated (both costs identically infinite)
     get a single transition to overflow.
 
-    Every input's blocks (``_collect_batched``) are laid out in pair order
-    and kept by the ``Abstraction`` in place of ``trans_succ``; ``trans_ptr``
-    is the running sum of their sizes and escapes.
+    The blocks, or union rows, of ``_collect_batched`` are laid out in pair
+    order and kept by the ``Abstraction`` in place of ``trans_succ``;
+    ``trans_ptr`` is the running sum of their sizes and escapes.
     """
     n_states = cover.n_states
     m = len(inputs)
     if n_states * m >= 2**31:  # pair ids and successors are int32
         raise InputError(f"{n_states} states x {m} inputs: need fewer than 2**31 pairs")
     grid_pairs = cover.n_cells * m  # the cells' pairs come first, cell by cell
-    corner = np.zeros(grid_pairs, dtype=np.int32)
-    span = np.zeros((cover.dim, grid_pairs), dtype=np.int32)
-    per_input = _collect_batched(transitions, cover, costs.gated, m, corner, span)
+    per_input = _collect_batched(transitions, cover, costs.gated, m)
     transition_slack = max(entry[4] for entry in per_input)
     capped = [u_idx for u_idx, entry in enumerate(per_input) if entry[5]]
 
-    escaped = []  # per input, its escaping pairs
-    union = []  # (pair, first id, length) of the rows of inputs with several branches
+    blocks, union = None, []  # union: (pair, first id, length) of the rows of inputs with several branches
     trans_ptr = np.ones(n_states * m + 1, dtype=np.int64)  # the overflow cell's pairs hold one edge
     trans_ptr[0] = 0
-    for u_idx in range(m):
-        first, size, cells, escape, *_ = per_input[u_idx]
-        if cells is None:
+    for u_idx, (first, size, cells, escape, *_) in enumerate(per_input):
+        if cells is None:  # views of every pair's corners and spans
+            blocks = first.base, size.base
             cnt = size.prod(axis=0)
         else:  # rows, several per cell
             union.append((cells * m + u_idx, first, size))
             cnt = np.bincount(cells, size, cover.n_cells)
         trans_ptr[1 + u_idx : 1 + grid_pairs : m] = cnt + escape
-        escaped.append((np.flatnonzero(escape) * m + u_idx).astype(np.int32))
+    del per_input  # and with it the rows' owner cells, before the rows are sorted
     if not trans_ptr[1 : 1 + grid_pairs].all():  # a cell that neither escaped nor met the cover
         raise SoundnessAlarm("batch_ranges produced an empty successor set")
     np.cumsum(trans_ptr, out=trans_ptr)
     if union:
-        pair, first, size = (np.concatenate(column) for column in zip(*union))
+        pair, first, size = [np.concatenate(column) for column in zip(*union)]
+        del union  # the inputs' rows
         order = np.argsort(pair, kind="stable")
         union = offsets(pair[order], grid_pairs), first[order], size[order]
-    del per_input
 
     pair_costs = np.full(n_states * m, INF)
     pair_costs[:grid_pairs] = np.where(
         costs.g_finite[:, None], costs.input_values[None, :], INF
     ).ravel()
 
-    escaped = np.sort(np.concatenate(escaped))
-    problem = Abstraction(cover, m, costs.G2, trans_ptr, pair_costs, corner, span, escaped, union or None)
+    problem = Abstraction(cover, m, costs.G2, trans_ptr, pair_costs, blocks, union or None)
     cert = ConservatismCertificate(
         input_radius=inputs.radius, transition_slack=transition_slack, cell_diameter=cover.max_diameter
     )
@@ -356,18 +348,26 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     return problem, cert
 
 
-def _collect_batched(transitions, cover, gated, m, corner, span):
+def _collect_batched(transitions, cover, gated, m):
     """Per input, ``(corner, span, cells, escape, slack, capped)``: the
     successor blocks of ``_union_branches``, the overflow flags (gated cells
     have no other successor), the reach slack and whether the split cap hit.
-    One branch's blocks are written into ``corner`` and ``span``, the flat
-    corner ids and per-axis spans of the cells' pairs in pair order, as each
-    input comes, and its entry views them."""
-    per_input = []
+    Inputs of one reach branch write their blocks, as each comes, into the
+    flat corner ids and per-axis spans of the cells' pairs in pair order,
+    allocated at the first, and their entries view them.  Every input has
+    one branch or every input several, as a ReachPlan fixes one count; an
+    input that differs from input 0 is a SoundnessAlarm."""
+    per_input, corner, span = [], None, None
     for u_idx in range(m):
         branches, escaped, slack, capped = transitions.batch_ranges(u_idx)
+        if u_idx and (len(branches) == 1) != (corner is not None):
+            want = "one" if corner is not None else "several"
+            raise SoundnessAlarm(f"reach branches: input {u_idx} has {len(branches)}, input 0 {want}; forms do not mix")
         first, size, cells = _union_branches(cover, branches, ~gated)
         if cells is None:
+            if corner is None:
+                corner = np.empty(cover.n_cells * m, dtype=np.int32)
+                span = np.empty((cover.dim, cover.n_cells * m), dtype=np.int32)
             corner[u_idx::m], span[:, u_idx::m] = first, size
             first, size = corner[u_idx::m], span[:, u_idx::m]
         per_input.append((first, size, cells, escaped | gated, float(slack), capped))

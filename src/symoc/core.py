@@ -62,7 +62,7 @@ def offsets(keys, n):
     return np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype))
 
 
-CHECK_EDGES = 1 << 16  # edges per chunk of whole pairs in the repeat check
+CHECK_EDGES = 1 << 16  # edges per chunk of whole pairs, wherever pairs are read a chunk at a time
 
 
 def repeats(heads, succ):
@@ -178,7 +178,7 @@ class FiniteProblem:
         (its place in ``trans_succ``).  A row is a run of consecutive ids in
         one pair's list, at most ROW_MAX long; a pair's rows come in list
         order.  Here they are the maximal runs, cut at ROW_MAX, in pair
-        order."""
+        order; ``Abstraction.rows`` gives its overflow rows last."""
         ptr = self.trans_ptr
         if isinstance(pairs, slice):
             heads = ptr[pairs.start : pairs.stop] - ptr[pairs.start]

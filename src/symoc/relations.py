@@ -17,7 +17,6 @@ import numpy as np
 from .core import INF, STOP, ControllerTable, FiniteProblem, chunks, offsets, ranges
 from .errors import InputError
 from .grid import GridCover
-from .solver import dp_operator
 
 
 class Relation:
@@ -208,10 +207,11 @@ def check_vasr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation, eps: float) 
     _terminal_violations("i", violations, p1, p2, rel)
 
     # gates per pair (b, u2) of problem 2: an edge of infinite running cost,
-    # or a successor related to a state of problem 1 where P(0) is infinite
+    # or a successor related to a state of problem 1 where P(0) = min(G, min_u max_y g) is infinite
     table2 = _edge_table(p2)
+    pair_max = p1.pair_costs if p1.edge_costs is None else np.maximum.reduceat(p1.edge_costs, p1.trans_ptr[:-1])
     unbounded = np.zeros(p2.n, dtype=bool)
-    unbounded[B[dp_operator(p1, np.zeros(p1.n))[A] == INF]] = True
+    unbounded[B[np.minimum(p1.G, pair_max.reshape(p1.n, p1.m).min(axis=1))[A] == INF]] = True
     gated_pair = np.logical_or.reduceat((_edge_costs(p2) == INF) | unbounded[p2.trans_succ], p2.trans_ptr[:-1])
     active = np.flatnonzero(p1.G[A] > 0.0)
     rows = (B[active, None] * p2.m + np.arange(p2.m)).ravel()  # row k·m2 + u2 for active pair k

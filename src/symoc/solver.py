@@ -134,9 +134,6 @@ def _keys(values, states) -> list:
     return [b << 32 | q for b, q in zip(_bits(values).tolist(), states.tolist())]
 
 
-_INVERSE_EDGES = 1 << 16  # edges per chunk of the index's build
-
-
 class RowIndex:
     """The live pairs' successor rows, indexed by (length, first id).
 
@@ -176,7 +173,7 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
     counts the rows of each (length, first id), the second takes the rows
     again, sorts each chunk's by (length, first id) and writes them at
     cursors kept in the offsets.  Beyond the index it holds O(n m) pair
-    data and O(_INVERSE_EDGES) per chunk.
+    data and O(core.CHECK_EDGES) per chunk.
     """
     n, m = problem.n, problem.m
     ptr, edge_costs = problem.trans_ptr, problem.edge_costs
@@ -187,7 +184,7 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
 
     # count pass: offsets[c + 2] counts the rows in column c, and
     # counts[L - 1, f] is the slot of column (L, f) for f from 0 to n - 1
-    cuts = chunks(ptr, _INVERSE_EDGES)
+    cuts = chunks(ptr, core.CHECK_EDGES)
     if edge_costs is not None:
         for pa, pb in zip(cuts, cuts[1:]):
             a, b = ptr[pa], ptr[pb]
@@ -380,8 +377,9 @@ def check_certificate(problem: FiniteProblem, W, choice, rank):
     With the controller domain check this certifies the output on the
     abstraction: from any p of finite W the controller stops within
     rank[p] steps, at a cost of at most W(p).  It reads the chosen pairs'
-    rows only (``FiniteProblem.rows``), in chunks of about _INVERSE_EDGES
-    edges.
+    rows only (``FiniteProblem.rows``), in chunks of about core.CHECK_EDGES
+    edges, pair after pair: only pairs of infinite M, which none chosen is,
+    may have rows out of pair order (an overflow successor's).
     """
     states = np.flatnonzero(choice != STOP)
     if not len(states):
@@ -390,7 +388,7 @@ def check_certificate(problem: FiniteProblem, W, choice, rank):
     ptr = problem.trans_ptr
     M, late = np.empty(len(pid)), np.empty(len(pid), dtype=bool)
     starts = np.append(0, np.cumsum(ptr[pid + 1] - ptr[pid]))  # each pair's first place among the chosen pairs' ids
-    cuts = chunks(starts, _INVERSE_EDGES)
+    cuts = chunks(starts, core.CHECK_EDGES)
     for a, b in zip(cuts, cuts[1:]):
         _, first, length, edge = problem.rows(pid[a:b])  # a pair's rows tile its list
         row, succ = ranges(first, first + length)

@@ -1,5 +1,6 @@
 import itertools
 import os
+import tempfile
 import tracemalloc
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from symoc.sets import Box, EmptySet
 from symoc.solver import is_discrete_cost, solve
 from symoc.systems import get_system
 
-from abstraction_digests import build, digest
+from abstraction_digests import build, config_text, digest
 from test_solver import assert_inverse_matches_reference
 from oracles import (
     block_cells,
@@ -228,8 +229,7 @@ def test_union_of_branch_boxes_matches_the_unique_reference():
                 return branches, escaped, 0.0, False
 
         # a box meets no cell only outside the cover, so every empty cell escaped
-        pairs = (np.zeros(cover.n_cells, dtype=np.int32), np.zeros((cover.dim, cover.n_cells), dtype=np.int32))
-        (corner, span, block_cells_u, overflow, _, _), = _collect_batched(Fixed(), cover, gated, 1, *pairs)
+        (corner, span, block_cells_u, overflow, _, _), = _collect_batched(Fixed(), cover, gated, 1)
         for a, b in zip((corner, span, block_cells_u), got):
             assert a.dtype == np.int32 and np.array_equal(a, b)
         assert np.array_equal(overflow, escaped | gated)
@@ -259,19 +259,63 @@ def test_union_keys_pass_int32_on_a_large_cover():
     assert np.array_equal(problem.trans_ptr, want_ptr) and np.array_equal(problem.trans_succ, want_succ)
 
 
+def test_inputs_of_one_reach_branch_and_of_several_are_refused():
+    # input 0 moves odd cells one cell left and even cells one right, in one
+    # reach branch; input 1 has the overlapping branches [i-1, i-1] and
+    # [i-2, i-1].  Blocks for input 0 beside union rows for input 1 gave rows
+    # out of pair order, and the certificate refused a correct solution at
+    # state 2 (W = 2.5 but input 1 gives 6.5).  The build refuses the mix,
+    # in either order; inputs that agree build and solve as their CSR does
+    cover = GridCover([0.0], [40.0], [1.0])
+    cells = np.arange(cover.n_cells, dtype=float)
+
+    def branch(lo, hi):
+        lo_idx, hi_idx, out, empty = cover.box_index_ranges(lo[None], hi[None])
+        return (lo_idx, hi_idx, empty), out
+
+    step = np.where(cells % 2, -1.0, 1.0)
+    (one, out), (near, _), (far, far_out) = (branch(cells + step, cells + step), branch(cells - 1, cells - 1),
+                                             branch(cells - 2, cells - 1))
+    G2 = np.full(cover.n_states, INF)
+    G2[0] = 0.0
+    costs = SimpleNamespace(
+        gated=np.zeros(cover.n_cells, dtype=bool), g_finite=np.ones(cover.n_cells, dtype=bool),
+        input_values=np.array([1.0, 1.5]), G2=G2,
+    )
+    inputs = InputGrid([([0.0], [1.0])], [1.0])
+
+    def build(first, second):
+        by_input = (first, second)
+        transitions = SimpleNamespace(guard_note=None, batch_ranges=lambda u: (*by_input[u], 0.0, False))
+        return build_abstraction(transitions, cover, inputs, costs)[0]
+
+    for first, second, message in (
+        (([one], out), ([near, far], far_out), "input 1 has 2, input 0 one;"),
+        (([near, far], far_out), ([one], out), "input 1 has 1, input 0 several;"),
+    ):
+        with pytest.raises(SoundnessAlarm, match=f"^reach branches: {message}"):
+            build(first, second)
+    for first, second in ((([one], out), ([far], far_out)), (([one, one], out), ([near, far], far_out))):
+        problem = build(first, second)
+        got = solve(problem)
+        csr = FiniteProblem(problem.n, 2, G2, problem.trans_ptr, problem.trans_succ, pair_costs=problem.pair_costs)
+        assert np.array_equal(got.W, solve(csr).W) and got.W[2] == 2.5
+
+
 class RandomBlocks:
     """A transition over-approximator whose inputs give random index blocks:
-    1 to 4 branches of ``random_branch_boxes``, further escape flags on
-    some cells and, on a capped input, on every cell."""
+    ``branches`` branches of ``random_branch_boxes`` per input, one or, at
+    even odds, 2 to 4 drawn once for all inputs, as a reach plan fixes one
+    count; further escape flags on some cells and, on a capped input, on
+    every cell."""
 
     guard_note = None
 
     def __init__(self, rng, cover, m):
+        self.branches = 1 if rng.random() < 0.5 else int(rng.integers(2, 5))
         self.inputs = []
         for u_idx in range(m):
-            boxes = random_branch_boxes(rng, cover, int(rng.integers(2, 5)))
-            if u_idx % 3 == 0:
-                boxes = boxes[:1]
+            boxes = random_branch_boxes(rng, cover, self.branches)
             branches = [(lo_idx, hi_idx, empty) for lo_idx, hi_idx, _, empty in boxes]
             escaped = np.any([esc for _, _, esc, _ in boxes], axis=0) | (rng.random(cover.n_cells) < 0.1)
             capped = u_idx == m - 1
@@ -298,8 +342,8 @@ def test_csr_matches_the_flat_reference_at_every_chunk_size(monkeypatch):
             gated=gated, g_finite=~gated, input_values=np.arange(m, dtype=float), G2=np.zeros(cover.n_states)
         )
         want_ptr, want_succ = reference_csr(transitions, cover, m, gated)
-        for chunk in (1, 7, cover.n_cells * m + 1):
-            monkeypatch.setattr(symoc.abstraction, "CHUNK_PAIRS", chunk)
+        for chunk in (1, 7, int(want_ptr[-1]) + 1):  # edges per chunk of whole pairs
+            monkeypatch.setattr(symoc.core, "CHECK_EDGES", chunk)
             problem, cert = build_abstraction(transitions, cover, inputs, costs)
             assert np.array_equal(problem.trans_ptr, want_ptr), (trial, chunk)
             assert problem.trans_succ.dtype == np.int32 and np.array_equal(problem.trans_succ, want_succ), (trial, chunk)
@@ -309,9 +353,9 @@ def test_csr_matches_the_flat_reference_at_every_chunk_size(monkeypatch):
 
 def block_problems(rng, trials):
     """(problem, transitions, gated) of random abstractions as they leave
-    build_abstraction, on one- to three-dimensional covers: inputs of one
-    reach branch and of several, escapes, a capped input and gated cells,
-    whose pairs are inert."""
+    build_abstraction, on one- to three-dimensional covers: blocks of one
+    reach branch per input or union rows of several, escapes, a capped
+    input and gated cells, whose pairs are inert."""
     covers = [
         GridCover([0.0], [7.0], [1.0]),
         GridCover([-1.0, 0.0], [1.0, 1.0], [0.3, 0.25]),
@@ -338,16 +382,16 @@ def test_block_rows_expand_to_the_materialized_csr(monkeypatch, row_max):
     if row_max is not None:
         monkeypatch.setattr(symoc.core, "ROW_MAX", row_max)
     rng = np.random.default_rng(28)
-    longest = 0
+    longest, forms = 0, set()
     for problem, transitions, gated in block_problems(rng, 12):
         n_pairs = problem.n * problem.m
         sets = [np.arange(n_pairs), np.flatnonzero(rng.random(n_pairs) < 0.3), np.arange(5, n_pairs - 3)]
         got = [problem.rows(slice(0, n_pairs)), problem.rows(sets[1]), problem.rows(slice(5, n_pairs - 3))]
-        _, span, _, union = problem.blocks
-        assert union is not None  # several branches: union rows
-        longest = max(longest, span[-1].max(), union[2].max())  # before cutting
+        forms.add(problem.union is None)
+        lengths = problem.union[2] if problem.blocks is None else problem.blocks[1][-1]
+        longest = max(longest, lengths.max())  # before cutting
         want_ptr, want_succ = reference_csr(transitions, problem.cover, problem.m, gated)
-        assert np.array_equal(problem.trans_succ, want_succ) and problem.blocks is None
+        assert np.array_equal(problem.trans_succ, want_succ) and problem.blocks is problem.union is None
         for pids, (place, first, length, edge) in zip(sets, got):
             assert length.min() >= 1 and length.max() <= symoc.core.ROW_MAX
             pair = pids[place]
@@ -357,6 +401,7 @@ def test_block_rows_expand_to_the_materialized_csr(monkeypatch, row_max):
             assert np.array_equal(pair[order][row], np.searchsorted(want_ptr, edges, side="right") - 1)
             assert np.array_equal(first[order][row] + edges - edge[order][row], want_succ[edges])
     assert longest > 2  # so row_max = 2 cuts rows
+    assert forms == {True, False}  # blocks and union rows
 
 
 @pytest.mark.parametrize("row_max", [None, 2])
@@ -376,7 +421,7 @@ def test_inverse_from_blocks_matches_reference_inverse(monkeypatch, row_max):
         FiniteProblem.row_counts(problem, want, alive, cuts)
         assert np.array_equal(got, want)
         index = symoc.solver._build_inverse(problem)
-        assert problem.blocks is not None
+        assert problem._succ is None
         assert index.lengths.max() <= symoc.core.ROW_MAX
         assert_inverse_matches_reference(problem)
 
@@ -402,7 +447,7 @@ def test_materialized_csr_passes_the_constructor_check(monkeypatch):
     for problem in problems[3:]:
         with pytest.raises(InputError, match="^duplicate transition"):
             problem.trans_succ
-        assert problem.blocks is not None
+        assert problem._succ is None and (problem.blocks is None) != (problem.union is None)
 
 
 def test_solve_reads_blocks_and_their_csr_alike():
@@ -412,7 +457,7 @@ def test_solve_reads_blocks_and_their_csr_alike():
     problems.append(build("pendulum:p1")[0])
     for problem in problems:
         got = solve(problem, queue="auto")
-        assert problem.blocks is not None
+        assert problem._succ is None
         csr = FiniteProblem(problem.n, problem.m, problem.G, problem.trans_ptr, problem.trans_succ,
                             pair_costs=problem.pair_costs)
         want = solve(csr, queue="auto")
@@ -426,23 +471,35 @@ def test_build_holds_about_a_block_per_pair_beyond_its_arrays():
     # beyond its returned arrays (successor lists and a per-edge scatter
     # index), the block build that wrote trans_succ 1.7, mostly its blocks.
     # The build now keeps its blocks in place of trans_succ and holds 1.55
-    # beyond them
-    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "pendulum_p1.ini"))
-    costs = abstract_costs(cfg.model, cfg.cover, cfg.inputs)
-    tracemalloc.start()
-    try:
-        problem, _ = build_abstraction(cfg.reach, cfg.cover, cfg.inputs, costs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    corner, span, escaped, union = problem.blocks
-    blocks = corner.nbytes + span.nbytes + escaped.nbytes
-    kept = problem.trans_ptr.nbytes + problem.pair_costs.nbytes + blocks
-    assert union is None and problem.n_edges == 1_667_191
-    assert (peak - kept) / problem.n_edges < 3.0
-    # the blocks themselves: an int32 corner and span per axis per cell pair, an int32 per escaping pair
-    assert corner.dtype == span.dtype == escaped.dtype == np.int32
-    assert blocks <= (4 * (problem.cover.dim + 1) + 4) * problem.n * problem.m
+    # beyond them.  With theta 0.5 and k 3 every input has several reach
+    # branches, and the build keeps their union rows and no block at all
+    for spec in ("pendulum:p1", "pendulum:p1:theta=0.5:k=3"):
+        with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as fh:
+            fh.write(config_text(spec))
+        try:
+            cfg = load_config(fh.name)
+        finally:
+            os.unlink(fh.name)
+        costs = abstract_costs(cfg.model, cfg.cover, cfg.inputs)
+        tracemalloc.start()
+        try:
+            problem, _ = build_abstraction(cfg.reach, cfg.cover, cfg.inputs, costs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pairs = problem.n * problem.m
+        form = problem.blocks if problem.union is None else problem.union
+        kept = problem.trans_ptr.nbytes + problem.pair_costs.nbytes + sum(a.nbytes for a in form)
+        assert held - kept < 2 * pairs  # nothing per pair beyond the kept arrays
+        if problem.union is not None:
+            assert spec.endswith("k=3") and problem.blocks is None and problem.n_edges == 1_545_559
+            continue
+        corner, span = problem.blocks
+        assert problem.n_edges == 1_667_191
+        assert (peak - kept) / problem.n_edges < 3.0
+        # the blocks themselves: an int32 corner and span per axis per cell pair
+        assert corner.dtype == span.dtype == np.int32
+        assert corner.nbytes + span.nbytes == 4 * (problem.cover.dim + 1) * problem.cover.n_cells * problem.m
 
 
 def test_split_cap_hit_is_noted_in_certificate(caplog, monkeypatch):

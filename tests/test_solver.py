@@ -633,7 +633,7 @@ def test_build_inverse_matches_reference_inverse(monkeypatch, chunk):
     # chunks of 1, 3 and 64 edges cut the problems into many chunks, some of
     # inert pairs only; None keeps the default
     if chunk is not None:
-        monkeypatch.setattr(symoc.solver, "_INVERSE_EDGES", chunk)
+        monkeypatch.setattr(symoc.core, "CHECK_EDGES", chunk)
     rng = np.random.default_rng(5)
     for _ in range(20):
         trans, G = random_problem_lists(rng, n_max=40, cost_mode="real")
@@ -687,7 +687,7 @@ def test_duplicate_in_rows_that_are_not_adjacent(monkeypatch, chunk):
 @pytest.mark.parametrize("per_edge", [True, False])
 def test_build_inverse_holds_little_beyond_its_outputs(per_edge):
     # 3.2 M edges in runs, about 0.3 rows per edge: besides the index the
-    # build may hold O(n m) pair data and O(_INVERSE_EDGES) per chunk, not
+    # build may hold O(n m) pair data and O(CHECK_EDGES) per chunk, not
     # an array per row (a sort of int64 (column, row) keys over all rows
     # would hold 8 B per row more)
     n, m = 20_000, 4
@@ -718,6 +718,6 @@ def test_build_inverse_holds_little_beyond_its_outputs(per_edge):
     rows = len(index.pair)
     assert 0.2 < rows / problem.n_edges < 0.4
     outputs = sum(a.nbytes for a in (index.offsets, index.pair, index.base, index.counters) if a is not None)
-    beyond = 24 * n * m + 64 * symoc.solver._INVERSE_EDGES
+    beyond = 24 * n * m + 64 * symoc.core.CHECK_EDGES
     assert peak <= outputs + beyond
     assert 8 * rows > beyond
