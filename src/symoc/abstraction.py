@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .core import INF, CostModel, FiniteProblem, chunks, cut_rows, offsets, ranges
+from .core import INF, CostModel, FiniteProblem, chunks, cut_rows, ranges
 from .errors import InputError, SoundnessAlarm
 from .grid import GridCover, InputGrid
 from .reach import ReachPlan, SampledSystem, attain_over_batch, check_reach_parameters
@@ -168,9 +168,9 @@ class Abstraction(FiniteProblem):
     every input has several.  A pair's list is its block's ids or its rows',
     then the overflow id iff ``trans_ptr`` gives it one edge more (it
     escapes).  Each overflow pair lists the overflow cell only.  ``rows``
-    reads these directly; ``trans_succ`` is written from them the first time
-    something reads it (``_write_successors``) and checked as a given CSR
-    is, after which the form goes and the rows are cut from the CSR.
+    reads these directly, as the count pass does union rows; ``trans_succ``
+    is written from them when first read (``_write_successors``) and checked
+    as a given CSR is, after which the form goes and rows are cut from it.
     """
 
     def __init__(self, cover: GridCover, m, G, trans_ptr, pair_costs, blocks, union):
@@ -210,9 +210,8 @@ class Abstraction(FiniteProblem):
             row_ptr, row_first, row_length = self.union
             place, r = ranges(row_ptr[at], row_ptr[1:][at])
             first, length = row_first[r], row_length[r]
-            before = np.cumsum(length) - length
-            edge = start[place] + before - before[np.searchsorted(place, place)]
-            held = np.bincount(place, length, len(start))
+            held = np.bincount(place, length, len(start)).astype(np.int64)
+            edge = (start - held.cumsum() + held)[place] + length.cumsum() - length
         esc = np.flatnonzero(stop - start > held)
         spill = np.concatenate((esc, np.arange(len(start), len(start) + len(over))))  # overflow rows
         columns = ((place, spill), (first, np.full(len(spill), self.cover.overflow)),
@@ -220,17 +219,18 @@ class Abstraction(FiniteProblem):
         return cut_rows(*map(np.concatenate, columns))
 
     def row_counts(self, counts, alive, cuts):
-        """As ``FiniteProblem.row_counts``, without expanding the blocks.  A
-        block's rows of one length (all of them, or a piece of each cut row)
-        start at the cells of a box, so as a difference array each adds +1
-        and -1 at the box's corners, -1 at each far end of its leading axes
-        (dropped where that is past the grid), and running sums along those
-        axes of each length's cell grid give the counts.  Union rows count
-        one by one, overflow rows as the edges their pairs' blocks or rows
-        do not hold."""
-        if self._succ is not None:
+        """As ``FiniteProblem.row_counts``, without expanding the blocks; union
+        rows and a written ``trans_succ`` count there, as ``rows`` gives
+        them.  A block's rows of one length (all of them, or a piece of each
+        cut row) start at the cells of a box, so as a difference array each
+        adds +1 and -1 at the box's corners, -1 at each far end of its
+        leading axes (dropped where that is past the grid), and running sums
+        along those axes of each length's cell grid give the counts.
+        Overflow rows count as the edges their pairs' blocks do not hold."""
+        if self.blocks is None:
             return super().row_counts(counts, alive, cuts)
         cover, ptr, grid = self.cover, self.trans_ptr, self.cover.n_cells * self.m
+        corner, span = self.blocks
         flat, width = counts.reshape(-1), counts.shape[1]  # flat is a view
         lead = cover.dim - 1
         slab = np.append(cover.n_cells, cover._strides[:-1])  # the ids an axis steps within
@@ -240,15 +240,6 @@ class Abstraction(FiniteProblem):
             spill += int(np.diff(ptr[pa : pb + 1])[live].sum())
             hi = max(pa, min(pb, grid))
             live = live[: hi - pa]
-            if self.union is not None:
-                row_ptr, row_first, row_length = self.union
-                pair, r = ranges(row_ptr[pa:hi], row_ptr[pa + 1 : hi + 1])
-                r = r[live[pair]]
-                _, first, length, _ = cut_rows(r, row_first[r], row_length[r], r)
-                spill -= int(length.sum())
-                np.add.at(flat, (length - 1) * width + first, 1)
-                continue
-            corner, span = self.blocks
             spill -= int(span[:, pa:hi].prod(axis=0)[live].sum())
             live = pa + np.flatnonzero(live & (span[-1, pa:hi] > 0))
             first, length = corner[live].astype(np.int64), span[-1, live].astype(np.int64)
@@ -264,7 +255,7 @@ class Abstraction(FiniteProblem):
                     cell += step
                     sign = -sign
                 np.add.at(flat, cell[keep], sign)
-        for row in counts if self.blocks is not None else ():
+        for row in counts:
             cells = row[: cover.n_cells].reshape(cover.counts)  # one length's cell grid
             for axis in range(lead):
                 np.cumsum(cells, axis=axis, out=cells)
@@ -297,7 +288,8 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
 
     The blocks, or union rows, of ``_collect_batched`` are laid out in pair
     order and kept by the ``Abstraction`` in place of ``trans_succ``;
-    ``trans_ptr`` is the running sum of their sizes and escapes.
+    ``trans_ptr`` is the running sum of their sizes and escapes.  Rows come
+    in cell order, so their running count per pair places them: no sort.
     """
     n_states = cover.n_states
     m = len(inputs)
@@ -308,7 +300,8 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
     transition_slack = max(entry[4] for entry in per_input)
     capped = [u_idx for u_idx, entry in enumerate(per_input) if entry[5]]
 
-    blocks, union = None, []  # union: (pair, first id, length) of the rows of inputs with several branches
+    blocks = union = None
+    row_ptr = None if per_input[0][2] is None else np.zeros(grid_pairs + 1, dtype=np.int64)  # union row offsets
     trans_ptr = np.ones(n_states * m + 1, dtype=np.int64)  # the overflow cell's pairs hold one edge
     trans_ptr[0] = 0
     for u_idx, (first, size, cells, escape, *_) in enumerate(per_input):
@@ -316,25 +309,28 @@ def build_abstraction(transitions, cover: GridCover, inputs: InputGrid, costs: A
             blocks = first.base, size.base
             cnt = size.prod(axis=0)
         else:  # rows, several per cell
-            union.append((cells * m + u_idx, first, size))
+            row_ptr[1 + u_idx :: m] = np.bincount(cells, minlength=cover.n_cells)
             cnt = np.bincount(cells, size, cover.n_cells)
+            per_input[u_idx] = first, size  # the rows' owner cells go
         trans_ptr[1 + u_idx : 1 + grid_pairs : m] = cnt + escape
-    del per_input  # and with it the rows' owner cells, before the rows are sorted
     if not trans_ptr[1 : 1 + grid_pairs].all():  # a cell that neither escaped nor met the cover
         raise SoundnessAlarm("batch_ranges produced an empty successor set")
     np.cumsum(trans_ptr, out=trans_ptr)
-    if union:
-        pair, first, size = [np.concatenate(column) for column in zip(*union)]
-        del union  # the inputs' rows
-        order = np.argsort(pair, kind="stable")
-        union = offsets(pair[order], grid_pairs), first[order], size[order]
+    if row_ptr is not None:  # each input's rows, in cell order, placed at its pairs' offsets
+        np.cumsum(row_ptr, out=row_ptr)
+        union = row_ptr, np.empty(row_ptr[-1], dtype=np.int32), np.empty(row_ptr[-1], dtype=np.int32)
+        for u_idx in range(m):
+            at = ranges(row_ptr[u_idx:-1:m], row_ptr[1 + u_idx :: m])[1]
+            union[1][at], union[2][at] = per_input[u_idx]
+            per_input[u_idx] = None
+    del per_input
 
     pair_costs = np.full(n_states * m, INF)
     pair_costs[:grid_pairs] = np.where(
         costs.g_finite[:, None], costs.input_values[None, :], INF
     ).ravel()
 
-    problem = Abstraction(cover, m, costs.G2, trans_ptr, pair_costs, blocks, union or None)
+    problem = Abstraction(cover, m, costs.G2, trans_ptr, pair_costs, blocks, union)
     cert = ConservatismCertificate(
         input_radius=inputs.radius, transition_slack=transition_slack, cell_diameter=cover.max_diameter
     )

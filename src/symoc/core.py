@@ -62,6 +62,20 @@ def offsets(keys, n):
     return np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype))
 
 
+def as_indices(values, what):
+    """``values`` as an int64 array.  A value that the conversion changes (a
+    fraction, NaN or inf) is an InputError naming it; integers skip the check."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iub":
+        return values.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        ints = values.astype(np.int64)
+    bad = np.flatnonzero(ints != values)
+    if len(bad):
+        raise InputError(f"{what} {values.flat[bad[0]]} is not an integer")
+    return ints
+
+
 CHECK_EDGES = 1 << 16  # edges per chunk of whole pairs, wherever pairs are read a chunk at a time
 
 
@@ -106,7 +120,7 @@ class FiniteProblem:
         self.n = int(n)
         self.m = int(m)
         self.G = np.asarray(G, dtype=float)
-        self.trans_ptr = np.asarray(trans_ptr, dtype=np.int64)
+        self.trans_ptr = as_indices(trans_ptr, "transition index entry")
         self._succ = None if trans_succ is None else np.asarray(trans_succ)
         self.edge_costs = None if edge_costs is None else np.asarray(edge_costs, dtype=float)
         self.pair_costs = None if pair_costs is None else np.asarray(pair_costs, dtype=float)
@@ -289,7 +303,7 @@ class ControllerTable:
     choice: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
-        self.choice = np.asarray(self.choice, dtype=np.int64)
+        self.choice = as_indices(self.choice, "controller entry")
         bad = np.flatnonzero(self.choice < STOP)
         if len(bad):
             raise InputError(f"controller state {bad[0]} chooses input {self.choice[bad[0]]}, neither an index nor STOP")

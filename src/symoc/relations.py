@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INF, STOP, ControllerTable, FiniteProblem, chunks, offsets, ranges
+from .core import INF, STOP, ControllerTable, FiniteProblem, as_indices, chunks, offsets, ranges
 from .errors import InputError
 from .grid import GridCover
 
@@ -25,7 +25,7 @@ class Relation:
 
     def __init__(self, pairs):
         """``pairs``: (a, b) pairs of non-negative states, or a (k, 2) array."""
-        ab = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64).reshape(-1, 2)
+        ab = as_indices(pairs if isinstance(pairs, np.ndarray) else list(pairs), "relation state").reshape(-1, 2)
         if np.any(ab < 0):
             a, b = ab[np.any(ab < 0, axis=1)][0]
             raise InputError(f"relation pair '{a} {b}' has a negative state")
@@ -199,7 +199,7 @@ def check_vasr(p1: FiniteProblem, p2: FiniteProblem, rel: Relation, eps: float) 
     evaluated on the array of (pair, u2, u1, successor, image) cases, reduced
     by any over images, all over successors and any over u1.
     """
-    if eps < 0:
+    if not eps >= 0:  # NaN too
         raise InputError("eps must be non-negative")
     _check_indices(rel, p1, p2)
     A, B = rel.a, rel.b

@@ -640,6 +640,23 @@ def test_finite_problem_validation_names_the_first_fault(change, message):
         FiniteProblem(**{**VALID_PROBLEM, **change})
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda v: FiniteProblem(1, 1, [0], [0.0, v], [0], edge_costs=[1]), "transition index entry {} is not an integer"),
+    (lambda v: ControllerTable([v, -1]), "controller entry {} is not an integer"),
+    (lambda v: Relation([(0, 1), (v, 1.0)]), "relation state {} is not an integer"),
+])
+def test_index_arrays_refuse_values_the_int64_conversion_changes(make, message):
+    # a fraction, NaN or inf would be truncated or wrapped; an integral
+    # float, an int array, a list of ints and an empty input pass
+    for value in (1.7, 0.5, -0.25, math.nan, math.inf, -math.inf, 2.0**63):
+        with pytest.raises(InputError, match=f"^{re.escape(message.format(value))}$"):
+            make(value)
+    make(1.0)
+    make(1)
+    assert len(ControllerTable([])) == len(Relation([])) == 0
+    assert FiniteProblem(1, 1, [0], np.array([0, 1], dtype=np.int32), [0], edge_costs=[1]).trans_ptr.dtype == np.int64
+
+
 def problem_lists(rng, repeats):
     """(n, m, trans_ptr, trans_succ) of a random problem whose pairs list
     1 to 8 successors, rising, falling or shuffled; with ``repeats`` about

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import re
 import time
 from pathlib import Path
@@ -116,6 +117,14 @@ def test_vasr_eps_slack_two_state_example():
     rel = Relation([(0, 0), (1, 1)])
     assert not check_vasr(p1, p2, rel, eps=0.0).ok
     assert check_vasr(p1, p2, rel, eps=0.1).ok
+
+
+def test_vasr_refuses_a_negative_or_nan_eps():
+    p = small_problem()
+    rel = Relation([(0, 0), (1, 1)])
+    for eps in (-0.1, math.nan):
+        with pytest.raises(InputError, match="^eps must be non-negative$"):
+            check_vasr(p, p, rel, eps)
 
 
 def test_vasr_large_eps_reduces_to_reachability():
