@@ -64,8 +64,12 @@ def offsets(keys, n):
 
 def as_indices(values, what):
     """``values`` as an int64 array.  A value that the conversion changes (a
-    fraction, NaN or inf) is an InputError naming it; integers skip the check."""
-    values = np.asarray(values)
+    fraction, NaN or inf) is an InputError naming it, and so are ragged
+    lists; integers skip the check."""
+    try:
+        values = np.asarray(values)
+    except ValueError as exc:  # lists of unequal lengths
+        raise InputError(f"{what} array is ragged") from exc
     if values.dtype.kind in "iub":
         return values.astype(np.int64, copy=False)
     with np.errstate(invalid="ignore"):
@@ -137,6 +141,8 @@ class FiniteProblem:
             raise InputError("terminal costs must be non-negative")
         if self.trans_ptr.shape != (self.n * self.m + 1,):
             raise InputError("transition index has wrong length")
+        if self._succ is not None and self._succ.ndim != 1:
+            raise InputError(f"successor indices must be a 1-D array, not one of shape {self._succ.shape}")
         if self.trans_ptr[0] != 0 or (self._succ is not None and self.trans_ptr[-1] != len(self._succ)):
             raise InputError("transition index is inconsistent")
         if np.any(np.diff(self.trans_ptr) < 1):
@@ -304,6 +310,8 @@ class ControllerTable:
 
     def __post_init__(self):
         self.choice = as_indices(self.choice, "controller entry")
+        if self.choice.ndim != 1:
+            raise InputError(f"a controller must be a 1-D array, not one of shape {self.choice.shape}")
         bad = np.flatnonzero(self.choice < STOP)
         if len(bad):
             raise InputError(f"controller state {bad[0]} chooses input {self.choice[bad[0]]}, neither an index nor STOP")

@@ -29,6 +29,8 @@ class GridCover:
         self.eta = np.atleast_1d(np.asarray(eta, dtype=float))
         if self.lower.shape != self.upper.shape or self.lower.shape != self.eta.shape:
             raise InputError("bounds and eta must have matching dimensions")
+        if not np.isfinite([self.lower, self.upper, self.eta]).all():
+            raise InputError("bounds and eta must be finite")
         if np.any(self.eta <= 0) or np.any(self.upper <= self.lower):
             raise InputError("need eta > 0 and upper > lower")
         self.dim = self.lower.size
@@ -149,6 +151,8 @@ class InputGrid:
             hi = np.atleast_1d(np.asarray(hi, dtype=float))
             if lo.shape != self.mu.shape or np.any(hi < lo):
                 raise InputError("invalid input interval piece")
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+                raise InputError("input interval piece bounds must be finite")
             self.pieces.append((lo, hi))
             with np.errstate(over="ignore"):
                 steps = np.maximum(np.ceil((hi - lo) / self.mu - _COUNT_GUARD), 1.0)

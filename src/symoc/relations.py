@@ -25,7 +25,10 @@ class Relation:
 
     def __init__(self, pairs):
         """``pairs``: (a, b) pairs of non-negative states, or a (k, 2) array."""
-        ab = as_indices(pairs if isinstance(pairs, np.ndarray) else list(pairs), "relation state").reshape(-1, 2)
+        ab = as_indices(pairs if isinstance(pairs, np.ndarray) else list(pairs), "relation state")
+        if ab.size and (ab.ndim != 2 or ab.shape[1] != 2):
+            raise InputError(f"relation pairs must form a (k, 2) array, not one of shape {ab.shape}")
+        ab = ab.reshape(-1, 2)
         if np.any(ab < 0):
             a, b = ab[np.any(ab < 0, axis=1)][0]
             raise InputError(f"relation pair '{a} {b}' has a negative state")

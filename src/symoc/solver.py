@@ -144,7 +144,8 @@ class RowIndex:
     1 - ROW_MAX to n, counts the rows sorting below (L, f).  ``pair`` holds
     each row's int32 pair id and ``base``, with per-edge costs, its first
     edge minus its first id, so a successor q of the row is edge base + q.
-    ``counters`` counts each pair's unsettled successors, -1 if inert.
+    ``counters`` counts each pair's unsettled successors, -1 if inert; at 0
+    the pair is ready, and ``solve`` then keeps its tie position there.
     """
 
     def __init__(self, lengths, offsets, pair, base, counters):
@@ -249,23 +250,19 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     n, m = problem.n, problem.m
     W = problem.G.copy()
     choice = np.full(n, STOP, dtype=np.int64)
-    settled = np.zeros(n, dtype=bool)
-    rank = np.full(n, n, dtype=np.int64)
+    rank = np.full(n, n, dtype=np.int64)  # n until settled: the one record of settling
     index = _build_inverse(problem)
     counters, n_lengths = index.counters, len(index.lengths)
     pair_costs, edge_costs = problem.pair_costs, problem.edge_costs
     # per-edge costs: running max of g + W(y) over the settled successors y
     pair_max = None if edge_costs is None else np.full(n * m, -INF)
-    last_pos = np.empty(n * m, dtype=np.int64)
     stats = SolveStats()
-    settle_values = [np.empty(0)]
+    settle_values = np.empty(n)
 
     initial = np.flatnonzero(W < INF)
     initial = initial[np.argsort(W[initial], kind="stable")]  # by (W, index)
     stats.pushes += len(initial)
     if fifo:
-        in_queue = np.zeros(n, dtype=bool)
-        in_queue[initial] = True
         pushed = initial
     else:
         c_min = float(problem.costs.min(initial=INF))
@@ -275,14 +272,11 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     while True:
         # take a wave, in settle order
         if fifo:
-            # the previous wave leaves the queue only now: its states stay
-            # queued while its pairs improve states
-            in_queue[wave] = False
             if not len(pushed):
                 break
             wave, pushed = pushed, initial[:0]
             stats.pops += len(wave)
-            if settled[wave].any():
+            if (rank[wave] < n).any():
                 raise SoundnessAlarm("fifo queue settled a state twice")
         else:
             # the least key and every key below its W plus c_min; stale
@@ -296,14 +290,13 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
             stats.pops += len(run)
             wave = np.array([key & _STATE for key in run])
             pushed = np.array([key >> 32 for key in run]).view(np.float64)  # W when pushed
-            wave = wave[~settled[wave] & (pushed == W[wave])]
+            wave = wave[(rank[wave] == n) & (pushed == W[wave])]
             if not len(wave):
                 continue
         vals = W[wave]
-        settled[wave] = True
         rank[wave] = np.arange(stats.settled, stats.settled + len(wave))
+        settle_values[stats.settled : stats.settled + len(wave)] = vals
         stats.settled += len(wave)
-        settle_values.append(vals)
 
         # pairs whose last unsettled successor is in the wave: a state lies
         # in one row of each pair listing it
@@ -312,12 +305,11 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
         np.subtract.at(counters, pids, 1)
         pos = (counters[pids] == 0).nonzero()[0]
         if len(wave) > 1:
-            # a pair with several successors in the wave is ready at the
-            # last, and the incidences come in wave order
+            # a ready pair's counter, 0 now and touched by no later wave,
+            # keeps the place of its last incidence (they come in wave order)
             ready = pids[pos]
-            last_pos[ready] = -1
-            np.maximum.at(last_pos, ready, pos)
-            pos = pos[last_pos[ready] == pos]
+            np.maximum.at(counters, ready, pos)
+            pos = pos[counters[ready] == pos]
             # the tie rule: by (wave position of the state making the pair
             # ready, pair id)
             tie = np.left_shift(owner[pos] // n_lengths, 32)
@@ -347,22 +339,21 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
         stats.pushes += len(improved)
         if fifo:
             # a per-pair loop would push each state at its first improvement;
-            # one queued already, or improved again, breaks value order
-            if in_queue[improved].any() or (np.unique(p, return_index=True)[1] != hit).any():
+            # one settled already, the wave's own included, or improved again, breaks value order
+            if (rank[improved] < n).any() or (np.unique(p, return_index=True)[1] != hit).any():
                 raise SoundnessAlarm("fifo discipline improved a queued state")
             pushed = improved[np.argsort(hit)]
-            in_queue[pushed] = True
         else:
             for key in _keys(W[improved], improved):
                 heappush(heap, key)
 
-    settle_values = np.concatenate(settle_values)
+    settle_values = settle_values[: stats.settled]
     if (settle_values[1:] < settle_values[:-1]).any():
         raise SoundnessAlarm("settle values decreased; queue discipline unsound")
     # W(p) = inf iff no input was ever recorded for p
     if not np.array_equal(choice == STOP, ~(W < problem.G)):
         raise SoundnessAlarm("controller domain does not match improved states")
-    del index, counters, pair_max, last_pos  # the certificate's edges reuse the memory
+    del index, counters, pair_max  # the certificate's edges reuse the memory
     check_certificate(problem, W, choice, rank)
     return SolveResult(W, ControllerTable(choice), stats, settle_values, "fifo" if fifo else "heap", rank)
 

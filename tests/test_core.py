@@ -628,6 +628,7 @@ VALID_PROBLEM = dict(n=2, m=1, G=[0.0, INF], trans_ptr=[0, 1, 2], trans_succ=[0,
     (dict(trans_ptr=[0, 2, 2]), "every (state, input) pair needs a successor (F strict): (1,0) has none"),
     (dict(trans_succ=[0, 2]), "successor index out of range"),
     (dict(trans_succ=np.array([0.0, 0.0])), "successor indices must be integers, not float64"),
+    (dict(trans_succ=np.array([[0], [0]])), "successor indices must be a 1-D array, not one of shape (2, 1)"),
     (dict(edge_costs=[1.0, 1.0]), "exactly one of edge_costs/pair_costs required"),
     (dict(pair_costs=[1.0]), "cost array has wrong length"),
     (dict(pair_costs=[1.0, math.nan]), "running costs must be non-negative"),
@@ -870,6 +871,18 @@ def test_tables_that_cannot_be_written_are_rejected():
         ControllerTable([0, -5, STOP])
     with pytest.raises(InputError, match="relation pair '-1 0' has a negative state"):
         Relation([(0, 0), (-1, 0)])
+    # a table of the wrong shape, which would be read as other entries or fail on writing
+    with pytest.raises(InputError, match=re.escape("a controller must be a 1-D array, not one of shape (2, 2)")):
+        ControllerTable(np.array([[0, 1], [1, -1]]))
+    for pairs, shape in (([(0, 1, 2), (3, 4, 5)], (2, 3)), (np.arange(6).reshape(2, 3), (2, 3)),
+                         ([(0, 1, 2)], (1, 3)), (np.arange(4), (4,))):
+        with pytest.raises(InputError, match=re.escape(f"relation pairs must form a (k, 2) array, not one of shape {shape}")):
+            Relation(pairs)
+    with pytest.raises(InputError, match="^relation state array is ragged$"):
+        Relation([(0, 1), (2,)])
+    with pytest.raises(InputError, match="^controller entry array is ragged$"):
+        ControllerTable([[0], [1, 2]])
+    assert len(ControllerTable([])) == len(Relation([])) == 0
 
 
 def test_value_writer_accepts_exactly_the_costs_the_value_reader_accepts():

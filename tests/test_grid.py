@@ -170,6 +170,14 @@ def test_grid_rejects_bad_arguments():
         GridCover([0.0], [0.0], [0.1])
     with pytest.raises(InputError):
         GridCover([0.0, 0.0], [1.0], [0.1])
+    # non-finite parameters, which a config file refuses, are refused here too
+    for lower, upper, eta in (([0.0], [1.0], [np.nan]), ([np.nan], [1.0], [0.1]), ([0.0], [np.inf], [0.1]),
+                              ([0.0], [1.0], [np.inf])):
+        with pytest.raises(InputError, match="^bounds and eta must be finite$"):
+            GridCover(lower, upper, eta)
+    for lo, hi in (([np.nan], [1.0]), ([0.0], [np.nan]), ([-np.inf], [1.0])):
+        with pytest.raises(InputError, match="^input interval piece bounds must be finite$"):
+            InputGrid([(lo, hi)], [0.1])
 
 
 def test_huge_covers_count_cells_exactly():

@@ -411,7 +411,10 @@ def test_fifo_alarms_on_uncertified_costs(monkeypatch):
     # 0 -> 1 costs 5 and 0 -> 2 costs 1; state 2 reaches 1 at cost 1.  Forced
     # past the discreteness check, the fifo settles 0 (W = 5) before 2 (W = 1).
     # In the second problem the fifo's first wave holds both targets, whose
-    # pairs give state 0 M = 3, then M = 1.5: the queued state improves again
+    # pairs give state 0 M = 3, then M = 1.5: the queued state improves again.
+    # In the third, p = 0 reaches target 1 at cost 10 or a = 2 at cost 1, and
+    # a -> b = 3 -> 1 costs 1 a step: p settles at W = 10 in the second wave
+    # and improves to 3 in the third, after it settled
     certify = lambda problem: (1.0, 0.0)
     monkeypatch.setattr(symoc.solver, "is_discrete_cost", certify)
     monkeypatch.setattr(oracles, "is_discrete_cost", certify)
@@ -429,6 +432,12 @@ def test_fifo_alarms_on_uncertified_costs(monkeypatch):
             reference_solve(stored, queue="fifo")
         with pytest.raises(SoundnessAlarm, match="improved a queued state"):
             solve(stored, queue="fifo")
+    settled = from_lists([[[(1, 10.0)], [(2, 1.0)]], [[(1, 1.0)]] * 2, [[(3, 1.0)]] * 2, [[(1, 1.0)]] * 2],
+                         [INF, 0.0, INF, INF])
+    with pytest.raises(SoundnessAlarm):
+        reference_solve(settled, queue="fifo")
+    with pytest.raises(SoundnessAlarm, match="improved a queued state"):
+        solve(settled, queue="fifo")
 
 
 def test_state_improved_several_times_in_one_wave_is_pushed_once():
