@@ -628,12 +628,12 @@ VALID_PROBLEM = dict(n=2, m=1, G=[0.0, INF], trans_ptr=[0, 1, 2], trans_succ=[0,
     (dict(trans_ptr=[0, 2, 2]), "every (state, input) pair needs a successor (F strict): (1,0) has none"),
     (dict(trans_succ=[0, 2]), "successor index out of range"),
     (dict(trans_succ=np.array([0.0, 0.0])), "successor indices must be integers, not float64"),
-    (dict(trans_succ=np.array([[0], [0]])), "successor indices must be a 1-D array, not one of shape (2, 1)"),
     (dict(edge_costs=[1.0, 1.0]), "exactly one of edge_costs/pair_costs required"),
     (dict(pair_costs=[1.0]), "cost array has wrong length"),
     (dict(pair_costs=[1.0, math.nan]), "running costs must be non-negative"),
     # before any array of n * m entries is checked
     (dict(n=2**16, m=2**15, G=np.zeros(2**16), trans_ptr=[0]), "65536 states x 32768 inputs exceed the int32 pair ids"),
+    (dict(trans_succ=np.array([[0], [0]])), "successor indices must be a 1-D array, not one of shape (2, 1)"),
 ])
 def test_finite_problem_validation_names_the_first_fault(change, message):
     FiniteProblem(**VALID_PROBLEM)
