@@ -168,14 +168,15 @@ class Abstraction(FiniteProblem):
     every input has several.  A pair's list is its block's ids or its rows',
     then the overflow id iff ``trans_ptr`` gives it one edge more (it
     escapes).  Each overflow pair lists the overflow cell only.  ``rows``
-    reads these directly, as the count pass does union rows; ``trans_succ``
-    is written from them when first read (``_write_successors``) and checked
-    as a given CSR is, after which the form goes and rows are cut from it.
+    and ``row_blocks`` read these directly; ``trans_succ`` is written from
+    them when first read (``_write_successors``) and checked as a given CSR
+    is, after which the form goes and rows are cut from it.
     """
 
     def __init__(self, cover: GridCover, m, G, trans_ptr, pair_costs, blocks, union):
         self.cover = cover
         self.blocks, self.union = blocks, union  # one of them, the other None
+        self.row_step = int(cover._strides[-2]) if cover.dim > 1 else 1  # the axis a block's rows step along
         super().__init__(cover.n_states, m, G, trans_ptr, None, pair_costs=pair_costs)
 
     @property
@@ -192,6 +193,31 @@ class Abstraction(FiniteProblem):
         pairs: the only rows out of pair order."""
         if self._succ is not None:
             return super().rows(pairs)
+        return cut_rows(*self._read(pairs, False))
+
+    def row_blocks(self, pairs):
+        """As ``FiniteProblem.row_blocks``: a reach block gives a row block
+        per index of its axes before the last two (one on 2-D covers), of
+        k = its span on the axis before the last, whose stride is
+        ``row_step`` (k = 1 on 1-D covers), cut into pieces of at most
+        ROW_MAX ids a row and K_MAX rows.  Overflow rows come last."""
+        if self._succ is not None or self.blocks is None:
+            return super().row_blocks(pairs)
+        place, first, length, k = self._read(pairs, True)
+        if length.max(initial=0) <= core.ROW_MAX and k.max(initial=0) <= core.K_MAX:
+            return place, first, length, k
+        across = (length - 1) // core.ROW_MAX + 1  # pieces of a row
+        own, piece = ranges(0, across * ((k - 1) // core.K_MAX + 1))
+        down, along = np.divmod(piece, across[own])
+        along *= core.ROW_MAX
+        down *= core.K_MAX
+        first = first[own] + along + down * self.row_step
+        return place[own], first, np.minimum(length[own] - along, core.ROW_MAX), np.minimum(k[own] - down, core.K_MAX)
+
+    def _read(self, pairs, by_block):
+        """(place, first id, length, first edge) of the rows of ``pairs``,
+        uncut, or with ``by_block`` (place, first id, length, k) of their
+        row blocks."""
         ptr, n_grid = self.trans_ptr, self.cover.n_cells * self.m
         if isinstance(pairs, slice):  # the cells' pairs by slices, not gathers
             at = slice(min(pairs.start, n_grid), min(pairs.stop, n_grid))
@@ -203,63 +229,31 @@ class Abstraction(FiniteProblem):
         if self.blocks is not None:
             corner, span = self.blocks
             sp = span[:, at]
-            place, first, offset = _expand_ranges(self.cover, corner[at], sp)
-            length, edge = sp[-1, place], start[place] + offset
             held = sp.prod(axis=0)
+            if not by_block:
+                place, first, offset = _expand_ranges(self.cover, corner[at], sp)
+                last = start[place] + offset
+            elif self.cover.dim < 3:  # a block is a row block
+                place = np.flatnonzero(held)
+                first, last = corner[at][place], sp[0, place] if self.cover.dim > 1 else np.ones_like(place)
+            else:  # a row block per index of the axes before the last two
+                sp = sp.copy()
+                sp[-2] = sp[-2] > 0
+                place, first, _ = _expand_ranges(self.cover, corner[at], sp)
+                last = span[-2, at][place]
+            length = sp[-1, place]
         else:
             row_ptr, row_first, row_length = self.union
             place, r = ranges(row_ptr[at], row_ptr[1:][at])
             first, length = row_first[r], row_length[r]
             held = np.bincount(place, length, len(start)).astype(np.int64)
-            edge = (start - held.cumsum() + held)[place] + length.cumsum() - length
+            last = (start - held.cumsum() + held)[place] + length.cumsum() - length
         esc = np.flatnonzero(stop - start > held)
         spill = np.concatenate((esc, np.arange(len(start), len(start) + len(over))))  # overflow rows
+        ones = np.ones(len(spill), dtype=np.int32)
         columns = ((place, spill), (first, np.full(len(spill), self.cover.overflow)),
-                   (length, np.ones(len(spill), dtype=np.int32)), (edge, stop[esc] - 1, ptr[over]))
-        return cut_rows(*map(np.concatenate, columns))
-
-    def row_counts(self, counts, alive, cuts):
-        """As ``FiniteProblem.row_counts``, without expanding the blocks; union
-        rows and a written ``trans_succ`` count there, as ``rows`` gives
-        them.  A block's rows of one length (all of them, or a piece of each
-        cut row) start at the cells of a box, so as a difference array each
-        adds +1 and -1 at the box's corners, -1 at each far end of its
-        leading axes (dropped where that is past the grid), and running sums
-        along those axes of each length's cell grid give the counts.
-        Overflow rows count as the edges their pairs' blocks do not hold."""
-        if self.blocks is None:
-            return super().row_counts(counts, alive, cuts)
-        cover, ptr, grid = self.cover, self.trans_ptr, self.cover.n_cells * self.m
-        corner, span = self.blocks
-        flat, width = counts.reshape(-1), counts.shape[1]  # flat is a view
-        lead = cover.dim - 1
-        slab = np.append(cover.n_cells, cover._strides[:-1])  # the ids an axis steps within
-        spill = 0
-        for pa, pb in zip(cuts, cuts[1:]):
-            live = alive[pa:pb]
-            spill += int(np.diff(ptr[pa : pb + 1])[live].sum())
-            hi = max(pa, min(pb, grid))
-            live = live[: hi - pa]
-            spill -= int(span[:, pa:hi].prod(axis=0)[live].sum())
-            live = pa + np.flatnonzero(live & (span[-1, pa:hi] > 0))
-            first, length = corner[live].astype(np.int64), span[-1, live].astype(np.int64)
-            own, first, length, _ = cut_rows(live, first, length, first)  # a box per piece of a cut row
-            sp = span[:, own]
-            length -= 1
-            length *= width
-            for box in range(1 << lead):  # each corner, at the far end of the axes in box's bits
-                cell, keep, sign = first + length, np.ones(len(first), dtype=bool), 1
-                for axis in (axis for axis in range(lead) if box >> axis & 1):
-                    step = sp[axis] * cover._strides[axis]
-                    keep &= (first % slab[axis] if axis else first) + step < slab[axis]
-                    cell += step
-                    sign = -sign
-                np.add.at(flat, cell[keep], sign)
-        for row in counts:
-            cells = row[: cover.n_cells].reshape(cover.counts)  # one length's cell grid
-            for axis in range(lead):
-                np.cumsum(cells, axis=axis, out=cells)
-        counts[0, cover.overflow] += spill
+                   (length, ones), (last, ones) if by_block else (last, stop[esc] - 1, ptr[over]))
+        return tuple(map(np.concatenate, columns))
 
 
 def _write_successors(problem: Abstraction):

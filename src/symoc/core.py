@@ -43,7 +43,8 @@ def chunks(ptr, size):
     return np.unique(np.concatenate(([0, len(ptr) - 1], cuts, big))).tolist()
 
 
-ROW_MAX = 8  # the longest row: longer runs of consecutive successors are cut
+ROW_MAX = 8  # the longest row: longer runs of consecutive successors are cut; at most 8 (solver.RowIndex)
+K_MAX = 255  # the most rows of a row block (FiniteProblem.row_blocks): a uint8 in the solver's index
 
 
 def cut_rows(place, first, length, edge):
@@ -116,8 +117,9 @@ class FiniteProblem:
     abstractions to keep memory linear in the pair count).
 
     F(p, u) is a set: no pair lists a successor twice.  The solver reads
-    successor lists as rows (``rows``).  A subclass may keep its lists in
-    another form and build ``trans_succ`` when it is first read.
+    successor lists as row blocks (``row_blocks``) and its certificate as
+    rows (``rows``).  A subclass may keep its lists in another form and
+    build ``trans_succ`` when it is first read.
     """
 
     def __init__(self, n, m, G, trans_ptr, trans_succ, edge_costs=None, pair_costs=None):
@@ -220,18 +222,15 @@ class FiniteProblem:
         edge = at + ptr[pairs.start] if isinstance(pairs, slice) else edges[at]
         return cut_rows(place, s[at], length, edge)
 
-    def row_counts(self, counts, alive, cuts):
-        """Add to counts[L - 1, f], a C-contiguous array of at least n
-        columns, the number of rows of length L and first id f (``rows``)
-        among the pairs whose ``alive`` is set, reading the pairs between
-        consecutive ``cuts`` a chunk at a time."""
-        flat, width = counts.reshape(-1), counts.shape[1]  # a view: updates land in counts
-        for pa, pb in zip(cuts, cuts[1:]):
-            place, first, length, _ = self.rows(slice(pa, pb))
-            length -= 1
-            length *= width
-            length += first
-            np.add.at(flat, length[alive[pa:pb][place]], 1)
+    row_step = 1  # the id step between the rows of a row block (``row_blocks``)
+
+    def row_blocks(self, pairs):
+        """The rows of ``pairs`` (as ``rows``) grouped into row blocks: per
+        block the place of its pair, the first id f of its first row, its
+        rows' length L, at most ROW_MAX, and their count k, at most K_MAX;
+        row i starts at f + i * ``row_step``.  Here a row is a block."""
+        place, first, length, _ = self.rows(pairs)
+        return place, first, length, np.ones(len(place), dtype=np.int32)
 
     # --- FOCP v1 text format -------------------------------------------------
 

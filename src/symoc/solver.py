@@ -1,25 +1,26 @@
 """Dijkstra-like solver for finite leavable minimax problems.
 
-The solver settles states in order of non-decreasing value.  When a state q is
-settled, every pair (p, u) with q among its successors decrements a counter of
-unsettled successors; once the counter hits zero the pair's worst-case one-step
-value M = max_y g(p,y,u) + W(y) is known and W(p) improves when M beats it.
-Each pair is evaluated once, in O(1): settle values never decrease, so the
-state q whose settle made the pair ready has the largest W among its
-successors and M = g(p,u) + W(q) with per-pair costs.  With per-edge costs a
-running maximum of g(p,y,u) + W(y) is kept per pair, raised as each successor
-settles.  Pairs with an infinite-cost transition can never improve anything
-and are left out up front.  Cost sums saturate to inf, the sound upper bound.
+The solver settles states in order of non-decreasing value.  Once every
+successor of a pair (p, u) is settled the pair is ready: its worst-case
+one-step value M = max_y g(p,y,u) + W(y) is known and W(p) improves when M
+beats it.  Each pair is evaluated once, in O(1): settle values never
+decrease, so the state q whose settle made the pair ready has the largest W
+among its successors and M = g(p,u) + W(q) with per-pair costs.  With
+per-edge costs M is reduced from the ready pair's own edges, as
+check_certificate reduces them.  Pairs with an infinite-cost transition can
+never improve anything and are left out up front.  Cost sums saturate to
+inf, the sound upper bound.
 
 Successor sets are index blocks, so a pair's list is a few runs of
-consecutive ids.  The solver reads these as rows of at most ROW_MAX ids,
-indexed by (length L, first id): a settled q lies in exactly the rows of
-length L whose first id is in [q - L + 1, q], so a wave's (successor, pair)
-incidences are one range query per state and length (interval stabbing).
-The index is built by a counting sort over chunks of pairs, and the solver
-holds 4 B per live row beside the problem (12 B with per-edge costs, read
-at the row's first edge plus q - first id), ROW_MAX (n + ROW_MAX) offsets
-and O(n m) pair data.
+consecutive ids.  The solver reads these as rows of at most ROW_MAX ids in
+row blocks of k rows of one length L, first ids f + i step for i < k, and
+indexes the blocks by (L, f).  A pair's counter counts its rows not yet
+completed.  The last id q that a wave settles in a row lies in it, and the
+row's other ids settled no later than q, so the rows completed from q
+start in one range per (L, i): each is found once, from the state that the
+tie rule names.  The index is built by a counting sort over chunks of
+pairs; the solver holds 5 B per live block beside the problem, ROW_MAX n
+offsets and 4 B per pair.
 
 One settle loop serves two queue disciplines.  Each step takes a wave, the
 states to settle next in settle order, and settles it with numpy.  The tie
@@ -135,43 +136,79 @@ def _keys(values, states) -> list:
 
 
 class RowIndex:
-    """The live pairs' successor rows, indexed by (length, first id).
+    """The live pairs' row blocks (``FiniteProblem.row_blocks``) by (length
+    L, first id f): offsets[(L - 1) n + f], f from 0 to n, counts the blocks
+    below (L, f); ``pair`` holds their int32 pair ids and ``k`` their uint8
+    row counts.  ``counters`` counts each pair's rows not yet completed, -1
+    if inert; at 0 the pair is ready, and ``solve`` keeps its tie position
+    there.  ``completed`` packs the marks of q - 7 to q + 8, for each wave
+    state q, into two bytes, which index two 256-row tables: per (L, i), i
+    below the largest k of length L, the columns bounding the blocks whose
+    row i q may complete."""
 
-    A row is a run of at most ROW_MAX (``core.ROW_MAX``) consecutive
-    successor ids in one pair's list; each maximal run is cut into rows of
-    ROW_MAX and a rest.  Rows sort by (length L, first id f); with stride =
-    n + ROW_MAX, offsets[(L - 1) * stride + ROW_MAX - 1 + f], for f from
-    1 - ROW_MAX to n, counts the rows sorting below (L, f).  ``pair`` holds
-    each row's int32 pair id and ``base``, with per-edge costs, its first
-    edge minus its first id, so a successor q of the row is edge base + q.
-    ``counters`` counts each pair's unsettled successors, -1 if inert; at 0
-    the pair is ready, and ``solve`` then keeps its tie position there.
-    """
+    def __init__(self, offsets, pair, k, counters, step):
+        self.offsets, self.pair, self.k, self.counters = offsets, pair, k, counters
+        row_max, n = core.ROW_MAX, (len(offsets) - 1) // core.ROW_MAX
+        bounds = offsets[::n]  # each length's first block, and the end
+        most = np.array([k[a:b].max(initial=0) for a, b in zip(bounds[:-1], bounds[1:])], dtype=np.int64)
+        L, i = np.repeat(np.arange(1, row_max + 1), most), ranges(0, most)[1]
+        self._shift, self._base = i, (L - 1) * n  # the lowest column of length L
+        # how far the set marks run from q: down from bit 1 of byte 0 (q at bit 0), up from bit 7 of byte 1
+        ones = [(v ^ (v + 1)).bit_length() - 1 for v in range(256)]  # trailing set bits
+        left = np.minimum([ones[v >> 1] for v in range(256)], row_max - 1)[:, None]
+        right = np.minimum([ones[int(f"{v:08b}"[::-1], 2)] for v in range(256)], row_max - 1)[:, None]
+        first = self._base - i * step  # the column of f = q, less q, for row i
+        self._columns = np.stack((first - np.minimum(left, L - 1), first - np.maximum(L - 1 - right, 0) + 1))
+        self._side, self._single = np.arange(2)[:, None], not i.any()  # single: every k is 1
 
-    def __init__(self, lengths, offsets, pair, base, counters):
-        self.lengths = lengths  # the row lengths present, ascending
-        self.offsets, self.pair, self.base, self.counters = offsets, pair, base, counters
-        stride = len(offsets) // core.ROW_MAX
-        self._lo = (lengths - 1) * stride + core.ROW_MAX - lengths  # column of f = q - L + 1, less q
-        self._hi = self._lo + lengths  # column of f = q + 1, less q
+    def completed(self, wave, window):
+        """(at, pair ids) of the rows that settling ``wave`` completes, once
+        each, with the position in the wave of the row's last settled id q
+        (0 for a one-state wave).  window[q] views the settle ranks of ids
+        q - 7 to q + 8, n where unsettled or out of range."""
+        if len(wave) == 1:  # by basic indexing, which costs a one-state wave less
+            q = wave[0]
+            marks = window[q]
+            low, high = np.packbits(marks <= marks[7]).tolist()  # the ids settled no later than q
+            lo, hi = self._columns[0, low] + q, self._columns[1, high] + q
+        else:
+            marks = window[wave]
+            bits = np.packbits(marks <= marks[:, 7:8], axis=1)
+            lo, hi = cols = self._columns[self._side, bits.T]  # per wave state and (L, i), its range's columns
+            cols += wave[:, None]
+        np.maximum(lo, self._base, out=lo)  # no block starts below id 0
+        np.maximum(hi, lo, out=hi)
+        start = self.offsets[lo].ravel()
+        sizes = self.offsets[hi].ravel() - start
+        blocks = (start - sizes.cumsum() + sizes).repeat(sizes)  # as core.ranges
+        blocks += np.arange(len(blocks))
+        at = np.arange(len(wave)).repeat(sizes.reshape(len(wave), -1).sum(axis=1)) if len(wave) > 1 else 0
+        if self._single:
+            return at, self.pair[blocks]
+        keep = self.k[blocks] > (np.tile(self._shift, len(wave)) if len(wave) > 1 else self._shift).repeat(sizes)
+        return (at[keep] if len(wave) > 1 else 0), self.pair[blocks[keep]]
 
-    def incidences(self, states):
-        """(owner, rows) of the rows holding each state, by core.ranges over
-        (state, length): those of states[k] have owner // len(lengths) == k."""
-        return ranges(self.offsets[(states[:, None] + self._lo).ravel()],
-                      self.offsets[(states[:, None] + self._hi).ravel()])
+
+def _mapped(size, dtype) -> np.ndarray:
+    """A zeroed array on an anonymous map of its own, not on the heap: freed,
+    its pages go back to the system at once, whatever malloc's thresholds.
+    They are mapped in at once where the system can (MAP_POPULATE)."""
+    import mmap  # here, not at import: set-up time
+
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, max(size, 1) * np.dtype(dtype).itemsize, flags), dtype, size)
 
 
 def _build_inverse(problem: FiniteProblem) -> RowIndex:
-    """The RowIndex of the non-inert pairs, from the rows the problem gives
-    (``FiniteProblem.rows``) a chunk of pairs at a time.
+    """The RowIndex of the non-inert pairs, from the row blocks the problem
+    gives (``FiniteProblem.row_blocks``) a chunk of pairs at a time.
 
     Pairs with any infinite transition cost are inert (their M is always
-    inf) and left out.  A pair's counter counts its successors, each once,
-    as no pair lists one twice (``FiniteProblem._check_successors``).
+    inf) and left out.  A pair's counter counts its rows, which are disjoint:
+    no pair lists a successor twice (``FiniteProblem._check_successors``).
 
     A two-pass counting sort over chunks of whole pairs.  The first pass
-    counts the rows of each (length, first id), the second takes the rows
+    counts the blocks of each (length, first id), the second takes them
     again, sorts each chunk's by (length, first id) and writes them at
     cursors kept in the offsets.  Beyond the index it holds O(n m) pair
     data and O(core.CHECK_EDGES) per chunk.
@@ -179,35 +216,35 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
     n, m = problem.n, problem.m
     ptr, edge_costs = problem.trans_ptr, problem.edge_costs
     alive = np.isfinite(problem.pair_costs) if edge_costs is None else np.empty(n * m, dtype=bool)
-    row_max = core.ROW_MAX
-    stride = n + row_max
-    inert = row_max * stride - 1  # the column of inert pairs' rows, past every row's
+    inert = core.ROW_MAX * n  # the column of inert pairs' blocks, past every live one's
 
-    # count pass: offsets[c + 2] counts the rows in column c, and
-    # counts[L - 1, f] is the slot of column (L, f) for f from 0 to n - 1
+    # count pass: offsets[c + 2] counts the blocks in column c = (L - 1) n + f
     cuts = chunks(ptr, core.CHECK_EDGES)
     if edge_costs is not None:
         for pa, pb in zip(cuts, cuts[1:]):
             a, b = ptr[pa], ptr[pb]
             alive[pa:pb] = np.logical_and.reduceat(np.isfinite(edge_costs[a:b]), ptr[pa:pb] - a)
-    offsets = np.zeros(inert + row_max + 2, dtype=np.int64)  # room for counts' last row
-    counts = offsets[row_max + 1 :].reshape(row_max, stride)
-    problem.row_counts(counts, alive, cuts)
-    lengths = 1 + np.flatnonzero(counts.any(axis=1))
+    offsets = _mapped(inert + 2, np.int64)
+    for pa, pb in zip(cuts, cuts[1:]):
+        pair, first, length, _ = problem.row_blocks(slice(pa, pb))
+        pair += pa
+        col = np.multiply(length - 1, n, dtype=np.int64)  # as in RowIndex
+        col += first
+        np.add.at(offsets, col[alive[pair]] + 2, 1)
     np.cumsum(offsets, out=offsets)
 
-    # fill pass: a chunk's rows, sorted by (column, chunk-local row), form
-    # one run per column.  cursor[c] = offsets[c + 1] starts at column c's
-    # first slot and ends at column c + 1's, so offsets[c] ends at column c's
+    # fill pass: a chunk's blocks, sorted by (column, chunk-local block),
+    # form one run per column.  cursor[c] = offsets[c + 1] starts at column
+    # c's first slot and ends at column c + 1's, so offsets[c] ends at column c's
     cursor = offsets[1:]
-    index_pair = np.empty(offsets[-1], dtype=np.int32)
-    base = None if edge_costs is None else np.empty(offsets[-1], dtype=np.int64)
+    index_pair, index_k = _mapped(offsets[-1], np.int32), _mapped(offsets[-1], np.uint8)
+    counters = _mapped(n * m, np.int32)
     for pa, pb in zip(cuts, cuts[1:]):
-        pair, first, size, edge = problem.rows(slice(pa, pb))
+        pair, first, length, k = problem.row_blocks(slice(pa, pb))
         pair += pa
-        col = np.multiply(size - 1, stride, dtype=np.int64)  # as in RowIndex
+        counters[pa:pb] = np.bincount(pair - pa, k, pb - pa)
+        col = np.multiply(length - 1, n, dtype=np.int64)  # as in RowIndex
         col += first
-        col += row_max - 1
         col[~alive[pair]] = inert
         shift = len(col).bit_length()
         key = col << shift
@@ -215,7 +252,7 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
         key.sort()
         col = key >> shift
         live = np.searchsorted(col, inert)
-        col, key = col[:live], key[:live] & ((1 << shift) - 1)  # the rows, by column
+        col, key = col[:live], key[:live] & ((1 << shift) - 1)  # the blocks, by column
         if not live:
             continue
         starts = np.concatenate(([0], np.flatnonzero(col[1:] != col[:-1]) + 1))
@@ -225,11 +262,9 @@ def _build_inverse(problem: FiniteProblem) -> RowIndex:
         dest += np.arange(live)
         cursor[run_col] += runs
         index_pair[dest] = pair[key]
-        if base is not None:
-            base[dest] = (edge - first)[key]
-    counters = np.diff(ptr)
+        index_k[dest] = k[key]
     counters[~alive] = -1
-    return RowIndex(lengths, offsets[: inert + 1], index_pair, base, counters)
+    return RowIndex(offsets[: inert + 1], index_pair, index_k, counters, problem.row_step)
 
 
 @np.errstate(over="ignore")  # cost sums saturate to inf
@@ -250,12 +285,12 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     n, m = problem.n, problem.m
     W = problem.G.copy()
     choice = np.full(n, STOP, dtype=np.int64)
-    rank = np.full(n, n, dtype=np.int64)  # n until settled: the one record of settling
+    ranked = np.full(n + 15, n, dtype=np.int64)  # the ranks of ids -7 to n + 7, n outside
+    rank = ranked[7 : n + 7]  # n until settled: the one record of settling
+    window = np.lib.stride_tricks.sliding_window_view(ranked, 16)  # window[q]: ids q - 7 to q + 8
     index = _build_inverse(problem)
-    counters, n_lengths = index.counters, len(index.lengths)
-    pair_costs, edge_costs = problem.pair_costs, problem.edge_costs
-    # per-edge costs: running max of g + W(y) over the settled successors y
-    pair_max = None if edge_costs is None else np.full(n * m, -INF)
+    counters = index.counters
+    ptr, pair_costs, edge_costs = problem.trans_ptr, problem.pair_costs, problem.edge_costs
     stats = SolveStats()
     settle_values = np.empty(n)
 
@@ -298,50 +333,55 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
         settle_values[stats.settled : stats.settled + len(wave)] = vals
         stats.settled += len(wave)
 
-        # pairs whose last unsettled successor is in the wave: a state lies
-        # in one row of each pair listing it
-        owner, rows = index.incidences(wave)
-        pids = index.pair[rows].astype(np.intp)  # intp indexes faster
-        np.subtract.at(counters, pids, 1)
+        # pairs whose last row the wave completes: a state completes at
+        # most one row of each pair, the one holding it
+        at, pids = index.completed(wave, window)
+        pids = pids.astype(np.intp)  # intp indexes faster
+        np.subtract.at(counters, pids, np.int32(1))  # in counters' dtype: ufunc.at's fast path
         pos = (counters[pids] == 0).nonzero()[0]
         if len(wave) > 1:
             # a ready pair's counter, 0 now and touched by no later wave,
-            # keeps the place of its last incidence (they come in wave order)
+            # keeps the place of its last row (they come in wave order)
             ready = pids[pos]
-            np.maximum.at(counters, ready, pos)
+            np.maximum.at(counters, ready, pos.astype(np.int32))
             pos = pos[counters[ready] == pos]
             # the tie rule: by (wave position of the state making the pair
             # ready, pair id)
-            tie = np.left_shift(owner[pos] // n_lengths, 32)
+            tie = np.left_shift(at[pos], 32)
             tie |= pids[pos]
             tie.sort()
             ready, at = tie & 0xFFFFFFFF, tie >> 32
         else:
             ready, at = np.sort(pids[pos]), 0
-        if pair_max is None:
+        if edge_costs is None:
             values = pair_costs[ready] + vals[at]
-        else:
-            at = owner // n_lengths  # per incidence, its state's wave position
-            np.maximum.at(pair_max, pids, edge_costs[index.base[rows] + wave[at]] + vals[at])
-            values = pair_max[ready]
+        else:  # M from the ready pairs' edges, as check_certificate reduces them
+            lo, hi = ptr[ready], ptr[ready + 1]
+            edges = ranges(lo, hi)[1]
+            values = edge_costs[edges] + W[problem.trans_succ[edges]]
+            values = np.maximum.reduceat(values, (hi - lo).cumsum() - (hi - lo))
         stats.pair_evals += len(ready)
 
-        # improve states, pushing each improved state once (module docstring)
+        # improve states, pushing each improved state once (module docstring);
+        # a state's choice is its first candidate in key order: its first pair
+        # reaching its M, or with fifo its first improvement, which must be its last
         p = ready // m
         better = values < W[p]
         ready, values, p = ready[better], values[better], p[better]
+        if not len(p):
+            continue
         np.minimum.at(W, p, values)
-        hit = np.flatnonzero(values == W[p])
-        improved, first = np.unique(p[hit], return_index=True)
-        hit = hit[first]  # per improved state, the position of its choice
+        cand = np.arange(len(p)) if fifo else np.flatnonzero(values == W[p])
+        cand = cand[np.argsort(p[cand], kind="stable")]  # by state, then key
+        hit = cand[np.concatenate(([True], p[cand[1:]] != p[cand[:-1]]))]  # each state's first: its choice
+        improved = p[hit]
+        if fifo and ((rank[improved] < n).any() or (values[hit] != W[improved]).any()):
+            # settled already, the wave's own included, or improved twice: either breaks value order
+            raise SoundnessAlarm("fifo discipline improved a queued state")
         W[improved] = values[hit]  # the chosen M's bits, also for M = -0.0
         choice[improved] = ready[hit] - improved * m
         stats.pushes += len(improved)
         if fifo:
-            # a per-pair loop would push each state at its first improvement;
-            # one settled already, the wave's own included, or improved again, breaks value order
-            if (rank[improved] < n).any() or (np.unique(p, return_index=True)[1] != hit).any():
-                raise SoundnessAlarm("fifo discipline improved a queued state")
             pushed = improved[np.argsort(hit)]
         else:
             for key in _keys(W[improved], improved):
@@ -353,7 +393,7 @@ def solve(problem: FiniteProblem, queue: str = "heap") -> SolveResult:
     # W(p) = inf iff no input was ever recorded for p
     if not np.array_equal(choice == STOP, ~(W < problem.G)):
         raise SoundnessAlarm("controller domain does not match improved states")
-    del index, counters, pair_max  # the certificate's edges reuse the memory
+    del index, counters  # the certificate's edges reuse the memory
     check_certificate(problem, W, choice, rank)
     return SolveResult(W, ControllerTable(choice), stats, settle_values, "fifo" if fifo else "heap", rank)
 

@@ -404,26 +404,44 @@ def test_block_rows_expand_to_the_materialized_csr(monkeypatch, row_max):
     assert forms == {True, False}  # blocks and union rows
 
 
+def block_incidences(problem, pairs, row_blocks):
+    """(pair's place, successor id) of each successor that the row blocks
+    or rows of ``pairs`` list, in that order."""
+    place, first, length, k = problem.row_blocks(pairs) if row_blocks else problem.rows(pairs)
+    if not row_blocks:
+        k = np.ones(len(place), dtype=np.int64)
+    block, i = ranges(0, k.astype(np.int64))
+    row, succ = ranges(first[block] + i * problem.row_step, first[block] + i * problem.row_step + length[block])
+    order = np.lexsort((succ, place[block][row]))
+    return place[block][row][order], succ[order]
+
+
 @pytest.mark.parametrize("row_max", [None, 2])
 def test_inverse_from_blocks_matches_reference_inverse(monkeypatch, row_max):
     # the row index built from the blocks, without trans_succ, lists the
     # reference's (successor, pair) incidences; rows longer than ROW_MAX
-    # count and fill as their pieces
+    # and blocks of more than K_MAX rows (the default, or 2) count and fill
+    # as their pieces
     if row_max is not None:
         monkeypatch.setattr(symoc.core, "ROW_MAX", row_max)
-    rng = np.random.default_rng(29)
-    for problem, _, _ in block_problems(rng, 12):
-        # the counts from the blocks' boxes, for any live pairs, are the rows'
-        n_pairs = problem.n * problem.m
-        alive, cuts = rng.random(n_pairs) < 0.7, [0, n_pairs // 3, n_pairs]
-        got, want = (np.zeros((symoc.core.ROW_MAX, problem.n + 3), dtype=np.int64) for _ in range(2))
-        problem.row_counts(got, alive, cuts)
-        FiniteProblem.row_counts(problem, want, alive, cuts)
-        assert np.array_equal(got, want)
-        index = symoc.solver._build_inverse(problem)
-        assert problem._succ is None
-        assert index.lengths.max() <= symoc.core.ROW_MAX
-        assert_inverse_matches_reference(problem)
+    most = 0
+    for k_max in (symoc.core.K_MAX, 2):
+        monkeypatch.setattr(symoc.core, "K_MAX", k_max)
+        rng = np.random.default_rng(29)
+        for problem, _, _ in block_problems(rng, 12):
+            # a block form's row blocks, each expanded to its k rows, hold
+            # the successors its rows hold
+            n_pairs = problem.n * problem.m
+            for pairs in (slice(0, n_pairs), slice(n_pairs // 3, n_pairs)):
+                got, want = (block_incidences(problem, pairs, by_block) for by_block in (True, False))
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            if problem.blocks is not None:
+                most = max(most, problem.row_blocks(slice(0, n_pairs))[3].max())
+            index = symoc.solver._build_inverse(problem)
+            assert problem._succ is None
+            assert index.k.max() <= k_max
+            assert_inverse_matches_reference(problem)
+    assert most > 2  # blocks of several rows, cut where K_MAX is 2
 
 
 def test_materialized_csr_passes_the_constructor_check(monkeypatch):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import oracles
+import symoc.abstraction
 import symoc.solver
 from abstraction_digests import build
 from symoc.cli import _build_from_config
 from symoc.config import load_config
-from symoc.core import INF, ROW_MAX, STOP, FiniteProblem
+from symoc.core import INF, ROW_MAX, STOP, FiniteProblem, ranges
 from symoc.errors import InputError, SoundnessAlarm
+from symoc.grid import GridCover
 from symoc.solver import SolveStats, check_certificate, dp_operator, is_discrete_cost, solve
 
 from oracles import (
@@ -604,36 +606,101 @@ def run_problem(rng, n, m, per_edge, shuffle=False):
     return FiniteProblem(n, m, G, ptr, succ, pair_costs=costs)
 
 
-def row_incidences(index, n):
-    """Per successor q, the set of (pair, edge of q) of the index's rows
-    holding q; the edge is None with per-pair costs."""
-    owner, rows = index.incidences(np.arange(n))
-    q = owner // len(index.lengths)
-    pairs = index.pair[rows].tolist()
-    costs = [None] * len(rows) if index.base is None else (index.base[rows] + q).tolist()
-    got = [set() for _ in range(n)]
-    for y, pid, edge in zip(q.tolist(), pairs, costs):
-        got[y].add((pid, edge))
-    return got
+def index_rows(index, problem):
+    """(pair, first id, length) of every row of the problem's index: each
+    block's k rows, the first ids f + i * row_step for i < k."""
+    col = np.searchsorted(index.offsets, np.arange(len(index.pair)), side="right") - 1
+    length, first = np.divmod(col, problem.n)
+    block, i = ranges(0, index.k.astype(np.int64))
+    return index.pair[block], first[block] + i * problem.row_step, length[block] + 1
+
+
+def row_incidences(index, problem):
+    """Per successor q, the pair ids of the index's rows holding q, one
+    per row, ascending."""
+    pair, first, length = index_rows(index, problem)
+    row, q = ranges(first, first + length)
+    got = [[] for _ in range(problem.n)]
+    for y, pid in zip(q.tolist(), pair[row].tolist()):
+        got[y].append(pid)
+    return [sorted(pids) for pids in got]
 
 
 def assert_inverse_matches_reference(problem):
     index = symoc.solver._build_inverse(problem)
-    pred_ptr, pred_pair, counters, inv_costs = reference_inverse(problem)
-    assert (index.offsets.dtype, index.pair.dtype) == (np.int64, np.int32)
-    assert index.lengths.max(initial=1) <= symoc.core.ROW_MAX
-    assert np.array_equal(index.counters, counters)
-    got = row_incidences(index, problem.n)
+    pred_ptr, pred_pair, counters, _ = reference_inverse(problem)
+    dtypes = index.offsets.dtype, index.pair.dtype, index.k.dtype, index.counters.dtype
+    assert dtypes == (np.int64, np.int32, np.uint8, np.int32)
+    pair, first, length = index_rows(index, problem)
+    assert length.max(initial=1) <= symoc.core.ROW_MAX and index.k.min(initial=1) >= 1
+    assert first.min(initial=0) >= 0 and (first + length).max(initial=0) <= problem.n
+    # each live pair's counter counts its rows, which inert pairs have none of
+    rows = np.bincount(pair, minlength=problem.n * problem.m)
+    assert np.array_equal(index.counters, np.where(counters < 0, -1, rows))
+    assert not rows[counters < 0].any()
+    # every (successor, pair) incidence of the reference exactly once
+    got = row_incidences(index, problem)
     for q in range(problem.n):
-        lo, hi = pred_ptr[q], pred_ptr[q + 1]
-        pairs = pred_pair[lo:hi].tolist()
-        if inv_costs is None:
-            assert got[q] == {(pid, None) for pid in pairs}
-        else:
-            # the row's edge of q, by its cost
-            assert {(pid, problem.edge_costs[e]) for pid, e in got[q]} == set(zip(pairs, inv_costs[lo:hi].tolist()))
-            assert all(problem.trans_succ[e] == q for _, e in got[q])
-        assert len(got[q]) == hi - lo  # no pair holds q in two rows
+        assert got[q] == pred_pair[pred_ptr[q] : pred_ptr[q + 1]].tolist()
+
+
+def random_block_abstraction(rng, cover, m, costs):
+    """An ``Abstraction`` whose cells' pairs are random reach blocks: up to
+    7 indices along the axis before the last (k up to 7), up to ROW_MAX + 3
+    along the last, 1 to 3 along others; about a tenth escape, a third of
+    those to the overflow cell only.  A fifth of the cells are gated (cost
+    inf); the other pairs draw their costs from ``costs``, and a fifth of
+    the cells are targets (G = 0)."""
+    cells, dim = cover.n_cells, cover.dim
+    most = np.full((dim, 1), 3)
+    most[-1] = symoc.core.ROW_MAX + 3
+    if dim > 1:
+        most[-2] = 7
+    span = np.minimum(rng.integers(1, most + 1, size=(dim, cells * m)), cover.counts[:, None])
+    lo = rng.integers(0, cover.counts[:, None] - span + 1)
+    escape = rng.random(cells * m) < 0.1
+    span[:, escape & (rng.random(cells * m) < 0.3)] = 0
+    ptr = np.ones(cover.n_states * m + 1, dtype=np.int64)
+    ptr[0] = 0
+    ptr[1 : 1 + cells * m] = span.prod(axis=0) + escape
+    np.cumsum(ptr, out=ptr)
+    pair_costs = np.full(cover.n_states * m, INF)
+    pair_costs[: cells * m] = rng.choice(costs, size=cells * m)
+    pair_costs[: cells * m][np.repeat(rng.random(cells) < 0.2, m)] = INF
+    G = np.append(np.where(rng.random(cells) < 0.2, 0.0, INF), INF)
+    blocks = (cover._strides @ lo).astype(np.int32), span.astype(np.int32)
+    return symoc.abstraction.Abstraction(cover, m, G, ptr, pair_costs, blocks, None)
+
+
+@pytest.mark.parametrize("row_max", [None, 2])
+def test_solve_matches_reference_solve_on_block_abstractions(monkeypatch, row_max):
+    # the settle by completed rows, read from row blocks of up to 7 rows
+    # (cut where K_MAX is 3), against the per-state loop on trans_succ:
+    # unit costs take the fifo, whose waves hold several states; costs of
+    # 0 make every heap wave one state, and costs of at least 0.5 several
+    if row_max is not None:
+        monkeypatch.setattr(symoc.core, "ROW_MAX", row_max)
+    covers = [
+        GridCover([0.0], [30.0], [1.0]),
+        GridCover([0.0, 0.0], [1.0, 2.0], [0.1, 0.1]),
+        GridCover([0.0, 0.0, 0.0], [0.75, 2.0, 2.5], [0.25, 0.25, 0.25]),
+    ]
+    rng = np.random.default_rng(37)
+    seen = set()
+    for k_max in (symoc.core.K_MAX, 3):
+        monkeypatch.setattr(symoc.core, "K_MAX", k_max)
+        for cover in covers:
+            for costs, queue in (([1.0], "auto"), ([0.0, 0.5, 1.25, 2.0], "heap"), ([0.5, 0.75, 2.0], "heap")):
+                problem = random_block_abstraction(rng, cover, 3, costs)
+                span = problem.blocks[1]
+                escape = np.diff(problem.trans_ptr)[: cover.n_cells * 3] > span.prod(axis=0)
+                seen.add(("k", min(int(span[-2].max()), 6) if cover.dim > 1 else 1))
+                seen.add(("long", bool(span[-1].max() > symoc.core.ROW_MAX)))
+                seen.add(("escape", bool(escape.any())))
+                solve(problem, queue=queue)
+                assert problem._succ is None  # the solve reads the blocks, not trans_succ
+                assert_matches_reference(problem, queue)
+    assert {("k", 6), ("long", True), ("escape", True)} <= seen
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64, None])
@@ -698,7 +765,9 @@ def test_build_inverse_holds_little_beyond_its_outputs(per_edge):
     # 3.2 M edges in runs, about 0.3 rows per edge: besides the index the
     # build may hold O(n m) pair data and O(CHECK_EDGES) per chunk, not
     # an array per row (a sort of int64 (column, row) keys over all rows
-    # would hold 8 B per row more)
+    # would hold 8 B per row more).  The index lies on maps of its own,
+    # which tracemalloc does not see, so the traced peak is what the build
+    # holds beyond it; the index is 5 B per block, 8 per offset and 4 per pair
     n, m = 20_000, 4
     rng = np.random.default_rng(8)
     sizes = rng.integers(10, 70, size=n * m)
@@ -726,7 +795,8 @@ def test_build_inverse_holds_little_beyond_its_outputs(per_edge):
         tracemalloc.stop()
     rows = len(index.pair)
     assert 0.2 < rows / problem.n_edges < 0.4
-    outputs = sum(a.nbytes for a in (index.offsets, index.pair, index.base, index.counters) if a is not None)
+    outputs = sum(a.nbytes for a in (index.offsets, index.pair, index.k, index.counters))
+    assert outputs == 5 * rows + 8 * (symoc.core.ROW_MAX * n + 1) + 4 * n * m
     beyond = 24 * n * m + 64 * symoc.core.CHECK_EDGES
-    assert peak <= outputs + beyond
+    assert peak <= beyond
     assert 8 * rows > beyond
